@@ -6,7 +6,7 @@ BENCH_PATTERN ?= Dijkstra|EdgeByPort|MetricBuild|TrafficThroughput
 COUNT ?= 5
 OUT ?= bench-new.txt
 
-.PHONY: all build test verify race short large bench bench-smoke bench-json benchcmp fmt vet lint ci traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
+.PHONY: all build test verify race short large bench bench-smoke benchcmp fmt vet lint ci alloc-gates loc traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
 
 all: verify
 
@@ -74,13 +74,15 @@ obs:
 	$(GO) test -race ./internal/telemetry
 
 # Dynamic-topology smoke (E17/E18) under the race detector: the churn
-# epoch loop — seeded events, stale-window serving with typed drops,
-# incremental repair, per-epoch certification against a from-scratch
-# build — then the maintenance property/fuzz tests and the TCP
+# driver at one shard on the low-dirty world — seeded events, serving
+# under fire with typed drops, incremental repair, per-batch
+# certification against a from-scratch build — then the maintenance
+# property/fuzz tests, the batch-application property and the TCP
 # peer-flap units (monitor detection, mid-batch kill).
 churn:
-	$(GO) run -race ./cmd/rtbench -exp churn -n 128 -packets 6000 -epochs 3 -rate 4 -seed 1
-	$(GO) test -race -run 'TestRunChurnSmoke|TestIncrementalMatchesFreshUnderEventFuzz|TestRebuildAllMatchesFreshBuild|TestModelReplayDeterminism|TestAffectedSetIsSound' .
+	$(GO) run -race ./cmd/rtbench -exp churn -n 128 -packets 6000 -epochs 3 -events 1 -seed 1
+	$(GO) test -race -run 'TestIncrementalMatchesFreshUnderEventFuzz|TestRebuildAllMatchesFreshBuild|TestModelReplayDeterminism|TestAffectedSetIsSound' .
+	$(GO) test -race -run 'TestApplyBatch' ./internal/churn
 	$(GO) test -race -run 'TestTCPPeerDeathDetectedByMonitor|TestTCPPeerFlapMidBatch' ./internal/cluster
 
 # Cluster-churn smoke (E19) under the race detector: churn events ride
@@ -108,11 +110,6 @@ bench:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-# Canonical perf suite -> committed trajectory artifact (E13). Bump the
-# output name per PR: BENCH_PR3.json, BENCH_PR4.json, ...
-bench-json:
-	$(GO) run ./cmd/rtbench -exp bench -json -out BENCH_PR7.json
-
 # Before/after comparisons: run `make benchcmp OUT=old.txt` on the old
 # commit, again with OUT=new.txt on the new one, then
 # `benchstat old.txt new.txt` (golang.org/x/perf/cmd/benchstat).
@@ -129,4 +126,21 @@ vet:
 
 lint: fmt vet
 
-ci: lint build race traffic cluster obs churn churn-cluster docs bench-smoke fuzz-smoke
+# The cluster's amortized-zero allocation gates skip under -race, so CI
+# runs them on their own, on one core, two cores and the host default:
+# a steady-state allocation that only shows when completions trickle
+# back (few cores) or arrive in floods (many) must fail here.
+alloc-gates:
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
+	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
+	$(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
+
+# "Least code" as a tracked number: non-test Go lines per package and
+# in total, benchmark/ (the instrument) excluded. DESIGN.md "Code size"
+# is this table.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
+
+ci: lint build race alloc-gates traffic cluster obs churn churn-cluster docs bench-smoke fuzz-smoke

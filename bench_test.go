@@ -89,7 +89,7 @@ func BenchmarkFig1RTZBaseline(b *testing.B) {
 // and measured stretch (bound 6).
 func BenchmarkFig1Stretch6Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 3, 128)
-	sch, err := sys.BuildStretchSix(4)
+	sch, err := sys.Build(StretchSix, WithSeed(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func BenchmarkFig1Stretch6Roundtrip(b *testing.B) {
 // BenchmarkFig1ExStretchK2Roundtrip and K3 are E1/E4 rows (§3 scheme).
 func BenchmarkFig1ExStretchK2Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 5, 128)
-	sch, err := sys.BuildExStretch(2, 6)
+	sch, err := sys.Build(ExStretch, WithK(2), WithSeed(6))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func BenchmarkFig1ExStretchK2Roundtrip(b *testing.B) {
 
 func BenchmarkFig1ExStretchK3Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 7, 128)
-	sch, err := sys.BuildExStretch(3, 8)
+	sch, err := sys.Build(ExStretch, WithK(3), WithSeed(8))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func BenchmarkFig1ExStretchK3Roundtrip(b *testing.B) {
 // BenchmarkFig1PolyK2Roundtrip is E1/E6 (§4 scheme, bound 8k^2+4k-4).
 func BenchmarkFig1PolyK2Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 9, 128)
-	sch, err := sys.BuildPolynomial(2)
+	sch, err := sys.Build(Polynomial, WithK(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkBuildStretch6(b *testing.B) {
 	sys := benchSystem(b, 11, 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.BuildStretchSix(int64(i)); err != nil {
+		if _, err := sys.Build(StretchSix, WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func BenchmarkBuildExStretchK3(b *testing.B) {
 	sys := benchSystem(b, 12, 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.BuildExStretch(3, int64(i)); err != nil {
+		if _, err := sys.Build(ExStretch, WithK(3), WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func BenchmarkBuildPolyK2(b *testing.B) {
 	sys := benchSystem(b, 13, 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.BuildPolynomial(2); err != nil {
+		if _, err := sys.Build(Polynomial, WithK(2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,8 +257,6 @@ func BenchmarkLemma2RTZOneWay(b *testing.B) {
 
 // BenchmarkDijkstra measures the shortest-path substrate (S1): the
 // pooled one-shot entry point, which pays two owned-row copies per call.
-// The body lives in benchsuite so `go test -bench` and `rtbench -exp
-// bench` measure the identical code.
 func BenchmarkDijkstra(b *testing.B) { benchsuite.BenchDijkstraPooled(b) }
 
 // BenchmarkDijkstraScratch measures the zero-allocation core (E13/S4):
@@ -287,7 +285,7 @@ func BenchmarkTheorem15Reduction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sch, err := sys.BuildStretchSix(22)
+	sch, err := sys.Build(StretchSix, WithSeed(22))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -398,7 +396,7 @@ func BenchmarkEdgeByPort(b *testing.B) {
 // curve.
 func BenchmarkTrafficThroughput(b *testing.B) {
 	sys := benchSystem(b, 1, 256)
-	s6, err := sys.BuildStretchSix(1)
+	s6, err := sys.Build(StretchSix, WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -427,8 +425,7 @@ func BenchmarkTrafficThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkMarshalScheme measures wire-format snapshot encoding
-// (internal/benchsuite: identical body serves `rtbench -exp bench`).
+// BenchmarkMarshalScheme measures wire-format snapshot encoding.
 func BenchmarkMarshalScheme(b *testing.B) { benchsuite.BenchMarshalScheme(b) }
 
 // BenchmarkDeploymentForward serves traffic through a wire-restored
@@ -438,8 +435,7 @@ func BenchmarkDeploymentForward(b *testing.B) { benchsuite.BenchDeploymentForwar
 
 // BenchmarkClusterThroughput is scaling study S6: the same restored
 // Deployment sharded across an 8-shard channel-bus cluster, every
-// boundary-crossing hop wire-encoded (internal/benchsuite: identical
-// body serves `rtbench -exp bench`).
+// boundary-crossing hop wire-encoded.
 func BenchmarkClusterThroughput(b *testing.B) { benchsuite.BenchClusterThroughput(b) }
 
 // BenchmarkClusterTelemetry is the identical run with the telemetry

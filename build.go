@@ -27,9 +27,8 @@ const (
 type SubstrateOptions = rtz.Config
 
 // BuildConfig collects every construction knob across all scheme kinds.
-// Zero values select the defaults the legacy Build* methods used. Most
-// callers should use Build with functional options instead of filling
-// this struct directly.
+// Zero values select each scheme's defaults. Most callers should use
+// Build with functional options instead of filling this struct directly.
 type BuildConfig struct {
 	// Seed drives all randomized construction (center sampling, block
 	// assignment). Ignored by Polynomial, whose construction is
@@ -98,11 +97,10 @@ func WithDirectReturn() BuildOption { return func(c *BuildConfig) { c.DirectRetu
 func WithBuildWorkers(w int) BuildOption { return func(c *BuildConfig) { c.BuildWorkers = w } }
 
 // Build constructs a routing scheme of the given kind over the system's
-// graph, oracle and naming. It is the single entry point replacing the
-// per-scheme Build* methods: every knob those methods exposed is
-// available as a functional option, and every kind — the three TINN
-// schemes and the two substrate baselines — comes back as a Scheme
-// (forwarding plane + roundtrip tracer + table accounting).
+// graph, oracle and naming. It is the single entry point: every knob is
+// a functional option, and every kind — the three TINN schemes and the
+// two substrate baselines — comes back as a Scheme (forwarding plane +
+// roundtrip tracer + table accounting).
 //
 //	s6, _  := sys.Build(rtroute.StretchSix, rtroute.WithSeed(42))
 //	ex, _  := sys.Build(rtroute.ExStretch, rtroute.WithK(3), rtroute.WithSeed(42))

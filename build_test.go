@@ -1,6 +1,6 @@
-// Tests for the unified Build API (every legacy Build* configuration
-// must be expressible and route-identical), the Stretch Inf guard, and
-// deployment serving under the traffic engine.
+// Tests for the unified Build API (every configuration must be
+// route-identical to its direct core constructor), the Stretch Inf
+// guard, and deployment serving under the traffic engine.
 package rtroute
 
 import (
@@ -14,7 +14,6 @@ import (
 	"rtroute/internal/core"
 	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
-	"rtroute/internal/traffic"
 )
 
 // sameSchemeRoutes samples pairs and demands bit-identical roundtrip
@@ -30,7 +29,7 @@ func sameSchemeRoutes(t *testing.T, name string, a, b ForwardingPlane, n, pairs 
 		}
 		ta, err := sim.Roundtrip(a, src, dst, 0)
 		if err != nil {
-			t.Fatalf("%s: legacy roundtrip %d->%d: %v", name, src, dst, err)
+			t.Fatalf("%s: reference roundtrip %d->%d: %v", name, src, dst, err)
 		}
 		tb, err := sim.Roundtrip(b, src, dst, 0)
 		if err != nil {
@@ -43,10 +42,10 @@ func sameSchemeRoutes(t *testing.T, name string, a, b ForwardingPlane, n, pairs 
 	}
 }
 
-// TestBuildCoversLegacyConfigs constructs every legacy Build*
-// configuration three ways — deprecated method, direct core constructor
-// (the pre-redesign behavior), and the unified Build API — and asserts
-// identical routes and table accounting.
+// TestBuildCoversLegacyConfigs constructs each of the eleven
+// configurations the retired per-scheme Build* methods covered two ways
+// — the direct core constructor (the reference) and the unified Build
+// API — and asserts identical routes and table accounting.
 func TestBuildCoversLegacyConfigs(t *testing.T) {
 	const n = 28
 	sys := newTestSystem(t, 9, n)
@@ -55,13 +54,11 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		legacy func() (ForwardingPlane, error)
 		direct func() (ForwardingPlane, error)
 		build  func() (ForwardingPlane, error)
 	}{
 		{
 			"stretch6",
-			func() (ForwardingPlane, error) { return sys.BuildStretchSix(seed) },
 			func() (ForwardingPlane, error) {
 				return core.NewStretchSix(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.Stretch6Config{})
 			},
@@ -69,7 +66,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"stretch6-viasource",
-			func() (ForwardingPlane, error) { return sys.BuildStretchSixViaSource(seed) },
 			func() (ForwardingPlane, error) {
 				return core.NewStretchSix(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.Stretch6Config{ViaSource: true})
 			},
@@ -77,12 +73,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"stretch6-with",
-			func() (ForwardingPlane, error) {
-				return sys.BuildStretchSixWith(seed, Stretch6Options{
-					Blocks:    BlockOptions{Boost: 3},
-					Substrate: SubstrateOptions{CenterCount: 6},
-				})
-			},
 			func() (ForwardingPlane, error) {
 				return core.NewStretchSix(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.Stretch6Config{
 					Blocks:    BlockOptions{Boost: 3},
@@ -97,7 +87,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"exstretch-k3",
-			func() (ForwardingPlane, error) { return sys.BuildExStretch(3, seed) },
 			func() (ForwardingPlane, error) {
 				return core.NewExStretch(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.ExStretchConfig{K: 3})
 			},
@@ -105,7 +94,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"exstretch-directreturn",
-			func() (ForwardingPlane, error) { return sys.BuildExStretchDirectReturn(2, seed) },
 			func() (ForwardingPlane, error) {
 				return core.NewExStretch(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.ExStretchConfig{K: 2, DirectReturn: true})
 			},
@@ -115,11 +103,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"exstretch-with",
-			func() (ForwardingPlane, error) {
-				return sys.BuildExStretchWith(seed, ExStretchOptions{
-					K: 2, CoverK: 3, ScaleBase: 1.8, Variant: CoverBallGrowing,
-				})
-			},
 			func() (ForwardingPlane, error) {
 				return core.NewExStretch(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.ExStretchConfig{
 					K: 2, CoverK: 3, ScaleBase: 1.8, Variant: CoverBallGrowing,
@@ -132,7 +115,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"poly-k2",
-			func() (ForwardingPlane, error) { return sys.BuildPolynomial(2) },
 			func() (ForwardingPlane, error) {
 				return core.NewPolynomialStretch(sys.Graph, sys.Metric, sys.Naming, core.PolyConfig{K: 2})
 			},
@@ -140,7 +122,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"poly-variant",
-			func() (ForwardingPlane, error) { return sys.BuildPolynomialVariant(2, 1.7, CoverBallGrowing) },
 			func() (ForwardingPlane, error) {
 				return core.NewPolynomialStretch(sys.Graph, sys.Metric, sys.Naming,
 					core.PolyConfig{K: 2, ScaleBase: 1.7, Variant: CoverBallGrowing})
@@ -152,9 +133,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		{
 			"poly-with",
 			func() (ForwardingPlane, error) {
-				return sys.BuildPolynomialWith(PolyOptions{K: 2, BuildWorkers: 2})
-			},
-			func() (ForwardingPlane, error) {
 				return core.NewPolynomialStretch(sys.Graph, sys.Metric, sys.Naming, core.PolyConfig{K: 2, BuildWorkers: 2})
 			},
 			func() (ForwardingPlane, error) {
@@ -163,26 +141,23 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		},
 		{
 			"rtz-plane",
-			func() (ForwardingPlane, error) { return sys.BuildRTZPlane(seed) },
 			func() (ForwardingPlane, error) {
-				// The pre-redesign path went through the traffic adapter.
 				sub, err := rtz.New(sys.Graph, sys.Metric, coreRNG(), rtz.Config{})
 				if err != nil {
 					return nil, err
 				}
-				return traffic.NewRTZPlane(sub, sys.Naming)
+				return core.NewRTZPlane(sub, sys.Naming)
 			},
 			func() (ForwardingPlane, error) { return sys.Build(RTZStretch3, WithSeed(seed)) },
 		},
 		{
 			"hop-plane",
-			func() (ForwardingPlane, error) { return sys.BuildHopPlane(2) },
 			func() (ForwardingPlane, error) {
 				hop, err := rtz.NewHop(sys.Graph, sys.Metric, 2, 2, CoverAwerbuchPeleg)
 				if err != nil {
 					return nil, err
 				}
-				return traffic.NewHopPlane(hop, sys.Naming)
+				return core.NewHopPlane(hop, sys.Naming)
 			},
 			func() (ForwardingPlane, error) { return sys.Build(HopSubstrate, WithK(2)) },
 		},
@@ -190,10 +165,6 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := tc.legacy()
-			if err != nil {
-				t.Fatal(err)
-			}
 			direct, err := tc.direct()
 			if err != nil {
 				t.Fatal(err)
@@ -202,15 +173,11 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSchemeRoutes(t, tc.name+"/legacy-vs-unified", legacy, unified, n, 150, 31)
 			sameSchemeRoutes(t, tc.name+"/direct-vs-unified", direct, unified, n, 150, 32)
-			ls, okL := legacy.(Scheme)
-			us, okU := unified.(Scheme)
-			if okL && okU {
-				if ls.MaxTableWords() != us.MaxTableWords() || ls.AvgTableWords() != us.AvgTableWords() {
-					t.Fatalf("table accounting diverges: legacy (%d, %.2f) unified (%d, %.2f)",
-						ls.MaxTableWords(), ls.AvgTableWords(), us.MaxTableWords(), us.AvgTableWords())
-				}
+			ds, us := direct.(Scheme), unified.(Scheme)
+			if ds.MaxTableWords() != us.MaxTableWords() || ds.AvgTableWords() != us.AvgTableWords() {
+				t.Fatalf("table accounting diverges: direct (%d, %.2f) unified (%d, %.2f)",
+					ds.MaxTableWords(), ds.AvgTableWords(), us.MaxTableWords(), us.AvgTableWords())
 			}
 		})
 	}

@@ -134,6 +134,13 @@ type ChurnClusterBatch struct {
 	CertifyNs     int64   `json:"certify_ns"`
 	StableIssued  int64   `json:"stable_issued"`
 	StableNs      int64   `json:"stable_ns"`
+
+	// Repair anatomy, from the reference replica's MaintainReport: what
+	// the full (unfiltered) repair of this batch re-derived.
+	RebuiltTables int  `json:"rebuilt_tables"`
+	RebuiltTrees  int  `json:"rebuilt_trees"`
+	PatchedLabels int  `json:"patched_labels"`
+	FullRebuild   bool `json:"full_rebuild,omitempty"`
 }
 
 // ChurnClusterResult aggregates one RunChurnCluster experiment (E19).
@@ -163,33 +170,33 @@ type ChurnClusterResult struct {
 	Certified      bool    `json:"certified"`
 	FromScratch    bool    `json:"from_scratch_certified"`
 	ElapsedNs      int64   `json:"elapsed_ns"`
+
+	// SuppressedFlaps / DamperReleases are the reference overlay's flap
+	// damper totals: recoveries deferred, and deferred ones released.
+	SuppressedFlaps int64 `json:"suppressed_flaps"`
+	DamperReleases  int64 `json:"damper_releases"`
 }
 
 type ccPair struct{ src, dst int32 }
 
-// ccReplica is one shard's private copy of the world: its own graph
-// clone, maintained plane, churn overlay and deployment. Nothing below
-// the wire is shared between shards, so a repair is a genuinely local
-// act — exactly the regime the paper's per-node tables are for.
-type ccReplica struct {
-	m    *Maintained
-	ov   *churn.Overlay
-	dep  *core.Deployment
-	view *core.ShardView
-	sh   *cluster.Shard
-	seen []bool // dirty-union scratch, repairs are serialized per shard
+// ccShard is one shard of the fabric with its private copy of the
+// world: its own graph clone, maintained plane and churn overlay (the
+// Replica) behind its own deployment. Nothing below the wire is shared
+// between shards, so a repair is a genuinely local act — exactly the
+// regime the paper's per-node tables are for.
+type ccShard struct {
+	*Replica
+	sh *cluster.Shard
 }
 
 type ccRun struct {
 	cfg    ChurnClusterConfig
 	n      int
-	refM   *Maintained
-	refOv  *churn.Overlay
-	refDep *core.Deployment
+	ref    *Replica // certification oracle; owns every node
 	model  *churn.Model
 	place  *cluster.Placement
 	nodeOf []NodeID // name -> node, churn-invariant (the paper's TINNs)
-	reps   []*ccReplica
+	reps   []ccShard
 	bus    *cluster.ChanBus
 	window *cluster.Window
 	wake   chan struct{}
@@ -250,19 +257,16 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	// Reference replica: the certification oracle and sequential-replay
 	// plane. It sees the same events and repairs with the full affected
 	// set (no ownership filter).
-	refM, err := sys.BuildMaintained(cfg.Kind, func(c *BuildConfig) { *c = cfg.Build })
+	ref, err := NewReplica(sys, cfg.Kind, cfg.Build, cfg.Damper)
 	if err != nil {
 		return nil, err
 	}
-	refOv, err := churn.NewOverlay(sys.Graph, churn.NewDamper(cfg.Damper))
-	if err != nil {
-		return nil, err
-	}
-	model := churn.NewModel(refOv, cfg.ChurnSeed, cfg.Rate, cfg.Mix, cfg.MaxWeight)
+	model := churn.NewModel(ref.ov, cfg.ChurnSeed, cfg.Rate, cfg.Mix, cfg.MaxWeight)
 	if cfg.MinWeight > 0 {
 		model.SetMinWeight(cfg.MinWeight)
 	}
-	refDep := core.NewDeployment(refM.Plane(), cfg.Kind)
+	refDep := core.NewDeployment(ref.m.Plane(), cfg.Kind)
+	ref.Bind(refDep, nil)
 	place, err := cluster.NewPlacement(refDep, cfg.Shards, cfg.Placement)
 	if err != nil {
 		return nil, err
@@ -270,7 +274,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 
 	r := &ccRun{
 		cfg: cfg, n: n,
-		refM: refM, refOv: refOv, refDep: refDep, model: model, place: place,
+		ref: ref, model: model, place: place,
 		bus:    cluster.NewChanBus(cfg.Shards, cfg.InFlight+cfg.Shards),
 		window: cluster.NewWindow(cfg.InFlight),
 		wake:   make(chan struct{}, 1),
@@ -286,32 +290,26 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	// Per-shard replicas: clone the pristine graph, rebuild the same
 	// plane from the same seed, wrap a private overlay. Built before any
 	// churn so every replica starts from the reference's exact state.
-	r.reps = make([]*ccReplica, cfg.Shards)
+	r.reps = make([]ccShard, cfg.Shards)
 	for i := range r.reps {
-		gi := sys.Graph.Clone()
-		si, err := NewSystemWith(gi, sys.Naming, SystemConfig{Metric: MetricLazy})
+		si, err := NewSystemWith(sys.Graph.Clone(), sys.Naming, SystemConfig{Metric: MetricLazy})
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
 		}
-		mi, err := si.BuildMaintained(cfg.Kind, func(c *BuildConfig) { *c = cfg.Build })
+		rep, err := NewReplica(si, cfg.Kind, cfg.Build, cfg.Damper)
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
 		}
-		ovi, err := churn.NewOverlay(gi, churn.NewDamper(cfg.Damper))
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d overlay: %w", i, err)
-		}
-		depi := core.NewDeployment(mi.Plane(), cfg.Kind)
-		viewi, err := depi.ShardView(i, place.Owner)
+		view, err := core.NewDeployment(rep.m.Plane(), cfg.Kind).ShardView(i, place.Owner)
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d view: %w", i, err)
 		}
-		rep := &ccReplica{m: mi, ov: ovi, dep: depi, view: viewi, seen: make([]bool, n)}
+		rep.Bind(view.Deployment(), view.Owns)
 		tr := cluster.Transport(r.bus.Endpoint(i))
 		if cfg.wrapEndpoint != nil {
 			tr = cfg.wrapEndpoint(i, tr)
 		}
-		rep.sh = cluster.NewShard(viewi, place, tr, cluster.Options{
+		r.reps[i] = ccShard{rep, cluster.NewShard(view, place, tr, cluster.Options{
 			Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
 			Strict: true,
 			OnDone: func(f *wire.Frame) {
@@ -330,14 +328,13 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 				r.window.Put(1)
 				r.wakeup()
 			},
-			Repair: r.repairFor(rep),
+			Repair: rep.Repair,
 			OnRepaired: func(seq uint64) {
 				r.acks.Add(1)
 				r.wakeup()
 			},
 			Sink: cfg.Sink, SinkShard: i,
-		})
-		r.reps[i] = rep
+		})}
 	}
 	r.registerGauges()
 
@@ -408,50 +405,10 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	if res.Repairs > 0 {
 		res.RepairNsMean = repairNanos / res.Repairs
 	}
+	ovs := ref.ov.Stats()
+	res.SuppressedFlaps, res.DamperReleases = ovs.SuppressedFlaps, ovs.DamperReleases
 	res.Certified = true
 	return res, nil
-}
-
-// repairFor builds shard rep's Repair hook: apply the batch to the
-// shard's private overlay, rebuild the affected set intersected with
-// the shard's owned nodes, and rebind the deployment to the (possibly
-// swapped) plane. The shard calls it under its epoch fence with batches
-// in sequence order.
-func (r *ccRun) repairFor(rep *ccReplica) func(uint64, []churn.Event) error {
-	return func(seq uint64, events []churn.Event) error {
-		var dirty []NodeID
-		add := func(ds []NodeID) {
-			for _, d := range ds {
-				if !rep.seen[d] {
-					rep.seen[d] = true
-					dirty = append(dirty, d)
-				}
-			}
-		}
-		var at float64
-		for _, ev := range events {
-			ds, err := rep.ov.Apply(ev)
-			if err != nil {
-				return fmt.Errorf("cluster churn batch %d: %w", seq, err)
-			}
-			add(ds)
-			at = ev.At
-		}
-		released, err := rep.ov.Advance(at)
-		if err != nil {
-			return fmt.Errorf("cluster churn batch %d: %w", seq, err)
-		}
-		add(released)
-		for _, d := range dirty {
-			rep.seen[d] = false
-		}
-		churn.SortNodeIDs(dirty)
-		if _, err := rep.m.RebuildNodesFor(dirty, rep.view.Owns); err != nil {
-			return fmt.Errorf("cluster churn batch %d: %w", seq, err)
-		}
-		rep.dep.Rebind(rep.m.Plane())
-		return nil
-	}
 }
 
 func (r *ccRun) registerGauges() {
@@ -484,36 +441,12 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		seq := uint64(b + 1)
 		row := ChurnClusterBatch{Batch: b}
 
-		// Draw the batch from the model and apply it to the reference
+		// Draw the batch from the model, applying it to the reference
 		// overlay; the same events ride the wire to every shard.
-		events := make([]churn.Event, 0, r.cfg.EventsPerBatch)
-		var dirty []NodeID
-		seen := make([]bool, r.n)
-		add := func(ds []NodeID) {
-			for _, d := range ds {
-				if !seen[d] {
-					seen[d] = true
-					dirty = append(dirty, d)
-				}
-			}
-		}
-		var at float64
-		for i := 0; i < r.cfg.EventsPerBatch; i++ {
-			ev := r.model.Next()
-			events = append(events, ev)
-			ds, err := r.refOv.Apply(ev)
-			if err != nil {
-				return fmt.Errorf("rtroute: batch %d: %w", b, err)
-			}
-			add(ds)
-			at = ev.At
-		}
-		released, err := r.refOv.Advance(at)
+		events, dirty, err := r.model.NextBatch(r.cfg.EventsPerBatch)
 		if err != nil {
 			return fmt.Errorf("rtroute: batch %d: %w", b, err)
 		}
-		add(released)
-		churn.SortNodeIDs(dirty)
 		row.Events = len(events)
 		row.Dirty = len(dirty)
 		row.DirtyFrac = float64(len(dirty)) / float64(r.n)
@@ -538,11 +471,12 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		}
 		// The reference repairs on the driver thread while the fabric
 		// serves under fire.
-		if _, err := r.refM.RebuildNodes(dirty); err != nil {
+		if err := r.ref.rebuild(dirty); err != nil {
 			<-injected
 			return fmt.Errorf("rtroute: reference repair: %w", err)
 		}
-		r.refDep.Rebind(r.refM.Plane())
+		row.RebuiltTables, row.RebuiltTrees = r.ref.last.RebuiltTables, r.ref.last.RebuiltTrees
+		row.PatchedLabels, row.FullRebuild = r.ref.last.PatchedLabels, r.ref.last.FullRebuild
 		if err := <-injected; err != nil {
 			return err
 		}
@@ -576,7 +510,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		// Certify, to a from-scratch build on the mutated graph.
 		cert0 := time.Now()
 		if r.cfg.Certify {
-			if err := r.refM.Certify(); err != nil {
+			if err := r.ref.m.Certify(); err != nil {
 				return fmt.Errorf("rtroute: batch %d: reference vs from-scratch: %w", b, err)
 			}
 		}
@@ -607,7 +541,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		var refHops, refWeight int64
 		var hdr sim.Header
 		for _, p := range stablePairs {
-			out, back, h, err := sim.RoundtripFlightReusing(r.refM.Plane(), hdr, p.src, p.dst, r.cfg.MaxHops)
+			out, back, h, err := sim.RoundtripFlightReusing(r.ref.m.Plane(), hdr, p.src, p.dst, r.cfg.MaxHops)
 			if err != nil {
 				return fmt.Errorf("rtroute: batch %d: sequential replay %d->%d: %w", b, p.src, p.dst, err)
 			}
@@ -631,7 +565,7 @@ func (r *ccRun) drawPairs(gen traffic.Generator, count int64) []ccPair {
 	pairs := make([]ccPair, 0, count)
 	for i := int64(0); i < count; i++ {
 		src, dst := gen.Next()
-		for tries := 0; tries < 64 && (r.refOv.NodeFailed(r.nodeOf[src]) || r.refOv.NodeFailed(r.nodeOf[dst])); tries++ {
+		for tries := 0; tries < 64 && (r.ref.ov.NodeFailed(r.nodeOf[src]) || r.ref.ov.NodeFailed(r.nodeOf[dst])); tries++ {
 			src, dst = gen.Next()
 		}
 		pairs = append(pairs, ccPair{src, dst})
@@ -711,7 +645,7 @@ func (r *ccRun) waitAccounted(issued, acks int64, what string) error {
 // certifySlices compares every shard's owned LocalStates bit for bit
 // against the reference replica's decomposition.
 func (r *ccRun) certifySlices(batch int) error {
-	refShared, refLocals, err := core.Decompose(r.refM.Plane())
+	refShared, refLocals, err := core.Decompose(r.ref.m.Plane())
 	if err != nil {
 		return fmt.Errorf("rtroute: batch %d: decompose reference: %w", batch, err)
 	}
@@ -755,18 +689,31 @@ func (r *ChurnClusterResult) Format() string {
 	fmt.Fprintf(&b, "repairs: %d (%d shards x %d batches)  latency mean %v  max %v  cross-shard frames %d\n",
 		r.Repairs, r.Shards, len(r.BatchRows), time.Duration(r.RepairNsMean).Round(time.Microsecond),
 		time.Duration(r.RepairNsMax).Round(time.Microsecond), r.CrossShard)
+	var dirtySum, dirtyMax float64
+	for _, row := range r.BatchRows {
+		dirtySum += row.DirtyFrac
+		dirtyMax = max(dirtyMax, row.DirtyFrac)
+	}
+	fmt.Fprintf(&b, "dirty/batch: mean %.1f%%, max %.1f%% of nodes; damping: %d recoveries suppressed, %d released\n",
+		pct(dirtySum, float64(len(r.BatchRows))), 100*dirtyMax, r.SuppressedFlaps, r.DamperReleases)
 	switch {
 	case r.Certified && r.FromScratch:
 		b.WriteString("certified: owned slices bit-identical to the reference replica, reference to from-scratch builds, after every batch\n")
 	case r.Certified:
 		b.WriteString("certified: owned slices bit-identical to the reference replica after every batch\n")
 	}
-	fmt.Fprintf(&b, "\n%-5s %6s %6s %7s %9s %9s %9s %11s %11s %9s %9s\n",
-		"batch", "events", "dirty", "dirty%", "fired", "drops", "misroutes", "repair-mean", "repair-max", "fire-ms", "stable-ms")
+	fmt.Fprintf(&b, "\n%-5s %6s %6s %7s %9s %9s %9s %11s %11s %6s %6s %6s %9s %9s\n",
+		"batch", "events", "dirty", "dirty%", "fired", "drops", "misroutes", "repair-mean", "repair-max",
+		"trees", "tables", "labels", "fire-ms", "stable-ms")
 	for _, row := range r.BatchRows {
-		fmt.Fprintf(&b, "%-5d %6d %6d %7.2f %9d %9d %9d %11s %11s %9.1f %9.1f\n",
+		tables := fmt.Sprint(row.RebuiltTables)
+		if row.FullRebuild {
+			tables = "full"
+		}
+		fmt.Fprintf(&b, "%-5d %6d %6d %7.2f %9d %9d %9d %11s %11s %6d %6s %6d %9.1f %9.1f\n",
 			row.Batch, row.Events, row.Dirty, 100*row.DirtyFrac, row.FireIssued, row.FireDrops, row.FireMisroutes,
 			time.Duration(row.RepairNsMean).Round(time.Microsecond), time.Duration(row.RepairNsMax).Round(time.Microsecond),
+			row.RebuiltTrees, tables, row.PatchedLabels,
 			float64(row.FireNs)/1e6, float64(row.StableNs)/1e6)
 	}
 	return b.String()

@@ -16,7 +16,10 @@ import (
 // replica (and, transitively, to a from-scratch build), the accounting
 // identity holds exactly (zero hung roundtrips), and the post-repair
 // stable window's hop and weight totals equal a sequential replay on
-// the reference plane. All five plane kinds, under -race.
+// the reference plane. The one-shard rows are the monolithic churn loop
+// (no crossings, one replica repairing every node beside a 4-worker
+// serving pool) through the same driver. All five plane kinds, under
+// -race.
 func TestClusterChurnMatchesSequential(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -28,49 +31,63 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 		{"rtz", RTZStretch3},
 		{"hop", HopSubstrate},
 	}
+	fabrics := []struct {
+		name            string
+		shards, workers int
+	}{
+		{"shards=8", 8, 2},
+		{"shards=1", 1, 4},
+	}
 	for _, tc := range kinds {
 		t.Run(tc.name, func(t *testing.T) {
-			const n = 40
-			sys := churnSystem(t, n, 0xE19+int64(tc.kind))
-			res, err := RunChurnCluster(sys, ChurnClusterConfig{
-				Kind:           tc.kind,
-				Build:          BuildConfig{Seed: 7},
-				Shards:         8,
-				Workers:        2,
-				ChurnSeed:      901 + int64(tc.kind),
-				Batches:        3,
-				EventsPerBatch: 3,
-				FirePackets:    300,
-				StablePackets:  300,
-				InFlight:       64,
-				Certify:        true,
-			})
-			if err != nil {
-				t.Fatalf("RunChurnCluster: %v", err)
+			for _, fab := range fabrics {
+				t.Run(fab.name, func(t *testing.T) {
+					const n = 40
+					sys := churnSystem(t, n, 0xE19+int64(tc.kind))
+					res, err := RunChurnCluster(sys, ChurnClusterConfig{
+						Kind:           tc.kind,
+						Build:          BuildConfig{Seed: 7},
+						Shards:         fab.shards,
+						Workers:        fab.workers,
+						ChurnSeed:      901 + int64(tc.kind),
+						Batches:        3,
+						EventsPerBatch: 3,
+						FirePackets:    300,
+						StablePackets:  300,
+						InFlight:       64,
+						Certify:        true,
+					})
+					if err != nil {
+						t.Fatalf("RunChurnCluster: %v", err)
+					}
+					if res.Issued != res.Served+res.Drops+res.Misroutes {
+						t.Fatalf("accounting identity broken: issued %d != served %d + drops %d + misroutes %d",
+							res.Issued, res.Served, res.Drops, res.Misroutes)
+					}
+					if want := int64(fab.shards * 3); res.Repairs != want {
+						t.Fatalf("repairs = %d, want %d (shards x batches)", res.Repairs, want)
+					}
+					if !res.Certified {
+						t.Fatalf("result not certified")
+					}
+					if len(res.BatchRows) != 3 {
+						t.Fatalf("%d batch rows, want 3", len(res.BatchRows))
+					}
+					for _, row := range res.BatchRows {
+						if row.FireIssued != row.FireServed+row.FireDrops+row.FireMisroutes {
+							t.Fatalf("batch %d: fire accounting broken: %d != %d+%d+%d",
+								row.Batch, row.FireIssued, row.FireServed, row.FireDrops, row.FireMisroutes)
+						}
+						if row.Dirty == 0 {
+							t.Fatalf("batch %d: empty dirty set for %d events", row.Batch, row.Events)
+						}
+						if row.RebuiltTables == 0 && row.RebuiltTrees == 0 && row.PatchedLabels == 0 {
+							t.Fatalf("batch %d: reference repair of %d dirty nodes reports no work", row.Batch, row.Dirty)
+						}
+					}
+					t.Logf("\n%s", res.Format())
+				})
 			}
-			if res.Issued != res.Served+res.Drops+res.Misroutes {
-				t.Fatalf("accounting identity broken: issued %d != served %d + drops %d + misroutes %d",
-					res.Issued, res.Served, res.Drops, res.Misroutes)
-			}
-			if want := int64(8 * 3); res.Repairs != want {
-				t.Fatalf("repairs = %d, want %d (shards x batches)", res.Repairs, want)
-			}
-			if !res.Certified {
-				t.Fatalf("result not certified")
-			}
-			if len(res.BatchRows) != 3 {
-				t.Fatalf("%d batch rows, want 3", len(res.BatchRows))
-			}
-			for _, row := range res.BatchRows {
-				if row.FireIssued != row.FireServed+row.FireDrops+row.FireMisroutes {
-					t.Fatalf("batch %d: fire accounting broken: %d != %d+%d+%d",
-						row.Batch, row.FireIssued, row.FireServed, row.FireDrops, row.FireMisroutes)
-				}
-				if row.Dirty == 0 {
-					t.Fatalf("batch %d: empty dirty set for %d events", row.Batch, row.Events)
-				}
-			}
-			t.Logf("\n%s", res.Format())
 		})
 	}
 }

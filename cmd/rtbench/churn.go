@@ -9,21 +9,14 @@ import (
 	"rtroute"
 )
 
-// runChurnExp is the E17/E18 dynamic-topology experiment: a maintained
-// scheme serves traffic while a seeded churn model mutates the graph;
-// each epoch measures drops and misroutes during convergence, the
-// repair latency of the incremental RebuildNodes pass, and the dirty
-// fraction (delta-rebuild cost) — optionally certifying the repaired
-// plane bit-identical to a from-scratch build.
+// runChurnExp is the E17/E18 dynamic-topology experiment: the E19
+// driver at one shard — a single replica repairing every node beside
+// its serving pool, no crossings — on the low-dirty world (m = 32n,
+// weights in [33,64]), where an event's affected set is a small
+// fraction of the nodes and the delta rebuild is measurably cheaper
+// than a full one.
 func runChurnExp(n int, seed int64) error {
-	kind, err := schemeKind()
-	if err != nil {
-		return err
-	}
 	fmt.Printf("# E17/E18 — dynamic topology: seeded churn, route repair, incremental maintenance\n")
-	fmt.Printf("# n=%d seed=%d scheme=%s rate=%.2g/10k epochs=%d packets=%d certify=%v\n\n",
-		n, seed, trafficScheme, churnRate, churnEpochs, trafficPackets, churnCertify)
-
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 32*n, 64, rng)
 	// Remap weights into [33, 64]: with a max/min ratio under 2, no
@@ -37,61 +30,11 @@ func runChurnExp(n int, seed int64) error {
 			}
 		}
 	}
-	// Maintained schemes re-read distances after every mutation, so the
-	// churn experiment always runs on the lazy (mutation-tracking)
-	// oracle regardless of -metric.
-	sys, err := rtroute.NewSystemWith(g, rtroute.RandomNaming(n, rng),
-		rtroute.SystemConfig{Metric: rtroute.MetricLazy, LazyCacheRows: lazyCacheRows})
-	if err != nil {
+	if err := runChurnCluster(g, rng, seed, 1, 33, 64); err != nil {
 		return err
 	}
-
-	perEpoch := trafficPackets / int64(churnEpochs)
-	if perEpoch < 1 {
-		perEpoch = 1
-	}
-	cfg := rtroute.ChurnConfig{
-		Kind:            kind,
-		Build:           rtroute.BuildConfig{Seed: seed},
-		ChurnSeed:       seed + 1,
-		Rate:            churnRate,
-		Epochs:          churnEpochs,
-		PacketsPerEpoch: perEpoch,
-		StaleFraction:   churnStale,
-		MinWeight:       33,
-		MaxWeight:       64,
-		Workers:         trafficWorkers,
-		Certify:         churnCertify,
-		Workload: rtroute.TrafficWorkload{
-			Kind:      rtroute.WorkloadKind(trafficWorkload),
-			ZipfTheta: trafficZipf,
-		},
-	}
-	sink, stop, err := attachSink(rtroute.TelemetryConfig{Shards: []int{0}, Workers: 1})
-	if err != nil {
-		return err
-	}
-	defer stop()
-	cfg.Sink = sink
-
-	res, err := rtroute.RunChurn(sys, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	fmt.Printf("\ndelta-rebuild cost: max %.1f%% of nodes per event batch, mean %.1f%% (acceptance bar: <=20%% at n=1024)\n",
-		100*res.MaxDirtyFrac, 100*res.MeanDirtyFrac)
+	fmt.Println("delta-rebuild acceptance bar: mean dirty/batch <= 20% of nodes at n=1024 with one event per batch")
 	fmt.Println("every roundtrip completed or failed typed (ErrUnroutable) — none hung; see DESIGN.md \"Dynamic topology\"")
-	if benchJSON {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", benchOut)
-	}
 	return nil
 }
 
@@ -103,17 +46,30 @@ func runChurnExp(n int, seed int64) error {
 // report compares serving throughput under fire against the stable
 // windows between batches.
 func runChurnClusterExp(n int, seed int64) error {
+	fmt.Printf("# E19 — cluster churn: online repair through the shard fabric, certified under fire\n")
+	rng := rand.New(rand.NewSource(seed))
+	g := rtroute.RandomSC(n, 3*n, 64, rng)
+	if err := runChurnCluster(g, rng, seed, clusterShards, 0, 0); err != nil {
+		return err
+	}
+	fmt.Println("repairs run behind per-shard epoch fences — in-flight roundtrips finish on the old epoch or fail typed, never hang")
+	return nil
+}
+
+// runChurnCluster drives RunChurnCluster over g on the given fabric
+// width and prints its report; minW/maxW bound weight-change draws
+// (0 = the driver's defaults).
+func runChurnCluster(g *rtroute.Graph, rng *rand.Rand, seed int64, shards int, minW, maxW rtroute.Dist) error {
 	kind, err := schemeKind()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# E19 — cluster churn: online repair through the shard fabric, certified under fire\n")
-	fmt.Printf("# n=%d seed=%d scheme=%s shards=%d placement=%s batches=%d events=%d certify=%v\n\n",
-		n, seed, trafficScheme, clusterShards, clusterPlacement, churnEpochs, churnEvents, churnCertify)
-
-	rng := rand.New(rand.NewSource(seed))
-	g := rtroute.RandomSC(n, 3*n, 64, rng)
-	sys, err := rtroute.NewSystemWith(g, rtroute.RandomNaming(n, rng),
+	fmt.Printf("# n=%d seed=%d scheme=%s shards=%d placement=%s batches=%d events=%d packets=%d certify=%v\n\n",
+		g.N(), seed, trafficScheme, shards, clusterPlacement, churnEpochs, churnEvents, trafficPackets, churnCertify)
+	// Maintained schemes re-read distances after every mutation, so the
+	// churn experiments always run on the lazy (mutation-tracking)
+	// oracle regardless of -metric.
+	sys, err := rtroute.NewSystemWith(g, rtroute.RandomNaming(g.N(), rng),
 		rtroute.SystemConfig{Metric: rtroute.MetricLazy, LazyCacheRows: lazyCacheRows})
 	if err != nil {
 		return err
@@ -125,7 +81,7 @@ func runChurnClusterExp(n int, seed int64) error {
 	cfg := rtroute.ChurnClusterConfig{
 		Kind:           kind,
 		Build:          rtroute.BuildConfig{Seed: seed},
-		Shards:         clusterShards,
+		Shards:         shards,
 		Workers:        trafficWorkers,
 		Placement:      rtroute.PlacementPolicy(clusterPlacement),
 		ChurnSeed:      seed + 1,
@@ -133,6 +89,8 @@ func runChurnClusterExp(n int, seed int64) error {
 		EventsPerBatch: churnEvents,
 		FirePackets:    perPhase,
 		StablePackets:  perPhase,
+		MinWeight:      minW,
+		MaxWeight:      maxW,
 		InFlight:       clusterInFlight,
 		Certify:        churnCertify,
 		Workload: rtroute.TrafficWorkload{
@@ -140,7 +98,7 @@ func runChurnClusterExp(n int, seed int64) error {
 			ZipfTheta: trafficZipf,
 		},
 	}
-	sink, stop, err := attachSink(rtroute.TelemetryConfig{Shards: []int{0}, Workers: 1})
+	sink, stop, err := attachSink(rtroute.ClusterConfig{Shards: shards, Workers: trafficWorkers}.SinkShape())
 	if err != nil {
 		return err
 	}
@@ -152,34 +110,16 @@ func runChurnClusterExp(n int, seed int64) error {
 		return err
 	}
 	fmt.Print(res.Format())
-	fmt.Println("\nrepairs run behind per-shard epoch fences — in-flight roundtrips finish on the old epoch or fail typed, never hang")
-	if benchJSON {
+	fmt.Println()
+	if churnOut != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(churnOut, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %s\n", benchOut)
+		fmt.Printf("wrote %s\n\n", churnOut)
 	}
 	return nil
-}
-
-// schemeKind resolves the -scheme flag to a SchemeKind.
-func schemeKind() (rtroute.SchemeKind, error) {
-	switch trafficScheme {
-	case "stretch6":
-		return rtroute.StretchSix, nil
-	case "exstretch":
-		return rtroute.ExStretch, nil
-	case "poly":
-		return rtroute.Polynomial, nil
-	case "rtz":
-		return rtroute.RTZStretch3, nil
-	case "hop":
-		return rtroute.HopSubstrate, nil
-	default:
-		return 0, fmt.Errorf("unknown -scheme %q (want stretch6|exstretch|poly|rtz|hop)", trafficScheme)
-	}
 }

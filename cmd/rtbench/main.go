@@ -15,10 +15,8 @@
 //	                                           # concurrent serving engine (E12/S3)
 //	rtbench -exp cluster -n 256 -shards 8 -placement rtz -packets 200000
 //	                                           # sharded cluster serving (E15/S6)
-//	rtbench -exp bench -json -out BENCH_PR6.json
-//	                                           # canonical perf suite -> trajectory artifact (E13)
-//	rtbench -exp churn -n 1024 -epochs 8 -rate 2 -packets 80000
-//	                                           # dynamic topology: seeded churn, repair, certification (E17)
+//	rtbench -exp churn -n 1024 -epochs 8 -events 1 -packets 80000
+//	                                           # dynamic topology at one shard: seeded churn, repair, certification (E17)
 //	rtbench -exp churncluster -n 256 -shards 8 -epochs 4 -events 4 -packets 40000
 //	                                           # churn through the shard fabric, certified under fire (E19)
 package main
@@ -32,20 +30,19 @@ import (
 	"strings"
 
 	"rtroute"
-	"rtroute/internal/benchsuite"
+	"rtroute/internal/core"
 )
 
 func main() {
 	var (
-		exp    = flag.String("exp", "fig1", "experiment: fig1|fig2|fig5|fig10|space|stretch|profile|lower|ablation|traffic|cluster|bench|churn|churncluster")
+		exp    = flag.String("exp", "fig1", "experiment: fig1|fig2|fig5|fig10|space|stretch|profile|lower|ablation|traffic|cluster|churn|churncluster")
 		n      = flag.Int("n", 64, "number of nodes")
 		seed   = flag.Int64("seed", 1, "random seed")
 		ks     = flag.String("k", "2,3", "comma-separated tradeoff parameters")
 		metric = flag.String("metric", "dense", "distance oracle: dense|lazy")
 		cache  = flag.Int("lazy-cache", 0, "lazy oracle row-cache budget (0 = default)")
 	)
-	flag.BoolVar(&benchJSON, "json", false, "bench: also write the report as JSON")
-	flag.StringVar(&benchOut, "out", "BENCH_PR7.json", "bench: JSON output path (with -json)")
+	flag.StringVar(&churnOut, "out", "", "churn/churncluster: also write the report as JSON to this path")
 	flag.IntVar(&trafficWorkers, "workers", 0, "traffic: serving goroutines (0 = GOMAXPROCS)")
 	flag.StringVar(&trafficWorkload, "workload", "zipf", "traffic: pair distribution: uniform|zipf|hotspot|rpc")
 	flag.Float64Var(&trafficZipf, "zipf", 0.9, "traffic: zipf skew theta in [0,1)")
@@ -54,11 +51,9 @@ func main() {
 	flag.IntVar(&clusterShards, "shards", 8, "cluster: number of serving shards")
 	flag.StringVar(&clusterPlacement, "placement", "contiguous", "cluster: node partition: contiguous|hash|rtz")
 	flag.IntVar(&clusterInFlight, "inflight", 0, "cluster: concurrent roundtrip window (0 = default)")
-	flag.IntVar(&churnEpochs, "epochs", 8, "churn: serve->churn->repair rounds (churncluster: event batches)")
-	flag.IntVar(&churnEvents, "events", 4, "churncluster: topology events per batch")
-	flag.Float64Var(&churnRate, "rate", 2, "churn: topology events per 10k served packets")
-	flag.Float64Var(&churnStale, "stale-frac", 0.05, "churn: pre-repair serving window as a fraction of the epoch quota")
-	flag.BoolVar(&churnCertify, "certify", true, "churn: certify the repaired plane bit-identical to a from-scratch build every epoch")
+	flag.IntVar(&churnEpochs, "epochs", 8, "churn/churncluster: event batches (churn->repair->certify rounds)")
+	flag.IntVar(&churnEvents, "events", 4, "churn/churncluster: topology events per batch")
+	flag.BoolVar(&churnCertify, "certify", true, "churn/churncluster: certify the repaired plane bit-identical to a from-scratch build every batch")
 	flag.BoolVar(&servingTiming, "timing", false, "traffic/cluster: attach a telemetry sink and print the measured per-stage cost table")
 	flag.StringVar(&servingHTTP, "http", "", "traffic/cluster: serve live /metrics and /debug/pprof on this address during the run")
 	flag.Parse()
@@ -97,17 +92,12 @@ var (
 	// -exp churn / churncluster knobs.
 	churnEpochs  int
 	churnEvents  int
-	churnRate    float64
-	churnStale   float64
 	churnCertify bool
+	churnOut     string
 
 	// serving telemetry knobs (-exp traffic and -exp cluster).
 	servingTiming bool
 	servingHTTP   string
-
-	// -exp bench knobs.
-	benchJSON bool
-	benchOut  string
 )
 
 func newSystem(g *rtroute.Graph, naming *rtroute.Naming) (*rtroute.System, error) {
@@ -151,8 +141,6 @@ func run(exp string, n int, seed int64, ks []int) error {
 		return runTraffic(n, seed)
 	case "cluster":
 		return runCluster(n, seed)
-	case "bench":
-		return runBench()
 	case "churn":
 		return runChurnExp(n, seed)
 	case "churncluster":
@@ -162,45 +150,30 @@ func run(exp string, n int, seed int64, ks []int) error {
 	}
 }
 
-// runBench executes the canonical perf suite (E13) and optionally writes
-// the BENCH_PR<k>.json trajectory artifact.
-func runBench() error {
-	fmt.Println("# E13 — canonical perf suite (Dijkstra, EdgeByPort, MetricBuild, TrafficThroughput)")
-	fmt.Println("# each row runs ~1s of iterations; see DESIGN.md \"Hot-path engineering\"")
-	fmt.Println()
-	rep := benchsuite.Run()
-	fmt.Print(rep.Format())
-	if !benchJSON {
-		return nil
+// schemeKind resolves the -scheme flag to a SchemeKind.
+func schemeKind() (rtroute.SchemeKind, error) {
+	switch trafficScheme {
+	case "stretch6":
+		return rtroute.StretchSix, nil
+	case "exstretch":
+		return rtroute.ExStretch, nil
+	case "poly":
+		return rtroute.Polynomial, nil
+	case "rtz":
+		return rtroute.RTZStretch3, nil
+	case "hop":
+		return rtroute.HopSubstrate, nil
+	default:
+		return 0, fmt.Errorf("unknown -scheme %q (want stretch6|exstretch|poly|rtz|hop)", trafficScheme)
 	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", benchOut)
-	return nil
 }
 
 // buildServingScheme builds the -scheme plane for the serving
-// experiments through the unified Build entry point.
+// experiments.
 func buildServingScheme(sys *rtroute.System, seed int64) (rtroute.Scheme, error) {
-	var kind rtroute.SchemeKind
-	switch trafficScheme {
-	case "stretch6":
-		kind = rtroute.StretchSix
-	case "exstretch":
-		kind = rtroute.ExStretch
-	case "poly":
-		kind = rtroute.Polynomial
-	case "rtz":
-		kind = rtroute.RTZStretch3
-	case "hop":
-		kind = rtroute.HopSubstrate
-	default:
-		return nil, fmt.Errorf("unknown -scheme %q (want stretch6|exstretch|poly|rtz|hop)", trafficScheme)
+	kind, err := schemeKind()
+	if err != nil {
+		return nil, err
 	}
 	return sys.Build(kind, rtroute.WithSeed(seed), rtroute.WithK(2))
 }
@@ -334,8 +307,8 @@ func runProfile(n int, seed int64) error {
 		name  string
 		build func() (rtroute.Scheme, error)
 	}{
-		{"stretch6", func() (rtroute.Scheme, error) { return sys.BuildStretchSix(seed) }},
-		{"polystretch k=2", func() (rtroute.Scheme, error) { return sys.BuildPolynomial(2) }},
+		{"stretch6", func() (rtroute.Scheme, error) { return sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed)) }},
+		{"polystretch k=2", func() (rtroute.Scheme, error) { return sys.Build(rtroute.Polynomial, rtroute.WithK(2)) }},
 	} {
 		sch, err := b.build()
 		if err != nil {
@@ -359,10 +332,11 @@ func runFig5(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	ex, err := sys.BuildExStretch(4, seed)
+	sch, err := sys.Build(rtroute.ExStretch, rtroute.WithK(4), rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
+	ex := sch.(*core.ExStretch)
 	printed := 0
 	for src := 0; src < n && printed < 3; src++ {
 		dst := (src*37 + n/2) % n
@@ -398,10 +372,11 @@ func runFig10(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	poly, err := sys.BuildPolynomial(2)
+	sch, err := sys.Build(rtroute.Polynomial, rtroute.WithK(2))
 	if err != nil {
 		return err
 	}
+	poly := sch.(*core.PolynomialStretch)
 	src := sys.Naming.Name(0)
 	dst := sys.Naming.Name(int32(n / 2))
 	tr, err := poly.Roundtrip(src, dst)
@@ -444,10 +419,11 @@ func runFig2(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	s6, err := sys.BuildStretchSix(seed)
+	sch, err := sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
+	s6 := sch.(*core.StretchSix)
 	fmt.Printf("%-8s %-20s\n", "node", "neighborhood size")
 	for v := 0; v < n && v < 12; v++ {
 		fmt.Printf("%-8d %-20d\n", v, s6.NeighborhoodEntries(rtroute.NodeID(v)))
@@ -482,18 +458,18 @@ func runStretch(n int, seed int64, ks []int) error {
 		sch   rtroute.Scheme
 	}
 	var builds []build
-	s6, err := sys.BuildStretchSix(seed)
+	s6, err := sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
 	builds = append(builds, build{"stretch6", "6", s6})
 	for _, k := range ks {
-		ex, err := sys.BuildExStretch(k, seed)
+		ex, err := sys.Build(rtroute.ExStretch, rtroute.WithK(k), rtroute.WithSeed(seed))
 		if err != nil {
 			return err
 		}
 		builds = append(builds, build{fmt.Sprintf("exstretch k=%d", k), fmt.Sprintf("(2^%d-1)*hop", k), ex})
-		poly, err := sys.BuildPolynomial(k)
+		poly, err := sys.Build(rtroute.Polynomial, rtroute.WithK(k))
 		if err != nil {
 			return err
 		}
@@ -520,7 +496,7 @@ func runLower(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	s6, err := sys.BuildStretchSix(seed)
+	s6, err := sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
@@ -555,7 +531,7 @@ func runAblation(n int, seed int64) error {
 		{"ball-growing base=2", rtroute.CoverBallGrowing, 2},
 		{"awerbuch-peleg base=1.5", rtroute.CoverAwerbuchPeleg, 1.5},
 	} {
-		poly, err := sys.BuildPolynomialVariant(2, v.base, v.cv)
+		poly, err := sys.Build(rtroute.Polynomial, rtroute.WithK(2), rtroute.WithScaleBase(v.base), rtroute.WithCoverVariant(v.cv))
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -578,16 +554,16 @@ func runAblation(n int, seed int64) error {
 		build func() (rtroute.Scheme, error)
 	}{
 		{"stretch6", func() (rtroute.Scheme, error) {
-			return sys.BuildStretchSixWith(seed, rtroute.Stretch6Options{Blocks: sparse})
+			return sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed), rtroute.WithBlocks(sparse))
 		}},
 		{"stretch6 via-source", func() (rtroute.Scheme, error) {
-			return sys.BuildStretchSixWith(seed, rtroute.Stretch6Options{Blocks: sparse, ViaSource: true})
+			return sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed), rtroute.WithBlocks(sparse), rtroute.WithViaSource())
 		}},
 		{"exstretch k=2", func() (rtroute.Scheme, error) {
-			return sys.BuildExStretchWith(seed, rtroute.ExStretchOptions{K: 2, Blocks: sparse})
+			return sys.Build(rtroute.ExStretch, rtroute.WithSeed(seed), rtroute.WithBlocks(sparse))
 		}},
 		{"exstretch k=2 direct-return", func() (rtroute.Scheme, error) {
-			return sys.BuildExStretchWith(seed, rtroute.ExStretchOptions{K: 2, Blocks: sparse, DirectReturn: true})
+			return sys.Build(rtroute.ExStretch, rtroute.WithSeed(seed), rtroute.WithBlocks(sparse), rtroute.WithDirectReturn())
 		}},
 	}
 	for _, v := range variants {

@@ -244,17 +244,8 @@ func runConnectChurn(addr, addrsSpec, load string, batches, eventsPer int, seed 
 		batches, eventsPer, seed, len(clients))
 	for b := 0; b < batches; b++ {
 		seq := uint64(b + 1)
-		events := make([]rtroute.ChurnEvent, 0, eventsPer)
-		var at float64
-		for i := 0; i < eventsPer; i++ {
-			ev := model.Next()
-			if _, err := ov.Apply(ev); err != nil {
-				return fmt.Errorf("batch %d: %w", b, err)
-			}
-			events = append(events, ev)
-			at = ev.At
-		}
-		if _, err := ov.Advance(at); err != nil {
+		events, _, err := model.NextBatch(eventsPer)
+		if err != nil {
 			return fmt.Errorf("batch %d: %w", b, err)
 		}
 		start := time.Now()

@@ -47,10 +47,8 @@ import (
 	"time"
 
 	"rtroute"
-	"rtroute/internal/churn"
 	"rtroute/internal/cluster"
 	"rtroute/internal/core"
-	"rtroute/internal/graph"
 	"rtroute/internal/telemetry"
 	"rtroute/internal/wire"
 )
@@ -112,16 +110,17 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 	if err != nil {
 		return err
 	}
-	var repairHook func(uint64, []churn.Event) error
+	var repairHook func(uint64, []rtroute.ChurnEvent) error
 	if repairSpec != "" {
 		seed, err := strconv.ParseInt(repairSpec, 10, 64)
 		if err != nil {
 			return fmt.Errorf("-repair: %w", err)
 		}
-		repairHook, err = armRepair(dep, view, seed, repairK)
+		rep, err := armRepair(dep, view, seed, repairK)
 		if err != nil {
 			return fmt.Errorf("arming repair: %w", err)
 		}
+		repairHook = rep.Repair
 		fmt.Printf("shard %d: online repair armed (build seed %d, k %d)\n", shard, seed, repairK)
 	}
 	dep.Graph().Seal()
@@ -211,64 +210,21 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 }
 
 // armRepair builds the daemon's private repair replica: a clone of the
-// snapshot graph, the same scheme rebuilt from the operator-supplied
+// snapshot graph and the same scheme rebuilt from the operator-supplied
 // build seed — so its tables start bit-identical to the snapshot every
-// other daemon restored — and a churn overlay over the clone. The
-// returned hook is the shard's Options.Repair: applied under the epoch
-// fence with batches in sequence order, it folds the events into the
-// overlay, rebuilds the affected set intersected with this daemon's
-// owned slice, and rebinds the serving deployment to the repaired
-// plane. In-flight roundtrips finish on the pre-fence epoch or come
-// back as typed drops; nothing ever sees a half-patched table.
-func armRepair(dep *core.Deployment, view *core.ShardView, seed int64, k int) (func(uint64, []churn.Event) error, error) {
-	g := dep.Graph().Clone()
-	sys, err := rtroute.NewSystemWith(g, dep.Naming(), rtroute.SystemConfig{Metric: rtroute.MetricLazy})
+// other daemon restored — bound to this daemon's serving deployment and
+// owned slice. The replica's Repair is the shard's Options.Repair hook.
+func armRepair(dep *rtroute.Deployment, view *core.ShardView, seed int64, k int) (*rtroute.Replica, error) {
+	sys, err := rtroute.NewSystemWith(dep.Graph().Clone(), dep.Naming(), rtroute.SystemConfig{Metric: rtroute.MetricLazy})
 	if err != nil {
 		return nil, err
 	}
-	m, err := sys.BuildMaintained(dep.Kind(), rtroute.WithSeed(seed), rtroute.WithK(k))
+	rep, err := rtroute.NewReplica(sys, dep.Kind(), rtroute.BuildConfig{Seed: seed, K: k}, rtroute.DamperOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ov, err := churn.NewOverlay(g, churn.NewDamper(churn.DamperConfig{}))
-	if err != nil {
-		return nil, err
-	}
-	seen := make([]bool, g.N())
-	return func(seq uint64, events []churn.Event) error {
-		var dirty []graph.NodeID
-		add := func(ds []graph.NodeID) {
-			for _, d := range ds {
-				if !seen[d] {
-					seen[d] = true
-					dirty = append(dirty, d)
-				}
-			}
-		}
-		var at float64
-		for _, ev := range events {
-			ds, err := ov.Apply(ev)
-			if err != nil {
-				return fmt.Errorf("churn batch %d: %w", seq, err)
-			}
-			add(ds)
-			at = ev.At
-		}
-		released, err := ov.Advance(at)
-		if err != nil {
-			return fmt.Errorf("churn batch %d: %w", seq, err)
-		}
-		add(released)
-		for _, d := range dirty {
-			seen[d] = false
-		}
-		churn.SortNodeIDs(dirty)
-		if _, err := m.RebuildNodesFor(dirty, view.Owns); err != nil {
-			return fmt.Errorf("churn batch %d: %w", seq, err)
-		}
-		dep.Rebind(m.Plane())
-		return nil
-	}, nil
+	rep.Bind(dep, view.Owns)
+	return rep, nil
 }
 
 // drainThenClose watches the sink's counters until they hold still for

@@ -44,7 +44,7 @@ func TestExhaustiveFourNodeGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mask %d: %v", mask, err)
 		}
-		sch, err := sys.BuildStretchSix(int64(mask))
+		sch, err := sys.Build(StretchSix, WithSeed(int64(mask)))
 		if err != nil {
 			t.Fatalf("mask %d: build: %v", mask, err)
 		}
@@ -121,11 +121,11 @@ func TestExhaustiveThreeNodeWeighted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s6, err := sys.BuildStretchSix(int64(a))
+			s6, err := sys.Build(StretchSix, WithSeed(int64(a)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			poly, err := sys.BuildPolynomial(2)
+			poly, err := sys.Build(Polynomial, WithK(2))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func TestSchemeFamilyMatrix(t *testing.T) {
 				bound float64
 				sch   Scheme
 			}{}
-			s6, err := sys.BuildStretchSix(1)
+			s6, err := sys.Build(StretchSix, WithSeed(1))
 			if err != nil {
 				t.Fatalf("stretch6: %v", err)
 			}
@@ -48,7 +48,7 @@ func TestSchemeFamilyMatrix(t *testing.T) {
 				bound float64
 				sch   Scheme
 			}{"stretch6", 6, s6})
-			ex, err := sys.BuildExStretch(2, 2)
+			ex, err := sys.Build(ExStretch, WithK(2), WithSeed(2))
 			if err != nil {
 				t.Fatalf("exstretch: %v", err)
 			}
@@ -60,7 +60,7 @@ func TestSchemeFamilyMatrix(t *testing.T) {
 				bound float64
 				sch   Scheme
 			}{"exstretch-k2", 36, ex})
-			poly, err := sys.BuildPolynomial(2)
+			poly, err := sys.Build(Polynomial, WithK(2))
 			if err != nil {
 				t.Fatalf("poly: %v", err)
 			}
@@ -98,15 +98,15 @@ func mustAssignPorts(g *Graph, rng *rand.Rand) *Graph {
 func TestConcurrentRoundtrips(t *testing.T) {
 	sys := newTestSystem(t, 77, 48)
 	schemes := make([]Scheme, 0, 3)
-	s6, err := sys.BuildStretchSix(1)
+	s6, err := sys.Build(StretchSix, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := sys.BuildExStretch(2, 2)
+	ex, err := sys.Build(ExStretch, WithK(2), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	poly, err := sys.BuildPolynomial(2)
+	poly, err := sys.Build(Polynomial, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMinimalNetworks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s6, err := sys.BuildStretchSix(1)
+	s6, err := sys.Build(StretchSix, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +170,14 @@ func TestMinimalNetworks(t *testing.T) {
 	if tr.Weight() != 8 {
 		t.Fatalf("2-node roundtrip weight %d, want 8 (it is the only cycle)", tr.Weight())
 	}
-	ex, err := sys.BuildExStretch(2, 2)
+	ex, err := sys.Build(ExStretch, WithK(2), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr, err = ex.Roundtrip(1, 0); err != nil || tr.Weight() != 8 {
 		t.Fatalf("exstretch 2-node roundtrip: %d, %v", tr.Weight(), err)
 	}
-	poly, err := sys.BuildPolynomial(2)
+	poly, err := sys.Build(Polynomial, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDeterministicBuilds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s6, err := sys.BuildStretchSix(9)
+		s6, err := sys.Build(StretchSix, WithSeed(9))
 		if err != nil {
 			t.Fatal(err)
 		}

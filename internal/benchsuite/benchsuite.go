@@ -1,21 +1,15 @@
-// Package benchsuite holds the canonical performance suite — Dijkstra,
-// EdgeByPort, MetricBuild, TrafficThroughput — as exported benchmark
-// bodies, so one implementation serves both surfaces: `go test -bench`
-// (bench_test.go delegates here) and `rtbench -exp bench`, which runs
-// the suite outside `go test` and captures the perf trajectory as a
-// committed artifact (BENCH_PR<k>.json) with ns/op, allocs/op and the
-// engine's packets/s, comparable number-for-number across PRs
-// (`make bench-json`, `make benchcmp`).
+// Package benchsuite holds the canonical microbenchmark bodies —
+// Dijkstra, EdgeByPort, MetricBuild, deployment and cluster serving,
+// snapshot encoding — as exported functions that bench_test.go's
+// `go test -bench` entries delegate to (`make bench-smoke`, `make
+// benchcmp`). The repo's end-to-end instrument is the separate
+// benchmark/ module (BENCHMARK.json).
 package benchsuite
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"rtroute/internal/cluster"
 	"rtroute/internal/core"
@@ -25,97 +19,6 @@ import (
 	"rtroute/internal/traffic"
 	"rtroute/internal/wire"
 )
-
-// Result is one benchmark's measurement.
-type Result struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// Report is the committed trajectory artifact.
-type Report struct {
-	GeneratedAt string   `json:"generated_at"`
-	GoVersion   string   `json:"go_version"`
-	GOMAXPROCS  int      `json:"gomaxprocs"`
-	Results     []Result `json:"results"`
-}
-
-// Run executes the whole canonical suite. Each entry runs through
-// testing.Benchmark (~1s of iterations), so a full run takes on the
-// order of ten seconds.
-func Run() *Report {
-	rep := &Report{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
-	for _, e := range suite() {
-		res := testing.Benchmark(e.fn)
-		r := Result{
-			Name:        e.name,
-			Iterations:  res.N,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-		}
-		if len(res.Extra) > 0 {
-			r.Extra = make(map[string]float64, len(res.Extra))
-			for k, v := range res.Extra {
-				r.Extra[k] = v
-			}
-		}
-		rep.Results = append(rep.Results, r)
-	}
-	return rep
-}
-
-// JSON renders the report as indented JSON.
-func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
-
-// Format renders the report as an aligned text table.
-func (r *Report) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "go %s  GOMAXPROCS %d  %s\n\n", r.GoVersion, r.GOMAXPROCS, r.GeneratedAt)
-	fmt.Fprintf(&b, "%-34s %14s %10s %12s  %s\n", "benchmark", "ns/op", "allocs/op", "B/op", "extra")
-	for _, res := range r.Results {
-		var extra []string
-		for k, v := range res.Extra {
-			extra = append(extra, fmt.Sprintf("%s=%.0f", k, v))
-		}
-		fmt.Fprintf(&b, "%-34s %14.1f %10d %12d  %s\n",
-			res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, strings.Join(extra, " "))
-	}
-	return b.String()
-}
-
-type entry struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-// suite builds the canonical benchmark list. Construction (graphs,
-// schemes, compiled planes) happens inside each closure but outside the
-// timed region.
-func suite() []entry {
-	return []entry{
-		{"dijkstra/pooled", BenchDijkstraPooled},
-		{"dijkstra/scratch", BenchDijkstraScratch},
-		{"edgebyport/adversarial", BenchEdgeByPortAdversarial},
-		{"edgebyport/dense", BenchEdgeByPortDense},
-		{"metricbuild/dense-sequential", BenchMetricDenseSequential},
-		{"metricbuild/dense-parallel", BenchMetricDenseParallel},
-		{"metricbuild/lazy-single-row", BenchMetricLazySingleRow},
-		{"traffic/stretch6-workers=1", BenchTrafficSingleWorker},
-		{"traffic/deployment-workers=1", BenchDeploymentForward},
-		{"cluster/stretch6-shards=8", BenchClusterThroughput},
-		{"cluster/stretch6-shards=8+sink", BenchClusterTelemetry},
-		{"wire/marshal-stretch6", BenchMarshalScheme},
-	}
-}
 
 func dijkstraGraph() *graph.Graph {
 	rng := rand.New(rand.NewSource(19))
@@ -220,7 +123,7 @@ func BenchMetricDenseParallel(b *testing.B) {
 
 // BenchMetricLazyFullSweep drives the lazy oracle through a full 2n-row
 // sweep at a 64-row cache — the worst case a scheme build can demand of
-// it. Not part of the JSON suite; bench_test.go delegates here.
+// it.
 func BenchMetricLazyFullSweep(b *testing.B) {
 	g := metricGraph()
 	b.ResetTimer()
@@ -277,19 +180,10 @@ func benchServe(b *testing.B, pl *traffic.Plane) {
 	b.ReportMetric(res.HopsPerSec(), "hops/s")
 }
 
-// BenchTrafficSingleWorker is the single-worker serving benchmark: one compiled
-// StretchSix plane, Zipf workload, one roundtrip per iteration.
-func BenchTrafficSingleWorker(b *testing.B) {
-	pl, err := traffic.Compile(benchStretchSix(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchServe(b, pl)
-}
-
-// BenchDeploymentForward serves the identical workload through a
+// BenchDeploymentForward serves a single-worker Zipf workload through a
 // wire-restored Deployment — per-node Router dispatch on every hop. The
-// PR4 acceptance bar: within 10% of the monolithic compiled plane.
+// PR4 acceptance bar: within 10% of the monolithic compiled plane
+// (bench_test.go's BenchmarkTrafficThroughput).
 func BenchDeploymentForward(b *testing.B) {
 	blob, err := wire.MarshalScheme(benchStretchSix(b))
 	if err != nil {
@@ -308,8 +202,8 @@ func BenchDeploymentForward(b *testing.B) {
 
 // BenchClusterThroughput serves the Zipf workload through an 8-shard
 // channel-bus cluster of the wire-restored Deployment: every
-// boundary-crossing hop marshals the live header into a packet frame
-// and the owning shard decodes and resumes it — the E15 serving row.
+// boundary-crossing hop ships the packet as a flight frame and the
+// owning shard resumes it — the E15 serving row.
 // Cross-shard frames per roundtrip is reported alongside the rates.
 func BenchClusterThroughput(b *testing.B) {
 	benchCluster(b, false)

@@ -114,7 +114,8 @@ func (m Mix) total() float64 {
 
 // Model is the seeded churn event generator. It observes (but does not
 // mutate) the overlay's state to keep its picks admissible; the caller
-// feeds each generated event back through Overlay.Apply.
+// feeds each generated event back through Overlay.Apply, or draws whole
+// batches with NextBatch, which does.
 type Model struct {
 	ov    *Overlay
 	rng   *rand.Rand
@@ -210,6 +211,20 @@ func (m *Model) Next() Event {
 			return Event{Kind: WeightChange, U: c.U, V: c.V, Weight: w, At: m.clock}
 		}
 	}
+}
+
+// NextBatch draws k events, applying each to the overlay before the next
+// is drawn (a pick is admissible only against the state its
+// predecessors left), and closes the batch as Overlay.ApplyBatch does.
+// It returns the events — ready to replay on other replicas through
+// ApplyBatch — and the batch's sorted dirty set.
+func (m *Model) NextBatch(k int) ([]Event, []graph.NodeID, error) {
+	events := make([]Event, 0, k)
+	dirty, err := m.ov.applyBatch(k, func(int) Event {
+		events = append(events, m.Next())
+		return events[len(events)-1]
+	})
+	return events, dirty, err
 }
 
 func (m *Model) pickKind() EventKind {

@@ -190,6 +190,48 @@ func (ov *Overlay) Advance(at float64) ([]graph.NodeID, error) {
 	return dirty, nil
 }
 
+// ApplyBatch applies events in order, advances the damper clock to the
+// last event's time, and returns the sorted union of every affected set
+// — the dirty set one repair pass must rebuild. Every replica of a
+// topology folds a batch in through this one function, which is what
+// keeps replicas fed the same batches in lockstep.
+func (ov *Overlay) ApplyBatch(events []Event) ([]graph.NodeID, error) {
+	return ov.applyBatch(len(events), func(i int) Event { return events[i] })
+}
+
+// applyBatch is ApplyBatch over k events produced one at a time: next(i)
+// runs after event i-1 has been applied, so a generator can draw each
+// event against the state its predecessors left (Model.NextBatch).
+func (ov *Overlay) applyBatch(k int, next func(i int) Event) ([]graph.NodeID, error) {
+	var dirty []graph.NodeID
+	seen := make([]bool, ov.G.N())
+	add := func(ds []graph.NodeID) {
+		for _, v := range ds {
+			if !seen[v] {
+				seen[v] = true
+				dirty = append(dirty, v)
+			}
+		}
+	}
+	var at float64
+	for i := 0; i < k; i++ {
+		ev := next(i)
+		ds, err := ov.Apply(ev)
+		if err != nil {
+			return nil, fmt.Errorf("event %d (%v): %w", i, ev, err)
+		}
+		add(ds)
+		at = ev.At
+	}
+	released, err := ov.Advance(at)
+	if err != nil {
+		return nil, err
+	}
+	add(released)
+	SortNodeIDs(dirty)
+	return dirty, nil
+}
+
 // mutate reweights (u, v) and returns the may-use affected set.
 func (ov *Overlay) mutate(u, v graph.NodeID, wNew graph.Dist) ([]graph.NodeID, error) {
 	wOld, ok := ov.G.EdgeWeight(u, v)

@@ -48,7 +48,7 @@ func DialClient(addr string) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) send(f *wire.Frame) error {
-	data, err := wire.AppendFrame(c.buf[:0], f, nil)
+	data, err := wire.AppendFrame(c.buf[:0], f)
 	if err != nil {
 		return err
 	}

@@ -9,13 +9,13 @@
 // A shard owns a subset of nodes (Placement: contiguous, hashed, or
 // aligned to the scheme's own stretch-3 clusters) and forwards packets
 // hop by hop with only its nodes' local state (core.ShardView). When a
-// packet's next node belongs to another shard, the live header is
-// marshaled (wire.MarshalHeader) into a packet frame together with the
-// roundtrip's routing preamble and shipped to the owner, who resumes
-// the leg exactly where it stopped — sim.FlySegment makes the chain of
-// per-shard segments hop-for-hop identical to one single-process fly
-// loop, which is what the route-identity tests certify against
-// sim.Run.
+// packet's next node belongs to another shard, the live header and the
+// roundtrip's routing preamble are encoded as a fixed-layout flight
+// frame (wire.AppendFlightFrame, or a repatch of the received bytes)
+// and shipped to the owner, who resumes the leg exactly where it
+// stopped — sim.FlySegment makes the chain of per-shard segments
+// hop-for-hop identical to one single-process fly loop, which is what
+// the route-identity tests certify against sim.Run.
 //
 // Two transports share the protocol: ChanBus (bounded in-process
 // mailboxes — deterministic tests and benchmarks) and TCPTransport
@@ -94,7 +94,7 @@ type Result struct {
 	Packets   int64
 	Hops      int64
 	Weight    int64
-	// CrossShard counts packet frames shipped between shards — hops
+	// CrossShard counts flight frames shipped between shards — hops
 	// whose tail and head live on different shards.
 	CrossShard int64
 	Elapsed    time.Duration
@@ -302,6 +302,16 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	if burst > 256 {
 		burst = 256
 	}
+	// A take that returns one or two credits — completions trickling
+	// back on a busy host — would pay a batch buffer, plus a mailbox slab
+	// per owner, for a burst that small, so an injector tops a short take
+	// up to half its burst before it generates. Capping the floor at the
+	// injector's share of the window keeps the sum of held credits below
+	// the window, so some roundtrip is always in flight to refill it.
+	floor := burst / 2
+	if share := inFlight / injectors; floor > share {
+		floor = share
+	}
 	for i := 0; i < injectors; i++ {
 		wg.Add(1)
 		go func(i int, quota int64) {
@@ -324,6 +334,13 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 				}
 				t := ip.BatchStart(0)
 				n := window.Take(want, bus.Done())
+				for 0 < n && n < min(floor, want) {
+					more := window.Take(want-n, bus.Done())
+					if more == 0 {
+						return // run aborted under us
+					}
+					n += more
+				}
 				t = ip.Lap(telemetry.StageCredit, t)
 				if n == 0 {
 					return // run aborted under us
@@ -347,16 +364,19 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 				}
 				sent += int64(n)
 				t = ip.Lap(telemetry.StageInject, t)
+				// The shard owns a batch's buffer after Send (it recycles it
+				// into its frame pool), so each burst cuts fresh ones: one
+				// allocation sized upfront, carved into a disjoint
+				// full-capacity piece per owner.
+				backing := make([]byte, 32*shards+21*n)
+				*allocs++
 				for o := range byOwner {
 					if len(byOwner[o]) == 0 {
 						continue
 					}
-					// The shard owns the buffer after Send (it recycles it
-					// into its frame pool), so each batch cuts a fresh one —
-					// sized upfront, one allocation per ~burst roundtrips.
-					buf := make([]byte, 0, 32+len(byOwner[o])*21)
-					*allocs++
-					data := wire.AppendInjectBatch(buf, wire.HomeLocal, 0, byOwner[o])
+					size := 32 + 21*len(byOwner[o])
+					data := wire.AppendInjectBatch(backing[:0:size], wire.HomeLocal, 0, byOwner[o])
+					backing = backing[size:]
 					byOwner[o] = byOwner[o][:0]
 					if err := bus.Send(o, data); err != nil {
 						return // bus closed: run aborted under us

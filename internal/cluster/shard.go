@@ -21,7 +21,7 @@ import (
 // engine's per-worker stats so cluster and single-process reports read
 // line for line: Packets/Hops/Weight count the roundtrips *completed*
 // at this shard (a roundtrip completes where its source lives), while
-// FramesIn/FramesOut count the packet frames this shard exchanged with
+// FramesIn/FramesOut count the flight frames this shard exchanged with
 // other shards — the cross-boundary traffic the placement policies
 // compete on.
 type ShardStats struct {
@@ -30,7 +30,7 @@ type ShardStats struct {
 	Packets int64
 	Hops    int64
 	Weight  int64
-	// FramesIn / FramesOut are packet frames received from / shipped to
+	// FramesIn / FramesOut are flight frames received from / shipped to
 	// other shards (injects and completion reports excluded).
 	FramesIn  int64
 	FramesOut int64
@@ -585,35 +585,6 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 	case wire.FrameInject:
 		t, err = s.inject(st, f, in.Conn, t)
 		return false, t, err
-	case wire.FramePacket:
-		// The legacy varint packet frame: still decoded (older clients,
-		// hostile-input resilience), re-framed as a flight frame at its
-		// next crossing.
-		st.stats.FramesIn++
-		// A packet frame's routing fields are untrusted input on the
-		// network transport: validate them before any array access.
-		if err := checkName(s.view, f.SrcName); err != nil {
-			return false, t, err
-		}
-		if err := checkName(s.view, f.DstName); err != nil {
-			return false, t, err
-		}
-		if f.At < 0 || int(f.At) >= s.view.Graph().N() {
-			return false, t, fmt.Errorf("cluster: packet frame at node %d outside [0,%d)", f.At, s.view.Graph().N())
-		}
-		h, err := st.hdec.DecodeBare(f.Header)
-		if err != nil {
-			return false, t, err
-		}
-		f.Header = nil
-		t = st.p.Lap(telemetry.StageDecode, t)
-		var fl sim.Flight
-		if !f.Return {
-			fl = flightOf(f.Out, f.At)
-		} else {
-			fl = flightOf(f.Back, f.At)
-		}
-		return s.advance(st, f, h, fl, nil, wire.FlightState{}, t)
 	case wire.FrameDone, wire.FrameDrop:
 		// A completion (or lossy-completion) report passing through its
 		// home shard on the way back to the client connection that
@@ -621,7 +592,7 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 		err := s.tr.Reply(f.Origin, in.Data)
 		return false, st.p.Lap(telemetry.StageSend, t), err
 	case wire.FrameInfoReq:
-		data, err := wire.MarshalFrame(&s.info, nil)
+		data, err := wire.MarshalFrame(&s.info)
 		if err != nil {
 			return false, t, err
 		}
@@ -733,7 +704,7 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 		// Header creation is the source's job: route the inject to
 		// the shard that owns the source node.
 		f.Kind = wire.FrameInject
-		data, err := wire.AppendFrame(st.outBuf(), f, nil)
+		data, err := wire.AppendFrame(st.outBuf(), f)
 		if err != nil {
 			return t, err
 		}
@@ -908,7 +879,7 @@ func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error)
 		Out: f.Out, Back: f.Back, Origin: f.Origin, Rt: f.Rt, Sampled: f.Sampled,
 	}
 	t = st.p.Lap(telemetry.StageComplete, t)
-	data, err := wire.AppendFrame(st.outBuf(), &done, nil)
+	data, err := wire.AppendFrame(st.outBuf(), &done)
 	if err != nil {
 		return t, err
 	}
@@ -942,7 +913,7 @@ func (s *Shard) lose(st *shardWorker, f *wire.Frame, reason byte, t int64) (int6
 		Origin: f.Origin, Rt: f.Rt, Reason: reason,
 	}
 	t = st.p.Lap(telemetry.StageComplete, t)
-	data, err := wire.AppendFrame(st.outBuf(), &drop, nil)
+	data, err := wire.AppendFrame(st.outBuf(), &drop)
 	if err != nil {
 		return t, err
 	}

@@ -212,31 +212,47 @@ func TestTCPLoopback(t *testing.T) {
 	}
 
 	// Hostile but well-formed frames must not take the daemon down
-	// either: an out-of-range At (would index the placement), and
-	// negative leg totals (would inflate the hop budget).
-	hostile, err := wire.MarshalFrame(&wire.Frame{
-		Kind: wire.FramePacket, SrcName: 1, DstName: 2, At: -7,
-		Home: wire.HomeLocal, Header: []byte{0xff},
-	}, nil)
+	// either: a flight frame with an out-of-range At (would index the
+	// placement), one with negative leg totals (would inflate the hop
+	// budget), and the retired kind-1 packet frame an old peer might
+	// still send. Each is counted and the connection keeps serving.
+	h, err := dep.NewHeader(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&tcpConn{c: cl.conn}).writeFrame(hostile); err != nil {
+	badAt, err := wire.AppendFlightFrame(nil, &wire.Frame{
+		Kind: wire.FrameFlight, SrcName: 1, DstName: 2, At: -7, Home: wire.HomeLocal,
+	}, h, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	negHops, err := wire.MarshalFrame(&wire.Frame{
-		Kind: wire.FramePacket, SrcName: 1, DstName: 2, At: 0,
+	negHops, err := wire.AppendFlightFrame(nil, &wire.Frame{
+		Kind: wire.FrameFlight, SrcName: 1, DstName: 2, At: 0,
 		Out:  wire.LegTotals{Hops: -1 << 30},
-		Home: wire.HomeLocal, Header: []byte{0xff},
-	}, nil)
+		Home: wire.HomeLocal,
+	}, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&tcpConn{c: cl.conn}).writeFrame(negHops); err != nil {
+	retired, err := wire.MarshalFrame(&wire.Frame{Kind: wire.FrameInject, SrcName: 1, DstName: 2, Home: wire.HomeClient})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Roundtrip(2, 9); err != nil {
-		t.Fatalf("roundtrip after hostile frames: %v", err)
+	retired[6] = 1 // frame kind slot
+	for _, hostile := range []struct {
+		name string
+		data []byte
+	}{{"flight frame at node -7", badAt}, {"flight frame with negative hops", negHops}, {"retired kind-1 frame", retired}} {
+		before := ss[0].Stats().Errors
+		if err := (&tcpConn{c: cl.conn}).writeFrame(hostile.data); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.Roundtrip(2, 9); err != nil {
+			t.Fatalf("roundtrip after %s: %v", hostile.name, err)
+		}
+		if got := ss[0].Stats().Errors; got != before+1 {
+			t.Fatalf("%s: errors %d -> %d, want one more", hostile.name, before, got)
+		}
 	}
 }
 

@@ -211,7 +211,7 @@ func TestEngineServesSubstratePlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewRTZPlane(sub, perm)
+	rp, err := core.NewRTZPlane(sub, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestEngineServesSubstratePlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp, err := NewHopPlane(hop, perm)
+	hp, err := core.NewHopPlane(hop, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,6 @@ package traffic
 import (
 	"fmt"
 
-	"rtroute/internal/graph"
-	"rtroute/internal/names"
-	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
 )
 
@@ -66,231 +63,4 @@ func Compile(p sim.Plane) (*Plane, error) {
 		return nil, fmt.Errorf("traffic: compile probe: %w", err)
 	}
 	return &Plane{Plane: p, n: n}, nil
-}
-
-// rtzHeader carries one roundtrip over the stretch-3 substrate: the leg
-// header plus the source's address R3(s) learned at injection, so the
-// return leg routes with node-local state only (§1.1.1's reply rule).
-type rtzHeader struct {
-	srcName, dstName int32
-	srcLabel         rtz.Label
-	leg              rtz.Header
-}
-
-// Words implements sim.Header.
-func (h *rtzHeader) Words() int { return 2 + h.srcLabel.Words() + h.leg.Words() }
-
-// FixedWords implements sim.FixedSizeHeader: the leg is only rewritten
-// between legs (NewHeader/ResetHeader/BeginReturn), and forwarding
-// mutates nothing but the leg's phase, so the size is leg-invariant and
-// the runners need not re-measure it on every hop.
-func (h *rtzHeader) FixedWords() bool { return true }
-
-// RTZPlane adapts the name-dependent RTZ stretch-3 substrate to the
-// sim.Plane contract, so the traffic engine can serve it as a baseline
-// next to the TINN schemes. The adapter resolves a destination name to
-// its address R3 at header-creation time — modeling a source that was
-// handed the address out of band, which is exactly the name-dependent
-// model's assumption.
-type RTZPlane struct {
-	sub  *rtz.Scheme
-	perm *names.Permutation
-}
-
-// NewRTZPlane wraps a built substrate with a naming.
-func NewRTZPlane(sub *rtz.Scheme, perm *names.Permutation) (*RTZPlane, error) {
-	if perm.N() != sub.Graph().N() {
-		return nil, fmt.Errorf("traffic: naming covers %d nodes, substrate has %d", perm.N(), sub.Graph().N())
-	}
-	return &RTZPlane{sub: sub, perm: perm}, nil
-}
-
-// Substrate returns the wrapped stretch-3 scheme (the wire codec's
-// decomposition hook).
-func (p *RTZPlane) Substrate() *rtz.Scheme { return p.sub }
-
-// Naming returns the plane's name permutation.
-func (p *RTZPlane) Naming() *names.Permutation { return p.perm }
-
-// NewHeader implements sim.Plane.
-func (p *RTZPlane) NewHeader(srcName, dstName int32) (sim.Header, error) {
-	if err := checkName(p.perm, srcName); err != nil {
-		return nil, err
-	}
-	if err := checkName(p.perm, dstName); err != nil {
-		return nil, err
-	}
-	src := graph.NodeID(p.perm.Node(srcName))
-	dst := graph.NodeID(p.perm.Node(dstName))
-	return &rtzHeader{
-		srcName:  srcName,
-		dstName:  dstName,
-		srcLabel: p.sub.LabelOf(src),
-		leg:      rtz.Header{Dest: dst, Label: p.sub.LabelOf(dst), Phase: rtz.PhaseSeek},
-	}, nil
-}
-
-// ResetHeader implements sim.Plane: re-arm an earlier header for a new
-// roundtrip in place. The labels are copied from the substrate's tables,
-// so the reset allocates nothing.
-func (p *RTZPlane) ResetHeader(h sim.Header, srcName, dstName int32) error {
-	hh, ok := h.(*rtzHeader)
-	if !ok {
-		return fmt.Errorf("traffic: rtz plane got %T header", h)
-	}
-	if err := checkName(p.perm, srcName); err != nil {
-		return err
-	}
-	if err := checkName(p.perm, dstName); err != nil {
-		return err
-	}
-	src := graph.NodeID(p.perm.Node(srcName))
-	dst := graph.NodeID(p.perm.Node(dstName))
-	hh.srcName, hh.dstName = srcName, dstName
-	hh.srcLabel = p.sub.LabelOf(src)
-	hh.leg = rtz.Header{Dest: dst, Label: p.sub.LabelOf(dst), Phase: rtz.PhaseSeek}
-	return nil
-}
-
-// BeginReturn implements sim.Plane.
-func (p *RTZPlane) BeginReturn(h sim.Header) error {
-	hh, ok := h.(*rtzHeader)
-	if !ok {
-		return fmt.Errorf("traffic: rtz plane got %T header", h)
-	}
-	hh.leg = rtz.Header{Dest: hh.srcLabel.Node, Label: hh.srcLabel, Phase: rtz.PhaseSeek}
-	return nil
-}
-
-// Forward implements sim.Forwarder: pure delegation to the substrate's
-// node-local forwarding function.
-func (p *RTZPlane) Forward(at graph.NodeID, h sim.Header) (graph.PortID, bool, error) {
-	hh, ok := h.(*rtzHeader)
-	if !ok {
-		return 0, false, fmt.Errorf("traffic: rtz plane got %T header", h)
-	}
-	return rtz.Forward(p.sub.Tables[at], &hh.leg)
-}
-
-// NodeOf implements sim.Plane.
-func (p *RTZPlane) NodeOf(name int32) graph.NodeID { return graph.NodeID(p.perm.Node(name)) }
-
-// Graph implements sim.Plane.
-func (p *RTZPlane) Graph() *graph.Graph { return p.sub.Graph() }
-
-var _ sim.Plane = (*RTZPlane)(nil)
-
-// hopHeader carries one roundtrip over the hop substrate: the handshake
-// R2(s,t) resolved at injection, and the live leg within its tree.
-type hopHeader struct {
-	hs  rtz.Handshake
-	leg rtz.HopHeader
-}
-
-// Words implements sim.Header.
-func (h *hopHeader) Words() int { return h.hs.Words() + h.leg.Words() }
-
-// FixedWords implements sim.FixedSizeHeader: forwarding only flips the
-// leg's Descending bit, so the size is leg-invariant.
-func (h *hopHeader) FixedWords() bool { return true }
-
-// HopPlane adapts the Lemma 5 double-tree-cover substrate ("Hop") to the
-// sim.Plane contract: each roundtrip runs out and back inside the
-// handshake's most convenient shared tree.
-type HopPlane struct {
-	hop  *rtz.HopScheme
-	perm *names.Permutation
-}
-
-// NewHopPlane wraps a built hop substrate with a naming.
-func NewHopPlane(hop *rtz.HopScheme, perm *names.Permutation) (*HopPlane, error) {
-	if perm.N() != hop.Graph().N() {
-		return nil, fmt.Errorf("traffic: naming covers %d nodes, substrate has %d", perm.N(), hop.Graph().N())
-	}
-	return &HopPlane{hop: hop, perm: perm}, nil
-}
-
-// Substrate returns the wrapped hop scheme (the wire codec's
-// decomposition hook).
-func (p *HopPlane) Substrate() *rtz.HopScheme { return p.hop }
-
-// Naming returns the plane's name permutation.
-func (p *HopPlane) Naming() *names.Permutation { return p.perm }
-
-// NewHeader implements sim.Plane: it resolves the handshake R2(s,t) —
-// the pairwise state §3.3's dictionary would have stored — and arms the
-// outbound leg toward t's label in the shared tree.
-func (p *HopPlane) NewHeader(srcName, dstName int32) (sim.Header, error) {
-	if err := checkName(p.perm, srcName); err != nil {
-		return nil, err
-	}
-	if err := checkName(p.perm, dstName); err != nil {
-		return nil, err
-	}
-	u := graph.NodeID(p.perm.Node(srcName))
-	v := graph.NodeID(p.perm.Node(dstName))
-	hs, _, err := p.hop.R2(u, v)
-	if err != nil {
-		return nil, fmt.Errorf("traffic: handshake (%d,%d): %w", srcName, dstName, err)
-	}
-	return &hopHeader{hs: hs, leg: rtz.HopHeader{Ref: hs.Ref, Target: hs.VLabel}}, nil
-}
-
-// ResetHeader implements sim.Plane: resolve the new pair's handshake and
-// re-arm the header in place.
-func (p *HopPlane) ResetHeader(h sim.Header, srcName, dstName int32) error {
-	hh, ok := h.(*hopHeader)
-	if !ok {
-		return fmt.Errorf("traffic: hop plane got %T header", h)
-	}
-	if err := checkName(p.perm, srcName); err != nil {
-		return err
-	}
-	if err := checkName(p.perm, dstName); err != nil {
-		return err
-	}
-	u := graph.NodeID(p.perm.Node(srcName))
-	v := graph.NodeID(p.perm.Node(dstName))
-	hs, _, err := p.hop.R2(u, v)
-	if err != nil {
-		return fmt.Errorf("traffic: handshake (%d,%d): %w", srcName, dstName, err)
-	}
-	hh.hs = hs
-	hh.leg = rtz.HopHeader{Ref: hs.Ref, Target: hs.VLabel}
-	return nil
-}
-
-// BeginReturn implements sim.Plane: rewind the leg toward the source's
-// label in the same tree.
-func (p *HopPlane) BeginReturn(h sim.Header) error {
-	hh, ok := h.(*hopHeader)
-	if !ok {
-		return fmt.Errorf("traffic: hop plane got %T header", h)
-	}
-	hh.leg = rtz.HopHeader{Ref: hh.hs.Ref, Target: hh.hs.ULabel}
-	return nil
-}
-
-// Forward implements sim.Forwarder.
-func (p *HopPlane) Forward(at graph.NodeID, h sim.Header) (graph.PortID, bool, error) {
-	hh, ok := h.(*hopHeader)
-	if !ok {
-		return 0, false, fmt.Errorf("traffic: hop plane got %T header", h)
-	}
-	return rtz.ForwardHop(p.hop.Tables[at], &hh.leg)
-}
-
-// NodeOf implements sim.Plane.
-func (p *HopPlane) NodeOf(name int32) graph.NodeID { return graph.NodeID(p.perm.Node(name)) }
-
-// Graph implements sim.Plane.
-func (p *HopPlane) Graph() *graph.Graph { return p.hop.Graph() }
-
-var _ sim.Plane = (*HopPlane)(nil)
-
-func checkName(perm *names.Permutation, name int32) error {
-	if name < 0 || int(name) >= perm.N() {
-		return fmt.Errorf("traffic: name %d outside [0,%d)", name, perm.N())
-	}
-	return nil
 }

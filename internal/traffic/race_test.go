@@ -45,7 +45,7 @@ func TestConcurrentForwardingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rzp, err := NewRTZPlane(sub, perm)
+	rzp, err := core.NewRTZPlane(sub, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestConcurrentForwardingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpp, err := NewHopPlane(hop, perm)
+	hpp, err := core.NewHopPlane(hop, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

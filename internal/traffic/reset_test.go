@@ -43,7 +43,7 @@ func resetPlanes(t *testing.T, n int, seed int64) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rzp, err := NewRTZPlane(sub, perm)
+	rzp, err := core.NewRTZPlane(sub, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func resetPlanes(t *testing.T, n int, seed int64) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpp, err := NewHopPlane(hop, perm)
+	hpp, err := core.NewHopPlane(hop, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

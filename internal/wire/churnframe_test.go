@@ -64,7 +64,7 @@ func TestChurnEventFrameGolden(t *testing.T) {
 func TestDropFrameRoundtrip(t *testing.T) {
 	for _, reason := range []byte{DropUnroutable, DropMisroute} {
 		in := Frame{Kind: FrameDrop, SrcName: 5, DstName: 9, Origin: 3, Rt: 77, Reason: reason}
-		blob, err := MarshalFrame(&in, nil)
+		blob, err := MarshalFrame(&in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestDropFrameRoundtrip(t *testing.T) {
 		}
 	}
 	bad := Frame{Kind: FrameDrop, Reason: 3}
-	blob, err := MarshalFrame(&bad, nil)
+	blob, err := MarshalFrame(&bad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // *reads* almost none of it — it needs the current node, the running
 // leg totals and the roundtrip routing preamble, and it mutates at most
 // one scheme byte per segment (the rtz leg phase, the hop descent
-// flag). The varint frame (FramePacket) makes every crossing pay a full
+// flag). An all-varint header would make every crossing pay a full
 // header decode and re-encode; the flight frame puts everything a
 // forwarding shard reads at fixed offsets, leaves the big label blobs
 // as opaque byte ranges copied verbatim (or not copied at all: a clean
@@ -295,7 +295,7 @@ func UnmarshalFlightFrame(data []byte, f *Frame) error {
 
 // DecodeFlight decodes the header section of a flight frame previously
 // opened with UnmarshalFlightFrame, into the decoder's reusable scratch
-// storage (same reuse contract as DecodeBare). Label blobs that only
+// storage (same reuse contract as Decode). Label blobs that only
 // the roundtrip's endpoints read are decoded when loc owns the relevant
 // endpoint and left zero otherwise — the undecoded bytes stay in the
 // received frame, which AppendFlightFrame copies verbatim and
@@ -660,8 +660,8 @@ func RepatchFlight(data []byte, f *Frame, h sim.Header) error {
 // appending to dst. prev, when non-nil, must be the flight frame h was
 // decoded from (lazily): the label blobs the decoder skipped are copied
 // from prev verbatim, so a frame stays byte-stable across shards that
-// never read those labels. prev == nil (injection, or arrival in the
-// legacy varint form) encodes every blob from the fully decoded struct.
+// never read those labels. prev == nil (injection) encodes every blob
+// from the fully decoded struct.
 func AppendFlightFrame(dst []byte, f *Frame, h sim.Header, prev []byte) ([]byte, error) {
 	k, err := headerKind(h)
 	if err != nil {

@@ -6,26 +6,22 @@ import (
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
-	"rtroute/internal/sim"
 )
 
-// This file is the cluster frame codec: the envelope a packet wears
-// while it is *between* shards. A frame is one transport message — the
-// shard routing preamble (who the roundtrip is for, which leg it is on,
-// the per-leg totals accumulated so far, where the completion report
-// must go) followed, for in-flight packets, by the live header in its
-// bare frame-embedded form (kind byte + body; the enclosing frame
-// already carries magic and version). Frames are length-delimited by
-// the transport (a channel element in process, a length-prefixed TCP
-// segment on the network), so the header section simply extends to the
-// end of the frame and costs no inner length prefix.
+// This file is the cluster control-frame codec: injects, completion
+// and drop reports, and the info handshake. A frame is one transport
+// message, length-delimited by the transport (a channel element in
+// process, a length-prefixed TCP segment on the network). In-flight
+// packets travel as flight frames (flight.go), which share the Frame
+// struct and the envelope but not this varint layout.
 
 // FrameKind discriminates cluster frames.
 type FrameKind byte
 
 const (
-	// FramePacket is an in-flight packet crossing a shard boundary.
-	FramePacket FrameKind = 1
+	// Kind 1 is retired: it was the varint packet frame that flight
+	// frames (kind 6) replaced. UnmarshalFrame rejects it as unknown.
+
 	// FrameInject asks the shard owning SrcName's node to start a
 	// roundtrip (header creation is the source's job, so injection must
 	// land on the source's shard; a shard re-routes foreign injects).
@@ -93,7 +89,7 @@ type Frame struct {
 	SrcName, DstName int32
 	// Return is true once the packet is on its return leg.
 	Return bool
-	// At is the node where the next Forward runs (FramePacket).
+	// At is the node where the next Forward runs (FrameFlight).
 	At graph.NodeID
 	// Out and Back accumulate each leg's totals; the leg in flight is
 	// partial, the other is final.
@@ -103,16 +99,15 @@ type Frame struct {
 	Home   int32
 	Origin uint64
 	// Rt is the injector's roundtrip tag, echoed untouched through
-	// packet frames into the completion report so a pipelined client can
+	// flight frames into the completion report so a pipelined client can
 	// match out-of-order completions (Origin cannot serve: the first
 	// shard overwrites it with the connection's reply token).
 	Rt      uint64
 	Sampled bool
 	// Reason classifies a FrameDrop (Drop* constants).
 	Reason byte
-	// Header is the in-flight packet's header in its frame-embedded
-	// bare form — kind byte plus body, no envelope; decode with
-	// HeaderDecoder.DecodeBare (FramePacket only). After UnmarshalFrame
+	// Header is a flight frame's header section (kind byte onward);
+	// decode with HeaderDecoder.DecodeFlight. After UnmarshalFlightFrame
 	// it aliases the input buffer: decode it before recycling the frame
 	// bytes.
 	Header []byte
@@ -122,36 +117,13 @@ type Frame struct {
 	Shards     int32
 }
 
-// AppendFrame encodes f and appends the bytes to dst, returning the
-// extended slice. For packet frames the live header h is marshaled
-// directly into the frame (f.Header is ignored); for every other kind h
-// must be nil.
-func AppendFrame(dst []byte, f *Frame, h sim.Header) ([]byte, error) {
+// AppendFrame encodes the control frame f and appends the bytes to dst,
+// returning the extended slice.
+func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	e := &encoder{buf: dst}
 	e.envelope(blobFrame, core.Kind(f.Kind))
 	switch f.Kind {
-	case FramePacket:
-		e.i(int64(f.SrcName))
-		e.i(int64(f.DstName))
-		e.b(f.Return)
-		e.i(int64(f.At))
-		e.legTotals(f.Out)
-		e.legTotals(f.Back)
-		e.i(int64(f.Home))
-		e.u(f.Origin)
-		e.u(f.Rt)
-		e.b(f.Sampled)
-		if h != nil {
-			if err := e.headerBare(h); err != nil {
-				return nil, err
-			}
-		} else {
-			e.buf = append(e.buf, f.Header...)
-		}
 	case FrameInject:
-		if h != nil {
-			return nil, fmt.Errorf("wire: inject frame carries no header")
-		}
 		e.i(int64(f.SrcName))
 		e.i(int64(f.DstName))
 		e.i(int64(f.Home))
@@ -159,9 +131,6 @@ func AppendFrame(dst []byte, f *Frame, h sim.Header) ([]byte, error) {
 		e.u(f.Rt)
 		e.b(f.Sampled)
 	case FrameDone:
-		if h != nil {
-			return nil, fmt.Errorf("wire: done frame carries no header")
-		}
 		e.i(int64(f.SrcName))
 		e.i(int64(f.DstName))
 		e.legTotals(f.Out)
@@ -170,20 +139,11 @@ func AppendFrame(dst []byte, f *Frame, h sim.Header) ([]byte, error) {
 		e.u(f.Rt)
 		e.b(f.Sampled)
 	case FrameInfoReq:
-		if h != nil {
-			return nil, fmt.Errorf("wire: info request carries no header")
-		}
 	case FrameInfo:
-		if h != nil {
-			return nil, fmt.Errorf("wire: info frame carries no header")
-		}
 		e.byte1(byte(f.SchemeKind))
 		e.i(int64(f.Nodes))
 		e.i(int64(f.Shards))
 	case FrameDrop:
-		if h != nil {
-			return nil, fmt.Errorf("wire: drop frame carries no header")
-		}
 		e.i(int64(f.SrcName))
 		e.i(int64(f.DstName))
 		e.u(f.Origin)
@@ -202,14 +162,12 @@ func AppendFrame(dst []byte, f *Frame, h sim.Header) ([]byte, error) {
 }
 
 // MarshalFrame is AppendFrame into a fresh buffer.
-func MarshalFrame(f *Frame, h sim.Header) ([]byte, error) {
-	return AppendFrame(nil, f, h)
+func MarshalFrame(f *Frame) ([]byte, error) {
+	return AppendFrame(nil, f)
 }
 
-// UnmarshalFrame decodes one transport message into *f (overwriting
-// every field). Packet frames leave the header as raw bytes in f.Header
-// — aliasing data — for the shard to decode with
-// HeaderDecoder.DecodeBare.
+// UnmarshalFrame decodes one control frame into *f (overwriting every
+// field).
 func UnmarshalFrame(data []byte, f *Frame) error {
 	d := &decoder{data: data}
 	kind, err := d.envelope(blobFrame)
@@ -218,38 +176,6 @@ func UnmarshalFrame(data []byte, f *Frame) error {
 	}
 	*f = Frame{Kind: FrameKind(kind)}
 	switch f.Kind {
-	case FramePacket:
-		if err := d.framePair(f); err != nil {
-			return err
-		}
-		if f.Return, err = d.b(); err != nil {
-			return err
-		}
-		at, err := d.i32()
-		if err != nil {
-			return err
-		}
-		f.At = graph.NodeID(at)
-		if f.Out, err = d.legTotals(); err != nil {
-			return err
-		}
-		if f.Back, err = d.legTotals(); err != nil {
-			return err
-		}
-		if err := d.homeOrigin(f); err != nil {
-			return err
-		}
-		if f.Rt, err = d.u(); err != nil {
-			return err
-		}
-		if f.Sampled, err = d.b(); err != nil {
-			return err
-		}
-		if d.remaining() == 0 {
-			return d.fail("packet frame missing header section")
-		}
-		f.Header = d.data[d.off:]
-		return nil // header consumes the rest; nothing can trail it
 	case FrameInject:
 		if err := d.framePair(f); err != nil {
 			return err

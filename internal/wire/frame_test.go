@@ -3,49 +3,33 @@ package wire
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestFrameRoundtrip locks the frame codec: every kind encodes and
-// decodes bit-identically, and a packet frame's embedded header decodes
-// back to a header with the original word count.
-func TestFrameRoundtrip(t *testing.T) {
-	planes, _ := testPlanes(t, 16, 31)
-	for name, p := range planes {
-		h, err := p.NewHeader(4, 9)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		in := Frame{
-			Kind: FramePacket, SrcName: 4, DstName: 9, Return: true, At: 7,
-			Out:  LegTotals{Hops: 3, Weight: 41, MaxHeaderWords: 12},
-			Back: LegTotals{Hops: 1, Weight: 5, MaxHeaderWords: 12},
-			Home: 2, Origin: 99, Sampled: true,
-		}
-		blob, err := MarshalFrame(&in, h)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
-		}
-		var out Frame
-		if err := UnmarshalFrame(blob, &out); err != nil {
-			t.Fatalf("%s: unmarshal: %v", name, err)
-		}
-		hdr := out.Header
-		out.Header = nil
-		in.Header = nil
-		if !reflect.DeepEqual(in, out) {
-			t.Fatalf("%s: preamble mismatch:\n in: %+v\nout: %+v", name, in, out)
-		}
-		var hdec HeaderDecoder
-		h2, err := hdec.DecodeBare(hdr)
-		if err != nil {
-			t.Fatalf("%s: embedded header: %v", name, err)
-		}
-		if h2.Words() != h.Words() {
-			t.Fatalf("%s: embedded header words %d, want %d", name, h2.Words(), h.Words())
-		}
-	}
+// retiredPacketFrame is a well-formed envelope of the retired frame
+// kind 1 (the varint packet frame flight frames replaced), as an old
+// peer would have sent it: preamble fields plus one header byte.
+func retiredPacketFrame() []byte {
+	e := &encoder{}
+	e.envelope(blobFrame, 1)
+	e.i(1) // src name
+	e.i(2) // dst name
+	e.b(false)
+	e.i(0) // at
+	e.legTotals(LegTotals{})
+	e.legTotals(LegTotals{})
+	e.i(int64(HomeLocal))
+	e.u(0) // origin
+	e.u(0) // rt
+	e.b(false)
+	e.byte1(1) // header kind
+	return e.buf
+}
 
+// TestFrameRoundtrip locks the control-frame codec: every kind encodes
+// and decodes bit-identically and rejects trailing bytes.
+func TestFrameRoundtrip(t *testing.T) {
 	for _, in := range []Frame{
 		{Kind: FrameInject, SrcName: 1, DstName: 14, Home: HomeClient, Origin: 0, Sampled: true},
 		{Kind: FrameInject, SrcName: 3, DstName: 2, Home: 5, Origin: 12},
@@ -53,8 +37,10 @@ func TestFrameRoundtrip(t *testing.T) {
 			Out: LegTotals{Hops: 2, Weight: 9, MaxHeaderWords: 8}, Back: LegTotals{Hops: 4, Weight: 11, MaxHeaderWords: 8}, Origin: 12},
 		{Kind: FrameInfoReq},
 		{Kind: FrameInfo, SchemeKind: 2, Nodes: 1024, Shards: 8},
+		{Kind: FrameDrop, SrcName: 1, DstName: 14, Origin: 12, Rt: 3, Reason: DropUnroutable},
+		{Kind: FrameDrop, SrcName: 2, DstName: 5, Reason: DropMisroute},
 	} {
-		blob, err := MarshalFrame(&in, nil)
+		blob, err := MarshalFrame(&in)
 		if err != nil {
 			t.Fatalf("kind %d: marshal: %v", in.Kind, err)
 		}
@@ -65,18 +51,16 @@ func TestFrameRoundtrip(t *testing.T) {
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("kind %d mismatch:\n in: %+v\nout: %+v", in.Kind, in, out)
 		}
-		if in.Kind != FramePacket {
-			if err := UnmarshalFrame(append(blob, 0), &out); err == nil {
-				t.Fatalf("kind %d: trailing garbage accepted", in.Kind)
-			}
+		if err := UnmarshalFrame(append(blob, 0), &out); err == nil {
+			t.Fatalf("kind %d: trailing garbage accepted", in.Kind)
 		}
 	}
 }
 
-// TestFrameDecodeRejects locks strictness: truncation, bad kinds and a
-// missing header section all error.
+// TestFrameDecodeRejects locks strictness: truncation, unknown kinds,
+// the retired kind 1 and the kinds with their own codecs all error.
 func TestFrameDecodeRejects(t *testing.T) {
-	blob, err := MarshalFrame(&Frame{Kind: FrameInject, SrcName: 1, DstName: 2, Home: HomeLocal}, nil)
+	blob, err := MarshalFrame(&Frame{Kind: FrameInject, SrcName: 1, DstName: 2, Home: HomeLocal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +75,25 @@ func TestFrameDecodeRejects(t *testing.T) {
 	if err := UnmarshalFrame(bad, &f); err == nil {
 		t.Fatal("unknown frame kind accepted")
 	}
-	if _, err := MarshalFrame(&Frame{Kind: 77}, nil); err == nil {
+	if _, err := MarshalFrame(&Frame{Kind: 77}); err == nil {
 		t.Fatal("unknown frame kind encoded")
 	}
-	// A packet frame must carry a header section.
-	pkt, err := MarshalFrame(&Frame{Kind: FramePacket, Header: []byte{1}}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Kind 1 is rejected: on the wire and at the encoder.
+	if err := UnmarshalFrame(retiredPacketFrame(), &f); err == nil || !strings.Contains(err.Error(), "unknown frame kind 1") {
+		t.Fatalf("retired kind 1: got %v, want unknown frame kind", err)
 	}
-	if err := UnmarshalFrame(pkt[:len(pkt)-1], &f); err == nil {
-		t.Fatal("packet frame without header accepted")
+	if _, err := MarshalFrame(&Frame{Kind: 1}); err == nil {
+		t.Fatal("retired kind 1 encoded")
+	}
+	// Flight, inject-batch and churn frames have their own codecs.
+	for _, k := range []FrameKind{FrameFlight, FrameInjectBatch, FrameChurn} {
+		bad[6] = byte(k)
+		if err := UnmarshalFrame(bad, &f); err == nil {
+			t.Fatalf("kind %d decoded by UnmarshalFrame", k)
+		}
+		if _, err := MarshalFrame(&Frame{Kind: k}); err == nil {
+			t.Fatalf("kind %d encoded by MarshalFrame", k)
+		}
 	}
 }
 

@@ -30,19 +30,6 @@ func (e *encoder) header(h sim.Header) error {
 	return e.headerBody(h)
 }
 
-// headerBare appends the frame-embedded header form: one kind byte plus
-// the body — no magic or version, because the enclosing frame already
-// carries both. This is the form packet frames ship at every shard
-// crossing.
-func (e *encoder) headerBare(h sim.Header) error {
-	k, err := headerKind(h)
-	if err != nil {
-		return err
-	}
-	e.byte1(byte(k))
-	return e.headerBody(h)
-}
-
 func headerKind(h sim.Header) (core.Kind, error) {
 	switch h.(type) {
 	case *core.S6Header:
@@ -164,20 +151,6 @@ func (a *arenaOf[T]) reset() { a.buf = a.buf[:0] }
 // storage. The result is invalidated by the next Decode.
 func (hd *HeaderDecoder) Decode(data []byte) (sim.Header, error) {
 	return hd.decode(data, true)
-}
-
-// DecodeBare decodes the frame-embedded header form (kind byte + body,
-// no envelope), reusing the decoder's scratch storage like Decode.
-func (hd *HeaderDecoder) DecodeBare(data []byte) (sim.Header, error) {
-	hd.light.reset()
-	hd.wps.reset()
-	hd.glbs.reset()
-	d := &decoder{data: data, hd: hd}
-	kb, err := d.byte1()
-	if err != nil {
-		return nil, err
-	}
-	return hd.dispatch(d, core.Kind(kb), true)
 }
 
 func (hd *HeaderDecoder) decode(data []byte, reuse bool) (sim.Header, error) {

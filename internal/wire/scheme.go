@@ -5,8 +5,6 @@ import (
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
-	"rtroute/internal/names"
-	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
@@ -14,9 +12,8 @@ import (
 // MarshalScheme encodes a built forwarding plane as a self-contained
 // snapshot: envelope, network fabric, naming, O(1) shared parameters,
 // then one length-prefixed section per node holding exactly that node's
-// local state. It accepts the three TINN schemes, the core substrate
-// planes, an assembled Deployment, and the traffic-engine plane adapters
-// (matched structurally through their Substrate/Naming accessors).
+// local state. It accepts what core.Decompose does: the three TINN
+// schemes, the core substrate planes and an assembled Deployment.
 func MarshalScheme(p sim.Plane) ([]byte, error) {
 	blob, _, err := MarshalSchemeSizes(p)
 	return blob, err
@@ -26,7 +23,7 @@ func MarshalScheme(p sim.Plane) ([]byte, error) {
 // each node's section length in bytes — the same numbers NodeSizes
 // reports, without encoding the scheme twice.
 func MarshalSchemeSizes(p sim.Plane) ([]byte, []int, error) {
-	st, locals, err := decomposeAny(p)
+	st, locals, err := core.Decompose(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -48,7 +45,7 @@ func MarshalSchemeSizes(p sim.Plane) ([]byte, []int, error) {
 // envelope (graph, naming, parameters), which is the network's and the
 // model's "global knowledge", not routing state.
 func NodeSizes(p sim.Plane) ([]int, error) {
-	_, locals, err := decomposeAny(p)
+	_, locals, err := core.Decompose(p)
 	if err != nil {
 		return nil, err
 	}
@@ -149,41 +146,6 @@ func UnmarshalScheme(data []byte) (*core.Deployment, error) {
 	}
 	dep.SetEncodedSizes(sizes)
 	return dep, nil
-}
-
-// rtzPlaneLike / hopPlaneLike match the traffic package's plane adapters
-// structurally, so the codec serves them without an import cycle
-// (traffic already imports eval, which imports wire).
-type rtzPlaneLike interface {
-	Substrate() *rtz.Scheme
-	Naming() *names.Permutation
-}
-
-type hopPlaneLike interface {
-	Substrate() *rtz.HopScheme
-	Naming() *names.Permutation
-}
-
-func decomposeAny(p sim.Plane) (*core.SchemeState, []core.LocalState, error) {
-	if st, locals, err := core.Decompose(p); err == nil {
-		return st, locals, nil
-	}
-	switch x := p.(type) {
-	case rtzPlaneLike:
-		pl, err := core.NewRTZPlane(x.Substrate(), x.Naming())
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.Decompose(pl)
-	case hopPlaneLike:
-		pl, err := core.NewHopPlane(x.Substrate(), x.Naming())
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.Decompose(pl)
-	default:
-		return nil, nil, fmt.Errorf("wire: cannot marshal %T", p)
-	}
 }
 
 // --- shared section ---

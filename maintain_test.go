@@ -223,34 +223,3 @@ func TestAffectedSetIsSound(t *testing.T) {
 		}
 	}
 }
-
-// TestRunChurnSmoke runs the full epoch loop — events, stale window,
-// repair, certification, post-repair serving — at test scale.
-func TestRunChurnSmoke(t *testing.T) {
-	sys := churnSystem(t, 64, 42)
-	res, err := RunChurn(sys, ChurnConfig{
-		Kind:            StretchSix,
-		Build:           BuildConfig{Seed: 7},
-		ChurnSeed:       1234,
-		Rate:            4,
-		Epochs:          3,
-		PacketsPerEpoch: 400,
-		Certify:         true,
-		Workers:         4,
-	})
-	if err != nil {
-		t.Fatalf("RunChurn: %v", err)
-	}
-	if res.TotalRepairs != 3 {
-		t.Fatalf("repairs = %d, want 3", res.TotalRepairs)
-	}
-	if res.TotalServed == 0 {
-		t.Fatalf("no roundtrips served")
-	}
-	for _, ep := range res.Epochs {
-		if ep.PostDrops != 0 {
-			t.Fatalf("epoch %d: %d drops on repaired tables", ep.Epoch, ep.PostDrops)
-		}
-	}
-	t.Logf("\n%s", res.Format())
-}

@@ -18,7 +18,7 @@ func TestNamedSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := ns.Sys.BuildStretchSix(2)
+	sch, err := ns.Sys.Build(StretchSix, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

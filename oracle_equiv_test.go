@@ -60,9 +60,9 @@ func TestSchemesIdenticalUnderLazyOracle(t *testing.T) {
 			name  string
 			build func(sys *System) (Scheme, error)
 		}{
-			{"stretch6", func(sys *System) (Scheme, error) { return sys.BuildStretchSix(seed) }},
-			{"exstretch k=2", func(sys *System) (Scheme, error) { return sys.BuildExStretch(2, seed) }},
-			{"polystretch k=2", func(sys *System) (Scheme, error) { return sys.BuildPolynomial(2) }},
+			{"stretch6", func(sys *System) (Scheme, error) { return sys.Build(StretchSix, WithSeed(seed)) }},
+			{"exstretch k=2", func(sys *System) (Scheme, error) { return sys.Build(ExStretch, WithK(2), WithSeed(seed)) }},
+			{"polystretch k=2", func(sys *System) (Scheme, error) { return sys.Build(Polynomial, WithK(2)) }},
 		} {
 			ds, ls := buildPair(t, g, naming, sc.build)
 			if dw, lw := ds.MaxTableWords(), ls.MaxTableWords(); dw != lw {
@@ -151,7 +151,7 @@ func lazyStretchSixScaleRun(t *testing.T, n, pairs int) {
 	g.AssignPorts(rng.Intn)
 	oracle := NewLazyOracle(g, 0)
 	sys := &System{Graph: g, Metric: oracle, Naming: RandomNaming(n, rng)}
-	sch, err := sys.BuildStretchSixWith(7, Stretch6Options{})
+	sch, err := sys.Build(StretchSix, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,8 @@
 //	fmt.Println(sys.Stretch(srcName, dstName, trace))
 //
 // Build is the single construction entry point for every scheme kind
-// (StretchSix, ExStretch, Polynomial, RTZStretch3, HopSubstrate); the
-// per-scheme Build* methods remain as deprecated wrappers for one
-// release. Built schemes decompose into per-node state: Deploy
+// (StretchSix, ExStretch, Polynomial, RTZStretch3, HopSubstrate).
+// Built schemes decompose into per-node state: Deploy
 // reassembles a scheme as per-node Routers, and MarshalScheme /
 // UnmarshalScheme snapshot it through the versioned binary wire format
 // (see DESIGN.md "Wire format & deployment"). Deployments also serve
@@ -243,124 +242,8 @@ func (s *System) Stretch(srcName, dstName int32, tr *RoundtripTrace) float64 {
 	return float64(tr.Weight()) / float64(r)
 }
 
-// BuildStretchSix builds the §2 scheme (stretch 6, O~(sqrt n) tables).
-//
-// Deprecated: use Build(StretchSix, WithSeed(seed)). Kept as a thin
-// wrapper for one release.
-func (s *System) BuildStretchSix(seed int64) (*core.StretchSix, error) {
-	return s.buildS6(BuildConfig{Seed: seed})
-}
-
-func (s *System) buildS6(cfg BuildConfig) (*core.StretchSix, error) {
-	sch, err := s.BuildWith(StretchSix, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sch.(*core.StretchSix), nil
-}
-
-func (s *System) buildEx(cfg BuildConfig) (*core.ExStretch, error) {
-	sch, err := s.BuildWith(ExStretch, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sch.(*core.ExStretch), nil
-}
-
-func (s *System) buildPoly(cfg BuildConfig) (*core.PolynomialStretch, error) {
-	sch, err := s.BuildWith(Polynomial, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sch.(*core.PolynomialStretch), nil
-}
-
-// BuildStretchSixViaSource builds the §2.2 variant that fetches the
-// destination's address back to the source before routing (same worst
-// case, longer paths in practice).
-//
-// Deprecated: use Build(StretchSix, WithSeed(seed), WithViaSource()).
-func (s *System) BuildStretchSixViaSource(seed int64) (*core.StretchSix, error) {
-	return s.buildS6(BuildConfig{Seed: seed, ViaSource: true})
-}
-
-// BuildExStretch builds the §3 scheme with tradeoff parameter k >= 2.
-//
-// Deprecated: use Build(ExStretch, WithK(k), WithSeed(seed)).
-func (s *System) BuildExStretch(k int, seed int64) (*core.ExStretch, error) {
-	return s.buildEx(BuildConfig{Seed: seed, K: k})
-}
-
-// BuildExStretchDirectReturn builds the §3.5 variant that carries the
-// source's globally valid label and returns without retracing waypoints
-// (longer headers, bigger tables).
-//
-// Deprecated: use Build(ExStretch, WithK(k), WithSeed(seed),
-// WithDirectReturn()).
-func (s *System) BuildExStretchDirectReturn(k int, seed int64) (*core.ExStretch, error) {
-	return s.buildEx(BuildConfig{Seed: seed, K: k, DirectReturn: true})
-}
-
-// Full configuration aliases for callers needing every knob (block
-// assignment density, cover variants, build parallelism, return-trip
-// policies).
-type (
-	// Stretch6Options configures BuildStretchSixWith.
-	Stretch6Options = core.Stretch6Config
-	// ExStretchOptions configures BuildExStretchWith.
-	ExStretchOptions = core.ExStretchConfig
-	// PolyOptions configures BuildPolynomialWith.
-	PolyOptions = core.PolyConfig
-	// BlockOptions configures the Lemma 1/4 dictionary assignment.
-	BlockOptions = blocks.Config
-)
-
-// BuildStretchSixWith builds the §2 scheme with explicit options.
-//
-// Deprecated: use Build(StretchSix, ...) or BuildWith(StretchSix, cfg).
-func (s *System) BuildStretchSixWith(seed int64, opts Stretch6Options) (*core.StretchSix, error) {
-	return s.buildS6(BuildConfig{
-		Seed: seed, Blocks: opts.Blocks, Substrate: opts.Substrate,
-		ViaSource: opts.ViaSource, BuildWorkers: opts.BuildWorkers,
-	})
-}
-
-// BuildExStretchWith builds the §3 scheme with explicit options.
-//
-// Deprecated: use Build(ExStretch, ...) or BuildWith(ExStretch, cfg).
-func (s *System) BuildExStretchWith(seed int64, opts ExStretchOptions) (*core.ExStretch, error) {
-	return s.buildEx(BuildConfig{
-		Seed: seed, K: opts.K, CoverK: opts.CoverK, ScaleBase: opts.ScaleBase,
-		Variant: opts.Variant, Blocks: opts.Blocks,
-		DirectReturn: opts.DirectReturn, BuildWorkers: opts.BuildWorkers,
-	})
-}
-
-// BuildPolynomialWith builds the §4 scheme with explicit options.
-//
-// Deprecated: use Build(Polynomial, ...) or BuildWith(Polynomial, cfg).
-func (s *System) BuildPolynomialWith(opts PolyOptions) (*core.PolynomialStretch, error) {
-	return s.buildPoly(BuildConfig{
-		K: opts.K, ScaleBase: opts.ScaleBase, Variant: opts.Variant,
-		BuildWorkers: opts.BuildWorkers,
-	})
-}
-
-// BuildPolynomial builds the §4 scheme with tradeoff parameter k >= 2.
-//
-// Deprecated: use Build(Polynomial, WithK(k)).
-func (s *System) BuildPolynomial(k int) (*core.PolynomialStretch, error) {
-	return s.buildPoly(BuildConfig{K: k})
-}
-
-// BuildPolynomialVariant builds the §4 scheme with an explicit cover
-// variant and scale base (the §4.4 ablation knobs).
-//
-// Deprecated: use Build(Polynomial, WithK(k), WithScaleBase(base),
-// WithCoverVariant(v)).
-func (s *System) BuildPolynomialVariant(k int, base float64, v CoverVariant) (*core.PolynomialStretch, error) {
-	return s.buildPoly(BuildConfig{K: k, ScaleBase: base, Variant: v})
-}
+// BlockOptions configures the Lemma 1/4 dictionary assignment.
+type BlockOptions = blocks.Config
 
 // Experiment harness re-exports (see DESIGN.md's experiment index).
 type (
@@ -467,23 +350,6 @@ func (s *System) ServeTraffic(plane ForwardingPlane, cfg TrafficConfig) (*Traffi
 		cfg.Oracle = s.Metric
 	}
 	return traffic.Run(pl, cfg)
-}
-
-// BuildRTZPlane builds the name-dependent RTZ stretch-3 substrate and
-// wraps it as a servable forwarding plane — the [35] baseline for the
-// E12 serving experiments.
-//
-// Deprecated: use Build(RTZStretch3, WithSeed(seed)).
-func (s *System) BuildRTZPlane(seed int64) (ForwardingPlane, error) {
-	return s.Build(RTZStretch3, WithSeed(seed))
-}
-
-// BuildHopPlane builds the Lemma 5 double-tree-cover substrate with
-// cover parameter k >= 2 and wraps it as a servable forwarding plane.
-//
-// Deprecated: use Build(HopSubstrate, WithK(k)).
-func (s *System) BuildHopPlane(k int) (ForwardingPlane, error) {
-	return s.Build(HopSubstrate, WithK(k))
 }
 
 // FormatTraffic renders a traffic result as the E12 serving report.

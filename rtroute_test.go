@@ -46,17 +46,17 @@ func TestSystemDefaultsToIdentityNaming(t *testing.T) {
 func TestFacadeEndToEnd(t *testing.T) {
 	sys := newTestSystem(t, 3, 30)
 	schemes := make([]Scheme, 0, 3)
-	s6, err := sys.BuildStretchSix(4)
+	s6, err := sys.Build(StretchSix, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	schemes = append(schemes, s6)
-	ex, err := sys.BuildExStretch(2, 5)
+	ex, err := sys.Build(ExStretch, WithK(2), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	schemes = append(schemes, ex)
-	poly, err := sys.BuildPolynomial(2)
+	poly, err := sys.Build(Polynomial, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSystemMetricHelpers(t *testing.T) {
 
 func TestMeasureSchemeFacade(t *testing.T) {
 	sys := newTestSystem(t, 7, 20)
-	s6, err := sys.BuildStretchSix(8)
+	s6, err := sys.Build(StretchSix, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLowerBoundFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s6, err := sys.BuildStretchSix(11)
+	s6, err := sys.Build(StretchSix, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestLowerBoundFacade(t *testing.T) {
 
 func TestBuildPolynomialVariant(t *testing.T) {
 	sys := newTestSystem(t, 12, 16)
-	poly, err := sys.BuildPolynomialVariant(2, 1.5, CoverBallGrowing)
+	poly, err := sys.Build(Polynomial, WithK(2), WithScaleBase(1.5), WithCoverVariant(CoverBallGrowing))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestStretchSixAtScale(t *testing.T) {
 	m := AllPairsParallel(g, 0)
 	naming := RandomNaming(n, rng)
 	sys := &System{Graph: g, Metric: m, Naming: naming}
-	sch, err := sys.BuildStretchSix(7)
+	sch, err := sys.Build(StretchSix, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestAllSchemesAtModerateScale(t *testing.T) {
 		bound float64
 		build func() (Scheme, error)
 	}{
-		{"stretch6", 6, func() (Scheme, error) { return sys.BuildStretchSix(1) }},
-		{"exstretch-k2", 36, func() (Scheme, error) { return sys.BuildExStretch(2, 2) }},
-		{"exstretch-k3", 7 * 10 * 4, func() (Scheme, error) { return sys.BuildExStretch(3, 3) }},
-		{"poly-k2", 36, func() (Scheme, error) { return sys.BuildPolynomial(2) }},
-		{"poly-k3", 80, func() (Scheme, error) { return sys.BuildPolynomial(3) }},
+		{"stretch6", 6, func() (Scheme, error) { return sys.Build(StretchSix, WithSeed(1)) }},
+		{"exstretch-k2", 36, func() (Scheme, error) { return sys.Build(ExStretch, WithK(2), WithSeed(2)) }},
+		{"exstretch-k3", 7 * 10 * 4, func() (Scheme, error) { return sys.Build(ExStretch, WithK(3), WithSeed(3)) }},
+		{"poly-k2", 36, func() (Scheme, error) { return sys.Build(Polynomial, WithK(2)) }},
+		{"poly-k3", 80, func() (Scheme, error) { return sys.Build(Polynomial, WithK(3)) }},
 	}
 	for _, c := range checks {
 		sch, err := c.build()

@@ -16,7 +16,7 @@ import (
 
 func TestServeTrafficFacade(t *testing.T) {
 	sys := newTestSystem(t, 5, 64)
-	s6, err := sys.BuildStretchSix(5)
+	s6, err := sys.Build(StretchSix, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestServeTrafficFacade(t *testing.T) {
 
 func TestServeTrafficSubstratePlanes(t *testing.T) {
 	sys := newTestSystem(t, 8, 48)
-	rtzPlane, err := sys.BuildRTZPlane(8)
+	rtzPlane, err := sys.Build(RTZStretch3, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hopPlane, err := sys.BuildHopPlane(2)
+	hopPlane, err := sys.Build(HopSubstrate, WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTrafficLargeScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s6, err := sys.BuildStretchSix(seed)
+	s6, err := sys.Build(StretchSix, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
