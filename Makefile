@@ -2,7 +2,7 @@ GO ?= go
 
 # benchcmp knobs: make benchcmp OUT=new.txt COUNT=10, then
 # `benchstat old.txt new.txt`.
-BENCH_PATTERN ?= Dijkstra|EdgeByPort|MetricBuild|TrafficThroughput
+BENCH_PATTERN ?= Dijkstra|EdgeByPort|MetricBuild|TrafficThroughput|BuildAll1k
 COUNT ?= 5
 OUT ?= bench-new.txt
 

@@ -425,6 +425,72 @@ func BenchmarkTrafficThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildAll1k mirrors the repo benchmark's build-1k workload:
+// at n=1024 (m=4n, weights 1..8) the oracle, then each of the paper's
+// three schemes at k=2 built and snapshotted with per-node sizes, each
+// scheme dropped before the next. "all" is that whole sequence; the
+// other sub-benchmarks time one phase of it, given the oracle.
+func BenchmarkBuildAll1k(b *testing.B) {
+	const n = 1024
+	rng := rand.New(rand.NewSource(1))
+	g := RandomSC(n, 4*n, 8, rng)
+	naming := RandomNaming(n, rng)
+	kinds := []struct {
+		name string
+		kind SchemeKind
+	}{{"StretchSix", StretchSix}, {"ExStretch", ExStretch}, {"Polynomial", Polynomial}}
+	build := func(b *testing.B, sys *System, kind SchemeKind) Scheme {
+		sch, err := sys.Build(kind, WithK(2), WithSeed(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sch
+	}
+	snapshot := func(b *testing.B, sch Scheme) {
+		blob, sizes, err := MarshalSchemeSizes(sch)
+		if err != nil || len(sizes) != n {
+			b.Fatalf("snapshot: %d sizes, err %v", len(sizes), err)
+		}
+		b.ReportMetric(float64(len(blob)), "blobBytes")
+	}
+	b.Run("all", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sys, err := NewSystem(g, naming)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range kinds {
+				snapshot(b, build(b, sys, k.kind))
+			}
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := NewSystem(g, naming); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	sys, err := NewSystem(g, naming)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range kinds {
+		b.Run("build/"+k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				build(b, sys, k.kind)
+			}
+		})
+		b.Run("snapshot/"+k.name, func(b *testing.B) {
+			sch := build(b, sys, k.kind)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snapshot(b, sch)
+			}
+		})
+	}
+}
+
 // BenchmarkMarshalScheme measures wire-format snapshot encoding.
 func BenchmarkMarshalScheme(b *testing.B) { benchsuite.BenchMarshalScheme(b) }
 

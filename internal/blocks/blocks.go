@@ -28,6 +28,11 @@ type Universe struct {
 	N int // number of names (names are 0..N-1)
 	K int // word length k >= 2
 	Q int // radix q = ceil(N^(1/k)), adjusted so q^k >= N
+
+	// pows[e] = pow(Q, e) for e in 0..K, filled by NewUniverse: Prefix
+	// and BlockPrefix divide by one of these on every dictionary probe
+	// and every MatchLen of the forwarding path.
+	pows []int
 }
 
 // NewUniverse computes the radix for the given n and k. It panics if
@@ -43,7 +48,11 @@ func NewUniverse(n, k int) Universe {
 	for pow(q, k) < n {
 		q++
 	}
-	return Universe{N: n, K: k, Q: q}
+	pows := make([]int, k+1)
+	for e := range pows {
+		pows[e] = pow(q, e)
+	}
+	return Universe{N: n, K: k, Q: q, pows: pows}
 }
 
 func pow(b, e int) int {
@@ -59,7 +68,16 @@ func pow(b, e int) int {
 
 // NumBlocks returns q^(k-1), the number of blocks covering the name space
 // (some may be empty when n is not a perfect k-th power).
-func (u Universe) NumBlocks() int { return pow(u.Q, u.K-1) }
+func (u Universe) NumBlocks() int { return u.qpow(u.K - 1) }
+
+// qpow returns pow(Q, e) from the stored table; exponents outside 0..K
+// (a digit index past either end of the word) take the loop.
+func (u Universe) qpow(e int) int {
+	if uint(e) < uint(len(u.pows)) {
+		return u.pows[e]
+	}
+	return pow(u.Q, e)
+}
 
 // BlockOf returns the block containing the given name.
 func (u Universe) BlockOf(name int32) BlockID { return BlockID(int(name) / u.Q) }
@@ -79,13 +97,13 @@ func (u Universe) Digits(name int32) []int {
 // Prefix returns σ^i(⟨name⟩) as an integer: the value of the first i
 // base-q digits of name. Prefix(name, 0) == 0 for all names.
 func (u Universe) Prefix(name int32, i int) int32 {
-	return int32(int(name) / pow(u.Q, u.K-i))
+	return int32(int(name) / u.qpow(u.K-i))
 }
 
 // BlockPrefix returns σ^i(B_α): the value of the first i digits of the
 // (k-1)-digit block word α.
 func (u Universe) BlockPrefix(b BlockID, i int) int32 {
-	return int32(int(b) / pow(u.Q, u.K-1-i))
+	return int32(int(b) / u.qpow(u.K-1-i))
 }
 
 // NamesInBlock returns the names {αq .. αq+q-1} ∩ [0,n) of block b.
@@ -223,7 +241,7 @@ func assignGreedy(space *rtmetric.Space, u Universe, names []int32, sizes []int)
 	}
 	for i := u.K - 1; i >= 1; i-- {
 		maxPrefix := u.Prefix(int32(u.N-1), i)
-		repStep := pow(u.Q, u.K-1-i) // smallest block with prefix tau is tau*repStep
+		repStep := u.qpow(u.K - 1 - i) // smallest block with prefix tau is tau*repStep
 		covered := make(map[int32]bool)
 		for v := 0; v < n; v++ {
 			nbhd := space.Neighborhood(graph.NodeID(v), sizes[i])

@@ -293,3 +293,27 @@ func TestSetsAreSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestStoredPowersMatchLoop: Prefix and BlockPrefix divide by a power
+// stored at NewUniverse time; every digit index a caller can pass —
+// including one past either end of the word, which the experiments'
+// prefix walks do reach — must give what the multiplication loop gives.
+func TestStoredPowersMatchLoop(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{2, 2}, {17, 2}, {100, 3}, {1024, 2}, {1000, 4}, {5000, 5}} {
+		u := NewUniverse(tc.n, tc.k)
+		for _, name := range []int32{0, 1, int32(tc.n / 2), int32(tc.n - 1)} {
+			for i := -1; i <= u.K+1; i++ {
+				if got, want := u.Prefix(name, i), int32(int(name)/pow(u.Q, u.K-i)); got != want {
+					t.Fatalf("n=%d k=%d: Prefix(%d, %d) = %d, loop says %d", tc.n, tc.k, name, i, got, want)
+				}
+				b := u.BlockOf(name)
+				if got, want := u.BlockPrefix(b, i), int32(int(b)/pow(u.Q, u.K-1-i)); got != want {
+					t.Fatalf("n=%d k=%d: BlockPrefix(%d, %d) = %d, loop says %d", tc.n, tc.k, b, i, got, want)
+				}
+			}
+		}
+		if u.NumBlocks() != pow(u.Q, u.K-1) {
+			t.Fatalf("n=%d k=%d: NumBlocks = %d", tc.n, tc.k, u.NumBlocks())
+		}
+	}
+}

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
+	"rtroute/internal/parallel"
 	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
@@ -190,52 +192,67 @@ type SchemeState struct {
 
 // Decompose splits a built plane into per-node local states plus O(1)
 // shared parameters. It accepts the three TINN schemes, the two core
-// substrate planes, and an already-assembled Deployment.
+// substrate planes, and an already-assembled Deployment. Nodes are
+// decomposed on all cores; the result does not depend on how many.
 func Decompose(p sim.Plane) (*SchemeState, []LocalState, error) {
+	st, local, err := Decomposer(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	locals := make([]LocalState, st.Graph.N())
+	_ = parallel.ForEach(len(locals), 0, func(v int) error {
+		locals[v] = local(graph.NodeID(v))
+		return nil
+	})
+	return st, locals, nil
+}
+
+// Decomposer is Decompose one node at a time: the shared parameters now,
+// and a function returning any node's local state on demand, so a
+// consumer that streams (the snapshot codec) never holds all n. The
+// function only reads the plane and may be called concurrently.
+func Decomposer(p sim.Plane) (*SchemeState, func(v graph.NodeID) LocalState, error) {
 	switch s := p.(type) {
 	case *StretchSix:
-		return decomposeS6(s)
+		return &SchemeState{Kind: KindStretchSix, Graph: s.g, Names: s.perm.Names, ViaSource: s.viaSource}, s.local, nil
 	case *ExStretch:
-		return decomposeEx(s)
+		return &SchemeState{Kind: KindExStretch, Graph: s.g, Names: s.perm.Names, K: s.k, DirectReturn: s.directReturn}, s.local, nil
 	case *PolynomialStretch:
-		return decomposePoly(s)
+		return &SchemeState{Kind: KindPolynomial, Graph: s.g, Names: s.perm.Names, K: s.k, Levels: s.levels}, s.local, nil
 	case *RTZPlane:
-		return decomposeRTZ(s)
+		return &SchemeState{Kind: KindRTZ, Graph: s.sub.Graph(), Names: s.perm.Names}, s.local, nil
 	case *HopPlane:
-		return decomposeHop(s)
+		return &SchemeState{Kind: KindHop, Graph: s.g, Names: s.perm.Names}, s.local, nil
 	case *Deployment:
-		return Decompose(s.scheme)
+		return Decomposer(s.scheme)
 	default:
 		return nil, nil, fmt.Errorf("core: cannot decompose %T", p)
 	}
 }
 
-func decomposeS6(s *StretchSix) (*SchemeState, []LocalState, error) {
-	n := s.g.N()
-	st := &SchemeState{Kind: KindStretchSix, Graph: s.g, Names: s.perm.Names, ViaSource: s.viaSource}
-	locals := make([]LocalState, n)
-	for v := 0; v < n; v++ {
-		t := s.nodes[v]
-		loc := &S6Local{
-			SelfName:        t.selfName,
-			OwnLabel:        t.ownLabel,
-			BlockHolder:     append([]int32(nil), t.blockHolder...),
-			NeighborEntries: int32(t.neighborEntries),
-			Tab3:            rtzTableLocal(t.tab3),
-		}
-		if t.lbl.Built() {
-			t.lbl.Range(func(nm int32, l rtz.Label) {
-				loc.Entries = append(loc.Entries, S6Entry{Name: nm, Label: l})
-			})
-		} else {
-			for nm, l := range t.labels {
-				loc.Entries = append(loc.Entries, S6Entry{Name: nm, Label: l})
-			}
-		}
-		sort.Slice(loc.Entries, func(i, j int) bool { return loc.Entries[i].Name < loc.Entries[j].Name })
-		locals[v] = LocalState{Node: graph.NodeID(v), S6: loc}
+func (s *StretchSix) local(v graph.NodeID) LocalState {
+	t := s.nodes[v]
+	loc := &S6Local{
+		SelfName:        t.selfName,
+		OwnLabel:        t.ownLabel,
+		BlockHolder:     append([]int32(nil), t.blockHolder...),
+		NeighborEntries: int32(t.neighborEntries),
+		Tab3:            rtzTableLocal(t.tab3),
 	}
-	return st, locals, nil
+	// Sort the names, then fetch: a label is too wide to move around
+	// inside a sort.
+	names := make([]int32, 0, t.lbl.Len()+len(t.labels))
+	t.lbl.Range(func(nm int32, _ rtz.Label) { names = append(names, nm) })
+	for nm := range t.labels { // unsealed builder state, if any
+		names = append(names, nm)
+	}
+	slices.Sort(names)
+	loc.Entries = make([]S6Entry, len(names))
+	for i, nm := range names {
+		l, _ := t.label(nm)
+		loc.Entries[i] = S6Entry{Name: nm, Label: l}
+	}
+	return LocalState{Node: v, S6: loc}
 }
 
 func rtzTableLocal(t *rtz.Table) RTZTableLocal {
@@ -246,48 +263,46 @@ func rtzTableLocal(t *rtz.Table) RTZTableLocal {
 	t.DirectEntries(func(dst graph.NodeID, port graph.PortID) {
 		loc.Direct = append(loc.Direct, RTZDirect{Dst: dst, Port: port})
 	})
-	sort.Slice(loc.Direct, func(i, j int) bool { return loc.Direct[i].Dst < loc.Direct[j].Dst })
+	slices.SortFunc(loc.Direct, func(a, b RTZDirect) int { return cmp.Compare(a.Dst, b.Dst) })
 	return loc
 }
 
-func decomposeEx(s *ExStretch) (*SchemeState, []LocalState, error) {
-	n := s.g.N()
-	st := &SchemeState{Kind: KindExStretch, Graph: s.g, Names: s.perm.Names, K: s.k, DirectReturn: s.directReturn}
-	locals := make([]LocalState, n)
-	for v := 0; v < n; v++ {
-		t := s.nodes[v]
-		loc := &ExLocal{
-			SelfName: t.selfName,
-			Global:   append([]ExGlobal(nil), t.global...),
-		}
-		for nm, hs := range t.neighbors {
-			loc.Neighbors = append(loc.Neighbors, ExNeighbor{Name: nm, HS: hs})
-		}
-		sort.Slice(loc.Neighbors, func(i, j int) bool { return loc.Neighbors[i].Name < loc.Neighbors[j].Name })
-		for k, e := range t.dict {
-			loc.Dict = append(loc.Dict, ExDictLocal{
-				Level: k.Level, Prefix: k.Prefix, Tau: k.Tau,
-				TargetName: e.TargetName, HS: e.HS,
-			})
-		}
-		sort.Slice(loc.Dict, func(i, j int) bool {
-			a, b := loc.Dict[i], loc.Dict[j]
-			if a.Level != b.Level {
-				return a.Level < b.Level
-			}
-			if a.Prefix != b.Prefix {
-				return a.Prefix < b.Prefix
-			}
-			return a.Tau < b.Tau
-		})
-		for nm, hs := range t.full {
-			loc.Full = append(loc.Full, ExNeighbor{Name: nm, HS: hs})
-		}
-		sort.Slice(loc.Full, func(i, j int) bool { return loc.Full[i].Name < loc.Full[j].Name })
-		loc.HopTab = hopEntriesLocal(t.hopTab)
-		locals[v] = LocalState{Node: graph.NodeID(v), Ex: loc}
+// exNeighborsLocal lists a name -> handshake table in name order. It
+// sorts the names and then fetches: a handshake is 72 bytes, too wide
+// to move around inside a sort.
+func exNeighborsLocal(m map[int32]rtz.Handshake) []ExNeighbor {
+	names := make([]int32, 0, len(m))
+	for nm := range m {
+		names = append(names, nm)
 	}
-	return st, locals, nil
+	slices.Sort(names)
+	out := make([]ExNeighbor, len(names))
+	for i, nm := range names {
+		out[i] = ExNeighbor{Name: nm, HS: m[nm]}
+	}
+	return out
+}
+
+func (s *ExStretch) local(v graph.NodeID) LocalState {
+	t := s.nodes[v]
+	loc := &ExLocal{
+		SelfName:  t.selfName,
+		Neighbors: exNeighborsLocal(t.neighbors),
+		Full:      exNeighborsLocal(t.full),
+		Dict:      make([]ExDictLocal, 0, len(t.dict)),
+		Global:    append([]ExGlobal(nil), t.global...),
+		HopTab:    hopEntriesLocal(t.hopTab),
+	}
+	for k, e := range t.dict {
+		loc.Dict = append(loc.Dict, ExDictLocal{
+			Level: k.Level, Prefix: k.Prefix, Tau: k.Tau,
+			TargetName: e.TargetName, HS: e.HS,
+		})
+	}
+	slices.SortFunc(loc.Dict, func(a, b ExDictLocal) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Prefix, b.Prefix), cmp.Compare(a.Tau, b.Tau))
+	})
+	return LocalState{Node: v, Ex: loc}
 }
 
 func hopEntriesLocal(t *rtz.HopTable) []HopEntryLocal {
@@ -295,66 +310,45 @@ func hopEntriesLocal(t *rtz.HopTable) []HopEntryLocal {
 	for ref, e := range t.Trees {
 		out = append(out, HopEntryLocal{Ref: ref, State: e.State, InPort: e.InPort, IsRoot: e.IsRoot})
 	}
-	sort.Slice(out, func(i, j int) bool { return refLess(out[i].Ref, out[j].Ref) })
+	slices.SortFunc(out, func(a, b HopEntryLocal) int { return refCompare(a.Ref, b.Ref) })
 	return out
 }
 
-func decomposePoly(s *PolynomialStretch) (*SchemeState, []LocalState, error) {
-	n := s.g.N()
-	st := &SchemeState{Kind: KindPolynomial, Graph: s.g, Names: s.perm.Names, K: s.k, Levels: s.levels}
-	locals := make([]LocalState, n)
-	for v := 0; v < n; v++ {
-		t := s.nodes[v]
-		loc := &PolyLocal{
-			SelfName: t.selfName,
-			Home:     append([]cover.TreeRef(nil), t.home...),
-		}
-		for ref, e := range t.trees {
-			te := PolyTreeLocal{
-				Ref: ref, State: e.state, InPort: e.inPort, IsRoot: e.isRoot, OwnLabel: e.ownLabel,
-			}
-			for k, d := range e.dict {
-				te.Dict = append(te.Dict, PolyDictLocal{J: k.J, Tau: k.Tau, Name: d.Name, Label: d.Label})
-			}
-			sort.Slice(te.Dict, func(i, j int) bool {
-				a, b := te.Dict[i], te.Dict[j]
-				if a.J != b.J {
-					return a.J < b.J
-				}
-				return a.Tau < b.Tau
-			})
-			loc.Trees = append(loc.Trees, te)
-		}
-		sort.Slice(loc.Trees, func(i, j int) bool { return refLess(loc.Trees[i].Ref, loc.Trees[j].Ref) })
-		locals[v] = LocalState{Node: graph.NodeID(v), Poly: loc}
+func (s *PolynomialStretch) local(v graph.NodeID) LocalState {
+	t := s.nodes[v]
+	loc := &PolyLocal{
+		SelfName: t.selfName,
+		Home:     append([]cover.TreeRef(nil), t.home...),
+		Trees:    make([]PolyTreeLocal, 0, len(t.trees)),
 	}
-	return st, locals, nil
+	for ref, e := range t.trees {
+		te := PolyTreeLocal{
+			Ref: ref, State: e.state, InPort: e.inPort, IsRoot: e.isRoot, OwnLabel: e.ownLabel,
+			Dict: make([]PolyDictLocal, 0, len(e.dict)),
+		}
+		for k, d := range e.dict {
+			te.Dict = append(te.Dict, PolyDictLocal{J: k.J, Tau: k.Tau, Name: d.Name, Label: d.Label})
+		}
+		slices.SortFunc(te.Dict, func(a, b PolyDictLocal) int {
+			return cmp.Or(cmp.Compare(a.J, b.J), cmp.Compare(a.Tau, b.Tau))
+		})
+		loc.Trees = append(loc.Trees, te)
+	}
+	slices.SortFunc(loc.Trees, func(a, b PolyTreeLocal) int { return refCompare(a.Ref, b.Ref) })
+	return LocalState{Node: v, Poly: loc}
 }
 
-func decomposeRTZ(p *RTZPlane) (*SchemeState, []LocalState, error) {
-	g := p.sub.Graph()
-	n := g.N()
-	st := &SchemeState{Kind: KindRTZ, Graph: g, Names: p.perm.Names}
-	locals := make([]LocalState, n)
-	for v := 0; v < n; v++ {
-		locals[v] = LocalState{Node: graph.NodeID(v), RTZ: &RTZLocal{
-			SelfLabel: p.sub.Labels[v],
-			Table:     rtzTableLocal(p.sub.Tables[v]),
-		}}
-	}
-	return st, locals, nil
+func (p *RTZPlane) local(v graph.NodeID) LocalState {
+	return LocalState{Node: v, RTZ: &RTZLocal{
+		SelfLabel: p.sub.Labels[v],
+		Table:     rtzTableLocal(p.sub.Tables[v]),
+	}}
 }
 
-func decomposeHop(p *HopPlane) (*SchemeState, []LocalState, error) {
-	n := p.g.N()
-	st := &SchemeState{Kind: KindHop, Graph: p.g, Names: p.perm.Names}
-	locals := make([]LocalState, n)
-	for v := 0; v < n; v++ {
-		locals[v] = LocalState{Node: graph.NodeID(v), Hop: &HopLocal{
-			Members: append([]HopMember(nil), p.members[v]...),
-		}}
-	}
-	return st, locals, nil
+func (p *HopPlane) local(v graph.NodeID) LocalState {
+	return LocalState{Node: v, Hop: &HopLocal{
+		Members: append([]HopMember(nil), p.members[v]...),
+	}}
 }
 
 // Assemble reconstructs a Deployment from a decomposed scheme: per-node

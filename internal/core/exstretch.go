@@ -158,6 +158,16 @@ type ExStretchConfig struct {
 }
 
 // NewExStretch builds the scheme. m may be any distance oracle.
+//
+// Construction costs what it writes. The Init orders are filled once, on
+// all cores, before the block assignment's verifier first reads them.
+// Node u's item (3a) is then one walk of Init_u: every node met offers
+// the prefix classes of the blocks it holds, and the first match in
+// Init_u order wins the slot; the walk ends when every class some node
+// realizes is claimed, which Lemma 4 puts inside N_{k-1}(u). Items (2)
+// and (3b) are one handshake per entry. Nodes are built on BuildWorkers
+// cores from read-only shared state; the tables do not depend on the
+// worker count.
 func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng *rand.Rand, cfg ExStretchConfig) (*ExStretch, error) {
 	n := g.N()
 	if cfg.K < 2 {
@@ -178,7 +188,10 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		base = 2
 	}
 
+	// Fill every Init order on all cores, ahead of the assignment
+	// verifier's lazy one-core walk of all n neighborhoods.
 	space := rtmetric.New(g, m, perm.Names)
+	space.Precompute(cfg.BuildWorkers)
 	hop, err := rtz.NewHop(g, m, coverK, base, cfg.Variant)
 	if err != nil {
 		return nil, fmt.Errorf("core: hop substrate: %w", err)
@@ -202,15 +215,29 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		return hs, err
 	}
 
+	// realized[i][c] reports whether any node holds a block whose
+	// length-(i+1) prefix is c: the (3a) classes that have a target at
+	// all, so a node's pass knows when its dictionary is complete.
+	realized := make([][]bool, cfg.K-1)
+	for i, classes := 0, assign.U.Q; i < len(realized); i, classes = i+1, classes*assign.U.Q {
+		realized[i] = make([]bool, classes) // q^(i+1) prefixes of length i+1
+	}
+	for _, set := range assign.Sets {
+		for _, b := range set {
+			for i := range realized {
+				realized[i][assign.U.BlockPrefix(b, i+1)] = true
+			}
+		}
+	}
+
 	// Per-node tables read only shared immutable state (hierarchy,
 	// assignment, Init orders); build them in parallel.
-	space.Precompute(cfg.BuildWorkers)
-	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
+	scratch := make([]exDictScratch, parallel.Workers(n, cfg.BuildWorkers))
+	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
 		tab := &exTable{
 			selfName:  perm.Name(int32(u)),
-			neighbors: make(map[int32]rtz.Handshake),
-			dict:      make(map[exDictKey]exDictEntry),
-			full:      make(map[int32]rtz.Handshake),
+			neighbors: make(map[int32]rtz.Handshake, sizes[1]),
+			full:      make(map[int32]rtz.Handshake, len(assign.Sets[u])*assign.U.Q),
 			hopTab:    hop.Tables[u],
 		}
 		// (2) N_1(u) handshakes.
@@ -226,35 +253,19 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		}
 		// (3a) prefix-advancing dictionary, deduplicated by (level,
 		// prefix value, next digit).
-		initOrder := space.Init(graph.NodeID(u))
-		for _, b := range assign.Sets[u] {
-			for i := 0; i < cfg.K-1; i++ {
-				prefix := assign.U.BlockPrefix(b, i)
-				for tau := int32(0); tau < int32(assign.U.Q); tau++ {
-					key := exDictKey{Level: int8(i), Prefix: prefix, Tau: tau}
-					if _, done := tab.dict[key]; done {
-						continue
-					}
-					target := graph.NodeID(-1)
-					for _, w := range initOrder {
-						if holdsPrefixDigit(assign, w, i, prefix, tau) {
-							target = w
-							break
-						}
-					}
-					if target < 0 {
-						continue // no holder anywhere: prefix+τ class unrealized
-					}
-					var hs rtz.Handshake
-					if target != graph.NodeID(u) {
-						var err error
-						if hs, err = r2(graph.NodeID(u), target); err != nil {
-							return err
-						}
-					}
-					tab.dict[key] = exDictEntry{TargetName: perm.Name(int32(target)), HS: hs}
+		claims := scratch[wk].claim(assign, realized, graph.NodeID(u), space.Init(graph.NodeID(u)))
+		tab.dict = make(map[exDictKey]exDictEntry, len(claims))
+		q := int32(assign.U.Q)
+		for _, c := range claims {
+			var hs rtz.Handshake
+			if c.target != graph.NodeID(u) {
+				var err error
+				if hs, err = r2(graph.NodeID(u), c.target); err != nil {
+					return err
 				}
 			}
+			tab.dict[exDictKey{Level: c.level, Prefix: c.class / q, Tau: c.class % q}] =
+				exDictEntry{TargetName: perm.Name(int32(c.target)), HS: hs}
 		}
 		// (3b) full dictionary entries of held blocks.
 		for _, b := range assign.Sets[u] {
@@ -290,15 +301,75 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	return s, nil
 }
 
-// holdsPrefixDigit reports whether node w holds a block matching the
-// given length-i prefix whose (i+1)-st digit is tau.
-func holdsPrefixDigit(a *blocks.Assignment, w graph.NodeID, i int, prefix, tau int32) bool {
-	for _, b := range a.Sets[w] {
-		if a.U.BlockPrefix(b, i) == prefix && a.U.BlockPrefix(b, i+1) == prefix*int32(a.U.Q)+tau {
-			return true
+// exDictClaim is one (3a) entry: at level, the class (a block prefix of
+// length level+1) and the node that holds it nearest in Init_u.
+type exDictClaim struct {
+	level  int8
+	class  int32
+	target graph.NodeID
+}
+
+// exDictScratch is one build worker's state for the (3a) pass. Marks
+// are stamped with the node being built, so nothing is cleared between
+// nodes.
+type exDictScratch struct {
+	stamp  int32
+	want   [][]int32 // want[i][p] == stamp: u holds a block with length-i prefix p
+	found  [][]int32 // found[i][c] == stamp: class c at level i is claimed
+	claims []exDictClaim
+}
+
+// claim fills node u's (3a) dictionary in one pass over Init_u. Each
+// node met offers, per block it holds and per level i < k-1, that
+// block's length-(i+1) prefix class; the class is claimed if u holds a
+// block sharing its length-i prefix and nobody nearer claimed it — the
+// first match in Init_u order wins. The walk stops once every class
+// that some node realizes is claimed. The returned slice is the
+// scratch's own and is overwritten by the next call.
+func (sc *exDictScratch) claim(a *blocks.Assignment, realized [][]bool, u graph.NodeID, initOrder []graph.NodeID) []exDictClaim {
+	levels := a.U.K - 1
+	if sc.want == nil {
+		sc.want, sc.found = make([][]int32, levels), make([][]int32, levels)
+		for i := 0; i < levels; i++ {
+			sc.found[i] = make([]int32, len(realized[i]))
+			sc.want[i] = make([]int32, len(realized[i])/a.U.Q)
 		}
 	}
-	return false
+	sc.stamp++
+	sc.claims = sc.claims[:0]
+	q := int32(a.U.Q)
+	remaining := 0
+	for _, b := range a.Sets[u] {
+		for i := 0; i < levels; i++ {
+			p := a.U.BlockPrefix(b, i)
+			if sc.want[i][p] == sc.stamp {
+				continue
+			}
+			sc.want[i][p] = sc.stamp
+			for _, held := range realized[i][p*q : (p+1)*q] {
+				if held {
+					remaining++
+				}
+			}
+		}
+	}
+	for _, w := range initOrder {
+		if remaining == 0 {
+			break
+		}
+		for _, b := range a.Sets[w] {
+			for i := 0; i < levels; i++ {
+				c := a.U.BlockPrefix(b, i+1)
+				if sc.want[i][c/q] != sc.stamp || sc.found[i][c] == sc.stamp {
+					continue
+				}
+				sc.found[i][c] = sc.stamp
+				sc.claims = append(sc.claims, exDictClaim{level: int8(i), class: c, target: w})
+				remaining--
+			}
+		}
+	}
+	return sc.claims
 }
 
 // SchemeName implements Scheme.

@@ -8,6 +8,7 @@ import (
 	"rtroute/internal/blocks"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
+	"rtroute/internal/parallel"
 	"rtroute/internal/rtmetric"
 	"rtroute/internal/rtz"
 )
@@ -79,7 +80,10 @@ func NewStretchSixMaintained(g *graph.Graph, m graph.DistanceOracle, perm *names
 	if perm.N() != n {
 		return nil, fmt.Errorf("core: naming covers %d nodes, graph has %d", perm.N(), n)
 	}
+	// Fill every Init order on all cores, ahead of the assignment
+	// verifier's lazy one-core walk of all n neighborhoods.
 	space := rtmetric.New(g, m, perm.Names)
+	space.Precompute(cfg.BuildWorkers)
 	rng := rand.New(rand.NewSource(seed))
 	subM, err := rtz.NewMaintained(g, m, rng, cfg.Substrate)
 	if err != nil {
@@ -105,13 +109,15 @@ func NewStretchSixMaintained(g *graph.Graph, m graph.DistanceOracle, perm *names
 		nbhdSize: rtmetric.NeighborhoodSizes(n, 2)[1],
 		holders:  make(map[int32][]graph.NodeID),
 	}
-	space.Precompute(cfg.BuildWorkers)
-	for u := 0; u < n; u++ {
-		tab, err := buildS6Node(u, perm, sub, space, assign, mt.nbhdSize)
-		if err != nil {
-			return nil, err
-		}
-		mt.s.nodes[u] = tab
+	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) (err error) {
+		mt.s.nodes[u], err = buildS6Node(u, perm, sub, space, assign, mt.nbhdSize)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The reverse index is shared across nodes: merge it after the join.
+	for u, tab := range mt.s.nodes {
 		for nm := range tab.labels {
 			mt.holders[nm] = append(mt.holders[nm], graph.NodeID(u))
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/cover"
@@ -114,6 +115,16 @@ type PolyConfig struct {
 }
 
 // NewPolynomialStretch builds the scheme. m may be any distance oracle.
+//
+// Construction costs what it writes. After the hierarchy and the Init
+// orders, node u's table is one pass per double-tree it belongs to, over
+// that tree's members: §4.2 defines dictionary slot (j, τ) as the
+// nearest member matching u's name on j digits and continuing with τ,
+// so each member offers itself to the at most K slots its name can fill
+// and the first match in Init_u order — the lowest rank, ranks being
+// distinct — wins the slot. No slot is ever searched for. Nodes are
+// built on BuildWorkers cores from read-only shared state; the tables
+// do not depend on the worker count.
 func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, cfg PolyConfig) (*PolynomialStretch, error) {
 	n := g.N()
 	if cfg.K < 2 {
@@ -138,16 +149,25 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 
 	s := &PolynomialStretch{g: g, perm: perm, hier: hier, uni: uni, k: cfg.K, levels: len(hier.Levels), nodes: make([]*polyTable, n)}
 	space.Precompute(cfg.BuildWorkers)
-	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
+	// digits[w*K+j] is digit j of node w's name: the dictionary pass
+	// compares digits, it never divides.
+	digits := make([]int32, n*cfg.K)
+	for w := 0; w < n; w++ {
+		for j, d := range uni.Digits(perm.Name(int32(w))) {
+			digits[w*cfg.K+j] = int32(d)
+		}
+	}
+	scratch := make([]polyDictScratch, parallel.Workers(n, cfg.BuildWorkers))
+	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
 		tab := &polyTable{
 			selfName: perm.Name(int32(u)),
-			trees:    make(map[cover.TreeRef]*polyTreeEntry),
+			trees:    make(map[cover.TreeRef]*polyTreeEntry, len(hier.Memberships(graph.NodeID(u)))),
 			home:     make([]cover.TreeRef, len(hier.Levels)),
 		}
 		for li, lvl := range hier.Levels {
 			tab.home[li] = cover.TreeRef{Level: int32(li), Index: lvl.Cover.Home[u]}
 		}
-		initOrder := space.Init(graph.NodeID(u))
+		ranks := space.Ranks(graph.NodeID(u))
 		for _, ref := range hier.Memberships(graph.NodeID(u)) {
 			tr := hier.Tree(ref)
 			st, _ := tr.State(graph.NodeID(u))
@@ -156,7 +176,6 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 				state:    st,
 				isRoot:   tr.Root == graph.NodeID(u),
 				ownLabel: own,
-				dict:     make(map[polyDictKey]polyDictEntry),
 			}
 			if !e.isRoot {
 				p, ok := tr.InPort(graph.NodeID(u))
@@ -165,28 +184,7 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 				}
 				e.inPort = p
 			}
-			// Dictionary (c): nearest member matching own-name prefix j
-			// and continuing with τ.
-			selfName := perm.Name(int32(u))
-			for j := 0; j < cfg.K; j++ {
-				myPrefix := uni.Prefix(selfName, j)
-				for tau := int32(0); tau < int32(uni.Q); tau++ {
-					wantPrefix := myPrefix*int32(uni.Q) + tau
-					for _, w := range initOrder {
-						if w == graph.NodeID(u) || !tr.Contains(w) {
-							continue
-						}
-						if uni.Prefix(perm.Name(int32(w)), j+1) == wantPrefix {
-							lbl, _ := tr.LabelOf(w)
-							e.dict[polyDictKey{J: int8(j), Tau: tau}] = polyDictEntry{
-								Name:  perm.Name(int32(w)),
-								Label: lbl,
-							}
-							break
-						}
-					}
-				}
-			}
+			e.dict = scratch[wk].build(tr, graph.NodeID(u), ranks, digits, perm, uni)
 			tab.trees[ref] = e
 		}
 		s.nodes[u] = tab
@@ -196,6 +194,62 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 		return nil, err
 	}
 	return s, nil
+}
+
+// polyDictScratch is one build worker's slot table for dictionary (c):
+// per (j, τ), the Init_u rank and tree slot of the best member so far.
+type polyDictScratch struct {
+	rank []int32
+	slot []int32
+}
+
+// build fills node u's dictionary for tree tr in one pass over the
+// tree's members: slot (j, τ) goes to the member lowest in Init_u whose
+// name agrees with u's on the first j digits and continues with τ — the
+// first match a walk of Init_u would meet, since ranks are distinct.
+// A member competes at j = 0 and at each further j while its digits
+// keep matching u's; only u itself matches all K, and u never competes.
+func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, ranks, digits []int32, perm *names.Permutation, uni blocks.Universe) map[polyDictKey]polyDictEntry {
+	k, q := uni.K, uni.Q
+	if sc.rank == nil {
+		sc.rank, sc.slot = make([]int32, k*q), make([]int32, k*q)
+	}
+	for i := range sc.rank {
+		sc.rank[i] = math.MaxInt32
+	}
+	self := digits[int(u)*k : int(u)*k+k]
+	filled := 0
+	for mi, w := range tr.Members {
+		if w == u {
+			continue
+		}
+		rk := ranks[w]
+		dw := digits[int(w)*k : int(w)*k+k]
+		for j := 0; j < k; j++ {
+			i := j*q + int(dw[j])
+			if rk < sc.rank[i] {
+				if sc.rank[i] == math.MaxInt32 {
+					filled++
+				}
+				sc.rank[i], sc.slot[i] = rk, int32(mi)
+			}
+			if dw[j] != self[j] {
+				break
+			}
+		}
+	}
+	dict := make(map[polyDictKey]polyDictEntry, filled)
+	for i, rk := range sc.rank {
+		if rk == math.MaxInt32 {
+			continue
+		}
+		mi := int(sc.slot[i])
+		dict[polyDictKey{J: int8(i / q), Tau: int32(i % q)}] = polyDictEntry{
+			Name:  perm.Name(int32(tr.Members[mi])),
+			Label: tr.LabelAt(mi),
+		}
+	}
+	return dict
 }
 
 // SchemeName implements Scheme.

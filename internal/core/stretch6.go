@@ -202,7 +202,10 @@ func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutati
 	if perm.N() != n {
 		return nil, fmt.Errorf("core: naming covers %d nodes, graph has %d", perm.N(), n)
 	}
+	// Fill every Init order on all cores, ahead of the assignment
+	// verifier's lazy one-core walk of all n neighborhoods.
 	space := rtmetric.New(g, m, perm.Names)
+	space.Precompute(cfg.BuildWorkers)
 	sub, err := rtz.New(g, m, rng, cfg.Substrate)
 	if err != nil {
 		return nil, fmt.Errorf("core: stretch-3 substrate: %w", err)
@@ -217,9 +220,8 @@ func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutati
 	s := &StretchSix{g: g, perm: perm, sub: sub, uni: assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n)}
 	nbhdSize := rtmetric.NeighborhoodSizes(n, 2)[1]
 
-	// Per-node tables depend only on read-only shared state; fill the
-	// Init cache first, then build nodes in parallel.
-	space.Precompute(cfg.BuildWorkers)
+	// Per-node tables depend only on read-only shared state: build them
+	// in parallel.
 	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
 		tab, err := buildS6Node(u, perm, sub, space, assign, nbhdSize)
 		if err != nil {
@@ -244,7 +246,7 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 	tab := &s6Table{
 		selfName:    perm.Name(int32(u)),
 		ownLabel:    sub.LabelOf(graph.NodeID(u)),
-		labels:      make(map[int32]rtz.Label),
+		labels:      make(map[int32]rtz.Label, nbhdSize+len(assign.Sets[u])*assign.U.Q),
 		blockHolder: make([]int32, numBlocks),
 		tab3:        sub.Tables[u],
 	}

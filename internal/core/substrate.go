@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"rtroute/internal/cover"
@@ -262,7 +263,7 @@ func (p *HopPlane) R2(u, v graph.NodeID) (rtz.Handshake, graph.Dist, error) {
 		}
 		mv := &p.members[v][j]
 		cost := mu.DistTo + mu.DistFrom + mv.DistTo + mv.DistFrom
-		if cost < best || (cost == best && bestU != nil && refLess(mu.Ref, bestRef)) {
+		if cost < best || (cost == best && bestU != nil && refCompare(mu.Ref, bestRef) < 0) {
 			best, bestU, bestV, bestRef = cost, mu, mv, mu.Ref
 		}
 	}
@@ -361,8 +362,9 @@ func (p *HopPlane) AvgTableWords() float64 {
 	return float64(total) / float64(len(p.tables))
 }
 
-func refLess(a, b cover.TreeRef) bool {
-	return a.Level < b.Level || (a.Level == b.Level && a.Index < b.Index)
+// refCompare orders tree references by (level, index).
+func refCompare(a, b cover.TreeRef) int {
+	return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
 }
 
 func checkPlaneName(perm *names.Permutation, name int32) error {

@@ -175,14 +175,11 @@ func (h *Hierarchy) MaxMemberships() int {
 // -> u inside tree t, the "Hop" roundtrip of §3, or false if either node
 // is outside the tree.
 func RoundtripViaRoot(t *tree.Tree, u, v graph.NodeID) (graph.Dist, bool) {
-	du, ok1 := t.DistTo(u)
-	fu, ok2 := t.DistFrom(u)
-	dv, ok3 := t.DistTo(v)
-	fv, ok4 := t.DistFrom(v)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
+	iu, iv := t.Slot(u), t.Slot(v)
+	if iu < 0 || iv < 0 {
 		return 0, false
 	}
-	return du + fu + dv + fv, true
+	return t.RoundtripAt(iu) + t.RoundtripAt(iv), true
 }
 
 // BestTree returns the shared tree minimizing RoundtripViaRoot(u,v) —

@@ -8,11 +8,12 @@ package rtmetric
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"math/bits"
+	"slices"
 	"sort"
-	"sync"
 
 	"rtroute/internal/graph"
+	"rtroute/internal/parallel"
 )
 
 // Space bundles a graph, a distance oracle, and (lazily computed) Init_v
@@ -27,6 +28,10 @@ type Space struct {
 	G   *graph.Graph
 	M   graph.DistanceOracle
 	ids []int32
+
+	// idBits is the width of the largest tie-breaking id, or -1 when some
+	// id is negative (orderFor then cannot pack its sort keys).
+	idBits int
 
 	initOrders [][]graph.NodeID // lazily filled per source node
 	ranks      [][]int32        // ranks[v][u] = position of u in Init_v
@@ -47,10 +52,19 @@ func New(g *graph.Graph, m graph.DistanceOracle, ids []int32) *Space {
 			ids[i] = int32(i)
 		}
 	}
+	idBits := 0
+	for _, id := range ids {
+		if id < 0 {
+			idBits = -1
+			break
+		}
+		idBits = max(idBits, bits.Len32(uint32(id)))
+	}
 	return &Space{
 		G:          g,
 		M:          m,
 		ids:        ids,
+		idBits:     idBits,
 		initOrders: make([][]graph.NodeID, g.N()),
 		ranks:      make([][]int32, g.N()),
 	}
@@ -74,28 +88,50 @@ func (s *Space) Less(v, a, b graph.NodeID) bool {
 // distance rows anchored at v once and sorts on them directly, so the
 // comparator never goes back to the oracle: O(n log n) with exactly one
 // FromSource and one ToSink fetch regardless of oracle kind.
+//
+// The order is by (r(v,u), d(u,v), id(u)). When the three fields and the
+// node index fit one uint64 side by side — they do unless a distance is
+// astronomically large, as across an administratively down edge — each
+// node becomes one packed word and the sort is a plain integer sort;
+// otherwise the comparator sort runs on the rows. Both give the same
+// order: the packing preserves the lexicographic comparison, and ids
+// are distinct, so the node index in the low bits never decides.
 func (s *Space) orderFor(v graph.NodeID) ([]graph.NodeID, []int32) {
 	n := s.G.N()
 	fwd := s.M.FromSource(v) // d(v, u)
 	rev := s.M.ToSink(v)     // d(u, v)
 	key := make([]graph.Dist, n)
+	var maxR, maxRev graph.Dist
 	for u := 0; u < n; u++ {
 		key[u] = graph.RFromRows(fwd, rev, graph.NodeID(u)) // r(v, u)
+		maxR, maxRev = max(maxR, key[u]), max(maxRev, rev[u])
 	}
 	ord := make([]graph.NodeID, n)
-	for i := range ord {
-		ord[i] = graph.NodeID(i)
+	revBits, nodeBits := bits.Len64(uint64(maxRev)), bits.Len(uint(n))
+	if s.idBits >= 0 && bits.Len64(uint64(maxR))+revBits+s.idBits+nodeBits <= 64 {
+		packed := make([]uint64, n)
+		for u := range packed {
+			packed[u] = ((uint64(key[u])<<revBits|uint64(rev[u]))<<s.idBits|uint64(s.ids[u]))<<nodeBits | uint64(u)
+		}
+		slices.Sort(packed)
+		for i, k := range packed {
+			ord[i] = graph.NodeID(k & (1<<nodeBits - 1))
+		}
+	} else {
+		for i := range ord {
+			ord[i] = graph.NodeID(i)
+		}
+		sort.Slice(ord, func(i, j int) bool {
+			a, b := ord[i], ord[j]
+			if key[a] != key[b] {
+				return key[a] < key[b]
+			}
+			if rev[a] != rev[b] {
+				return rev[a] < rev[b]
+			}
+			return s.ids[a] < s.ids[b]
+		})
 	}
-	sort.Slice(ord, func(i, j int) bool {
-		a, b := ord[i], ord[j]
-		if key[a] != key[b] {
-			return key[a] < key[b]
-		}
-		if rev[a] != rev[b] {
-			return rev[a] < rev[b]
-		}
-		return s.ids[a] < s.ids[b]
-	})
 	rank := make([]int32, n)
 	for i, u := range ord {
 		rank[u] = int32(i)
@@ -119,6 +155,13 @@ func (s *Space) Init(v graph.NodeID) []graph.NodeID {
 func (s *Space) Rank(v, u graph.NodeID) int {
 	s.Init(v)
 	return int(s.ranks[v][u])
+}
+
+// Ranks returns the whole rank row of Init_v: Ranks(v)[u] == Rank(v, u).
+// The returned slice is cached and must not be modified.
+func (s *Space) Ranks(v graph.NodeID) []int32 {
+	s.Init(v)
+	return s.ranks[v]
 }
 
 // Neighborhood returns the first size nodes of Init_v (v itself included,
@@ -153,37 +196,19 @@ func (s *Space) Ball(v graph.NodeID, m graph.Dist) []graph.NodeID {
 	return ball
 }
 
-// Precompute fills the Init_v cache for every node using a worker pool.
-// The lazy cache is not safe for concurrent fills, so parallel scheme
-// builders call Precompute once and then read the orders freely.
-// workers <= 0 selects GOMAXPROCS.
+// Precompute fills the Init_v cache for every node that lacks an order,
+// across a worker pool. The lazy cache is not safe for concurrent fills,
+// so scheme builders call Precompute once, before anything reads an
+// order, and then read the orders freely. workers <= 0 selects
+// GOMAXPROCS.
 func (s *Space) Precompute(workers int) {
-	n := s.G.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	src := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range src {
-				ord, rank := s.orderFor(graph.NodeID(v))
-				// Each worker writes only its own v's slots: disjoint.
-				s.initOrders[v] = ord
-				s.ranks[v] = rank
-			}
-		}()
-	}
-	for v := 0; v < n; v++ {
-		src <- v
-	}
-	close(src)
-	wg.Wait()
+	// Each index writes only its own v's slots: disjoint.
+	_ = parallel.ForEach(s.G.N(), workers, func(v int) error {
+		if s.initOrders[v] == nil {
+			s.initOrders[v], s.ranks[v] = s.orderFor(graph.NodeID(v))
+		}
+		return nil
+	})
 }
 
 // InvalidateOrders drops the cached Init_v orders of the given nodes so

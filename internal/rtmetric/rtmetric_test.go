@@ -243,3 +243,40 @@ func TestNeighborhoodSizesMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPackedOrderMatchesComparatorOrder: orderFor sorts one packed word
+// per node when the key fields fit 64 bits and falls back to the
+// comparator otherwise; both must give the order Less defines. Unit
+// weights make most of the order tie-breaking, and the ids are a
+// shuffled naming, so the id field is what decides.
+func TestPackedOrderMatchesComparatorOrder(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 30 + rng.Intn(50)
+		g := graph.RandomSC(n, 2*n, 1+graph.Dist(seed%2)*6, rng)
+		ids := make([]int32, n)
+		for i, p := range rng.Perm(n) {
+			ids[i] = int32(p)
+		}
+		m := graph.AllPairs(g)
+		packed, plain := New(g, m, ids), New(g, m, ids)
+		if packed.idBits < 0 {
+			t.Fatal("non-negative ids must allow packing")
+		}
+		plain.idBits = -1 // what a negative id does: comparator sort
+		for v := 0; v < n; v++ {
+			a, b := packed.Init(graph.NodeID(v)), plain.Init(graph.NodeID(v))
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("seed %d: Init_%d differs at %d: packed %d, comparator %d", seed, v, i, a[i], b[i])
+				}
+				if i > 0 && !packed.Less(graph.NodeID(v), a[i-1], a[i]) {
+					t.Fatalf("seed %d: Init_%d not sorted under Less at %d", seed, v, i)
+				}
+				if packed.Rank(graph.NodeID(v), a[i]) != i {
+					t.Fatalf("seed %d: Rank(%d, %d) != %d", seed, v, a[i], i)
+				}
+			}
+		}
+	}
+}

@@ -87,3 +87,69 @@ func (t *Table[V]) Range(fn func(k int32, v V)) {
 		}
 	}
 }
+
+// Index maps each of a set of distinct non-negative keys to its position
+// in the slice it was built from: the member→slot half of a structure
+// that keeps its per-member values in parallel slices. The zero value is
+// an empty index.
+type Index struct {
+	keys  []int32 // the caller's slice, in its order
+	slots []int32 // position into keys, -1 marks an empty slot
+}
+
+// NewIndex indexes keys, which it retains and which must not change
+// afterwards. When keys is exactly 0..len-1 in order the index is the
+// identity and stores nothing beside the slice.
+func NewIndex(keys []int32) Index {
+	ix := Index{keys: keys}
+	identity := true
+	for i, k := range keys {
+		if k < 0 {
+			panic("sealed: negative key")
+		}
+		if k != int32(i) {
+			identity = false
+		}
+	}
+	if identity {
+		return ix
+	}
+	size := 2
+	for size < 2*len(keys) {
+		size <<= 1
+	}
+	ix.slots = make([]int32, size)
+	for i := range ix.slots {
+		ix.slots[i] = -1
+	}
+	mask := uint32(size - 1)
+	for pos, k := range keys {
+		i := Hash(k) & mask
+		for ix.slots[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		ix.slots[i] = int32(pos)
+	}
+	return ix
+}
+
+// Pos returns the position of k in the indexed slice, or -1 when k is
+// not one of its keys (negative keys never are).
+func (ix *Index) Pos(k int32) int {
+	if ix.slots == nil {
+		if uint32(k) < uint32(len(ix.keys)) {
+			return int(k)
+		}
+		return -1
+	}
+	mask := uint32(len(ix.slots)) - 1
+	for i := Hash(k) & mask; ; i = (i + 1) & mask {
+		pos := ix.slots[i]
+		if pos < 0 {
+			return -1
+		}
+		if ix.keys[pos] == k {
+			return int(pos)
+		}
+	}
+}

@@ -67,3 +67,37 @@ func TestCompileRejectsNegativeKeys(t *testing.T) {
 	}()
 	Compile(map[int32]int{-1: 1})
 }
+
+func TestIndexMatchesPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		var keys []int32
+		if trial%4 == 0 { // the identity case: 0..len-1 in order
+			for i := 0; i < rng.Intn(50); i++ {
+				keys = append(keys, int32(i))
+			}
+		} else {
+			for _, k := range rng.Perm(300)[:rng.Intn(200)] {
+				keys = append(keys, int32(k))
+			}
+		}
+		want := make(map[int32]int, len(keys))
+		for i, k := range keys {
+			want[k] = i
+		}
+		ix := NewIndex(keys)
+		for k := int32(-3); k < 310; k++ {
+			pos, ok := want[k]
+			if !ok {
+				pos = -1
+			}
+			if got := ix.Pos(k); got != pos {
+				t.Fatalf("trial %d: Pos(%d) = %d, want %d", trial, k, got, pos)
+			}
+		}
+	}
+	var zero Index
+	if zero.Pos(0) != -1 || zero.Pos(-1) != -1 {
+		t.Fatal("zero index found a key")
+	}
+}

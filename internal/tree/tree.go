@@ -20,8 +20,10 @@ package tree
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"rtroute/internal/graph"
+	"rtroute/internal/sealed"
 )
 
 // State is the O(1)-word node-local routing state for one tree.
@@ -79,16 +81,21 @@ func NextPort(st State, lbl Label) (port graph.PortID, delivered bool, err error
 // member's next-hop port toward Root on a shortest path). Distances are
 // measured in the subgraph induced by the member set, as §4 requires for
 // clusters.
+//
+// Per-member values live in slices parallel to Members, reached through
+// one member→slot index, so a tree costs O(|T|) memory and an accessor
+// is a probe plus a slice read.
 type Tree struct {
 	Root graph.NodeID
 	// Members in ascending node order.
 	Members []graph.NodeID
 
-	states   map[graph.NodeID]State
-	labels   map[graph.NodeID]Label
-	inPort   map[graph.NodeID]graph.PortID
-	distFrom map[graph.NodeID]graph.Dist // d_C(Root, v)
-	distTo   map[graph.NodeID]graph.Dist // d_C(v, Root)
+	index    sealed.Index // member -> slot in Members and the slices below
+	states   []State
+	labels   []Label
+	inPort   []graph.PortID // undefined at the root's slot
+	distFrom []graph.Dist   // d_C(Root, v)
+	distTo   []graph.Dist   // d_C(v, Root)
 	rtHeight graph.Dist
 }
 
@@ -119,107 +126,112 @@ func BuildDouble(g *graph.Graph, root graph.NodeID, members []graph.NodeID) (*Tr
 	t := &Tree{
 		Root:     root,
 		Members:  members,
-		states:   make(map[graph.NodeID]State, len(members)),
-		labels:   make(map[graph.NodeID]Label, len(members)),
-		inPort:   make(map[graph.NodeID]graph.PortID, len(members)),
-		distFrom: make(map[graph.NodeID]graph.Dist, len(members)),
-		distTo:   make(map[graph.NodeID]graph.Dist, len(members)),
+		index:    sealed.NewIndex(members),
+		states:   make([]State, len(members)),
+		labels:   make([]Label, len(members)),
+		inPort:   make([]graph.PortID, len(members)),
+		distFrom: make([]graph.Dist, len(members)),
+		distTo:   make([]graph.Dist, len(members)),
 	}
 
+	// Both searches run on one pooled scratch, so each row is consumed
+	// before the next search overwrites it: a hierarchy builds thousands
+	// of small trees and would otherwise copy four n-sized rows for each.
+	sc := scratchPool.Get().(*graph.SSSPScratch)
+	defer scratchPool.Put(sc)
+
 	// Restricted forward Dijkstra: out-tree parents.
-	distFrom, parentFrom := restrictedDijkstra(g, root, inSet, false)
-	// Restricted reverse Dijkstra: in-tree next hops.
-	distTo, nextTo := restrictedDijkstra(g, root, inSet, true)
-	for _, v := range members {
-		if distFrom[v] >= graph.Inf || distTo[v] >= graph.Inf {
-			return nil, fmt.Errorf("tree: member %d unreachable within the induced subgraph of root %d", v, root)
+	from := sc.DijkstraRestricted(g, root, inSet)
+	for i, v := range members {
+		if from.Dist[v] >= graph.Inf {
+			return nil, unreachable(v, root)
 		}
-		t.distFrom[v] = distFrom[v]
-		t.distTo[v] = distTo[v]
-		if rt := distFrom[v] + distTo[v]; rt > t.rtHeight {
+		t.distFrom[i] = from.Dist[v]
+	}
+	if err := t.buildOutRouting(g, from.Parent); err != nil {
+		return nil, err
+	}
+	// Restricted reverse Dijkstra: in-tree next hops.
+	to := sc.DijkstraRevRestricted(g, root, inSet)
+	for i, v := range members {
+		if to.Dist[v] >= graph.Inf {
+			return nil, unreachable(v, root)
+		}
+		t.distTo[i] = to.Dist[v]
+		if rt := t.distFrom[i] + to.Dist[v]; rt > t.rtHeight {
 			t.rtHeight = rt
 		}
 		if v != root {
-			port, ok := g.PortTo(v, nextTo[v])
+			port, ok := g.PortTo(v, to.Parent[v])
 			if !ok {
-				return nil, fmt.Errorf("tree: missing edge (%d,%d) for in-tree", v, nextTo[v])
+				return nil, fmt.Errorf("tree: missing edge (%d,%d) for in-tree", v, to.Parent[v])
 			}
-			t.inPort[v] = port
+			t.inPort[i] = port
 		}
-	}
-
-	if err := t.buildOutRouting(g, parentFrom); err != nil {
-		return nil, err
 	}
 	return t, nil
 }
 
+var scratchPool = sync.Pool{New: func() any { return &graph.SSSPScratch{} }}
+
+func unreachable(v, root graph.NodeID) error {
+	return fmt.Errorf("tree: member %d unreachable within the induced subgraph of root %d", v, root)
+}
+
 // buildOutRouting computes DFS intervals, heavy children and labels for
-// the out-tree given parent pointers.
+// the out-tree given parent pointers. All working state is indexed by
+// member slot.
 func (t *Tree) buildOutRouting(g *graph.Graph, parent []graph.NodeID) error {
-	children := make(map[graph.NodeID][]graph.NodeID, len(t.Members))
-	for _, v := range t.Members {
-		if v == t.Root {
+	m := len(t.Members)
+	root := int32(t.index.Pos(t.Root))
+	// Children lists in CSR form, each in ascending member order (the
+	// order the DFS below visits them in).
+	par := make([]int32, m)
+	kidOff := make([]int32, m+1)
+	for i, v := range t.Members {
+		if int32(i) == root {
+			par[i] = -1
 			continue
 		}
-		p := parent[v]
-		children[p] = append(children[p], v)
+		p := t.index.Pos(parent[v])
+		if p < 0 {
+			return fmt.Errorf("tree: parent %d of member %d is outside the member set", parent[v], v)
+		}
+		par[i] = int32(p)
+		kidOff[p+1]++
 	}
+	for i := 0; i < m; i++ {
+		kidOff[i+1] += kidOff[i]
+	}
+	kids := make([]int32, kidOff[m])
+	fill := append([]int32(nil), kidOff[:m]...)
+	for i := range t.Members {
+		if p := par[i]; p >= 0 {
+			kids[fill[p]] = int32(i)
+			fill[p]++
+		}
+	}
+	children := func(i int32) []int32 { return kids[kidOff[i]:kidOff[i+1]] }
 
-	// Iterative post-order to compute subtree sizes.
-	size := make(map[graph.NodeID]int32, len(t.Members))
+	// Iterative pre-order DFS assigning tin/tout in child-list order.
+	tin := make([]int32, m)
+	tout := make([]int32, m)
 	type frame struct {
-		node graph.NodeID
+		node int32
 		idx  int
 	}
-	stack := []frame{{node: t.Root}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		kids := children[f.node]
-		if f.idx < len(kids) {
-			c := kids[f.idx]
-			f.idx++
-			stack = append(stack, frame{node: c})
-			continue
-		}
-		s := int32(1)
-		for _, c := range kids {
-			s += size[c]
-		}
-		size[f.node] = s
-		stack = stack[:len(stack)-1]
-	}
-
-	// Iterative pre-order DFS assigning tin/tout, visiting the heavy
-	// child first (cosmetic; correctness only needs intervals).
-	tin := make(map[graph.NodeID]int32, len(t.Members))
-	tout := make(map[graph.NodeID]int32, len(t.Members))
-	heavy := make(map[graph.NodeID]graph.NodeID, len(t.Members))
 	var counter int32
-	stack = stack[:0]
-	stack = append(stack, frame{node: t.Root})
-	order := make([]graph.NodeID, 0, len(t.Members))
+	stack := []frame{{node: root}}
+	order := make([]int32, 0, m)
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.idx == 0 {
 			tin[f.node] = counter
 			counter++
 			order = append(order, f.node)
-			// Pick the heavy child (max subtree size, ties by node id).
-			var h graph.NodeID = -1
-			var hs int32 = -1
-			for _, c := range children[f.node] {
-				if size[c] > hs || (size[c] == hs && (h < 0 || c < h)) {
-					h, hs = c, size[c]
-				}
-			}
-			if h >= 0 {
-				heavy[f.node] = h
-			}
 		}
-		kids := children[f.node]
-		if f.idx < len(kids) {
-			c := kids[f.idx]
+		if ks := children(f.node); f.idx < len(ks) {
+			c := ks[f.idx]
 			f.idx++
 			stack = append(stack, frame{node: c})
 			continue
@@ -227,65 +239,56 @@ func (t *Tree) buildOutRouting(g *graph.Graph, parent []graph.NodeID) error {
 		tout[f.node] = counter - 1
 		stack = stack[:len(stack)-1]
 	}
-	if int(counter) != len(t.Members) {
-		return fmt.Errorf("tree: DFS visited %d of %d members", counter, len(t.Members))
+	if int(counter) != m {
+		return fmt.Errorf("tree: DFS visited %d of %d members", counter, m)
 	}
 
-	for _, v := range t.Members {
-		st := State{Tin: tin[v], Tout: tout[v], HeavyPort: -1}
-		if h, ok := heavy[v]; ok {
-			port, ok := g.PortTo(v, h)
+	// A subtree's size is the width of its DFS interval; the heavy child
+	// is the largest, ties by node id.
+	heavy := make([]int32, m)
+	for i := range t.Members {
+		var h, hs int32 = -1, -1
+		for _, c := range children(int32(i)) {
+			if size := tout[c] - tin[c]; size > hs { // equal sizes keep the lower id: children ascend
+				h, hs = c, size
+			}
+		}
+		heavy[i] = h
+		st := State{Tin: tin[i], Tout: tout[i], HeavyPort: -1}
+		if h >= 0 {
+			port, ok := g.PortTo(t.Members[i], t.Members[h])
 			if !ok {
-				return fmt.Errorf("tree: missing edge (%d,%d) for out-tree", v, h)
+				return fmt.Errorf("tree: missing edge (%d,%d) for out-tree", t.Members[i], t.Members[h])
 			}
 			st.HeavyPort = port
 			st.HeavyTin = tin[h]
 			st.HeavyTout = tout[h]
 		}
-		t.states[v] = st
+		t.states[i] = st
 	}
 
 	// Labels: walk each root-to-node path once in DFS order, carrying the
-	// light-hop prefix.
-	prefix := make(map[graph.NodeID][]LightHop, len(t.Members))
-	prefix[t.Root] = nil
-	for _, v := range order {
-		if v == t.Root {
+	// light-hop prefix (a heavy child shares its parent's slice).
+	for _, i := range order {
+		t.labels[i].Tin = tin[i]
+		if i == root {
 			continue
 		}
-		p := parent[v]
-		pp := prefix[p]
-		if heavy[p] == v {
-			prefix[v] = pp
-		} else {
-			port, ok := g.PortTo(p, v)
-			if !ok {
-				return fmt.Errorf("tree: missing edge (%d,%d) for light hop", p, v)
-			}
-			hops := make([]LightHop, len(pp), len(pp)+1)
-			copy(hops, pp)
-			prefix[v] = append(hops, LightHop{BranchTin: tin[p], Port: port})
+		p := par[i]
+		pp := t.labels[p].Light
+		if heavy[p] == i {
+			t.labels[i].Light = pp
+			continue
 		}
-	}
-	for _, v := range t.Members {
-		t.labels[v] = Label{Tin: tin[v], Light: prefix[v]}
+		port, ok := g.PortTo(t.Members[p], t.Members[i])
+		if !ok {
+			return fmt.Errorf("tree: missing edge (%d,%d) for light hop", t.Members[p], t.Members[i])
+		}
+		hops := make([]LightHop, len(pp), len(pp)+1)
+		copy(hops, pp)
+		t.labels[i].Light = append(hops, LightHop{BranchTin: tin[p], Port: port})
 	}
 	return nil
-}
-
-// restrictedDijkstra runs Dijkstra from root over the subgraph induced by
-// inSet, on graph's pooled scratches. Forward mode returns parent
-// pointers (predecessor on shortest root->v path); reverse mode returns
-// next-hop pointers (successor on shortest v->root path). The returned
-// slices are owned by the caller.
-func restrictedDijkstra(g *graph.Graph, root graph.NodeID, inSet []bool, reverse bool) ([]graph.Dist, []graph.NodeID) {
-	var r graph.SSSP
-	if reverse {
-		r = graph.DijkstraRevRestricted(g, root, inSet)
-	} else {
-		r = graph.DijkstraRestricted(g, root, inSet)
-	}
-	return r.Dist, r.Parent
 }
 
 func sortNodeIDs(s []graph.NodeID) {
@@ -301,41 +304,65 @@ func sortNodeIDs(s []graph.NodeID) {
 	}
 }
 
+// Slot returns v's position in Members, or -1 when v is not a member.
+// The At accessors below take a slot and skip the index probe, for
+// callers that walk Members or look a node up once for several reads.
+func (t *Tree) Slot(v graph.NodeID) int { return t.index.Pos(v) }
+
+// LabelAt returns the out-tree address of the member at slot i.
+func (t *Tree) LabelAt(i int) Label { return t.labels[i] }
+
+// RoundtripAt returns d_C(Root, v) + d_C(v, Root) for the member at
+// slot i: its share of a roundtrip relayed through the root.
+func (t *Tree) RoundtripAt(i int) graph.Dist { return t.distFrom[i] + t.distTo[i] }
+
 // Contains reports whether v is a member of the tree.
-func (t *Tree) Contains(v graph.NodeID) bool {
-	_, ok := t.states[v]
-	return ok
-}
+func (t *Tree) Contains(v graph.NodeID) bool { return t.index.Pos(v) >= 0 }
 
 // State returns v's per-tree routing state.
 func (t *Tree) State(v graph.NodeID) (State, bool) {
-	st, ok := t.states[v]
-	return st, ok
+	i := t.index.Pos(v)
+	if i < 0 {
+		return State{}, false
+	}
+	return t.states[i], true
 }
 
 // LabelOf returns v's address within the out-tree.
 func (t *Tree) LabelOf(v graph.NodeID) (Label, bool) {
-	l, ok := t.labels[v]
-	return l, ok
+	i := t.index.Pos(v)
+	if i < 0 {
+		return Label{}, false
+	}
+	return t.labels[i], true
 }
 
 // InPort returns the port of v's next hop toward the root on the in-tree
 // (undefined for the root itself).
 func (t *Tree) InPort(v graph.NodeID) (graph.PortID, bool) {
-	p, ok := t.inPort[v]
-	return p, ok
+	i := t.index.Pos(v)
+	if i < 0 || v == t.Root {
+		return 0, false
+	}
+	return t.inPort[i], true
 }
 
 // DistFrom returns d_C(Root, v) within the member-induced subgraph.
 func (t *Tree) DistFrom(v graph.NodeID) (graph.Dist, bool) {
-	d, ok := t.distFrom[v]
-	return d, ok
+	i := t.index.Pos(v)
+	if i < 0 {
+		return 0, false
+	}
+	return t.distFrom[i], true
 }
 
 // DistTo returns d_C(v, Root) within the member-induced subgraph.
 func (t *Tree) DistTo(v graph.NodeID) (graph.Dist, bool) {
-	d, ok := t.distTo[v]
-	return d, ok
+	i := t.index.Pos(v)
+	if i < 0 {
+		return 0, false
+	}
+	return t.distTo[i], true
 }
 
 // RTHeight returns max_v (d_C(Root,v) + d_C(v,Root)), the roundtrip

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -145,5 +146,88 @@ func TestQuickInTreeNextHopDecreasesDistance(t *testing.T) {
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAccessorsMatchMemberMap: every by-node accessor must answer as a
+// map keyed by the members would — the member's own slot for a member,
+// (zero, false) for everyone else, negative and past-the-end ids
+// included — on whole-graph trees (the index is the identity there) and
+// on roundtrip balls around the root (a proper subset, hashed).
+func TestAccessorsMatchMemberMap(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 30 + rng.Intn(40)
+		g := graph.RandomSC(n, 3*n, 6, rng)
+		g.AssignPorts(rng.Intn)
+		m := graph.AllPairs(g)
+		root := graph.NodeID(rng.Intn(n))
+		// A roundtrip ball is strongly connected through itself: a node on
+		// a shortest root->w->root cycle is no farther from root than w.
+		var ball []graph.NodeID
+		radius := m.R(root, graph.NodeID(rng.Intn(n)))
+		for _, v := range rng.Perm(n) { // BuildDouble sorts its members
+			if m.R(root, graph.NodeID(v)) <= radius {
+				ball = append(ball, graph.NodeID(v))
+			}
+		}
+		for _, members := range [][]graph.NodeID{nil, ball} {
+			tr, err := BuildDouble(g, root, members)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			slot := make(map[graph.NodeID]int, len(tr.Members))
+			for i, v := range tr.Members {
+				slot[v] = i
+			}
+			for v := graph.NodeID(-3); v < graph.NodeID(n+3); v++ {
+				i, member := slot[v]
+				if !member {
+					i = -1
+				}
+				if got := tr.Slot(v); got != i {
+					t.Fatalf("seed %d: Slot(%d) = %d, member map says %d", seed, v, got, i)
+				}
+				if tr.Contains(v) != member {
+					t.Fatalf("seed %d: Contains(%d) = %v", seed, v, !member)
+				}
+				// What a map keyed by the members would answer.
+				type answers struct {
+					state            State
+					label            Label
+					port             graph.PortID
+					from, to         graph.Dist
+					ok, portOK       bool
+					labelAt, roundAt any
+				}
+				want := answers{}
+				if member {
+					want = answers{
+						state: tr.states[i], label: tr.labels[i], from: tr.distFrom[i], to: tr.distTo[i], ok: true,
+						labelAt: tr.LabelAt(i), roundAt: tr.RoundtripAt(i),
+					}
+					if v != root { // the map never held an in-port for the root
+						want.port, want.portOK = tr.inPort[i], true
+					}
+				}
+				got := answers{}
+				var okState, okLabel, okFrom, okTo bool
+				got.state, okState = tr.State(v)
+				got.label, okLabel = tr.LabelOf(v)
+				got.port, got.portOK = tr.InPort(v)
+				got.from, okFrom = tr.DistFrom(v)
+				got.to, okTo = tr.DistTo(v)
+				got.ok = okState
+				if okLabel != okState || okFrom != okState || okTo != okState {
+					t.Fatalf("seed %d node %d: accessors disagree on membership", seed, v)
+				}
+				if member {
+					got.labelAt, got.roundAt = got.label, got.from+got.to
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d node %d (member %v):\n got %+v\nwant %+v", seed, v, member, got, want)
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rtroute/internal/core"
@@ -16,33 +18,40 @@ import (
 // seeded graph.
 func testPlanes(t testing.TB, n int, seed int64) (map[string]sim.Plane, *names.Permutation) {
 	t.Helper()
+	return testPlanesWorkers(t, n, seed, 0)
+}
+
+// testPlanesWorkers is testPlanes with the three TINN schemes' per-node
+// tables built on the given number of workers (0 = GOMAXPROCS).
+func testPlanesWorkers(t testing.TB, n int, seed int64, workers int) (map[string]sim.Plane, *names.Permutation) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, 4*n, 8, rng)
 	m := graph.AllPairs(g)
 	perm := names.Random(n, rng)
 
 	planes := make(map[string]sim.Plane)
-	s6, err := core.NewStretchSix(g, m, perm, rand.New(rand.NewSource(seed)), core.Stretch6Config{})
+	s6, err := core.NewStretchSix(g, m, perm, rand.New(rand.NewSource(seed)), core.Stretch6Config{BuildWorkers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	planes["stretch6"] = s6
-	s6v, err := core.NewStretchSix(g, m, perm, rand.New(rand.NewSource(seed)), core.Stretch6Config{ViaSource: true})
+	s6v, err := core.NewStretchSix(g, m, perm, rand.New(rand.NewSource(seed)), core.Stretch6Config{ViaSource: true, BuildWorkers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	planes["stretch6-viasource"] = s6v
-	ex, err := core.NewExStretch(g, m, perm, rand.New(rand.NewSource(seed)), core.ExStretchConfig{K: 2})
+	ex, err := core.NewExStretch(g, m, perm, rand.New(rand.NewSource(seed)), core.ExStretchConfig{K: 2, BuildWorkers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	planes["exstretch"] = ex
-	exd, err := core.NewExStretch(g, m, perm, rand.New(rand.NewSource(seed)), core.ExStretchConfig{K: 2, DirectReturn: true})
+	exd, err := core.NewExStretch(g, m, perm, rand.New(rand.NewSource(seed)), core.ExStretchConfig{K: 2, DirectReturn: true, BuildWorkers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	planes["exstretch-directreturn"] = exd
-	poly, err := core.NewPolynomialStretch(g, m, perm, core.PolyConfig{K: 2})
+	poly, err := core.NewPolynomialStretch(g, m, perm, core.PolyConfig{K: 2, BuildWorkers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +238,42 @@ func TestHeaderWireRoundtrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMarshalIndependentOfWorkersAndCores: the snapshot is stitched from
+// sections encoded on every core, so its bytes and the per-node sizes
+// must not depend on how many there are — nor on how many workers built
+// the tables. n spans several stitch windows at every setting.
+func TestMarshalIndependentOfWorkersAndCores(t *testing.T) {
+	const n = 4*sectionWindow + 12
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sequential, _ := testPlanesWorkers(t, n, 11, 1)
+	pooled, _ := testPlanesWorkers(t, n, 11, 0)
+	if len(sequential) != 7 {
+		t.Fatalf("expected the 7 scheme variants, got %d", len(sequential))
+	}
+	for name, p := range sequential {
+		runtime.GOMAXPROCS(1)
+		want, wantSizes, err := MarshalSchemeSizes(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for built, q := range map[string]sim.Plane{"BuildWorkers=1": p, "BuildWorkers=0": pooled[name]} {
+				got, gotSizes, err := MarshalSchemeSizes(q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !bytes.Equal(got, want) || !reflect.DeepEqual(gotSizes, wantSizes) {
+					t.Fatalf("%s %s at GOMAXPROCS=%d: snapshot or sizes differ from the one-core encoding", name, built, procs)
+				}
+				sizes, err := NodeSizes(q)
+				if err != nil || !reflect.DeepEqual(sizes, wantSizes) {
+					t.Fatalf("%s %s at GOMAXPROCS=%d: NodeSizes differs from MarshalSchemeSizes (err %v)", name, built, procs, err)
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
+	"rtroute/internal/parallel"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
@@ -23,20 +26,14 @@ func MarshalScheme(p sim.Plane) ([]byte, error) {
 // each node's section length in bytes — the same numbers NodeSizes
 // reports, without encoding the scheme twice.
 func MarshalSchemeSizes(p sim.Plane) ([]byte, []int, error) {
-	st, locals, err := core.Decompose(p)
+	st, local, err := core.Decomposer(p)
 	if err != nil {
 		return nil, nil, err
 	}
 	e := &encoder{}
 	e.envelope(blobScheme, st.Kind)
 	encodeShared(e, st)
-	sizes := make([]int, len(locals))
-	for i := range locals {
-		body := encodeLocal(&locals[i])
-		sizes[i] = len(body)
-		e.u(uint64(len(body)))
-		e.buf = append(e.buf, body...)
-	}
+	sizes := encodeSections(e, st.Graph.N(), local)
 	return e.buf, sizes, nil
 }
 
@@ -45,15 +42,61 @@ func MarshalSchemeSizes(p sim.Plane) ([]byte, []int, error) {
 // envelope (graph, naming, parameters), which is the network's and the
 // model's "global knowledge", not routing state.
 func NodeSizes(p sim.Plane) ([]int, error) {
-	_, locals, err := core.Decompose(p)
+	st, local, err := core.Decomposer(p)
 	if err != nil {
 		return nil, err
 	}
-	sizes := make([]int, len(locals))
-	for i := range locals {
-		sizes[i] = len(encodeLocal(&locals[i]))
+	return encodeSections(nil, st.Graph.N(), local), nil
+}
+
+// sectionWindow is how many nodes per worker are decomposed and encoded
+// between two stitches. It bounds what is live beside the blob to one
+// window of local states and section bodies, whatever n is.
+const sectionWindow = 32
+
+// encodeSections decomposes and encodes every node's section on all
+// cores and returns the section lengths. Each worker appends the bodies
+// it encodes to its own reused buffer; after each window of nodes the
+// bodies are stitched into blob in node order, each behind its length,
+// so the bytes do not depend on the worker count. blob == nil measures
+// without keeping anything.
+func encodeSections(blob *encoder, n int, local func(graph.NodeID) core.LocalState) []int {
+	workers := parallel.Workers(n, 0)
+	encs := make([]encoder, workers)
+	type span struct{ worker, off, end int }
+	window := workers * sectionWindow
+	spans := make([]span, window)
+	sizes := make([]int, n)
+	for lo := 0; lo < n; lo += window {
+		hi := min(lo+window, n)
+		_ = parallel.ForEachWorker(hi-lo, workers, func(w, i int) error {
+			e := &encs[w]
+			off := len(e.buf)
+			ls := local(graph.NodeID(lo + i))
+			e.local(&ls)
+			spans[i] = span{worker: w, off: off, end: len(e.buf)}
+			return nil
+		})
+		sectionBytes := 0
+		for i, sp := range spans[:hi-lo] {
+			sizes[lo+i] = sp.end - sp.off
+			sectionBytes += sp.end - sp.off
+			if blob != nil {
+				blob.u(uint64(sp.end - sp.off))
+				blob.buf = append(blob.buf, encs[sp.worker].buf[sp.off:sp.end]...)
+			}
+		}
+		for w := range encs {
+			encs[w].buf = encs[w].buf[:0]
+		}
+		if blob != nil && lo == 0 {
+			// One reservation from the first window's mean section, in
+			// place of a chain of grow-and-copy steps.
+			perNode := sectionBytes/(hi-lo) + binary.MaxVarintLen32
+			blob.buf = slices.Grow(blob.buf, perNode*(n-hi)*21/20)
+		}
 	}
-	return sizes, nil
+	return sizes
 }
 
 // SnapshotInfo is what PeekSnapshot reads from a scheme blob's preamble:
@@ -212,8 +255,7 @@ func decodeShared(d *decoder, kind core.Kind) (*core.SchemeState, error) {
 
 // --- per-node sections ---
 
-func encodeLocal(ls *core.LocalState) []byte {
-	e := &encoder{}
+func (e *encoder) local(ls *core.LocalState) {
 	switch {
 	case ls.S6 != nil:
 		e.encodeS6Local(ls.S6)
@@ -226,7 +268,6 @@ func encodeLocal(ls *core.LocalState) []byte {
 	case ls.Hop != nil:
 		e.encodeHopLocal(ls.Hop)
 	}
-	return e.buf
 }
 
 func decodeLocal(d *decoder, kind core.Kind, node graph.NodeID) (*core.LocalState, error) {
