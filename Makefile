@@ -6,7 +6,7 @@ BENCH_PATTERN ?= Dijkstra|EdgeByPort|MetricBuild|TrafficThroughput|BuildAll1k
 COUNT ?= 5
 OUT ?= bench-new.txt
 
-.PHONY: all build test verify race short large bench bench-smoke benchcmp fmt vet lint ci alloc-gates loc traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
+.PHONY: all build test verify race short large bench bench-smoke benchmark-check benchcmp fmt vet lint ci alloc-gates loc traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
 
 all: verify
 
@@ -60,7 +60,7 @@ traffic-large:
 # (E15); both wire-encode every boundary-crossing packet.
 cluster:
 	$(GO) run -race ./cmd/rtbench -exp cluster -n 96 -packets 20000 -shards 8 -placement rtz -seed 1
-	$(GO) test -race -run 'TestClusterMatchesSequentialRun|TestClusterSurvivesReorderingAdversary|TestPipelinedTCPMatchesSequential|TestTCPLoopback|TestTCPFlappingPeer' ./internal/cluster
+	$(GO) test -race -run 'TestClusterMatchesSequentialRun|TestClusterSurvivesReorderingAdversary|TestPipelinedTCPMatchesSequential|TestTCPLoopback|TestTCPFlappingPeer|TestTCPBatchingByCount|TestTCPReplyFailureCounted|TestTCPReadLoopDeliversFramesBeforeError' ./internal/cluster
 
 # Observability smoke (E16): the telemetry plane end-to-end under the
 # race detector — sink-attached cluster run with the machine-produced
@@ -110,6 +110,12 @@ bench:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
+# The repo benchmark is a module of its own (benchmark/go.mod), outside
+# `./...`: vet it and run its tests here, so a PR that changes a
+# function it calls breaks CI before it breaks a capture.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Before/after comparisons: run `make benchcmp OUT=old.txt` on the old
 # commit, again with OUT=new.txt on the new one, then
 # `benchstat old.txt new.txt` (golang.org/x/perf/cmd/benchstat).
@@ -129,7 +135,8 @@ lint: fmt vet
 # The cluster's amortized-zero allocation gates skip under -race, so CI
 # runs them on their own, on one core, two cores and the host default:
 # a steady-state allocation that only shows when completions trickle
-# back (few cores) or arrive in floods (many) must fail here.
+# back (few cores) or arrive in floods (many) must fail here. The
+# pattern takes in the loopback-TCP gate (TestClusterZeroAllocsTCP).
 alloc-gates:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
@@ -143,4 +150,4 @@ loc:
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
-ci: lint build race alloc-gates traffic cluster obs churn churn-cluster docs bench-smoke fuzz-smoke
+ci: lint build race alloc-gates traffic cluster obs churn churn-cluster docs bench-smoke benchmark-check fuzz-smoke

@@ -138,6 +138,8 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 	})
 	sink.RegisterGauge("peer_downs", func() float64 { d, _ := tr.LinkStats(); return float64(d) })
 	sink.RegisterGauge("link_redials", func() float64 { _, r := tr.LinkStats(); return float64(r) })
+	sink.RegisterGauge("socket_writes_total", func() float64 { w, _ := tr.WriteStats(); return float64(w) })
+	sink.RegisterGauge("frames_written_total", func() float64 { _, f := tr.WriteStats(); return float64(f) })
 
 	sh := cluster.NewShard(view, place, tr, cluster.Options{
 		Workers: workers, Batch: batch, Sink: sink, SinkShard: 0,

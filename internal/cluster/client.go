@@ -26,6 +26,7 @@ type Client struct {
 	tc   *tcpConn
 	rd   *bufio.Reader
 	buf  []byte // reusable frame marshal buffer
+	rbuf []byte // reusable received-frame buffer: every decoder copies out
 
 	// OnDrop, when non-nil, accepts lossy completions: a cluster
 	// converging under churn reports a dropped or misrouted roundtrip
@@ -41,7 +42,18 @@ func DialClient(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, tc: &tcpConn{c: conn}, rd: bufio.NewReader(conn)}, nil
+	// The read buffer matches the daemons': one read takes in everything
+	// a batched reply write delivered.
+	return &Client{conn: conn, tc: &tcpConn{c: conn}, rd: bufio.NewReaderSize(conn, 64*1024)}, nil
+}
+
+// read returns the next frame segment, valid until the next read.
+func (c *Client) read() ([]byte, error) {
+	data, err := readFrame(c.rd, c.rbuf)
+	if err == nil {
+		c.rbuf = data
+	}
+	return data, err
 }
 
 // Close closes the connection.
@@ -57,7 +69,7 @@ func (c *Client) send(f *wire.Frame) error {
 }
 
 func (c *Client) recv(want wire.FrameKind, f *wire.Frame) error {
-	data, err := readFrame(c.rd)
+	data, err := c.read()
 	if err != nil {
 		return err
 	}
@@ -121,7 +133,14 @@ const injectBatchCap = 64
 // cluster echoes on the completion report, so completions are accepted
 // in whatever order the shards finish them; each is invoked once per
 // pair, in completion order, with the pair's index and leg totals.
-// Injects are batched into single socket writes as the window opens.
+//
+// The loop drains before it refills: it blocks for one completion, then
+// takes every further completion its read buffer already holds — the
+// daemons write a drained batch's replies as one message — and only then
+// injects for all the slots that opened, as one socket write per
+// injectBatchCap of them. With one roundtrip in flight the buffer is
+// empty after each completion, so the next inject leaves at once and
+// window-1 latency is what it was when every completion refilled alone.
 func (c *Client) Roundtrips(pairs []Pair, window int, each func(i int, out, back wire.LegTotals) error) error {
 	if window < 1 {
 		window = 1
@@ -131,7 +150,7 @@ func (c *Client) Roundtrips(pairs []Pair, window int, each func(i int, out, back
 	next, done, inflight := 0, 0, 0
 	var f wire.Frame
 	for done < len(pairs) {
-		if next < len(pairs) && inflight < window {
+		for next < len(pairs) && inflight < window {
 			entries = entries[:0]
 			for next < len(pairs) && inflight < window && len(entries) < injectBatchCap {
 				entries = append(entries, wire.InjectEntry{
@@ -144,34 +163,36 @@ func (c *Client) Roundtrips(pairs []Pair, window int, each func(i int, out, back
 			if err := c.tc.writeFrame(c.buf); err != nil {
 				return err
 			}
-			continue
 		}
-		if err := c.recvCompletion(&f); err != nil {
-			return err
-		}
-		if f.Rt == 0 || f.Rt > uint64(len(pairs)) {
-			return fmt.Errorf("cluster: completion with unknown roundtrip id %d", f.Rt)
-		}
-		i := int(f.Rt - 1)
-		if seen[i] {
-			return fmt.Errorf("cluster: duplicate completion for roundtrip %d", f.Rt)
-		}
-		if f.SrcName != pairs[i].Src || f.DstName != pairs[i].Dst {
-			return fmt.Errorf("cluster: completion %d for (%d,%d), expected (%d,%d)",
-				f.Rt, f.SrcName, f.DstName, pairs[i].Src, pairs[i].Dst)
-		}
-		seen[i] = true
-		done++
-		inflight--
-		if f.Kind == wire.FrameDrop {
-			if err := c.OnDrop(i, f.Reason); err != nil {
+		for {
+			if err := c.recvCompletion(&f); err != nil {
 				return err
 			}
-			continue
-		}
-		if each != nil {
-			if err := each(i, f.Out, f.Back); err != nil {
-				return err
+			if f.Rt == 0 || f.Rt > uint64(len(pairs)) {
+				return fmt.Errorf("cluster: completion with unknown roundtrip id %d", f.Rt)
+			}
+			i := int(f.Rt - 1)
+			if seen[i] {
+				return fmt.Errorf("cluster: duplicate completion for roundtrip %d", f.Rt)
+			}
+			if f.SrcName != pairs[i].Src || f.DstName != pairs[i].Dst {
+				return fmt.Errorf("cluster: completion %d for (%d,%d), expected (%d,%d)",
+					f.Rt, f.SrcName, f.DstName, pairs[i].Src, pairs[i].Dst)
+			}
+			seen[i] = true
+			done++
+			inflight--
+			if f.Kind == wire.FrameDrop {
+				if err := c.OnDrop(i, f.Reason); err != nil {
+					return err
+				}
+			} else if each != nil {
+				if err := each(i, f.Out, f.Back); err != nil {
+					return err
+				}
+			}
+			if done == len(pairs) || c.rd.Buffered() < 4 {
+				break
 			}
 		}
 	}
@@ -182,7 +203,7 @@ func (c *Client) Roundtrips(pairs []Pair, window int, each func(i int, out, back
 // when OnDrop is set — a FrameDrop from a cluster converging under
 // churn.
 func (c *Client) recvCompletion(f *wire.Frame) error {
-	data, err := readFrame(c.rd)
+	data, err := c.read()
 	if err != nil {
 		return err
 	}
@@ -210,7 +231,7 @@ func (c *Client) Churn(seq uint64, events []churn.Event) error {
 	if err := c.tc.writeFrame(c.buf); err != nil {
 		return err
 	}
-	data, err := readFrame(c.rd)
+	data, err := c.read()
 	if err != nil {
 		return err
 	}

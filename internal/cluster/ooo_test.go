@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/rand"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,72 +12,31 @@ import (
 )
 
 // TestPipelinedTCPMatchesSequential certifies out-of-order completion
-// end to end: a client keeps a deep window of tagged roundtrips in
-// flight over loopback TCP against a live 2-shard cluster, accepts the
-// completions in whatever order the shards finish them, and the
-// per-pair totals — and the aggregates built from them, including the
-// stretch quantiles — must be exactly the sequential single-process
-// tracer's.
+// end to end: a client keeps a 256-deep window of tagged roundtrips in
+// flight over loopback TCP against a live 2-shard cluster — replies
+// coalesced per connection, injects per drained read buffer — accepts
+// the completions in whatever order the shards finish them, each tag
+// exactly once, and the per-pair totals — and the aggregates built from
+// them, including the stretch quantiles — must be exactly the
+// sequential single-process tracer's.
 func TestPipelinedTCPMatchesSequential(t *testing.T) {
 	deps, m := testDeployments(t, 48, 13)
 	for _, name := range []string{"stretch6", "rtz"} {
 		dep := deps[name]
 		n := dep.Graph().N()
-		const shards = 2
-		place, err := NewPlacement(dep, shards, Contiguous)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dep.Graph().Seal()
-
-		lns := make([]net.Listener, shards)
-		addrs := make([]string, shards)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lns[i] = ln
-			addrs[i] = ln.Addr().String()
-		}
-		trs := make([]*TCPTransport, shards)
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			trs[i] = NewTCPTransport(i, lns[i], addrs)
-			view, err := dep.ShardView(i, place.Owner)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := NewShard(view, place, trs[i], Options{Workers: 2})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := sh.Serve(); err != nil {
-					t.Errorf("%s: shard %d: %v", name, sh.Index(), err)
-				}
-			}()
-		}
+		c := startTCPShards(t, dep, 2, func(int) Options { return Options{Workers: 2} }, nil)
+		c.serve(t)
 
 		// Enough pairs to wrap the window several times over, from a
 		// seeded rng so the run is reproducible.
-		rng := rand.New(rand.NewSource(29))
-		pairs := make([]Pair, 512)
-		for i := range pairs {
-			src := int32(rng.Intn(n))
-			dst := int32(rng.Intn(n - 1))
-			if dst >= src {
-				dst++
-			}
-			pairs[i] = Pair{Src: src, Dst: dst}
-		}
+		pairs := randomPairs(n, 2048, 29)
+		completions := make([]int, len(pairs))
 
-		cl, err := DialClient(addrs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := c.dial(t)
 		got := &Result{}
 		var samples []traffic.Sample
-		err = cl.Roundtrips(pairs, 128, func(i int, out, back wire.LegTotals) error {
+		err := cl.Roundtrips(pairs, 256, func(i int, out, back wire.LegTotals) error {
+			completions[i]++
 			wOut, wBack, err := sim.RoundtripFlight(dep, pairs[i].Src, pairs[i].Dst, 0)
 			if err != nil {
 				return err
@@ -107,13 +65,15 @@ func TestPipelinedTCPMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		cl.Close()
-		for _, tr := range trs {
-			tr.Close()
-		}
-		wg.Wait()
+		c.stop()
 
 		if got.Packets != int64(len(pairs)) {
 			t.Fatalf("%s: %d completions for %d pairs", name, got.Packets, len(pairs))
+		}
+		for i, k := range completions {
+			if k != 1 {
+				t.Fatalf("%s: roundtrip tag %d completed %d times, want exactly once", name, i+1, k)
+			}
 		}
 		gotQ, err := traffic.StretchQuantiles(m, samples)
 		if err != nil {

@@ -78,10 +78,19 @@ type shardWorker struct {
 	// received batch is processed; flush ships each destination's
 	// accumulation as one transport message.
 	pending [][]InFrame
+	// replies is the same accumulation toward accepted client
+	// connections: completion, drop and info reports queue per
+	// connection and flush writes each queue as one transport message.
+	// A batch answers few connections, so the queues are a short list
+	// searched linearly, reused from batch to batch.
+	replies []replyQueue
 	// free recycles fully-processed inbound frame buffers as outbound
 	// marshal buffers, keeping the crossing hot path allocation-free in
 	// steady state.
 	free [][]byte
+	// spares refills free from the transport when that is where shipped
+	// buffers end up (nil on the channel bus).
+	spares bufferSource
 	// slabs recycles received batch slices as pending accumulations, so
 	// ship() grows no fresh slice per flushed batch.
 	slabs [][]InFrame
@@ -99,6 +108,12 @@ type shardWorker struct {
 	// churn stashes churn batches decoded mid-batch; they are applied
 	// after the read fence is released (see applyChurn).
 	churn []churnBatch
+}
+
+// replyQueue is one accepted connection's unflushed reply frames.
+type replyQueue struct {
+	conn   uint64
+	frames []InFrame
 }
 
 // publish hands the probe a copy of the worker's counters at a batch
@@ -143,6 +158,9 @@ func (st *shardWorker) recycleSlab(frames []InFrame, batch int) {
 
 // outBuf pops a recycled buffer (or nil) for an outbound frame.
 func (st *shardWorker) outBuf() []byte {
+	if len(st.free) == 0 && st.spares != nil {
+		st.free = st.spares.spareBufs(st.free)
+	}
 	for n := len(st.free); n > 0; n = len(st.free) {
 		b := st.free[n-1]
 		st.free = st.free[:n-1]
@@ -350,7 +368,9 @@ func (s *Shard) Serve() error {
 
 // worker is one mailbox pump: block for a batch, handle each frame,
 // then flush everything the batch emitted — one transport message per
-// destination shard, the send-side half of the batching discipline.
+// destination shard and per answered client connection, the send-side
+// half of the batching discipline. Nothing outlives the flush: when the
+// worker re-enters Recv every frame it produced is with the transport.
 //
 // Telemetry rides the same rhythm: each Recv opens a batch on the
 // worker's probe (counting it, charging the blocked time to
@@ -362,6 +382,7 @@ func (s *Shard) worker(w int) error {
 	st := &s.workers[w]
 	st.worker = w
 	st.pending = make([][]InFrame, s.place.Shards)
+	st.spares, _ = s.tr.(bufferSource)
 	st.p = s.opts.Sink.Probe(s.opts.SinkShard, w)
 	if st.p != nil {
 		shard := s.view.Shard()
@@ -506,7 +527,8 @@ func (s *Shard) applyChurn(st *shardWorker) error {
 		} else if b.conn != 0 {
 			// Ack the injecting client connection: an empty batch echoing
 			// the sequence number.
-			if err := s.tr.Reply(b.conn, wire.AppendChurnFrame(nil, b.seq, nil)); err != nil {
+			ack := []InFrame{{Data: wire.AppendChurnFrame(nil, b.seq, nil)}}
+			if err := s.tr.ReplyBatch(b.conn, ack); err != nil {
 				st.stats.Errors++
 			}
 		}
@@ -534,10 +556,54 @@ func (s *Shard) ship(st *shardWorker, to int, data []byte, t int64) (int64, erro
 	return t, nil
 }
 
-// flush ships every destination's accumulated frames. Every frame of a
-// batch a transport refuses is counted as dropped — each is a live
-// roundtrip — so a daemon with a dead peer shows the loss in its
-// errors column instead of reporting a healthy shard.
+// reply queues one frame for an accepted client connection, writing
+// the connection's queue early when it reaches the batch bound. From
+// here on data belongs to the queue and then the transport. A refused
+// early write is already counted frame by frame (see writeReplies), so
+// only a strict shard hears about it again.
+func (s *Shard) reply(st *shardWorker, conn uint64, data []byte, t int64) (int64, error) {
+	var q *replyQueue
+	for i := range st.replies {
+		if st.replies[i].conn == conn {
+			q = &st.replies[i]
+			break
+		}
+	}
+	if q == nil {
+		st.replies = append(st.replies, replyQueue{conn: conn})
+		q = &st.replies[len(st.replies)-1]
+	}
+	if q.frames == nil {
+		q.frames = st.slab(s.opts.Batch)
+	}
+	q.frames = append(q.frames, InFrame{Data: data})
+	if len(q.frames) >= s.opts.Batch {
+		var err error
+		if t, err = s.writeReplies(st, q, t); err != nil && s.opts.Strict {
+			return t, err
+		}
+	}
+	return t, nil
+}
+
+// writeReplies hands one connection's queue to the transport as one
+// message. Every frame of a refused write is counted: each is a
+// roundtrip whose issuer will not hear of it.
+func (s *Shard) writeReplies(st *shardWorker, q *replyQueue, t int64) (int64, error) {
+	frames := q.frames
+	q.frames = nil
+	err := s.tr.ReplyBatch(q.conn, frames)
+	if err != nil {
+		st.stats.Errors += int64(len(frames))
+	}
+	return st.p.Lap(telemetry.StageSend, t), err
+}
+
+// flush ships every destination's accumulated frames, then every
+// answered connection's. Every frame of a batch a transport refuses is
+// counted as dropped — each is a live roundtrip — so a daemon with a
+// dead peer or a vanished client shows the loss in its errors column
+// instead of reporting a healthy shard.
 func (s *Shard) flush(st *shardWorker, t int64) (int64, error) {
 	var firstErr error
 	for to, frames := range st.pending {
@@ -553,12 +619,23 @@ func (s *Shard) flush(st *shardWorker, t int64) (int64, error) {
 		}
 		t = st.p.Lap(telemetry.StageSend, t)
 	}
+	for i := range st.replies {
+		if len(st.replies[i].frames) == 0 {
+			continue
+		}
+		var err error
+		if t, err = s.writeReplies(st, &st.replies[i], t); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	st.replies = st.replies[:0]
 	return t, firstErr
 }
 
 // handle processes one received frame. retained reports that the
-// inbound buffer was shipped onward (a repatched flight frame) and must
-// not be recycled. t is the sampled-batch Lap chain (0 = unsampled),
+// inbound buffer was shipped or queued onward (a repatched flight frame,
+// a completion report on its way to the client) and must not be
+// recycled. t is the sampled-batch Lap chain (0 = unsampled),
 // threaded through and returned so the worker's whole batch is tiled
 // by stage attributions.
 func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOut int64, err error) {
@@ -588,16 +665,16 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 	case wire.FrameDone, wire.FrameDrop:
 		// A completion (or lossy-completion) report passing through its
 		// home shard on the way back to the client connection that
-		// injected it.
-		err := s.tr.Reply(f.Origin, in.Data)
-		return false, st.p.Lap(telemetry.StageSend, t), err
+		// injected it: the received bytes are queued as they are.
+		t, err := s.reply(st, f.Origin, in.Data, t)
+		return true, t, err
 	case wire.FrameInfoReq:
-		data, err := wire.MarshalFrame(&s.info)
+		data, err := wire.AppendFrame(st.outBuf(), &s.info)
 		if err != nil {
 			return false, t, err
 		}
-		err = s.tr.Reply(in.Conn, data)
-		return false, st.p.Lap(telemetry.StageSend, t), err
+		t, err = s.reply(st, in.Conn, data, t)
+		return false, t, err
 	default:
 		return false, t, fmt.Errorf("cluster: shard %d received unexpected %d frame", s.view.Shard(), f.Kind)
 	}
@@ -885,8 +962,7 @@ func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error)
 	}
 	t = st.p.Lap(telemetry.StageEncode, t)
 	if int(f.Home) == s.view.Shard() {
-		err := s.tr.Reply(f.Origin, data)
-		return st.p.Lap(telemetry.StageSend, t), err
+		return s.reply(st, f.Origin, data, t)
 	}
 	return s.ship(st, int(f.Home), data, t)
 }
@@ -919,8 +995,7 @@ func (s *Shard) lose(st *shardWorker, f *wire.Frame, reason byte, t int64) (int6
 	}
 	t = st.p.Lap(telemetry.StageEncode, t)
 	if int(f.Home) == s.view.Shard() {
-		err := s.tr.Reply(f.Origin, data)
-		return st.p.Lap(telemetry.StageSend, t), err
+		return s.reply(st, f.Origin, data, t)
 	}
 	return s.ship(st, int(f.Home), data, t)
 }

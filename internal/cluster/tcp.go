@@ -23,6 +23,78 @@ import (
 // so anything near this is hostile input, not traffic.
 const maxTCPFrame = 1 << 24
 
+// tcpBatch bounds how many frames one read loop delivers as a single
+// mailbox batch, and so the least capacity of a batch slice worth
+// pooling.
+const tcpBatch = 64
+
+// The frame pool's bounds. A buffer is cut at minFrameCap or the next
+// power of two above its frame, so the buffers of ordinary traffic are
+// interchangeable; one above maxPooledFrame is left to the collector,
+// so a hostile 16 MiB segment cannot pin its buffer in the pool.
+const (
+	minFrameCap    = 256
+	maxPooledFrame = 8 << 10
+	poolBufs       = 16 * tcpBatch
+	poolSlabs      = 64
+)
+
+// framePool closes the TCP buffer cycle. On a socket fabric a frame
+// buffer dies when its bytes have been copied to the socket, and a new
+// one is needed for every frame read; the pool carries the first to the
+// second, so a steady stream allocates no buffer and no batch slice per
+// frame. Both sides touch it once per batch, never per frame.
+type framePool struct {
+	mu    sync.Mutex
+	bufs  [][]byte
+	slabs [][]InFrame
+}
+
+// put takes back a batch whose bytes have been copied out (or refused):
+// the frame buffers and the slice itself. The slice is not cleared — a
+// read loop overwrites it from the front. A nil pool takes nothing: the
+// frames stay their caller's.
+func (p *framePool) put(frames []InFrame) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	for i := range frames {
+		if b := frames[i].Data; cap(b) >= minFrameCap && cap(b) <= maxPooledFrame && len(p.bufs) < poolBufs {
+			p.bufs = append(p.bufs, b)
+		}
+	}
+	if cap(frames) >= tcpBatch && len(p.slabs) < poolSlabs {
+		p.slabs = append(p.slabs, frames[:0])
+	}
+	p.mu.Unlock()
+}
+
+// get hands a read loop what its next batch needs: an empty batch slice
+// (nil when none is pooled: a lone frame then costs a one-element
+// slice, not a full batch's) and its private stash of buffers topped up
+// to a full batch's worth.
+func (p *framePool) get(stash [][]byte) ([]InFrame, [][]byte) {
+	var slab []InFrame
+	p.mu.Lock()
+	if n := len(p.slabs); n > 0 {
+		slab, p.slabs = p.slabs[n-1], p.slabs[:n-1]
+	}
+	stash = p.topUp(stash)
+	p.mu.Unlock()
+	return slab, stash
+}
+
+// topUp moves pooled buffers into stash until it holds a full batch's
+// worth; the caller holds p.mu.
+func (p *framePool) topUp(stash [][]byte) [][]byte {
+	if k := min(tcpBatch-len(stash), len(p.bufs)); k > 0 {
+		stash = append(stash, p.bufs[len(p.bufs)-k:]...)
+		p.bufs = p.bufs[:len(p.bufs)-k]
+	}
+	return stash
+}
+
 // tcpDialRetries * tcpDialBackoff bounds how long a shard waits for a
 // peer daemon to come up before failing the Send. This inline wait is
 // paid only on a link's first use (daemons start in any order); once a
@@ -70,6 +142,12 @@ type TCPTransport struct {
 	// redials counts background dial attempts spent repairing them.
 	peerDowns atomic.Int64
 	redials   atomic.Int64
+	// Batching by count: socket writes completed and the frames they
+	// carried.
+	writes        atomic.Int64
+	framesWritten atomic.Int64
+
+	pool framePool
 }
 
 // LinkStats reports the transport's link-health counters: how many
@@ -77,6 +155,13 @@ type TCPTransport struct {
 // redialer has spent. Safe to call concurrently with serving.
 func (t *TCPTransport) LinkStats() (peerDowns, redials int64) {
 	return t.peerDowns.Load(), t.redials.Load()
+}
+
+// WriteStats reports how many socket writes the transport has completed
+// and how many frames they carried; frames/writes is the batching the
+// fabric actually achieved. Safe to call concurrently with serving.
+func (t *TCPTransport) WriteStats() (writes, frames int64) {
+	return t.writes.Load(), t.framesWritten.Load()
 }
 
 // tcpPeer is one outgoing shard link's state machine: virgin (never
@@ -100,10 +185,15 @@ type tcpConn struct {
 }
 
 func (p *tcpConn) writeFrame(frame []byte) error {
-	return p.writeFrames([]InFrame{{Data: frame}})
+	return p.writeFrames([]InFrame{{Data: frame}}, nil)
 }
 
-func (p *tcpConn) writeFrames(frames []InFrame) error {
+// writeFrames sends the frames as one socket write. They are dead once
+// assembled — their bytes are in wbuf — so that is when recycle takes
+// them, before the write: a buffer is back in circulation while the
+// kernel still copies, and nothing of the batch is touched after the
+// peer can have seen it.
+func (p *tcpConn) writeFrames(frames []InFrame, recycle *framePool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	buf := p.wbuf[:0]
@@ -114,21 +204,31 @@ func (p *tcpConn) writeFrames(frames []InFrame) error {
 		buf = append(buf, frames[i].Data...)
 	}
 	p.wbuf = buf
+	recycle.put(frames)
 	_, err := p.c.Write(buf)
 	return err
 }
 
-// readFrame reads one length-prefixed frame segment.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one length-prefixed frame segment into buf's storage
+// when that is large enough, into a fresh buffer otherwise.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
+	r.Discard(4)
 	if n == 0 || n > maxTCPFrame {
 		return nil, fmt.Errorf("cluster: tcp frame length %d outside (0, %d]", n, maxTCPFrame)
 	}
-	buf := make([]byte, n)
+	if cap(buf) < n {
+		c := minFrameCap
+		for c < n {
+			c <<= 1
+		}
+		buf = make([]byte, n, c)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
@@ -178,36 +278,53 @@ func (t *TCPTransport) acceptLoop() {
 		tc := &tcpConn{c: c}
 		t.conns[id] = tc
 		t.mu.Unlock()
-		go t.readLoop(tc, id)
+		go t.readLoop(tc, id, func(error) {
+			t.mu.Lock()
+			delete(t.conns, id)
+			t.mu.Unlock()
+			tc.c.Close()
+		})
 	}
 }
 
-func (t *TCPTransport) readLoop(tc *tcpConn, id uint64) {
-	defer func() {
-		t.mu.Lock()
-		delete(t.conns, id)
-		t.mu.Unlock()
-		tc.c.Close()
-	}()
-	// Frames already sitting in the read buffer are delivered as one
-	// batch: the socket-side mirror of the senders' batching.
+// readLoop pumps one socket into the inbox: the accepted side's loop
+// (id is the reply token its frames carry) and, with id 0, the dialed
+// side's. Frames already sitting in the read buffer are delivered as
+// one batch — the socket-side mirror of the senders' batching — and
+// both the batch slice and the frame buffers come from the pool. A read
+// error ends the loop after everything parsed before it is delivered:
+// frames a dying peer got onto the wire are live roundtrips. onExit
+// runs last, with the read error, or nil when the transport closed.
+func (t *TCPTransport) readLoop(tc *tcpConn, id uint64, onExit func(err error)) {
 	rd := bufio.NewReaderSize(tc.c, 64*1024)
+	var stash [][]byte
 	for {
-		frame, err := readFrame(rd)
-		if err != nil {
-			return
+		var batch []InFrame
+		batch, stash = t.pool.get(stash)
+		var err error
+		for {
+			var buf []byte
+			if n := len(stash); n > 0 {
+				buf, stash = stash[n-1], stash[:n-1]
+			}
+			if buf, err = readFrame(rd, buf); err != nil {
+				break
+			}
+			batch = append(batch, InFrame{Data: buf, Conn: id})
+			if len(batch) == tcpBatch || rd.Buffered() < 4 {
+				break
+			}
 		}
-		batch := []InFrame{{Data: frame, Conn: id}}
-		for len(batch) < 256 && rd.Buffered() >= 4 {
-			frame, err = readFrame(rd)
-			if err != nil {
+		if len(batch) > 0 {
+			select {
+			case t.inbox <- batch:
+			case <-t.closed:
+				onExit(nil)
 				return
 			}
-			batch = append(batch, InFrame{Data: frame, Conn: id})
 		}
-		select {
-		case t.inbox <- batch:
-		case <-t.closed:
+		if err != nil {
+			onExit(err)
 			return
 		}
 	}
@@ -268,10 +385,11 @@ func (t *TCPTransport) dialPeer(to int) (*tcpConn, error) {
 	t.mu.Lock()
 	p := &t.peers[to]
 	if p.conn == nil {
-		p.conn = &tcpConn{c: c}
+		link := &tcpConn{c: c}
+		p.conn = link
 		p.everUp = true
 		p.lastErr = nil
-		go t.monitorPeer(to, p.conn)
+		go t.readLoop(link, 0, func(err error) { t.peerReadFailed(to, link, err) })
 	} else {
 		c.Close() // another goroutine won the race
 	}
@@ -280,34 +398,22 @@ func (t *TCPTransport) dialPeer(to int) (*tcpConn, error) {
 	return tc, nil
 }
 
-// monitorPeer is the dialed side's read loop. The protocol is symmetric,
-// so any frames the peer writes back on the link are delivered like
-// accepted-side traffic; mostly, though, the blocking Read is how peer
-// death reaches this side between writes. Without it a dead peer is only
-// discovered when a later write trips over the reset — and a send wedged
-// mid-batch against full socket buffers never gets that far. The read
-// error marks the peer down at once, and markPeerDown's conn close
-// unblocks any write in flight, so the wedged SendBatch fails typed
-// (*PeerDownError) instead of hanging.
-func (t *TCPTransport) monitorPeer(to int, tc *tcpConn) {
-	rd := bufio.NewReaderSize(tc.c, 64*1024)
-	for {
-		frame, err := readFrame(rd)
-		if err != nil {
-			select {
-			case <-t.closed:
-				return // transport shutdown, not a peer flap
-			default:
-			}
-			t.markPeerDown(to, tc, fmt.Errorf("cluster: peer link read: %w", err))
-			return
-		}
-		select {
-		case t.inbox <- []InFrame{{Data: frame}}:
-		case <-t.closed:
-			return
-		}
+// peerReadFailed ends the dialed side's read loop. The protocol is
+// symmetric, so any frames the peer writes back on the link are
+// delivered like accepted-side traffic; mostly, though, the blocking
+// Read is how peer death reaches this side between writes. Without it a
+// dead peer is only discovered when a later write trips over the reset
+// — and a send wedged mid-batch against full socket buffers never gets
+// that far. The read error marks the peer down at once, and
+// markPeerDown's conn close unblocks any write in flight, so the wedged
+// SendBatch fails typed (*PeerDownError) instead of hanging.
+func (t *TCPTransport) peerReadFailed(to int, tc *tcpConn, err error) {
+	select {
+	case <-t.closed:
+		return // transport shutdown, not a peer flap
+	default:
 	}
+	t.markPeerDown(to, tc, fmt.Errorf("cluster: peer link read: %w", err))
 }
 
 // markPeerDown transitions a link out of the up state after a write
@@ -362,15 +468,23 @@ func (t *TCPTransport) redialPeer(to int) {
 // Send implements Transport. A send to this shard itself loops back
 // through the inbox without touching a socket.
 func (t *TCPTransport) Send(to int, frame []byte) error {
-	return t.SendBatch(to, []InFrame{{Data: frame}})
+	return t.deliver(to, []InFrame{{Data: frame}}, nil)
 }
 
 // SendBatch implements Transport: one socket write carries the whole
-// batch of length-prefixed frames.
+// batch of length-prefixed frames, and the batch slice and its frame
+// buffers go to the pool.
 func (t *TCPTransport) SendBatch(to int, frames []InFrame) error {
 	if len(frames) == 0 {
 		return nil
 	}
+	return t.deliver(to, frames, &t.pool)
+}
+
+// deliver routes one batch: into the inbox for this shard itself (the
+// receiver now owns the frames), else through the peer's socket, which
+// leaves them to recycle whether or not the peer is there to take them.
+func (t *TCPTransport) deliver(to int, frames []InFrame, recycle *framePool) error {
 	if to == t.shard {
 		select {
 		case t.inbox <- frames:
@@ -381,12 +495,23 @@ func (t *TCPTransport) SendBatch(to int, frames []InFrame) error {
 	}
 	p, err := t.peer(to)
 	if err != nil {
+		recycle.put(frames)
 		return err
 	}
-	if err := p.writeFrames(frames); err != nil {
+	if err := t.write(p, frames, recycle); err != nil {
 		t.markPeerDown(to, p, err)
 		return &PeerDownError{Shard: to, Err: err}
 	}
+	return nil
+}
+
+// write is the transport's one socket-write site, counted.
+func (t *TCPTransport) write(tc *tcpConn, frames []InFrame, recycle *framePool) error {
+	if err := tc.writeFrames(frames, recycle); err != nil {
+		return err
+	}
+	t.writes.Add(1)
+	t.framesWritten.Add(int64(len(frames)))
 	return nil
 }
 
@@ -412,15 +537,30 @@ func (t *TCPTransport) TryRecv() ([]InFrame, bool, error) {
 	}
 }
 
-// Reply implements Transport: write back to an accepted connection.
-func (t *TCPTransport) Reply(conn uint64, frame []byte) error {
+// ReplyBatch implements Transport: one socket write carries the whole
+// batch back to an accepted connection, and — delivered or not — the
+// batch slice and its frame buffers go to the pool.
+func (t *TCPTransport) ReplyBatch(conn uint64, frames []InFrame) error {
+	if len(frames) == 0 {
+		return nil
+	}
 	t.mu.Lock()
 	tc := t.conns[conn]
 	t.mu.Unlock()
 	if tc == nil {
+		t.pool.put(frames)
 		return fmt.Errorf("cluster: reply to closed connection %d", conn)
 	}
-	return tc.writeFrame(frame)
+	return t.write(tc, frames, &t.pool)
+}
+
+// spareBufs implements bufferSource: a worker whose own free list ran
+// dry refills it from the pool, a batch's worth per lock.
+func (t *TCPTransport) spareBufs(free [][]byte) [][]byte {
+	t.pool.mu.Lock()
+	free = t.pool.topUp(free)
+	t.pool.mu.Unlock()
+	return free
 }
 
 // CloseAccept stops accepting new connections without disturbing the

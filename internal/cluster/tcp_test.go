@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -114,51 +113,12 @@ func TestTCPLoopback(t *testing.T) {
 	deps, _ := testDeployments(t, 32, 9)
 	dep := deps["stretch6"]
 	const shards = 2
-	place, err := NewPlacement(dep, shards, Contiguous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep.Graph().Seal()
+	c := startTCPShards(t, dep, shards, func(int) Options { return Options{Workers: 2} }, nil)
+	c.serve(t)
+	defer c.stop()
+	ss := c.shards
 
-	lns := make([]net.Listener, shards)
-	addrs := make([]string, shards)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	trs := make([]*TCPTransport, shards)
-	ss := make([]*Shard, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		trs[i] = NewTCPTransport(i, lns[i], addrs)
-		view, err := dep.ShardView(i, place.Owner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss[i] = NewShard(view, place, trs[i], Options{Workers: 2})
-		wg.Add(1)
-		go func(sh *Shard) {
-			defer wg.Done()
-			if err := sh.Serve(); err != nil {
-				t.Errorf("shard %d: %v", sh.Index(), err)
-			}
-		}(ss[i])
-	}
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-		wg.Wait()
-	}()
-
-	cl, err := DialClient(addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := c.dial(t)
 	defer cl.Close()
 	kind, nodes, nshards, err := cl.Info()
 	if err != nil {
@@ -286,7 +246,7 @@ func TestTCPPeerDeathDetectedByMonitor(t *testing.T) {
 	}
 	// The peer replies on the accepted conn — the same socket as A's
 	// dialed link — and A's monitor must hand it to the inbox.
-	if err := trB.Reply(got[0].Conn, []byte("pong")); err != nil {
+	if err := trB.ReplyBatch(got[0].Conn, []InFrame{{Data: []byte("pong")}}); err != nil {
 		t.Fatalf("reply on accepted conn: %v", err)
 	}
 	if got, err := trA.Recv(); err != nil || string(got[0].Data) != "pong" {

@@ -13,7 +13,7 @@ var ErrClosed = errors.New("cluster: transport closed")
 
 // InFrame is one received transport message: the frame bytes plus, for
 // messages that arrived on an accepted client connection (TCP), the
-// connection's reply token for Reply. The receiver owns Data.
+// connection's reply token for ReplyBatch. The receiver owns Data.
 type InFrame struct {
 	Data []byte
 	Conn uint64
@@ -21,10 +21,12 @@ type InFrame struct {
 
 // Transport is one shard's connection to the rest of the cluster: a
 // frame-oriented message fabric. Frames are opaque length-delimited
-// byte slices (the wire frame codec's output); the transport neither
-// reads nor retains them after delivery. Implementations must allow
-// concurrent Send/SendBatch/Reply from many goroutines and concurrent
-// Recv from a shard's worker pool.
+// byte slices (the wire frame codec's output) which the transport never
+// interprets; a buffer handed to it is its own from then on — passed to
+// the receiver, or kept for reuse once copied to a socket.
+// Implementations must allow
+// concurrent Send/SendBatch/ReplyBatch from many goroutines and
+// concurrent Recv from a shard's worker pool.
 type Transport interface {
 	// Send delivers one frame to shard to's mailbox. It blocks while
 	// the destination mailbox is full and returns ErrClosed after the
@@ -34,7 +36,7 @@ type Transport interface {
 	// message — the engine's amortization lever: a worker accumulates
 	// everything a dequeue batch emits toward each destination and pays
 	// one rendezvous per destination, not per frame. Ownership of the
-	// slice transfers to the transport.
+	// slice and of every frame buffer in it transfers to the transport.
 	SendBatch(to int, frames []InFrame) error
 	// Recv returns the next batch from this shard's mailbox, blocking
 	// until at least one frame is available. The caller owns the
@@ -45,12 +47,25 @@ type Transport interface {
 	// their outbound accumulations, so batches grow to the work
 	// actually queued instead of collapsing to singletons.
 	TryRecv() ([]InFrame, bool, error)
-	// Reply writes a frame back to the accepted client connection
-	// identified by conn (see InFrame.Conn). Transports without client
+	// ReplyBatch is SendBatch toward the accepted client connection
+	// identified by conn (see InFrame.Conn): the frames go back as one
+	// message, and the slice and its buffers are the transport's whether
+	// or not it could deliver them. Transports without client
 	// connections return an error.
-	Reply(conn uint64, frame []byte) error
+	ReplyBatch(conn uint64, frames []InFrame) error
 	// Close shuts the transport down, unblocking all Send/Recv calls.
 	Close() error
+}
+
+// bufferSource is the optional side of a transport that copies frames
+// to sockets and so ends up holding the buffers its shard shipped: the
+// shard's workers refill their free lists from it instead of the heap.
+// On the channel bus a buffer travels with its frame and the receiver
+// recycles it, so the bus has no such side.
+type bufferSource interface {
+	// spareBufs appends spare frame buffers to free (none when the
+	// transport holds none) and returns it.
+	spareBufs(free [][]byte) [][]byte
 }
 
 // Window is the pipelining credit counter: an injector Takes credits
@@ -229,7 +244,7 @@ func (e *busEndpoint) TryRecv() ([]InFrame, bool, error) {
 	}
 }
 
-func (e *busEndpoint) Reply(conn uint64, frame []byte) error {
+func (e *busEndpoint) ReplyBatch(conn uint64, frames []InFrame) error {
 	return fmt.Errorf("cluster: channel bus has no client connections (reply token %d)", conn)
 }
 

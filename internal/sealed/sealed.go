@@ -7,6 +7,8 @@
 // discipline as the graph's CSR index.
 package sealed
 
+import "math/bits"
+
 // Hash spreads an int32 id (Knuth multiplicative hash with an xor fold
 // so the low bits used by the mask are well mixed). Any bit pattern is
 // valid input; Table keys are additionally required to be non-negative
@@ -18,10 +20,25 @@ func Hash(v int32) uint32 {
 
 // Table is an immutable open-addressed map. The zero value is an empty
 // table: every Get misses and Built reports false.
+//
+// Only the 4-byte keys pay for the load factor. The values sit densely,
+// in slot order, so a value's position is the number of occupied slots
+// before its own: the rank of its slot in an occupancy bitmap, one
+// popcount away from a per-64-slots running count. A table of wide
+// values (a 48-byte rtz.Label) so costs 8-16 bytes of keys plus one
+// value per entry instead of 2-4 values per entry. The bitmap and its
+// counts are a sixteenth the size of the keys and stay cached, so a hit
+// still waits on two cache lines, the key's and the value's, and the
+// value's address does not wait for the key's load.
 type Table[V any] struct {
 	keys []int32 // -1 marks an empty slot
-	vals []V
-	n    int
+	occ  []group // occupancy of slots 64g .. 64g+63
+	vals []V     // exactly one per entry, in slot order
+}
+
+type group struct {
+	bits uint64 // bit j set: slot 64g+j is occupied
+	rank uint32 // occupied slots in all earlier groups
 }
 
 // Compile builds a table holding every entry of m. Keys must be
@@ -34,12 +51,12 @@ func Compile[V any](m map[int32]V) Table[V] {
 	for size < 2*len(m) {
 		size <<= 1
 	}
-	t := Table[V]{keys: make([]int32, size), vals: make([]V, size), n: len(m)}
+	t := Table[V]{keys: make([]int32, size), occ: make([]group, (size+63)/64), vals: make([]V, len(m))}
 	for i := range t.keys {
 		t.keys[i] = -1
 	}
 	mask := uint32(size - 1)
-	for k, v := range m {
+	for k := range m {
 		if k < 0 {
 			panic("sealed: negative key")
 		}
@@ -48,7 +65,19 @@ func Compile[V any](m map[int32]V) Table[V] {
 			i = (i + 1) & mask
 		}
 		t.keys[i] = k
-		t.vals[i] = v
+		t.occ[i>>6].bits |= 1 << (i & 63)
+	}
+	// With every slot known, the values go in by slot order: a second
+	// lookup per key, but each value is copied once, to its final place.
+	pos := 0
+	for i, k := range t.keys {
+		if i&63 == 0 {
+			t.occ[i>>6].rank = uint32(pos)
+		}
+		if k >= 0 {
+			t.vals[pos] = m[k]
+			pos++
+		}
 	}
 	return t
 }
@@ -57,7 +86,7 @@ func Compile[V any](m map[int32]V) Table[V] {
 func (t *Table[V]) Built() bool { return t.keys != nil }
 
 // Len returns the number of entries.
-func (t *Table[V]) Len() int { return t.n }
+func (t *Table[V]) Len() int { return len(t.vals) }
 
 // Get returns the value stored under k. Negative keys are never stored
 // (Compile rejects them) and always miss — they must not be compared
@@ -71,7 +100,8 @@ func (t *Table[V]) Get(k int32) (V, bool) {
 	for i := Hash(k) & mask; ; i = (i + 1) & mask {
 		switch kk := t.keys[i]; {
 		case kk == k:
-			return t.vals[i], true
+			g := &t.occ[i>>6]
+			return t.vals[int(g.rank)+bits.OnesCount64(g.bits&(1<<(i&63)-1))], true
 		case kk < 0:
 			var zero V
 			return zero, false
@@ -81,9 +111,11 @@ func (t *Table[V]) Get(k int32) (V, bool) {
 
 // Range calls fn for every entry, in unspecified order.
 func (t *Table[V]) Range(fn func(k int32, v V)) {
-	for i, k := range t.keys {
+	pos := 0
+	for _, k := range t.keys {
 		if k >= 0 {
-			fn(k, t.vals[i])
+			fn(k, t.vals[pos])
+			pos++
 		}
 	}
 }

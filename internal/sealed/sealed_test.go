@@ -39,6 +39,59 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestDenseTableMatchesMap checks the dense layout against its builder
+// map entry for entry, with a value as wide as the label tables store,
+// at the sizes where the slot count doubles (2*len crossing a power of
+// two leaves the slots at load exactly 1/2 or just above 1/4): values
+// are stored once per entry whatever the load, Get and Range agree with
+// the map, and absent and negative keys miss.
+func TestDenseTableMatchesMap(t *testing.T) {
+	type wide struct{ a, b, c, d, e int64 }
+	rng := rand.New(rand.NewSource(17))
+	sizes := []int{1, 2, 3}
+	for p := 4; p <= 1024; p <<= 1 {
+		sizes = append(sizes, p-1, p, p+1)
+	}
+	for _, n := range sizes {
+		m := make(map[int32]wide, n)
+		for len(m) < n {
+			k := int32(rng.Intn(4 * n))
+			m[k] = wide{int64(k), rng.Int63(), rng.Int63(), rng.Int63(), int64(len(m))}
+		}
+		tab := Compile(m)
+		if len(tab.vals) != n || cap(tab.vals) != n {
+			t.Fatalf("n=%d: %d values stored in capacity %d, want exactly one per entry", n, len(tab.vals), cap(tab.vals))
+		}
+		if len(tab.keys) < 2*n || len(tab.keys) >= 4*n+2 {
+			t.Fatalf("n=%d: %d slots, want load in (1/4, 1/2]", n, len(tab.keys))
+		}
+		if tab.Len() != n || !tab.Built() {
+			t.Fatalf("n=%d: Len %d, Built %v", n, tab.Len(), tab.Built())
+		}
+		for k := int32(-2); k < int32(4*n)+2; k++ {
+			want, wantOK := m[k]
+			if got, ok := tab.Get(k); ok != wantOK || got != want {
+				t.Fatalf("n=%d: Get(%d) = (%v, %v), map has (%v, %v)", n, k, got, ok, want, wantOK)
+			}
+		}
+		seen := make(map[int32]wide, n)
+		tab.Range(func(k int32, v wide) {
+			if _, dup := seen[k]; dup {
+				t.Fatalf("n=%d: Range visited key %d twice", n, k)
+			}
+			seen[k] = v
+		})
+		if len(seen) != n {
+			t.Fatalf("n=%d: Range visited %d entries", n, len(seen))
+		}
+		for k, v := range m {
+			if seen[k] != v {
+				t.Fatalf("n=%d: Range gave %v for key %d, map has %v", n, seen[k], k, v)
+			}
+		}
+	}
+}
+
 func TestGetNegativeKeyMisses(t *testing.T) {
 	tab := Compile(map[int32]int{0: 1, 7: 2})
 	for _, k := range []int32{-1, -5, -1 << 30} {

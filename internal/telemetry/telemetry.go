@@ -49,7 +49,7 @@ const (
 	// StageComplete is completion accounting: stats, histograms,
 	// samples, the window credit Put.
 	StageComplete
-	// StageSend is transport rendezvous: SendBatch and Reply calls.
+	// StageSend is transport rendezvous: SendBatch and ReplyBatch calls.
 	StageSend
 	// StageInject is injector-side work: pair generation and
 	// inject-batch encode.
