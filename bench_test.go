@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rtroute/internal/benchsuite"
 	"rtroute/internal/blocks"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
@@ -255,14 +254,6 @@ func BenchmarkLemma2RTZOneWay(b *testing.B) {
 	}
 }
 
-// BenchmarkDijkstra measures the shortest-path substrate (S1): the
-// pooled one-shot entry point, which pays two owned-row copies per call.
-func BenchmarkDijkstra(b *testing.B) { benchsuite.BenchDijkstraPooled(b) }
-
-// BenchmarkDijkstraScratch measures the zero-allocation core (E13/S4):
-// the same runs through one reused SSSPScratch, rows aliased not copied.
-func BenchmarkDijkstraScratch(b *testing.B) { benchsuite.BenchDijkstraScratch(b) }
-
 // BenchmarkAllPairs measures full metric construction (S1).
 func BenchmarkAllPairs(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
@@ -317,27 +308,29 @@ func BenchmarkInitOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkMetricBuild compares the cost of standing up each
-// DistanceOracle flavor on the same 512-node graph: the sequential dense
-// matrix (the pre-refactor default), the parallel dense build (the new
-// AllPairs default), and the lazy oracle driven through one full
-// row sweep (2n Dijkstras, bounded cache) — the worst case a scheme
-// build can demand of it.
+// BenchmarkMetricBuild drives the lazy oracle through a full 2n-row
+// sweep at a 64-row cache on a 512-node graph — the worst case a scheme
+// build can demand of it. (The dense build and the cold single row are
+// the repo benchmark's graph.allpairs_s and graph.lazy_row_us.)
 func BenchmarkMetricBuild(b *testing.B) {
-	// Bodies live in benchsuite (shared with `rtbench -exp bench`);
-	// lazy-single-row measures the latency a cold point query actually
-	// pays: one Dijkstra, versus the full n-Dijkstra dense build.
-	b.Run("dense-sequential", benchsuite.BenchMetricDenseSequential)
-	b.Run("dense-parallel", benchsuite.BenchMetricDenseParallel)
-	b.Run("lazy-full-sweep", benchsuite.BenchMetricLazyFullSweep)
-	b.Run("lazy-single-row", benchsuite.BenchMetricLazySingleRow)
+	g := RandomSC(512, 2048, 8, rand.New(rand.NewSource(31)))
+	b.Run("lazy-full-sweep", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			o := graph.NewLazyOracle(g, 64)
+			var sink graph.Dist
+			for u := 0; u < g.N(); u++ {
+				sink += o.FromSource(graph.NodeID(u))[0] + o.ToSink(graph.NodeID(u))[0]
+			}
+			if sink < 0 {
+				b.Fatal("impossible")
+			}
+		}
+	})
 }
 
-// BenchmarkEdgeByPort compares the per-hop port-resolution cost across
-// generations of the lookup: the O(degree) linear scan, the sealed O(1)
-// tables behind EdgeByPort ("csr" sub-benchmark name kept for trajectory
-// continuity — adversarial labels exercise the open-addressed path,
-// "dense" the flat-table path), and the O(1) pair hash.
+// BenchmarkEdgeByPort measures what the sealed O(1) port tables are
+// compared against — the O(degree) linear scan — and the O(1) pair hash.
+// (The tables themselves are the repo benchmark's graph.edgebyport_ns.)
 func BenchmarkEdgeByPort(b *testing.B) {
 	rng := rand.New(rand.NewSource(33))
 	g := RandomSC(1024, 16*1024, 8, rng)
@@ -367,11 +360,6 @@ func BenchmarkEdgeByPort(b *testing.B) {
 			}
 		}
 	})
-	// "csr" (adversarial labels -> hashed tables; name kept for
-	// trajectory continuity) and "dense" (contiguous labels -> flat
-	// tables) share their bodies with `rtbench -exp bench`.
-	b.Run("csr", benchsuite.BenchEdgeByPortAdversarial)
-	b.Run("dense", benchsuite.BenchEdgeByPortDense)
 	b.Run("portto-hash", func(b *testing.B) {
 		// The companion O(1) pair lookup used by table construction.
 		targets := make([]NodeID, len(probes))
@@ -490,22 +478,3 @@ func BenchmarkBuildAll1k(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkMarshalScheme measures wire-format snapshot encoding.
-func BenchmarkMarshalScheme(b *testing.B) { benchsuite.BenchMarshalScheme(b) }
-
-// BenchmarkDeploymentForward serves traffic through a wire-restored
-// per-node-Router Deployment; the PR4 bar is within 10% of the
-// monolithic compiled plane (BenchmarkTrafficThroughput workers=1).
-func BenchmarkDeploymentForward(b *testing.B) { benchsuite.BenchDeploymentForward(b) }
-
-// BenchmarkClusterThroughput is scaling study S6: the same restored
-// Deployment sharded across an 8-shard channel-bus cluster, every
-// boundary-crossing hop wire-encoded.
-func BenchmarkClusterThroughput(b *testing.B) { benchsuite.BenchClusterThroughput(b) }
-
-// BenchmarkClusterTelemetry is the identical run with the telemetry
-// plane attached at rtserve defaults — measured against the row above,
-// it is the observability overhead (E16 acceptance: within a few
-// percent).
-func BenchmarkClusterTelemetry(b *testing.B) { benchsuite.BenchClusterTelemetry(b) }

@@ -167,16 +167,13 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 	}
 }
 
-// Deployment is a scheme reassembled from per-node LocalState as
-// per-node Routers: it implements the same forwarding-plane contract as
-// a monolithic scheme (sim/traffic drive it identically) while every
-// Forward goes through the addressed node's Router alone. Snapshots
-// restored by UnmarshalScheme come back as Deployments carrying their
-// per-node encoded byte sizes.
+// Deployment is a scheme reassembled from per-node LocalState: it
+// implements the same forwarding-plane contract as a monolithic scheme
+// (sim/traffic drive it identically) while every Forward reads only the
+// addressed node's state and the header. Snapshots restored by
+// UnmarshalScheme come back as Deployments carrying their per-node
+// encoded byte sizes.
 type Deployment = core.Deployment
-
-// Router is one node's forwarding agent within a Deployment.
-type Router = core.Router
 
 // Deploy decomposes a built scheme into per-node local states and
 // reassembles it as a Deployment, certifying that node-local state plus
@@ -194,16 +191,10 @@ func MarshalSchemeSizes(p ForwardingPlane) ([]byte, []int, error) {
 	return wire.MarshalSchemeSizes(p)
 }
 
-// UnmarshalScheme restores a snapshot as a Deployment of per-node
-// routers, route-identical to the scheme that was marshaled; per-node
-// encoded sizes are available via Deployment.EncodedSize.
+// UnmarshalScheme restores a snapshot as a Deployment, route-identical
+// to the scheme that was marshaled; per-node encoded sizes are
+// available via Deployment.EncodedSize.
 func UnmarshalScheme(data []byte) (*Deployment, error) { return wire.UnmarshalScheme(data) }
-
-// MarshalHeader encodes a packet header as a self-contained byte packet.
-func MarshalHeader(h Header) ([]byte, error) { return wire.MarshalHeader(h) }
-
-// UnmarshalHeader decodes a header packet.
-func UnmarshalHeader(data []byte) (Header, error) { return wire.UnmarshalHeader(data) }
 
 // EncodedNodeSizes returns every node's local routing state encoded in
 // wire bytes — the empirical per-node space bound of Theorems 6 and 11.

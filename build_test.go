@@ -209,10 +209,10 @@ func TestStretchInfUnreachable(t *testing.T) {
 }
 
 // TestDeploymentRoutersConcurrent drives roundtrips through the raw
-// Deployment — per-hop Router dispatch, NOT the flattened compile path
-// — from many goroutines at once, and demands the traces match the
+// Deployment — its own bounds-checked Forward, NOT the flattened compile
+// path — from many goroutines at once, and demands the traces match the
 // monolithic scheme's. Run under -race in CI, this certifies the
-// router indirection itself for concurrent service.
+// reassembled tables themselves for concurrent service.
 func TestDeploymentRoutersConcurrent(t *testing.T) {
 	const n = 48
 	sys := newTestSystem(t, 8, n)

@@ -58,15 +58,16 @@ type Replica struct {
 }
 
 // NewReplica builds kind over sys exactly as BuildWith would, wrapped
-// for incremental maintenance, with a churn overlay over sys.Graph.
-// Repairs mutate that graph, so sys must not be shared with another
-// replica, and it must use MetricLazy (see BuildMaintained).
-func NewReplica(sys *System, kind SchemeKind, cfg BuildConfig, damper DamperOptions) (*Replica, error) {
+// for incremental maintenance, with a churn overlay over sys.Graph
+// (flap damper at its defaults). Repairs mutate that graph, so sys must
+// not be shared with another replica, and it must use MetricLazy (see
+// BuildMaintained).
+func NewReplica(sys *System, kind SchemeKind, cfg BuildConfig) (*Replica, error) {
 	m, err := sys.BuildMaintained(kind, func(c *BuildConfig) { *c = cfg })
 	if err != nil {
 		return nil, err
 	}
-	ov, err := NewChurnOverlay(sys.Graph, damper)
+	ov, err := NewChurnOverlay(sys.Graph, DamperOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // Cluster serving re-exports (experiment E15 / scaling study S6): shard
-// a Deployment's per-node routers across S serving shards and forward
+// a Deployment's per-node tables across S serving shards and forward
 // packets between shards as wire-encoded frames — the in-process
 // channel-bus engine here, the TCP daemons via cmd/rtserve.
 type (
@@ -91,12 +91,6 @@ type (
 
 // NewTelemetrySink creates a sink for the given probe shape.
 func NewTelemetrySink(cfg TelemetryConfig) *TelemetrySink { return telemetry.New(cfg) }
-
-// FormatStageTable renders a measured stage-cost table; a non-zero
-// wallNsPerRT adds the coverage line (stage sum over measured wall).
-func FormatStageTable(rows []TelemetryStageRow, wallNsPerRT float64) string {
-	return telemetry.FormatStageTable(rows, wallNsPerRT)
-}
 
 // TelemetryBusySum sums the non-wait stage rows' per-roundtrip cost.
 func TelemetryBusySum(rows []TelemetryStageRow) float64 { return telemetry.BusySum(rows) }

@@ -36,9 +36,6 @@ type ChurnClusterConfig struct {
 	Placement PlacementPolicy
 	// ChurnSeed seeds the event model (independent of Build.Seed).
 	ChurnSeed int64
-	// Rate is the Poisson clock intensity the event timestamps advance
-	// with (default 1); it paces the flap damper, not the experiment.
-	Rate float64
 	// Batches is the number of churn->repair->certify rounds (default 4).
 	Batches int
 	// EventsPerBatch is the number of topology events per batch
@@ -51,20 +48,12 @@ type ChurnClusterConfig struct {
 	// sequentially on the reference plane for exact-totals comparison
 	// (default 2000).
 	StablePackets int64
-	// Mix weights the event kinds (zero value = DefaultChurnMix).
-	Mix ChurnMix
 	// MaxWeight bounds weight-change draws (default 64).
 	MaxWeight Dist
 	// MinWeight, when > 0, floors weight-change draws.
 	MinWeight Dist
-	// Damper tunes the per-link flap damper (zero value = defaults).
-	Damper DamperOptions
-	// MaxHops bounds each leg (0 = sim's default 4n budget).
-	MaxHops int
 	// InFlight caps concurrently live roundtrips (default 512).
 	InFlight int
-	// Batch bounds one mailbox dequeue (default 64).
-	Batch int
 	// Workload selects the pair distribution (zero value = uniform).
 	Workload TrafficWorkload
 	// Certify additionally certifies the reference replica against a
@@ -89,9 +78,6 @@ func (cfg *ChurnClusterConfig) fill() {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = 1
-	}
 	if cfg.Batches <= 0 {
 		cfg.Batches = 4
 	}
@@ -109,9 +95,6 @@ func (cfg *ChurnClusterConfig) fill() {
 	}
 	if cfg.InFlight <= 0 {
 		cfg.InFlight = 512
-	}
-	if cfg.Mix == (ChurnMix{}) {
-		cfg.Mix = DefaultChurnMix
 	}
 	if cfg.Build.K == 0 {
 		cfg.Build.K = 2
@@ -257,11 +240,13 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	// Reference replica: the certification oracle and sequential-replay
 	// plane. It sees the same events and repairs with the full affected
 	// set (no ownership filter).
-	ref, err := NewReplica(sys, cfg.Kind, cfg.Build, cfg.Damper)
+	ref, err := NewReplica(sys, cfg.Kind, cfg.Build)
 	if err != nil {
 		return nil, err
 	}
-	model := churn.NewModel(ref.ov, cfg.ChurnSeed, cfg.Rate, cfg.Mix, cfg.MaxWeight)
+	// Event times advance on a unit-rate Poisson clock (it paces the
+	// flap damper, not the experiment) over the default event mix.
+	model := churn.NewModel(ref.ov, cfg.ChurnSeed, 1, churn.DefaultMix, cfg.MaxWeight)
 	if cfg.MinWeight > 0 {
 		model.SetMinWeight(cfg.MinWeight)
 	}
@@ -296,7 +281,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
 		}
-		rep, err := NewReplica(si, cfg.Kind, cfg.Build, cfg.Damper)
+		rep, err := NewReplica(si, cfg.Kind, cfg.Build)
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
 		}
@@ -310,8 +295,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 			tr = cfg.wrapEndpoint(i, tr)
 		}
 		r.reps[i] = ccShard{rep, cluster.NewShard(view, place, tr, cluster.Options{
-			Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
-			Strict: true,
+			Workers: cfg.Workers, Strict: true,
 			OnDone: func(f *wire.Frame) {
 				r.servedHops.Add(int64(f.Out.Hops) + int64(f.Back.Hops))
 				r.servedWeight.Add(int64(f.Out.Weight) + int64(f.Back.Weight))
@@ -541,7 +525,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		var refHops, refWeight int64
 		var hdr sim.Header
 		for _, p := range stablePairs {
-			out, back, h, err := sim.RoundtripFlightReusing(r.ref.m.Plane(), hdr, p.src, p.dst, r.cfg.MaxHops)
+			out, back, h, err := sim.RoundtripFlightReusing(r.ref.m.Plane(), hdr, p.src, p.dst, 0)
 			if err != nil {
 				return fmt.Errorf("rtroute: batch %d: sequential replay %d->%d: %w", b, p.src, p.dst, err)
 			}

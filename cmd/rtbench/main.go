@@ -205,10 +205,9 @@ func printTiming(sink *rtroute.TelemetrySink, packets int64, elapsedNs int64) {
 	if sink == nil || !servingTiming {
 		return
 	}
-	rows := sink.Snapshot().StageTable(packets)
 	wall := float64(elapsedNs) / float64(packets)
 	fmt.Printf("\nmeasured stage timing (sampled batches, scaled to per-roundtrip)\n%s",
-		rtroute.FormatStageTable(rows, wall))
+		sink.Snapshot().FormatStageTable(packets, wall))
 }
 
 func runTraffic(n int, seed int64) error {

@@ -1,6 +1,6 @@
 // Command rtserve runs one shard of a networked routing cluster: it
 // restores a scheme snapshot (rtroute -save), takes ownership of its
-// placement slice of the per-node routers, listens for wire frames on
+// placement slice of the per-node tables, listens for wire frames on
 // its address, and serves forever — forwarding local hops with
 // shard-local state only and shipping boundary-crossing packets to the
 // peer daemons named in -addrs. Every daemon computes the identical
@@ -205,8 +205,8 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 		fmt.Printf("churn: %d repairs applied (mean %v), %d roundtrips dropped, %d misrouted\n",
 			reps, mean, d, m)
 	}
-	if rows := sink.Snapshot().StageTable(st.Packets); len(rows) > 0 {
-		fmt.Printf("\nstage timing (per completed roundtrip)\n%s", telemetry.FormatStageTable(rows, 0))
+	if table := sink.Snapshot().FormatStageTable(st.Packets, 0); table != "" {
+		fmt.Printf("\nstage timing (per completed roundtrip)\n%s", table)
 	}
 	return err
 }
@@ -221,7 +221,7 @@ func armRepair(dep *rtroute.Deployment, view *core.ShardView, seed int64, k int)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := rtroute.NewReplica(sys, dep.Kind(), rtroute.BuildConfig{Seed: seed, K: k}, rtroute.DamperOptions{})
+	rep, err := rtroute.NewReplica(sys, dep.Kind(), rtroute.BuildConfig{Seed: seed, K: k})
 	if err != nil {
 		return nil, err
 	}

@@ -153,9 +153,6 @@ func NewModel(ov *Overlay, seed int64, rate float64, mix Mix, maxW graph.Dist) *
 	return m
 }
 
-// Clock returns the current event time.
-func (m *Model) Clock() float64 { return m.clock }
-
 // SetMinWeight raises the floor of the perturbation weight domain
 // (default 1), matching a graph whose weights live in [min, max]. A
 // weight domain with max/min under 2 keeps any single edge from

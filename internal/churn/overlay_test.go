@@ -118,4 +118,10 @@ func TestApplyBatchRejectsInadmissibleEvent(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "event 1") {
 		t.Fatalf("unknown event kind at index 1: got %v", err)
 	}
+	// A weight the graph would refuse is an error too, not the prober's
+	// panic: weight 0 decodes off the wire like any other.
+	_, err = ov.ApplyBatch([]Event{{Kind: WeightChange, U: 0, V: ov.G.Out(0)[0].To, Weight: 0}})
+	if err == nil || !strings.Contains(err.Error(), "outside [1, DownWeight]") {
+		t.Fatalf("weight 0 on a live edge: got %v", err)
+	}
 }

@@ -6,15 +6,22 @@ import (
 	"rtroute/internal/graph"
 )
 
-// This file is the bounded affected-set probe: the same may-use set as
-// Affected at half the Dijkstra bill, plus two frontier walks that stop
-// at the first unaffected node.
+// This file is the affected-set probe. Reweighting edge (u, v) from
+// wOld to wNew, the may-use affected set is every node whose
+// shortest-path distance rows — in either direction, counting ties —
+// can differ between the old and new graph: x is source-affected iff
+// some shortest path from x to v uses (or newly ties with) the edge,
+// which on either graph is the equality d(x,v) = d(x,u) + w, and y is
+// destination-affected symmetrically via d(u,y) = w + d(v,y). Checking
+// the equalities on both the pre- and post-mutation graph captures
+// destroyed ties (weight increases) and created ties (decreases). Nodes
+// outside the set keep bit-identical Dijkstra outcomes — distances and
+// deterministic parent choices — in every solver the schemes run.
 //
-// Affected's eight rows exist only to evaluate two equalities per graph
-// configuration: x is source-affected when d(x,v) = d(x,u) + w (some
-// shortest path from x to v crosses the edge), destination-affected
-// when d(u,y) = w + d(v,y). The probe evaluates each equality set
-// without the second row of its pair:
+// Evaluating the two equalities directly takes the four rows anchored
+// at u and v per configuration, eight Dijkstras in all (the test
+// oracle in probe_test.go does exactly that). The probe evaluates each
+// equality set without the second row of its pair:
 //
 //   - The source set is exactly the backward closure of u under tight
 //     in-edges of the single row t(x) = d(x,v): u belongs iff
@@ -32,11 +39,11 @@ import (
 // frontier node that breaks the tightness equality. Old plus new
 // configuration: 4 full Dijkstras instead of 8, and the closure cost
 // is proportional to the affected set, near zero in the common case
-// where neither endpoint test fires. The result is the same set
-// Affected returns, node for node — the superset property the
-// maintainers need holds as equality.
+// where neither endpoint test fires. The result is the equality sets
+// node for node — the superset property the maintainers need holds as
+// equality.
 
-// Prober computes bounded affected sets with reusable scratch: two
+// Prober computes affected sets with reusable scratch: two
 // Dijkstra scratches (the forward and reverse rows of one
 // configuration are alive simultaneously), a stamp array for closure
 // membership, and the work queue.
@@ -56,10 +63,10 @@ type Prober struct {
 // NewProber returns a prober sized lazily to the graphs it probes.
 func NewProber() *Prober { return &Prober{} }
 
-// Affected is the bounded probe, with Affected's exact contract: it
-// mutates edge (u, v) of g to weight wNew and returns the sorted
-// may-use affected node set. The returned slice is owned by the caller;
-// the prober's scratch is reused across calls.
+// Affected mutates edge (u, v) of g to weight wNew and returns the
+// sorted may-use affected node set. The returned slice is owned by the
+// caller; the prober's scratch is reused across calls. The edge must
+// exist and wNew lie in [1, DownWeight] (Overlay.mutate checks both).
 func (p *Prober) Affected(g *graph.Graph, u, v graph.NodeID, wNew graph.Dist) []graph.NodeID {
 	n := g.N()
 	if p.fwd == nil {
@@ -147,10 +154,4 @@ func (p *Prober) visit(x graph.NodeID) {
 	p.seen[x] = p.seenEpoch
 	p.mark[x] = p.epoch
 	p.queue = append(p.queue, x)
-}
-
-// AffectedBounded is the one-shot form of Prober.Affected, for callers
-// without a probe stream to amortize scratch over.
-func AffectedBounded(g *graph.Graph, u, v graph.NodeID, wNew graph.Dist) []graph.NodeID {
-	return NewProber().Affected(g, u, v, wNew)
 }

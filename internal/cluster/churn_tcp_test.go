@@ -12,6 +12,7 @@ import (
 	"rtroute/internal/churn"
 	"rtroute/internal/graph"
 	"rtroute/internal/sim"
+	"rtroute/internal/telemetry"
 	"rtroute/internal/wire"
 )
 
@@ -135,7 +136,7 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 	// Ship a churn batch; the repair hook parks holding the write fence.
 	ack := make(chan error, 1)
 	go func() {
-		ack <- cl.Churn(1, []churn.Event{{Kind: churn.WeightChange, U: 0, V: 1, Weight: 5, At: 0.25}})
+		ack <- cl.Churn(1, []churn.Event{{Kind: churn.WeightChange, U: 0, V: dep.Graph().Out(0)[0].To, Weight: 5, At: 0.25}})
 	}()
 	select {
 	case <-entered:
@@ -227,7 +228,7 @@ func TestRepairFailurePoisonsShard(t *testing.T) {
 	go func() { served <- sh.Serve() }()
 
 	if err := bus.Send(0, wire.AppendChurnFrame(nil, 1, []churn.Event{
-		{Kind: churn.WeightChange, U: 0, V: 1, Weight: 5, At: 0.25},
+		{Kind: churn.WeightChange, U: 0, V: dep.Graph().Out(0)[0].To, Weight: 5, At: 0.25},
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +239,81 @@ func TestRepairFailurePoisonsShard(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve still running 5s after a failed repair; the shard must stop, not keep serving")
+	}
+}
+
+// TestTCPHostileChurnFrames: churn frames that decode cleanly but name
+// something this graph cannot apply — a weight the graph refuses, an
+// in-range node pair with no edge — are rejected when they arrive, before
+// anything mutates. The repair hook is a real overlay (as rtserve
+// -repair arms one), so a frame that got through would panic the prober
+// or fail the repair and poison the shard. Each bad frame adds exactly
+// one to Errors, the daemon keeps serving, and the next valid batch —
+// still sequence number 1 — is repaired and acknowledged.
+func TestTCPHostileChurnFrames(t *testing.T) {
+	deps, _ := testDeployments(t, 32, 25)
+	dep := deps["stretch6"]
+	g := dep.Graph()
+	ov, err := churn.NewOverlay(g.Clone(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repaired atomic.Int32
+	// Errors is read off the sink: workers publish at batch boundaries,
+	// so the reading is race-free while they serve.
+	sink := telemetry.New(telemetry.Config{Shards: []int{0}, Workers: 2})
+	errorsCounted := func() int64 { return sink.Snapshot().Totals.Errors }
+	c := startTCPShards(t, dep, 1, func(int) Options {
+		return Options{Workers: 2, Sink: sink, Repair: func(seq uint64, events []churn.Event) error {
+			_, err := ov.ApplyBatch(events)
+			repaired.Add(1)
+			return err
+		}}
+	}, nil)
+	c.serve(t)
+	defer c.stop()
+	cl := c.dial(t)
+	defer cl.Close()
+
+	u, v := graph.NodeID(0), g.Out(0)[0].To
+	var stranger graph.NodeID // in range, but (u, stranger) is no edge
+	for g.HasEdge(u, stranger) || stranger == u {
+		stranger++
+	}
+	valid := churn.Event{Kind: churn.WeightChange, U: u, V: v, Weight: 5, At: 0.25}
+	for _, hostile := range []struct {
+		name   string
+		events []churn.Event
+	}{
+		{"weight 0 on a live edge", []churn.Event{{Kind: churn.WeightChange, U: u, V: v, Weight: 0, At: 0.5}}},
+		{"weight DownWeight on a live edge", []churn.Event{{Kind: churn.WeightChange, U: u, V: v, Weight: graph.DownWeight, At: 0.5}}},
+		{"edge-down on a non-edge after a valid event", []churn.Event{valid, {Kind: churn.EdgeDown, U: u, V: stranger, At: 0.5}}},
+		{"weight change on a non-edge", []churn.Event{{Kind: churn.WeightChange, U: u, V: stranger, Weight: 5, At: 0.5}}},
+	} {
+		before := errorsCounted()
+		if err := (&tcpConn{c: cl.conn}).writeFrame(wire.AppendChurnFrame(nil, 1, hostile.events)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.Roundtrip(2, 9); err != nil {
+			t.Fatalf("roundtrip after %s: %v", hostile.name, err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); errorsCounted() == before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := errorsCounted(); got != before+1 {
+			t.Fatalf("%s: errors %d -> %d, want one more", hostile.name, before, got)
+		}
+		if repaired.Load() != 0 {
+			t.Fatalf("%s reached the repair hook", hostile.name)
+		}
+		if w, _ := ov.G.EdgeWeight(u, v); w != g.Out(0)[0].Weight {
+			t.Fatalf("%s mutated the replica: (%d,%d) now weighs %d", hostile.name, u, v, w)
+		}
+	}
+	if err := cl.Churn(1, []churn.Event{valid}); err != nil {
+		t.Fatalf("valid batch after the hostile ones: %v", err)
+	}
+	if w, _ := ov.G.EdgeWeight(u, v); repaired.Load() != 1 || w != 5 {
+		t.Fatalf("valid batch: %d repairs, (%d,%d) weighs %d, want 1 and 5", repaired.Load(), u, v, w)
 	}
 }

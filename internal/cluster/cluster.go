@@ -1,8 +1,8 @@
 // Package cluster is the networked shard-serving layer: it partitions a
-// Deployment's per-node Routers across S shards and forwards packets
+// Deployment's per-node tables across S shards and forwards packets
 // *between* shards as wire-encoded frames over a pluggable Transport —
 // the step from "per-node state suffices in one process" (PR 4's
-// deployment) to "routers live on different machines", which is the
+// deployment) to "tables live on different machines", which is the
 // regime the paper's topology-independent names and sublinear tables
 // are for.
 //
@@ -13,7 +13,7 @@
 // roundtrip's routing preamble are encoded as a fixed-layout flight
 // frame (wire.AppendFlightFrame, or a repatch of the received bytes)
 // and shipped to the owner, who resumes the leg exactly where it
-// stopped — sim.FlySegment makes the chain of per-shard segments
+// stopped — sim.SegmentRunner makes the chain of per-shard segments
 // hop-for-hop identical to one single-process fly loop, which is what
 // the route-identity tests certify against sim.Run.
 //

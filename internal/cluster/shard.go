@@ -232,7 +232,7 @@ type Options struct {
 }
 
 // Shard is one serving process of a cluster: the ShardView holding its
-// nodes' routers, the placement that says who owns everything else, and
+// nodes' tables, the placement that says who owns everything else, and
 // a transport to ship boundary-crossing packets as wire frames. The
 // same Shard runs under the in-process engine (Run) and the network
 // daemon (Serve); only the transport differs.
@@ -735,12 +735,18 @@ func (s *Shard) stashChurn(st *shardWorker, in InFrame) error {
 	if seq == 0 {
 		return fmt.Errorf("cluster: churn batch with sequence number 0")
 	}
-	n := s.view.Graph().N()
+	g := s.view.Graph()
+	n := g.N()
 	for i, ev := range events {
 		switch ev.Kind {
 		case churn.EdgeDown, churn.EdgeUp, churn.WeightChange:
-			if int(ev.U) >= n || int(ev.V) >= n {
-				return fmt.Errorf("cluster: churn event %d touches edge (%d,%d) outside [0,%d)", i, ev.U, ev.V, n)
+			// Churn reweights edges in place and never adds or removes
+			// one, so this graph's adjacency is the repair replica's.
+			if !g.HasEdge(ev.U, ev.V) {
+				return fmt.Errorf("cluster: churn event %d names (%d,%d), not an edge of this graph", i, ev.U, ev.V)
+			}
+			if ev.Kind == churn.WeightChange && (ev.Weight < 1 || ev.Weight >= graph.DownWeight) {
+				return fmt.Errorf("cluster: churn event %d sets weight %d outside [1, DownWeight)", i, ev.Weight)
 			}
 		default:
 			if int(ev.Node) >= n {

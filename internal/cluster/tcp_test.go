@@ -194,7 +194,7 @@ func TestTCPLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired, err := wire.MarshalFrame(&wire.Frame{Kind: wire.FrameInject, SrcName: 1, DstName: 2, Home: wire.HomeClient})
+	retired, err := wire.AppendFrame(nil, &wire.Frame{Kind: wire.FrameInject, SrcName: 1, DstName: 2, Home: wire.HomeClient})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ import (
 
 // This file is the per-node decomposition layer: every built scheme
 // splits into one LocalState per node — only that node's tables — and a
-// Deployment reassembles per-node Routers that forward purely from local
-// state plus the arriving header. The portable LocalState structs are
-// the schema the wire codec encodes; all slices are kept in a canonical
-// sorted order so that encoding is deterministic (the golden-file tests
-// lock this).
+// Deployment reassembles them into a plane that forwards purely from the
+// addressed node's state plus the arriving header. The portable
+// LocalState structs are the schema the wire codec encodes; all slices
+// are kept in a canonical sorted order so that encoding is deterministic
+// (the golden-file tests lock this).
 
 // Kind identifies a scheme on the wire and in a deployment.
 type Kind uint8
@@ -162,7 +162,7 @@ type HopLocal struct {
 
 // LocalState is one node's complete routing state: exactly one of the
 // kind-specific pointers is set. It is the unit the space bounds are
-// certified over — everything a per-node Router forwards with, and
+// certified over — everything forwarding at the node reads, and
 // everything the wire codec charges to the node.
 type LocalState struct {
 	Node graph.NodeID
@@ -351,9 +351,9 @@ func (p *HopPlane) local(v graph.NodeID) LocalState {
 	}}
 }
 
-// Assemble reconstructs a Deployment from a decomposed scheme: per-node
-// Routers over the reassembled tables, route-identical to the scheme the
-// state was decomposed from.
+// Assemble reconstructs a Deployment from a decomposed scheme: the
+// reassembled per-node tables, route-identical to the scheme the state
+// was decomposed from.
 func Assemble(st *SchemeState, locals []LocalState) (*Deployment, error) {
 	if st.Graph == nil {
 		return nil, fmt.Errorf("core: assemble: nil graph")
@@ -582,27 +582,11 @@ func assembleHop(st *SchemeState, perm *names.Permutation, locals []LocalState) 
 	return AssembleHopPlane(st.Graph, perm, tables, members)
 }
 
-// Router is one node's forwarding agent in a Deployment: it forwards
-// packets using only its own node's local state plus the arriving
-// header — the paper's F(table(x), header(P)) with x fixed.
-type Router struct {
-	node graph.NodeID
-	fwd  sim.Forwarder
-}
-
-// Node returns the node this router serves.
-func (r *Router) Node() graph.NodeID { return r.node }
-
-// Forward applies the node-local forwarding function to an arriving
-// packet header.
-func (r *Router) Forward(h sim.Header) (port graph.PortID, delivered bool, err error) {
-	return r.fwd.Forward(r.node, h)
-}
-
-// Deployment is a scheme reassembled as per-node Routers. It implements
-// sim.Plane — the sequential tracer and the concurrent traffic engine
-// drive it exactly like a monolithic scheme — but every Forward is
-// dispatched through the addressed node's Router. Header injection
+// Deployment is a scheme reassembled from per-node local state. It
+// implements sim.Plane — the sequential tracer and the concurrent traffic
+// engine drive it exactly like a monolithic scheme — and every Forward is
+// the paper's F(table(x), header(P)): the assembled scheme reads only
+// the addressed node's table and the arriving header. Header injection
 // (NewHeader/BeginReturn) delegates to the assembled scheme, which holds
 // only the deployment-wide shared state the model grants sources (the
 // naming and, for the name-dependent substrates, the address directory
@@ -610,34 +594,23 @@ func (r *Router) Forward(h sim.Header) (port graph.PortID, delivered bool, err e
 type Deployment struct {
 	kind      Kind
 	scheme    Scheme
-	routers   []Router
+	n         int   // node count: churn rebinds schemes, never resizes them
 	nodeBytes []int // per-node wire bytes, set when restored from a snapshot
 }
 
 var _ Scheme = (*Deployment)(nil)
 
-// NewDeployment wraps an assembled scheme into per-node routers.
+// NewDeployment wraps an assembled scheme.
 func NewDeployment(s Scheme, kind Kind) *Deployment {
-	n := s.Graph().N()
-	d := &Deployment{kind: kind, scheme: s, routers: make([]Router, n)}
-	for v := 0; v < n; v++ {
-		d.routers[v] = Router{node: graph.NodeID(v), fwd: s}
-	}
-	return d
+	return &Deployment{kind: kind, scheme: s, n: s.Graph().N()}
 }
 
 // Rebind repoints the deployment at a rebuilt scheme without replacing
-// the Deployment value its callers hold: the scheme pointer and every
-// per-node router's forwarder are swapped in place. The cluster's churn
-// repair path uses this for kinds with no incremental maintainer — the
-// shard rebuilds the plane from scratch and rebinds under its epoch
-// fence, so views and stats wired to the Deployment stay attached.
-func (d *Deployment) Rebind(s Scheme) {
-	d.scheme = s
-	for v := range d.routers {
-		d.routers[v].fwd = s
-	}
-}
+// the Deployment value its callers hold. The cluster's churn repair path
+// uses this for kinds with no incremental maintainer — the shard
+// rebuilds the plane from scratch and rebinds under its epoch fence, so
+// views and stats wired to the Deployment stay attached.
+func (d *Deployment) Rebind(s Scheme) { d.scheme = s }
 
 // Deploy decomposes a built scheme into per-node local states and
 // reassembles them as a Deployment — the in-process equivalent of a
@@ -653,22 +626,14 @@ func Deploy(p sim.Plane) (*Deployment, error) {
 // Kind returns the deployed scheme kind.
 func (d *Deployment) Kind() Kind { return d.kind }
 
-// Router returns node v's forwarding agent.
-func (d *Deployment) Router(v graph.NodeID) *Router { return &d.routers[v] }
-
-// Routers returns all per-node routers; callers must not modify the
-// slice.
-func (d *Deployment) Routers() []Router { return d.routers }
-
-// Scheme returns the assembled scheme backing the routers.
+// Scheme returns the assembled scheme the deployment forwards with.
 func (d *Deployment) Scheme() Scheme { return d.scheme }
 
-// Flatten returns the assembled scheme as a serving plane with the
-// per-hop router indirection removed: Router(v).Forward(h) is by
-// construction Scheme().Forward(v, h), so a compiler of planes (the
-// traffic engine's Compile) may substitute the scheme on the hot path
-// without changing a single route. Tracing through the Deployment
-// itself still dispatches hop by hop through the routers.
+// Flatten returns the assembled scheme as a serving plane: Forward(v, h)
+// is by construction Scheme().Forward(v, h) behind a bounds check, so a
+// compiler of planes (the traffic engine's Compile) may substitute the
+// scheme on the hot path — serving the Deployment at the scheme's own
+// per-hop cost — without changing a single route.
 func (d *Deployment) Flatten() sim.Plane { return d.scheme }
 
 // Naming returns the deployment's name permutation.
@@ -704,17 +669,13 @@ func (d *Deployment) EncodedSize(v graph.NodeID) int {
 	return d.nodeBytes[v]
 }
 
-// EncodedSizes returns the per-node wire sizes, or nil.
-func (d *Deployment) EncodedSizes() []int { return d.nodeBytes }
-
-// Forward implements sim.Forwarder by dispatching to the addressed
-// node's Router.
+// Forward implements sim.Forwarder: the assembled scheme's forwarding
+// function at a node the deployment has.
 func (d *Deployment) Forward(at graph.NodeID, h sim.Header) (graph.PortID, bool, error) {
-	if at < 0 || int(at) >= len(d.routers) {
-		return 0, false, fmt.Errorf("core: deployment has no router for node %d", at)
+	if at < 0 || int(at) >= d.n {
+		return 0, false, fmt.Errorf("core: deployment has no node %d", at)
 	}
-	r := &d.routers[at]
-	return r.fwd.Forward(r.node, h)
+	return d.scheme.Forward(at, h)
 }
 
 // NewHeader implements sim.Plane.
@@ -740,7 +701,7 @@ func (d *Deployment) Graph() *graph.Graph { return d.scheme.Graph() }
 // scheme's, so measurement reports compare line for line.
 func (d *Deployment) SchemeName() string { return d.scheme.SchemeName() }
 
-// Roundtrip implements Scheme — routed through the per-node routers.
+// Roundtrip implements Scheme.
 func (d *Deployment) Roundtrip(srcName, dstName int32) (*sim.RoundtripTrace, error) {
 	return sim.Roundtrip(d, srcName, dstName, 0)
 }

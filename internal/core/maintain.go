@@ -132,7 +132,7 @@ func (mt *S6Maintainer) Plane() *StretchSix { return mt.s }
 func (mt *S6Maintainer) Substrate() *rtz.Maintainer { return mt.subM }
 
 // RebuildNodes incorporates the topology mutations whose may-use
-// affected set is covered by dirty (see churn.Affected). The graph must
+// affected set is covered by dirty (see churn.Prober). The graph must
 // already be mutated. On return the plane is route-identical — LocalState
 // for LocalState — to a fresh NewStretchSix(seed) build on the current
 // graph.

@@ -8,7 +8,7 @@ import (
 )
 
 // ShardView is the slice of a Deployment one cluster shard serves: the
-// per-node Routers of the nodes assigned to that shard, plus the
+// per-node tables of the nodes assigned to that shard, plus the
 // injection surface (NewHeader/BeginReturn and the naming), which is the
 // model's source-side global knowledge and therefore available on every
 // shard. Forwarding is the restricted part — a ShardView refuses to
@@ -24,7 +24,7 @@ type ShardView struct {
 	owner []int32 // node -> owning shard
 }
 
-// ShardView returns the view of d restricted to the routers that
+// ShardView returns the view of d restricted to the nodes that
 // owner assigns to the given shard. owner must map every node to a
 // non-negative shard index; the slice is retained, not copied — callers
 // must not mutate it afterwards.

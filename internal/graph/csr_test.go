@@ -16,7 +16,7 @@ func scanEdgeByPort(g *Graph, u NodeID, port PortID) (Edge, bool) {
 	return Edge{}, false
 }
 
-// TestEdgeByPortMatchesScan checks the sealed binary-search lookup
+// TestEdgeByPortMatchesScan checks the sealed port-table lookup
 // against the linear scan for every (node, port) pair, with adversarial
 // (non-sequential, sparse) port labels.
 func TestEdgeByPortMatchesScan(t *testing.T) {

@@ -12,8 +12,8 @@
 // Storage model: adjacency is built incrementally as per-node edge slices
 // (the only mutable representation), and the first port/pair lookup seals
 // a CSR index over it — flat edge arrays with offset tables, per-node
-// O(1) port tables (flat dense or open-addressed, with a binary-searched
-// sorted order as fallback), and an (u,v)→slot hash — so the per-hop hot
+// O(1) port tables (flat dense or open-addressed), and an (u,v)→slot
+// hash — so the per-hop hot
 // path (EdgeByPort, PortTo, HasEdge) costs O(1) instead of an
 // O(degree) scan. Mutations invalidate the index; it is rebuilt lazily and
 // concurrency-safely on the next lookup. Mutating a graph concurrently
@@ -24,7 +24,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -74,18 +73,12 @@ type InEdge struct {
 func pairKey(u, v NodeID) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
 // csrIndex is the sealed lookup index: the adjacency flattened into CSR
-// arrays plus O(1) per-node port tables (with a binary-searched sorted
-// order as the fallback). It is immutable once published.
+// arrays plus O(1) per-node port tables. It is immutable once published.
 type csrIndex struct {
 	outStart []int32 // len n+1; out-edges of u are outEdges[outStart[u]:outStart[u+1]]
 	outEdges []Edge  // flat copy, same per-node slot order as the build slices
 	inStart  []int32
 	inEdges  []InEdge
-	// portPorts[outStart[u]+i] is the i-th smallest port label at u and
-	// portSlot[outStart[u]+i] the slot (index into u's out-edge segment)
-	// carrying it: the fallback path binary-searches the segment.
-	portPorts []PortID
-	portSlot  []int32
 
 	// O(1) port resolution, compiled at seal time. A node whose label
 	// span (max-min+1) is close to its degree gets a flat dense table —
@@ -199,21 +192,6 @@ func (g *Graph) index() *csrIndex {
 	}
 	idx.outStart[n] = int32(len(idx.outEdges))
 	idx.inStart[n] = int32(len(idx.inEdges))
-
-	idx.portPorts = make([]PortID, len(idx.outEdges))
-	idx.portSlot = make([]int32, len(idx.outEdges))
-	for u := 0; u < n; u++ {
-		lo, hi := idx.outStart[u], idx.outStart[u+1]
-		seg := idx.portSlot[lo:hi]
-		for i := range seg {
-			seg[i] = int32(i)
-		}
-		edges := idx.outEdges[lo:hi]
-		sort.Slice(seg, func(i, j int) bool { return edges[seg[i]].Port < edges[seg[j]].Port })
-		for i, s := range seg {
-			idx.portPorts[int(lo)+i] = edges[s].Port
-		}
-	}
 	idx.compilePortTables(n)
 	g.idx.Store(idx)
 	return idx
@@ -284,8 +262,9 @@ func (idx *csrIndex) compilePortTables(n int) {
 	}
 }
 
-// edgeByPort resolves (u, port) against the sealed tables: dense, then
-// hashed, then the binary-search fallback.
+// edgeByPort resolves (u, port) against the sealed tables: dense, else
+// hashed. Every node with an out-edge has one of the two, so a node
+// with neither has no port to find.
 func (idx *csrIndex) edgeByPort(u NodeID, port PortID) (Edge, bool) {
 	lo := idx.outStart[u]
 	if ds, de := idx.denseStart[u], idx.denseStart[u+1]; de > ds {
@@ -311,20 +290,6 @@ func (idx *csrIndex) edgeByPort(u NodeID, port PortID) (Edge, bool) {
 			}
 		}
 	}
-	return idx.edgeByPortBinary(u, port)
-}
-
-// edgeByPortBinary is the pre-compilation lookup: binary search over the
-// node's port-sorted slot order. Kept as the fallback for nodes without a
-// compiled table and as the reference the property tests compare the O(1)
-// tables against.
-func (idx *csrIndex) edgeByPortBinary(u NodeID, port PortID) (Edge, bool) {
-	lo, hi := int(idx.outStart[u]), int(idx.outStart[u+1])
-	ports := idx.portPorts[lo:hi]
-	i := sort.Search(len(ports), func(i int) bool { return ports[i] >= port })
-	if i < len(ports) && ports[i] == port {
-		return idx.outEdges[lo+int(idx.portSlot[lo+i])], true
-	}
 	return Edge{}, false
 }
 
@@ -340,7 +305,7 @@ type PortTable struct{ idx *csrIndex }
 func (g *Graph) PortTable() PortTable { return PortTable{idx: g.index()} }
 
 // EdgeByPort returns the out-edge of u labeled with the given port in
-// O(1) (dense or hashed table; binary-search fallback).
+// O(1) (dense or hashed table).
 func (t PortTable) EdgeByPort(u NodeID, port PortID) (Edge, bool) {
 	return t.idx.edgeByPort(u, port)
 }

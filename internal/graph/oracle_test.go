@@ -169,12 +169,12 @@ func TestRTDiamAndDiamOf(t *testing.T) {
 	}
 }
 
-// TestAllPairsDefaultMatchesSequential locks in that the now-default
-// parallel dense build is bit-identical to the sequential one.
+// TestAllPairsDefaultMatchesSequential locks in that the default
+// GOMAXPROCS-worker dense build is bit-identical to the one-worker one.
 func TestAllPairsDefaultMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := RandomSC(50, 200, 9, rng)
-	seq := AllPairsSequential(g)
+	seq := AllPairsParallel(g, 1)
 	par := AllPairs(g)
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {

@@ -1,43 +1,20 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-)
+import "rtroute/internal/parallel"
 
-// AllPairsParallel computes the same metric as AllPairs using a worker
-// pool — the all-pairs pass dominates preprocessing, and the per-source
-// Dijkstras are embarrassingly parallel. workers <= 0 selects GOMAXPROCS.
+// AllPairsParallel computes the dense metric on a pool of workers — the
+// all-pairs pass dominates preprocessing, and the per-source Dijkstras
+// are embarrassingly parallel. workers <= 0 selects GOMAXPROCS; one
+// worker runs on the calling goroutine.
 func AllPairsParallel(g *Graph, workers int) *Metric {
 	n := g.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return AllPairsSequential(g)
-	}
 	m := &Metric{n: n, d: make([][]Dist, n)}
-	var wg sync.WaitGroup
-	src := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scratch per worker: every row after the first is a
-			// zero-allocation Dijkstra plus one owned-row copy.
-			s := NewSSSPScratch(n)
-			for u := range src {
-				m.d[u] = append([]Dist(nil), s.Dijkstra(g, NodeID(u)).Dist...)
-			}
-		}()
-	}
-	for u := 0; u < n; u++ {
-		src <- u
-	}
-	close(src)
-	wg.Wait()
+	// One scratch per worker: every row after the first is a
+	// zero-allocation Dijkstra plus one owned-row copy.
+	scratch := make([]SSSPScratch, parallel.Workers(n, workers))
+	_ = parallel.ForEachWorker(n, workers, func(w, u int) error { // fn never fails
+		m.d[u] = append([]Dist(nil), scratch[w].Dijkstra(g, NodeID(u)).Dist...)
+		return nil
+	})
 	return m
 }

@@ -2,8 +2,21 @@ package graph
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// edgeByPortBinary is the reference the O(1) tables are locked to: sort
+// u's out-edges by port label, binary-search the label.
+func edgeByPortBinary(idx *csrIndex, u NodeID, port PortID) (Edge, bool) {
+	edges := append([]Edge(nil), idx.outEdges[idx.outStart[u]:idx.outStart[u+1]]...)
+	sort.Slice(edges, func(i, j int) bool { return edges[i].Port < edges[j].Port })
+	i := sort.Search(len(edges), func(i int) bool { return edges[i].Port >= port })
+	if i < len(edges) && edges[i].Port == port {
+		return edges[i], true
+	}
+	return Edge{}, false
+}
 
 // probePorts collects, for node u, every live port label plus a halo of
 // absent probes around each (gaps, off-by-ones, negatives).
@@ -17,14 +30,14 @@ func probePorts(g *Graph, u NodeID) []PortID {
 }
 
 // checkPortEquivalence asserts that the compiled O(1) tables and the
-// binary-search fallback agree for every probe at every node.
+// binary-search reference agree for every probe at every node.
 func checkPortEquivalence(t *testing.T, g *Graph, label string) {
 	t.Helper()
 	idx := g.index()
 	for u := 0; u < g.N(); u++ {
 		for _, p := range probePorts(g, NodeID(u)) {
 			fast, okFast := idx.edgeByPort(NodeID(u), p)
-			slow, okSlow := idx.edgeByPortBinary(NodeID(u), p)
+			slow, okSlow := edgeByPortBinary(idx, NodeID(u), p)
 			if okFast != okSlow || fast != slow {
 				t.Fatalf("%s: node %d port %d: table (%+v,%v) != binary search (%+v,%v)",
 					label, u, p, fast, okFast, slow, okSlow)
@@ -39,7 +52,7 @@ func checkPortEquivalence(t *testing.T, g *Graph, label string) {
 }
 
 // TestPortTableEquivalence is the property test locking the sealed dense
-// and hashed port tables to the binary-search fallback, across default
+// and hashed port tables to the binary-search reference, across default
 // contiguous labels, adversarial AssignPorts labels, crafted sparse and
 // negative-gap labelings, and post-mutation re-seals.
 func TestPortTableEquivalence(t *testing.T) {
@@ -91,6 +104,12 @@ func TestPortTableEquivalence(t *testing.T) {
 		}
 		checkPortEquivalence(t, g, "after-addedge")
 	}
+
+	// A node without out-edges compiles neither table: every probe misses.
+	sink := New(3)
+	sink.MustAddEdge(0, 1, 1)
+	sink.MustAddEdge(0, 2, 1)
+	checkPortEquivalence(t, sink, "degree-0")
 }
 
 // TestPortTablePathsExercised makes sure the property test actually

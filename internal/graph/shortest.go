@@ -337,25 +337,10 @@ type DenseMetric struct {
 // experiment harness and tests.
 type Metric = DenseMetric
 
-// AllPairs computes the full distance matrix. The per-source Dijkstras
-// are embarrassingly parallel, so it fans out over GOMAXPROCS workers;
-// use AllPairsSequential for a single-threaded build (benchmark baseline).
+// AllPairs computes the full distance matrix on GOMAXPROCS workers
+// (AllPairsParallel with the default pool).
 func AllPairs(g *Graph) *DenseMetric {
 	return AllPairsParallel(g, 0)
-}
-
-// AllPairsSequential runs the n forward Dijkstras on the calling
-// goroutine through one reused scratch. Same output as AllPairs.
-func AllPairsSequential(g *Graph) *DenseMetric {
-	n := g.N()
-	m := &DenseMetric{n: n, d: make([][]Dist, n)}
-	s := getScratch()
-	for u := 0; u < n; u++ {
-		r := s.Dijkstra(g, NodeID(u))
-		m.d[u] = append([]Dist(nil), r.Dist...)
-	}
-	putScratch(s)
-	return m
 }
 
 // N returns the number of nodes the metric was computed over.

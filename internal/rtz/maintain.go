@@ -22,8 +22,8 @@ import (
 // superset of the may-use affected sets of the events since the last
 // Apply — every node x whose outgoing shortest-path distances could have
 // changed (or gained/lost a tie) and every node y whose incoming ones
-// could have. churn.Affected computes exactly that set from 8 Dijkstras
-// per event. Per-scheme dirty derivation from that one node set:
+// could have. churn.Prober computes exactly that set per event.
+// Per-scheme dirty derivation from that one node set:
 //
 //   - center trees: center w's out-tree can change only if d(w, ·)
 //     changed somewhere (w in the source-affected set) and its in-tree
@@ -202,68 +202,4 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 	}
 	mt.centerRadius = newRadius
 	return rep, nil
-}
-
-// SchemesEquivalent certifies that two substrate schemes are
-// route-identical entry for entry: same labels, same per-center routing
-// state, same direct entries. Sealed and unsealed tables compare equal if
-// their contents do. Centers are compared only when both schemes carry
-// them (reassembled schemes do not).
-func SchemesEquivalent(a, b *Scheme) error {
-	if len(a.Tables) != len(b.Tables) || len(a.Labels) != len(b.Labels) {
-		return fmt.Errorf("rtz: scheme sizes differ: %d/%d tables, %d/%d labels",
-			len(a.Tables), len(b.Tables), len(a.Labels), len(b.Labels))
-	}
-	if len(a.Centers) > 0 && len(b.Centers) > 0 {
-		if len(a.Centers) != len(b.Centers) {
-			return fmt.Errorf("rtz: center counts differ: %d vs %d", len(a.Centers), len(b.Centers))
-		}
-		for i := range a.Centers {
-			if a.Centers[i] != b.Centers[i] {
-				return fmt.Errorf("rtz: center %d differs: %d vs %d", i, a.Centers[i], b.Centers[i])
-			}
-		}
-	}
-	for v := range a.Labels {
-		if !labelEqual(a.Labels[v], b.Labels[v]) {
-			return fmt.Errorf("rtz: label of node %d differs: %+v vs %+v", v, a.Labels[v], b.Labels[v])
-		}
-	}
-	for v := range a.Tables {
-		ta, tb := a.Tables[v], b.Tables[v]
-		if ta.Self != tb.Self {
-			return fmt.Errorf("rtz: table %d self mismatch: %d vs %d", v, ta.Self, tb.Self)
-		}
-		if len(ta.InPorts) != len(tb.InPorts) || len(ta.TreeStates) != len(tb.TreeStates) {
-			return fmt.Errorf("rtz: table %d shape differs", v)
-		}
-		for ci := range ta.InPorts {
-			if ta.InPorts[ci] != tb.InPorts[ci] {
-				return fmt.Errorf("rtz: table %d in-port for center %d differs: %d vs %d",
-					v, ci, ta.InPorts[ci], tb.InPorts[ci])
-			}
-			if ta.TreeStates[ci] != tb.TreeStates[ci] {
-				return fmt.Errorf("rtz: table %d tree state for center %d differs: %+v vs %+v",
-					v, ci, ta.TreeStates[ci], tb.TreeStates[ci])
-			}
-		}
-		if ta.DirectCount() != tb.DirectCount() {
-			return fmt.Errorf("rtz: table %d direct count differs: %d vs %d",
-				v, ta.DirectCount(), tb.DirectCount())
-		}
-		var mismatch error
-		ta.DirectEntries(func(dst graph.NodeID, port graph.PortID) {
-			if mismatch != nil {
-				return
-			}
-			p, ok := tb.DirectPort(dst)
-			if !ok || p != port {
-				mismatch = fmt.Errorf("rtz: table %d direct entry for %d differs", v, dst)
-			}
-		})
-		if mismatch != nil {
-			return mismatch
-		}
-	}
-	return nil
 }

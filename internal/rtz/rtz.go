@@ -133,14 +133,6 @@ func (t *Table) DirectEntries(fn func(dst graph.NodeID, port graph.PortID)) {
 	}
 }
 
-// DirectCount returns the number of stored direct entries.
-func (t *Table) DirectCount() int {
-	if t.direct.Built() {
-		return t.direct.Len()
-	}
-	return len(t.Direct)
-}
-
 // Config tunes scheme construction.
 type Config struct {
 	// CenterCount overrides the default ceil(sqrt(n*ln n)) sample size.

@@ -184,68 +184,25 @@ func fly(g *graph.Graph, f Forwarder, src graph.NodeID, h Header, maxHops int, p
 	}
 }
 
-// FlySegment advances one leg of a packet's flight across the slice of
-// the fabric a caller owns: starting at fl.Last, it forwards while
-// own(current node) holds and stops — without invoking the foreign
+// SegmentRunner advances legs of packet flights across the slice of the
+// fabric its owner serves. One segment (Fly) starts at fl.Last, forwards
+// while own(current node) holds and stops — without invoking the foreign
 // node's forwarding function — as soon as the packet crosses onto a node
-// the caller does not own (delivered=false, fl.Last is that node), or
-// when the scheme reports delivery (delivered=true). It is the cluster
-// engine's per-shard runner: a leg is a chain of segments, one per shard
-// visited, and the chain's accounting is hop-for-hop identical to one
-// fly loop because fl carries the leg's running totals between segments.
+// the owner does not serve (delivered=false, fl.Last is that node), or
+// when the scheme reports delivery (delivered=true). A leg is a chain of
+// segments, one per shard visited, and the chain's accounting is
+// hop-for-hop identical to one fly loop because fl carries the leg's
+// running totals between segments.
 //
 // The caller owns the leg lifecycle: initialize fl = Flight{Last: src,
 // MaxHeaderWords: h.Words()} when the leg starts, and carry fl (plus the
-// wire-encoded header) across segment boundaries. maxHops bounds the
-// whole leg, not the segment (<= 0 selects the default 4n budget).
-func FlySegment(g *graph.Graph, f Forwarder, h Header, fl *Flight, maxHops int, own func(graph.NodeID) bool) (delivered bool, err error) {
-	if maxHops <= 0 {
-		maxHops = 4 * g.N()
-	}
-	ports := g.PortTable()
-	fixed := false
-	if fs, ok := h.(FixedSizeHeader); ok {
-		fixed = fs.FixedWords()
-	}
-	cur := fl.Last
-	for {
-		if !own(cur) {
-			return false, nil
-		}
-		port, delivered, err := f.Forward(cur, h)
-		if err != nil {
-			return false, fmt.Errorf("sim: forwarding at node %d (hop %d): %w", cur, fl.Hops, err)
-		}
-		if !fixed {
-			if w := h.Words(); w > fl.MaxHeaderWords {
-				fl.MaxHeaderWords = w
-			}
-		}
-		if delivered {
-			return true, nil
-		}
-		e, ok := ports.EdgeByPort(cur, port)
-		if !ok {
-			return false, fmt.Errorf("sim: node %d has no out-port %d", cur, port)
-		}
-		if e.Weight >= graph.DownWeight {
-			return false, &UnroutableError{At: cur, To: e.To, Hops: fl.Hops}
-		}
-		fl.Weight += e.Weight
-		cur = e.To
-		fl.Last = cur
-		if fl.Hops++; fl.Hops > maxHops {
-			return false, fmt.Errorf("sim: hop budget %d exhausted (likely routing loop) at node %d", maxHops, cur)
-		}
-	}
-}
-
-// SegmentRunner is FlySegment with the per-call setup hoisted: the port
-// table, the ownership predicate, the resolved hop budget. A cluster
-// shard drives every segment of every packet through one runner, so the
-// crossing path pays no per-segment closure construction or table
-// lookup. The runner is read-only after construction and safe for
-// concurrent use by a shard's worker pool.
+// wire-encoded header) across segment boundaries.
+//
+// The port table, the ownership predicate and the resolved hop budget
+// are hoisted into the runner: a cluster shard drives every segment of
+// every packet through one, so the crossing path pays no per-segment
+// closure construction or table lookup. The runner is read-only after
+// construction and safe for concurrent use by a shard's worker pool.
 type SegmentRunner struct {
 	f       Forwarder
 	ports   graph.PortTable
@@ -263,7 +220,7 @@ func NewSegmentRunner(g *graph.Graph, f Forwarder, maxHops int, own func(graph.N
 	return &SegmentRunner{f: f, ports: g.PortTable(), own: own, maxHops: maxHops}
 }
 
-// Fly advances one segment, with FlySegment's exact contract.
+// Fly advances one segment.
 func (r *SegmentRunner) Fly(h Header, fl *Flight) (delivered bool, err error) {
 	fixed := false
 	if fs, ok := h.(FixedSizeHeader); ok {
@@ -309,11 +266,11 @@ func (r *SegmentRunner) Fly(h Header, fl *Flight) (delivered bool, err error) {
 // intended consumer.
 type HopHook func(at graph.NodeID, hops int, weight graph.Dist)
 
-// FlyHooked advances one segment with FlySegment's exact contract,
-// invoking hook after every forwarded hop. It is a separate loop so
-// the untraced Fly — the overwhelmingly common case — carries no hook
-// test per hop; the cluster engine selects FlyHooked only for
-// roundtrips armed by the trace sampler.
+// FlyHooked advances one segment exactly as Fly does, invoking hook
+// after every forwarded hop. It is a separate loop so the untraced Fly
+// — the overwhelmingly common case — carries no hook test per hop; the
+// cluster engine selects FlyHooked only for roundtrips armed by the
+// trace sampler.
 func (r *SegmentRunner) FlyHooked(h Header, fl *Flight, hook HopHook) (delivered bool, err error) {
 	fixed := false
 	if fs, ok := h.(FixedSizeHeader); ok {

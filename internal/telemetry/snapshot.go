@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -56,6 +57,9 @@ type Snapshot struct {
 	Gauges       []GaugeValue `json:"gauges,omitempty"`
 	Totals       Counters     `json:"totals"`
 	TraceDropped int64        `json:"trace_dropped,omitempty"`
+	// probes is the number of goroutines merged in (shard workers plus
+	// injectors): the stage sums add up their CPU time.
+	probes int
 }
 
 // mergeSnap folds published probe states into one ShardSnap.
@@ -116,7 +120,9 @@ func (s *Sink) Snapshot() *Snapshot {
 	for i, probes := range s.shards {
 		snap.Shards[i] = s.mergeSnap(s.cfg.Shards[i], probes)
 		snap.Totals.add(snap.Shards[i].Counters)
+		snap.probes += len(probes)
 	}
+	snap.probes += len(s.inject)
 	if len(s.inject) > 0 {
 		inj := s.mergeSnap(-1, s.inject)
 		snap.Injectors = &inj
@@ -281,11 +287,18 @@ func BusySum(rows []StageRow) float64 {
 	return sum
 }
 
-// FormatStageTable renders the decomposition. wallNsPerRT, when > 0,
-// adds the coverage line (busy stage sum over measured wall time per
-// roundtrip; wait rows overlap other goroutines' busy time on a
-// saturated host and are excluded).
-func FormatStageTable(rows []StageRow, wallNsPerRT float64) string {
+// FormatStageTable renders the decomposition StageTable(packets), ""
+// when no stage was timed. wallNsPerRT, when > 0, adds the coverage
+// line. The busy sum is CPU time summed over the goroutines the snapshot
+// merged, so it is set against the CPU time one roundtrip's wall time
+// makes available to them — wall times min(GOMAXPROCS, goroutines) —
+// not against wall time as if there were one core. Wait rows overlap
+// other goroutines' busy time on a saturated host and are excluded.
+func (s *Snapshot) FormatStageTable(packets int64, wallNsPerRT float64) string {
+	rows := s.StageTable(packets)
+	if len(rows) == 0 {
+		return ""
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %10s %8s %10s %10s\n", "stage", "ns/rt", "share", "p50-ns", "max-ns")
 	busy := BusySum(rows)
@@ -306,7 +319,9 @@ func FormatStageTable(rows []StageRow, wallNsPerRT float64) string {
 		}
 	}
 	if wallNsPerRT > 0 {
-		fmt.Fprintf(&b, "measured     %10.0f ns/rt  coverage %.1f%%\n", wallNsPerRT, 100*busy/wallNsPerRT)
+		cpus := max(1, min(runtime.GOMAXPROCS(0), s.probes))
+		fmt.Fprintf(&b, "measured     %10.0f ns/rt wall x %d cpus  coverage %.1f%% of cpu time\n",
+			wallNsPerRT, cpus, 100*busy/(wallNsPerRT*float64(cpus)))
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -306,7 +307,8 @@ func TestChromeTrace(t *testing.T) {
 
 // TestStageTable locks the cost decomposition: busy rows first sorted
 // hottest-first, wait rows (credit-wait, synthetic recv-wait) reported
-// but excluded from the busy sum.
+// but excluded from the busy sum, and the coverage line set against the
+// CPU time the wall time gives the goroutines that were summed.
 func TestStageTable(t *testing.T) {
 	snap := &Snapshot{
 		Shards: []ShardSnap{{
@@ -320,6 +322,7 @@ func TestStageTable(t *testing.T) {
 			},
 		}},
 		Totals: Counters{Packets: 100},
+		probes: 1,
 	}
 	rows := snap.StageTable(0)
 	if len(rows) != 4 {
@@ -334,11 +337,29 @@ func TestStageTable(t *testing.T) {
 	if got := BusySum(rows); got != 500 {
 		t.Fatalf("busy sum %f ns/rt, want 500 (40000+10000 over 100 packets)", got)
 	}
-	out := FormatStageTable(rows, 600)
-	for _, want := range []string{"route", "decode", "credit-wait", "recv-wait", "busy sum", "coverage 83.3%"} {
+	out := snap.FormatStageTable(0, 600)
+	for _, want := range []string{"route", "decode", "credit-wait", "recv-wait", "busy sum", "x 1 cpus", "coverage 83.3%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted table misses %q:\n%s", want, out)
 		}
+	}
+	// Two workers on two cores finish the same 500 busy ns per roundtrip
+	// in half the wall time: still 83.3% of the CPU time there was, not
+	// 166.7% of the wall. A third worker without a third core adds none.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for snap.probes = 2; snap.probes <= 3; snap.probes++ {
+		if out := snap.FormatStageTable(0, 300); !strings.Contains(out, "x 2 cpus  coverage 83.3%") {
+			t.Fatalf("%d workers at GOMAXPROCS=2: coverage line is not per available cpu:\n%s", snap.probes, out)
+		}
+	}
+	// The count travels with the snapshot: every worker and injector the
+	// sink merged, carried through Sub; nothing timed, nothing printed.
+	sink := New(Config{Shards: []int{3, 7}, Workers: 2, Injectors: 1})
+	if got := sink.Snapshot().Sub(sink.Snapshot()).probes; got != 5 {
+		t.Fatalf("snapshot of 2 shards x 2 workers + 1 injector counts %d goroutines, want 5", got)
+	}
+	if out := sink.Snapshot().FormatStageTable(0, 300); out != "" {
+		t.Fatalf("a snapshot with no timed stage formats as %q, want nothing", out)
 	}
 }
 

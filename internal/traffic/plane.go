@@ -30,8 +30,8 @@ type flattenable interface {
 // its guarantee is that everything the hot path touches (tables, CSR
 // port index) is fully built and read-only before the first worker
 // starts, so the engine's goroutines forward with zero locks. Wrapper
-// planes that can prove an indirection-free equivalent (a Deployment's
-// per-node routers all delegate to one assembled scheme) are flattened
+// planes that can prove an indirection-free equivalent (a Deployment
+// forwards with one assembled scheme behind a bounds check) are flattened
 // here, at compile time, rather than on every hop.
 func Compile(p sim.Plane) (*Plane, error) {
 	if p == nil {

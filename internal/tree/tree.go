@@ -369,18 +369,6 @@ func (t *Tree) DistTo(v graph.NodeID) (graph.Dist, bool) {
 // height of the double-tree (§3.2).
 func (t *Tree) RTHeight() graph.Dist { return t.rtHeight }
 
-// MaxLabelWords returns the largest label size in words, bounded by
-// O(log n) per the heavy-path argument.
-func (t *Tree) MaxLabelWords() int {
-	m := 0
-	for _, l := range t.labels {
-		if w := l.Words(); w > m {
-			m = w
-		}
-	}
-	return m
-}
-
 // TheoreticalLabelBound returns the heavy-path bound on light hops for a
 // tree of the given size: floor(log2(size)) light edges on any path.
 func TheoreticalLabelBound(size int) int {

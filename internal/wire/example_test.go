@@ -12,9 +12,9 @@ import (
 )
 
 // Example snapshots a built scheme to wire bytes and restores it as a
-// Deployment of per-node routers: the marshal/unmarshal roundtrip is
-// canonical (re-encoding the restored deployment reproduces the blob
-// byte for byte) and the restored routers forward identically.
+// Deployment: the marshal/unmarshal roundtrip is canonical (re-encoding
+// the restored deployment reproduces the blob byte for byte) and the
+// restored tables forward identically.
 func Example() {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomSC(16, 64, 8, rng)

@@ -125,9 +125,9 @@ const (
 )
 
 // The Ex/Poly schemes rewrite waypoint stacks mid-leg, so their section
-// is simply the existing varint header body: always fully decoded,
-// always re-encoded, never patched. They are the ablation baselines,
-// not the serving hot path.
+// is one varint body (header.go): always fully decoded, always
+// re-encoded, never patched. They are the ablation baselines, not the
+// serving hot path.
 
 // Locality is the lazy flight decoder's view of which roundtrip
 // endpoints are local: label blobs are decoded only when this shard
@@ -293,9 +293,63 @@ func UnmarshalFlightFrame(data []byte, f *Frame) error {
 	return nil
 }
 
+// HeaderDecoder decodes flight-frame header sections into reusable
+// storage: the scratch header struct itself plus small arenas for the
+// variable-size parts (tree-label root paths, waypoint stacks), so a
+// worker decoding one packet per frame allocates nothing in steady
+// state.
+//
+// The returned header — including every slice it references — is valid
+// only until the next DecodeFlight call, and a HeaderDecoder is not safe
+// for concurrent use: one per worker goroutine. The arenas are essential
+// for correctness, not just speed: a live header's slices may alias
+// read-only scheme tables (a dictionary fetch writes a table label into
+// the header), so decoding "into" a previous header's slices could
+// corrupt shared state — the decoder therefore only ever writes into
+// memory it owns.
+type HeaderDecoder struct {
+	scratch sim.Header
+	light   arenaOf[tree.LightHop]
+	wps     arenaOf[core.ExWaypoint]
+	glbs    arenaOf[core.ExGlobal]
+}
+
+// arenaOf hands out small carve-out slices of one backing array,
+// recycled wholesale on reset. Growing abandons the old array to any
+// slices already carved from it (they stay valid until reset).
+type arenaOf[T any] struct{ buf []T }
+
+func (a *arenaOf[T]) take(n int) []T {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]T, 0, 2*(len(a.buf)+n)+16)
+	}
+	s := a.buf[len(a.buf) : len(a.buf)+n : len(a.buf)+n]
+	a.buf = a.buf[:len(a.buf)+n]
+	return s
+}
+
+func (a *arenaOf[T]) reset() { a.buf = a.buf[:0] }
+
+func headerKind(h sim.Header) (core.Kind, error) {
+	switch h.(type) {
+	case *core.S6Header:
+		return core.KindStretchSix, nil
+	case *core.ExHeader:
+		return core.KindExStretch, nil
+	case *core.PolyHeader:
+		return core.KindPolynomial, nil
+	case *core.RTZHeader:
+		return core.KindRTZ, nil
+	case *core.HopHeader:
+		return core.KindHop, nil
+	default:
+		return 0, fmt.Errorf("wire: cannot marshal %T header", h)
+	}
+}
+
 // DecodeFlight decodes the header section of a flight frame previously
 // opened with UnmarshalFlightFrame, into the decoder's reusable scratch
-// storage (same reuse contract as Decode). Label blobs that only
+// storage, invalidating the previous result. Label blobs that only
 // the roundtrip's endpoints read are decoded when loc owns the relevant
 // endpoint and left zero otherwise — the undecoded bytes stay in the
 // received frame, which AppendFlightFrame copies verbatim and
@@ -345,9 +399,8 @@ func (hd *HeaderDecoder) DecodeFlight(f *Frame, loc Locality) (sim.Header, Fligh
 		}
 		return hh, fs, nil
 	case core.KindExStretch, core.KindPolynomial:
-		// Generic section: the varint header body, fully decoded.
-		d := &decoder{data: sec, hd: hd}
-		h, err := hd.dispatch(d, kind, true)
+		// Varint section (header.go), fully decoded.
+		h, err := hd.dispatch(sec, kind)
 		if err != nil {
 			return nil, FlightState{}, err
 		}
@@ -709,7 +762,7 @@ func AppendFlightFrame(dst []byte, f *Frame, h sim.Header, prev []byte) ([]byte,
 			return nil, err
 		}
 	default:
-		// Generic section: the varint header body.
+		// Ex/Poly: the varint section (header.go).
 		if err := e.headerBody(h); err != nil {
 			return nil, err
 		}

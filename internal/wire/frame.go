@@ -161,11 +161,6 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return e.buf, nil
 }
 
-// MarshalFrame is AppendFrame into a fresh buffer.
-func MarshalFrame(f *Frame) ([]byte, error) {
-	return AppendFrame(nil, f)
-}
-
 // UnmarshalFrame decodes one control frame into *f (overwriting every
 // field).
 func UnmarshalFrame(data []byte, f *Frame) error {

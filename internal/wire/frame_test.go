@@ -5,7 +5,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rtroute/internal/core"
 )
+
+// MarshalFrame is AppendFrame into a fresh buffer.
+func MarshalFrame(f *Frame) ([]byte, error) { return AppendFrame(nil, f) }
 
 // retiredPacketFrame is a well-formed envelope of the retired frame
 // kind 1 (the varint packet frame flight frames replaced), as an old
@@ -94,6 +99,29 @@ func TestFrameDecodeRejects(t *testing.T) {
 		if _, err := MarshalFrame(&Frame{Kind: k}); err == nil {
 			t.Fatalf("kind %d encoded by MarshalFrame", k)
 		}
+	}
+}
+
+// TestRetiredBlobTypeRejected: blob type 2 was the self-contained header
+// packet. A well-formed envelope of that type, as an old peer would have
+// sent it, is rejected by every decoder that reads an envelope.
+func TestRetiredBlobTypeRejected(t *testing.T) {
+	e := &encoder{}
+	e.envelope(2, core.KindRTZ)
+	e.i(1) // src name
+	e.i(2) // dst name
+	var f Frame
+	if err := UnmarshalFrame(e.buf, &f); err == nil || !strings.Contains(err.Error(), "blob type 2") {
+		t.Fatalf("UnmarshalFrame on blob type 2: got %v, want a blob-type error", err)
+	}
+	if _, err := UnmarshalScheme(e.buf); err == nil || !strings.Contains(err.Error(), "blob type 2") {
+		t.Fatalf("UnmarshalScheme on blob type 2: got %v, want a blob-type error", err)
+	}
+	if _, err := PeekSnapshot(e.buf); err == nil {
+		t.Fatal("PeekSnapshot accepted blob type 2")
+	}
+	if _, ok := PeekFrameKind(e.buf); ok {
+		t.Fatal("PeekFrameKind accepted blob type 2")
 	}
 }
 

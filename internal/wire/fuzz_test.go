@@ -149,38 +149,3 @@ func FuzzUnmarshalFlightFrame(f *testing.F) {
 		}
 	})
 }
-
-// FuzzUnmarshalHeader: same contract for header packets.
-func FuzzUnmarshalHeader(f *testing.F) {
-	planes, _ := testPlanes(f, 16, 22)
-	for _, p := range planes {
-		h, err := p.NewHeader(0, 1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		blob, err := MarshalHeader(h)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(blob)
-		f.Add(blob[:len(blob)-1])
-		mut := append([]byte(nil), blob...)
-		mut[len(mut)/2] ^= 0xff
-		f.Add(mut)
-	}
-	f.Add([]byte{})
-	f.Add([]byte("RTWF\x01\x02\x03"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := UnmarshalHeader(data)
-		if err != nil {
-			return
-		}
-		if h == nil {
-			t.Fatal("nil header without error")
-		}
-		if _, err := MarshalHeader(h); err != nil {
-			t.Fatalf("decoded header does not re-encode: %v", err)
-		}
-		_ = h.Words()
-	})
-}

@@ -177,15 +177,46 @@ func TestDeployInProcess(t *testing.T) {
 	}
 }
 
-// TestHeaderWireRoundtrip marshals headers mid-flight at every hop of a
-// roundtrip and checks the decoded header forwards identically — the
-// "headers are real byte packets" property.
+// throughFlightFrame replaces *h by its decode from a fresh flight frame
+// (prev is the frame it was last decoded from, nil at injection) and
+// returns that frame. The decoded header must measure the same as the
+// live one, except a fixed-size header on the return leg: the lazy decode
+// leaves out the blobs that leg never reads, and its size is measured
+// once per leg, live.
+func throughFlightFrame(t *testing.T, hd *HeaderDecoder, h *sim.Header, prev []byte, src, dst int32, ret bool, at graph.NodeID) []byte {
+	t.Helper()
+	fr := Frame{Kind: FrameFlight, SrcName: src, DstName: dst, Return: ret, At: at, Home: HomeLocal}
+	blob, err := AppendFlightFrame(nil, &fr, *h, prev)
+	if err != nil {
+		t.Fatalf("at %d: %v", at, err)
+	}
+	words := (*h).Words()
+	var got Frame
+	if err := UnmarshalFlightFrame(blob, &got); err != nil {
+		t.Fatalf("at %d: %v", at, err)
+	}
+	if *h, _, err = hd.DecodeFlight(&got, ownsAll{}); err != nil {
+		t.Fatalf("at %d: %v", at, err)
+	}
+	fs, ok := (*h).(sim.FixedSizeHeader)
+	if (!ret || !ok || !fs.FixedWords()) && (*h).Words() != words {
+		t.Fatalf("at %d: decoded header words %d != %d", at, (*h).Words(), words)
+	}
+	return blob
+}
+
+// TestHeaderWireRoundtrip carries the header through its wire form —
+// the flight frame, as a shard that owns every endpoint decodes it —
+// between any two forwarding decisions of a leg, and checks the decoded
+// header forwards identically: what production does at a crossing,
+// done at every hop, for all five kinds and both variants.
 func TestHeaderWireRoundtrip(t *testing.T) {
 	const n = 20
 	planes, _ := testPlanes(t, n, 3)
 	for name, p := range planes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
+			var hd HeaderDecoder
 			for trial := 0; trial < 40; trial++ {
 				src := int32(rng.Intn(n))
 				dst := int32(rng.Intn(n))
@@ -198,6 +229,9 @@ func TestHeaderWireRoundtrip(t *testing.T) {
 				}
 				g := p.Graph()
 				cur := p.NodeOf(src)
+				// prev is the frame the header was last decoded from
+				// (nil at injection), as on a shard's crossing path.
+				var prev []byte
 				for leg := 0; leg < 2; leg++ {
 					if leg == 1 {
 						if err := p.BeginReturn(h); err != nil {
@@ -205,20 +239,12 @@ func TestHeaderWireRoundtrip(t *testing.T) {
 						}
 					}
 					for hop := 0; hop < 4*n; hop++ {
-						// Roundtrip the header through bytes before every
-						// forwarding decision.
-						blob, err := MarshalHeader(h)
-						if err != nil {
-							t.Fatalf("hop %d: %v", hop, err)
+						// A shard creates the header, or flips the leg, and
+						// takes the leg's first hop in the same visit: no
+						// frame ever carries a header in either state.
+						if hop > 0 {
+							prev = throughFlightFrame(t, &hd, &h, prev, src, dst, leg == 1, cur)
 						}
-						decoded, err := UnmarshalHeader(blob)
-						if err != nil {
-							t.Fatalf("hop %d: %v", hop, err)
-						}
-						if decoded.Words() != h.Words() {
-							t.Fatalf("hop %d: decoded header words %d != %d", hop, decoded.Words(), h.Words())
-						}
-						h = decoded
 						port, delivered, err := p.Forward(cur, h)
 						if err != nil {
 							t.Fatalf("forward at %d: %v", cur, err)
@@ -234,7 +260,7 @@ func TestHeaderWireRoundtrip(t *testing.T) {
 					}
 				}
 				if cur != p.NodeOf(src) {
-					t.Fatalf("roundtrip through marshaled headers ended at %d, not source %d", cur, p.NodeOf(src))
+					t.Fatalf("roundtrip through flight frames ended at %d, not source %d", cur, p.NodeOf(src))
 				}
 			}
 		})

@@ -146,7 +146,7 @@ func PeekSnapshot(data []byte) (SnapshotInfo, error) {
 }
 
 // UnmarshalScheme decodes a scheme snapshot and reassembles it as a
-// Deployment of per-node routers, recording each node's encoded size.
+// Deployment, recording each node's encoded size.
 func UnmarshalScheme(data []byte) (*core.Deployment, error) {
 	d := &decoder{data: data}
 	kind, err := d.envelope(blobScheme)

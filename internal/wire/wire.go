@@ -1,15 +1,15 @@
 // Package wire is the versioned binary codec for routing schemes and
-// packet headers: the layer that turns the in-memory per-node
+// cluster frames: the layer that turns the in-memory per-node
 // decomposition (core.LocalState / core.SchemeState) into real bytes, so
-// schemes survive snapshot/restore across processes, headers travel as
-// byte packets, and the paper's Theorem 6/11 space bounds are certified
-// in encoded bytes per node rather than abstract "words".
+// schemes survive snapshot/restore across processes, packets cross
+// shards as flight frames, and the paper's Theorem 6/11 space bounds are
+// certified in encoded bytes per node rather than abstract "words".
 //
 // Every blob starts with a fixed envelope:
 //
 //	offset 0: magic "RTWF" (4 bytes)
 //	offset 4: format version (uvarint, currently 2)
-//	then:     blob type (1 byte: 1 = scheme, 2 = header, 3 = frame)
+//	then:     blob type (1 byte: 1 = scheme, 3 = frame; 2 is retired)
 //	then:     scheme kind (1 byte, core.Kind)
 //
 // All integers are varint-encoded (unsigned counts as uvarint, signed
@@ -54,9 +54,10 @@ const Version = 2
 // magic opens every blob.
 var magic = [4]byte{'R', 'T', 'W', 'F'}
 
+// Blob type 2 is retired: it was the self-contained header packet,
+// which lost its only carrier with frame kind 1. Both decoders reject it.
 const (
 	blobScheme byte = 1
-	blobHeader byte = 2
 	blobFrame  byte = 3
 )
 
@@ -115,7 +116,7 @@ type decoder struct {
 	data []byte
 	off  int
 	// hd, when non-nil, supplies reusable arena storage for decoded
-	// variable-size sections (set by HeaderDecoder).
+	// variable-size sections (set for flight sections, nil for snapshots).
 	hd *HeaderDecoder
 }
 
@@ -441,29 +442,6 @@ func (d *decoder) handshake() (rtz.Handshake, error) {
 		return hs, err
 	}
 	return hs, nil
-}
-
-func (e *encoder) rtzHeader(h rtz.Header) {
-	e.i(int64(h.Dest))
-	e.rtzLabel(h.Label)
-	e.byte1(byte(h.Phase))
-}
-
-func (d *decoder) rtzHeader() (rtz.Header, error) {
-	var h rtz.Header
-	var err error
-	if h.Dest, err = d.i32(); err != nil {
-		return h, err
-	}
-	if h.Label, err = d.rtzLabel(); err != nil {
-		return h, err
-	}
-	ph, err := d.byte1()
-	if err != nil {
-		return h, err
-	}
-	h.Phase = rtz.Phase(ph)
-	return h, nil
 }
 
 func (e *encoder) hopLeg(h rtz.HopHeader) {

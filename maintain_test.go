@@ -176,11 +176,12 @@ func TestModelReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestAffectedSetIsSound checks the may-use affected set against brute
-// force: every node whose distance row (either direction) changes under
-// a reweight must be in the set.
+// TestAffectedSetIsSound checks the may-use affected set production
+// uses (churn.Prober) against brute force: every node whose distance row
+// (either direction) changes under a reweight must be in the set.
 func TestAffectedSetIsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	prober := churn.NewProber()
 	for trial := 0; trial < 20; trial++ {
 		g := graph.RandomSC(20, 60, 32, rng)
 		n := g.N()
@@ -201,7 +202,7 @@ func TestAffectedSetIsSound(t *testing.T) {
 			before[i], beforeRev[i] = &f, &r
 		}
 		wNew := graph.Dist(1 + rng.Int63n(64))
-		dirty := churn.Affected(g, u, v, wNew) // mutates g
+		dirty := prober.Affected(g, u, v, wNew) // mutates g
 		inDirty := make(map[NodeID]bool, len(dirty))
 		for _, x := range dirty {
 			inDirty[x] = true

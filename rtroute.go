@@ -27,7 +27,7 @@
 // Build is the single construction entry point for every scheme kind
 // (StretchSix, ExStretch, Polynomial, RTZStretch3, HopSubstrate).
 // Built schemes decompose into per-node state: Deploy
-// reassembles a scheme as per-node Routers, and MarshalScheme /
+// reassembles a scheme from it, and MarshalScheme /
 // UnmarshalScheme snapshot it through the versioned binary wire format
 // (see DESIGN.md "Wire format & deployment"). Deployments also serve
 // from a sharded cluster — ServeCluster in process, cmd/rtserve as
@@ -81,8 +81,8 @@ type (
 	Scheme = core.Scheme
 	// RoundtripTrace reports both legs of one routed roundtrip.
 	RoundtripTrace = sim.RoundtripTrace
-	// Header is a mutable packet header (scheme-specific; see
-	// MarshalHeader/UnmarshalHeader for the byte-packet form).
+	// Header is a mutable packet header (scheme-specific; it crosses
+	// shards inside a flight frame).
 	Header = sim.Header
 	// CoverVariant selects the sparse-cover construction.
 	CoverVariant = cover.Variant
