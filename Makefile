@@ -54,12 +54,16 @@ traffic:
 traffic-large:
 	RTROUTE_LARGE=1 $(GO) test -run TestTrafficLargeScale -v -timeout 3600s .
 
-# Smoke-sized sharded cluster serving under the race detector: 8 shards
-# over the channel bus via rtbench, then the loopback-TCP daemon round
-# (E15); both wire-encode every boundary-crossing packet.
+# Smoke-sized sharded cluster serving under the race detector: 8
+# partitions over the channel bus via rtbench — once on one core (the
+# two-worker floor of the W rule) and once on the host's (one fabric
+# worker per core) — then the forced-W route-identity certification and
+# the loopback-TCP daemon round (E15); all wire-encode every packet that
+# crosses between workers.
 cluster:
+	GOMAXPROCS=1 $(GO) run -race ./cmd/rtbench -exp cluster -n 96 -packets 20000 -shards 8 -placement rtz -seed 1
 	$(GO) run -race ./cmd/rtbench -exp cluster -n 96 -packets 20000 -shards 8 -placement rtz -seed 1
-	$(GO) test -race -run 'TestClusterMatchesSequentialRun|TestClusterSurvivesReorderingAdversary|TestPipelinedTCPMatchesSequential|TestTCPLoopback|TestTCPFlappingPeer|TestTCPBatchingByCount|TestTCPReplyFailureCounted|TestTCPReadLoopDeliversFramesBeforeError' ./internal/cluster
+	$(GO) test -race -run 'TestClusterMatchesSequentialRun|TestClusterRouteIdentityAtEveryW|TestClusterSurvivesReorderingAdversary|TestPipelinedTCPMatchesSequential|TestTCPLoopback|TestTCPFlappingPeer|TestTCPBatchingByCount|TestTCPReplyFailureCounted|TestTCPReadLoopDeliversFramesBeforeError' ./internal/cluster
 
 # Observability smoke (E16): the telemetry plane end-to-end under the
 # race detector — sink-attached cluster run with the machine-produced
@@ -134,13 +138,15 @@ vet:
 lint: fmt vet
 
 # The cluster's amortized-zero allocation gates skip under -race, so CI
-# runs them on their own, on one core, two cores and the host default:
-# a steady-state allocation that only shows when completions trickle
-# back (few cores) or arrive in floods (many) must fail here. The
-# pattern takes in the loopback-TCP gate (TestClusterZeroAllocsTCP).
+# runs them on their own, on one, two and four cores and the host
+# default: a steady-state allocation that only shows when completions
+# trickle back (few cores) or arrive in floods (many) must fail here.
+# All three gates read the malloc delta between a 60 k and a 20 k run, so
+# the number of fabric workers that warm up does not enter.
 alloc-gates:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 	$(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 
 # "Least code" as a tracked number: non-test Go lines per package and

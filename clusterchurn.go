@@ -62,13 +62,25 @@ type ChurnClusterConfig struct {
 	// build per batch.
 	Certify bool
 	// Sink, when non-nil, attaches the telemetry plane; its shape must
-	// match Shards x Workers (cluster.Config.SinkShape). The driver
-	// registers churn_cluster_* gauges on it.
+	// be Shards x Workers with no injectors (SinkShape) or the run
+	// refuses it. The driver registers churn_cluster_* gauges on it.
 	Sink *TelemetrySink
 	// wrapEndpoint, when non-nil, wraps each shard's transport endpoint
 	// — the test hook the reordering-adversary certification uses to
 	// shuffle deliveries, churn frames included.
 	wrapEndpoint func(shard int, tr cluster.Transport) cluster.Transport
+}
+
+// SinkShape returns the TelemetryConfig matching this run's probes: one
+// row per shard — the churn fabric runs one replica per shard and does
+// not regroup them — and no injector probes.
+func (cfg ChurnClusterConfig) SinkShape() TelemetryConfig {
+	cfg.fill()
+	ids := make([]int, cfg.Shards)
+	for i := range ids {
+		ids[i] = i
+	}
+	return TelemetryConfig{Shards: ids, Workers: cfg.Workers}
 }
 
 func (cfg *ChurnClusterConfig) fill() {
@@ -235,6 +247,9 @@ func (r *ccRun) err() error {
 // the reference plane exactly.
 func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, error) {
 	cfg.fill()
+	if err := cfg.Sink.CheckShape(cfg.Shards, cfg.Workers, 0); err != nil {
+		return nil, fmt.Errorf("rtroute: churn cluster: %w", err)
+	}
 	n := sys.Graph.N()
 
 	// Reference replica: the certification oracle and sequential-replay

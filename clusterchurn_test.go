@@ -2,6 +2,7 @@ package rtroute
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -206,5 +207,31 @@ func TestClusterChurnUnderReorderingAdversary(t *testing.T) {
 				t.Fatalf("repairs = %d, want %d", res.Repairs, want)
 			}
 		})
+	}
+}
+
+// TestChurnClusterRefusesMismatchedSink: the churn fabric runs one
+// replica per shard and no injector goroutines, so the channel engine's
+// sink shape (one row per fabric worker, plus injectors) does not fit it
+// and must be refused with both shapes named, not half-attached; the
+// driver's own SinkShape fits and every shard publishes through it.
+func TestChurnClusterRefusesMismatchedSink(t *testing.T) {
+	sys := churnSystem(t, 40, 0xE19)
+	cfg := ChurnClusterConfig{
+		Kind: StretchSix, Build: BuildConfig{Seed: 7}, Shards: 4, ChurnSeed: 901,
+		Batches: 1, EventsPerBatch: 2, FirePackets: 200, StablePackets: 200, InFlight: 64,
+	}
+	cfg.Sink = NewTelemetrySink(ClusterConfig{Shards: 4}.SinkShape())
+	if _, err := RunChurnCluster(sys, cfg); err == nil || !strings.Contains(err.Error(), "+ 4 injectors attached to a run of 4 x 1 + 0") {
+		t.Fatalf("RunChurnCluster with the channel engine's sink shape returned %v, want an error naming both shapes", err)
+	}
+	cfg.Sink = NewTelemetrySink(cfg.SinkShape())
+	if _, err := RunChurnCluster(sys, cfg); err != nil {
+		t.Fatalf("RunChurnCluster with its own SinkShape: %v", err)
+	}
+	for _, row := range cfg.Sink.Snapshot().Shards {
+		if row.Batches == 0 {
+			t.Fatalf("shard %d published no batches through a sink of the run's own shape", row.Shard)
+		}
 	}
 }

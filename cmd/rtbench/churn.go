@@ -98,7 +98,7 @@ func runChurnCluster(g *rtroute.Graph, rng *rand.Rand, seed int64, shards int, m
 			ZipfTheta: trafficZipf,
 		},
 	}
-	sink, stop, err := attachSink(rtroute.ClusterConfig{Shards: shards, Workers: trafficWorkers}.SinkShape())
+	sink, stop, err := attachSink(cfg.SinkShape())
 	if err != nil {
 		return err
 	}

@@ -48,7 +48,7 @@ func main() {
 	flag.Float64Var(&trafficZipf, "zipf", 0.9, "traffic: zipf skew theta in [0,1)")
 	flag.Int64Var(&trafficPackets, "packets", 200000, "traffic: roundtrips to serve")
 	flag.StringVar(&trafficScheme, "scheme", "stretch6", "traffic: plane to serve: stretch6|exstretch|poly|rtz|hop")
-	flag.IntVar(&clusterShards, "shards", 8, "cluster: number of serving shards")
+	flag.IntVar(&clusterShards, "shards", 8, "cluster: placement partitions (one fabric worker per core serves them); churncluster: shards")
 	flag.StringVar(&clusterPlacement, "placement", "contiguous", "cluster: node partition: contiguous|hash|rtz")
 	flag.IntVar(&clusterInFlight, "inflight", 0, "cluster: concurrent roundtrip window (0 = default)")
 	flag.IntVar(&churnEpochs, "epochs", 8, "churn/churncluster: event batches (churn->repair->certify rounds)")
@@ -251,9 +251,9 @@ func runTraffic(n int, seed int64) error {
 // runCluster is the E15 sharded-serving experiment: the same workloads
 // as -exp traffic, served by an in-process shard cluster that
 // wire-encodes every boundary-crossing packet, reported with the
-// cross-shard hop accounting the placement policies compete on.
+// placement-quality and fabric-cost figures told apart.
 func runCluster(n int, seed int64) error {
-	fmt.Printf("# E15/S6 — sharded cluster serving (n=%d, seed=%d, scheme=%s, workload=%s, shards=%d, placement=%s)\n\n",
+	fmt.Printf("# E15/S6 — sharded cluster serving (n=%d, seed=%d, scheme=%s, workload=%s, partitions=%d, placement=%s)\n\n",
 		n, seed, trafficScheme, trafficWorkload, clusterShards, clusterPlacement)
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 4*n, 8, rng)
@@ -290,7 +290,7 @@ func runCluster(n int, seed int64) error {
 	}
 	fmt.Print(rtroute.FormatCluster(res))
 	printTiming(sink, res.Packets, res.Elapsed.Nanoseconds())
-	fmt.Println("\npackets cross shard boundaries as wire-encoded frames; see DESIGN.md \"Cluster serving\"")
+	fmt.Println("\npackets cross between fabric workers as wire-encoded frames; see DESIGN.md \"Cluster serving\"")
 	return nil
 }
 

@@ -8,80 +8,95 @@ import (
 	"rtroute/internal/traffic"
 )
 
-// allocGate runs one 4-shard zipf serving phase and returns the result
-// plus the whole-process Mallocs delta around it — the backstop for
-// allocation sites the per-worker tracked ledger does not know about.
-func allocGate(t *testing.T, sink *telemetry.Sink) (*Result, uint64) {
+// allocGate measures steady-state allocations per roundtrip on the
+// channel fabric the way TestClusterZeroAllocsTCP does on the socket
+// one: a 20 k and a 60 k zipf serving phase over one 4-partition
+// deployment, the difference in whole-process Mallocs — and in the
+// per-worker tracked ledger — divided by the 40 k extra roundtrips.
+// Everything a run pays once whatever its length (goroutine stacks,
+// first slabs, the histogram spine, a sink's construction) cancels, so
+// the reading does not depend on how many fabric workers warm up, and
+// with that on the host's core count. newSink, when non-nil, attaches a
+// fresh sink to every run; the long run's is returned with its result.
+func allocGate(t *testing.T, newSink func(Config) *telemetry.Sink) (process, tracked float64, long *Result, sink *telemetry.Sink) {
 	t.Helper()
 	deps, _ := testDeployments(t, 64, 7)
 	dep := deps["stretch6"]
-	cfg := Config{
-		Shards: 4, Workers: 1, Packets: 20000,
-		Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
-		Seed:     5, InFlight: 512, Batch: 64,
-		Sink: sink,
+	run := func(packets int64) (*Result, uint64) {
+		cfg := Config{
+			Shards: 4, Workers: 1, Packets: packets,
+			Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
+			Seed:     5, InFlight: 512, Batch: 64,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if newSink != nil {
+			sink = newSink(cfg)
+			cfg.Sink = sink
+		}
+		res, err := Run(dep, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Packets != packets {
+			t.Fatalf("served %d of %d packets", res.Packets, packets)
+		}
+		return res, after.Mallocs - before.Mallocs
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := Run(dep, cfg)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	const short, extra = 20000, 40000
+	run(short) // warm-up: runtime pools, the deployment's lazy state
+	a, aMallocs := run(short)
+	long, bMallocs := run(short + extra)
+	process = (float64(bMallocs) - float64(aMallocs)) / extra
+	tracked = float64(long.TrackedAllocs-a.TrackedAllocs) / extra
+	t.Logf("%d fabric workers: %d mallocs (%d tracked) over %d roundtrips, %d (%d) over %d: %.3f process, %.3f tracked per roundtrip in steady state",
+		long.FabricWorkers, aMallocs, a.TrackedAllocs, short, bMallocs, long.TrackedAllocs, short+extra, process, tracked)
+	if uint64(long.TrackedAllocs) > bMallocs {
+		t.Fatalf("tracked allocs %d exceed process mallocs %d — the ledger overcounts", long.TrackedAllocs, bMallocs)
 	}
-	if res.Packets != cfg.Packets {
-		t.Fatalf("served %d of %d packets", res.Packets, cfg.Packets)
-	}
-	return res, after.Mallocs - before.Mallocs
+	return process, tracked, long, sink
 }
 
 // TestClusterZeroAllocsPerRoundtrip is the crossing-path allocation
 // gate: with flight frames patched in place, recycled frame slabs and
 // batched completion tracking, a steady-state roundtrip allocates
-// nothing on the serving path. The process-wide Mallocs delta still
-// sees the one-time warmup — goroutine stacks, first-batch slab
-// growth, histogram spine — so the gate is amortized: well under one
-// allocation per roundtrip, where a single per-crossing allocation
-// would show up as ~7 and a single per-roundtrip allocation as 1. The
-// per-worker tracked ledger (the Result's own AllocsPerRT) must stay
-// under the same bound and under the process-wide count it refines.
+// nothing on the serving path — well under one allocation per
+// roundtrip, where a single per-crossing allocation would show up as
+// one per frame shipped and a single per-roundtrip allocation as 1. The
+// per-worker tracked ledger must stay under the same bound and under
+// the process-wide count it refines.
 func TestClusterZeroAllocsPerRoundtrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	res, mallocs := allocGate(t, nil)
-	if perRT := float64(mallocs) / float64(res.Packets); perRT >= 0.25 {
-		t.Fatalf("%.3f process allocs per roundtrip (%d over %d roundtrips), want amortized zero (< 0.25)",
-			perRT, mallocs, res.Packets)
+	process, tracked, _, _ := allocGate(t, nil)
+	if process >= 0.25 {
+		t.Fatalf("%.3f process allocs per roundtrip in steady state, want amortized zero (< 0.25)", process)
 	}
-	if perRT := res.AllocsPerRT(); perRT >= 0.25 {
-		t.Fatalf("%.3f tracked allocs per roundtrip (%d over %d roundtrips), want amortized zero (< 0.25)",
-			perRT, res.TrackedAllocs, res.Packets)
-	}
-	if uint64(res.TrackedAllocs) > mallocs {
-		t.Fatalf("tracked allocs %d exceed process mallocs %d — the ledger overcounts", res.TrackedAllocs, mallocs)
+	if tracked >= 0.25 {
+		t.Fatalf("%.3f tracked allocs per roundtrip in steady state, want amortized zero (< 0.25)", tracked)
 	}
 }
 
 // TestClusterZeroAllocsWithSink re-runs the gate with a telemetry sink
 // attached at default sampling: the observability plane must not spend
 // the allocation budget it exists to audit. Publish copies, sampled
-// laps and the heat sketch all reuse per-probe storage, so the only
-// added steady-state allocations are the sink's own construction —
-// amortized to zero over the run.
+// laps and the heat sketch all reuse per-probe storage, so a sink adds
+// no steady-state allocation.
 func TestClusterZeroAllocsWithSink(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	shape := Config{Shards: 4, Workers: 1}.SinkShape()
-	shape.TraceEvery = 1024
-	sink := telemetry.New(shape)
-	res, mallocs := allocGate(t, sink)
-	if perRT := float64(mallocs) / float64(res.Packets); perRT >= 0.25 {
-		t.Fatalf("%.3f process allocs per roundtrip with sink attached (%d over %d roundtrips), want < 0.25",
-			perRT, mallocs, res.Packets)
+	process, _, res, sink := allocGate(t, func(cfg Config) *telemetry.Sink {
+		shape := cfg.SinkShape()
+		shape.TraceEvery = 1024
+		return telemetry.New(shape)
+	})
+	if process >= 0.25 {
+		t.Fatalf("%.3f process allocs per roundtrip with sink attached, want < 0.25", process)
 	}
-	snap := sink.Snapshot()
-	if snap.Totals.Packets != res.Packets {
+	if snap := sink.Snapshot(); snap.Totals.Packets != res.Packets {
 		t.Fatalf("sink saw %d packets, run served %d", snap.Totals.Packets, res.Packets)
 	}
 }

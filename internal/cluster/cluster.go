@@ -21,11 +21,14 @@
 // mailboxes — deterministic tests and benchmarks) and TCPTransport
 // (length-prefixed frames over sockets — one rtserve daemon per shard,
 // rtroute -connect as client). Run is the in-process engine with
-// traffic-engine-shaped stats; Shard.Serve is the daemon loop.
+// traffic-engine-shaped stats — its shards are fabric workers, one per
+// core, each serving a run of the requested placement's partitions;
+// Shard.Serve is the daemon loop.
 package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +44,13 @@ import (
 
 // Config parameterizes one in-process cluster run.
 type Config struct {
-	// Shards is the number of serving shards (default 8).
+	// Shards is the number of placement partitions S (default 8) — a
+	// placement granularity, not a goroutine count: Run serves them with
+	// W = clamp(GOMAXPROCS, 2, S) fabric workers, each owning the
+	// contiguous run of partitions p with p*W/S equal to its index, so a
+	// hop between co-resident partitions never leaves its worker.
 	Shards int
-	// Workers is each shard's serving pool size (default 1).
+	// Workers is each fabric worker's serving pool size (default 1).
 	Workers int
 	// Placement selects the node partition (default Contiguous).
 	Placement Policy
@@ -76,36 +83,66 @@ type Config struct {
 	// probes on every shard and injector, sampled stage timing, heat
 	// sketches and (when the sink's TraceEvery is set) the flight
 	// recorder — in which case injects are stamped with roundtrip
-	// tags. The sink's Config.Shards/Workers/Injectors shape must
-	// match this Config; SinkShape builds a matching one.
+	// tags. The sink must have one probe per serving goroutine (fabric
+	// workers x Workers, plus Injectors) or Run refuses it; SinkShape
+	// builds a matching one.
 	Sink *telemetry.Sink
+	// fabricWorkers, when > 0, stands in for GOMAXPROCS in the W rule —
+	// the test hook that forces a grouping whatever the host's core count.
+	fabricWorkers int
 	// wrapEndpoint, when non-nil, wraps each shard's transport endpoint
 	// — the test hook the reordering-adversary certification uses to
 	// shuffle deliveries without a second transport implementation.
 	wrapEndpoint func(shard int, tr Transport) Transport
 }
 
+// shape resolves the defaults Run and SinkShape share: the requested
+// partitions S, the fabric workers W = clamp(GOMAXPROCS, 2, S) serving
+// them (one per core, so a frame exists only where a hop leaves a core;
+// the floor of two keeps the crossing path live on a one-core host, and
+// W is 1 only when S is), goroutines per worker, and injector streams —
+// which default to S, not W, so the pair multiset does not depend on the
+// host.
+func (cfg Config) shape() (shards, fabric, workers, injectors int) {
+	if shards = cfg.Shards; shards <= 0 {
+		shards = 8
+	}
+	if fabric = cfg.fabricWorkers; fabric <= 0 {
+		fabric = max(runtime.GOMAXPROCS(0), 2)
+	}
+	if injectors = cfg.Injectors; injectors <= 0 {
+		injectors = shards
+	}
+	return shards, min(fabric, shards), max(cfg.Workers, 1), injectors
+}
+
 // Result aggregates one cluster run, shaped like traffic.Result plus
 // the cross-shard accounting.
 type Result struct {
-	Shards    int
-	Workers   int
-	Placement Policy
-	Packets   int64
-	Hops      int64
-	Weight    int64
-	// CrossShard counts flight frames shipped between shards — hops
-	// whose tail and head live on different shards.
+	// Shards is the requested partition count S; FabricWorkers is the W
+	// that served them. Only CrossShard, PerShard and the timings depend
+	// on W (and so on the host's core count): routes, and every
+	// distribution built from them, are the placement-blind tracer's.
+	Shards        int
+	FabricWorkers int
+	Workers       int
+	Placement     Policy
+	Packets       int64
+	Hops          int64
+	Weight        int64
+	// CrossShard counts flight frames the fabric shipped — hops whose
+	// tail and head live on different fabric workers.
 	CrossShard int64
 	Elapsed    time.Duration
 	HopHist    eval.Hist // per-roundtrip hop counts
 	HdrHist    eval.Hist // per-roundtrip peak header words
 	Stretch    eval.Quantiles
 	Sampled    int
-	PerShard   []ShardStats
+	// PerShard has one row per fabric worker.
+	PerShard []ShardStats
 	// CrossEdgeFraction is the static fraction of graph edges crossing
-	// shards under the placement (the measured CrossShardRatio's
-	// topology-blind baseline).
+	// partitions under the requested S-way placement: the placement's
+	// quality, independent of how many workers served it.
 	CrossEdgeFraction float64
 	// InFlight is the run's window size (resolved default included).
 	InFlight int
@@ -138,8 +175,8 @@ func (r *Result) HopsPerSec() float64 {
 	return float64(r.Hops) / r.Elapsed.Seconds()
 }
 
-// CrossShardRatio returns the fraction of hops that crossed a shard
-// boundary — the number the placement policies compete on.
+// CrossShardRatio returns the fraction of hops that crossed between
+// fabric workers.
 func (r *Result) CrossShardRatio() float64 {
 	if r.Hops == 0 {
 		return 0
@@ -147,7 +184,7 @@ func (r *Result) CrossShardRatio() float64 {
 	return float64(r.CrossShard) / float64(r.Hops)
 }
 
-// CrossingsPerRT returns the mean shard crossings per roundtrip.
+// CrossingsPerRT returns the mean frames shipped per roundtrip.
 func (r *Result) CrossingsPerRT() float64 {
 	if r.Packets == 0 {
 		return 0
@@ -165,46 +202,32 @@ func (r *Result) AllocsPerRT() float64 {
 }
 
 // SinkShape returns a telemetry.Config matching this run config's
-// probe shape, resolving the same defaults Run does. Callers set the
-// sampling knobs (SampleEvery, TraceEvery, HeatK...) and pass
-// telemetry.New of it as cfg.Sink.
+// probe shape — one row per fabric worker — resolving the same defaults
+// Run does on this host. Callers set the sampling knobs (SampleEvery,
+// TraceEvery, HeatK...) and pass telemetry.New of it as cfg.Sink.
 func (cfg Config) SinkShape() telemetry.Config {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 8
-	}
-	injectors := cfg.Injectors
-	if injectors <= 0 {
-		injectors = shards
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	ids := make([]int, shards)
+	_, fabric, workers, injectors := cfg.shape()
+	ids := make([]int, fabric)
 	for i := range ids {
 		ids[i] = i
 	}
 	return telemetry.Config{Shards: ids, Workers: workers, Injectors: injectors}
 }
 
-// Run serves cfg.Packets roundtrips through an in-process cluster: S
-// shards over a channel bus, each pumping its own mailbox with Workers
-// goroutines, plus deterministic injector streams throttled by the
-// InFlight window. The pair multiset — and therefore every distribution
-// in the Result — is a pure function of (Seed, Injectors, Workload,
-// Packets); Elapsed and the rates vary between runs.
+// Run serves cfg.Packets roundtrips through an in-process cluster: the
+// S placement partitions folded onto W fabric workers over a channel
+// bus, each worker pumping its own mailbox with Workers goroutines, plus
+// deterministic injector streams throttled by the InFlight window. The
+// pair multiset — and therefore every distribution in the Result — is a
+// pure function of (Seed, Injectors, Workload, Packets); Elapsed, the
+// rates and the frames shipped vary with the host.
 func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	if cfg.Packets <= 0 {
 		return nil, fmt.Errorf("cluster: packets must be > 0, got %d", cfg.Packets)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 8
-	}
-	injectors := cfg.Injectors
-	if injectors <= 0 {
-		injectors = shards
+	shards, fabric, workers, injectors := cfg.shape()
+	if err := cfg.Sink.CheckShape(fabric, workers, injectors); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	inFlight := cfg.InFlight
 	if inFlight <= 0 {
@@ -214,10 +237,13 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	place, err := NewPlacement(dep, shards, cfg.Placement)
+	requested, err := NewPlacement(dep, shards, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
+	// From here on the run knows only the worker-level placement: the
+	// shards, the bus and the injectors are the S = W code, unchanged.
+	place := requested.coarsen(fabric)
 	g := dep.Graph()
 	g.Seal()
 	// Compile-time probe: a misconfigured plane fails here, not at
@@ -233,7 +259,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	// Mailbox capacity = InFlight: every live roundtrip occupies at
 	// most one queued frame anywhere (a batched inject of k roundtrips
 	// is one message, strictly fewer), so sends can never cycle-wait.
-	bus := NewChanBus(shards, inFlight)
+	bus := NewChanBus(fabric, inFlight)
 	remaining := cfg.Packets
 	window := NewWindow(inFlight)
 	cfg.Sink.RegisterGauge("window_size", func() float64 { return float64(window.Size()) })
@@ -244,8 +270,8 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 			bus.Close()
 		}
 	}
-	ss := make([]*Shard, shards)
-	for i := 0; i < shards; i++ {
+	ss := make([]*Shard, fabric)
+	for i := range ss {
 		view, err := dep.ShardView(i, place.Owner)
 		if err != nil {
 			return nil, err
@@ -255,7 +281,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 			tr = cfg.wrapEndpoint(i, tr)
 		}
 		ss[i] = NewShard(view, place, tr, Options{
-			Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
+			Workers: workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
 			Strict: true, OnDone: onDone,
 			Sink: cfg.Sink, SinkShard: i,
 		})
@@ -317,7 +343,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 		go func(i int, quota int64) {
 			defer wg.Done()
 			gen := wl.Generator(i)
-			byOwner := make([][]wire.InjectEntry, shards)
+			byOwner := make([][]wire.InjectEntry, fabric)
 			// The injector's probe mirrors the worker discipline: one
 			// BatchStart per burst (credit wait is its own — excluded —
 			// stage), publish after every burst.
@@ -368,7 +394,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 				// into its frame pool), so each burst cuts fresh ones: one
 				// allocation sized upfront, carved into a disjoint
 				// full-capacity piece per owner.
-				backing := make([]byte, 32*shards+21*n)
+				backing := make([]byte, 32*fabric+21*n)
 				*allocs++
 				for o := range byOwner {
 					if len(byOwner[o]) == 0 {
@@ -399,9 +425,9 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Shards: shards, Workers: ss[0].opts.Workers, Placement: place.Policy,
-		Elapsed: elapsed, PerShard: make([]ShardStats, shards),
-		CrossEdgeFraction: place.CrossEdgeFraction(g),
+		Shards: shards, FabricWorkers: fabric, Workers: workers, Placement: place.Policy,
+		Elapsed: elapsed, PerShard: make([]ShardStats, fabric),
+		CrossEdgeFraction: requested.CrossEdgeFraction(g),
 		InFlight:          inFlight,
 		WindowOccupancy:   window.Occupancy(),
 	}
@@ -432,21 +458,23 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 // Format renders the result as the E15 sharded-serving report.
 func (r *Result) Format() string {
 	var b []byte
-	b = appendf(b, "packets %d  shards %d  workers/shard %d  placement %s  elapsed %v\n",
-		r.Packets, r.Shards, r.Workers, r.Placement, r.Elapsed.Round(time.Millisecond))
+	b = appendf(b, "packets %d  partitions %d, fabric workers %d (GOMAXPROCS %d)  goroutines/worker %d  placement %s  elapsed %v\n",
+		r.Packets, r.Shards, r.FabricWorkers, runtime.GOMAXPROCS(0), r.Workers, r.Placement, r.Elapsed.Round(time.Millisecond))
 	b = appendf(b, "throughput %.0f packets/s  %.0f hops/s  (%.1f hops/roundtrip)\n",
 		r.PacketsPerSec(), r.HopsPerSec(), r.HopHist.Mean())
-	b = appendf(b, "cross-shard %d frames  ratio %.3f of hops  (static cross-edge fraction %.3f)\n",
-		r.CrossShard, r.CrossShardRatio(), r.CrossEdgeFraction)
-	b = appendf(b, "pipeline window %d  mean occupancy %.1f  crossings/rt %.2f  tracked-allocs/rt %.3f\n",
-		r.InFlight, r.WindowOccupancy, r.CrossingsPerRT(), r.AllocsPerRT())
+	b = appendf(b, "placement quality: static cross-edge fraction %.3f of the requested %d-partition placement (core-count independent)\n",
+		r.CrossEdgeFraction, r.Shards)
+	b = appendf(b, "fabric cost: %d frames shipped between %d workers  %.2f per roundtrip  ratio %.3f of hops\n",
+		r.CrossShard, r.FabricWorkers, r.CrossingsPerRT(), r.CrossShardRatio())
+	b = appendf(b, "pipeline window %d  mean occupancy %.1f  tracked-allocs/rt %.3f\n",
+		r.InFlight, r.WindowOccupancy, r.AllocsPerRT())
 	if r.Sampled > 0 {
 		b = appendf(b, "stretch (over %d sampled packets): p50 %.3f  p95 %.3f  p99 %.3f  max %.3f  mean %.3f\n",
 			r.Sampled, r.Stretch.P50, r.Stretch.P95, r.Stretch.P99, r.Stretch.Max, r.Stretch.Mean)
 	}
 	b = appendf(b, "\nroundtrip hops\n%s", r.HopHist.Format("hops"))
 	b = appendf(b, "\npeak header words\n%s", r.HdrHist.Format("words"))
-	b = appendf(b, "\n%-6s %6s %10s %12s %10s %10s %8s %8s\n", "shard", "nodes", "packets", "hops", "frames-in", "frames-out", "errors", "allocs")
+	b = appendf(b, "\n%-6s %6s %10s %12s %10s %10s %8s %8s\n", "worker", "nodes", "packets", "hops", "frames-in", "frames-out", "errors", "allocs")
 	for _, st := range r.PerShard {
 		b = appendf(b, "%-6d %6d %10d %12d %10d %10d %8d %8d\n",
 			st.Shard, st.Nodes, st.Packets, st.Hops, st.FramesIn, st.FramesOut, st.Errors, st.Allocs)

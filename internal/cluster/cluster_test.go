@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rtroute/internal/core"
@@ -10,6 +11,7 @@ import (
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
+	"rtroute/internal/telemetry"
 	"rtroute/internal/traffic"
 )
 
@@ -157,6 +159,158 @@ func TestClusterMatchesSequentialRun(t *testing.T) {
 	}
 }
 
+// forcedW are the fabric widths the grouping tests force on an S = 8
+// placement: one worker (no fabric), the two-core shape, two uneven
+// groupings (3+3+2 and 2+2+1+2+1) and no grouping at all.
+var forcedW = []int{1, 2, 3, 5, 8}
+
+// TestClusterRouteIdentityAtEveryW certifies that regrouping partitions
+// onto fabric workers changes no route. For every scheme kind and every
+// forced W over the same S = 8 placement: an untraced run's totals,
+// histograms and stretch quantiles equal the sequential replay's (and so
+// each other's across W, as does the static cross-edge fraction), and a
+// run with the flight recorder armed on every roundtrip walks, roundtrip
+// by roundtrip and hop by hop, the node path of the sequential tracer —
+// hops and weight follow from the path.
+func TestClusterRouteIdentityAtEveryW(t *testing.T) {
+	deps, m := testDeployments(t, 64, 7)
+	for name, dep := range deps {
+		base := Config{
+			Shards: 8, Workers: 2, Packets: 3000, Injectors: 3,
+			Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
+			Seed:     11, Oracle: m, SampleEvery: 1, InFlight: 64, Batch: 16,
+		}
+		want := replay(t, dep, base)
+		var cut float64
+		for _, w := range forcedW {
+			cfg := base
+			cfg.fabricWorkers = w
+			got, err := Run(dep, cfg)
+			if err != nil {
+				t.Fatalf("%s W=%d: %v", name, w, err)
+			}
+			if got.Shards != 8 || got.FabricWorkers != w || len(got.PerShard) != w {
+				t.Fatalf("%s W=%d: result reports %d partitions, %d workers, %d rows", name, w, got.Shards, got.FabricWorkers, len(got.PerShard))
+			}
+			if got.Packets != base.Packets || got.Hops != want.Hops || got.Weight != want.Weight {
+				t.Fatalf("%s W=%d: totals (packets,hops,weight) = (%d,%d,%d), replay (%d,%d,%d)",
+					name, w, got.Packets, got.Hops, got.Weight, want.Packets, want.Hops, want.Weight)
+			}
+			if !reflect.DeepEqual(got.HopHist, want.HopHist) || !reflect.DeepEqual(got.HdrHist, want.HdrHist) {
+				t.Fatalf("%s W=%d: histograms diverge from sequential replay", name, w)
+			}
+			if got.Sampled != want.Sampled || !reflect.DeepEqual(got.Stretch, want.Stretch) {
+				t.Fatalf("%s W=%d: stretch quantiles %+v over %d samples, replay %+v over %d",
+					name, w, got.Stretch, got.Sampled, want.Stretch, want.Sampled)
+			}
+			if (got.CrossShard == 0) != (w == 1) {
+				t.Fatalf("%s W=%d: %d frames shipped", name, w, got.CrossShard)
+			}
+			if w == forcedW[0] {
+				cut = got.CrossEdgeFraction
+			} else if got.CrossEdgeFraction != cut {
+				t.Fatalf("%s W=%d: static cross-edge fraction %v, at W=%d %v — it must describe the requested placement",
+					name, w, got.CrossEdgeFraction, forcedW[0], cut)
+			}
+			for _, st := range got.PerShard {
+				if st.Errors != 0 || st.Nodes == 0 {
+					t.Fatalf("%s W=%d: worker %d owns %d nodes and reported %d errors", name, w, st.Shard, st.Nodes, st.Errors)
+				}
+			}
+			tracedPathsMatchTracer(t, name, dep, cfg)
+		}
+	}
+}
+
+// tracedPathsMatchTracer re-runs a shorter cfg with every roundtrip
+// tagged and traced, rebuilds each roundtrip's node path from the
+// recorded hop events (tag = injector<<40 | sequence, so the tag names
+// the pair) and compares it with sim.Roundtrip's.
+func tracedPathsMatchTracer(t *testing.T, name string, dep *core.Deployment, cfg Config) {
+	t.Helper()
+	cfg.Packets, cfg.Oracle = 400, nil
+	shape := cfg.SinkShape()
+	shape.TraceEvery, shape.RingSize, shape.SampleEvery = 1, 1<<14, -1
+	sink := telemetry.New(shape)
+	cfg.Sink = sink
+	res, err := Run(dep, cfg)
+	if err != nil {
+		t.Fatalf("%s W=%d traced: %v", name, cfg.fabricWorkers, err)
+	}
+	if res.Packets != cfg.Packets || sink.TraceDropped() != 0 {
+		t.Fatalf("%s W=%d traced: served %d of %d, %d events dropped", name, cfg.fabricWorkers, res.Packets, cfg.Packets, sink.TraceDropped())
+	}
+	type leg struct {
+		rt  uint64
+		ret bool
+	}
+	paths := map[leg]map[int32]int32{} // leg -> hop number -> node arrived at
+	for _, ev := range sink.Events(0) {
+		if ev.Kind != telemetry.EvHop {
+			continue
+		}
+		k := leg{ev.Rt, ev.Return}
+		if paths[k] == nil {
+			paths[k] = map[int32]int32{}
+		}
+		if at, dup := paths[k][ev.Hops]; dup {
+			t.Fatalf("%s W=%d: roundtrip %#x recorded hop %d twice (nodes %d and %d)", name, cfg.fabricWorkers, ev.Rt, ev.Hops, at, ev.At)
+		}
+		paths[k][ev.Hops] = ev.At
+	}
+	wl, err := traffic.NewWorkload(cfg.Workload, dep.Graph().N(), cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, quota := range traffic.SplitQuota(cfg.Packets, cfg.Injectors) {
+		gen := wl.Generator(i)
+		for seq := int64(1); seq <= quota; seq++ {
+			src, dst := gen.Next()
+			tr, err := sim.Roundtrip(dep, src, dst, cfg.MaxHops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := uint64(i)<<40 | uint64(seq)
+			for _, l := range []struct {
+				ret  bool
+				want []graph.NodeID
+			}{{false, tr.Out.Path}, {true, tr.Back.Path}} {
+				got := paths[leg{rt, l.ret}]
+				if len(got) != len(l.want)-1 {
+					t.Fatalf("%s W=%d: roundtrip %d->%d (return=%v) recorded %d hops, tracer walks %d",
+						name, cfg.fabricWorkers, src, dst, l.ret, len(got), len(l.want)-1)
+				}
+				for h := 1; h < len(l.want); h++ {
+					if got[int32(h)] != int32(l.want[h]) {
+						t.Fatalf("%s W=%d: roundtrip %d->%d (return=%v) hop %d arrived at node %d, tracer at %d",
+							name, cfg.fabricWorkers, src, dst, l.ret, h, got[int32(h)], l.want[h])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClusterFabricFloorOnOneCore pins the floor of the W rule: on one
+// core the S partitions still fold onto two workers, not one, so the
+// crossing path — and every test and example that asserts frames were
+// shipped — is exercised whatever host runs them; only S = 1 runs
+// without a fabric.
+func TestClusterFabricFloorOnOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	deps, _ := testDeployments(t, 64, 7)
+	for shards, want := range map[int]int{8: 2, 2: 2, 1: 1} {
+		res, err := Run(deps["stretch6"], Config{Shards: shards, Packets: 2000, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Shards != shards || res.FabricWorkers != want || (res.CrossShard > 0) != (want > 1) {
+			t.Fatalf("S=%d at GOMAXPROCS=1: %d partitions on %d fabric workers shipped %d frames, want %d workers",
+				shards, res.Shards, res.FabricWorkers, res.CrossShard, want)
+		}
+	}
+}
+
 // TestPlacementPolicies locks the partition invariants: every policy
 // covers all nodes with non-empty shards deterministically, and the
 // rtz-aligned policy never splits a stretch-3 cluster across shards.
@@ -183,6 +337,27 @@ func TestPlacementPolicies(t *testing.T) {
 		frac := p.CrossEdgeFraction(dep.Graph())
 		if frac <= 0 || frac >= 1 {
 			t.Fatalf("%s: cross-edge fraction %.3f out of (0,1)", policy, frac)
+		}
+		// Folding onto fewer workers keeps whole partitions together, in
+		// contiguous runs, and leaves no worker empty.
+		for w := 1; w <= 7; w++ {
+			c := p.coarsen(w)
+			if w >= 6 {
+				if c != p {
+					t.Fatalf("%s: coarsen(%d) of 6 partitions built a new placement", policy, w)
+				}
+				continue
+			}
+			for v, s := range p.Owner {
+				if c.Owner[v] != s*int32(w)/6 {
+					t.Fatalf("%s: coarsen(%d) sent node %d of partition %d to worker %d", policy, w, v, s, c.Owner[v])
+				}
+			}
+			for worker, count := range c.Counts() {
+				if count == 0 {
+					t.Fatalf("%s: coarsen(%d) left worker %d empty", policy, w, worker)
+				}
+			}
 		}
 	}
 	// rtz-aligned: nodes sharing a center share a shard.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,90 @@ func TestClusterLiveSnapshot(t *testing.T) {
 	}
 	if !sawSize {
 		t.Fatalf("window_size gauge not registered; gauges: %+v", snap.Gauges)
+	}
+}
+
+// TestRunRefusesMismatchedSink pins the shape contract: a sink without
+// exactly one probe per serving goroutine hands out nil probes — the off
+// switch — so a run that accepted it would leave workers unobserved and
+// divide the stage table's coverage by the wrong goroutine count. Run
+// refuses it with both shapes in the error; the partition count is not a
+// shape (this is what a caller who sized the sink from Config.Shards
+// rather than SinkShape hits).
+func TestRunRefusesMismatchedSink(t *testing.T) {
+	deps, _ := testDeployments(t, 64, 7)
+	cfg := Config{Shards: 8, Workers: 2, Packets: 100, Injectors: 3, fabricWorkers: 2}
+	for _, tc := range []struct {
+		name  string
+		shape telemetry.Config
+		want  string
+	}{
+		{"one row per partition", telemetry.Config{Shards: make([]int, 8), Workers: 2, Injectors: 3}, "8 shards x 2 workers + 3 injectors"},
+		{"too few rows", telemetry.Config{Shards: make([]int, 1), Workers: 2, Injectors: 3}, "1 shards x 2 workers + 3 injectors"},
+		{"too few workers", telemetry.Config{Shards: make([]int, 2), Workers: 1, Injectors: 3}, "2 shards x 1 workers + 3 injectors"},
+		{"too few injectors", telemetry.Config{Shards: make([]int, 2), Workers: 2, Injectors: 2}, "2 shards x 2 workers + 2 injectors"},
+	} {
+		cfg.Sink = telemetry.New(tc.shape)
+		_, err := Run(deps["stretch6"], cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "run of 2 x 2 + 3") {
+			t.Fatalf("%s: Run returned %v, want an error naming the sink's shape (%s) and the run's (2 x 2 + 3)", tc.name, err, tc.want)
+		}
+	}
+	cfg.Sink = telemetry.New(cfg.SinkShape())
+	if _, err := Run(deps["stretch6"], cfg); err != nil {
+		t.Fatalf("sink built from SinkShape refused: %v", err)
+	}
+}
+
+// TestSinkShapeCoversEveryWorker builds the sink from SinkShape on one,
+// two and four cores: it must resolve the W that Run resolves there, so
+// every fabric worker and every injector publishes through a probe, and
+// the stage table's coverage — busy CPU time over the wall time the
+// merged goroutines could have used — stays a fraction of the whole.
+func TestSinkShapeCoversEveryWorker(t *testing.T) {
+	deps, _ := testDeployments(t, 64, 7)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for procs, wantW := range map[int]int{1: 2, 2: 2, 4: 4} {
+		runtime.GOMAXPROCS(procs)
+		cfg := Config{
+			Shards: 8, Packets: 20000, Injectors: 2,
+			Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9}, Seed: 5,
+		}
+		shape := cfg.SinkShape()
+		shape.SampleEvery = 1
+		sink := telemetry.New(shape)
+		cfg.Sink = sink
+		res, err := Run(deps["stretch6"], cfg)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		snap := sink.Snapshot()
+		if res.FabricWorkers != wantW || len(snap.Shards) != wantW {
+			t.Fatalf("GOMAXPROCS=%d: %d fabric workers, %d sink rows, want %d", procs, res.FabricWorkers, len(snap.Shards), wantW)
+		}
+		for i, row := range snap.Shards {
+			if row.Batches == 0 || row.Counters.Packets != res.PerShard[i].Packets {
+				t.Fatalf("GOMAXPROCS=%d: worker %d published %d batches, %d packets (served %d)",
+					procs, i, row.Batches, row.Counters.Packets, res.PerShard[i].Packets)
+			}
+		}
+		if snap.Totals.Packets != cfg.Packets || snap.Injectors == nil || snap.Injectors.Injects != cfg.Packets {
+			t.Fatalf("GOMAXPROCS=%d: sink saw %d packets, injectors %+v, want %d of each", procs, snap.Totals.Packets, snap.Injectors, cfg.Packets)
+		}
+		table := snap.FormatStageTable(res.Packets, float64(res.Elapsed.Nanoseconds())/float64(res.Packets))
+		var cpus int
+		var coverage float64
+		at := strings.Index(table, "wall x")
+		if at < 0 {
+			t.Fatalf("GOMAXPROCS=%d: no coverage line in\n%s", procs, table)
+		}
+		if _, err := fmt.Sscanf(table[at:], "wall x %d cpus  coverage %f%%", &cpus, &coverage); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: coverage line does not parse (%v) in\n%s", procs, err, table)
+		}
+		t.Logf("GOMAXPROCS=%d: W=%d, coverage %.1f%% of %d cpus", procs, wantW, coverage, cpus)
+		if cpus != procs || coverage <= 0 || coverage > 100 {
+			t.Fatalf("GOMAXPROCS=%d: coverage %.1f%% of %d cpus, want (0, 100] of %d\n%s", procs, coverage, cpus, procs, table)
+		}
 	}
 }
 

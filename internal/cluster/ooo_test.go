@@ -177,36 +177,40 @@ func (r *reorderEndpoint) TryRecv() ([]InFrame, bool, error) {
 }
 
 // TestClusterSurvivesReorderingAdversary re-runs the tentpole
-// certification with the adversary spliced into every shard's endpoint:
-// aggressive cross-batch reordering must not change a single aggregate,
-// because roundtrip identity travels in the frames, not in delivery
-// order.
+// certification with the adversary spliced into every fabric worker's
+// endpoint — at the two-core grouping and with every partition on its
+// own worker: aggressive cross-batch reordering must not change a single
+// aggregate, because roundtrip identity travels in the frames, not in
+// delivery order.
 func TestClusterSurvivesReorderingAdversary(t *testing.T) {
 	deps, m := testDeployments(t, 64, 7)
 	for name, dep := range deps {
-		cfg := Config{
-			Shards: 8, Workers: 2, Packets: 2000,
-			Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
-			Seed:     11, Oracle: m, SampleEvery: 3, InFlight: 64, Batch: 16,
-			wrapEndpoint: func(shard int, tr Transport) Transport {
-				return &reorderEndpoint{Transport: tr, rng: rand.New(rand.NewSource(int64(100 + shard)))}
-			},
-		}
-		got, err := Run(dep, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := replay(t, dep, cfg)
-		if got.Packets != want.Packets || got.Hops != want.Hops || got.Weight != want.Weight {
-			t.Fatalf("%s: totals (packets,hops,weight) = (%d,%d,%d), replay (%d,%d,%d)",
-				name, got.Packets, got.Hops, got.Weight, want.Packets, want.Hops, want.Weight)
-		}
-		if !reflect.DeepEqual(got.HopHist, want.HopHist) || !reflect.DeepEqual(got.HdrHist, want.HdrHist) {
-			t.Fatalf("%s: histograms diverge from sequential replay under reordering", name)
-		}
-		if got.Sampled != want.Sampled || !reflect.DeepEqual(got.Stretch, want.Stretch) {
-			t.Fatalf("%s: stretch quantiles %+v over %d samples, replay %+v over %d",
-				name, got.Stretch, got.Sampled, want.Stretch, want.Sampled)
+		for _, w := range []int{2, 8} {
+			cfg := Config{
+				Shards: 8, Workers: 2, Packets: 2000,
+				Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
+				Seed:     11, Oracle: m, SampleEvery: 3, InFlight: 64, Batch: 16,
+				fabricWorkers: w,
+				wrapEndpoint: func(shard int, tr Transport) Transport {
+					return &reorderEndpoint{Transport: tr, rng: rand.New(rand.NewSource(int64(100 + shard)))}
+				},
+			}
+			got, err := Run(dep, cfg)
+			if err != nil {
+				t.Fatalf("%s W=%d: %v", name, w, err)
+			}
+			want := replay(t, dep, cfg)
+			if got.Packets != want.Packets || got.Hops != want.Hops || got.Weight != want.Weight {
+				t.Fatalf("%s W=%d: totals (packets,hops,weight) = (%d,%d,%d), replay (%d,%d,%d)",
+					name, w, got.Packets, got.Hops, got.Weight, want.Packets, want.Hops, want.Weight)
+			}
+			if !reflect.DeepEqual(got.HopHist, want.HopHist) || !reflect.DeepEqual(got.HdrHist, want.HdrHist) {
+				t.Fatalf("%s W=%d: histograms diverge from sequential replay under reordering", name, w)
+			}
+			if got.Sampled != want.Sampled || !reflect.DeepEqual(got.Stretch, want.Stretch) {
+				t.Fatalf("%s W=%d: stretch quantiles %+v over %d samples, replay %+v over %d",
+					name, w, got.Stretch, got.Sampled, want.Stretch, want.Sampled)
+			}
 		}
 	}
 }

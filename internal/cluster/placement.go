@@ -82,6 +82,21 @@ func NewPlacement(dep *core.Deployment, shards int, policy Policy) (*Placement, 
 // Shard returns node v's owning shard.
 func (p *Placement) Shard(v graph.NodeID) int { return int(p.Owner[v]) }
 
+// coarsen folds the placement's partitions onto w <= Shards fabric
+// workers, partition s joining worker s*w/Shards — contiguous runs, none
+// empty. Any node->shard map routes correctly, so the result is a
+// Placement like any other; it only has fewer boundaries to cross.
+func (p *Placement) coarsen(w int) *Placement {
+	if w >= p.Shards {
+		return p
+	}
+	c := &Placement{Shards: w, Policy: p.Policy, Owner: make([]int32, len(p.Owner))}
+	for v, s := range p.Owner {
+		c.Owner[v] = int32(int(s) * w / p.Shards)
+	}
+	return c
+}
+
 // Counts returns how many nodes each shard owns.
 func (p *Placement) Counts() []int {
 	counts := make([]int, p.Shards)

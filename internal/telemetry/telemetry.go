@@ -26,6 +26,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -198,6 +199,20 @@ func (s *Sink) newProbe() *Probe {
 		p.heat.init(s.cfg.HeatK)
 	}
 	return p
+}
+
+// CheckShape reports whether the sink has exactly one probe per serving
+// goroutine of a run with the given shard rows, workers per shard and
+// injectors. An out-of-shape index gets a nil probe — the off switch —
+// so a run that attached a mismatched sink would leave goroutines
+// unobserved and divide the stage table's coverage by the wrong count;
+// engines call this first and refuse instead. A nil sink fits any run.
+func (s *Sink) CheckShape(shards, workers, injectors int) error {
+	if s == nil || (len(s.shards) == shards && s.cfg.Workers == workers && len(s.inject) == injectors) {
+		return nil
+	}
+	return fmt.Errorf("telemetry sink shaped for %d shards x %d workers + %d injectors attached to a run of %d x %d + %d",
+		len(s.shards), s.cfg.Workers, len(s.inject), shards, workers, injectors)
 }
 
 // Probe returns the probe for one shard worker (indexes into
