@@ -6,7 +6,15 @@ BENCH_PATTERN ?= EdgeByPort|MetricBuild|TrafficThroughput|BuildAll1k
 COUNT ?= 5
 OUT ?= bench-new.txt
 
-.PHONY: all build test verify race short large bench bench-smoke benchmark-check benchcmp fmt vet lint ci alloc-gates loc traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
+# benchdiff knobs: make benchdiff REF=HEAD~1 WORKLOAD=churn-n512 PAIRS=10
+# (SEED is the first pair's; BENCHDIFF_DIR holds the extracted ref tree).
+REF ?= HEAD
+WORKLOAD ?= churn-n512
+PAIRS ?= 10
+SEED ?= 1
+BENCHDIFF_DIR ?= .benchdiff
+
+.PHONY: all build test verify race short large bench bench-smoke benchmark-check benchcmp benchdiff fmt vet lint ci alloc-gates loc traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes snapshots
 
 all: verify
 
@@ -89,18 +97,27 @@ churn:
 	$(GO) test -race -run 'TestTCPPeerDeathDetectedByMonitor|TestTCPPeerFlapMidBatch' ./internal/cluster
 
 # Cluster-churn smoke (E19) under the race detector: churn events ride
-# the fabric as wire frames, every shard repairs its owned slice behind
-# its epoch fence while serving, each batch certified bit-identical to a
-# from-scratch build — plus the reordering adversary, the bounded
+# the fabric as wire frames, every shard fences each batch and the last
+# repairs the fabric's one replica for all while the rest serve, each
+# batch certified bit-identical to the sequential reference and a
+# from-scratch build — plus the failing-repair rendezvous, the SSSP
+# budget, the reordering adversary, the bounded
 # affected-set soundness property, the churn-frame golden/codec units,
 # and the mid-repair peer-death / poisoned-repair / hostile-churn-frame
 # TCP tests.
 churn-cluster:
 	$(GO) run -race ./cmd/rtbench -exp churncluster -n 96 -shards 8 -epochs 3 -events 3 -packets 9000 -seed 1
-	$(GO) test -race -run 'TestClusterChurnMatchesSequential|TestClusterChurnUnderReorderingAdversary' .
+	$(GO) test -race -run 'TestClusterChurnMatchesSequential|TestClusterChurnUnderReorderingAdversary|TestClusterChurnRepairFailureSurfaces|TestSSSPBudget' .
 	$(GO) test -race -run 'TestBoundedAffectedSetSupersetOfExact' ./internal/churn
 	$(GO) test -race -run 'TestTCPPeerDeathMidRepair|TestRepairFailurePoisonsShard|TestTCPHostileChurnFrames' ./internal/cluster
 	$(GO) test -race -run 'TestChurnEventFrameGolden' ./internal/wire
+
+# The repo benchmark's snapshots, byte for byte: sha256 of build-1k's
+# three schemes and churn-n512's StretchSix for three seeds, pinned at
+# the commit before PR 17 (tier-1 pins only the churn world's; the nine
+# n=1024 builds would load both cores beside the alloc gates).
+snapshots:
+	RTROUTE_LARGE=1 $(GO) test -count=1 -run TestBenchmarkSnapshotsPinned .
 
 # Docs gate: README/DESIGN Go fences must parse (gofmt-clean when
 # written as complete files) and relative links must resolve.
@@ -129,6 +146,13 @@ benchcmp:
 	@cat $(OUT)
 	@echo "# wrote $(OUT); compare with: benchstat <old>.txt $(OUT)"
 
+# Same-host A/B of the repo benchmark (ROADMAP 5c): REF against the
+# working tree on one workload, in interleaved same-seed pairs, all six
+# end-to-end metrics per run, medians, win count; fails on a median
+# worse than its BENCHMARK.json bound.
+benchdiff:
+	$(GO) run ./internal/benchdiff -ref $(REF) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED) -dir $(BENCHDIFF_DIR)
+
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
@@ -153,8 +177,8 @@ alloc-gates:
 # in total, benchmark/ (the instrument) excluded. DESIGN.md "Code size"
 # is this table.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | \
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.benchdiff/*' | \
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
-ci: lint build race alloc-gates traffic cluster obs churn churn-cluster docs bench-smoke benchmark-check fuzz-smoke
+ci: lint build race alloc-gates traffic cluster obs churn churn-cluster snapshots docs bench-smoke benchmark-check fuzz-smoke

@@ -147,7 +147,7 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 			BuildWorkers: cfg.BuildWorkers,
 		})
 	case RTZStretch3:
-		sub, err := rtz.New(s.Graph, s.Metric, rng(), cfg.Substrate)
+		sub, err := rtz.NewWith(s.Graph, s.Metric, rng(), cfg.Substrate, rtz.Pass{Workers: cfg.BuildWorkers})
 		if err != nil {
 			return nil, err
 		}

@@ -46,8 +46,9 @@ func NewChurnModel(ov *ChurnOverlay, seed int64, rate float64, mix ChurnMix, max
 // the deployment that routes through it. A replica repairs only the
 // table slice it is bound to, so replicas built from the same seed and
 // fed the same batches stay bit-identical on the nodes each one owns —
-// the contract RunChurnCluster keeps per shard and rtserve -repair arms
-// per daemon.
+// the contract rtserve -repair arms per daemon (one replica, one owned
+// slice, per process). RunChurnCluster binds its two to every node: the
+// fabric's, which all of a process's shards share, and the reference.
 type Replica struct {
 	m    *Maintained
 	ov   *ChurnOverlay
@@ -82,10 +83,11 @@ func (r *Replica) Bind(dep *Deployment, owns func(NodeID) bool) {
 }
 
 // Repair folds one event batch into the overlay and repairs the bound
-// slice. It is a cluster shard's Options.Repair hook: called under the
-// shard's epoch fence with batches in sequence order, so in-flight
-// roundtrips finish on the pre-fence epoch or come back as typed drops
-// and nothing ever routes on a half-patched table.
+// slice. It is what a cluster shard's Options.Repair hook runs: called
+// with every fence over the bound deployment held (the daemon's one, or
+// all of the in-process fabric's) and batches in sequence order, so
+// in-flight roundtrips finish on the pre-fence epoch or come back as
+// typed drops and nothing ever routes on a half-patched table.
 func (r *Replica) Repair(seq uint64, events []ChurnEvent) error {
 	dirty, err := r.ov.ApplyBatch(events)
 	if err == nil {

@@ -1,9 +1,9 @@
 package rtroute
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,15 +18,16 @@ import (
 )
 
 // ChurnClusterConfig parameterizes one RunChurnCluster experiment:
-// seeded churn absorbed by a serving shard fabric, with online per-shard
-// repair behind epoch fences and bit-identity certification against a
-// reference replica after every event batch.
+// seeded churn absorbed by a serving shard fabric, with one online
+// repair per batch behind the shards' epoch fences and bit-identity
+// certification against a sequential reference replica after every
+// event batch.
 type ChurnClusterConfig struct {
 	// Kind selects the maintained scheme (default StretchSix).
 	Kind SchemeKind
-	// Build is the scheme construction config; every shard replica and
+	// Build is the scheme construction config; the fabric's replica and
 	// the reference build from the same seed, so their planes start
-	// bit-identical.
+	// bit-identical. The reference overrides BuildWorkers to 1.
 	Build BuildConfig
 	// Shards is the fabric width (default 8).
 	Shards int
@@ -57,9 +58,9 @@ type ChurnClusterConfig struct {
 	// Workload selects the pair distribution (zero value = uniform).
 	Workload TrafficWorkload
 	// Certify additionally certifies the reference replica against a
-	// from-scratch build after every batch, making the per-shard slice
-	// comparison transitively a from-scratch certification. Costs a full
-	// build per batch.
+	// from-scratch build after every batch, making the fabric's
+	// comparison with the reference transitively a from-scratch
+	// certification. Costs a full build per batch.
 	Certify bool
 	// Sink, when non-nil, attaches the telemetry plane; its shape must
 	// be Shards x Workers with no injectors (SinkShape) or the run
@@ -69,11 +70,15 @@ type ChurnClusterConfig struct {
 	// — the test hook the reordering-adversary certification uses to
 	// shuffle deliveries, churn frames included.
 	wrapEndpoint func(shard int, tr cluster.Transport) cluster.Transport
+	// failRepair, when non-nil, is consulted before the fabric's repair
+	// of each batch; an error it returns is that repair's outcome (the
+	// failing-repair test's hook).
+	failRepair func(seq uint64) error
 }
 
 // SinkShape returns the TelemetryConfig matching this run's probes: one
-// row per shard — the churn fabric runs one replica per shard and does
-// not regroup them — and no injector probes.
+// row per shard — the churn fabric keeps one serving loop and one epoch
+// fence per shard and does not regroup them — and no injector probes.
 func (cfg ChurnClusterConfig) SinkShape() TelemetryConfig {
 	cfg.fill()
 	ids := make([]int, cfg.Shards)
@@ -124,18 +129,31 @@ type ChurnClusterBatch struct {
 	FireDrops     int64   `json:"fire_drops"`
 	FireMisroutes int64   `json:"fire_misroutes"`
 	FireNs        int64   `json:"fire_ns"`
-	RepairNsMean  int64   `json:"repair_ns_mean"`
-	RepairNsMax   int64   `json:"repair_ns_max"`
-	CertifyNs     int64   `json:"certify_ns"`
-	StableIssued  int64   `json:"stable_issued"`
-	StableNs      int64   `json:"stable_ns"`
+	// RepairNsMean/Max are the shards' fence holds: from asking for the
+	// write fence to releasing it, the rendezvous and the one repair
+	// inside. FenceWaitNsMax is the longest wait for the fence itself
+	// (serving batches draining), part of the hold but not of the repair.
+	RepairNsMean   int64 `json:"repair_ns_mean"`
+	RepairNsMax    int64 `json:"repair_ns_max"`
+	FenceWaitNsMax int64 `json:"fence_wait_ns_max"`
+	// RefRepairNs is the reference replica's sequential repair on the
+	// driver thread — inside the fire window, beside the fabric's.
+	RefRepairNs  int64 `json:"ref_repair_ns"`
+	CertifyNs    int64 `json:"certify_ns"`
+	StableIssued int64 `json:"stable_issued"`
+	StableNs     int64 `json:"stable_ns"`
 
 	// Repair anatomy, from the reference replica's MaintainReport: what
-	// the full (unfiltered) repair of this batch re-derived.
+	// the repair of this batch re-derived.
 	RebuiltTables int  `json:"rebuilt_tables"`
 	RebuiltTrees  int  `json:"rebuilt_trees"`
 	PatchedLabels int  `json:"patched_labels"`
 	FullRebuild   bool `json:"full_rebuild,omitempty"`
+	// RefRepair and FabricRepair are both repairs' full reports, stage
+	// walls and search counts included: the same work, sequential and on
+	// every core.
+	RefRepair    MaintainReport `json:"ref_repair"`
+	FabricRepair MaintainReport `json:"fabric_repair"`
 }
 
 // ChurnClusterResult aggregates one RunChurnCluster experiment (E19).
@@ -153,7 +171,8 @@ type ChurnClusterResult struct {
 	Served    int64 `json:"served"`
 	Drops     int64 `json:"drops"`
 	Misroutes int64 `json:"misroutes"`
-	// Repairs counts per-shard repair passes (Shards x Batches).
+	// Repairs counts the shards' fenced applications (Shards x Batches);
+	// each batch's S applications share one repair of the fabric replica.
 	Repairs      int64 `json:"repairs"`
 	RepairNsMean int64 `json:"repair_ns_mean"`
 	RepairNsMax  int64 `json:"repair_ns_max"`
@@ -174,24 +193,20 @@ type ChurnClusterResult struct {
 
 type ccPair struct{ src, dst int32 }
 
-// ccShard is one shard of the fabric with its private copy of the
-// world: its own graph clone, maintained plane and churn overlay (the
-// Replica) behind its own deployment. Nothing below the wire is shared
-// between shards, so a repair is a genuinely local act — exactly the
-// regime the paper's per-node tables are for.
-type ccShard struct {
-	*Replica
-	sh *cluster.Shard
-}
-
+// ccRun is one RunChurnCluster in flight. Below the wire the process
+// holds two copies of the world: ref, the certification oracle, repaired
+// sequentially on the driver thread over the caller's graph, and fab,
+// the fabric's one replica over a private clone, whose single Deployment
+// every shard's view shares (see repair).
 type ccRun struct {
 	cfg    ChurnClusterConfig
 	n      int
-	ref    *Replica // certification oracle; owns every node
+	ref    *Replica
+	fab    *Replica
 	model  *churn.Model
 	place  *cluster.Placement
 	nodeOf []NodeID // name -> node, churn-invariant (the paper's TINNs)
-	reps   []ccShard
+	shards []*cluster.Shard
 	bus    *cluster.ChanBus
 	window *cluster.Window
 	wake   chan struct{}
@@ -205,9 +220,61 @@ type ccRun struct {
 	servedWeight atomic.Int64
 	acks         atomic.Int64
 	dirtyBits    atomic.Uint64 // Float64bits of the last batch's dirty fraction
+	// stageNs is the fabric's last repair by stage, for the gauges.
+	stageNs [len(repairStages)]atomic.Int64
 
 	mu       sync.Mutex
 	firstErr error
+	closed   bool     // abort ran: no repair may start any more
+	meet     *meeting // the rendezvous the next arriving shard joins
+}
+
+// repairStages names MaintainReport's stage walls, in pass order.
+var repairStages = [...]string{"substrate", "orders", "assign", "tables", "patch"}
+
+func stageWalls(rep *MaintainReport) [len(repairStages)]int64 {
+	return [...]int64{rep.SubstrateNs, rep.OrdersNs, rep.AssignNs, rep.TablesNs, rep.PatchNs}
+}
+
+// meeting is one batch's rendezvous of the shards' Repair hooks: done is
+// closed once err holds the outcome every arrival returns.
+type meeting struct {
+	arrived int
+	done    chan struct{}
+	err     error
+}
+
+// repair is every shard's Options.Repair hook. Each shard calls it under
+// its own write fence; the S calls of one batch are one repair: the last
+// shard to arrive — by then every shard holds its fence, so nothing reads
+// the shared graph or tables — repairs the fabric replica for all, on
+// every core, while the others wait holding theirs, so the serving read
+// path shares no lock between shards. A repair that has started always
+// finishes before any fence drops; abort fails the meeting still
+// gathering, so a dead shard cannot strand its peers.
+func (r *ccRun) repair(seq uint64, events []ChurnEvent) error {
+	r.mu.Lock()
+	m := r.meet
+	m.arrived++
+	last := m.arrived == r.cfg.Shards && !r.closed
+	if last {
+		r.meet = &meeting{done: make(chan struct{})}
+	}
+	r.mu.Unlock()
+	if last {
+		if r.cfg.failRepair != nil {
+			m.err = r.cfg.failRepair(seq)
+		}
+		if m.err == nil {
+			m.err = r.fab.Repair(seq, events)
+		}
+		for i, ns := range stageWalls(&r.fab.last) {
+			r.stageNs[i].Store(ns)
+		}
+		close(m.done)
+	}
+	<-m.done
+	return m.err
 }
 
 func (r *ccRun) wakeup() {
@@ -217,10 +284,18 @@ func (r *ccRun) wakeup() {
 	}
 }
 
+// abort records err (the first one wins; nil records nothing), fails the
+// repair rendezvous still gathering — no repair starts any more — and
+// closes the fabric, which releases the driver and the serving loops.
 func (r *ccRun) abort(err error) {
 	r.mu.Lock()
 	if r.firstErr == nil && err != nil {
 		r.firstErr = err
+	}
+	if !r.closed {
+		r.closed = true
+		r.meet.err = errors.New("rtroute: fabric closed before every shard reached the repair rendezvous")
+		close(r.meet.done)
 	}
 	r.mu.Unlock()
 	r.bus.Close()
@@ -233,18 +308,21 @@ func (r *ccRun) err() error {
 	return r.firstErr
 }
 
-// RunChurnCluster drives seeded churn through a serving shard fabric:
-// every shard holds a full replica of the scheme built from the same
-// seed (bit-identical planes), and each event batch is broadcast as a
-// churn frame. A shard applies the batch to its own overlay and rebuilds
-// only the intersection of the affected set with its owned nodes —
-// concurrently with serving, behind its epoch fence, so in-flight
-// roundtrips complete on stale-but-live routes or fail typed, never
-// hang. After every batch the run certifies each shard's owned table
-// slice bit-identical to a reference replica repaired the classic way
-// (and, with Certify, to a from-scratch build), then serves a stable
-// window whose hop and weight totals must match a sequential replay on
-// the reference plane exactly.
+// RunChurnCluster drives seeded churn through a serving shard fabric.
+// The fabric serves one replica of the scheme — one graph clone, one
+// maintained plane, one Deployment behind all S shard views — and each
+// event batch is broadcast as a churn frame: every shard receives,
+// orders and acknowledges it and takes its own epoch fence, and the
+// last to do so repairs the replica once, on every core, for all of
+// them (see ccRun.repair) — concurrently with serving on the shards not
+// yet fenced, so in-flight roundtrips complete on stale-but-live routes
+// or fail typed, never hang. After every batch the run certifies the
+// fabric's plane bit-identical, node for node, to a reference replica
+// built from the same seed and repaired sequentially (BuildWorkers 1) on
+// an independent graph and oracle — parallel ≡ sequential — and, with
+// Certify, the reference to a from-scratch build; then it serves a
+// stable window whose hop and weight totals must match a sequential
+// replay on the reference plane exactly.
 func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, error) {
 	cfg.fill()
 	if err := cfg.Sink.CheckShape(cfg.Shards, cfg.Workers, 0); err != nil {
@@ -253,11 +331,23 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	n := sys.Graph.N()
 
 	// Reference replica: the certification oracle and sequential-replay
-	// plane. It sees the same events and repairs with the full affected
-	// set (no ownership filter).
-	ref, err := NewReplica(sys, cfg.Kind, cfg.Build)
+	// plane. It sees the same events and builds and repairs one worker
+	// at a time.
+	refCfg := cfg.Build
+	refCfg.BuildWorkers = 1
+	ref, err := NewReplica(sys, cfg.Kind, refCfg)
 	if err != nil {
 		return nil, err
+	}
+	// The fabric's replica: a clone of the graph, still pristine, under
+	// its own oracle, built and repaired on cfg.Build's workers.
+	fsys, err := NewSystemWith(sys.Graph.Clone(), sys.Naming, SystemConfig{Metric: MetricLazy})
+	if err != nil {
+		return nil, fmt.Errorf("rtroute: fabric replica: %w", err)
+	}
+	fab, err := NewReplica(fsys, cfg.Kind, cfg.Build)
+	if err != nil {
+		return nil, fmt.Errorf("rtroute: fabric replica: %w", err)
 	}
 	// Event times advance on a unit-rate Poisson clock (it paces the
 	// flap damper, not the experiment) over the default event mix.
@@ -274,10 +364,11 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 
 	r := &ccRun{
 		cfg: cfg, n: n,
-		ref: ref, model: model, place: place,
+		ref: ref, fab: fab, model: model, place: place,
 		bus:    cluster.NewChanBus(cfg.Shards, cfg.InFlight+cfg.Shards),
 		window: cluster.NewWindow(cfg.InFlight),
 		wake:   make(chan struct{}, 1),
+		meet:   &meeting{done: make(chan struct{})},
 	}
 	// Snapshot the name->node map: topology-independent names never move
 	// under churn, but reading it through refDep would race with the
@@ -287,29 +378,21 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 		r.nodeOf[name] = refDep.NodeOf(name)
 	}
 
-	// Per-shard replicas: clone the pristine graph, rebuild the same
-	// plane from the same seed, wrap a private overlay. Built before any
-	// churn so every replica starts from the reference's exact state.
-	r.reps = make([]ccShard, cfg.Shards)
-	for i := range r.reps {
-		si, err := NewSystemWith(sys.Graph.Clone(), sys.Naming, SystemConfig{Metric: MetricLazy})
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
-		}
-		rep, err := NewReplica(si, cfg.Kind, cfg.Build)
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
-		}
-		view, err := core.NewDeployment(rep.m.Plane(), cfg.Kind).ShardView(i, place.Owner)
+	// One Deployment over the fabric's plane; every shard serves its own
+	// view of it and repairs through the shared rendezvous.
+	fabDep := core.NewDeployment(fab.m.Plane(), cfg.Kind)
+	fab.Bind(fabDep, nil)
+	r.shards = make([]*cluster.Shard, cfg.Shards)
+	for i := range r.shards {
+		view, err := fabDep.ShardView(i, place.Owner)
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d view: %w", i, err)
 		}
-		rep.Bind(view.Deployment(), view.Owns)
 		tr := cluster.Transport(r.bus.Endpoint(i))
 		if cfg.wrapEndpoint != nil {
 			tr = cfg.wrapEndpoint(i, tr)
 		}
-		r.reps[i] = ccShard{rep, cluster.NewShard(view, place, tr, cluster.Options{
+		r.shards[i] = cluster.NewShard(view, place, tr, cluster.Options{
 			Workers: cfg.Workers, Strict: true,
 			OnDone: func(f *wire.Frame) {
 				r.servedHops.Add(int64(f.Out.Hops) + int64(f.Back.Hops))
@@ -327,13 +410,13 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 				r.window.Put(1)
 				r.wakeup()
 			},
-			Repair: rep.Repair,
+			Repair: r.repair,
 			OnRepaired: func(seq uint64) {
 				r.acks.Add(1)
 				r.wakeup()
 			},
 			Sink: cfg.Sink, SinkShard: i,
-		})}
+		})
 	}
 	r.registerGauges()
 
@@ -344,14 +427,14 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	gen := wl.Generator(0)
 
 	var wg sync.WaitGroup
-	for _, rep := range r.reps {
+	for _, sh := range r.shards {
 		wg.Add(1)
 		go func(sh *cluster.Shard) {
 			defer wg.Done()
 			if err := sh.Serve(); err != nil {
 				r.abort(err)
 			}
-		}(rep.sh)
+		}(sh)
 	}
 
 	res := &ChurnClusterResult{
@@ -360,10 +443,12 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	}
 	start := time.Now()
 	runErr := r.drive(gen, res)
-	r.bus.Close()
+	r.abort(nil)
 	wg.Wait()
-	if runErr == nil {
-		runErr = r.err()
+	// A shard's own failure (a poisoned repair) is the cause; what the
+	// driver saw of it (a closed fabric) is the symptom.
+	if err := r.err(); err != nil {
+		runErr = err
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -394,12 +479,11 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 		res.StableRTPerSec = float64(stableIssued) / (float64(stableNs) / 1e9)
 	}
 	var repairNanos int64
-	for _, rep := range r.reps {
-		_, _, reps, nanos := rep.sh.ChurnStats()
+	for _, sh := range r.shards {
+		_, _, reps, nanos := sh.ChurnStats()
 		res.Repairs += reps
 		repairNanos += nanos
-		st := rep.sh.Stats()
-		res.CrossShard += st.FramesOut
+		res.CrossShard += sh.Stats().FramesOut
 	}
 	if res.Repairs > 0 {
 		res.RepairNsMean = repairNanos / res.Repairs
@@ -416,18 +500,25 @@ func (r *ccRun) registerGauges() {
 	sink.RegisterGauge("churn_cluster_misroutes_total", func() float64 { return float64(r.misroutes.Load()) })
 	sink.RegisterGauge("churn_cluster_repairs_total", func() float64 { return float64(r.acks.Load()) })
 	sink.RegisterGauge("churn_cluster_dirty_frac", func() float64 { return math.Float64frombits(r.dirtyBits.Load()) })
-	sink.RegisterGauge("churn_cluster_repair_ns_mean", func() float64 {
-		var count, nanos int64
-		for _, rep := range r.reps {
-			_, _, c, ns := rep.sh.ChurnStats()
-			count += c
-			nanos += ns
+	perRepair := func(nanos func(*cluster.Shard) int64) func() float64 {
+		return func() float64 {
+			var count, total int64
+			for _, sh := range r.shards {
+				_, _, c, _ := sh.ChurnStats()
+				count += c
+				total += nanos(sh)
+			}
+			if count == 0 {
+				return 0
+			}
+			return float64(total) / float64(count)
 		}
-		if count == 0 {
-			return 0
-		}
-		return float64(nanos) / float64(count)
-	})
+	}
+	sink.RegisterGauge("churn_cluster_repair_ns_mean", perRepair(func(sh *cluster.Shard) int64 { _, _, _, ns := sh.ChurnStats(); return ns }))
+	sink.RegisterGauge("churn_cluster_fence_wait_ns_mean", perRepair((*cluster.Shard).FenceWaitNanos))
+	for i, stage := range repairStages {
+		sink.RegisterGauge(fmt.Sprintf("churn_cluster_repair_stage_ns{stage=%q}", stage), func() float64 { return float64(r.stageNs[i].Load()) })
+	}
 }
 
 // drive runs the batch loop: draw events -> fire (serve while the
@@ -436,6 +527,7 @@ func (r *ccRun) registerGauges() {
 func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 	prevRepairs := make([]int64, r.cfg.Shards)
 	prevNanos := make([]int64, r.cfg.Shards)
+	prevWait := make([]int64, r.cfg.Shards)
 	for b := 0; b < r.cfg.Batches; b++ {
 		seq := uint64(b + 1)
 		row := ChurnClusterBatch{Batch: b}
@@ -470,10 +562,13 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		}
 		// The reference repairs on the driver thread while the fabric
 		// serves under fire.
+		ref0 := time.Now()
 		if err := r.ref.rebuild(dirty); err != nil {
 			<-injected
 			return fmt.Errorf("rtroute: reference repair: %w", err)
 		}
+		row.RefRepairNs = int64(time.Since(ref0))
+		row.RefRepair = r.ref.last
 		row.RebuiltTables, row.RebuiltTrees = r.ref.last.RebuiltTables, r.ref.last.RebuiltTrees
 		row.PatchedLabels, row.FullRebuild = r.ref.last.PatchedLabels, r.ref.last.FullRebuild
 		if err := <-injected; err != nil {
@@ -488,33 +583,33 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		row.FireServed = r.served.Load() - served0
 		row.FireDrops = r.drops.Load() - drops0
 		row.FireMisroutes = r.misroutes.Load() - miss0
-		var repairSum, repairMax int64
-		for i, rep := range r.reps {
-			_, _, reps, nanos := rep.sh.ChurnStats()
-			d := nanos - prevNanos[i]
+		var repairSum int64
+		for i, sh := range r.shards {
+			_, _, reps, nanos := sh.ChurnStats()
+			wait := sh.FenceWaitNanos()
 			if reps != prevRepairs[i]+1 {
 				return fmt.Errorf("rtroute: batch %d: shard %d ran %d repairs, expected %d", b, i, reps, prevRepairs[i]+1)
 			}
-			prevRepairs[i], prevNanos[i] = reps, nanos
-			repairSum += d
-			if d > repairMax {
-				repairMax = d
-			}
+			repairSum += nanos - prevNanos[i]
+			row.RepairNsMax = max(row.RepairNsMax, nanos-prevNanos[i])
+			row.FenceWaitNsMax = max(row.FenceWaitNsMax, wait-prevWait[i])
+			prevRepairs[i], prevNanos[i], prevWait[i] = reps, nanos, wait
 		}
 		row.RepairNsMean = repairSum / int64(r.cfg.Shards)
-		row.RepairNsMax = repairMax
+		row.FabricRepair = r.fab.last
 
-		// Certification: every shard's owned slice of the plane must be
-		// bit-identical to the reference replica — and the reference, with
-		// Certify, to a from-scratch build on the mutated graph.
+		// Certification: the fabric's plane, repaired on every core, must
+		// be bit-identical node for node to the reference replica's,
+		// repaired on one — and the reference, with Certify, to a
+		// from-scratch build on the mutated graph.
 		cert0 := time.Now()
 		if r.cfg.Certify {
 			if err := r.ref.m.Certify(); err != nil {
 				return fmt.Errorf("rtroute: batch %d: reference vs from-scratch: %w", b, err)
 			}
 		}
-		if err := r.certifySlices(b); err != nil {
-			return err
+		if err := CertifyIdentical(r.fab.m.Plane(), r.ref.m.Plane()); err != nil {
+			return fmt.Errorf("rtroute: batch %d: fabric replica vs reference: %w", b, err)
 		}
 		row.CertifyNs = int64(time.Since(cert0))
 
@@ -641,41 +736,6 @@ func (r *ccRun) waitAccounted(issued, acks int64, what string) error {
 	}
 }
 
-// certifySlices compares every shard's owned LocalStates bit for bit
-// against the reference replica's decomposition.
-func (r *ccRun) certifySlices(batch int) error {
-	refShared, refLocals, err := core.Decompose(r.ref.m.Plane())
-	if err != nil {
-		return fmt.Errorf("rtroute: batch %d: decompose reference: %w", batch, err)
-	}
-	for i, rep := range r.reps {
-		shared, locals, err := core.Decompose(rep.m.Plane())
-		if err != nil {
-			return fmt.Errorf("rtroute: batch %d: decompose shard %d: %w", batch, i, err)
-		}
-		// Compare the O(1) shared parameters and the naming — not the
-		// Graph field, whose clones differ in incidental internals (seal
-		// caches, adjacency scratch) without affecting routing state.
-		if shared.Kind != refShared.Kind || shared.K != refShared.K || shared.Levels != refShared.Levels ||
-			shared.ViaSource != refShared.ViaSource || shared.DirectReturn != refShared.DirectReturn ||
-			!reflect.DeepEqual(shared.Names, refShared.Names) {
-			return fmt.Errorf("rtroute: batch %d: shard %d shared parameters diverge from the reference replica", batch, i)
-		}
-		if len(locals) != len(refLocals) {
-			return fmt.Errorf("rtroute: batch %d: shard %d has %d local states, reference %d", batch, i, len(locals), len(refLocals))
-		}
-		for v := range locals {
-			if r.place.Shard(NodeID(v)) != i {
-				continue // foreign tables are deliberately stale
-			}
-			if !reflect.DeepEqual(locals[v], refLocals[v]) {
-				return fmt.Errorf("rtroute: batch %d: shard %d node %d state diverges from the reference replica", batch, i, v)
-			}
-		}
-	}
-	return nil
-}
-
 // Format renders the result as the E19 cluster-churn report.
 func (r *ChurnClusterResult) Format() string {
 	var b strings.Builder
@@ -697,23 +757,52 @@ func (r *ChurnClusterResult) Format() string {
 		pct(dirtySum, float64(len(r.BatchRows))), 100*dirtyMax, r.SuppressedFlaps, r.DamperReleases)
 	switch {
 	case r.Certified && r.FromScratch:
-		b.WriteString("certified: owned slices bit-identical to the reference replica, reference to from-scratch builds, after every batch\n")
+		b.WriteString("certified: fabric replica bit-identical to the sequential reference, reference to from-scratch builds, after every batch\n")
 	case r.Certified:
-		b.WriteString("certified: owned slices bit-identical to the reference replica after every batch\n")
+		b.WriteString("certified: fabric replica bit-identical to the sequential reference after every batch\n")
 	}
-	fmt.Fprintf(&b, "\n%-5s %6s %6s %7s %9s %9s %9s %11s %11s %6s %6s %6s %9s %9s\n",
-		"batch", "events", "dirty", "dirty%", "fired", "drops", "misroutes", "repair-mean", "repair-max",
+	fmt.Fprintf(&b, "\n%-5s %6s %6s %7s %9s %9s %9s %11s %11s %11s %11s %6s %6s %6s %9s %9s\n",
+		"batch", "events", "dirty", "dirty%", "fired", "drops", "misroutes", "repair-mean", "repair-max", "fence-wait", "ref-repair",
 		"trees", "tables", "labels", "fire-ms", "stable-ms")
 	for _, row := range r.BatchRows {
 		tables := fmt.Sprint(row.RebuiltTables)
 		if row.FullRebuild {
 			tables = "full"
 		}
-		fmt.Fprintf(&b, "%-5d %6d %6d %7.2f %9d %9d %9d %11s %11s %6d %6s %6d %9.1f %9.1f\n",
+		fmt.Fprintf(&b, "%-5d %6d %6d %7.2f %9d %9d %9d %11s %11s %11s %11s %6d %6s %6d %9.1f %9.1f\n",
 			row.Batch, row.Events, row.Dirty, 100*row.DirtyFrac, row.FireIssued, row.FireDrops, row.FireMisroutes,
 			time.Duration(row.RepairNsMean).Round(time.Microsecond), time.Duration(row.RepairNsMax).Round(time.Microsecond),
+			time.Duration(row.FenceWaitNsMax).Round(time.Microsecond), time.Duration(row.RefRepairNs).Round(time.Microsecond),
 			row.RebuiltTrees, tables, row.PatchedLabels,
 			float64(row.FireNs)/1e6, float64(row.StableNs)/1e6)
+	}
+	return b.String()
+}
+
+// FormatStages renders each batch's repair by stage, the fabric's (on
+// every core) beside the reference's (on one): milliseconds of wall per
+// stage — orders is a share of substrate, summed over workers — then the
+// shortest-path searches run against the re-solved destinations and
+// rebuilt trees that are owed two each, and the certification's wall.
+func (r *ChurnClusterResult) FormatStages() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-5s %-9s", "batch", "repairer")
+	for _, stage := range repairStages {
+		fmt.Fprintf(&b, " %9s", stage)
+	}
+	fmt.Fprintf(&b, " %6s %6s %6s %10s\n", "sssp", "dests", "trees", "certify-ms")
+	for _, row := range r.BatchRows {
+		for i, rep := range []*MaintainReport{&row.FabricRepair, &row.RefRepair} {
+			fmt.Fprintf(&b, "%-5d %-9s", row.Batch, []string{"fabric", "reference"}[i])
+			for _, ns := range stageWalls(rep) {
+				fmt.Fprintf(&b, " %9.2f", float64(ns)/1e6)
+			}
+			fmt.Fprintf(&b, " %6d %6d %6d", rep.SSSPRuns, rep.RebuiltClusters, rep.RebuiltTrees)
+			if i == 0 {
+				fmt.Fprintf(&b, " %10.1f", float64(row.CertifyNs)/1e6)
+			}
+			b.WriteByte('\n')
+		}
 	}
 	return b.String()
 }

@@ -1,24 +1,29 @@
 package rtroute
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rtroute/internal/cluster"
 )
 
-// TestClusterChurnMatchesSequential is the tentpole certification: an
-// 8-shard fabric absorbs seeded churn while serving — events ride the
-// wire as churn frames, every shard repairs its owned slice behind its
-// epoch fence concurrently with roundtrips in flight — and after every
-// batch each shard's owned tables are bit-identical to a reference
-// replica (and, transitively, to a from-scratch build), the accounting
-// identity holds exactly (zero hung roundtrips), and the post-repair
-// stable window's hop and weight totals equal a sequential replay on
-// the reference plane. The one-shard rows are the monolithic churn loop
-// (no crossings, one replica repairing every node beside a 4-worker
+// TestClusterChurnMatchesSequential is the tentpole certification: a
+// fabric of 8, 2 and 1 shards absorbs seeded churn while serving —
+// events ride the wire as churn frames, every shard orders and fences
+// each batch and the last to arrive repairs the fabric's one replica on
+// every core, with roundtrips in flight — and after every batch the
+// fabric's tables are bit-identical to a reference replica repaired
+// sequentially (and, transitively, to a from-scratch build), the
+// accounting identity holds exactly (zero hung roundtrips), and the
+// post-repair stable window's hop and weight totals equal a sequential
+// replay on the reference plane. The one-shard rows are the monolithic
+// churn loop (no crossings, a rendezvous of one beside a 4-worker
 // serving pool) through the same driver. All five plane kinds, under
 // -race.
 func TestClusterChurnMatchesSequential(t *testing.T) {
@@ -37,6 +42,7 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 		shards, workers int
 	}{
 		{"shards=8", 8, 2},
+		{"shards=2", 2, 2},
 		{"shards=1", 1, 4},
 	}
 	for _, tc := range kinds {
@@ -84,6 +90,12 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 						}
 						if row.RebuiltTables == 0 && row.RebuiltTrees == 0 && row.PatchedLabels == 0 {
 							t.Fatalf("batch %d: reference repair of %d dirty nodes reports no work", row.Batch, row.Dirty)
+						}
+						if ref, fab := counters(row.RefRepair), counters(row.FabricRepair); !reflect.DeepEqual(ref, fab) {
+							t.Fatalf("batch %d: fabric repaired %+v, reference %+v", row.Batch, fab, ref)
+						}
+						if row.FenceWaitNsMax > row.RepairNsMax {
+							t.Fatalf("batch %d: fence wait %d ns exceeds the fence hold %d ns it is part of", row.Batch, row.FenceWaitNsMax, row.RepairNsMax)
 						}
 					}
 					t.Logf("\n%s", res.Format())
@@ -210,8 +222,50 @@ func TestClusterChurnUnderReorderingAdversary(t *testing.T) {
 	}
 }
 
+// TestClusterChurnRepairFailureSurfaces: when the fabric's one repair
+// fails — here on the second batch, after every shard has reached the
+// rendezvous holding its fence — every shard must come back from the
+// rendezvous with that error and poison itself, and RunChurnCluster must
+// return it promptly (far inside the driver's 60 s hang deadline) with
+// every serving loop joined and no goroutine left behind.
+func TestClusterChurnRepairFailureSurfaces(t *testing.T) {
+	sys := churnSystem(t, 40, 0xFA11)
+	boom := errors.New("injected repair failure")
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunChurnCluster(sys, ChurnClusterConfig{
+			Kind: StretchSix, Build: BuildConfig{Seed: 7}, Shards: 4, Workers: 2, ChurnSeed: 901,
+			Batches: 3, EventsPerBatch: 2, FirePackets: 300, StablePackets: 300, InFlight: 64,
+			failRepair: func(seq uint64) error {
+				if seq == 2 {
+					return boom
+				}
+				return nil
+			},
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, boom) {
+			t.Fatalf("RunChurnCluster returned %v, want the injected repair failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("RunChurnCluster still running 5 s after a failed repair: shards stranded at the rendezvous")
+	}
+	// RunChurnCluster joins its serving loops before returning; anything
+	// still winding down is gone within a few scheduler turns.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines before the run, %d after it returned", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestChurnClusterRefusesMismatchedSink: the churn fabric runs one
-// replica per shard and no injector goroutines, so the channel engine's
+// serving loop per shard and no injector goroutines, so the channel engine's
 // sink shape (one row per fabric worker, plus injectors) does not fit it
 // and must be refused with both shapes named, not half-attached; the
 // driver's own SinkShape fits and every shard publishes through it.

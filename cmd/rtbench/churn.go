@@ -40,11 +40,12 @@ func runChurnExp(n int, seed int64) error {
 
 // runChurnClusterExp is the E19 experiment: seeded churn events ride
 // the shard fabric as wire frames while the cluster serves roundtrips;
-// each shard repairs the affected set intersected with its owned nodes
-// behind its epoch fence, every batch is certified bit-identical to the
-// reference (and, with -certify, to a from-scratch build), and the
-// report compares serving throughput under fire against the stable
-// windows between batches.
+// every shard fences each batch and the last to do so repairs the
+// fabric's one replica on every core, every batch is certified
+// bit-identical to the sequential reference (and, with -certify, to a
+// from-scratch build), and the report compares serving throughput under
+// fire against the stable windows between batches, then takes each
+// repair apart by stage.
 func runChurnClusterExp(n int, seed int64) error {
 	fmt.Printf("# E19 — cluster churn: online repair through the shard fabric, certified under fire\n")
 	rng := rand.New(rand.NewSource(seed))
@@ -110,7 +111,7 @@ func runChurnCluster(g *rtroute.Graph, rng *rand.Rand, seed int64, shards int, m
 		return err
 	}
 	fmt.Print(res.Format())
-	fmt.Println()
+	fmt.Printf("\nrepair by stage (ms of wall; the fabric's on every core, the reference's on one)\n%s\n", res.FormatStages())
 	if churnOut != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {

@@ -149,13 +149,19 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 		sink.RegisterGauge("churn_drops_total", func() float64 { d, _, _, _ := sh.ChurnStats(); return float64(d) })
 		sink.RegisterGauge("churn_misroutes_total", func() float64 { _, m, _, _ := sh.ChurnStats(); return float64(m) })
 		sink.RegisterGauge("churn_repairs_total", func() float64 { _, _, r, _ := sh.ChurnStats(); return float64(r) })
-		sink.RegisterGauge("churn_repair_ns_mean", func() float64 {
-			_, _, r, ns := sh.ChurnStats()
-			if r == 0 {
-				return 0
+		perRepair := func(nanos func() int64) func() float64 {
+			return func() float64 {
+				_, _, r, _ := sh.ChurnStats()
+				if r == 0 {
+					return 0
+				}
+				return float64(nanos()) / float64(r)
 			}
-			return float64(ns) / float64(r)
-		})
+		}
+		// The fence hold, and the part of it spent waiting for the other
+		// workers' serving batches to drain before any repairing began.
+		sink.RegisterGauge("churn_repair_ns_mean", perRepair(func() int64 { _, _, _, ns := sh.ChurnStats(); return ns }))
+		sink.RegisterGauge("churn_fence_wait_ns_mean", perRepair(sh.FenceWaitNanos))
 	}
 	fmt.Printf("shard %d/%d serving %d of %d nodes (%s placement) on %s with %d workers\n",
 		shard, len(addrs), view.NodeCount(), dep.Graph().N(), place.Policy, tr.Addr(), workers)
@@ -198,12 +204,12 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 		downs, redials, sink.TraceDropped())
 	if repairHook != nil {
 		d, m, reps, ns := sh.ChurnStats()
-		mean := time.Duration(0)
+		mean, wait := time.Duration(0), time.Duration(0)
 		if reps > 0 {
-			mean = time.Duration(ns / reps)
+			mean, wait = time.Duration(ns/reps), time.Duration(sh.FenceWaitNanos()/reps)
 		}
-		fmt.Printf("churn: %d repairs applied (mean %v), %d roundtrips dropped, %d misrouted\n",
-			reps, mean, d, m)
+		fmt.Printf("churn: %d repairs applied (mean fence hold %v, %v of it waiting for the fence), %d roundtrips dropped, %d misrouted\n",
+			reps, mean, wait, d, m)
 	}
 	if table := sink.Snapshot().FormatStageTable(st.Packets, 0); table != "" {
 		fmt.Printf("\nstage timing (per completed roundtrip)\n%s", table)

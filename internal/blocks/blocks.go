@@ -9,12 +9,15 @@
 package blocks
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
+	"rtroute/internal/bitset"
 	"rtroute/internal/graph"
+	"rtroute/internal/parallel"
 	"rtroute/internal/rtmetric"
 )
 
@@ -176,6 +179,13 @@ func (c *Config) fill() {
 // case. The procedure samples the probabilistic-method distribution and
 // verifies; failure to verify within MaxAttempts returns an error.
 func Assign(space *rtmetric.Space, k int, rng *rand.Rand, cfg Config) (*Assignment, error) {
+	return AssignWorkers(space, k, rng, cfg, 0)
+}
+
+// AssignWorkers is Assign with the verifier's pool size explicit
+// (0 = GOMAXPROCS, 1 = sequential). The draws are serial either way, so
+// the assignment and the rng consumption do not depend on it.
+func AssignWorkers(space *rtmetric.Space, k int, rng *rand.Rand, cfg Config, workers int) (*Assignment, error) {
 	cfg.fill()
 	n := space.G.N()
 	u := NewUniverse(n, k)
@@ -200,7 +210,7 @@ func Assign(space *rtmetric.Space, k int, rng *rand.Rand, cfg Config) (*Assignme
 
 	sizes := rtmetric.NeighborhoodSizes(n, k)
 	if cfg.Greedy {
-		return assignGreedy(space, u, names, sizes)
+		return assignGreedy(space, u, names, sizes, workers)
 	}
 	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
 		a := &Assignment{U: u, Sets: make([][]BlockID, n)}
@@ -215,7 +225,7 @@ func Assign(space *rtmetric.Space, k int, rng *rand.Rand, cfg Config) (*Assignme
 			sortBlocks(set)
 			a.Sets[v] = set
 		}
-		if a.verify(space, sizes) {
+		if a.verify(space, sizes, workers) {
 			return a, nil
 		}
 	}
@@ -231,7 +241,7 @@ func Assign(space *rtmetric.Space, k int, rng *rand.Rand, cfg Config) (*Assignme
 // that prefix). Repairs are monotone — adding blocks never uncovers a
 // neighborhood processed earlier — so one pass per level suffices; the
 // shared verifier still hard-checks the result.
-func assignGreedy(space *rtmetric.Space, u Universe, names []int32, sizes []int) (*Assignment, error) {
+func assignGreedy(space *rtmetric.Space, u Universe, names []int32, sizes []int, workers int) (*Assignment, error) {
 	n := space.G.N()
 	held := make([]map[BlockID]bool, n)
 	counts := make([]int, n)
@@ -280,7 +290,7 @@ func assignGreedy(space *rtmetric.Space, u Universe, names []int32, sizes []int)
 		sortBlocks(set)
 		a.Sets[v] = set
 	}
-	if !a.verify(space, sizes) {
+	if !a.verify(space, sizes, workers) {
 		return nil, fmt.Errorf("blocks: greedy assignment failed verification (n=%d k=%d)", n, u.K)
 	}
 	return a, nil
@@ -393,33 +403,44 @@ func (a *Assignment) HoldsBlock(w graph.NodeID, b BlockID) bool {
 	return false
 }
 
+var errUncovered = errors.New("blocks: uncovered prefix")
+
 // verify checks the Lemma 4 coverage property for all nodes, levels and
-// prefixes realized by actual names.
-func (a *Assignment) verify(space *rtmetric.Space, sizes []int) bool {
+// prefixes realized by actual names (length-i prefixes are 0..σ^i(n-1)).
+// Nodes are checked on the pool — a node's check reads only its own
+// Init order (filling it if absent, into its own slot) and the sets —
+// each worker marking prefixes in one reusable bitset and leaving a
+// neighborhood as soon as every prefix has shown up.
+func (a *Assignment) verify(space *rtmetric.Space, sizes []int, workers int) bool {
 	n := space.G.N()
 	u := a.U
-	for v := 0; v < n; v++ {
+	covered := make([]*bitset.Set, parallel.Workers(n, workers))
+	for w := range covered {
+		covered[w] = bitset.New(int(u.Prefix(int32(u.N-1), u.K-1)) + 1)
+	}
+	return parallel.ForEachWorker(n, workers, func(w, v int) error {
 		for i := 1; i < u.K; i++ {
-			nbhd := space.Neighborhood(graph.NodeID(v), sizes[i])
-			// Collect covered prefixes of length i within N_i(v).
-			covered := make(map[int32]bool)
-			for _, w := range nbhd {
-				for _, b := range a.Sets[w] {
-					covered[u.BlockPrefix(b, i)] = true
+			want := int(u.Prefix(int32(u.N-1), i)) + 1
+			seen, have := covered[w], 0
+			seen.Clear()
+		walk:
+			for _, x := range space.Neighborhood(graph.NodeID(v), sizes[i]) {
+				for _, b := range a.Sets[x] {
+					// Blocks past the last real name have prefixes nobody asks for.
+					if tau := int(u.BlockPrefix(b, i)); tau < want && !seen.Has(tau) {
+						seen.Add(tau)
+						if have++; have == want {
+							break walk
+						}
+					}
 				}
 			}
-			// Every realizable prefix must appear. Realizable prefixes of
-			// length i are σ^i(name) for names 0..n-1, i.e. 0..ceil stuff;
-			// enumerate via blocks of real names.
-			maxPrefix := u.Prefix(int32(u.N-1), i)
-			for tau := int32(0); tau <= maxPrefix; tau++ {
-				if !covered[tau] {
-					return false
-				}
+			if have < want {
+				return errUncovered
 			}
 		}
-	}
-	return true
+		return nil
+	}) == nil
 }
 
 // MaxSetSize returns max_v |S_v|, the quantity Lemma 1/4 bound by O(log n).

@@ -29,7 +29,7 @@ func TestGreedyAssignmentCoverage(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		space, a := greedySpace(t, 96, k, 7)
 		sizes := rtmetric.NeighborhoodSizes(96, k)
-		if !a.verify(space, sizes) {
+		if !a.verify(space, sizes, 0) {
 			t.Fatalf("k=%d: greedy assignment fails the Lemma verifier", k)
 		}
 		for v := 0; v < 96; v++ {

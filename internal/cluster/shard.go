@@ -267,10 +267,11 @@ type Shard struct {
 
 	// Lossy-mode and repair counters, shard-level atomics: workers add
 	// from inside the read fence, gauges read concurrently.
-	drops       atomic.Int64
-	misroutes   atomic.Int64
-	repairs     atomic.Int64
-	repairNanos atomic.Int64
+	drops          atomic.Int64
+	misroutes      atomic.Int64
+	repairs        atomic.Int64
+	repairNanos    atomic.Int64
+	fenceWaitNanos atomic.Int64
 }
 
 // churnBatch is one decoded churn frame parked for in-order application.
@@ -333,11 +334,17 @@ func (s *Shard) Stats() ShardStats {
 }
 
 // ChurnStats returns the shard's churn-plane counters: lossy
-// completions by reason, repairs applied, and total repair wall time.
-// Safe to read while serving (gauges poll it live).
+// completions by reason, repairs applied, and total repair wall time —
+// from asking for the write fence to releasing it, so it includes
+// FenceWaitNanos. Safe to read while serving (gauges poll it live).
 func (s *Shard) ChurnStats() (drops, misroutes, repairs, repairNanos int64) {
 	return s.drops.Load(), s.misroutes.Load(), s.repairs.Load(), s.repairNanos.Load()
 }
+
+// FenceWaitNanos returns the part of ChurnStats' repair time applied
+// repairs spent waiting for the write fence — for the other workers'
+// serving batches to drain — before any repairing began.
+func (s *Shard) FenceWaitNanos() int64 { return s.fenceWaitNanos.Load() }
 
 // hists merges the shard's histograms and samples into the caller's.
 func (s *Shard) hists(hop, hdr *eval.Hist, samples *[]traffic.Sample) {
@@ -504,6 +511,7 @@ func (s *Shard) applyChurn(st *shardWorker) error {
 		delete(s.pendingC, s.nextSeq)
 		start := time.Now()
 		s.fence.Lock()
+		fenced := time.Now()
 		err := s.opts.Repair(b.seq, b.events)
 		if err == nil {
 			// The runner cached the pre-repair port table; rebuild it
@@ -521,6 +529,7 @@ func (s *Shard) applyChurn(st *shardWorker) error {
 		}
 		s.repairs.Add(1)
 		s.repairNanos.Add(time.Since(start).Nanoseconds())
+		s.fenceWaitNanos.Add(fenced.Sub(start).Nanoseconds())
 		s.nextSeq++
 		if s.opts.OnRepaired != nil {
 			s.opts.OnRepaired(b.seq)

@@ -198,7 +198,7 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	}
 	bcfg := cfg.Blocks
 	bcfg.Names = perm.Names
-	assign, err := blocks.Assign(space, cfg.K, rng, bcfg)
+	assign, err := blocks.AssignWorkers(space, cfg.K, rng, bcfg, cfg.BuildWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("core: block assignment: %w", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
+	"time"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/graph"
@@ -33,6 +35,19 @@ type MaintainReport struct {
 	// rebuilding every per-node table (block-assignment drift, or a
 	// scheme kind with no incremental path).
 	FullRebuild bool
+	// SSSPRuns counts the full-graph shortest-path searches the pass ran:
+	// the oracle's row misses plus two per rebuilt center tree. The bill
+	// is one forward and one reverse search per re-solved destination
+	// and per rebuilt tree; more means a row was computed twice.
+	SSSPRuns int
+	// Per-stage wall time. SubstrateNs is the stretch-3 delta (trees,
+	// labels, clusters — and, inside its per-destination pass, the dirty
+	// Init orders); OrdersNs is the time inside those order fills summed
+	// over the workers that ran them, a share of SubstrateNs rather than
+	// a stage beside it. AssignNs is the block-assignment replay, TablesNs
+	// the per-node table rebuilds (the whole pass, for a kind that
+	// rebuilds from scratch), PatchNs the by-value label patches.
+	SubstrateNs, OrdersNs, AssignNs, TablesNs, PatchNs int64
 }
 
 // S6Maintainer keeps a live StretchSix plane route-identical to what a
@@ -65,6 +80,8 @@ type S6Maintainer struct {
 	// entry for that name (items 1+3); used to patch changed substrate
 	// addresses without rebuilding the holder.
 	holders map[int32][]graph.NodeID
+	// ordersNs accumulates fillOrder's time since the last report.
+	ordersNs atomic.Int64
 }
 
 // NewStretchSixMaintained builds a StretchSix plane exactly as
@@ -73,56 +90,28 @@ type S6Maintainer struct {
 // maintainer. The plane's label dictionaries stay unsealed so they can
 // be patched in place; routing behavior is identical.
 func NewStretchSixMaintained(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, seed int64, cfg Stretch6Config) (*S6Maintainer, error) {
-	n := g.N()
-	if n < 2 {
-		return nil, fmt.Errorf("core: stretch-6 needs at least 2 nodes, got %d", n)
-	}
-	if perm.N() != n {
-		return nil, fmt.Errorf("core: naming covers %d nodes, graph has %d", perm.N(), n)
-	}
-	// Fill every Init order on all cores, ahead of the assignment
-	// verifier's lazy one-core walk of all n neighborhoods.
-	space := rtmetric.New(g, m, perm.Names)
-	space.Precompute(cfg.BuildWorkers)
-	rng := rand.New(rand.NewSource(seed))
-	subM, err := rtz.NewMaintained(g, m, rng, cfg.Substrate)
-	if err != nil {
-		return nil, fmt.Errorf("core: stretch-3 substrate: %w", err)
-	}
-	sub := subM.Scheme()
-	bcfg := cfg.Blocks
-	bcfg.Names = perm.Names
-	assign, err := blocks.Assign(space, 2, rng, bcfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: block assignment: %w", err)
-	}
-
-	mt := &S6Maintainer{
-		s:        &StretchSix{g: g, perm: perm, sub: sub, uni: assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n)},
-		m:        m,
-		perm:     perm,
-		cfg:      cfg,
-		seed:     seed,
-		subM:     subM,
-		space:    space,
-		assign:   assign,
-		nbhdSize: rtmetric.NeighborhoodSizes(n, 2)[1],
-		holders:  make(map[int32][]graph.NodeID),
-	}
-	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) (err error) {
-		mt.s.nodes[u], err = buildS6Node(u, perm, sub, space, assign, mt.nbhdSize)
-		return err
-	})
+	mt, err := newS6(g, m, perm, rand.New(rand.NewSource(seed)), cfg, false)
 	if err != nil {
 		return nil, err
 	}
+	mt.seed = seed
 	// The reverse index is shared across nodes: merge it after the join.
+	mt.holders = make(map[int32][]graph.NodeID)
 	for u, tab := range mt.s.nodes {
 		for nm := range tab.labels {
 			mt.holders[nm] = append(mt.holders[nm], graph.NodeID(u))
 		}
 	}
 	return mt, nil
+}
+
+// fillOrder is the substrate pass's Visit hook: sort Init_y from the two
+// rows the cluster solve just fetched, and account the time (see
+// MaintainReport.OrdersNs).
+func (mt *S6Maintainer) fillOrder(y graph.NodeID, fromY, toY []graph.Dist) {
+	t0 := time.Now()
+	mt.space.Fill(y, fromY, toY)
+	mt.ordersNs.Add(int64(time.Since(t0)))
 }
 
 // Plane returns the maintained live plane.
@@ -151,56 +140,79 @@ func (mt *S6Maintainer) RebuildNodes(dirty []graph.NodeID) (MaintainReport, erro
 // nodes (plain RebuildNodes).
 func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph.NodeID) bool) (MaintainReport, error) {
 	rep := MaintainReport{DirtyNodes: len(dirty)}
+	n := mt.s.g.N()
+	workers := mt.cfg.BuildWorkers
+	t0 := time.Now()
+	lap := func(ns *int64) {
+		now := time.Now()
+		*ns = int64(now.Sub(t0))
+		t0 = now
+	}
 
-	// 1. Substrate delta.
+	// 1. Dirty nodes' Init orders are stale; everything else's provably
+	// is not. The substrate delta re-solves every dirty destination, and
+	// its Visit hook refills that destination's order from the same two
+	// rows.
+	mt.space.InvalidateOrders(dirty)
+	mt.ordersNs.Store(0)
 	subRep, err := mt.subM.Apply(dirty)
 	if err != nil {
 		return rep, err
 	}
 	rep.RebuiltTrees = subRep.RebuiltTrees
 	rep.RebuiltClusters = subRep.RebuiltClusters
+	rep.OrdersNs = mt.ordersNs.Load()
+	misses := graph.RowMisses(mt.m) // the rest of the pass should add none
+	lap(&rep.SubstrateNs)
 
-	// 2. Dirty nodes' Init orders are stale; everything else's provably
-	// is not.
-	mt.space.InvalidateOrders(dirty)
-
-	// 3. Replay the block assignment from an identically re-seeded
+	// 2. Replay the block assignment from an identically re-seeded
 	// stream against the maintained order cache. Usually the draws and
 	// the verification outcome are unchanged and Sets come back
 	// bit-identical; if the new topology shifts the sample-and-verify
 	// loop, fall back to a full table rebuild below.
 	rng := rand.New(rand.NewSource(mt.seed))
-	rng.Perm(mt.s.g.N()) // the substrate's center draw precedes the assignment
+	rng.Perm(n) // the substrate's center draw precedes the assignment
 	bcfg := mt.cfg.Blocks
 	bcfg.Names = mt.perm.Names
-	assign, err := blocks.Assign(mt.space, 2, rng, bcfg)
+	assign, err := blocks.AssignWorkers(mt.space, 2, rng, bcfg, workers)
 	if err != nil {
 		return rep, fmt.Errorf("core: block assignment under churn: %w", err)
 	}
 	rebuild := dirty
 	if !reflect.DeepEqual(assign.Sets, mt.assign.Sets) {
 		rep.FullRebuild = true
-		all := make([]graph.NodeID, mt.s.g.N())
-		for i := range all {
-			all[i] = graph.NodeID(i)
+		rebuild = make([]graph.NodeID, n)
+		for i := range rebuild {
+			rebuild[i] = graph.NodeID(i)
 		}
-		rebuild = all
 	}
 	mt.assign = assign
 	mt.s.uni = assign.U
+	lap(&rep.AssignNs)
 
-	// 4. Rebuild dirty nodes' tables through the fresh builder's own
-	// per-node constructor, keeping the name->holders index in step.
-	rebuilt := make(map[graph.NodeID]bool, len(rebuild))
-	for _, u := range rebuild {
-		if owned != nil && !owned(u) {
-			continue
+	// 3. Rebuild dirty nodes' tables through the fresh builder's own
+	// per-node constructor on the pool, then install them in node order,
+	// keeping the (shared) name->holders index in step.
+	if owned != nil {
+		kept := make([]graph.NodeID, 0, len(rebuild))
+		for _, u := range rebuild {
+			if owned(u) {
+				kept = append(kept, u)
+			}
 		}
-		old := mt.s.nodes[u]
-		tab, err := buildS6Node(int(u), mt.perm, mt.subM.Scheme(), mt.space, assign, mt.nbhdSize)
-		if err != nil {
-			return rep, err
-		}
+		rebuild = kept
+	}
+	tabs := make([]*s6Table, len(rebuild))
+	err = parallel.ForEach(len(rebuild), workers, func(i int) (err error) {
+		tabs[i], err = buildS6Node(int(rebuild[i]), mt.perm, mt.subM.Scheme(), mt.space, assign, mt.nbhdSize)
+		return err
+	})
+	if err != nil {
+		return rep, err
+	}
+	rebuilt := make([]bool, n)
+	for i, u := range rebuild {
+		old, tab := mt.s.nodes[u], tabs[i]
 		for nm := range old.labels {
 			if _, still := tab.labels[nm]; !still {
 				mt.holders[nm] = removeHolder(mt.holders[nm], u)
@@ -213,10 +225,11 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 		}
 		mt.s.nodes[u] = tab
 		rebuilt[u] = true
-		rep.RebuiltTables++
 	}
+	rep.RebuiltTables = len(rebuild)
+	lap(&rep.TablesNs)
 
-	// 5. Patch stale copies of changed substrate addresses in clean
+	// 4. Patch stale copies of changed substrate addresses in clean
 	// nodes: value writes via the reverse index, no solver work.
 	for _, x := range subRep.ChangedLabels {
 		lbl := mt.subM.Scheme().LabelOf(x)
@@ -234,6 +247,8 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 			}
 		}
 	}
+	lap(&rep.PatchNs)
+	rep.SSSPRuns = subRep.SSSPRuns + graph.RowMisses(mt.m) - misses
 	return rep, nil
 }
 

@@ -195,6 +195,21 @@ type Stretch6Config struct {
 // NewStretchSix builds the scheme over g with naming perm. m may be any
 // distance oracle; construction never requires the dense n×n matrix.
 func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng *rand.Rand, cfg Stretch6Config) (*StretchSix, error) {
+	mt, err := newS6(g, m, perm, rng, cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	return mt.s, nil
+}
+
+// newS6 is the one StretchSix construction: the plain build seals every
+// node's tables as it finishes them, the maintained one keeps them
+// patchable. One per-node pass consumes each node's two distance rows —
+// the substrate hands them to its Visit hook, which sorts Init_y, and
+// then solves C(y) from them — so a lazy-oracle build costs one forward
+// and one reverse search per node plus the center trees, whatever the
+// oracle's row budget.
+func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng *rand.Rand, cfg Stretch6Config, seal bool) (*S6Maintainer, error) {
 	n := g.N()
 	if n < 2 {
 		return nil, fmt.Errorf("core: stretch-6 needs at least 2 nodes, got %d", n)
@@ -202,39 +217,45 @@ func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutati
 	if perm.N() != n {
 		return nil, fmt.Errorf("core: naming covers %d nodes, graph has %d", perm.N(), n)
 	}
-	// Fill every Init order on all cores, ahead of the assignment
-	// verifier's lazy one-core walk of all n neighborhoods.
-	space := rtmetric.New(g, m, perm.Names)
-	space.Precompute(cfg.BuildWorkers)
-	sub, err := rtz.New(g, m, rng, cfg.Substrate)
+	mt := &S6Maintainer{m: m, perm: perm, cfg: cfg, space: rtmetric.New(g, m, perm.Names), nbhdSize: rtmetric.NeighborhoodSizes(n, 2)[1]}
+	var err error
+	mt.subM, err = rtz.NewMaintained(g, m, rng, cfg.Substrate, rtz.Pass{Workers: cfg.BuildWorkers, Visit: mt.fillOrder})
 	if err != nil {
 		return nil, fmt.Errorf("core: stretch-3 substrate: %w", err)
 	}
+	sub := mt.subM.Scheme()
+	if seal {
+		// In node order, before anything else is allocated: the serving
+		// path reads these tables where they land.
+		for _, t := range sub.Tables {
+			t.Seal()
+		}
+	}
 	bcfg := cfg.Blocks
 	bcfg.Names = perm.Names
-	assign, err := blocks.Assign(space, 2, rng, bcfg)
+	mt.assign, err = blocks.AssignWorkers(mt.space, 2, rng, bcfg, cfg.BuildWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("core: block assignment: %w", err)
 	}
-
-	s := &StretchSix{g: g, perm: perm, sub: sub, uni: assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n)}
-	nbhdSize := rtmetric.NeighborhoodSizes(n, 2)[1]
+	mt.s = &StretchSix{g: g, perm: perm, sub: sub, uni: mt.assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n)}
 
 	// Per-node tables depend only on read-only shared state: build them
 	// in parallel.
 	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
-		tab, err := buildS6Node(u, perm, sub, space, assign, nbhdSize)
+		tab, err := buildS6Node(u, perm, sub, mt.space, mt.assign, mt.nbhdSize)
 		if err != nil {
 			return err
 		}
-		tab.sealLabels()
-		s.nodes[u] = tab
+		if seal {
+			tab.sealLabels()
+		}
+		mt.s.nodes[u] = tab
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return mt, nil
 }
 
 // buildS6Node constructs one node's §2.1 table from the shared read-only

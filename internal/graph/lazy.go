@@ -52,6 +52,11 @@ type rowEntry struct {
 	elem  *list.Element
 	ready chan struct{} // closed once dist is published
 	dist  []Dist
+	// parent is a reverse row's next-hop vector (parent[u] = u's next hop
+	// toward key.node), kept because the reverse Dijkstra produces it
+	// anyway and cluster construction would otherwise re-run the search
+	// for it. Forward rows leave it nil.
+	parent []NodeID
 }
 
 // computed reports whether the entry's row has been published (its ready
@@ -75,7 +80,8 @@ type LazyStats struct {
 	Invalidations uint64
 	// PeakRows is the largest number of rows ever resident at once,
 	// counting rows still being computed; peak oracle memory is about
-	// PeakRows * n * 8 bytes. It can exceed the capacity by the number
+	// PeakRows * n * 8 bytes (12 for a reverse row, which keeps its
+	// parents). It can exceed the capacity by the number
 	// of concurrent computations in flight (in-flight rows are never
 	// evicted), but never under single-threaded use.
 	PeakRows int
@@ -113,12 +119,22 @@ func (o *LazyOracle) Stats() LazyStats {
 	return o.stats
 }
 
-// row returns the requested distance row, computing it at most once per
+// RowMisses returns how many rows o has computed on demand so far — one
+// shortest-path search each — and 0 for an oracle that computes none.
+// Callers difference two readings to count the searches a pass ran.
+func RowMisses(o DistanceOracle) int {
+	if l, ok := o.(*LazyOracle); ok {
+		return int(l.Stats().Misses)
+	}
+	return 0
+}
+
+// row returns the requested row's entry, computing it at most once per
 // residency. The double-checked entry protocol: under the lock we either
 // find an entry (hit — possibly still being computed by another
 // goroutine) or insert a placeholder and become its computer; the
 // Dijkstra itself runs outside the lock.
-func (o *LazyOracle) row(key rowKey) []Dist {
+func (o *LazyOracle) row(key rowKey) *rowEntry {
 	o.mu.Lock()
 	// Generation check: rows cached under an older graph generation are
 	// stale — drop the whole cache before serving. In-flight entries are
@@ -137,7 +153,7 @@ func (o *LazyOracle) row(key rowKey) []Dist {
 		o.stats.Hits++
 		o.mu.Unlock()
 		<-e.ready
-		return e.dist
+		return e
 	}
 	e := &rowEntry{key: key, ready: make(chan struct{})}
 	e.elem = o.lru.PushFront(e)
@@ -164,30 +180,41 @@ func (o *LazyOracle) row(key rowKey) []Dist {
 	o.mu.Unlock()
 
 	// Pooled scratch: the only allocation a row fill retains is the
-	// cached row itself.
+	// cached row itself (and a reverse row's parents).
 	s := getScratch()
-	var r SSSP
 	if key.rev {
-		r = s.DijkstraRev(o.g, key.node)
+		r := s.DijkstraRev(o.g, key.node)
+		e.dist = append([]Dist(nil), r.Dist...)
+		e.parent = append([]NodeID(nil), r.Parent...)
 	} else {
-		r = s.Dijkstra(o.g, key.node)
+		e.dist = append([]Dist(nil), s.Dijkstra(o.g, key.node).Dist...)
 	}
-	e.dist = append([]Dist(nil), r.Dist...)
 	putScratch(s)
 	close(e.ready)
-	return e.dist
+	return e
 }
 
 // FromSource implements DistanceOracle: d(u, ·) via one forward Dijkstra.
 func (o *LazyOracle) FromSource(u NodeID) []Dist {
 	o.check(u)
-	return o.row(rowKey{node: u})
+	return o.row(rowKey{node: u}).dist
 }
 
 // ToSink implements DistanceOracle: d(·, v) via one reverse Dijkstra.
 func (o *LazyOracle) ToSink(v NodeID) []Dist {
 	o.check(v)
-	return o.row(rowKey{node: v, rev: true})
+	return o.row(rowKey{node: v, rev: true}).dist
+}
+
+// ToSinkTree is ToSink with the shortest-path in-tree of v: Dist is the
+// same cached row d(·, v), and Parent[u] is u's next hop toward v (-1 at v
+// and at unreachable nodes) — one reverse Dijkstra serves both, so a
+// consumer that needs first hops toward v (the stretch-3 clusters) shares
+// the row the Init orders already paid for. Read-only, like every row.
+func (o *LazyOracle) ToSinkTree(v NodeID) SSSP {
+	o.check(v)
+	e := o.row(rowKey{node: v, rev: true})
+	return SSSP{Dist: e.dist, Parent: e.parent}
 }
 
 // D implements DistanceOracle.

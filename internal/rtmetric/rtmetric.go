@@ -30,7 +30,7 @@ type Space struct {
 	ids []int32
 
 	// idBits is the width of the largest tie-breaking id, or -1 when some
-	// id is negative (orderFor then cannot pack its sort keys).
+	// id is negative (order then cannot pack its sort keys).
 	idBits int
 
 	initOrders [][]graph.NodeID // lazily filled per source node
@@ -84,10 +84,10 @@ func (s *Space) Less(v, a, b graph.NodeID) bool {
 	return s.ids[a] < s.ids[b]
 }
 
-// orderFor materializes Init_v and its rank array. It fetches the two
-// distance rows anchored at v once and sorts on them directly, so the
-// comparator never goes back to the oracle: O(n log n) with exactly one
-// FromSource and one ToSink fetch regardless of oracle kind.
+// order materializes Init_v and its rank array from the two distance
+// rows anchored at v, fwd = d(v, ·) and rev = d(·, v), sorting on them
+// directly so the comparator never goes back to the oracle: O(n log n)
+// and one FromSource and one ToSink fetch per order, whoever makes them.
 //
 // The order is by (r(v,u), d(u,v), id(u)). When the three fields and the
 // node index fit one uint64 side by side — they do unless a distance is
@@ -96,10 +96,8 @@ func (s *Space) Less(v, a, b graph.NodeID) bool {
 // otherwise the comparator sort runs on the rows. Both give the same
 // order: the packing preserves the lexicographic comparison, and ids
 // are distinct, so the node index in the low bits never decides.
-func (s *Space) orderFor(v graph.NodeID) ([]graph.NodeID, []int32) {
+func (s *Space) order(fwd, rev []graph.Dist) ([]graph.NodeID, []int32) {
 	n := s.G.N()
-	fwd := s.M.FromSource(v) // d(v, u)
-	rev := s.M.ToSink(v)     // d(u, v)
 	key := make([]graph.Dist, n)
 	var maxR, maxRev graph.Dist
 	for u := 0; u < n; u++ {
@@ -142,13 +140,21 @@ func (s *Space) orderFor(v graph.NodeID) ([]graph.NodeID, []int32) {
 // Init returns the total order Init_v = v ≺_v u1 ≺_v u2 ≺_v ... over all
 // n nodes. The returned slice is cached and must not be modified.
 func (s *Space) Init(v graph.NodeID) []graph.NodeID {
-	if ord := s.initOrders[v]; ord != nil {
-		return ord
+	if s.initOrders[v] == nil {
+		s.Fill(v, s.M.FromSource(v), s.M.ToSink(v))
 	}
-	ord, rank := s.orderFor(v)
-	s.initOrders[v] = ord
-	s.ranks[v] = rank
-	return ord
+	return s.initOrders[v]
+}
+
+// Fill is Init for a caller that already holds the two rows anchored at
+// v — fwd = d(v, ·), rev = d(·, v) as the Space's oracle would return
+// them — so the order costs no row fetch of its own. A cached order is
+// kept. Like Precompute's fills, calls for distinct v may run
+// concurrently.
+func (s *Space) Fill(v graph.NodeID, fwd, rev []graph.Dist) {
+	if s.initOrders[v] == nil {
+		s.initOrders[v], s.ranks[v] = s.order(fwd, rev)
+	}
 }
 
 // Rank returns the position of u in Init_v (0 for u == v).
@@ -204,9 +210,7 @@ func (s *Space) Ball(v graph.NodeID, m graph.Dist) []graph.NodeID {
 func (s *Space) Precompute(workers int) {
 	// Each index writes only its own v's slots: disjoint.
 	_ = parallel.ForEach(s.G.N(), workers, func(v int) error {
-		if s.initOrders[v] == nil {
-			s.initOrders[v], s.ranks[v] = s.orderFor(graph.NodeID(v))
-		}
+		s.Init(graph.NodeID(v))
 		return nil
 	})
 }

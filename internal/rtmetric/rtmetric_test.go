@@ -244,7 +244,7 @@ func TestNeighborhoodSizesMonotone(t *testing.T) {
 	}
 }
 
-// TestPackedOrderMatchesComparatorOrder: orderFor sorts one packed word
+// TestPackedOrderMatchesComparatorOrder: order sorts one packed word
 // per node when the key fields fit 64 bits and falls back to the
 // comparator otherwise; both must give the order Less defines. Unit
 // weights make most of the order tie-breaking, and the ids are a

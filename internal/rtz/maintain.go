@@ -2,9 +2,12 @@ package rtz
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"rtroute/internal/graph"
+	"rtroute/internal/parallel"
 	"rtroute/internal/tree"
 )
 
@@ -38,13 +41,13 @@ import (
 //     one reverse Dijkstra each, stale entries removed via the member
 //     lists.
 type Maintainer struct {
-	s *Scheme
-	m graph.DistanceOracle
+	s    *Scheme
+	m    graph.DistanceOracle
+	pass Pass
 
 	trees        []*tree.Tree
 	centerRadius []graph.Dist
 	members      [][]graph.NodeID
-	scratch      *graph.SSSPScratch
 }
 
 // MaintainReport accounts one Apply: what the delta rebuild actually
@@ -56,8 +59,12 @@ type MaintainReport struct {
 	// RebuiltTrees counts center double-trees rebuilt from scratch.
 	RebuiltTrees int
 	// RebuiltClusters counts destinations whose cluster was re-solved
-	// (one reverse Dijkstra plus one oracle row each).
+	// from the two rows anchored at the destination.
 	RebuiltClusters int
+	// SSSPRuns counts the shortest-path searches the pass ran: two per
+	// rebuilt tree, the lazy oracle's row misses and, on any other
+	// oracle, one private reverse search per non-empty re-solved cluster.
+	SSSPRuns int
 	// ChangedLabels lists nodes whose address R3(v) changed — including
 	// nodes outside the dirty set whose tree label was renumbered by a
 	// center-tree rebuild. Their stored state is patched by value
@@ -68,11 +75,48 @@ type MaintainReport struct {
 
 // NewMaintained builds the scheme exactly as New does (same rng
 // consumption, same centers, same tables) but keeps the construction
-// intermediates for incremental maintenance. The returned scheme's
-// tables stay unsealed; routing behavior is identical.
-func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config) (*Maintainer, error) {
-	mt := &Maintainer{members: make([][]graph.NodeID, g.N())}
-	if _, err := build(g, m, rng, cfg, mt); err != nil {
+// intermediates for incremental maintenance, and runs every later Apply
+// under the same pass. The returned scheme's tables stay unsealed;
+// routing behavior is identical.
+func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, pass Pass) (*Maintainer, error) {
+	n := g.N()
+	if n < 2 {
+		return nil, fmt.Errorf("rtz: need at least 2 nodes, got %d", n)
+	}
+	count := cfg.CenterCount
+	if count <= 0 {
+		count = int(math.Ceil(math.Sqrt(float64(n) * math.Max(1, math.Log(float64(n))))))
+	}
+	if count > n {
+		count = n
+	}
+	perm := rng.Perm(n)
+	centers := make([]graph.NodeID, count)
+	for i := range centers {
+		centers[i] = graph.NodeID(perm[i])
+	}
+	s := &Scheme{Centers: centers, g: g, Tables: make([]*Table, n), Labels: make([]Label, n)}
+	for v := range s.Tables {
+		s.Tables[v] = &Table{
+			Self:       graph.NodeID(v),
+			InPorts:    make([]graph.PortID, count),
+			TreeStates: make([]tree.State, count),
+			Direct:     make(map[graph.NodeID]graph.PortID),
+		}
+	}
+	mt := &Maintainer{
+		s: s, m: m, pass: pass,
+		trees:        make([]*tree.Tree, count),
+		centerRadius: make([]graph.Dist, n),
+		members:      make([][]graph.NodeID, n),
+	}
+	// A build is the repair of everything: every center's tree, every
+	// label, every cluster.
+	all := make([]graph.NodeID, n)
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	if _, err := mt.Apply(all); err != nil {
 		return nil, err
 	}
 	return mt, nil
@@ -87,42 +131,41 @@ func labelEqual(a, b Label) bool {
 	if a.Node != b.Node || a.CenterIdx != b.CenterIdx || a.Center != b.Center {
 		return false
 	}
-	if a.TreeLabel.Tin != b.TreeLabel.Tin || len(a.TreeLabel.Light) != len(b.TreeLabel.Light) {
-		return false
-	}
-	for i := range a.TreeLabel.Light {
-		if a.TreeLabel.Light[i] != b.TreeLabel.Light[i] {
-			return false
-		}
-	}
-	return true
+	return a.TreeLabel.Tin == b.TreeLabel.Tin && slices.Equal(a.TreeLabel.Light, b.TreeLabel.Light)
 }
 
 // Apply incorporates a batch of topology mutations whose may-use affected
 // set is covered by dirty. The graph must already be mutated; dirty must
 // list every node whose anchored distance rows may have changed (both
 // directions). On return the scheme equals what New would build from
-// scratch on the current graph.
+// scratch on the current graph. Each of the three steps runs on the
+// pass's pool and costs one forward and one reverse shortest-path search
+// per rebuilt tree and per re-solved destination, nothing else.
 func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 	s := mt.s
-	g := s.g
-	n := g.N()
+	n := s.g.N()
 	rep := MaintainReport{DirtyNodes: len(dirty)}
+	misses := graph.RowMisses(mt.m)
 	inDirty := make([]bool, n)
 	for _, v := range dirty {
 		inDirty[v] = true
 	}
 
-	// 1. Rebuild the double-trees of dirty centers; patch every node's
-	// per-center slots (cheap vector writes, identical to a fresh build's
-	// fill loop).
+	// 1. Rebuild the double-trees of dirty centers (full rebuilds, giving
+	// bit-identical DFS intervals to a fresh build) and patch every
+	// node's slots for them: distinct centers write distinct slots.
+	var cis []int
 	for ci, w := range s.Centers {
-		if !inDirty[w] {
-			continue
+		if inDirty[w] {
+			cis = append(cis, ci)
 		}
-		t, err := tree.BuildDouble(g, w, nil)
+	}
+	err := parallel.ForEach(len(cis), mt.pass.Workers, func(i int) error {
+		ci := cis[i]
+		w := s.Centers[ci]
+		t, err := tree.BuildDouble(s.g, w, nil)
 		if err != nil {
-			return rep, fmt.Errorf("rtz: maintain center %d: %w", w, err)
+			return fmt.Errorf("rtz: center %d: %w", w, err)
 		}
 		mt.trees[ci] = t
 		for v := 0; v < n; v++ {
@@ -131,20 +174,25 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 			if graph.NodeID(v) != w {
 				p, ok := t.InPort(graph.NodeID(v))
 				if !ok {
-					return rep, fmt.Errorf("rtz: node %d missing in-port toward center %d", v, w)
+					return fmt.Errorf("rtz: node %d missing in-port toward center %d", v, w)
 				}
 				s.Tables[v].InPorts[ci] = p
 			}
 		}
-		rep.RebuiltTrees++
+		return nil
+	})
+	if err != nil {
+		return rep, err
 	}
+	rep.RebuiltTrees = len(cis)
 
 	// 2. Re-derive nearest centers, radii and labels for every node from
-	// the maintained trees: r(v, w) = d(v,w) + d(w,v) is two map reads per
-	// (node, center) pair, and the argmin replicates New's tie-break
-	// exactly. Pure arithmetic — no per-node solver work.
-	newRadius := make([]graph.Dist, n)
-	for v := 0; v < n; v++ {
+	// the trees: r(v, w) = d(v,w) + d(w,v) is two reads per (node, center)
+	// pair, ties to the smaller center id. Pure arithmetic — the trees
+	// are the centers' distance rows, so no oracle row is touched.
+	radius := make([]graph.Dist, n)
+	changed := make([]bool, n)
+	_ = parallel.ForEach(n, mt.pass.Workers, func(v int) error { // never fails
 		best, bestIdx := graph.Inf, -1
 		for ci, w := range s.Centers {
 			df, _ := mt.trees[ci].DistFrom(graph.NodeID(v)) // d(w, v)
@@ -154,7 +202,7 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 				best, bestIdx = r, ci
 			}
 		}
-		newRadius[v] = best
+		radius[v] = best
 		lbl, _ := mt.trees[bestIdx].LabelOf(graph.NodeID(v))
 		nl := Label{
 			Node:      graph.NodeID(v),
@@ -163,43 +211,102 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 			TreeLabel: lbl,
 		}
 		if !labelEqual(s.Labels[v], nl) {
-			rep.ChangedLabels = append(rep.ChangedLabels, graph.NodeID(v))
+			changed[v] = true
 			s.Labels[v] = nl
+		}
+		return nil
+	})
+	for v, c := range changed {
+		if c {
+			rep.ChangedLabels = append(rep.ChangedLabels, graph.NodeID(v))
 		}
 	}
 
-	// 3. Re-solve clusters for destinations that can have changed: dirty
-	// nodes plus any destination whose center radius moved. Stale entries
-	// come out via the member lists before the fresh ones go in.
+	// 3. Re-solve the clusters that can have changed: C(y) = {x : r(x,y) <
+	// r(y,A)} moves only if y is dirty (membership and first hops both
+	// need a d(·,y) or d(y,·) change) or r(y,A) itself moved. Stale
+	// entries come out via the member lists before the fresh ones go in.
+	var ys []graph.NodeID
 	for y := 0; y < n; y++ {
-		if !inDirty[y] && newRadius[y] == mt.centerRadius[y] {
-			continue
+		if inDirty[y] || radius[y] != mt.centerRadius[y] {
+			ys = append(ys, graph.NodeID(y))
 		}
-		yid := graph.NodeID(y)
-		for _, x := range mt.members[y] {
-			delete(s.Tables[x].Direct, yid)
+	}
+	mt.centerRadius = radius
+	private, err := mt.solveClusters(ys)
+	if err != nil {
+		return rep, err
+	}
+	rep.RebuiltClusters = len(ys)
+	rep.SSSPRuns = 2*len(cis) + private + graph.RowMisses(mt.m) - misses
+	return rep, nil
+}
+
+// solveClusters replaces the direct entries of the listed destinations:
+// for each y, every x with r(x,y) < r(y,A) stores the first hop of a
+// shortest x->y path. Destinations are solved on the pool, each from the
+// two rows anchored at it, and merged serially in destination order. On
+// the lazy oracle the reverse row brings its own parents; on any other a
+// private reverse search supplies them, only for non-empty clusters (it
+// returns how many ran).
+func (mt *Maintainer) solveClusters(ys []graph.NodeID) (private int, err error) {
+	s, g := mt.s, mt.s.g
+	lazy, _ := mt.m.(*graph.LazyOracle)
+	type solved struct {
+		members []graph.NodeID
+		ports   []graph.PortID
+	}
+	res := make([]solved, len(ys))
+	scratch := make([]graph.SSSPScratch, parallel.Workers(len(ys), mt.pass.Workers))
+	runs := make([]int, len(scratch))
+	err = parallel.ForEachWorker(len(ys), mt.pass.Workers, func(w, i int) error {
+		y := ys[i]
+		fromY := mt.m.FromSource(y) // d(y, ·)
+		var rev graph.SSSP          // d(·, y) and next hops toward y
+		if lazy != nil {
+			rev = lazy.ToSinkTree(y)
+		} else {
+			rev.Dist = mt.m.ToSink(y)
 		}
-		rev := mt.scratch.DijkstraRev(g, yid)
-		toY := rev.Dist
-		fromY := mt.m.FromSource(yid)
-		radius := newRadius[y]
+		if mt.pass.Visit != nil {
+			mt.pass.Visit(y, fromY, rev.Dist)
+		}
+		radius := mt.centerRadius[y]
 		var members []graph.NodeID
-		for x := 0; x < n; x++ {
-			if x != y && graph.RFromRows(fromY, toY, graph.NodeID(x)) < radius {
+		for x := range fromY {
+			if graph.NodeID(x) != y && graph.RFromRows(fromY, rev.Dist, graph.NodeID(x)) < radius {
 				members = append(members, graph.NodeID(x))
 			}
 		}
-		for _, x := range members {
-			next := rev.Parent[x]
-			port, ok := g.PortTo(x, next)
-			if !ok {
-				return rep, fmt.Errorf("rtz: missing edge (%d,%d) for direct entry", x, next)
-			}
-			s.Tables[x].Direct[yid] = port
+		if len(members) > 0 && rev.Parent == nil {
+			rev.Parent = scratch[w].DijkstraRev(g, y).Parent
+			runs[w]++
 		}
-		mt.members[y] = members
-		rep.RebuiltClusters++
+		ports := make([]graph.PortID, len(members))
+		for j, x := range members {
+			port, ok := g.PortTo(x, rev.Parent[x])
+			if !ok {
+				return fmt.Errorf("rtz: missing edge (%d,%d) for direct entry", x, rev.Parent[x])
+			}
+			ports[j] = port
+		}
+		res[i] = solved{members, ports}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	mt.centerRadius = newRadius
-	return rep, nil
+	for i, y := range ys {
+		for _, x := range mt.members[y] {
+			delete(s.Tables[x].Direct, y)
+		}
+		for j, x := range res[i].members {
+			s.Tables[x].Direct[y] = res[i].ports[j]
+		}
+		mt.members[y] = res[i].members
+	}
+	for _, r := range runs {
+		private += r
+	}
+	return private, nil
 }

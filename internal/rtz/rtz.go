@@ -12,7 +12,8 @@
 //     covers (per §4.4 this improves RTZ's roundtrip stretch to 4k-2+eps).
 //
 // Construction of Scheme, following Thorup–Zwick style sampling adapted to
-// the roundtrip metric:
+// the roundtrip metric (the passes themselves live on Maintainer: a build
+// is a repair of everything from empty tables):
 //
 //   - Sample a center set A (about sqrt(n ln n) nodes). For each center w,
 //     build a full double-tree: every node stores its next-hop port toward
@@ -36,7 +37,6 @@ package rtz
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"rtroute/internal/graph"
@@ -148,157 +148,41 @@ type Scheme struct {
 	g *graph.Graph
 }
 
-// New builds the scheme over g with distance oracle m. Construction is
-// row-oriented: every oracle access is anchored at one node at a time, so
-// a bounded lazy oracle serves it without materializing n^2 distances.
+// Pass shapes the construction passes of one build and of every repair
+// after it: how many workers run them, and what else wants each node's
+// two distance rows while they are hot.
+type Pass struct {
+	// Workers is the pool size (0 = GOMAXPROCS, 1 = sequential). Output
+	// is identical either way: per-destination results are merged
+	// serially in node order.
+	Workers int
+	// Visit, when non-nil, is handed every solved destination y with the
+	// two rows anchored at it — fromY = d(y, ·), toY = d(·, y), read-only
+	// — just before C(y) is solved from them, so whatever else sorts on
+	// those rows (the Init_y order of the layer above) shares the one
+	// forward and one reverse search the cluster pays for, whatever the
+	// lazy oracle's row budget. Calls for distinct y run concurrently.
+	Visit func(y graph.NodeID, fromY, toY []graph.Dist)
+}
+
+// New builds the scheme over g with distance oracle m on every core.
+// Construction is row-oriented: every oracle access is anchored at one
+// node at a time, so a bounded lazy oracle serves it without
+// materializing n^2 distances.
 func New(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config) (*Scheme, error) {
-	s, err := build(g, m, rng, cfg, nil)
+	return NewWith(g, m, rng, cfg, Pass{})
+}
+
+// NewWith is New under an explicit Pass.
+func NewWith(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, pass Pass) (*Scheme, error) {
+	mt, err := NewMaintained(g, m, rng, cfg, pass)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range s.Tables {
+	for _, t := range mt.s.Tables {
 		t.Seal()
 	}
-	return s, nil
-}
-
-// build is the shared construction body. When retain is non-nil it is a
-// maintained build: the per-center trees, center radii and cluster member
-// lists are kept for incremental updates, and the tables stay unsealed so
-// the maintainer can patch Direct entries in place. Either way the routing
-// content produced is identical.
-func build(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, retain *Maintainer) (*Scheme, error) {
-	n := g.N()
-	if n < 2 {
-		return nil, fmt.Errorf("rtz: need at least 2 nodes, got %d", n)
-	}
-	count := cfg.CenterCount
-	if count <= 0 {
-		count = int(math.Ceil(math.Sqrt(float64(n) * math.Max(1, math.Log(float64(n))))))
-	}
-	if count > n {
-		count = n
-	}
-
-	perm := rng.Perm(n)
-	centers := make([]graph.NodeID, count)
-	for i := 0; i < count; i++ {
-		centers[i] = graph.NodeID(perm[i])
-	}
-
-	s := &Scheme{Centers: centers, g: g, Tables: make([]*Table, n), Labels: make([]Label, n)}
-	for v := 0; v < n; v++ {
-		s.Tables[v] = &Table{
-			Self:       graph.NodeID(v),
-			InPorts:    make([]graph.PortID, count),
-			TreeStates: make([]tree.State, count),
-			Direct:     make(map[graph.NodeID]graph.PortID),
-		}
-	}
-
-	// Full double-tree per center.
-	trees := make([]*tree.Tree, count)
-	for ci, w := range centers {
-		t, err := tree.BuildDouble(g, w, nil)
-		if err != nil {
-			return nil, fmt.Errorf("rtz: center %d: %w", w, err)
-		}
-		trees[ci] = t
-		for v := 0; v < n; v++ {
-			st, _ := t.State(graph.NodeID(v))
-			s.Tables[v].TreeStates[ci] = st
-			if graph.NodeID(v) != w {
-				p, ok := t.InPort(graph.NodeID(v))
-				if !ok {
-					return nil, fmt.Errorf("rtz: node %d missing in-port toward center %d", v, w)
-				}
-				s.Tables[v].InPorts[ci] = p
-			}
-		}
-	}
-
-	// Nearest centers and labels. r(v, w) = d(v,w) + d(w,v) comes from the
-	// two rows anchored at v, fetched once per node.
-	centerRadius := make([]graph.Dist, n) // r(v, A)
-	for v := 0; v < n; v++ {
-		fwd := m.FromSource(graph.NodeID(v)) // d(v, ·)
-		rev := m.ToSink(graph.NodeID(v))     // d(·, v)
-		best, bestIdx := graph.Inf, -1
-		for ci, w := range centers {
-			r := graph.RFromRows(fwd, rev, w)
-			if r < best || (r == best && bestIdx >= 0 && w < centers[bestIdx]) {
-				best, bestIdx = r, ci
-			}
-		}
-		centerRadius[v] = best
-		lbl, _ := trees[bestIdx].LabelOf(graph.NodeID(v))
-		s.Labels[v] = Label{
-			Node:      graph.NodeID(v),
-			CenterIdx: int32(bestIdx),
-			Center:    centers[bestIdx],
-			TreeLabel: lbl,
-		}
-	}
-
-	// Cluster (direct) entries: for each destination y, every x with
-	// r(x,y) < r(y,A) stores the first hop of a shortest x->y path.
-	// Each oracle shape gets its cheapest plan: on the dense matrix,
-	// membership comes from resident rows and the reverse Dijkstra (for
-	// the shortest-path parents) runs only for destinations with a
-	// non-empty cluster; on any other oracle one reverse Dijkstra per
-	// destination supplies both the d(·,y) distances and the parents, so
-	// a lazy build pays exactly one reverse SSSP per destination.
-	dense, isDense := m.(*graph.DenseMetric)
-	// One scratch serves every per-destination reverse Dijkstra below;
-	// its rows are consumed within the iteration that computed them.
-	scratch := graph.NewSSSPScratch(n)
-	for y := 0; y < n; y++ {
-		radius := centerRadius[y]
-		yid := graph.NodeID(y)
-		var (
-			toY     []graph.Dist // d(·, y)
-			rev     graph.SSSP
-			haveRev bool
-		)
-		if isDense {
-			toY = dense.ToSink(yid)
-		} else {
-			rev = scratch.DijkstraRev(g, yid)
-			toY = rev.Dist
-			haveRev = true
-		}
-		fromY := m.FromSource(yid) // d(y, ·)
-		var members []graph.NodeID
-		for x := 0; x < n; x++ {
-			if x != y && graph.RFromRows(fromY, toY, graph.NodeID(x)) < radius {
-				members = append(members, graph.NodeID(x))
-			}
-		}
-		if len(members) > 0 {
-			if !haveRev {
-				rev = scratch.DijkstraRev(g, yid)
-			}
-			for _, x := range members {
-				next := rev.Parent[x]
-				port, ok := g.PortTo(x, next)
-				if !ok {
-					return nil, fmt.Errorf("rtz: missing edge (%d,%d) for direct entry", x, next)
-				}
-				s.Tables[x].Direct[graph.NodeID(y)] = port
-			}
-		}
-		if retain != nil {
-			retain.members[y] = members
-		}
-	}
-	if retain != nil {
-		retain.s = s
-		retain.m = m
-		retain.trees = trees
-		retain.centerRadius = centerRadius
-		retain.scratch = scratch
-	}
-	return s, nil
+	return mt.s, nil
 }
 
 // AssembleScheme rebuilds a substrate from per-node state alone — the

@@ -158,14 +158,26 @@ func Prometheus(snap *Snapshot) []byte {
 
 	gauges := append([]GaugeValue(nil), snap.Gauges...)
 	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
+	family := ""
 	for _, g := range gauges {
+		// A gauge may carry one label set, `name{k="v"}`: the name is
+		// sanitized, the labels pass through, and a family (adjacent
+		// after the sort) is typed once.
+		base, labels, labeled := strings.Cut(g.Name, "{")
 		name := strings.Map(func(r rune) rune {
 			if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '_' {
 				return r
 			}
 			return '_'
-		}, strings.ToLower(g.Name))
-		fmt.Fprintf(&b, "# TYPE rtroute_%s gauge\nrtroute_%s %g\n", name, name, g.Value)
+		}, strings.ToLower(base))
+		if name != family {
+			fmt.Fprintf(&b, "# TYPE rtroute_%s gauge\n", name)
+			family = name
+		}
+		if labeled {
+			labels = "{" + labels
+		}
+		fmt.Fprintf(&b, "rtroute_%s%s %g\n", name, labels, g.Value)
 	}
 	fmt.Fprintf(&b, "# TYPE rtroute_uptime_seconds gauge\nrtroute_uptime_seconds %g\n", float64(snap.UptimeNs)/1e9)
 	return []byte(b.String())

@@ -364,18 +364,26 @@ func TestStageTable(t *testing.T) {
 }
 
 // TestPrometheus locks the scrape format: counter families labeled by
-// shard, stage estimates, gauges sanitized, uptime present.
+// shard, stage estimates, gauges sanitized (a gauge's own label set
+// passed through, its family typed once), uptime present.
 func TestPrometheus(t *testing.T) {
 	s := New(Config{Shards: []int{2}, Injectors: 1})
 	s.Probe(2-2, 0).Publish(Counters{Packets: 42, Hops: 99})
 	s.InjectorProbe(0).Publish(Counters{Injects: 42})
 	s.RegisterGauge("Window Occupancy", func() float64 { return 3.5 })
+	s.RegisterGauge(`repair_stage_ns{stage="tables"}`, func() float64 { return 7 })
+	s.RegisterGauge(`repair_stage_ns{stage="assign"}`, func() float64 { return 5 })
 	text := string(Prometheus(s.Snapshot()))
+	if got := strings.Count(text, "# TYPE rtroute_repair_stage_ns gauge"); got != 1 {
+		t.Fatalf("labeled gauge family typed %d times, want once:\n%s", got, text)
+	}
 	for _, want := range []string{
 		`rtroute_packets_total{shard="2"} 42`,
 		`rtroute_hops_total{shard="2"} 99`,
 		`rtroute_injects_total{shard="injectors"} 42`,
 		"rtroute_window_occupancy 3.5",
+		`rtroute_repair_stage_ns{stage="assign"} 5`,
+		`rtroute_repair_stage_ns{stage="tables"} 7`,
 		"rtroute_uptime_seconds",
 		"# TYPE rtroute_packets_total counter",
 	} {

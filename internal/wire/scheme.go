@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
@@ -97,6 +99,35 @@ func encodeSections(blob *encoder, n int, local func(graph.NodeID) core.LocalSta
 		}
 	}
 	return sizes
+}
+
+// SectionDiff compares two decomposed planes of one kind over n nodes
+// section by section and returns the lowest node whose local states
+// encode to different bytes, or -1 when every pair agrees. Pairs are
+// decomposed on all cores, each encoded into its worker's two reused
+// buffers, compared and dropped, so nothing but the pair in hand is
+// live. A section decodes back to exactly the state it encoded, so equal
+// bytes are equal states.
+func SectionDiff(n int, a, b func(graph.NodeID) core.LocalState) int {
+	encs := make([][2]encoder, parallel.Workers(n, 0))
+	var mu sync.Mutex
+	first := -1
+	_ = parallel.ForEachWorker(n, 0, func(w, v int) error { // never fails: every pair is compared
+		ea, eb := &encs[w][0], &encs[w][1]
+		ea.buf, eb.buf = ea.buf[:0], eb.buf[:0]
+		la, lb := a(graph.NodeID(v)), b(graph.NodeID(v))
+		ea.local(&la)
+		eb.local(&lb)
+		if !bytes.Equal(ea.buf, eb.buf) {
+			mu.Lock()
+			if first < 0 || v < first {
+				first = v
+			}
+			mu.Unlock()
+		}
+		return nil
+	})
+	return first
 }
 
 // SnapshotInfo is what PeekSnapshot reads from a scheme blob's preamble:

@@ -3,11 +3,13 @@ package rtroute
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
+	"time"
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
 	"rtroute/internal/rtz"
+	"rtroute/internal/wire"
 )
 
 // MaintainReport accounts one RebuildNodes pass: how much per-node
@@ -68,7 +70,7 @@ func (s *System) BuildMaintained(kind SchemeKind, opts ...BuildOption) (*Maintai
 		m.plane = mt.Plane()
 	case RTZStretch3:
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		mt, err := rtz.NewMaintained(s.Graph, s.Metric, rng, cfg.Substrate)
+		mt, err := rtz.NewMaintained(s.Graph, s.Metric, rng, cfg.Substrate, rtz.Pass{Workers: cfg.BuildWorkers})
 		if err != nil {
 			return nil, err
 		}
@@ -108,6 +110,7 @@ func (m *Maintained) RebuildNodes(dirty []NodeID) (MaintainReport, error) {
 	case m.s6 != nil:
 		return m.s6.RebuildNodes(dirty)
 	case m.rtzM != nil:
+		t0 := time.Now()
 		rep, err := m.rtzM.Apply(dirty)
 		if err != nil {
 			return MaintainReport{}, err
@@ -117,20 +120,24 @@ func (m *Maintained) RebuildNodes(dirty []NodeID) (MaintainReport, error) {
 			RebuiltTrees:    rep.RebuiltTrees,
 			RebuiltClusters: rep.RebuiltClusters,
 			PatchedLabels:   len(rep.ChangedLabels),
+			SSSPRuns:        rep.SSSPRuns,
+			SubstrateNs:     int64(time.Since(t0)),
 		}, nil
 	default:
 		// No incremental path for this kind: rebuild from scratch and
 		// swap the plane.
+		t0, misses := time.Now(), graph.RowMisses(m.sys.Metric)
 		plane, err := m.sys.BuildWith(m.kind, m.cfg)
 		if err != nil {
 			return MaintainReport{}, err
 		}
 		m.plane = plane
-		n := m.sys.Graph.N()
 		return MaintainReport{
 			DirtyNodes:    len(dirty),
-			RebuiltTables: n,
+			RebuiltTables: m.sys.Graph.N(),
 			FullRebuild:   true,
+			SSSPRuns:      graph.RowMisses(m.sys.Metric) - misses,
+			TablesNs:      int64(time.Since(t0)),
 		}, nil
 	}
 }
@@ -167,35 +174,39 @@ func (m *Maintained) Certify() error {
 }
 
 // CertifyIdentical reports whether two forwarding planes carry identical
-// routing state: both are decomposed into canonical per-node LocalState
-// (sorted dictionaries, value tables) and compared bit for bit, along
-// with the shared O(1) parameters. Planes that pass forward every packet
-// identically.
+// routing state: the shared O(1) parameters are compared once, then the
+// canonical per-node LocalStates (sorted dictionaries, value tables) are
+// decomposed pair by pair on every core and their encoded sections
+// compared byte for byte (wire.SectionDiff), so nothing but the pair in
+// hand is ever live. Planes that pass forward every packet identically;
+// a failure names the lowest differing node.
 func CertifyIdentical(a, b ForwardingPlane) error {
-	sa, la, err := core.Decompose(a)
+	sa, la, err := core.Decomposer(a)
 	if err != nil {
 		return err
 	}
-	sb, lb, err := core.Decompose(b)
+	sb, lb, err := core.Decomposer(b)
 	if err != nil {
 		return err
 	}
+	// The Graph fields are not compared: clones differ in incidental
+	// internals (seal caches, adjacency scratch) that carry no routing
+	// state.
 	if sa.Kind != sb.Kind {
 		return fmt.Errorf("rtroute: kind mismatch: %v vs %v", sa.Kind, sb.Kind)
 	}
-	if !reflect.DeepEqual(sa.Names, sb.Names) {
+	if !slices.Equal(sa.Names, sb.Names) {
 		return fmt.Errorf("rtroute: namings differ")
 	}
 	if sa.K != sb.K || sa.Levels != sb.Levels || sa.ViaSource != sb.ViaSource || sa.DirectReturn != sb.DirectReturn {
 		return fmt.Errorf("rtroute: shared parameters differ")
 	}
-	if len(la) != len(lb) {
-		return fmt.Errorf("rtroute: %d vs %d local states", len(la), len(lb))
+	n := sa.Graph.N()
+	if n != sb.Graph.N() {
+		return fmt.Errorf("rtroute: %d vs %d local states", n, sb.Graph.N())
 	}
-	for v := range la {
-		if !reflect.DeepEqual(la[v], lb[v]) {
-			return fmt.Errorf("rtroute: node %d local state differs", v)
-		}
+	if v := wire.SectionDiff(n, la, lb); v >= 0 {
+		return fmt.Errorf("rtroute: node %d local state differs", v)
 	}
 	return nil
 }

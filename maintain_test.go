@@ -2,6 +2,7 @@ package rtroute
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rtroute/internal/churn"
@@ -42,10 +43,22 @@ func TestMaintainedRequiresLazyOracle(t *testing.T) {
 	}
 }
 
+// buildWorkerCounts are the pool sizes the maintenance properties run
+// at: sequential, the host's usual two, and more workers than a small
+// dirty set has nodes.
+var buildWorkerCounts = []int{1, 2, 5}
+
+// counters strips a report's wall-clock fields, leaving what must not
+// depend on the worker count.
+func counters(rep MaintainReport) MaintainReport {
+	rep.SubstrateNs, rep.OrdersNs, rep.AssignNs, rep.TablesNs, rep.PatchNs = 0, 0, 0, 0, 0
+	return rep
+}
+
 // TestRebuildAllMatchesFreshBuild is the satellite property test: after
 // arbitrary topology mutations, RebuildNodes over ALL nodes must yield a
 // plane bit-identical to a from-scratch Build on the mutated graph, for
-// every scheme kind.
+// every scheme kind, at every worker count, with the same report.
 func TestRebuildAllMatchesFreshBuild(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -59,33 +72,42 @@ func TestRebuildAllMatchesFreshBuild(t *testing.T) {
 	}
 	for _, tc := range kinds {
 		t.Run(tc.name, func(t *testing.T) {
-			const n = 40
-			sys := churnSystem(t, n, 0xC0FFEE+int64(tc.kind))
-			m, err := sys.BuildMaintained(tc.kind, WithSeed(42))
-			if err != nil {
-				t.Fatalf("BuildMaintained: %v", err)
-			}
-			if err := m.Certify(); err != nil {
-				t.Fatalf("pre-churn certification: %v", err)
-			}
-
-			ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
-			if err != nil {
-				t.Fatalf("overlay: %v", err)
-			}
-			model := churn.NewModel(ov, 99, 1.0, churn.DefaultMix, 64)
-			for i := 0; i < 6; i++ {
-				ev := model.Next()
-				if _, err := ov.Apply(ev); err != nil {
-					t.Fatalf("apply %v: %v", ev, err)
+			var first MaintainReport
+			for _, workers := range buildWorkerCounts {
+				const n = 40
+				sys := churnSystem(t, n, 0xC0FFEE+int64(tc.kind))
+				m, err := sys.BuildMaintained(tc.kind, WithSeed(42), WithBuildWorkers(workers))
+				if err != nil {
+					t.Fatalf("BuildMaintained: %v", err)
 				}
-			}
+				if err := m.Certify(); err != nil {
+					t.Fatalf("workers %d: pre-churn certification: %v", workers, err)
+				}
 
-			if _, err := m.RebuildNodes(allNodes(n)); err != nil {
-				t.Fatalf("RebuildNodes(all): %v", err)
-			}
-			if err := m.Certify(); err != nil {
-				t.Fatalf("post-churn certification: %v", err)
+				ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
+				if err != nil {
+					t.Fatalf("overlay: %v", err)
+				}
+				model := churn.NewModel(ov, 99, 1.0, churn.DefaultMix, 64)
+				for i := 0; i < 6; i++ {
+					ev := model.Next()
+					if _, err := ov.Apply(ev); err != nil {
+						t.Fatalf("apply %v: %v", ev, err)
+					}
+				}
+
+				rep, err := m.RebuildNodes(allNodes(n))
+				if err != nil {
+					t.Fatalf("workers %d: RebuildNodes(all): %v", workers, err)
+				}
+				if err := m.Certify(); err != nil {
+					t.Fatalf("workers %d: post-churn certification: %v", workers, err)
+				}
+				if workers == buildWorkerCounts[0] {
+					first = counters(rep)
+				} else if got := counters(rep); !reflect.DeepEqual(got, first) {
+					t.Fatalf("workers %d: report %+v, on one worker %+v", workers, got, first)
+				}
 			}
 		})
 	}
@@ -96,7 +118,7 @@ func TestRebuildAllMatchesFreshBuild(t *testing.T) {
 // rebuilds only the event's may-use affected set — then certifies the
 // maintained plane bit-identical to a from-scratch build. This is the
 // core incremental-maintenance contract for the two kinds with a real
-// delta path.
+// delta path, held at every worker count with identical reports.
 func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -108,32 +130,42 @@ func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 	for _, tc := range kinds {
 		t.Run(tc.name, func(t *testing.T) {
 			for run := int64(0); run < 3; run++ {
-				const n = 32
-				sys := churnSystem(t, n, 1000+run)
-				m, err := sys.BuildMaintained(tc.kind, WithSeed(7+run))
-				if err != nil {
-					t.Fatalf("run %d: BuildMaintained: %v", run, err)
-				}
-				ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
-				if err != nil {
-					t.Fatalf("run %d: overlay: %v", run, err)
-				}
-				model := churn.NewModel(ov, 500+run, 1.0, churn.DefaultMix, 64)
-				for i := 0; i < 10; i++ {
-					ev := model.Next()
-					dirty, err := ov.Apply(ev)
+				var first []MaintainReport
+				for _, workers := range buildWorkerCounts {
+					const n = 32
+					sys := churnSystem(t, n, 1000+run)
+					m, err := sys.BuildMaintained(tc.kind, WithSeed(7+run), WithBuildWorkers(workers))
 					if err != nil {
-						t.Fatalf("run %d event %d (%v): %v", run, i, ev, err)
+						t.Fatalf("run %d: BuildMaintained: %v", run, err)
 					}
-					rep, err := m.RebuildNodes(dirty)
+					ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
 					if err != nil {
-						t.Fatalf("run %d event %d: RebuildNodes: %v", run, i, err)
+						t.Fatalf("run %d: overlay: %v", run, err)
 					}
-					if rep.DirtyNodes != len(dirty) {
-						t.Fatalf("run %d event %d: report dirty %d, want %d", run, i, rep.DirtyNodes, len(dirty))
+					model := churn.NewModel(ov, 500+run, 1.0, churn.DefaultMix, 64)
+					var reps []MaintainReport
+					for i := 0; i < 10; i++ {
+						ev := model.Next()
+						dirty, err := ov.Apply(ev)
+						if err != nil {
+							t.Fatalf("run %d event %d (%v): %v", run, i, ev, err)
+						}
+						rep, err := m.RebuildNodes(dirty)
+						if err != nil {
+							t.Fatalf("run %d event %d: RebuildNodes: %v", run, i, err)
+						}
+						if rep.DirtyNodes != len(dirty) {
+							t.Fatalf("run %d event %d: report dirty %d, want %d", run, i, rep.DirtyNodes, len(dirty))
+						}
+						if err := m.Certify(); err != nil {
+							t.Fatalf("run %d workers %d event %d (%v, %d dirty): %v", run, workers, i, ev, len(dirty), err)
+						}
+						reps = append(reps, counters(rep))
 					}
-					if err := m.Certify(); err != nil {
-						t.Fatalf("run %d event %d (%v, %d dirty): %v", run, i, ev, len(dirty), err)
+					if first == nil {
+						first = reps
+					} else if !reflect.DeepEqual(reps, first) {
+						t.Fatalf("run %d workers %d: reports %+v, on one worker %+v", run, workers, reps, first)
 					}
 				}
 			}
@@ -220,6 +252,57 @@ func TestAffectedSetIsSound(t *testing.T) {
 			if changed && !inDirty[x] {
 				t.Fatalf("trial %d: node %d's rows changed under reweight (%d,%d)->%d but is not in the affected set",
 					trial, x, u, v, wNew)
+			}
+		}
+	}
+}
+
+// TestSSSPBudget locks the one-SSSP-pair-per-node invariant: over a lazy
+// oracle that holds two rows (so a row fetched twice is computed twice),
+// a maintained StretchSix build costs
+// at most one forward and one reverse search per node plus two per center
+// tree, and a repair at most two per re-solved destination plus two per
+// rebuilt tree — on one worker and on several. A fourth Dijkstra creeping
+// back into the per-node pass fails here.
+func TestSSSPBudget(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		const n = 128
+		g := graph.RandomSC(n, 3*n, 64, rand.New(rand.NewSource(0x555)))
+		sys, err := NewSystemWith(g, nil, SystemConfig{Metric: MetricLazy, LazyCacheRows: 2})
+		if err != nil {
+			t.Fatalf("system: %v", err)
+		}
+		lazy := sys.Metric.(*LazyOracle)
+		m, err := sys.BuildMaintained(StretchSix, WithSeed(7), WithBuildWorkers(workers))
+		if err != nil {
+			t.Fatalf("BuildMaintained: %v", err)
+		}
+		centers := len(m.s6.Substrate().Scheme().Centers)
+		if got := lazy.Stats().Misses; got > 2*n {
+			t.Fatalf("workers %d: build ran %d oracle searches beside its %d tree builds, budget 2n = %d", workers, got, centers, 2*n)
+		}
+		ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
+		if err != nil {
+			t.Fatalf("overlay: %v", err)
+		}
+		model := churn.NewModel(ov, 77, 1.0, churn.DefaultMix, 64)
+		for i := 0; i < 8; i++ {
+			dirty, err := ov.Apply(model.Next())
+			if err != nil {
+				t.Fatalf("event %d: %v", i, err)
+			}
+			before := lazy.Stats().Misses
+			rep, err := m.RebuildNodes(dirty)
+			if err != nil {
+				t.Fatalf("event %d: RebuildNodes: %v", i, err)
+			}
+			ran := int(lazy.Stats().Misses-before) + 2*rep.RebuiltTrees
+			if rep.SSSPRuns != ran {
+				t.Fatalf("workers %d event %d: report counts %d searches, the oracle and the trees %d", workers, i, rep.SSSPRuns, ran)
+			}
+			if budget := 2 * (rep.RebuiltClusters + rep.RebuiltTrees); ran > budget {
+				t.Fatalf("workers %d event %d: %d searches for %d re-solved destinations and %d rebuilt trees, budget %d",
+					workers, i, ran, rep.RebuiltClusters, rep.RebuiltTrees, budget)
 			}
 		}
 	}
