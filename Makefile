@@ -14,7 +14,7 @@ PAIRS ?= 10
 SEED ?= 1
 BENCHDIFF_DIR ?= .benchdiff
 
-.PHONY: all build test verify race short large bench bench-smoke benchmark-check benchcmp benchdiff fmt vet lint ci alloc-gates loc traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes snapshots
+.PHONY: all build test verify race short large bench bench-smoke benchmark-check benchcmp benchdiff fmt vet lint ci alloc-gates loc traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes snapshots footprint
 
 all: verify
 
@@ -119,6 +119,12 @@ churn-cluster:
 snapshots:
 	RTROUTE_LARGE=1 $(GO) test -count=1 -run TestBenchmarkSnapshotsPinned .
 
+# What each paper scheme holds against what it ships at n=1024 on
+# build-1k's world: built scheme, snapshot and restored Deployment in
+# MiB (the table DESIGN "Build anatomy" cites; tier-1 gates n=256).
+footprint:
+	RTROUTE_LARGE=1 $(GO) test -count=1 -run TestDeploymentFootprint -v .
+
 # Docs gate: README/DESIGN Go fences must parse (gofmt-clean when
 # written as complete files) and relative links must resolve.
 docs:
@@ -181,4 +187,4 @@ loc:
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
-ci: lint build race alloc-gates traffic cluster obs churn churn-cluster snapshots docs bench-smoke benchmark-check fuzz-smoke
+ci: lint build race alloc-gates traffic cluster obs churn churn-cluster snapshots footprint docs bench-smoke benchmark-check fuzz-smoke

@@ -6,6 +6,7 @@ import (
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
+	"rtroute/internal/rtz"
 )
 
 // Policy selects how nodes are partitioned across shards. Because TINN
@@ -154,24 +155,22 @@ func (p *Placement) fillEmpty(n int) error {
 	return nil
 }
 
-// rtzCenters extracts each node's stretch-3 cluster center from the
-// deployment's per-node state.
+// rtzCenters reads each node's stretch-3 cluster center off its own
+// address in the deployment's scheme.
 func rtzCenters(dep *core.Deployment) ([]graph.NodeID, error) {
-	_, locals, err := core.Decompose(dep)
-	if err != nil {
-		return nil, err
+	var label func(graph.NodeID) rtz.Label
+	switch s := dep.Scheme().(type) {
+	case *core.StretchSix:
+		label = s.LabelOf
+	case *core.RTZPlane:
+		label = s.Substrate().LabelOf
+	default:
+		return nil, fmt.Errorf("cluster: %s placement needs a scheme with RTZ labels (stretch6 or rtz), got %s",
+			RTZAligned, dep.Kind())
 	}
-	centers := make([]graph.NodeID, len(locals))
-	for v := range locals {
-		switch {
-		case locals[v].S6 != nil:
-			centers[v] = locals[v].S6.OwnLabel.Center
-		case locals[v].RTZ != nil:
-			centers[v] = locals[v].RTZ.SelfLabel.Center
-		default:
-			return nil, fmt.Errorf("cluster: %s placement needs a scheme with RTZ labels (stretch6 or rtz), got %s",
-				RTZAligned, dep.Kind())
-		}
+	centers := make([]graph.NodeID, dep.Graph().N())
+	for v := range centers {
+		centers[v] = label(graph.NodeID(v)).Center
 	}
 	return centers, nil
 }

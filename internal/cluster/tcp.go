@@ -184,8 +184,18 @@ type tcpConn struct {
 	wbuf []byte
 }
 
+// writeFrame sends one frame as one socket write assembled in wbuf.
 func (p *tcpConn) writeFrame(frame []byte) error {
-	return p.writeFrames([]InFrame{{Data: frame}}, nil)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wbuf = appendFrame(p.wbuf[:0], frame)
+	_, err := p.c.Write(p.wbuf)
+	return err
+}
+
+// appendFrame appends a frame as the wire carries it: 4-byte BE length, bytes.
+func appendFrame(buf, frame []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(buf, uint32(len(frame))), frame...)
 }
 
 // writeFrames sends the frames as one socket write. They are dead once
@@ -198,10 +208,7 @@ func (p *tcpConn) writeFrames(frames []InFrame, recycle *framePool) error {
 	defer p.mu.Unlock()
 	buf := p.wbuf[:0]
 	for i := range frames {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(frames[i].Data)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, frames[i].Data...)
+		buf = appendFrame(buf, frames[i].Data)
 	}
 	p.wbuf = buf
 	recycle.put(frames)

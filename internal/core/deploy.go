@@ -11,6 +11,7 @@ import (
 	"rtroute/internal/names"
 	"rtroute/internal/parallel"
 	"rtroute/internal/rtz"
+	"rtroute/internal/sealed"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
@@ -190,26 +191,11 @@ type SchemeState struct {
 	DirectReturn bool // exstretch §3.5 variant
 }
 
-// Decompose splits a built plane into per-node local states plus O(1)
-// shared parameters. It accepts the three TINN schemes, the two core
-// substrate planes, and an already-assembled Deployment. Nodes are
-// decomposed on all cores; the result does not depend on how many.
-func Decompose(p sim.Plane) (*SchemeState, []LocalState, error) {
-	st, local, err := Decomposer(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	locals := make([]LocalState, st.Graph.N())
-	_ = parallel.ForEach(len(locals), 0, func(v int) error {
-		locals[v] = local(graph.NodeID(v))
-		return nil
-	})
-	return st, locals, nil
-}
-
-// Decomposer is Decompose one node at a time: the shared parameters now,
-// and a function returning any node's local state on demand, so a
-// consumer that streams (the snapshot codec) never holds all n. The
+// Decomposer splits a built plane into O(1) shared parameters, returned
+// now, and per-node local states, returned one node at a time by the
+// function on demand, so a consumer that streams (the snapshot codec,
+// Assemble) never holds all n. It accepts the three TINN schemes, the
+// two core substrate planes, and an already-assembled Deployment. The
 // function only reads the plane and may be called concurrently.
 func Decomposer(p sim.Plane) (*SchemeState, func(v graph.NodeID) LocalState, error) {
 	switch s := p.(type) {
@@ -267,41 +253,48 @@ func rtzTableLocal(t *rtz.Table) RTZTableLocal {
 	return loc
 }
 
-// exNeighborsLocal lists a name -> handshake table in name order. It
-// sorts the names and then fetches: a handshake is 72 bytes, too wide
-// to move around inside a sort.
-func exNeighborsLocal(m map[int32]rtz.Handshake) []ExNeighbor {
-	names := make([]int32, 0, len(m))
-	for nm := range m {
-		names = append(names, nm)
-	}
-	slices.Sort(names)
+// sortedKeys lists a sealed table's keys in ascending order, the
+// canonical order of a LocalState's entries; the caller then fetches (a
+// rebuilt handshake is 72 bytes, too wide to move inside a sort).
+func sortedKeys[V any](t *sealed.Table[V]) []int32 {
+	keys := make([]int32, 0, t.Len())
+	t.Range(func(k int32, _ V) { keys = append(keys, k) })
+	slices.Sort(keys)
+	return keys
+}
+
+// namedLocal lists a name -> handshake table in name order, each
+// handshake whole again.
+func (t *exTable) namedLocal(tab *sealed.Table[exHS]) []ExNeighbor {
+	names := sortedKeys(tab)
 	out := make([]ExNeighbor, len(names))
 	for i, nm := range names {
-		out[i] = ExNeighbor{Name: nm, HS: m[nm]}
+		hs, _ := tab.Get(nm)
+		out[i] = ExNeighbor{Name: nm, HS: t.handshake(nm, hs)}
 	}
 	return out
 }
 
 func (s *ExStretch) local(v graph.NodeID) LocalState {
 	t := s.nodes[v]
+	keys := sortedKeys(&t.dict)
 	loc := &ExLocal{
 		SelfName:  t.selfName,
-		Neighbors: exNeighborsLocal(t.neighbors),
-		Full:      exNeighborsLocal(t.full),
-		Dict:      make([]ExDictLocal, 0, len(t.dict)),
+		Neighbors: t.namedLocal(&t.neighbors),
+		Full:      t.namedLocal(&t.full),
+		Dict:      make([]ExDictLocal, len(keys)),
 		Global:    append([]ExGlobal(nil), t.global...),
 		HopTab:    hopEntriesLocal(t.hopTab),
 	}
-	for k, e := range t.dict {
-		loc.Dict = append(loc.Dict, ExDictLocal{
-			Level: k.Level, Prefix: k.Prefix, Tau: k.Tau,
-			TargetName: e.TargetName, HS: e.HS,
-		})
+	q, span := int32(s.uni.Q), int32(s.uni.NumBlocks()) // as dictKey packs
+	for i, key := range keys {
+		e, _ := t.dict.Get(key)
+		class := key % span
+		loc.Dict[i] = ExDictLocal{
+			Level: int8(key / span), Prefix: class / q, Tau: class % q,
+			TargetName: e.TargetName, HS: t.handshake(e.TargetName, e.HS),
+		}
 	}
-	slices.SortFunc(loc.Dict, func(a, b ExDictLocal) int {
-		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Prefix, b.Prefix), cmp.Compare(a.Tau, b.Tau))
-	})
 	return LocalState{Node: v, Ex: loc}
 }
 
@@ -351,10 +344,12 @@ func (p *HopPlane) local(v graph.NodeID) LocalState {
 	}}
 }
 
-// Assemble reconstructs a Deployment from a decomposed scheme: the
-// reassembled per-node tables, route-identical to the scheme the state
-// was decomposed from.
-func Assemble(st *SchemeState, locals []LocalState) (*Deployment, error) {
+// Assemble reconstructs a Deployment, route-identical to the scheme the
+// state was decomposed from, pulling node v's state from local(v) for v =
+// 0, 1, ..., n-1 in turn: the pull form of Decomposer. Each state becomes
+// its node's final tables before the next is pulled, and those may keep
+// its slices, which local must not reuse. An error from local ends it.
+func Assemble(st *SchemeState, local func(v graph.NodeID) (LocalState, error)) (*Deployment, error) {
 	if st.Graph == nil {
 		return nil, fmt.Errorf("core: assemble: nil graph")
 	}
@@ -362,25 +357,34 @@ func Assemble(st *SchemeState, locals []LocalState) (*Deployment, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("core: assemble: need at least 2 nodes, got %d", n)
 	}
-	if len(locals) != n {
-		return nil, fmt.Errorf("core: assemble: %d nodes but %d local states", n, len(locals))
-	}
 	perm, err := names.NewPermutation(st.Names)
 	if err != nil {
 		return nil, fmt.Errorf("core: assemble: %w", err)
 	}
+	each := func(put func(v graph.NodeID, ls *LocalState) error) error {
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			ls, err := local(v)
+			if err == nil {
+				err = put(v, &ls)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var scheme Scheme
 	switch st.Kind {
 	case KindStretchSix:
-		scheme, err = assembleS6(st, perm, locals)
+		scheme, err = assembleS6(st, perm, each)
 	case KindExStretch:
-		scheme, err = assembleEx(st, perm, locals)
+		scheme, err = assembleEx(st, perm, each)
 	case KindPolynomial:
-		scheme, err = assemblePoly(st, perm, locals)
+		scheme, err = assemblePoly(st, perm, each)
 	case KindRTZ:
-		scheme, err = assembleRTZ(st, perm, locals)
+		scheme, err = assembleRTZ(st, perm, each)
 	case KindHop:
-		scheme, err = assembleHop(st, perm, locals)
+		scheme, err = assembleHop(st, perm, each)
 	default:
 		return nil, fmt.Errorf("core: assemble: unknown kind %v", st.Kind)
 	}
@@ -390,8 +394,24 @@ func Assemble(st *SchemeState, locals []LocalState) (*Deployment, error) {
 	return NewDeployment(scheme, st.Kind), nil
 }
 
-func localKindErr(v int, want Kind) error {
+// eachNode hands put every node's state in node order, pulled as it
+// goes, and stops at the first error.
+type eachNode func(put func(v graph.NodeID, ls *LocalState) error) error
+
+func localKindErr(v graph.NodeID, want Kind) error {
 	return fmt.Errorf("core: assemble: node %d local state is not %v state", v, want)
+}
+
+// ascending reports whether n keys, the i-th key(i), are non-negative
+// and strictly ascending: the canonical order every decoded table
+// arrives in, which also makes its keys distinct.
+func ascending(n int, key func(i int) int32) bool {
+	for i := 0; i < n; i++ {
+		if k := key(i); k < 0 || (i > 0 && k <= key(i-1)) {
+			return false
+		}
+	}
+	return true
 }
 
 func assembleRTZTable(self graph.NodeID, loc *RTZTableLocal, centers int) (*rtz.Table, error) {
@@ -402,56 +422,50 @@ func assembleRTZTable(self graph.NodeID, loc *RTZTableLocal, centers int) (*rtz.
 	if centers >= 0 && len(loc.InPorts) != centers {
 		return nil, fmt.Errorf("core: assemble: node %d covers %d centers, want %d", self, len(loc.InPorts), centers)
 	}
-	t := &rtz.Table{
-		Self:       self,
-		InPorts:    append([]graph.PortID(nil), loc.InPorts...),
-		TreeStates: append([]tree.State(nil), loc.TreeStates...),
-		Direct:     make(map[graph.NodeID]graph.PortID, len(loc.Direct)),
+	dst := func(i int) graph.NodeID { return loc.Direct[i].Dst }
+	if !ascending(len(loc.Direct), dst) {
+		return nil, fmt.Errorf("core: assemble: node %d direct entries not strictly ascending", self)
 	}
-	for _, d := range loc.Direct {
-		t.Direct[d.Dst] = d.Port
-	}
-	t.Seal()
+	t := &rtz.Table{Self: self, InPorts: loc.InPorts, TreeStates: loc.TreeStates}
+	t.SealFunc(len(loc.Direct), dst, func(i int) graph.PortID { return loc.Direct[i].Port })
 	return t, nil
 }
 
-func assembleS6(st *SchemeState, perm *names.Permutation, locals []LocalState) (Scheme, error) {
-	n := st.Graph.N()
-	uni := blocks.NewUniverse(n, 2)
-	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, n)}
+func assembleS6(st *SchemeState, perm *names.Permutation, each eachNode) (Scheme, error) {
+	uni := blocks.NewUniverse(st.Graph.N(), 2)
+	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, st.Graph.N())}
 	centers := -1
-	for v := 0; v < n; v++ {
-		loc := locals[v].S6
+	return s, each(func(v graph.NodeID, ls *LocalState) error {
+		loc := ls.S6
 		if loc == nil {
-			return nil, localKindErr(v, KindStretchSix)
+			return localKindErr(v, KindStretchSix)
 		}
 		if len(loc.BlockHolder) != uni.NumBlocks() {
-			return nil, fmt.Errorf("core: assemble: node %d has %d block holders, universe has %d blocks",
+			return fmt.Errorf("core: assemble: node %d has %d block holders, universe has %d blocks",
 				v, len(loc.BlockHolder), uni.NumBlocks())
 		}
-		tab3, err := assembleRTZTable(graph.NodeID(v), &loc.Tab3, centers)
+		tab3, err := assembleRTZTable(v, &loc.Tab3, centers)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		centers = len(tab3.InPorts)
-		tab := &s6Table{
+		name := func(i int) int32 { return loc.Entries[i].Name }
+		if !ascending(len(loc.Entries), name) {
+			return fmt.Errorf("core: assemble: node %d dictionary names not strictly ascending", v)
+		}
+		s.nodes[v] = &s6Table{
 			selfName:        loc.SelfName,
 			ownLabel:        loc.OwnLabel,
-			labels:          make(map[int32]rtz.Label, len(loc.Entries)),
-			blockHolder:     append([]int32(nil), loc.BlockHolder...),
+			lbl:             sealed.CompileFunc(len(loc.Entries), name, func(i int) rtz.Label { return loc.Entries[i].Label }),
+			blockHolder:     loc.BlockHolder,
 			tab3:            tab3,
 			neighborEntries: int(loc.NeighborEntries),
 		}
-		for _, e := range loc.Entries {
-			tab.labels[e.Name] = e.Label
-		}
-		tab.sealLabels()
-		s.nodes[v] = tab
-	}
-	return s, nil
+		return nil
+	})
 }
 
-func assembleEx(st *SchemeState, perm *names.Permutation, locals []LocalState) (Scheme, error) {
+func assembleEx(st *SchemeState, perm *names.Permutation, each eachNode) (Scheme, error) {
 	n := st.Graph.N()
 	if st.K < 2 {
 		return nil, fmt.Errorf("core: assemble: exstretch needs K >= 2, got %d", st.K)
@@ -460,32 +474,14 @@ func assembleEx(st *SchemeState, perm *names.Permutation, locals []LocalState) (
 		g: st.Graph, perm: perm, uni: blocks.NewUniverse(n, st.K),
 		k: st.K, directReturn: st.DirectReturn, nodes: make([]*exTable, n),
 	}
-	for v := 0; v < n; v++ {
-		loc := locals[v].Ex
+	return s, each(func(v graph.NodeID, ls *LocalState) error {
+		loc := ls.Ex
 		if loc == nil {
-			return nil, localKindErr(v, KindExStretch)
+			return localKindErr(v, KindExStretch)
 		}
-		tab := &exTable{
-			selfName:  loc.SelfName,
-			neighbors: make(map[int32]rtz.Handshake, len(loc.Neighbors)),
-			dict:      make(map[exDictKey]exDictEntry, len(loc.Dict)),
-			full:      make(map[int32]rtz.Handshake, len(loc.Full)),
-			hopTab:    assembleHopTable(graph.NodeID(v), loc.HopTab),
-			global:    append([]ExGlobal(nil), loc.Global...),
-		}
-		for _, e := range loc.Neighbors {
-			tab.neighbors[e.Name] = e.HS
-		}
-		for _, e := range loc.Dict {
-			tab.dict[exDictKey{Level: e.Level, Prefix: e.Prefix, Tau: e.Tau}] =
-				exDictEntry{TargetName: e.TargetName, HS: e.HS}
-		}
-		for _, e := range loc.Full {
-			tab.full[e.Name] = e.HS
-		}
-		s.nodes[v] = tab
-	}
-	return s, nil
+		s.nodes[v] = &exTable{selfName: loc.SelfName, hopTab: assembleHopTable(v, loc.HopTab), global: loc.Global}
+		return s.fill(v, s.nodes[v], loc)
+	})
 }
 
 func assembleHopTable(self graph.NodeID, entries []HopEntryLocal) *rtz.HopTable {
@@ -496,7 +492,7 @@ func assembleHopTable(self graph.NodeID, entries []HopEntryLocal) *rtz.HopTable 
 	return t
 }
 
-func assemblePoly(st *SchemeState, perm *names.Permutation, locals []LocalState) (Scheme, error) {
+func assemblePoly(st *SchemeState, perm *names.Permutation, each eachNode) (Scheme, error) {
 	n := st.Graph.N()
 	if st.K < 2 {
 		return nil, fmt.Errorf("core: assemble: polystretch needs K >= 2, got %d", st.K)
@@ -508,19 +504,19 @@ func assemblePoly(st *SchemeState, perm *names.Permutation, locals []LocalState)
 		g: st.Graph, perm: perm, uni: blocks.NewUniverse(n, st.K),
 		k: st.K, levels: st.Levels, nodes: make([]*polyTable, n),
 	}
-	for v := 0; v < n; v++ {
-		loc := locals[v].Poly
+	return s, each(func(v graph.NodeID, ls *LocalState) error {
+		loc := ls.Poly
 		if loc == nil {
-			return nil, localKindErr(v, KindPolynomial)
+			return localKindErr(v, KindPolynomial)
 		}
 		if len(loc.Home) != st.Levels {
-			return nil, fmt.Errorf("core: assemble: node %d has %d home trees, ladder has %d levels",
+			return fmt.Errorf("core: assemble: node %d has %d home trees, ladder has %d levels",
 				v, len(loc.Home), st.Levels)
 		}
 		tab := &polyTable{
 			selfName: loc.SelfName,
 			trees:    make(map[cover.TreeRef]*polyTreeEntry, len(loc.Trees)),
-			home:     append([]cover.TreeRef(nil), loc.Home...),
+			home:     loc.Home,
 		}
 		for _, te := range loc.Trees {
 			e := &polyTreeEntry{
@@ -533,27 +529,31 @@ func assemblePoly(st *SchemeState, perm *names.Permutation, locals []LocalState)
 			tab.trees[te.Ref] = e
 		}
 		s.nodes[v] = tab
-	}
-	return s, nil
+		return nil
+	})
 }
 
-func assembleRTZ(st *SchemeState, perm *names.Permutation, locals []LocalState) (Scheme, error) {
+func assembleRTZ(st *SchemeState, perm *names.Permutation, each eachNode) (Scheme, error) {
 	n := st.Graph.N()
 	tables := make([]*rtz.Table, n)
 	labels := make([]rtz.Label, n)
 	centers := -1
-	for v := 0; v < n; v++ {
-		loc := locals[v].RTZ
+	err := each(func(v graph.NodeID, ls *LocalState) error {
+		loc := ls.RTZ
 		if loc == nil {
-			return nil, localKindErr(v, KindRTZ)
+			return localKindErr(v, KindRTZ)
 		}
-		t, err := assembleRTZTable(graph.NodeID(v), &loc.Table, centers)
+		t, err := assembleRTZTable(v, &loc.Table, centers)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		centers = len(t.InPorts)
 		tables[v] = t
 		labels[v] = loc.SelfLabel
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sub, err := rtz.AssembleScheme(st.Graph, tables, labels)
 	if err != nil {
@@ -562,22 +562,25 @@ func assembleRTZ(st *SchemeState, perm *names.Permutation, locals []LocalState) 
 	return NewRTZPlane(sub, perm)
 }
 
-func assembleHop(st *SchemeState, perm *names.Permutation, locals []LocalState) (Scheme, error) {
+func assembleHop(st *SchemeState, perm *names.Permutation, each eachNode) (Scheme, error) {
 	n := st.Graph.N()
 	tables := make([]*rtz.HopTable, n)
 	members := make([][]HopMember, n)
-	for v := 0; v < n; v++ {
-		loc := locals[v].Hop
+	err := each(func(v graph.NodeID, ls *LocalState) error {
+		loc := ls.Hop
 		if loc == nil {
-			return nil, localKindErr(v, KindHop)
+			return localKindErr(v, KindHop)
 		}
-		ms := append([]HopMember(nil), loc.Members...)
-		t := &rtz.HopTable{Self: graph.NodeID(v), Trees: make(map[cover.TreeRef]rtz.HopEntry, len(ms))}
-		for _, m := range ms {
+		t := &rtz.HopTable{Self: v, Trees: make(map[cover.TreeRef]rtz.HopEntry, len(loc.Members))}
+		for _, m := range loc.Members {
 			t.Trees[m.Ref] = rtz.HopEntry{State: m.State, InPort: m.InPort, IsRoot: m.IsRoot}
 		}
 		tables[v] = t
-		members[v] = ms
+		members[v] = loc.Members
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return AssembleHopPlane(st.Graph, perm, tables, members)
 }
@@ -615,12 +618,25 @@ func (d *Deployment) Rebind(s Scheme) { d.scheme = s }
 // Deploy decomposes a built scheme into per-node local states and
 // reassembles them as a Deployment — the in-process equivalent of a
 // marshal/unmarshal roundtrip, certifying that per-node state suffices.
+// Nodes are decomposed a window at a time, 32 per core, and assembled in
+// node order, so one window of local states is live beside the tables.
 func Deploy(p sim.Plane) (*Deployment, error) {
-	st, locals, err := Decompose(p)
+	st, local, err := Decomposer(p)
 	if err != nil {
 		return nil, err
 	}
-	return Assemble(st, locals)
+	win := make([]LocalState, parallel.Workers(st.Graph.N(), 0)*32)
+	lo := -len(win)
+	return Assemble(st, func(v graph.NodeID) (LocalState, error) {
+		if int(v) >= lo+len(win) {
+			lo = int(v)
+			_ = parallel.ForEach(min(len(win), st.Graph.N()-lo), 0, func(i int) error { // never fails
+				win[i] = local(graph.NodeID(lo + i))
+				return nil
+			})
+		}
+		return win[int(v)-lo], nil
+	})
 }
 
 // Kind returns the deployed scheme kind.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rtroute/internal/blocks"
@@ -56,17 +58,19 @@ func holdsPrefixDigit(a *blocks.Assignment, w graph.NodeID, i int, prefix, tau i
 }
 
 // exDictReference is §3.3's item (3a) for node u, by the per-(block,
-// level, τ) rescan.
-func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.NodeID) map[exDictKey]exDictEntry {
-	dict := make(map[exDictKey]exDictEntry)
+// level, τ) rescan, in the canonical (level, prefix, τ) order.
+func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.NodeID) []ExDictLocal {
+	dict := []ExDictLocal{}
+	done := make(map[[3]int32]bool)
 	for _, b := range s.assign.Sets[u] {
 		for i := 0; i < s.k-1; i++ {
 			prefix := s.uni.BlockPrefix(b, i)
 			for tau := int32(0); tau < int32(s.uni.Q); tau++ {
-				key := exDictKey{Level: int8(i), Prefix: prefix, Tau: tau}
-				if _, done := dict[key]; done {
+				key := [3]int32{int32(i), prefix, tau}
+				if done[key] {
 					continue
 				}
+				done[key] = true
 				target := graph.NodeID(-1)
 				for _, w := range space.Init(u) {
 					if holdsPrefixDigit(s.assign, w, i, prefix, tau) {
@@ -84,10 +88,13 @@ func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.
 						t.Fatal(err)
 					}
 				}
-				dict[key] = exDictEntry{TargetName: s.perm.Name(int32(target)), HS: hs}
+				dict = append(dict, ExDictLocal{Level: int8(i), Prefix: prefix, Tau: tau, TargetName: s.perm.Name(int32(target)), HS: hs})
 			}
 		}
 	}
+	slices.SortFunc(dict, func(a, b ExDictLocal) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Prefix, b.Prefix), cmp.Compare(a.Tau, b.Tau))
+	})
 	return dict
 }
 
@@ -132,7 +139,7 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 						}
 						for u := 0; u < n; u++ {
 							want := exDictReference(t, ex, space, graph.NodeID(u))
-							if got := ex.nodes[u].dict; !reflect.DeepEqual(got, want) {
+							if got := ex.local(graph.NodeID(u)).Ex.Dict; !reflect.DeepEqual(got, want) {
 								t.Fatalf("ex node %d: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, got, want)
 							}
 						}

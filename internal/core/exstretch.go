@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/cover"
@@ -11,6 +14,7 @@ import (
 	"rtroute/internal/parallel"
 	"rtroute/internal/rtmetric"
 	"rtroute/internal/rtz"
+	"rtroute/internal/sealed"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
@@ -50,25 +54,28 @@ type ExGlobal struct {
 	Label tree.Label
 }
 
-type exDictKey struct {
-	Level  int8
-	Prefix int32
-	Tau    int32
+// exHS is a stored handshake R2(u, v) less u's own label, which the
+// table keeps once per tree (exTable.own); exTable.handshake rebuilds it.
+type exHS struct {
+	Ref    cover.TreeRef
+	VLabel tree.Label
 }
 
 type exDictEntry struct {
 	TargetName int32
-	HS         rtz.Handshake
+	HS         exHS
 }
 
 type exTable struct {
 	selfName int32
 	// neighbors is storage item (2): name -> handshake.
-	neighbors map[int32]rtz.Handshake
-	// dict is storage item (3a).
-	dict map[exDictKey]exDictEntry
+	neighbors sealed.Table[exHS]
+	// dict is storage item (3a), under the packed (level, prefix, τ) key.
+	dict sealed.Table[exDictEntry]
 	// full is storage item (3b): names covered by held blocks.
-	full map[int32]rtz.Handshake
+	full sealed.Table[exHS]
+	// own is the node's label once per tree its handshakes name.
+	own []ExGlobal
 	// hopTab is storage item (1).
 	hopTab *rtz.HopTable
 	// global is the node's own globally valid label, present only in the
@@ -76,21 +83,106 @@ type exTable struct {
 	global []ExGlobal
 }
 
+// handshake rebuilds the full R2(u, target) of a stored entry. A
+// self-targeted entry stores the empty handshake.
+func (t *exTable) handshake(target int32, hs exHS) rtz.Handshake {
+	if target == t.selfName {
+		return rtz.Handshake{}
+	}
+	u, _ := t.ownLabel(hs.Ref) // present: record saw every tree
+	return rtz.Handshake{Ref: hs.Ref, ULabel: u, VLabel: hs.VLabel}
+}
+
+func (t *exTable) ownLabel(ref cover.TreeRef) (tree.Label, bool) {
+	for _, o := range t.own {
+		if o.Ref == ref {
+			return o.Label, true
+		}
+	}
+	return tree.Label{}, false
+}
+
+// record is handshake's inverse: it keeps u's label the first time a tree
+// is named, so an entry keeps only exHS. It refuses what that form could
+// not give back: a self-targeted non-empty handshake, or two labels of u
+// in one tree.
+func (t *exTable) record(target int32, hs rtz.Handshake) error {
+	if target == t.selfName {
+		if hs.Ref != (cover.TreeRef{}) || !labelEqual(hs.ULabel, tree.Label{}) || !labelEqual(hs.VLabel, tree.Label{}) {
+			return fmt.Errorf("self-targeted entry carries a handshake in tree %v", hs.Ref)
+		}
+	} else if u, ok := t.ownLabel(hs.Ref); !ok {
+		t.own = append(t.own, ExGlobal{Ref: hs.Ref, Label: hs.ULabel})
+	} else if !labelEqual(u, hs.ULabel) {
+		return fmt.Errorf("handshakes carry two labels of the node in tree %v", hs.Ref)
+	}
+	return nil
+}
+
+func labelEqual(a, b tree.Label) bool { return a.Tin == b.Tin && slices.Equal(a.Light, b.Light) }
+
 func (t *exTable) words() int {
 	w := 1 + t.hopTab.Words()
-	for _, hs := range t.neighbors {
-		w += 1 + hs.Words()
-	}
-	for _, e := range t.dict {
-		w += 4 + e.HS.Words()
-	}
-	for _, hs := range t.full {
-		w += 1 + hs.Words()
-	}
+	t.neighbors.Range(func(nm int32, hs exHS) { w += 1 + t.handshake(nm, hs).Words() })
+	t.dict.Range(func(_ int32, e exDictEntry) { w += 4 + t.handshake(e.TargetName, e.HS).Words() })
+	t.full.Range(func(nm int32, hs exHS) { w += 1 + t.handshake(nm, hs).Words() })
 	for _, g := range t.global {
 		w += 2 + g.Label.Words()
 	}
 	return w
+}
+
+// fill compiles node v's items (2), (3a) and (3b), listed in loc in
+// canonical order, into their stored form. The builder and the restore
+// both come through here, so a decoded section is held to the builder's
+// invariants: keys strictly ascending and in range, and what record checks.
+func (s *ExStretch) fill(v graph.NodeID, t *exTable, loc *ExLocal) error {
+	var err error
+	if t.neighbors, err = t.sealNamed(loc.Neighbors); err == nil {
+		t.full, err = t.sealNamed(loc.Full)
+	}
+	key := func(i int) int32 { e := &loc.Dict[i]; return int32(s.dictKey(e.Level, e.Prefix, e.Tau)) }
+	if err == nil && !ascending(len(loc.Dict), key) {
+		err = fmt.Errorf("dictionary keys out of range or not strictly ascending")
+	}
+	for i := 0; err == nil && i < len(loc.Dict); i++ {
+		err = t.record(loc.Dict[i].TargetName, loc.Dict[i].HS)
+	}
+	if err != nil {
+		return fmt.Errorf("core: exstretch node %d: %w", v, err)
+	}
+	t.dict = sealed.CompileFunc(len(loc.Dict), key, func(i int) exDictEntry {
+		e := &loc.Dict[i]
+		return exDictEntry{e.TargetName, exHS{e.HS.Ref, e.HS.VLabel}}
+	})
+	return nil
+}
+
+func (t *exTable) sealNamed(es []ExNeighbor) (tab sealed.Table[exHS], err error) {
+	name := func(i int) int32 { return es[i].Name }
+	if !ascending(len(es), name) {
+		return tab, fmt.Errorf("entry names not strictly ascending")
+	}
+	for i := range es {
+		if err := t.record(es[i].Name, es[i].HS); err != nil {
+			return tab, err
+		}
+	}
+	return sealed.CompileFunc(len(es), name, func(i int) exHS { return exHS{es[i].HS.Ref, es[i].HS.VLabel} }), nil
+}
+
+// dictKey packs a (3a) key. A level's classes (block prefixes one digit
+// longer than the level) lie below the block count q^(k-1), so level ·
+// q^(k-1) + prefix·q + τ ascends with (level, prefix, τ). It returns -1
+// for a triple outside the universe or past the int32 key space.
+func (s *ExStretch) dictKey(level int8, prefix, tau int32) int64 {
+	q, span := int64(s.uni.Q), int64(s.uni.NumBlocks())
+	class := int64(prefix)*q + int64(tau)
+	key := int64(level)*span + class
+	if level < 0 || int(level) >= s.k-1 || prefix < 0 || tau < 0 || int64(tau) >= q || class >= span || key > math.MaxInt32 {
+		return -1
+	}
+	return key
 }
 
 // ExWaypoint is one stack record: the waypoint we departed from and the
@@ -210,11 +302,6 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	}
 	sizes := rtmetric.NeighborhoodSizes(n, cfg.K)
 
-	r2 := func(u, v graph.NodeID) (rtz.Handshake, error) {
-		hs, _, err := hop.R2(u, v)
-		return hs, err
-	}
-
 	// realized[i][c] reports whether any node holds a block whose
 	// length-(i+1) prefix is c: the (3a) classes that have a target at
 	// all, so a node's pass knows when its dictionary is complete.
@@ -231,55 +318,55 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	}
 
 	// Per-node tables read only shared immutable state (hierarchy,
-	// assignment, Init orders); build them in parallel.
-	scratch := make([]exDictScratch, parallel.Workers(n, cfg.BuildWorkers))
+	// assignment, Init orders); build them in parallel, each worker
+	// listing a node's entries in its reused ExLocal and compiling the
+	// sealed tables straight from the lists.
+	workers := parallel.Workers(n, cfg.BuildWorkers)
+	claimers, scratch := make([]exDictScratch, workers), make([]ExLocal, workers)
+	q := int32(assign.U.Q)
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
-		tab := &exTable{
-			selfName:  perm.Name(int32(u)),
-			neighbors: make(map[int32]rtz.Handshake, sizes[1]),
-			full:      make(map[int32]rtz.Handshake, len(assign.Sets[u])*assign.U.Q),
-			hopTab:    hop.Tables[u],
-		}
-		// (2) N_1(u) handshakes.
-		for _, v := range space.Neighborhood(graph.NodeID(u), sizes[1]) {
-			if v == graph.NodeID(u) {
-				continue
+		self, sc := graph.NodeID(u), &scratch[wk]
+		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: hop.Tables[u]}
+		var err error // the first R2 failure; later entries are dropped with it
+		entry := func(v graph.NodeID) (e ExNeighbor) {
+			e.Name = perm.Name(int32(v))
+			if v != self && err == nil {
+				e.HS, _, err = hop.R2(self, v)
 			}
-			hs, err := r2(graph.NodeID(u), v)
-			if err != nil {
-				return err
-			}
-			tab.neighbors[perm.Name(int32(v))] = hs
+			return e
 		}
+		// (2) N_1(u) handshakes, by name.
+		sc.Neighbors = sc.Neighbors[:0]
+		for _, v := range space.Neighborhood(self, sizes[1]) {
+			if v != self {
+				sc.Neighbors = append(sc.Neighbors, entry(v))
+			}
+		}
+		slices.SortFunc(sc.Neighbors, func(a, b ExNeighbor) int { return cmp.Compare(a.Name, b.Name) })
 		// (3a) prefix-advancing dictionary, deduplicated by (level,
-		// prefix value, next digit).
-		claims := scratch[wk].claim(assign, realized, graph.NodeID(u), space.Init(graph.NodeID(u)))
-		tab.dict = make(map[exDictKey]exDictEntry, len(claims))
-		q := int32(assign.U.Q)
+		// prefix value, next digit), in that order.
+		claims := claimers[wk].claim(assign, realized, self, space.Init(self))
+		slices.SortFunc(claims, func(a, b exDictClaim) int {
+			return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.class, b.class))
+		})
+		sc.Dict = sc.Dict[:0]
 		for _, c := range claims {
-			var hs rtz.Handshake
-			if c.target != graph.NodeID(u) {
-				var err error
-				if hs, err = r2(graph.NodeID(u), c.target); err != nil {
-					return err
-				}
-			}
-			tab.dict[exDictKey{Level: c.level, Prefix: c.class / q, Tau: c.class % q}] =
-				exDictEntry{TargetName: perm.Name(int32(c.target)), HS: hs}
+			e := entry(c.target)
+			sc.Dict = append(sc.Dict, ExDictLocal{Level: c.level, Prefix: c.class / q, Tau: c.class % q, TargetName: e.Name, HS: e.HS})
 		}
-		// (3b) full dictionary entries of held blocks.
+		// (3b) full dictionary entries of held blocks: ascending names,
+		// as the blocks are.
+		sc.Full = sc.Full[:0]
 		for _, b := range assign.Sets[u] {
 			for _, nm := range assign.U.NamesInBlock(b) {
-				v := graph.NodeID(perm.Node(nm))
-				var hs rtz.Handshake
-				if v != graph.NodeID(u) {
-					var err error
-					if hs, err = r2(graph.NodeID(u), v); err != nil {
-						return err
-					}
-				}
-				tab.full[nm] = hs
+				sc.Full = append(sc.Full, entry(graph.NodeID(perm.Node(nm))))
 			}
+		}
+		if err != nil {
+			return err
+		}
+		if err := s.fill(self, tab, sc); err != nil {
+			return err
 		}
 		// Global label for the §3.5 direct-return variant.
 		if cfg.DirectReturn {
@@ -385,22 +472,19 @@ func (s *ExStretch) SchemeName() string {
 // or the (3b) full entry for the final hop.
 func (s *ExStretch) lookupNext(tab *exTable, hopIdx int, destName int32) (int32, rtz.Handshake, error) {
 	if hopIdx+1 >= s.k {
-		hs, ok := tab.full[destName]
+		hs, ok := tab.full.Get(destName)
 		if !ok {
 			return 0, rtz.Handshake{}, fmt.Errorf("core: node %d lacks full entry for %d", tab.selfName, destName)
 		}
-		return destName, hs, nil
+		return destName, tab.handshake(destName, hs), nil
 	}
-	key := exDictKey{
-		Level:  int8(hopIdx),
-		Prefix: s.uni.Prefix(destName, hopIdx),
-		Tau:    s.uni.Prefix(destName, hopIdx+1) % int32(s.uni.Q),
-	}
-	e, ok := tab.dict[key]
+	// σ^i(dest)·q + τ is the destination's prefix one digit longer.
+	class, q := s.uni.Prefix(destName, hopIdx+1), int32(s.uni.Q)
+	e, ok := tab.dict.Get(int32(s.dictKey(int8(hopIdx), class/q, class%q)))
 	if !ok {
-		return 0, rtz.Handshake{}, fmt.Errorf("core: node %d lacks dictionary entry %+v for %d", tab.selfName, key, destName)
+		return 0, rtz.Handshake{}, fmt.Errorf("core: node %d lacks level-%d dictionary entry for %d", tab.selfName, hopIdx, destName)
 	}
-	return e.TargetName, e.HS, nil
+	return e.TargetName, tab.handshake(e.TargetName, e.HS), nil
 }
 
 // advance runs the Fig. 4 waypoint loop at the current node: skip

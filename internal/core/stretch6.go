@@ -483,3 +483,6 @@ func (s *StretchSix) AvgTableWords() float64 {
 // NeighborhoodEntries reports the size of storage item (1) at each node,
 // for the space-accounting experiments.
 func (s *StretchSix) NeighborhoodEntries(v graph.NodeID) int { return s.nodes[v].neighborEntries }
+
+// LabelOf returns node v's own stretch-3 address.
+func (s *StretchSix) LabelOf(v graph.NodeID) rtz.Label { return s.nodes[v].ownLabel }

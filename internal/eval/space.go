@@ -72,7 +72,7 @@ func EncodedSpaceSweep(cfg EncodedSpaceConfig) ([]EncodedSpacePoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eval: encoded space sweep n=%d: %w", n, err)
 		}
-		_, locals, err := core.Decompose(s6)
+		_, local, err := core.Decomposer(s6)
 		if err != nil {
 			return nil, fmt.Errorf("eval: encoded space sweep n=%d: %w", n, err)
 		}
@@ -83,7 +83,7 @@ func EncodedSpaceSweep(cfg EncodedSpaceConfig) ([]EncodedSpacePoint, error) {
 			if b > pt.MaxBytes {
 				pt.MaxBytes = b
 			}
-			l := locals[v].S6
+			l := local(graph.NodeID(v)).S6
 			totalEntries += len(l.Entries) + len(l.BlockHolder) +
 				len(l.Tab3.InPorts) + len(l.Tab3.Direct)
 		}

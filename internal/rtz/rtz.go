@@ -112,6 +112,12 @@ func (t *Table) Seal() {
 	t.Direct = nil
 }
 
+// SealFunc is Seal for a table without a Direct map: it compiles n direct
+// entries, the i-th toward dst(i) on port(i), straight into the probe table.
+func (t *Table) SealFunc(n int, dst func(i int) graph.NodeID, port func(i int) graph.PortID) {
+	t.direct = sealed.CompileFunc(n, dst, port)
+}
+
 // DirectPort returns the stored first-hop port toward dst, if any.
 func (t *Table) DirectPort(dst graph.NodeID) (graph.PortID, bool) {
 	if !t.direct.Built() {

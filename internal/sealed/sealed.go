@@ -3,8 +3,8 @@
 // (node ids, TINN names, port labels) hashed into a power-of-two
 // segment with linear probing at load factor <= 1/2, so a lookup is one
 // or two cache lines instead of a Go map traversal. Tables are compiled
-// once from a builder map and never mutated — the same build-then-seal
-// discipline as the graph's CSR index.
+// once, from a builder map or straight from a list of entries, and never
+// mutated — the same build-then-seal discipline as the graph's CSR index.
 package sealed
 
 import "math/bits"
@@ -44,28 +44,9 @@ type group struct {
 // Compile builds a table holding every entry of m. Keys must be
 // non-negative (the key space of node ids, names and ports).
 func Compile[V any](m map[int32]V) Table[V] {
-	if len(m) == 0 {
-		return Table[V]{}
-	}
-	size := 2
-	for size < 2*len(m) {
-		size <<= 1
-	}
-	t := Table[V]{keys: make([]int32, size), occ: make([]group, (size+63)/64), vals: make([]V, len(m))}
-	for i := range t.keys {
-		t.keys[i] = -1
-	}
-	mask := uint32(size - 1)
+	t := newTable[V](len(m))
 	for k := range m {
-		if k < 0 {
-			panic("sealed: negative key")
-		}
-		i := Hash(k) & mask
-		for t.keys[i] >= 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = k
-		t.occ[i>>6].bits |= 1 << (i & 63)
+		t.place(k)
 	}
 	// With every slot known, the values go in by slot order: a second
 	// lookup per key, but each value is copied once, to its final place.
@@ -80,6 +61,59 @@ func Compile[V any](m map[int32]V) Table[V] {
 		}
 	}
 	return t
+}
+
+// CompileFunc builds a table of n entries, the i-th with key key(i) and
+// value val(i), straight from wherever the caller holds them: no builder
+// map in between. Keys must be distinct and non-negative. Each key is
+// placed once, its slot kept aside; each value goes to that slot's rank.
+func CompileFunc[V any](n int, key func(i int) int32, val func(i int) V) Table[V] {
+	t := newTable[V](n)
+	slots := make([]uint32, n)
+	for e := range slots {
+		slots[e] = t.place(key(e))
+	}
+	for g := 1; g < len(t.occ); g++ {
+		t.occ[g].rank = t.occ[g-1].rank + uint32(bits.OnesCount64(t.occ[g-1].bits))
+	}
+	for e, i := range slots {
+		g := &t.occ[i>>6]
+		t.vals[int(g.rank)+bits.OnesCount64(g.bits&(1<<(i&63)-1))] = val(e)
+	}
+	return t
+}
+
+// newTable sizes an empty table for n entries at load <= 1/2.
+func newTable[V any](n int) Table[V] {
+	if n == 0 {
+		return Table[V]{}
+	}
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	t := Table[V]{keys: make([]int32, size), occ: make([]group, (size+63)/64), vals: make([]V, n)}
+	for i := range t.keys {
+		t.keys[i] = -1
+	}
+	return t
+}
+
+// place puts key k in its slot, marks the slot occupied and returns it.
+func (t *Table[V]) place(k int32) uint32 {
+	if k < 0 {
+		panic("sealed: negative key")
+	}
+	mask := uint32(len(t.keys) - 1)
+	i := Hash(k) & mask
+	for ; t.keys[i] >= 0; i = (i + 1) & mask {
+		if t.keys[i] == k {
+			panic("sealed: duplicate key")
+		}
+	}
+	t.keys[i] = k
+	t.occ[i>>6].bits |= 1 << (i & 63)
+	return i
 }
 
 // Built reports whether the table was compiled from a non-empty map.

@@ -121,6 +121,39 @@ func TestCompileRejectsNegativeKeys(t *testing.T) {
 	Compile(map[int32]int{-1: 1})
 }
 
+// TestCompileFuncMatchesCompile: a table compiled straight from an entry
+// list answers every probe as the one compiled from the same entries'
+// map, and a repeated key is refused rather than stored twice.
+func TestCompileFuncMatchesCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 63, 64, 65, 300} {
+		keys := make([]int32, n)
+		m := make(map[int32]int64, n)
+		for i, k := range rng.Perm(4 * n)[:n] {
+			keys[i] = int32(k)
+			m[int32(k)] = rng.Int63()
+		}
+		got := CompileFunc(n, func(i int) int32 { return keys[i] }, func(i int) int64 { return m[keys[i]] })
+		want := Compile(m)
+		if got.Len() != n || got.Built() != (n > 0) {
+			t.Fatalf("n=%d: Len %d, Built %v", n, got.Len(), got.Built())
+		}
+		for k := int32(-1); k < int32(4*n)+1; k++ {
+			gv, gok := got.Get(k)
+			wv, wok := want.Get(k)
+			if gv != wv || gok != wok {
+				t.Fatalf("n=%d: Get(%d) = (%d, %v), Compile gives (%d, %v)", n, k, gv, gok, wv, wok)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate key accepted")
+		}
+	}()
+	CompileFunc(2, func(int) int32 { return 7 }, func(int) int { return 1 })
+}
+
 func TestIndexMatchesPositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {

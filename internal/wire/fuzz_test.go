@@ -1,7 +1,14 @@
 package wire
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
+
+	"rtroute/internal/core"
+	"rtroute/internal/graph"
+	"rtroute/internal/tree"
 )
 
 // fuzzSeeds collects valid blobs of every kind plus adversarial
@@ -21,14 +28,82 @@ func fuzzSchemeSeeds(f *testing.F) {
 		mut[len(mut)/3] ^= 0x5a
 		f.Add(mut)
 	}
+	for _, blob := range inconsistentExBlobs(f) {
+		f.Add(blob)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("RTWF"))
 	f.Add([]byte("RTWF\x01\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"))
 }
 
+// inconsistentExNode is the node whose section inconsistentExBlobs
+// breaks.
+const inconsistentExNode = 3
+
+// inconsistentExBlobs are ExStretch snapshots one invariant away from a
+// valid one: the node's handshakes carry two of its labels in one tree,
+// or its own-name full entry carries a handshake. A restored table keeps
+// the node's label once per tree and no handshake for itself, so it
+// could not give either section back; the decoder must refuse both.
+func inconsistentExBlobs(t testing.TB) map[string][]byte {
+	planes, _ := testPlanes(t, 16, 21)
+	st, local, err := core.Decomposer(planes["exstretch"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := func(mutate func(l *core.ExLocal, self, a, b int)) []byte {
+		e := &encoder{}
+		e.envelope(blobScheme, st.Kind)
+		encodeShared(e, st)
+		encodeSections(e, st.Graph.N(), func(v graph.NodeID) core.LocalState {
+			ls := local(v)
+			if v != inconsistentExNode {
+				return ls
+			}
+			var others []int
+			self := -1
+			for i, fe := range ls.Ex.Full {
+				if fe.Name == ls.Ex.SelfName {
+					self = i
+				} else {
+					others = append(others, i)
+				}
+			}
+			if self < 0 || len(others) < 2 {
+				panic("fuzz seed: full dictionary lacks the node's own name or two others")
+			}
+			mutate(ls.Ex, self, others[0], others[1])
+			return ls
+		})
+		return e.buf
+	}
+	return map[string][]byte{
+		"two labels in one tree": mutated(func(l *core.ExLocal, _, a, b int) {
+			l.Full[b].HS.Ref = l.Full[a].HS.Ref
+			l.Full[b].HS.ULabel = tree.Label{Tin: l.Full[a].HS.ULabel.Tin + 1}
+		}),
+		"self-targeted handshake": mutated(func(l *core.ExLocal, self, a, _ int) {
+			l.Full[self].HS = l.Full[a].HS
+		}),
+	}
+}
+
+// TestDecoderRejectsInconsistentHandshakes: each inconsistent section is
+// refused by an error naming the node and the tree.
+func TestDecoderRejectsInconsistentHandshakes(t *testing.T) {
+	for name, blob := range inconsistentExBlobs(t) {
+		_, err := UnmarshalScheme(blob)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d:", inconsistentExNode)) || !strings.Contains(err.Error(), "tree") {
+			t.Errorf("%s: got %v, want an error naming node %d and the tree", name, err, inconsistentExNode)
+		}
+	}
+}
+
 // FuzzUnmarshalScheme: arbitrary bytes must error cleanly — never
 // panic, and never allocate beyond O(len(input)) (the decoder's count
-// guards). A successful decode must re-encode.
+// guards). A successful decode must re-encode to a fixed point,
+// encode(decode(encode(decode(x)))) == encode(decode(x)), so the
+// in-memory form loses nothing it was given.
 func FuzzUnmarshalScheme(f *testing.F) {
 	fuzzSchemeSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -39,8 +114,20 @@ func FuzzUnmarshalScheme(f *testing.F) {
 		if dep == nil {
 			t.Fatal("nil deployment without error")
 		}
-		if _, err := MarshalScheme(dep); err != nil {
+		once, err := MarshalScheme(dep)
+		if err != nil {
 			t.Fatalf("decoded deployment does not re-encode: %v", err)
+		}
+		again, err := UnmarshalScheme(once)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		twice, err := MarshalScheme(again)
+		if err != nil {
+			t.Fatalf("re-decoded deployment does not re-encode: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixed point: %d bytes, then %d", len(once), len(twice))
 		}
 	})
 }

@@ -17,7 +17,7 @@ import (
 // MarshalScheme encodes a built forwarding plane as a self-contained
 // snapshot: envelope, network fabric, naming, O(1) shared parameters,
 // then one length-prefixed section per node holding exactly that node's
-// local state. It accepts what core.Decompose does: the three TINN
+// local state. It accepts what core.Decomposer does: the three TINN
 // schemes, the core substrate planes and an assembled Deployment.
 func MarshalScheme(p sim.Plane) ([]byte, error) {
 	blob, _, err := MarshalSchemeSizes(p)
@@ -177,7 +177,9 @@ func PeekSnapshot(data []byte) (SnapshotInfo, error) {
 }
 
 // UnmarshalScheme decodes a scheme snapshot and reassembles it as a
-// Deployment, recording each node's encoded size.
+// Deployment, recording each node's encoded size. Restore streams: each
+// section is decoded, compiled into its node's tables by core.Assemble
+// and dropped before the next is read.
 func UnmarshalScheme(data []byte) (*core.Deployment, error) {
 	d := &decoder{data: data}
 	kind, err := d.envelope(blobScheme)
@@ -188,34 +190,31 @@ func UnmarshalScheme(data []byte) (*core.Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := st.Graph.N()
-	locals := make([]core.LocalState, n)
-	sizes := make([]int, n)
-	for v := 0; v < n; v++ {
+	sizes := make([]int, st.Graph.N())
+	dep, err := core.Assemble(st, func(v graph.NodeID) (core.LocalState, error) {
 		size, err := d.count(1)
 		if err != nil {
-			return nil, err
+			return core.LocalState{}, err
 		}
 		if size > d.remaining() {
-			return nil, d.fail("node %d section length %d exceeds remaining input", v, size)
+			return core.LocalState{}, d.fail("node %d section length %d exceeds remaining input", v, size)
 		}
 		nd := &decoder{data: d.data[d.off : d.off+size]}
-		loc, err := decodeLocal(nd, kind, graph.NodeID(v))
-		if err != nil {
-			return nil, fmt.Errorf("wire: node %d: %w", v, err)
+		loc, err := decodeLocal(nd, kind, v)
+		if err == nil {
+			err = nd.done()
 		}
-		if err := nd.done(); err != nil {
-			return nil, fmt.Errorf("wire: node %d: %w", v, err)
+		if err != nil {
+			return core.LocalState{}, fmt.Errorf("wire: node %d: %w", v, err)
 		}
 		d.off += size
-		locals[v] = *loc
 		sizes[v] = size
-	}
-	if err := d.done(); err != nil {
+		return *loc, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	dep, err := core.Assemble(st, locals)
-	if err != nil {
+	if err := d.done(); err != nil {
 		return nil, err
 	}
 	dep.SetEncodedSizes(sizes)
@@ -380,7 +379,7 @@ func (d *decoder) decodeRTZTable() (core.RTZTableLocal, error) {
 func (e *encoder) encodeS6Local(l *core.S6Local) {
 	e.i(int64(l.SelfName))
 	e.rtzLabel(l.OwnLabel)
-	// Entries are sorted by name (Decompose's canonical order), so names
+	// Entries are sorted by name (Decomposer's canonical order), so names
 	// are delta-encoded: dictionary gaps are small regardless of n.
 	e.u(uint64(len(l.Entries)))
 	prev := int64(0)

@@ -33,7 +33,7 @@ func benchWorld(t *testing.T, n, deg int, maxW Dist, churnRegime bool) (*Graph, 
 // (PR 17): churn-n512's StretchSix over the lazy oracle always, and —
 // with RTROUTE_LARGE=1, as `make snapshots` and so `make ci` run it —
 // build-1k's three schemes over the dense matrix. A constructor,
-// core.Decompose, tree or scheme-codec change that moves a single byte
+// core.Decomposer, tree or scheme-codec change that moves a single byte
 // fails here.
 func TestBenchmarkSnapshotsPinned(t *testing.T) {
 	want := map[string][3]string{
