@@ -2,10 +2,21 @@
 // extracts a git ref beside the working tree, runs benchmark/run.sh on
 // one workload in both trees in interleaved pairs — same seed within a
 // pair, the side that goes first alternating — and prints every run's
-// six end-to-end metrics, both sides' medians and the change's win
-// count. It exits non-zero if a median of the working tree is worse than
-// the ref's by more than the metric's BENCHMARK.json bound, or if it
-// failed more operations.
+// six end-to-end metrics, both sides' medians, the ref's quartile
+// distance and the change's win count, with a verdict per metric:
+//
+//   - WORSE: the change's median is worse than the ref's by more than
+//     the metric's BENCHMARK.json bound;
+//   - unresolved: the ref's quartile distance, relative to its median,
+//     exceeds the bound, so the runs spread too widely to tell — unless
+//     every change run beats every ref run;
+//   - claimable: over at least ten pairs, the change wins at least 9 in
+//     10 and its median beats the ref's by more than the ref's quartile
+//     distance, the bar a claimed gain must clear;
+//   - ok: none of these.
+//
+// It exits non-zero if a metric is WORSE or the working tree failed more
+// operations; an unresolved metric is reported, not failed.
 //
 // Usage (from the repo root; `make benchdiff REF=... WORKLOAD=... PAIRS=...`):
 //
@@ -112,25 +123,13 @@ func run(ref, workload string, pairs int, seed int64, dir string) error {
 		}
 	}
 	worse := failed[1] > failed[0]
-	fmt.Printf("\n%-16s %14s %14s %8s %6s  %s\n", "metric", "ref median", "change median", "ratio", "wins", "verdict (bound)")
+	fmt.Printf("\n%-16s %14s %14s %8s %10s %6s  %s\n", "metric", "ref median", "change median", "ratio", "ref IQR", "wins", "verdict (bound)")
 	for _, m := range decl.EndToEnd {
 		v := vals[m.Name]
-		a, b := median(v[0]), median(v[1])
-		wins := 0
-		for i := range v[0] {
-			if v[1][i] != v[0][i] && (v[1][i] < v[0][i]) == (m.Better == "lower") {
-				wins++
-			}
-		}
-		loss := (b - a) / a // relative worsening
-		if m.Better != "lower" {
-			loss = -loss
-		}
-		verdict := "ok"
-		if loss > m.Bound {
-			verdict, worse = "WORSE", true
-		}
-		fmt.Printf("%-16s %14.6g %14.6g %8.3f %3d/%-2d  %s (%g)\n", m.Name, a, b, b/a, wins, pairs, verdict, m.Bound)
+		a, b := quantile(v[0], 0.5), quantile(v[1], 0.5)
+		verdict, iqr, wins := judge(m, v[0], v[1])
+		worse = worse || verdict == "WORSE"
+		fmt.Printf("%-16s %14.6g %14.6g %8.3f %10.4g %3d/%-2d  %s (%g)\n", m.Name, a, b, b/a, iqr, wins, pairs, verdict, m.Bound)
 	}
 	fmt.Printf("failed operations: ref %d, change %d\n", failed[0], failed[1])
 	if worse {
@@ -139,11 +138,49 @@ func run(ref, workload string, pairs int, seed int64, dir string) error {
 	return nil
 }
 
-func median(v []float64) float64 {
+// judge gives one metric's verdict (see the package doc) from the ref's
+// and the change's runs, pair i being ref[i] and change[i], with the
+// ref's quartile distance and the pairs the change won.
+func judge(m metric, ref, change []float64) (verdict string, iqr float64, wins int) {
+	// gain(x, y) > 0 when x is better than y.
+	gain := func(x, y float64) float64 {
+		if m.Better == "lower" {
+			return y - x
+		}
+		return x - y
+	}
+	a, b := quantile(ref, 0.5), quantile(change, 0.5)
+	iqr = quantile(ref, 0.75) - quantile(ref, 0.25)
+	sweep := true
+	for i, c := range change {
+		if gain(c, ref[i]) > 0 {
+			wins++
+		}
+		for _, r := range ref {
+			sweep = sweep && gain(c, r) > 0
+		}
+	}
+	switch {
+	case -gain(b, a)/a > m.Bound:
+		return "WORSE", iqr, wins
+	case iqr/a > m.Bound && !sweep:
+		return "unresolved", iqr, wins
+	case len(change) >= 10 && 10*wins >= 9*len(change) && gain(b, a) > iqr:
+		return "claimable", iqr, wins
+	}
+	return "ok", iqr, wins
+}
+
+// quantile is the q-quantile of v, interpolated linearly between the
+// order statistics (the median of an even count is the mean of the
+// middle two).
+func quantile(v []float64, q float64) float64 {
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
+	x := q * float64(len(s)-1)
+	i := int(x)
+	if i+1 >= len(s) {
+		return s[i]
 	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+	return s[i] + (x-float64(i))*(s[i+1]-s[i])
 }

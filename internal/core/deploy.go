@@ -225,17 +225,10 @@ func (s *StretchSix) local(v graph.NodeID) LocalState {
 		NeighborEntries: int32(t.neighborEntries),
 		Tab3:            rtzTableLocal(t.tab3),
 	}
-	// Sort the names, then fetch: a label is too wide to move around
-	// inside a sort.
-	names := make([]int32, 0, t.lbl.Len()+len(t.labels))
-	t.lbl.Range(func(nm int32, _ rtz.Label) { names = append(names, nm) })
-	for nm := range t.labels { // unsealed builder state, if any
-		names = append(names, nm)
-	}
-	slices.Sort(names)
+	names := sortedKeys(&t.lbl)
 	loc.Entries = make([]S6Entry, len(names))
 	for i, nm := range names {
-		l, _ := t.label(nm)
+		l, _ := t.lbl.Get(nm)
 		loc.Entries[i] = S6Entry{Name: nm, Label: l}
 	}
 	return LocalState{Node: v, S6: loc}
@@ -255,7 +248,7 @@ func rtzTableLocal(t *rtz.Table) RTZTableLocal {
 
 // sortedKeys lists a sealed table's keys in ascending order, the
 // canonical order of a LocalState's entries; the caller then fetches (a
-// rebuilt handshake is 72 bytes, too wide to move inside a sort).
+// label or a rebuilt handshake is too wide to move inside a sort).
 func sortedKeys[V any](t *sealed.Table[V]) []int32 {
 	keys := make([]int32, 0, t.Len())
 	t.Range(func(k int32, _ V) { keys = append(keys, k) })
@@ -427,7 +420,7 @@ func assembleRTZTable(self graph.NodeID, loc *RTZTableLocal, centers int) (*rtz.
 		return nil, fmt.Errorf("core: assemble: node %d direct entries not strictly ascending", self)
 	}
 	t := &rtz.Table{Self: self, InPorts: loc.InPorts, TreeStates: loc.TreeStates}
-	t.SealFunc(len(loc.Direct), dst, func(i int) graph.PortID { return loc.Direct[i].Port })
+	t.CompileDirect(len(loc.Direct), dst, func(i int) graph.PortID { return loc.Direct[i].Port })
 	return t, nil
 }
 
@@ -608,11 +601,11 @@ func NewDeployment(s Scheme, kind Kind) *Deployment {
 	return &Deployment{kind: kind, scheme: s, n: s.Graph().N()}
 }
 
-// Rebind repoints the deployment at a rebuilt scheme without replacing
-// the Deployment value its callers hold. The cluster's churn repair path
-// uses this for kinds with no incremental maintainer — the shard
-// rebuilds the plane from scratch and rebinds under its epoch fence, so
-// views and stats wired to the Deployment stay attached.
+// Rebind repoints the deployment at a repaired scheme without replacing
+// the Deployment value its callers hold. Every repair publishes a new
+// plane, for every kind, so this is how the cluster's churn path moves a
+// shard to the next epoch: under its epoch fence, keeping the views and
+// stats wired to the Deployment attached.
 func (d *Deployment) Rebind(s Scheme) { d.scheme = s }
 
 // Deploy decomposes a built scheme into per-node local states and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -26,8 +27,10 @@ type MaintainReport struct {
 	// (rtz.MaintainReport).
 	RebuiltTrees    int
 	RebuiltClusters int
-	// PatchedLabels counts stale R3 copies rewritten by value in clean
-	// nodes' dictionaries — cheap pointer-chase work, no solver runs.
+	// PatchedLabels counts the stale R3 copies a pass rewrote: entries
+	// of clean nodes' dictionaries whose name's address changed, copied
+	// into the new tables those nodes get (no solver runs), plus, for
+	// RTZStretch3, the changed addresses themselves.
 	PatchedLabels int
 	// RebuiltTables counts per-node scheme tables rebuilt outright.
 	RebuiltTables int
@@ -46,13 +49,15 @@ type MaintainReport struct {
 	// over the workers that ran them, a share of SubstrateNs rather than
 	// a stage beside it. AssignNs is the block-assignment replay, TablesNs
 	// the per-node table rebuilds (the whole pass, for a kind that
-	// rebuilds from scratch), PatchNs the by-value label patches.
+	// rebuilds from scratch), PatchNs the new tables of clean nodes whose
+	// substrate table or dictionary entries changed.
 	SubstrateNs, OrdersNs, AssignNs, TablesNs, PatchNs int64
 }
 
-// S6Maintainer keeps a live StretchSix plane route-identical to what a
+// S6Maintainer keeps a StretchSix plane route-identical to what a
 // from-scratch build would produce on the (mutating) graph, rebuilding
-// only what a churn event's may-use affected set can touch:
+// only what a churn event's may-use affected set can touch. Each pass
+// publishes a new plane and never writes one it has published:
 //
 //   - the stretch-3 substrate delta-rebuilds via rtz.Maintainer;
 //   - dirty nodes' Init orders are invalidated and their §2.1 tables
@@ -64,8 +69,10 @@ type MaintainReport struct {
 //     its retry behavior under the new topology is reproduced — and if
 //     the resulting sets drift from the cached ones (a verification
 //     retry fired), the maintainer falls back to a full table rebuild;
-//   - clean nodes' stale copies of changed substrate addresses are
-//     patched by value through a name->holders reverse index.
+//   - a clean node whose substrate table moved, or whose dictionary
+//     holds a changed substrate address, gets a copy of its table with
+//     the new pointer and the rewritten values; every other clean node's
+//     table is shared with the previous plane.
 type S6Maintainer struct {
 	s        *StretchSix
 	m        graph.DistanceOracle
@@ -76,10 +83,6 @@ type S6Maintainer struct {
 	space    *rtmetric.Space
 	assign   *blocks.Assignment
 	nbhdSize int
-	// holders[name] lists the nodes whose label dictionary carries an
-	// entry for that name (items 1+3); used to patch changed substrate
-	// addresses without rebuilding the holder.
-	holders map[int32][]graph.NodeID
 	// ordersNs accumulates fillOrder's time since the last report.
 	ordersNs atomic.Int64
 }
@@ -87,21 +90,13 @@ type S6Maintainer struct {
 // NewStretchSixMaintained builds a StretchSix plane exactly as
 // NewStretchSix seeded with seed would (same rng consumption, same
 // substrate, same assignment, same tables) and returns it with its
-// maintainer. The plane's label dictionaries stay unsealed so they can
-// be patched in place; routing behavior is identical.
+// maintainer. The plane is the fresh build's, in the same sealed form.
 func NewStretchSixMaintained(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, seed int64, cfg Stretch6Config) (*S6Maintainer, error) {
-	mt, err := newS6(g, m, perm, rand.New(rand.NewSource(seed)), cfg, false)
+	mt, err := newS6(g, m, perm, rand.New(rand.NewSource(seed)), cfg)
 	if err != nil {
 		return nil, err
 	}
 	mt.seed = seed
-	// The reverse index is shared across nodes: merge it after the join.
-	mt.holders = make(map[int32][]graph.NodeID)
-	for u, tab := range mt.s.nodes {
-		for nm := range tab.labels {
-			mt.holders[nm] = append(mt.holders[nm], graph.NodeID(u))
-		}
-	}
 	return mt, nil
 }
 
@@ -114,33 +109,28 @@ func (mt *S6Maintainer) fillOrder(y graph.NodeID, fromY, toY []graph.Dist) {
 	mt.ordersNs.Add(int64(time.Since(t0)))
 }
 
-// Plane returns the maintained live plane.
+// Plane returns the plane the last pass published.
 func (mt *S6Maintainer) Plane() *StretchSix { return mt.s }
 
 // Substrate returns the maintained stretch-3 substrate maintainer.
 func (mt *S6Maintainer) Substrate() *rtz.Maintainer { return mt.subM }
 
-// RebuildNodes incorporates the topology mutations whose may-use
+// RebuildNodesOwned incorporates the topology mutations whose may-use
 // affected set is covered by dirty (see churn.Prober). The graph must
-// already be mutated. On return the plane is route-identical — LocalState
-// for LocalState — to a fresh NewStretchSix(seed) build on the current
-// graph.
-func (mt *S6Maintainer) RebuildNodes(dirty []graph.NodeID) (MaintainReport, error) {
-	return mt.RebuildNodesOwned(dirty, nil)
-}
-
-// RebuildNodesOwned is RebuildNodes restricted to a shard's slice of the
-// plane. The global layers — the substrate delta, the Init-order
-// invalidation, the block-assignment replay — still process the full
-// dirty set, because every node's table derives from them; but the
-// per-node table rebuilds and label patches, the dominant cost, are
-// filtered to nodes owned reports true for. Foreign tables go stale,
-// harmlessly: a shard never forwards at a foreign node, and the cluster
-// certification compares owned LocalStates only. owned == nil means all
-// nodes (plain RebuildNodes).
+// already be mutated. On return Plane is a new plane, route-identical —
+// LocalState for LocalState, at every node owned reports true for — to
+// a fresh NewStretchSix(seed) build on the current graph; the previous
+// one is left as it was. The global layers — the substrate delta, the
+// Init-order invalidation, the block-assignment replay — still process
+// the full dirty set, because every node's table derives from them; but
+// the per-node table rebuilds and rewrites, the dominant cost, are
+// filtered to owned nodes. Foreign tables go stale, harmlessly: a shard
+// never forwards at a foreign node, and the cluster certification
+// compares owned LocalStates only. owned == nil means all nodes.
 func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph.NodeID) bool) (MaintainReport, error) {
 	rep := MaintainReport{DirtyNodes: len(dirty)}
-	n := mt.s.g.N()
+	old := mt.s
+	n := old.g.N()
 	workers := mt.cfg.BuildWorkers
 	t0 := time.Now()
 	lap := func(ns *int64) {
@@ -155,7 +145,7 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 	// rows.
 	mt.space.InvalidateOrders(dirty)
 	mt.ordersNs.Store(0)
-	subRep, err := mt.subM.Apply(dirty)
+	sub, subRep, err := mt.subM.Apply(dirty)
 	if err != nil {
 		return rep, err
 	}
@@ -187,24 +177,17 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 		}
 	}
 	mt.assign = assign
-	mt.s.uni = assign.U
+	s := *old
+	s.sub, s.uni, s.nodes = sub, assign.U, slices.Clone(old.nodes)
 	lap(&rep.AssignNs)
 
 	// 3. Rebuild dirty nodes' tables through the fresh builder's own
-	// per-node constructor on the pool, then install them in node order,
-	// keeping the (shared) name->holders index in step.
-	if owned != nil {
-		kept := make([]graph.NodeID, 0, len(rebuild))
-		for _, u := range rebuild {
-			if owned(u) {
-				kept = append(kept, u)
-			}
-		}
-		rebuild = kept
-	}
+	// per-node constructor on the pool.
+	mine := func(u graph.NodeID) bool { return owned == nil || owned(u) }
+	rebuild = slices.DeleteFunc(slices.Clone(rebuild), func(u graph.NodeID) bool { return !mine(u) })
 	tabs := make([]*s6Table, len(rebuild))
 	err = parallel.ForEach(len(rebuild), workers, func(i int) (err error) {
-		tabs[i], err = buildS6Node(int(rebuild[i]), mt.perm, mt.subM.Scheme(), mt.space, assign, mt.nbhdSize)
+		tabs[i], err = buildS6Node(int(rebuild[i]), mt.perm, sub, mt.space, assign, mt.nbhdSize)
 		return err
 	})
 	if err != nil {
@@ -212,52 +195,55 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 	}
 	rebuilt := make([]bool, n)
 	for i, u := range rebuild {
-		old, tab := mt.s.nodes[u], tabs[i]
-		for nm := range old.labels {
-			if _, still := tab.labels[nm]; !still {
-				mt.holders[nm] = removeHolder(mt.holders[nm], u)
-			}
-		}
-		for nm := range tab.labels {
-			if _, had := old.labels[nm]; !had {
-				mt.holders[nm] = append(mt.holders[nm], u)
-			}
-		}
-		mt.s.nodes[u] = tab
+		s.nodes[u] = tabs[i]
 		rebuilt[u] = true
 	}
 	rep.RebuiltTables = len(rebuild)
 	lap(&rep.TablesNs)
 
-	// 4. Patch stale copies of changed substrate addresses in clean
-	// nodes: value writes via the reverse index, no solver work.
+	// 4. A clean node whose substrate table moved, whose own address
+	// changed or whose dictionary holds a changed address gets a copy of
+	// its table: the new substrate pointer and address, and the
+	// dictionary's values rewritten in place of their slots. The scan
+	// reads every clean node's names against the changed ones; no
+	// solver runs.
+	changed := make([]bool, n) // by name
 	for _, x := range subRep.ChangedLabels {
-		lbl := mt.subM.Scheme().LabelOf(x)
-		if !rebuilt[x] && (owned == nil || owned(x)) {
-			mt.s.nodes[x].ownLabel = lbl
-		}
-		nm := mt.perm.Name(int32(x))
-		for _, v := range mt.holders[nm] {
-			if rebuilt[v] || (owned != nil && !owned(v)) {
-				continue
-			}
-			if _, ok := mt.s.nodes[v].labels[nm]; ok {
-				mt.s.nodes[v].labels[nm] = lbl
-				rep.PatchedLabels++
-			}
-		}
+		changed[mt.perm.Name(int32(x))] = true
 	}
+	patched := make([]int, n)
+	_ = parallel.ForEach(n, workers, func(u int) error { // never fails
+		t := old.nodes[u]
+		if rebuilt[u] || !mine(graph.NodeID(u)) {
+			return nil
+		}
+		stale := 0
+		t.lbl.Range(func(nm int32, _ rtz.Label) {
+			if changed[nm] {
+				stale++
+			}
+		})
+		if stale == 0 && !changed[t.selfName] && t.tab3 == sub.Tables[u] {
+			return nil
+		}
+		c := *t
+		c.tab3, c.ownLabel = sub.Tables[u], sub.LabelOf(graph.NodeID(u))
+		if stale > 0 {
+			c.lbl = t.lbl.MapValues(func(nm int32, l rtz.Label) rtz.Label {
+				if changed[nm] {
+					return sub.LabelOf(graph.NodeID(mt.perm.Node(nm)))
+				}
+				return l
+			})
+		}
+		s.nodes[u], patched[u] = &c, stale
+		return nil
+	})
+	for _, p := range patched {
+		rep.PatchedLabels += p
+	}
+	mt.s = &s
 	lap(&rep.PatchNs)
 	rep.SSSPRuns = subRep.SSSPRuns + graph.RowMisses(mt.m) - misses
 	return rep, nil
-}
-
-func removeHolder(s []graph.NodeID, u graph.NodeID) []graph.NodeID {
-	for i, v := range s {
-		if v == u {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/graph"
@@ -37,12 +38,8 @@ type StretchSix struct {
 type s6Table struct {
 	selfName int32
 	ownLabel rtz.Label
-	// labels merges storage items (1) and (3): destination name -> R3.
-	// Builder state only: sealLabels compiles it into the probe table
-	// the forwarding hot path reads and then drops the map, so a
-	// long-lived serving plane does not hold the dictionary twice.
-	labels map[int32]rtz.Label
-	lbl    sealed.Table[rtz.Label]
+	// lbl merges storage items (1) and (3): destination name -> R3.
+	lbl sealed.Table[rtz.Label]
 	// blockHolder is storage item (2): block id -> name of a
 	// neighborhood node holding that block.
 	blockHolder []int32
@@ -52,30 +49,11 @@ type s6Table struct {
 	neighborEntries int // size of (1), for accounting
 }
 
-// sealLabels compiles the labels map into the probe table and releases
-// the builder map.
-func (t *s6Table) sealLabels() {
-	t.lbl = sealed.Compile(t.labels)
-	t.labels = nil
-}
-
-// label resolves a destination name against the sealed dictionary.
-func (t *s6Table) label(name int32) (rtz.Label, bool) {
-	if !t.lbl.Built() {
-		l, ok := t.labels[name]
-		return l, ok
-	}
-	return t.lbl.Get(name)
-}
-
 func (t *s6Table) words() int {
 	w := 2 + t.ownLabel.Words() + t.tab3.Words() + 2*len(t.blockHolder)
 	t.lbl.Range(func(_ int32, l rtz.Label) {
 		w += 1 + l.Words()
 	})
-	for _, l := range t.labels { // unsealed builder state, if any
-		w += 1 + l.Words()
-	}
 	return w
 }
 
@@ -195,21 +173,20 @@ type Stretch6Config struct {
 // NewStretchSix builds the scheme over g with naming perm. m may be any
 // distance oracle; construction never requires the dense n×n matrix.
 func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng *rand.Rand, cfg Stretch6Config) (*StretchSix, error) {
-	mt, err := newS6(g, m, perm, rng, cfg, true)
+	mt, err := newS6(g, m, perm, rng, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return mt.s, nil
 }
 
-// newS6 is the one StretchSix construction: the plain build seals every
-// node's tables as it finishes them, the maintained one keeps them
-// patchable. One per-node pass consumes each node's two distance rows —
+// newS6 is the one StretchSix construction, plain and maintained alike.
+// One per-node pass consumes each node's two distance rows —
 // the substrate hands them to its Visit hook, which sorts Init_y, and
 // then solves C(y) from them — so a lazy-oracle build costs one forward
 // and one reverse search per node plus the center trees, whatever the
 // oracle's row budget.
-func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng *rand.Rand, cfg Stretch6Config, seal bool) (*S6Maintainer, error) {
+func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng *rand.Rand, cfg Stretch6Config) (*S6Maintainer, error) {
 	n := g.N()
 	if n < 2 {
 		return nil, fmt.Errorf("core: stretch-6 needs at least 2 nodes, got %d", n)
@@ -224,13 +201,6 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 		return nil, fmt.Errorf("core: stretch-3 substrate: %w", err)
 	}
 	sub := mt.subM.Scheme()
-	if seal {
-		// In node order, before anything else is allocated: the serving
-		// path reads these tables where they land.
-		for _, t := range sub.Tables {
-			t.Seal()
-		}
-	}
 	bcfg := cfg.Blocks
 	bcfg.Names = perm.Names
 	mt.assign, err = blocks.AssignWorkers(mt.space, 2, rng, bcfg, cfg.BuildWorkers)
@@ -246,9 +216,6 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 		if err != nil {
 			return err
 		}
-		if seal {
-			tab.sealLabels()
-		}
 		mt.s.nodes[u] = tab
 		return nil
 	})
@@ -259,15 +226,13 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 }
 
 // buildS6Node constructs one node's §2.1 table from the shared read-only
-// build state. It is the unit of work both the fresh builder (which then
-// seals the label map) and the incremental maintainer (which keeps it
-// patchable) run per node.
+// build state. It is the unit of work both the fresh builder and the
+// incremental maintainer run per node.
 func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetric.Space, assign *blocks.Assignment, nbhdSize int) (*s6Table, error) {
 	numBlocks := assign.U.NumBlocks()
 	tab := &s6Table{
 		selfName:    perm.Name(int32(u)),
 		ownLabel:    sub.LabelOf(graph.NodeID(u)),
-		labels:      make(map[int32]rtz.Label, nbhdSize+len(assign.Sets[u])*assign.U.Q),
 		blockHolder: make([]int32, numBlocks),
 		tab3:        sub.Tables[u],
 	}
@@ -275,9 +240,10 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 		tab.blockHolder[i] = -1
 	}
 	nbhd := space.Neighborhood(graph.NodeID(u), nbhdSize)
-	// (1) neighborhood dictionary.
+	// (1) neighborhood dictionary, by name.
+	names := make([]int32, 0, len(nbhd)+len(assign.Sets[u])*assign.U.Q)
 	for _, v := range nbhd {
-		tab.labels[perm.Name(int32(v))] = sub.LabelOf(v)
+		names = append(names, perm.Name(int32(v)))
 	}
 	tab.neighborEntries = len(nbhd)
 	// (2) block holders: the Init_u-nearest holder in N(u).
@@ -295,13 +261,15 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 			return nil, fmt.Errorf("core: node %d has no holder for block %d in its neighborhood", u, b)
 		}
 	}
-	// (3) dictionary entries of the blocks stored here.
+	// (3) dictionary entries of the blocks stored here. A name may be in
+	// both (1) and (3): it is stored once.
 	for _, b := range assign.Sets[u] {
-		for _, nm := range assign.U.NamesInBlock(b) {
-			v := perm.Node(nm)
-			tab.labels[nm] = sub.LabelOf(graph.NodeID(v))
-		}
+		names = append(names, assign.U.NamesInBlock(b)...)
 	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	tab.lbl = sealed.CompileFunc(len(names), func(i int) int32 { return names[i] },
+		func(i int) rtz.Label { return sub.LabelOf(graph.NodeID(perm.Node(names[i]))) })
 	return tab, nil
 }
 
@@ -331,7 +299,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 		if h.DestName == nx {
 			return 0, true, nil
 		}
-		if lbl, ok := tab.label(h.DestName); ok {
+		if lbl, ok := tab.lbl.Get(h.DestName); ok {
 			h.setLeg(rtz.Header{Dest: lbl.Node, Label: lbl, Phase: rtz.PhaseSeek})
 		} else {
 			if h.DestName < 0 || int(h.DestName) >= s.uni.N {
@@ -341,7 +309,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 			if holder < 0 {
 				return 0, false, fmt.Errorf("core: no dictionary holder for name %d at source %d", h.DestName, nx)
 			}
-			lbl, ok := tab.label(holder)
+			lbl, ok := tab.lbl.Get(holder)
 			if !ok {
 				return 0, false, fmt.Errorf("core: holder %d for name %d not in neighborhood table of %d", holder, h.DestName, nx)
 			}
@@ -365,7 +333,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 			return 0, true, nil
 		case nx == h.DictName:
 			// Remote dictionary lookup (Fig. 3's DictID branch).
-			lbl, ok := tab.label(h.DestName)
+			lbl, ok := tab.lbl.Get(h.DestName)
 			if !ok {
 				return 0, false, fmt.Errorf("core: dictionary node %d lacks entry for %d", nx, h.DestName)
 			}

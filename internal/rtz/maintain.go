@@ -11,15 +11,17 @@ import (
 	"rtroute/internal/tree"
 )
 
-// Maintainer keeps a live stretch-3 scheme consistent with a mutating
+// Maintainer keeps a stretch-3 scheme consistent with a mutating
 // graph by delta-rebuilding exactly the state a batch of edge events can
 // touch, instead of reconstructing the whole substrate. It retains the
 // construction intermediates a from-scratch build throws away — the
 // per-center double-trees (which also serve as per-center distance rows),
 // the center radii r(v, A), and the per-destination cluster member lists —
-// and guarantees that after Apply the scheme is identical, entry for
+// and guarantees that the scheme Apply returns is identical, entry for
 // entry, to what New would build on the mutated graph with the same
-// centers.
+// centers. Those intermediates are the maintainer's own and mutable; the
+// schemes it publishes are not: Apply copies what it changes, shares
+// every table it does not, and never writes a scheme it has returned.
 //
 // The dirty contract: Apply(dirty) is correct whenever dirty is a
 // superset of the may-use affected sets of the events since the last
@@ -38,7 +40,7 @@ import (
 //   - clusters: C(y) = {x : r(x,y) < r(y,A)} can change only if y is
 //     dirty (membership and parents both need a d(·,y) or radius change),
 //     or if r(y,A) itself moved; those destinations are re-solved with
-//     one reverse Dijkstra each, stale entries removed via the member
+//     one reverse Dijkstra each, stale entries dropped via the member
 //     lists.
 type Maintainer struct {
 	s    *Scheme
@@ -67,17 +69,15 @@ type MaintainReport struct {
 	SSSPRuns int
 	// ChangedLabels lists nodes whose address R3(v) changed — including
 	// nodes outside the dirty set whose tree label was renumbered by a
-	// center-tree rebuild. Their stored state is patched by value
-	// (no solver work), and dictionary layers above must re-point their
-	// copies.
+	// center-tree rebuild. Dictionary layers above must rewrite their
+	// copies (no solver work).
 	ChangedLabels []graph.NodeID
 }
 
 // NewMaintained builds the scheme exactly as New does (same rng
 // consumption, same centers, same tables) but keeps the construction
 // intermediates for incremental maintenance, and runs every later Apply
-// under the same pass. The returned scheme's tables stay unsealed;
-// routing behavior is identical.
+// under the same pass.
 func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, pass Pass) (*Maintainer, error) {
 	n := g.N()
 	if n < 2 {
@@ -95,14 +95,10 @@ func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg C
 	for i := range centers {
 		centers[i] = graph.NodeID(perm[i])
 	}
+	// The empty scheme a build repairs: no center slots, no entries.
 	s := &Scheme{Centers: centers, g: g, Tables: make([]*Table, n), Labels: make([]Label, n)}
 	for v := range s.Tables {
-		s.Tables[v] = &Table{
-			Self:       graph.NodeID(v),
-			InPorts:    make([]graph.PortID, count),
-			TreeStates: make([]tree.State, count),
-			Direct:     make(map[graph.NodeID]graph.PortID),
-		}
+		s.Tables[v] = &Table{Self: graph.NodeID(v)}
 	}
 	mt := &Maintainer{
 		s: s, m: m, pass: pass,
@@ -116,13 +112,13 @@ func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg C
 	for v := range all {
 		all[v] = graph.NodeID(v)
 	}
-	if _, err := mt.Apply(all); err != nil {
+	if _, _, err := mt.Apply(all); err != nil {
 		return nil, err
 	}
 	return mt, nil
 }
 
-// Scheme returns the maintained live scheme.
+// Scheme returns the scheme the last Apply published.
 func (mt *Maintainer) Scheme() *Scheme { return mt.s }
 
 // labelEqual compares two substrate addresses structurally (tree labels
@@ -137,12 +133,15 @@ func labelEqual(a, b Label) bool {
 // Apply incorporates a batch of topology mutations whose may-use affected
 // set is covered by dirty. The graph must already be mutated; dirty must
 // list every node whose anchored distance rows may have changed (both
-// directions). On return the scheme equals what New would build from
-// scratch on the current graph. Each of the three steps runs on the
-// pass's pool and costs one forward and one reverse shortest-path search
-// per rebuilt tree and per re-solved destination, nothing else.
-func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
-	s := mt.s
+// directions). It returns a new scheme equal to what New would build
+// from scratch on the current graph; the previous one is left as it was.
+// The new scheme shares every table the batch did not touch. Each of the
+// three steps runs on the pass's pool and costs one forward and one
+// reverse shortest-path search per rebuilt tree and per re-solved
+// destination, nothing else.
+func (mt *Maintainer) Apply(dirty []graph.NodeID) (*Scheme, MaintainReport, error) {
+	old := mt.s
+	s := &Scheme{Centers: old.Centers, Tables: slices.Clone(old.Tables), Labels: slices.Clone(old.Labels), g: old.g}
 	n := s.g.N()
 	rep := MaintainReport{DirtyNodes: len(dirty)}
 	misses := graph.RowMisses(mt.m)
@@ -152,12 +151,24 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 	}
 
 	// 1. Rebuild the double-trees of dirty centers (full rebuilds, giving
-	// bit-identical DFS intervals to a fresh build) and patch every
-	// node's slots for them: distinct centers write distinct slots.
+	// bit-identical DFS intervals to a fresh build) and write every
+	// node's slots for them: distinct centers write distinct slots. Every
+	// node holds a slot per center, so each gets its own copy of both
+	// slot arrays first, in node order.
 	var cis []int
 	for ci, w := range s.Centers {
 		if inDirty[w] {
 			cis = append(cis, ci)
+		}
+	}
+	if len(cis) > 0 {
+		for v, t := range s.Tables {
+			c := *t
+			c.InPorts = make([]graph.PortID, len(s.Centers))
+			c.TreeStates = make([]tree.State, len(s.Centers))
+			copy(c.InPorts, t.InPorts)
+			copy(c.TreeStates, t.TreeStates)
+			s.Tables[v] = &c
 		}
 	}
 	err := parallel.ForEach(len(cis), mt.pass.Workers, func(i int) error {
@@ -182,7 +193,7 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 		return nil
 	})
 	if err != nil {
-		return rep, err
+		return nil, rep, err
 	}
 	rep.RebuiltTrees = len(cis)
 
@@ -224,8 +235,7 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 
 	// 3. Re-solve the clusters that can have changed: C(y) = {x : r(x,y) <
 	// r(y,A)} moves only if y is dirty (membership and first hops both
-	// need a d(·,y) or d(y,·) change) or r(y,A) itself moved. Stale
-	// entries come out via the member lists before the fresh ones go in.
+	// need a d(·,y) or d(y,·) change) or r(y,A) itself moved.
 	var ys []graph.NodeID
 	for y := 0; y < n; y++ {
 		if inDirty[y] || radius[y] != mt.centerRadius[y] {
@@ -233,24 +243,33 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 		}
 	}
 	mt.centerRadius = radius
-	private, err := mt.solveClusters(ys)
+	private, err := mt.solveClusters(s, ys)
 	if err != nil {
-		return rep, err
+		return nil, rep, err
 	}
 	rep.RebuiltClusters = len(ys)
 	rep.SSSPRuns = 2*len(cis) + private + graph.RowMisses(mt.m) - misses
-	return rep, nil
+	mt.s = s
+	return s, rep, nil
 }
 
-// solveClusters replaces the direct entries of the listed destinations:
-// for each y, every x with r(x,y) < r(y,A) stores the first hop of a
-// shortest x->y path. Destinations are solved on the pool, each from the
-// two rows anchored at it, and merged serially in destination order. On
-// the lazy oracle the reverse row brings its own parents; on any other a
-// private reverse search supplies them, only for non-empty clusters (it
-// returns how many ran).
-func (mt *Maintainer) solveClusters(ys []graph.NodeID) (private int, err error) {
-	s, g := mt.s, mt.s.g
+// directEntry is one stored first hop: toward dst, leave on port.
+type directEntry struct {
+	dst  graph.NodeID
+	port graph.PortID
+}
+
+// solveClusters replaces the direct entries of the listed destinations
+// in s: for each y, every x with r(x,y) < r(y,A) stores the first hop of
+// a shortest x->y path. Destinations are solved on the pool, each from
+// the two rows anchored at it. Every node that held or gains an entry
+// for one of them then gets a new table, compiled in node order from
+// its old entries for the other destinations followed by the new ones
+// in destination order. On the lazy oracle the reverse row brings its
+// own parents; on any other a private reverse search supplies them,
+// only for non-empty clusters (it returns how many ran).
+func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) (private int, err error) {
+	g := s.g
 	lazy, _ := mt.m.(*graph.LazyOracle)
 	type solved struct {
 		members []graph.NodeID
@@ -296,14 +315,34 @@ func (mt *Maintainer) solveClusters(ys []graph.NodeID) (private int, err error) 
 	if err != nil {
 		return 0, err
 	}
+	n := g.N()
+	resolved, touched := make([]bool, n), make([]bool, n)
+	adds := make([][]directEntry, n)
 	for i, y := range ys {
+		resolved[y] = true
 		for _, x := range mt.members[y] {
-			delete(s.Tables[x].Direct, y)
+			touched[x] = true
 		}
 		for j, x := range res[i].members {
-			s.Tables[x].Direct[y] = res[i].ports[j]
+			touched[x] = true
+			adds[x] = append(adds[x], directEntry{y, res[i].ports[j]})
 		}
 		mt.members[y] = res[i].members
+	}
+	for x, t := range s.Tables {
+		if !touched[x] {
+			continue
+		}
+		es := make([]directEntry, 0, t.direct.Len()+len(adds[x]))
+		t.direct.Range(func(y graph.NodeID, p graph.PortID) {
+			if !resolved[y] {
+				es = append(es, directEntry{y, p})
+			}
+		})
+		es = append(es, adds[x]...)
+		c := *t
+		c.CompileDirect(len(es), func(i int) graph.NodeID { return es[i].dst }, func(i int) graph.PortID { return es[i].port })
+		s.Tables[x] = &c
 	}
 	for _, r := range runs {
 		private += r

@@ -80,64 +80,35 @@ type Header struct {
 func (h Header) Words() int { return 2 + h.Label.Words() }
 
 // Table is the node-local storage of the stretch-3 scheme. All slices are
-// indexed by center index.
+// indexed by center index. A published table is never written: a repair
+// that changes a node's state gives it a new Table (see Maintainer.Apply).
 type Table struct {
 	Self       graph.NodeID
 	InPorts    []graph.PortID // next-hop port toward each center
 	TreeStates []tree.State   // O(1) routing state in each center's out-tree
-	// Direct maps destination -> first-hop port of a shortest path, for
-	// every destination whose cluster contains this node. Builder state
-	// only: Seal compiles it into the probe table the forwarding hot
-	// path reads and then drops the map, so a long-lived serving plane
-	// does not hold the cluster entries twice. Read entries through
-	// DirectPort / DirectEntries, which serve sealed and unsealed
-	// (hand-built) tables alike.
-	Direct map[graph.NodeID]graph.PortID
+	// direct maps destination -> first-hop port of a shortest path, for
+	// every destination whose cluster contains this node.
 	direct sealed.Table[graph.PortID]
 }
 
 // Words returns the table size in machine words (the O~(sqrt n) of §2.1).
 func (t *Table) Words() int {
-	n := len(t.Direct)
-	if t.direct.Built() {
-		n = t.direct.Len()
-	}
-	return 1 + len(t.InPorts) + 5*len(t.TreeStates) + 2*n
+	return 1 + len(t.InPorts) + 5*len(t.TreeStates) + 2*t.direct.Len()
 }
 
-// Seal compiles the Direct map into the flat probe table and releases
-// the builder map. New calls it on every table.
-func (t *Table) Seal() {
-	t.direct = sealed.Compile(t.Direct)
-	t.Direct = nil
-}
-
-// SealFunc is Seal for a table without a Direct map: it compiles n direct
-// entries, the i-th toward dst(i) on port(i), straight into the probe table.
-func (t *Table) SealFunc(n int, dst func(i int) graph.NodeID, port func(i int) graph.PortID) {
+// CompileDirect sets the direct entries of a table under construction:
+// n of them, the i-th toward dst(i) on port(i). Destinations must be
+// distinct and non-negative.
+func (t *Table) CompileDirect(n int, dst func(i int) graph.NodeID, port func(i int) graph.PortID) {
 	t.direct = sealed.CompileFunc(n, dst, port)
 }
 
 // DirectPort returns the stored first-hop port toward dst, if any.
-func (t *Table) DirectPort(dst graph.NodeID) (graph.PortID, bool) {
-	if !t.direct.Built() {
-		p, ok := t.Direct[dst]
-		return p, ok
-	}
-	return t.direct.Get(dst)
-}
+func (t *Table) DirectPort(dst graph.NodeID) (graph.PortID, bool) { return t.direct.Get(dst) }
 
 // DirectEntries calls fn for every stored direct entry, in unspecified
 // order (the introspection hook the property tests use).
-func (t *Table) DirectEntries(fn func(dst graph.NodeID, port graph.PortID)) {
-	if t.direct.Built() {
-		t.direct.Range(func(k int32, p graph.PortID) { fn(k, p) })
-		return
-	}
-	for dst, p := range t.Direct {
-		fn(dst, p)
-	}
-}
+func (t *Table) DirectEntries(fn func(dst graph.NodeID, port graph.PortID)) { t.direct.Range(fn) }
 
 // Config tunes scheme construction.
 type Config struct {
@@ -184,9 +155,6 @@ func NewWith(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config,
 	mt, err := NewMaintained(g, m, rng, cfg, pass)
 	if err != nil {
 		return nil, err
-	}
-	for _, t := range mt.s.Tables {
-		t.Seal()
 	}
 	return mt.s, nil
 }

@@ -3,8 +3,9 @@
 // (node ids, TINN names, port labels) hashed into a power-of-two
 // segment with linear probing at load factor <= 1/2, so a lookup is one
 // or two cache lines instead of a Go map traversal. Tables are compiled
-// once, from a builder map or straight from a list of entries, and never
-// mutated — the same build-then-seal discipline as the graph's CSR index.
+// once, straight from a list of entries, and never mutated — the same
+// build-then-seal discipline as the graph's CSR index. A changed table is
+// a new one (MapValues, or CompileFunc over the new entries).
 package sealed
 
 import "math/bits"
@@ -19,7 +20,7 @@ func Hash(v int32) uint32 {
 }
 
 // Table is an immutable open-addressed map. The zero value is an empty
-// table: every Get misses and Built reports false.
+// table: every Get misses.
 //
 // Only the 4-byte keys pay for the load factor. The values sit densely,
 // in slot order, so a value's position is the number of occupied slots
@@ -39,28 +40,6 @@ type Table[V any] struct {
 type group struct {
 	bits uint64 // bit j set: slot 64g+j is occupied
 	rank uint32 // occupied slots in all earlier groups
-}
-
-// Compile builds a table holding every entry of m. Keys must be
-// non-negative (the key space of node ids, names and ports).
-func Compile[V any](m map[int32]V) Table[V] {
-	t := newTable[V](len(m))
-	for k := range m {
-		t.place(k)
-	}
-	// With every slot known, the values go in by slot order: a second
-	// lookup per key, but each value is copied once, to its final place.
-	pos := 0
-	for i, k := range t.keys {
-		if i&63 == 0 {
-			t.occ[i>>6].rank = uint32(pos)
-		}
-		if k >= 0 {
-			t.vals[pos] = m[k]
-			pos++
-		}
-	}
-	return t
 }
 
 // CompileFunc builds a table of n entries, the i-th with key key(i) and
@@ -116,14 +95,11 @@ func (t *Table[V]) place(k int32) uint32 {
 	return i
 }
 
-// Built reports whether the table was compiled from a non-empty map.
-func (t *Table[V]) Built() bool { return t.keys != nil }
-
 // Len returns the number of entries.
 func (t *Table[V]) Len() int { return len(t.vals) }
 
 // Get returns the value stored under k. Negative keys are never stored
-// (Compile rejects them) and always miss — they must not be compared
+// (CompileFunc rejects them) and always miss — they must not be compared
 // against the -1 empty-slot sentinel.
 func (t *Table[V]) Get(k int32) (V, bool) {
 	if t.keys == nil || k < 0 {
@@ -152,6 +128,22 @@ func (t *Table[V]) Range(fn func(k int32, v V)) {
 			pos++
 		}
 	}
+}
+
+// MapValues returns a table with t's keys in t's slots and each value v
+// under key k replaced by fn(k, v). The keys and the occupancy bitmap are
+// shared, never re-hashed; only the values are copied, so t stays valid
+// and unchanged.
+func (t *Table[V]) MapValues(fn func(k int32, v V) V) Table[V] {
+	out := Table[V]{keys: t.keys, occ: t.occ, vals: make([]V, len(t.vals))}
+	pos := 0
+	for _, k := range t.keys {
+		if k >= 0 {
+			out.vals[pos] = fn(k, t.vals[pos])
+			pos++
+		}
+	}
+	return out
 }
 
 // Index maps each of a set of distinct non-negative keys to its position

@@ -1,9 +1,17 @@
 package sealed
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// compileMap compiles every entry of m, in ascending key order.
+func compileMap[V any](m map[int32]V) Table[V] {
+	keys := slices.Sorted(maps.Keys(m))
+	return CompileFunc(len(keys), func(i int) int32 { return keys[i] }, func(i int) V { return m[keys[i]] })
+}
 
 func TestTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -12,12 +20,9 @@ func TestTableMatchesMap(t *testing.T) {
 		for i := 0; i < rng.Intn(200); i++ {
 			m[int32(rng.Intn(1<<20))] = rng.Int63()
 		}
-		tab := Compile(m)
+		tab := compileMap(m)
 		if tab.Len() != len(m) {
 			t.Fatalf("Len = %d, want %d", tab.Len(), len(m))
-		}
-		if tab.Built() != (len(m) > 0) {
-			t.Fatalf("Built = %v with %d entries", tab.Built(), len(m))
 		}
 		for k, v := range m {
 			if got, ok := tab.Get(k); !ok || got != v {
@@ -58,15 +63,15 @@ func TestDenseTableMatchesMap(t *testing.T) {
 			k := int32(rng.Intn(4 * n))
 			m[k] = wide{int64(k), rng.Int63(), rng.Int63(), rng.Int63(), int64(len(m))}
 		}
-		tab := Compile(m)
+		tab := compileMap(m)
 		if len(tab.vals) != n || cap(tab.vals) != n {
 			t.Fatalf("n=%d: %d values stored in capacity %d, want exactly one per entry", n, len(tab.vals), cap(tab.vals))
 		}
 		if len(tab.keys) < 2*n || len(tab.keys) >= 4*n+2 {
 			t.Fatalf("n=%d: %d slots, want load in (1/4, 1/2]", n, len(tab.keys))
 		}
-		if tab.Len() != n || !tab.Built() {
-			t.Fatalf("n=%d: Len %d, Built %v", n, tab.Len(), tab.Built())
+		if tab.Len() != n {
+			t.Fatalf("n=%d: Len %d", n, tab.Len())
 		}
 		for k := int32(-2); k < int32(4*n)+2; k++ {
 			want, wantOK := m[k]
@@ -93,7 +98,7 @@ func TestDenseTableMatchesMap(t *testing.T) {
 }
 
 func TestGetNegativeKeyMisses(t *testing.T) {
-	tab := Compile(map[int32]int{0: 1, 7: 2})
+	tab := compileMap(map[int32]int{0: 1, 7: 2})
 	for _, k := range []int32{-1, -5, -1 << 30} {
 		if v, ok := tab.Get(k); ok {
 			t.Fatalf("Get(%d) = (%d, true), want miss: negative keys must not match the empty-slot sentinel", k, v)
@@ -103,8 +108,8 @@ func TestGetNegativeKeyMisses(t *testing.T) {
 
 func TestZeroTable(t *testing.T) {
 	var tab Table[int]
-	if tab.Built() || tab.Len() != 0 {
-		t.Fatal("zero table should be empty and unbuilt")
+	if tab.Len() != 0 {
+		t.Fatal("zero table should be empty")
 	}
 	if _, ok := tab.Get(7); ok {
 		t.Fatal("zero table returned a value")
@@ -118,12 +123,13 @@ func TestCompileRejectsNegativeKeys(t *testing.T) {
 			t.Fatal("negative key accepted")
 		}
 	}()
-	Compile(map[int32]int{-1: 1})
+	compileMap(map[int32]int{-1: 1})
 }
 
-// TestCompileFuncMatchesCompile: a table compiled straight from an entry
-// list answers every probe as the one compiled from the same entries'
-// map, and a repeated key is refused rather than stored twice.
+// TestCompileFuncMatchesCompile: a table compiled from an entry list in
+// random order answers every probe as the one compiled from the same
+// entries in key order, and a repeated key is refused rather than stored
+// twice.
 func TestCompileFuncMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 1, 63, 64, 65, 300} {
@@ -134,15 +140,15 @@ func TestCompileFuncMatchesCompile(t *testing.T) {
 			m[int32(k)] = rng.Int63()
 		}
 		got := CompileFunc(n, func(i int) int32 { return keys[i] }, func(i int) int64 { return m[keys[i]] })
-		want := Compile(m)
-		if got.Len() != n || got.Built() != (n > 0) {
-			t.Fatalf("n=%d: Len %d, Built %v", n, got.Len(), got.Built())
+		want := compileMap(m)
+		if got.Len() != n {
+			t.Fatalf("n=%d: Len %d", n, got.Len())
 		}
 		for k := int32(-1); k < int32(4*n)+1; k++ {
 			gv, gok := got.Get(k)
 			wv, wok := want.Get(k)
 			if gv != wv || gok != wok {
-				t.Fatalf("n=%d: Get(%d) = (%d, %v), Compile gives (%d, %v)", n, k, gv, gok, wv, wok)
+				t.Fatalf("n=%d: Get(%d) = (%d, %v), the map compiles to (%d, %v)", n, k, gv, gok, wv, wok)
 			}
 		}
 	}
@@ -152,6 +158,46 @@ func TestCompileFuncMatchesCompile(t *testing.T) {
 		}
 	}()
 	CompileFunc(2, func(int) int32 { return 7 }, func(int) int { return 1 })
+}
+
+// TestMapValuesMatchesCompile: rewriting a table's values in place of
+// its slots answers every probe as the rewritten map compiled does, at
+// every size including the empty table, and leaves the source table as
+// it was.
+func TestMapValuesMatchesCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{0, 1, 63, 64, 65, 300} {
+		m := make(map[int32]int64, n)
+		for _, k := range rng.Perm(4 * n)[:n] {
+			m[int32(k)] = rng.Int63()
+		}
+		rewrite := func(k int32, v int64) int64 {
+			if k%3 == 0 {
+				return v ^ int64(k)
+			}
+			return v
+		}
+		src := compileMap(m)
+		got := src.MapValues(rewrite)
+		rewritten := make(map[int32]int64, n)
+		for k, v := range m {
+			rewritten[k] = rewrite(k, v)
+		}
+		want := compileMap(rewritten)
+		if got.Len() != want.Len() {
+			t.Fatalf("n=%d: Len %d, the map compiles to %d", n, got.Len(), want.Len())
+		}
+		for k := int32(-1); k < int32(4*n)+1; k++ {
+			gv, gok := got.Get(k)
+			wv, wok := want.Get(k)
+			if gv != wv || gok != wok {
+				t.Fatalf("n=%d: Get(%d) = (%d, %v), the map compiles to (%d, %v)", n, k, gv, gok, wv, wok)
+			}
+			if sv, _ := src.Get(k); sv != m[k] {
+				t.Fatalf("n=%d: source Get(%d) = %d after MapValues, want %d", n, k, sv, m[k])
+			}
+		}
+	}
 }
 
 func TestIndexMatchesPositions(t *testing.T) {

@@ -16,19 +16,21 @@ import (
 // solver state was re-derived versus cheaply patched.
 type MaintainReport = core.MaintainReport
 
-// Maintained couples a live routing scheme with incremental maintenance
+// Maintained couples a routing scheme with incremental maintenance
 // under topology churn. Build once with System.BuildMaintained, then
 // after each batch of graph mutations call RebuildNodes with the union
 // of the events' may-use affected sets (churn.Overlay computes them);
-// the scheme comes back route-identical to a from-scratch Build on the
-// mutated graph, having re-run per-node construction only for the dirty
-// set.
+// Plane then returns a scheme route-identical to a from-scratch Build on
+// the mutated graph.
 //
-// StretchSix and RTZStretch3 maintain their plane in place — the Scheme
-// returned by Plane stays valid (same pointer) across rebuilds. The
-// remaining kinds (ExStretch, Polynomial, HopSubstrate) have no
-// incremental path yet: RebuildNodes falls back to a full rebuild and
-// swaps in a fresh plane, so callers must re-fetch Plane afterwards.
+// Every rebuild publishes a new plane, for all five kinds, and never
+// writes one it has published: a plane fetched before a rebuild keeps
+// serving the epoch it was fetched in. Callers re-fetch Plane after each
+// rebuild, or Rebind a Deployment to it as Replica does. StretchSix and
+// RTZStretch3 re-run per-node construction only for the dirty set and
+// share every other node's tables with the previous plane; ExStretch,
+// Polynomial and HopSubstrate have no incremental path yet and rebuild
+// in full.
 type Maintained struct {
 	sys   *System
 	kind  SchemeKind
@@ -92,9 +94,8 @@ func (s *System) BuildMaintained(kind SchemeKind, opts ...BuildOption) (*Maintai
 	return m, nil
 }
 
-// Plane returns the live scheme. For StretchSix and RTZStretch3 the
-// returned value is stable across RebuildNodes; for the full-rebuild
-// kinds it is replaced by each RebuildNodes call.
+// Plane returns the scheme the last rebuild published (the build's,
+// before any).
 func (m *Maintained) Plane() Scheme { return m.plane }
 
 // Kind returns the scheme kind being maintained.
@@ -102,19 +103,43 @@ func (m *Maintained) Kind() SchemeKind { return m.kind }
 
 // RebuildNodes incorporates graph mutations whose combined may-use
 // affected set is dirty. The graph must already be mutated (the churn
-// overlay mutates it while computing the set). On return the plane is
-// route-identical to a fresh Build with the same configuration on the
-// current graph.
+// overlay mutates it while computing the set). On success Plane returns
+// a new plane, route-identical to a fresh Build with the same
+// configuration on the current graph; on failure it returns the
+// previous one.
 func (m *Maintained) RebuildNodes(dirty []NodeID) (MaintainReport, error) {
+	return m.RebuildNodesFor(dirty, nil)
+}
+
+// RebuildNodesFor is RebuildNodes restricted to a shard's slice of the
+// plane: per-node table rebuilds are filtered to the nodes owned reports
+// true for, leaving foreign tables stale — harmless for a shard that
+// only forwards at owned nodes, and exactly what the cluster repair
+// path certifies (owned LocalStates against a reference replica).
+// StretchSix filters steps that are per-node; RTZStretch3's substrate
+// state is shared across all nodes, so it takes the full delta, and the
+// full-rebuild kinds rebuild in full. owned == nil behaves exactly like
+// RebuildNodes.
+func (m *Maintained) RebuildNodesFor(dirty []NodeID, owned func(NodeID) bool) (MaintainReport, error) {
 	switch {
 	case m.s6 != nil:
-		return m.s6.RebuildNodes(dirty)
+		rep, err := m.s6.RebuildNodesOwned(dirty, owned)
+		if err != nil {
+			return rep, err
+		}
+		m.plane = m.s6.Plane()
+		return rep, nil
 	case m.rtzM != nil:
 		t0 := time.Now()
-		rep, err := m.rtzM.Apply(dirty)
+		sub, rep, err := m.rtzM.Apply(dirty)
 		if err != nil {
 			return MaintainReport{}, err
 		}
+		plane, err := core.NewRTZPlane(sub, m.sys.Naming)
+		if err != nil {
+			return MaintainReport{}, err
+		}
+		m.plane = plane
 		return MaintainReport{
 			DirtyNodes:      rep.DirtyNodes,
 			RebuiltTrees:    rep.RebuiltTrees,
@@ -124,8 +149,7 @@ func (m *Maintained) RebuildNodes(dirty []NodeID) (MaintainReport, error) {
 			SubstrateNs:     int64(time.Since(t0)),
 		}, nil
 	default:
-		// No incremental path for this kind: rebuild from scratch and
-		// swap the plane.
+		// No incremental path for this kind: rebuild from scratch.
 		t0, misses := time.Now(), graph.RowMisses(m.sys.Metric)
 		plane, err := m.sys.BuildWith(m.kind, m.cfg)
 		if err != nil {
@@ -140,23 +164,6 @@ func (m *Maintained) RebuildNodes(dirty []NodeID) (MaintainReport, error) {
 			TablesNs:      int64(time.Since(t0)),
 		}, nil
 	}
-}
-
-// RebuildNodesFor is RebuildNodes restricted to a shard's slice of the
-// plane: per-node table rebuilds are filtered to the nodes owned reports
-// true for, leaving foreign tables stale — harmless for a shard that
-// only forwards at owned nodes, and exactly what the cluster repair
-// path certifies (owned LocalStates against a reference replica).
-// StretchSix filters steps that are per-node; RTZStretch3's substrate
-// state is shared across all nodes, so it takes the full delta; the
-// full-rebuild kinds rebuild and swap the plane as RebuildNodes does
-// (re-fetch Plane, or Rebind a Deployment, afterwards). owned == nil
-// behaves exactly like RebuildNodes.
-func (m *Maintained) RebuildNodesFor(dirty []NodeID, owned func(NodeID) bool) (MaintainReport, error) {
-	if m.s6 != nil {
-		return m.s6.RebuildNodesOwned(dirty, owned)
-	}
-	return m.RebuildNodes(dirty)
 }
 
 // Certify verifies the maintained plane is route-identical to a fresh

@@ -1,6 +1,7 @@
 package rtroute
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -118,14 +119,19 @@ func TestRebuildAllMatchesFreshBuild(t *testing.T) {
 // rebuilds only the event's may-use affected set — then certifies the
 // maintained plane bit-identical to a from-scratch build. This is the
 // core incremental-maintenance contract for the two kinds with a real
-// delta path, held at every worker count with identical reports.
+// delta path, held at every worker count with identical reports. Each
+// rebuild must also leave the plane it replaced byte for byte as it was
+// (a published epoch is never written), and the new plane must meet the
+// paper's bound on the mutated graph for every pair: roundtrip stretch
+// 6 for StretchSix, 3 for the substrate (Lemma 2).
 func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 	kinds := []struct {
-		name string
-		kind SchemeKind
+		name  string
+		kind  SchemeKind
+		bound Dist
 	}{
-		{"stretch6", StretchSix},
-		{"rtz", RTZStretch3},
+		{"stretch6", StretchSix, 6},
+		{"rtz", RTZStretch3, 3},
 	}
 	for _, tc := range kinds {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,9 +156,20 @@ func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 						if err != nil {
 							t.Fatalf("run %d event %d (%v): %v", run, i, ev, err)
 						}
+						prev := m.Plane()
+						before, err := MarshalScheme(prev)
+						if err != nil {
+							t.Fatalf("run %d event %d: marshal: %v", run, i, err)
+						}
 						rep, err := m.RebuildNodes(dirty)
 						if err != nil {
 							t.Fatalf("run %d event %d: RebuildNodes: %v", run, i, err)
+						}
+						if after, err := MarshalScheme(prev); err != nil || !bytes.Equal(after, before) {
+							t.Fatalf("run %d workers %d event %d: the replaced plane changed under RebuildNodes (err %v)", run, workers, i, err)
+						}
+						if workers == buildWorkerCounts[0] {
+							checkStretchBound(t, sys, m.Plane(), tc.bound)
 						}
 						if rep.DirtyNodes != len(dirty) {
 							t.Fatalf("run %d event %d: report dirty %d, want %d", run, i, rep.DirtyNodes, len(dirty))
@@ -170,6 +187,28 @@ func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkStretchBound routes every ordered pair of distinct names over
+// plane and fails on a roundtrip longer than bound times the roundtrip
+// distance.
+func checkStretchBound(t *testing.T, sys *System, plane Scheme, bound Dist) {
+	t.Helper()
+	n := int32(sys.Graph.N())
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
+			if u == v {
+				continue
+			}
+			tr, err := plane.Roundtrip(u, v)
+			if err != nil {
+				t.Fatalf("roundtrip (%d,%d): %v", u, v, err)
+			}
+			if r := sys.R(u, v); tr.Weight() > bound*r {
+				t.Fatalf("stretch %d violated at (%d,%d): %d > %d*%d", bound, u, v, tr.Weight(), bound, r)
+			}
+		}
 	}
 }
 
