@@ -18,16 +18,19 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 verification (ROADMAP.md) + wire-decoder fuzz smoke.
+# Tier-1 verification (ROADMAP.md) + fuzz smoke.
 verify: build test fuzz-smoke
 
-# Short coverage-guided runs of the wire decoder fuzzers: arbitrary
-# bytes must error cleanly, never panic or over-allocate.
+# Short coverage-guided runs of the wire decoder fuzzers (arbitrary
+# bytes must error cleanly, never panic or over-allocate) and of the
+# lazy oracle's incremental row update (every row must equal a fresh
+# search after every reweighting batch).
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalScheme -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFlightFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalChurnFrame -fuzztime 5s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLazyRowUpdate -fuzztime 5s
 
 # E14 space certification: per-node encoded bytes across n=256..4096
 # (also: rtroute -sizes).

@@ -40,9 +40,15 @@ type MaintainReport struct {
 	FullRebuild bool
 	// SSSPRuns counts the full-graph shortest-path searches the pass ran:
 	// the oracle's row misses plus two per rebuilt center tree. The bill
-	// is one forward and one reverse search per re-solved destination
-	// and per rebuilt tree; more means a row was computed twice.
+	// is at most one forward and one reverse search per re-solved
+	// destination and per rebuilt tree; more means a row was computed
+	// twice. A lazy oracle that holds a destination's rows re-derives
+	// them instead, so with every row resident a pass searches only for
+	// its trees.
 	SSSPRuns int
+	// RowUpdates counts the oracle rows the pass re-derived from their
+	// resident versions with no search (graph.LazyStats.Updates).
+	RowUpdates int
 	// Per-stage wall time. SubstrateNs is the stretch-3 delta (trees,
 	// labels, clusters — and, inside its per-destination pass, the dirty
 	// Init orders); OrdersNs is the time inside those order fills summed
@@ -152,7 +158,8 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 	rep.RebuiltTrees = subRep.RebuiltTrees
 	rep.RebuiltClusters = subRep.RebuiltClusters
 	rep.OrdersNs = mt.ordersNs.Load()
-	misses := graph.RowMisses(mt.m) // the rest of the pass should add none
+	// The rest of the pass should read no row.
+	rows := graph.RowStats(mt.m)
 	lap(&rep.SubstrateNs)
 
 	// 2. Replay the block assignment from an identically re-seeded
@@ -244,6 +251,8 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 	}
 	mt.s = &s
 	lap(&rep.PatchNs)
-	rep.SSSPRuns = subRep.SSSPRuns + graph.RowMisses(mt.m) - misses
+	after := graph.RowStats(mt.m)
+	rep.SSSPRuns = subRep.SSSPRuns + int(after.Misses-rows.Misses)
+	rep.RowUpdates = subRep.RowUpdates + int(after.Updates-rows.Updates)
 	return rep, nil
 }

@@ -24,6 +24,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -126,8 +127,26 @@ type Graph struct {
 
 	// gen counts mutations. Caching layers (LazyOracle, churn
 	// maintainers) snapshot it and treat a later mismatch as "every
-	// derived row is stale".
+	// derived row is stale" — unless wlog can say what changed.
 	gen atomic.Uint64
+	// wlog records every SetEdgeWeight after generation wlogFrom, one
+	// entry per generation, so a cache can re-derive rows from their
+	// previous version instead of recomputing them. Any other mutation
+	// empties it; it keeps at most weightLogCap entries.
+	wlog     []weightChange
+	wlogFrom uint64
+}
+
+// weightLogCap bounds Graph.wlog. When it fills, the older half goes:
+// a cache row that many reweightings behind is recomputed instead.
+const weightLogCap = 4096
+
+// weightChange is one edge's reweighting: in the log, the one
+// SetEdgeWeight that produced generation gen; in a delta, the net change.
+type weightChange struct {
+	gen      uint64
+	from, to NodeID
+	old, new Dist
 }
 
 // New returns an empty graph on n nodes.
@@ -148,10 +167,38 @@ func (g *Graph) N() int { return len(g.out) }
 // M returns the number of directed edges.
 func (g *Graph) M() int { return g.m }
 
-// invalidate drops the sealed index after a mutation.
+// invalidate drops the sealed index after a mutation that is not a
+// reweighting, and the weight log with it: no row survives the change.
 func (g *Graph) invalidate() {
 	g.idx.Store(nil)
-	g.gen.Add(1)
+	g.wlog = g.wlog[:0]
+	g.wlogFrom = g.gen.Add(1)
+}
+
+// weightChangesSince returns the net reweightings that took the graph
+// from generation gen to its current one: one entry per edge whose
+// weight differs, in the order of each edge's first change. ok is false
+// when the log cannot tell — a mutation other than SetEdgeWeight came
+// after gen, or the log no longer reaches back that far.
+func (g *Graph) weightChangesSince(gen uint64) (changes []weightChange, ok bool) {
+	if gen < g.wlogFrom {
+		return nil, false
+	}
+	at := make(map[uint64]int)
+	for _, e := range g.wlog {
+		if e.gen <= gen {
+			continue
+		}
+		k := pairKey(e.from, e.to)
+		if i, seen := at[k]; seen {
+			changes[i].new = e.new
+			continue
+		}
+		at[k] = len(changes)
+		changes = append(changes, e)
+	}
+	changes = slices.DeleteFunc(changes, func(c weightChange) bool { return c.old == c.new })
+	return changes, true
 }
 
 // Generation returns the mutation counter: any two calls separated by a
@@ -385,6 +432,7 @@ func (g *Graph) SetEdgeWeight(u, v NodeID, w Dist) error {
 	if w <= 0 || w > DownWeight {
 		return fmt.Errorf("graph: weight %d on (%d,%d) outside (0, DownWeight]", w, u, v)
 	}
+	old := g.out[u][slot].Weight
 	g.out[u][slot].Weight = w
 	for i := range g.in[v] {
 		if g.in[v][i].From == u {
@@ -392,7 +440,12 @@ func (g *Graph) SetEdgeWeight(u, v NodeID, w Dist) error {
 			break
 		}
 	}
-	g.invalidate()
+	g.idx.Store(nil)
+	if len(g.wlog) == weightLogCap {
+		g.wlogFrom = g.wlog[weightLogCap/2-1].gen
+		g.wlog = append(g.wlog[:0], g.wlog[weightLogCap/2:]...)
+	}
+	g.wlog = append(g.wlog, weightChange{g.gen.Add(1), u, v, old, w})
 	return nil
 }
 

@@ -6,11 +6,17 @@ import (
 	"sync"
 )
 
-// DefaultLazyCacheRows is the row budget NewLazyOracle uses when the
-// caller passes cacheRows <= 0: enough to keep every scheme-construction
-// phase streaming without recomputation on mid-size graphs, while holding
-// peak oracle memory to cacheRows·n words instead of n^2.
+// DefaultLazyCacheRows is the floor of the default row budget: the rows
+// NewLazyOracle keeps when the caller passes cacheRows <= 0 and the
+// graph is too large for every row to fit DefaultLazyCacheBytes.
 const DefaultLazyCacheRows = 256
+
+// DefaultLazyCacheBytes is the default budget's byte ceiling. Under it
+// the oracle keeps all 2n rows (every row up to n ≈ 1,300), so a repair
+// re-derives each dirty row from its resident version instead of
+// recomputing it; above it, as many rows as fit, and never fewer than
+// DefaultLazyCacheRows.
+const DefaultLazyCacheBytes = 32 << 20
 
 // LazyOracle is a DistanceOracle that computes single-source distance
 // rows on demand — a forward Dijkstra for FromSource, a reverse Dijkstra
@@ -19,18 +25,23 @@ const DefaultLazyCacheRows = 256
 // it scale to graphs where the dense metric cannot be allocated.
 //
 // The oracle is safe for concurrent use: concurrent requests for the same
-// row share one Dijkstra (the losers block until the winner publishes),
-// and rows already cached are returned without recomputation. Rows handed
-// out remain valid after eviction (eviction only drops the cache's
-// reference); callers must treat them as read-only.
+// row share one computation (the losers block until the winner
+// publishes), and rows already cached are returned without recomputation.
+// Rows handed out are never written and remain valid after eviction or
+// update; callers must treat them as read-only.
 //
-// The oracle snapshots nothing: it runs Dijkstra over the live graph.
-// Mutating the graph between queries is safe: every query checks the
-// graph's mutation generation and flushes rows computed under an older
-// one, so a cached row never outlives the topology it was measured on.
-// (Mutating concurrently with in-flight queries remains unsafe, exactly
-// as for the graph itself; a reader racing a mutation may observe the
-// pre-mutation row once, never a torn one.)
+// The oracle snapshots nothing: it reads the live graph. Mutating the
+// graph between queries is safe: every query checks the graph's mutation
+// generation. A resident row computed under an older generation is
+// re-derived from its previous version on its next access when the graph
+// has only been reweighted since (see Graph.SetEdgeWeight's log) — the
+// incremental update in update.go, which returns exactly the row and
+// parents a fresh search would. Any other mutation, or a log that no
+// longer reaches back to the oracle's generation, flushes the cache, so a
+// cached row never outlives the topology it was measured on. (Mutating
+// concurrently with in-flight queries remains unsafe, exactly as for the
+// graph itself; a reader racing a mutation may observe the pre-mutation
+// row once, never a torn one.)
 type LazyOracle struct {
 	g        *Graph
 	capacity int
@@ -38,8 +49,11 @@ type LazyOracle struct {
 	mu    sync.Mutex
 	rows  map[rowKey]*rowEntry
 	lru   list.List // front = most recently used; values are *rowEntry
-	gen   uint64    // graph generation the cached rows were computed under
+	gen   uint64    // graph generation of the oracle's last query
 	stats LazyStats
+	// deltas caches, for the current generation, the net reweightings
+	// since each older generation a resident row was computed under.
+	deltas map[uint64][]weightChange
 }
 
 type rowKey struct {
@@ -51,6 +65,7 @@ type rowEntry struct {
 	key   rowKey
 	elem  *list.Element
 	ready chan struct{} // closed once dist is published
+	gen   uint64        // graph generation the row is computed under
 	dist  []Dist
 	// parent is a reverse row's next-hop vector (parent[u] = u's next hop
 	// toward key.node), kept because the reverse Dijkstra produces it
@@ -72,11 +87,16 @@ func (e *rowEntry) computed() bool {
 
 // LazyStats reports cache behavior for tests and benchmarks.
 type LazyStats struct {
-	Hits      uint64
-	Misses    uint64
+	Hits uint64
+	// Misses counts rows computed by a full search.
+	Misses uint64
+	// Updates counts rows re-derived from their resident version after
+	// the graph was reweighted, with no full search.
+	Updates   uint64
 	Evictions uint64
 	// Invalidations counts whole-cache flushes triggered by graph
-	// mutations (generation mismatches observed at query time).
+	// mutations the weight log cannot replay (generation mismatches
+	// observed at query time).
 	Invalidations uint64
 	// PeakRows is the largest number of rows ever resident at once,
 	// counting rows still being computed; peak oracle memory is about
@@ -89,12 +109,15 @@ type LazyStats struct {
 
 // NewLazyOracle creates a lazy oracle over g holding at most cacheRows
 // completed rows (forward and reverse rows count separately).
-// cacheRows <= 0 selects DefaultLazyCacheRows; the cap is clamped to at
-// least 2 so that a roundtrip query (one forward plus one reverse row of
-// the same node) never evicts its own working set.
+// cacheRows <= 0 selects the default budget: all 2n rows while they fit
+// DefaultLazyCacheBytes, else as many as fit, at least
+// DefaultLazyCacheRows. The cap is clamped to at least 2 so that a
+// roundtrip query (one forward plus one reverse row of the same node)
+// never evicts its own working set.
 func NewLazyOracle(g *Graph, cacheRows int) *LazyOracle {
 	if cacheRows <= 0 {
-		cacheRows = DefaultLazyCacheRows
+		// A forward row is 8n bytes, a reverse row 12n: 10n on average.
+		cacheRows = min(2*g.N(), max(DefaultLazyCacheRows, DefaultLazyCacheBytes/(10*max(g.N(), 1))))
 	}
 	if cacheRows < 2 {
 		cacheRows = 2
@@ -103,6 +126,7 @@ func NewLazyOracle(g *Graph, cacheRows int) *LazyOracle {
 		g:        g,
 		capacity: cacheRows,
 		rows:     make(map[rowKey]*rowEntry),
+		gen:      g.Generation(),
 	}
 }
 
@@ -119,60 +143,76 @@ func (o *LazyOracle) Stats() LazyStats {
 	return o.stats
 }
 
-// RowMisses returns how many rows o has computed on demand so far — one
-// shortest-path search each — and 0 for an oracle that computes none.
-// Callers difference two readings to count the searches a pass ran.
-func RowMisses(o DistanceOracle) int {
+// RowStats returns o's counters if it is a LazyOracle, and zeros for an
+// oracle that computes no rows on demand. Callers difference two
+// readings to count the searches (Misses) and row updates a pass ran.
+func RowStats(o DistanceOracle) LazyStats {
 	if l, ok := o.(*LazyOracle); ok {
-		return int(l.Stats().Misses)
+		return l.Stats()
 	}
-	return 0
+	return LazyStats{}
 }
 
-// row returns the requested row's entry, computing it at most once per
-// residency. The double-checked entry protocol: under the lock we either
-// find an entry (hit — possibly still being computed by another
+// row returns the requested row's entry at the graph's current
+// generation, computing it at most once per residency and generation.
+// The double-checked entry protocol: under the lock we either find a
+// current entry (hit — possibly still being computed by another
 // goroutine) or insert a placeholder and become its computer; the
-// Dijkstra itself runs outside the lock.
+// search or update itself runs outside the lock. A stale resident entry
+// is replaced by the placeholder and becomes the version it is updated
+// from.
 func (o *LazyOracle) row(key rowKey) *rowEntry {
 	o.mu.Lock()
-	// Generation check: rows cached under an older graph generation are
-	// stale — drop the whole cache before serving. In-flight entries are
-	// unlinked too (their computation finishes and feeds earlier waiters,
-	// but no later request can hit them).
 	if gen := o.g.Generation(); gen != o.gen {
-		if o.lru.Len() > 0 {
-			o.stats.Invalidations++
+		// Rows the weight log cannot carry forward are stale: drop the
+		// whole cache. In-flight entries are unlinked too (their
+		// computation finishes and feeds earlier waiters, but no later
+		// request can hit them).
+		if o.g.wlogFrom > o.gen {
+			if o.lru.Len() > 0 {
+				o.stats.Invalidations++
+			}
+			o.rows = make(map[rowKey]*rowEntry)
+			o.lru.Init()
 		}
-		o.rows = make(map[rowKey]*rowEntry)
-		o.lru.Init()
-		o.gen = gen
+		o.gen, o.deltas = gen, nil
 	}
-	if e, ok := o.rows[key]; ok {
-		o.lru.MoveToFront(e.elem)
+	prev, ok := o.rows[key]
+	if ok && prev.gen == o.gen {
+		o.lru.MoveToFront(prev.elem)
 		o.stats.Hits++
 		o.mu.Unlock()
-		<-e.ready
-		return e
+		<-prev.ready
+		return prev
 	}
-	e := &rowEntry{key: key, ready: make(chan struct{})}
+	var changes []weightChange
+	if ok {
+		o.lru.Remove(prev.elem)
+		if changes, ok = o.delta(prev.gen); !ok {
+			prev = nil
+		}
+	}
+	if prev != nil {
+		o.stats.Updates++
+	} else {
+		o.stats.Misses++
+	}
+	e := &rowEntry{key: key, ready: make(chan struct{}), gen: o.gen}
 	e.elem = o.lru.PushFront(e)
 	o.rows[key] = e
-	o.stats.Misses++
 	// Evict from the cold end, skipping rows whose computation is still
 	// in flight: evicting those would break single-flight dedup (a
 	// re-request would start a duplicate Dijkstra) and hide their memory
 	// from PeakRows. Under contention the cache may therefore briefly
 	// hold capacity + in-flight rows; PeakRows reports that honestly.
 	for el := o.lru.Back(); el != nil && o.lru.Len() > o.capacity; {
-		victim := el.Value.(*rowEntry)
-		prev := el.Prev()
+		victim, warmer := el.Value.(*rowEntry), el.Prev()
 		if victim != e && victim.computed() {
 			o.lru.Remove(el)
 			delete(o.rows, victim.key)
 			o.stats.Evictions++
 		}
-		el = prev
+		el = warmer
 	}
 	if o.lru.Len() > o.stats.PeakRows {
 		o.stats.PeakRows = o.lru.Len()
@@ -180,18 +220,49 @@ func (o *LazyOracle) row(key rowKey) *rowEntry {
 	o.mu.Unlock()
 
 	// Pooled scratch: the only allocation a row fill retains is the
-	// cached row itself (and a reverse row's parents).
+	// row itself (and a reverse row's parents).
 	s := getScratch()
-	if key.rev {
+	updated := false
+	if prev != nil {
+		<-prev.ready
+		if e.dist, e.parent, updated = s.updateRow(o.g, key.rev, prev.dist, prev.parent, changes); !updated {
+			// A path over a down edge: the update does not cover this
+			// row, so it costs a search after all.
+			o.mu.Lock()
+			o.stats.Updates--
+			o.stats.Misses++
+			o.mu.Unlock()
+		}
+	}
+	switch {
+	case updated:
+	case key.rev:
 		r := s.DijkstraRev(o.g, key.node)
 		e.dist = append([]Dist(nil), r.Dist...)
 		e.parent = append([]NodeID(nil), r.Parent...)
-	} else {
+	default:
 		e.dist = append([]Dist(nil), s.Dijkstra(o.g, key.node).Dist...)
 	}
 	putScratch(s)
 	close(e.ready)
 	return e
+}
+
+// delta returns the net reweightings since generation from, computed
+// once per generation pair; ok is false when the graph's log cannot
+// replay them. Called with o.mu held.
+func (o *LazyOracle) delta(from uint64) (changes []weightChange, ok bool) {
+	if changes, ok = o.deltas[from]; ok {
+		return changes, true
+	}
+	if changes, ok = o.g.weightChangesSince(from); !ok {
+		return nil, false
+	}
+	if o.deltas == nil {
+		o.deltas = make(map[uint64][]weightChange)
+	}
+	o.deltas[from] = changes
+	return changes, true
 }
 
 // FromSource implements DistanceOracle: d(u, ·) via one forward Dijkstra.

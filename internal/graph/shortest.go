@@ -49,6 +49,7 @@ type SSSPScratch struct {
 	stamp  []uint32
 	epoch  uint32
 	heap   []heapNode
+	moved  []NodeID // a row update's affected, then settled, nodes
 }
 
 // NewSSSPScratch returns a scratch pre-sized for n-node graphs.

@@ -39,9 +39,10 @@ import (
 //     is re-read from the maintained trees — pure arithmetic, no solver;
 //   - clusters: C(y) = {x : r(x,y) < r(y,A)} can change only if y is
 //     dirty (membership and parents both need a d(·,y) or radius change),
-//     or if r(y,A) itself moved; those destinations are re-solved with
-//     one reverse Dijkstra each, stale entries dropped via the member
-//     lists.
+//     or if r(y,A) itself moved; those destinations are re-solved from
+//     the two rows anchored at y — on the lazy oracle resident rows
+//     re-derived incrementally, with no search — and stale entries
+//     dropped via the member lists.
 type Maintainer struct {
 	s    *Scheme
 	m    graph.DistanceOracle
@@ -67,6 +68,9 @@ type MaintainReport struct {
 	// rebuilt tree, the lazy oracle's row misses and, on any other
 	// oracle, one private reverse search per non-empty re-solved cluster.
 	SSSPRuns int
+	// RowUpdates counts the lazy oracle's rows the pass re-derived from
+	// their resident versions instead of searching (LazyStats.Updates).
+	RowUpdates int
 	// ChangedLabels lists nodes whose address R3(v) changed — including
 	// nodes outside the dirty set whose tree label was renumbered by a
 	// center-tree rebuild. Dictionary layers above must rewrite their
@@ -144,7 +148,7 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (*Scheme, MaintainReport, erro
 	s := &Scheme{Centers: old.Centers, Tables: slices.Clone(old.Tables), Labels: slices.Clone(old.Labels), g: old.g}
 	n := s.g.N()
 	rep := MaintainReport{DirtyNodes: len(dirty)}
-	misses := graph.RowMisses(mt.m)
+	rows := graph.RowStats(mt.m)
 	inDirty := make([]bool, n)
 	for _, v := range dirty {
 		inDirty[v] = true
@@ -248,7 +252,9 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (*Scheme, MaintainReport, erro
 		return nil, rep, err
 	}
 	rep.RebuiltClusters = len(ys)
-	rep.SSSPRuns = 2*len(cis) + private + graph.RowMisses(mt.m) - misses
+	after := graph.RowStats(mt.m)
+	rep.SSSPRuns = 2*len(cis) + private + int(after.Misses-rows.Misses)
+	rep.RowUpdates = int(after.Updates - rows.Updates)
 	mt.s = s
 	return s, rep, nil
 }

@@ -146,21 +146,24 @@ func (m *Maintained) RebuildNodesFor(dirty []NodeID, owned func(NodeID) bool) (M
 			RebuiltClusters: rep.RebuiltClusters,
 			PatchedLabels:   len(rep.ChangedLabels),
 			SSSPRuns:        rep.SSSPRuns,
+			RowUpdates:      rep.RowUpdates,
 			SubstrateNs:     int64(time.Since(t0)),
 		}, nil
 	default:
 		// No incremental path for this kind: rebuild from scratch.
-		t0, misses := time.Now(), graph.RowMisses(m.sys.Metric)
+		t0, rows := time.Now(), graph.RowStats(m.sys.Metric)
 		plane, err := m.sys.BuildWith(m.kind, m.cfg)
 		if err != nil {
 			return MaintainReport{}, err
 		}
 		m.plane = plane
+		after := graph.RowStats(m.sys.Metric)
 		return MaintainReport{
 			DirtyNodes:    len(dirty),
 			RebuiltTables: m.sys.Graph.N(),
 			FullRebuild:   true,
-			SSSPRuns:      graph.RowMisses(m.sys.Metric) - misses,
+			SSSPRuns:      int(after.Misses - rows.Misses),
+			RowUpdates:    int(after.Updates - rows.Updates),
 			TablesNs:      int64(time.Since(t0)),
 		}, nil
 	}
@@ -169,11 +172,15 @@ func (m *Maintained) RebuildNodesFor(dirty []NodeID, owned func(NodeID) bool) (M
 // Certify verifies the maintained plane is route-identical to a fresh
 // Build with the same configuration on the current graph: it rebuilds
 // from scratch and compares the two planes' per-node LocalState
-// decompositions bit for bit. This is the churn experiments' correctness
-// oracle after every event batch; it costs a full build plus a
-// decomposition pass.
+// decompositions bit for bit. The fresh build reads a new lazy oracle,
+// so every row it sees comes from a full search, never from the
+// incremental updates the maintained plane was repaired with. This is
+// the churn experiments' correctness oracle after every event batch; it
+// costs a full build plus a decomposition pass.
 func (m *Maintained) Certify() error {
-	fresh, err := m.sys.BuildWith(m.kind, m.cfg)
+	sys := *m.sys
+	sys.Metric = graph.NewLazyOracle(sys.Graph, 0)
+	fresh, err := sys.BuildWith(m.kind, m.cfg)
 	if err != nil {
 		return fmt.Errorf("rtroute: certification rebuild: %w", err)
 	}

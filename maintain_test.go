@@ -302,46 +302,56 @@ func TestAffectedSetIsSound(t *testing.T) {
 // at most one forward and one reverse search per node plus two per center
 // tree, and a repair at most two per re-solved destination plus two per
 // rebuilt tree — on one worker and on several. A fourth Dijkstra creeping
-// back into the per-node pass fails here.
+// back into the per-node pass fails here. Under the default budget,
+// which holds every row, a repair re-derives the rows it reads from
+// their resident versions: its only searches are its trees'.
 func TestSSSPBudget(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		const n = 128
-		g := graph.RandomSC(n, 3*n, 64, rand.New(rand.NewSource(0x555)))
-		sys, err := NewSystemWith(g, nil, SystemConfig{Metric: MetricLazy, LazyCacheRows: 2})
-		if err != nil {
-			t.Fatalf("system: %v", err)
-		}
-		lazy := sys.Metric.(*LazyOracle)
-		m, err := sys.BuildMaintained(StretchSix, WithSeed(7), WithBuildWorkers(workers))
-		if err != nil {
-			t.Fatalf("BuildMaintained: %v", err)
-		}
-		centers := len(m.s6.Substrate().Scheme().Centers)
-		if got := lazy.Stats().Misses; got > 2*n {
-			t.Fatalf("workers %d: build ran %d oracle searches beside its %d tree builds, budget 2n = %d", workers, got, centers, 2*n)
-		}
-		ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
-		if err != nil {
-			t.Fatalf("overlay: %v", err)
-		}
-		model := churn.NewModel(ov, 77, 1.0, churn.DefaultMix, 64)
-		for i := 0; i < 8; i++ {
-			dirty, err := ov.Apply(model.Next())
+	for _, rows := range []int{2, 0} {
+		for _, workers := range []int{1, 3} {
+			const n = 128
+			g := graph.RandomSC(n, 3*n, 64, rand.New(rand.NewSource(0x555)))
+			sys, err := NewSystemWith(g, nil, SystemConfig{Metric: MetricLazy, LazyCacheRows: rows})
 			if err != nil {
-				t.Fatalf("event %d: %v", i, err)
+				t.Fatalf("system: %v", err)
 			}
-			before := lazy.Stats().Misses
-			rep, err := m.RebuildNodes(dirty)
+			lazy := sys.Metric.(*LazyOracle)
+			m, err := sys.BuildMaintained(StretchSix, WithSeed(7), WithBuildWorkers(workers))
 			if err != nil {
-				t.Fatalf("event %d: RebuildNodes: %v", i, err)
+				t.Fatalf("BuildMaintained: %v", err)
 			}
-			ran := int(lazy.Stats().Misses-before) + 2*rep.RebuiltTrees
-			if rep.SSSPRuns != ran {
-				t.Fatalf("workers %d event %d: report counts %d searches, the oracle and the trees %d", workers, i, rep.SSSPRuns, ran)
+			centers := len(m.s6.Substrate().Scheme().Centers)
+			if got := lazy.Stats().Misses; got > 2*n {
+				t.Fatalf("rows %d workers %d: build ran %d oracle searches beside its %d tree builds, budget 2n = %d", rows, workers, got, centers, 2*n)
 			}
-			if budget := 2 * (rep.RebuiltClusters + rep.RebuiltTrees); ran > budget {
-				t.Fatalf("workers %d event %d: %d searches for %d re-solved destinations and %d rebuilt trees, budget %d",
-					workers, i, ran, rep.RebuiltClusters, rep.RebuiltTrees, budget)
+			ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
+			if err != nil {
+				t.Fatalf("overlay: %v", err)
+			}
+			model := churn.NewModel(ov, 77, 1.0, churn.DefaultMix, 64)
+			for i := 0; i < 8; i++ {
+				dirty, err := ov.Apply(model.Next())
+				if err != nil {
+					t.Fatalf("event %d: %v", i, err)
+				}
+				before := lazy.Stats()
+				rep, err := m.RebuildNodes(dirty)
+				if err != nil {
+					t.Fatalf("event %d: RebuildNodes: %v", i, err)
+				}
+				after := lazy.Stats()
+				ran := int(after.Misses-before.Misses) + 2*rep.RebuiltTrees
+				if rep.SSSPRuns != ran || rep.RowUpdates != int(after.Updates-before.Updates) {
+					t.Fatalf("rows %d workers %d event %d: report counts %d searches and %d row updates, the oracle and the trees %d and %d",
+						rows, workers, i, rep.SSSPRuns, rep.RowUpdates, ran, after.Updates-before.Updates)
+				}
+				if budget := 2 * (rep.RebuiltClusters + rep.RebuiltTrees); ran > budget {
+					t.Fatalf("rows %d workers %d event %d: %d searches for %d re-solved destinations and %d rebuilt trees, budget %d",
+						rows, workers, i, ran, rep.RebuiltClusters, rep.RebuiltTrees, budget)
+				}
+				if rows == 0 && rep.SSSPRuns != 2*rep.RebuiltTrees {
+					t.Fatalf("workers %d event %d: %d searches with every row resident, want only the %d rebuilt trees' two each",
+						workers, i, rep.SSSPRuns, rep.RebuiltTrees)
+				}
 			}
 		}
 	}

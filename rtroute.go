@@ -175,8 +175,10 @@ const (
 type SystemConfig struct {
 	// Metric selects the oracle implementation (default MetricDense).
 	Metric MetricKind
-	// LazyCacheRows bounds the lazy oracle's row cache (<= 0 selects the
-	// package default). Ignored for MetricDense.
+	// LazyCacheRows bounds the lazy oracle's row cache. <= 0 selects the
+	// default budget: every row while all 2n fit
+	// graph.DefaultLazyCacheBytes, so a churn repair re-derives resident
+	// rows instead of searching. Ignored for MetricDense.
 	LazyCacheRows int
 }
 
