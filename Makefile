@@ -105,11 +105,19 @@ alloc-gates:
 	$(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 
 # "Least code" as a tracked number: non-test Go lines per package and
-# in total, benchmark/ (the instrument) excluded. DESIGN.md "Code size"
-# is this table.
+# in total, benchmark/ (the instrument) excluded, at REF (git archive'd
+# into BENCHDIFF_DIR, as benchdiff does) against the working tree, with
+# the delta. DESIGN.md "Code size" is this table.
+LOC_COUNT = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.*/*' -not -path './$(BENCHDIFF_DIR)/*' | \
+	xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); print $$1, d }'
+
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.benchdiff/*' | \
-		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
+	@sha=$$(git rev-parse --short '$(REF)^{commit}') && tree=$(BENCHDIFF_DIR)/$$sha && \
+	if [ ! -d "$$tree" ]; then mkdir -p "$$tree" && git archive "$$sha" | tar -x -C "$$tree"; fi && \
+	printf "%7s %7s %7s  %s\n" "$$sha" tree delta package && \
+	{ (cd "$$tree" && $(LOC_COUNT)) | sed 's/^/a /'; $(LOC_COUNT) | sed 's/^/b /'; } | \
+	awk '{ n[$$3, $$1] += $$2; p[$$3] = 1; t[$$1] += $$2 } \
+		END { for (d in p) printf "%7d %7d %+7d  %s\n", n[d, "a"], n[d, "b"], n[d, "b"] - n[d, "a"], d; \
+		printf "%7d %7d %+7d  total\n", t["a"], t["b"], t["b"] - t["a"] }' | sort -k4
 
 ci: lint build race alloc-gates snapshots footprint docs benchmark-check fuzz-smoke

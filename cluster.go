@@ -63,11 +63,10 @@ func (s *System) ServeCluster(sch Scheme, cfg ClusterConfig) (*ClusterResult, er
 }
 
 // Telemetry re-exports (experiment E16): the observability plane the
-// cluster engine, the churn driver and the daemons thread their
-// counters, sampled stage timings, heat sketches and hop traces through.
-// Attach a sink via ClusterConfig.Sink or ChurnClusterConfig.Sink (their
-// SinkShape methods produce the matching TelemetryConfig) and read it
-// back with Snapshot.
+// cluster engine and the daemons thread their counters, sampled stage
+// timings, heat sketches and hop traces through. Attach a sink via
+// ClusterConfig.Sink (its SinkShape method produces the matching
+// TelemetryConfig) and read it back with Snapshot.
 type (
 	// TelemetryConfig sizes a telemetry sink (probe shape, sampling
 	// strides, trace ring, heat sketch).

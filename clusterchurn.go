@@ -3,7 +3,6 @@ package rtroute
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +31,6 @@ type ChurnClusterConfig struct {
 	Shards int
 	// Workers is each shard's serving pool size (default 1).
 	Workers int
-	// Placement selects the node partition (default Contiguous).
-	Placement PlacementPolicy
 	// ChurnSeed seeds the event model (independent of Build.Seed).
 	ChurnSeed int64
 	// Batches is the number of churn->repair->certify rounds (default 4).
@@ -61,10 +58,6 @@ type ChurnClusterConfig struct {
 	// comparison with the reference transitively a from-scratch
 	// certification. Costs a full build per batch.
 	Certify bool
-	// Sink, when non-nil, attaches the telemetry plane; its shape must
-	// be Shards x Workers with no injectors (SinkShape) or the run
-	// refuses it. The driver registers churn_cluster_* gauges on it.
-	Sink *TelemetrySink
 	// wrapEndpoint, when non-nil, wraps each shard's transport endpoint
 	// — the test hook the reordering-adversary certification uses to
 	// shuffle deliveries, churn frames included.
@@ -73,18 +66,6 @@ type ChurnClusterConfig struct {
 	// of each batch; an error it returns is that repair's outcome (the
 	// failing-repair test's hook).
 	failRepair func(seq uint64) error
-}
-
-// SinkShape returns the TelemetryConfig matching this run's probes: one
-// row per shard — the churn fabric keeps one serving loop and one epoch
-// fence per shard and does not regroup them — and no injector probes.
-func (cfg ChurnClusterConfig) SinkShape() TelemetryConfig {
-	cfg.fill()
-	ids := make([]int, cfg.Shards)
-	for i := range ids {
-		ids[i] = i
-	}
-	return TelemetryConfig{Shards: ids, Workers: cfg.Workers}
 }
 
 func (cfg *ChurnClusterConfig) fill() {
@@ -128,40 +109,24 @@ type ChurnClusterBatch struct {
 	FireDrops     int64
 	FireMisroutes int64
 	FireNs        int64
-	// RepairNsMean/Max are the shards' fence holds: from asking for the
-	// write fence to releasing it, the rendezvous and the one repair
-	// inside. FenceWaitNsMax is the longest wait for the fence itself
-	// (serving batches draining), part of the hold but not of the repair.
-	RepairNsMean   int64
+	// RepairNsMax is the longest of the shards' fence holds: from asking
+	// for the write fence to releasing it, the rendezvous and the one
+	// repair inside. FenceWaitNsMax is the longest wait for the fence
+	// itself (serving batches draining), part of the hold but not of the
+	// repair.
 	RepairNsMax    int64
 	FenceWaitNsMax int64
-	// RefRepairNs is the reference replica's sequential repair on the
-	// driver thread — inside the fire window, beside the fabric's.
-	RefRepairNs  int64
-	CertifyNs    int64
-	StableIssued int64
-	StableNs     int64
-
-	// Repair anatomy, from the reference replica's MaintainReport: what
-	// the repair of this batch re-derived.
-	RebuiltTables int
-	RebuiltTrees  int
-	PatchedLabels int
-	FullRebuild   bool
+	StableIssued   int64
+	StableNs       int64
 	// RefRepair and FabricRepair are both repairs' full reports, stage
-	// walls and search counts included: the same work, sequential and on
-	// every core.
+	// walls and search counts included: the same work, sequential on the
+	// driver thread inside the fire window, and on every core.
 	RefRepair    MaintainReport
 	FabricRepair MaintainReport
 }
 
 // ChurnClusterResult aggregates one RunChurnCluster experiment (E19).
 type ChurnClusterResult struct {
-	Kind      string
-	Nodes     int
-	Shards    int
-	Workers   int
-	Placement string
 	BatchRows []ChurnClusterBatch
 	// Accounting identity: Issued == Served + Drops + Misroutes, i.e.
 	// zero hung roundtrips. RunChurnCluster fails rather than return a
@@ -172,28 +137,22 @@ type ChurnClusterResult struct {
 	Misroutes int64
 	// Repairs counts the shards' fenced applications (Shards x Batches);
 	// each batch's S applications share one repair of the fabric replica.
-	Repairs      int64
-	RepairNsMean int64
-	RepairNsMax  int64
+	Repairs     int64
+	RepairNsMax int64
 	// FireRTPerSec is serving throughput while repairs run; StableRTPerSec
 	// the post-repair baseline — the during/off-repair pair.
 	FireRTPerSec   float64
 	StableRTPerSec float64
-	CrossShard     int64
 	Certified      bool
-	FromScratch    bool
 	ElapsedNs      int64
-
-	// SuppressedFlaps / DamperReleases are the reference overlay's flap
-	// damper totals: recoveries deferred, and deferred ones released.
-	SuppressedFlaps int64
-	DamperReleases  int64
 }
 
 type ccPair struct{ src, dst int32 }
 
-// ccRun is one RunChurnCluster in flight. Below the wire the process
-// holds two copies of the world: ref, the certification oracle, repaired
+// ccRun is one RunChurnCluster in flight: net, the in-process fabric
+// cluster.Run also serves on, one shard per contiguous partition, and
+// the churn driver around it. Below the wire the process holds two
+// copies of the world: ref, the certification oracle, repaired
 // sequentially on the driver thread over the caller's graph, and fab,
 // the fabric's one replica over a private clone, whose single Deployment
 // every shard's view shares (see repair).
@@ -205,34 +164,21 @@ type ccRun struct {
 	model  *churn.Model
 	place  *cluster.Placement
 	nodeOf []NodeID // name -> node, churn-invariant (the paper's TINNs)
-	shards []*cluster.Shard
-	bus    *cluster.ChanBus
+	net    *cluster.Fabric
 	window *cluster.Window
 	wake   chan struct{}
 
 	issued       int64 // driver-thread only
-	rt           uint64
 	served       atomic.Int64
 	drops        atomic.Int64
 	misroutes    atomic.Int64
 	servedHops   atomic.Int64
 	servedWeight atomic.Int64
 	acks         atomic.Int64
-	dirtyBits    atomic.Uint64 // Float64bits of the last batch's dirty fraction
-	// stageNs is the fabric's last repair by stage, for the gauges.
-	stageNs [len(repairStages)]atomic.Int64
 
-	mu       sync.Mutex
-	firstErr error
-	closed   bool     // abort ran: no repair may start any more
-	meet     *meeting // the rendezvous the next arriving shard joins
-}
-
-// repairStages names MaintainReport's stage walls, in pass order.
-var repairStages = [...]string{"substrate", "orders", "assign", "tables", "patch"}
-
-func stageWalls(rep *MaintainReport) [len(repairStages)]int64 {
-	return [...]int64{rep.SubstrateNs, rep.OrdersNs, rep.AssignNs, rep.TablesNs, rep.PatchNs}
+	mu     sync.Mutex
+	closed bool     // stop ran: no repair may start any more
+	meet   *meeting // the rendezvous the next arriving shard joins
 }
 
 // meeting is one batch's rendezvous of the shards' Repair hooks: done is
@@ -249,7 +195,7 @@ type meeting struct {
 // the shared graph or tables — repairs the fabric replica for all, on
 // every core, while the others wait holding theirs, so the serving read
 // path shares no lock between shards. A repair that has started always
-// finishes before any fence drops; abort fails the meeting still
+// finishes before any fence drops; stop fails the meeting still
 // gathering, so a dead shard cannot strand its peers.
 func (r *ccRun) repair(seq uint64, events []ChurnEvent) error {
 	r.mu.Lock()
@@ -267,9 +213,6 @@ func (r *ccRun) repair(seq uint64, events []ChurnEvent) error {
 		if m.err == nil {
 			m.err = r.fab.Repair(seq, events)
 		}
-		for i, ns := range stageWalls(&r.fab.last) {
-			r.stageNs[i].Store(ns)
-		}
 		close(m.done)
 	}
 	<-m.done
@@ -283,28 +226,20 @@ func (r *ccRun) wakeup() {
 	}
 }
 
-// abort records err (the first one wins; nil records nothing), fails the
-// repair rendezvous still gathering — no repair starts any more — and
-// closes the fabric, which releases the driver and the serving loops.
-func (r *ccRun) abort(err error) {
+// stop fails the repair rendezvous still gathering — no repair starts
+// any more, so no shard waits there for a peer that has stopped — then
+// closes the fabric and joins its serving loops, returning the first
+// shard error.
+func (r *ccRun) stop() error {
 	r.mu.Lock()
-	if r.firstErr == nil && err != nil {
-		r.firstErr = err
-	}
 	if !r.closed {
 		r.closed = true
 		r.meet.err = errors.New("rtroute: fabric closed before every shard reached the repair rendezvous")
 		close(r.meet.done)
 	}
 	r.mu.Unlock()
-	r.bus.Close()
-	r.wakeup()
-}
-
-func (r *ccRun) err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.firstErr
+	r.net.Close()
+	return r.net.Wait()
 }
 
 // RunChurnCluster drives seeded churn through a serving shard fabric.
@@ -324,9 +259,6 @@ func (r *ccRun) err() error {
 // replay on the reference plane exactly.
 func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, error) {
 	cfg.fill()
-	if err := cfg.Sink.CheckShape(cfg.Shards, cfg.Workers, 0); err != nil {
-		return nil, fmt.Errorf("rtroute: churn cluster: %w", err)
-	}
 	n := sys.Graph.N()
 
 	// Reference replica: the certification oracle and sequential-replay
@@ -356,7 +288,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	}
 	refDep := core.NewDeployment(ref.m.Plane(), cfg.Kind)
 	ref.Bind(refDep, nil)
-	place, err := cluster.NewPlacement(refDep, cfg.Shards, cfg.Placement)
+	place, err := cluster.NewPlacement(refDep, cfg.Shards, cluster.Contiguous)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +296,6 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	r := &ccRun{
 		cfg: cfg, n: n,
 		ref: ref, fab: fab, model: model, place: place,
-		bus:    cluster.NewChanBus(cfg.Shards, cfg.InFlight+cfg.Shards),
 		window: cluster.NewWindow(cfg.InFlight),
 		wake:   make(chan struct{}, 1),
 		meet:   &meeting{done: make(chan struct{})},
@@ -381,72 +312,45 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	// view of it and repairs through the shared rendezvous.
 	fabDep := core.NewDeployment(fab.m.Plane(), cfg.Kind)
 	fab.Bind(fabDep, nil)
-	r.shards = make([]*cluster.Shard, cfg.Shards)
-	for i := range r.shards {
-		view, err := fabDep.ShardView(i, place.Owner)
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d view: %w", i, err)
-		}
-		tr := cluster.Transport(r.bus.Endpoint(i))
-		if cfg.wrapEndpoint != nil {
-			tr = cfg.wrapEndpoint(i, tr)
-		}
-		r.shards[i] = cluster.NewShard(view, place, tr, cluster.Options{
-			Workers: cfg.Workers, Strict: true,
-			OnDone: func(f *wire.Frame) {
-				r.servedHops.Add(int64(f.Out.Hops) + int64(f.Back.Hops))
-				r.servedWeight.Add(int64(f.Out.Weight) + int64(f.Back.Weight))
-				r.served.Add(1)
-				r.window.Put(1)
-				r.wakeup()
-			},
-			OnLost: func(f *wire.Frame, reason byte) {
-				if reason == wire.DropMisroute {
-					r.misroutes.Add(1)
-				} else {
-					r.drops.Add(1)
-				}
-				r.window.Put(1)
-				r.wakeup()
-			},
-			Repair: r.repair,
-			OnRepaired: func(seq uint64) {
-				r.acks.Add(1)
-				r.wakeup()
-			},
-			Sink: cfg.Sink, SinkShard: i,
-		})
+	r.net, err = cluster.NewFabric(fabDep, place, r.window, cluster.Options{
+		Workers: cfg.Workers, Strict: true,
+		OnDone: func(f *wire.Frame) {
+			r.servedHops.Add(int64(f.Out.Hops) + int64(f.Back.Hops))
+			r.servedWeight.Add(int64(f.Out.Weight) + int64(f.Back.Weight))
+			r.served.Add(1)
+			r.window.Put(1)
+			r.wakeup()
+		},
+		OnLost: func(f *wire.Frame, reason byte) {
+			if reason == wire.DropMisroute {
+				r.misroutes.Add(1)
+			} else {
+				r.drops.Add(1)
+			}
+			r.window.Put(1)
+			r.wakeup()
+		},
+		Repair: r.repair,
+		OnRepaired: func(seq uint64) {
+			r.acks.Add(1)
+			r.wakeup()
+		},
+	}, cfg.wrapEndpoint)
+	if err != nil {
+		return nil, err
 	}
-	r.registerGauges()
 
 	wl, err := traffic.NewWorkload(cfg.Workload, n, cfg.Build.Seed^cfg.ChurnSeed)
 	if err != nil {
 		return nil, err
 	}
-	gen := wl.Generator(0)
-
-	var wg sync.WaitGroup
-	for _, sh := range r.shards {
-		wg.Add(1)
-		go func(sh *cluster.Shard) {
-			defer wg.Done()
-			if err := sh.Serve(); err != nil {
-				r.abort(err)
-			}
-		}(sh)
-	}
-
-	res := &ChurnClusterResult{
-		Kind: cfg.Kind.String(), Nodes: n, Shards: cfg.Shards, Workers: cfg.Workers,
-		Placement: string(place.Policy), FromScratch: cfg.Certify,
-	}
+	r.net.Start()
+	res := &ChurnClusterResult{}
 	start := time.Now()
-	runErr := r.drive(gen, res)
-	r.abort(nil)
-	wg.Wait()
+	runErr := r.drive(wl.Generator(0), res)
 	// A shard's own failure (a poisoned repair) is the cause; what the
 	// driver saw of it (a closed fabric) is the symptom.
-	if err := r.err(); err != nil {
+	if err := r.stop(); err != nil {
 		runErr = err
 	}
 	if runErr != nil {
@@ -477,47 +381,12 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	if stableNs > 0 {
 		res.StableRTPerSec = float64(stableIssued) / (float64(stableNs) / 1e9)
 	}
-	var repairNanos int64
-	for _, sh := range r.shards {
-		_, _, reps, nanos := sh.ChurnStats()
+	for _, sh := range r.net.Shards() {
+		_, _, reps, _ := sh.ChurnStats()
 		res.Repairs += reps
-		repairNanos += nanos
-		res.CrossShard += sh.Stats().FramesOut
 	}
-	if res.Repairs > 0 {
-		res.RepairNsMean = repairNanos / res.Repairs
-	}
-	ovs := ref.ov.Stats()
-	res.SuppressedFlaps, res.DamperReleases = ovs.SuppressedFlaps, ovs.DamperReleases
 	res.Certified = true
 	return res, nil
-}
-
-func (r *ccRun) registerGauges() {
-	sink := r.cfg.Sink
-	sink.RegisterGauge("churn_cluster_drops_total", func() float64 { return float64(r.drops.Load()) })
-	sink.RegisterGauge("churn_cluster_misroutes_total", func() float64 { return float64(r.misroutes.Load()) })
-	sink.RegisterGauge("churn_cluster_repairs_total", func() float64 { return float64(r.acks.Load()) })
-	sink.RegisterGauge("churn_cluster_dirty_frac", func() float64 { return math.Float64frombits(r.dirtyBits.Load()) })
-	perRepair := func(nanos func(*cluster.Shard) int64) func() float64 {
-		return func() float64 {
-			var count, total int64
-			for _, sh := range r.shards {
-				_, _, c, _ := sh.ChurnStats()
-				count += c
-				total += nanos(sh)
-			}
-			if count == 0 {
-				return 0
-			}
-			return float64(total) / float64(count)
-		}
-	}
-	sink.RegisterGauge("churn_cluster_repair_ns_mean", perRepair(func(sh *cluster.Shard) int64 { _, _, _, ns := sh.ChurnStats(); return ns }))
-	sink.RegisterGauge("churn_cluster_fence_wait_ns_mean", perRepair((*cluster.Shard).FenceWaitNanos))
-	for i, stage := range repairStages {
-		sink.RegisterGauge(fmt.Sprintf("churn_cluster_repair_stage_ns{stage=%q}", stage), func() float64 { return float64(r.stageNs[i].Load()) })
-	}
 }
 
 // drive runs the batch loop: draw events -> fire (serve while the
@@ -540,7 +409,6 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		row.Events = len(events)
 		row.Dirty = len(dirty)
 		row.DirtyFrac = float64(len(dirty)) / float64(r.n)
-		r.dirtyBits.Store(math.Float64bits(row.DirtyFrac))
 
 		// Fire phase: inject a serving window concurrently with the churn
 		// broadcast and the repairs it triggers. Pairs avoid endpoints the
@@ -554,22 +422,18 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		for i := 0; i < r.cfg.Shards; i++ {
 			// Each shard gets its own buffer: the transport owns delivered
 			// bytes (shards recycle them into their frame pools).
-			if err := r.bus.Send(i, wire.AppendChurnFrame(nil, seq, events)); err != nil {
+			if err := r.net.Send(i, wire.AppendChurnFrame(nil, seq, events)); err != nil {
 				<-injected
 				return fmt.Errorf("rtroute: churn broadcast: %w", err)
 			}
 		}
 		// The reference repairs on the driver thread while the fabric
 		// serves under fire.
-		ref0 := time.Now()
 		if err := r.ref.rebuild(dirty); err != nil {
 			<-injected
 			return fmt.Errorf("rtroute: reference repair: %w", err)
 		}
-		row.RefRepairNs = int64(time.Since(ref0))
 		row.RefRepair = r.ref.last
-		row.RebuiltTables, row.RebuiltTrees = r.ref.last.RebuiltTables, r.ref.last.RebuiltTrees
-		row.PatchedLabels, row.FullRebuild = r.ref.last.PatchedLabels, r.ref.last.FullRebuild
 		if err := <-injected; err != nil {
 			return err
 		}
@@ -582,26 +446,22 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		row.FireServed = r.served.Load() - served0
 		row.FireDrops = r.drops.Load() - drops0
 		row.FireMisroutes = r.misroutes.Load() - miss0
-		var repairSum int64
-		for i, sh := range r.shards {
+		for i, sh := range r.net.Shards() {
 			_, _, reps, nanos := sh.ChurnStats()
 			wait := sh.FenceWaitNanos()
 			if reps != prevRepairs[i]+1 {
 				return fmt.Errorf("rtroute: batch %d: shard %d ran %d repairs, expected %d", b, i, reps, prevRepairs[i]+1)
 			}
-			repairSum += nanos - prevNanos[i]
 			row.RepairNsMax = max(row.RepairNsMax, nanos-prevNanos[i])
 			row.FenceWaitNsMax = max(row.FenceWaitNsMax, wait-prevWait[i])
 			prevRepairs[i], prevNanos[i], prevWait[i] = reps, nanos, wait
 		}
-		row.RepairNsMean = repairSum / int64(r.cfg.Shards)
 		row.FabricRepair = r.fab.last
 
 		// Certification: the fabric's plane, repaired on every core, must
 		// be bit-identical node for node to the reference replica's,
 		// repaired on one — and the reference, with Certify, to a
 		// from-scratch build on the mutated graph.
-		cert0 := time.Now()
 		if r.cfg.Certify {
 			if err := r.ref.m.Certify(); err != nil {
 				return fmt.Errorf("rtroute: batch %d: reference vs from-scratch: %w", b, err)
@@ -610,7 +470,6 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		if err := CertifyIdentical(r.fab.m.Plane(), r.ref.m.Plane()); err != nil {
 			return fmt.Errorf("rtroute: batch %d: fabric replica vs reference: %w", b, err)
 		}
-		row.CertifyNs = int64(time.Since(cert0))
 
 		// Stable phase: the repaired fabric serves a quota that must be
 		// drop-free and total-identical to a sequential replay on the
@@ -667,46 +526,33 @@ func (r *ccRun) drawPairs(gen traffic.Generator, count int64) []ccPair {
 }
 
 // issue injects the pairs through the window, grouped per owning shard
-// into batched inject frames — the same discipline cluster.Run's
-// injectors use.
+// into inject batches.
 func (r *ccRun) issue(pairs []ccPair) error {
 	byOwner := make([][]wire.InjectEntry, r.cfg.Shards)
-	idx := 0
-	for idx < len(pairs) {
-		want := len(pairs) - idx
-		if want > 256 {
-			want = 256
-		}
-		got := r.window.Take(want, r.bus.Done())
+	for idx := 0; idx < len(pairs); {
+		got := r.window.Take(min(len(pairs)-idx, 256), r.net.Done())
 		if got == 0 {
-			if err := r.err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("rtroute: cluster closed while injecting")
+			return r.closedErr("injecting")
 		}
-		for k := 0; k < got; k++ {
-			p := pairs[idx]
-			idx++
-			r.rt++
+		for _, p := range pairs[idx : idx+got] {
 			owner := r.place.Shard(r.nodeOf[p.src])
-			byOwner[owner] = append(byOwner[owner], wire.InjectEntry{Src: p.src, Dst: p.dst, Rt: r.rt})
+			byOwner[owner] = append(byOwner[owner], wire.InjectEntry{Src: p.src, Dst: p.dst})
 		}
-		for o := range byOwner {
-			if len(byOwner[o]) == 0 {
-				continue
-			}
-			buf := make([]byte, 0, 32+len(byOwner[o])*21)
-			data := wire.AppendInjectBatch(buf, wire.HomeLocal, 0, byOwner[o])
-			byOwner[o] = byOwner[o][:0]
-			if err := r.bus.Send(o, data); err != nil {
-				if aerr := r.err(); aerr != nil {
-					return aerr
-				}
-				return fmt.Errorf("rtroute: inject: %w", err)
-			}
+		idx += got
+		if err := r.net.Inject(byOwner, got); err != nil {
+			return r.closedErr("injecting")
 		}
 	}
 	return nil
+}
+
+// closedErr is the error for a fabric found closed while the driver was
+// doing what: the shard failure that closed it, when there is one.
+func (r *ccRun) closedErr(what string) error {
+	if err := r.net.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("rtroute: fabric closed while %s", what)
 }
 
 // waitAccounted blocks until every issued roundtrip is accounted —
@@ -722,12 +568,10 @@ func (r *ccRun) waitAccounted(issued, acks int64, what string) error {
 		if got == issued && r.acks.Load() >= acks {
 			return nil
 		}
-		if err := r.err(); err != nil {
-			return err
-		}
 		select {
 		case <-r.wake:
-		case <-time.After(50 * time.Millisecond):
+		case <-r.net.Done():
+			return r.closedErr(what)
 		case <-deadline:
 			return fmt.Errorf("rtroute: %s: hung roundtrips: issued %d, served %d, drops %d, misroutes %d, repair acks %d/%d",
 				what, issued, r.served.Load(), r.drops.Load(), r.misroutes.Load(), r.acks.Load(), acks)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,7 +87,7 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 						if row.Dirty == 0 {
 							t.Fatalf("batch %d: empty dirty set for %d events", row.Batch, row.Events)
 						}
-						if row.RebuiltTables == 0 && row.RebuiltTrees == 0 && row.PatchedLabels == 0 {
+						if rr := row.RefRepair; rr.RebuiltTables == 0 && rr.RebuiltTrees == 0 && rr.PatchedLabels == 0 {
 							t.Fatalf("batch %d: reference repair of %d dirty nodes reports no work", row.Batch, row.Dirty)
 						}
 						if ref, fab := counters(row.RefRepair), counters(row.FabricRepair); !reflect.DeepEqual(ref, fab) {
@@ -260,31 +259,5 @@ func TestClusterChurnRepairFailureSurfaces(t *testing.T) {
 			t.Fatalf("%d goroutines before the run, %d after it returned", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestChurnClusterRefusesMismatchedSink: the churn fabric runs one
-// serving loop per shard and no injector goroutines, so the channel engine's
-// sink shape (one row per fabric worker, plus injectors) does not fit it
-// and must be refused with both shapes named, not half-attached; the
-// driver's own SinkShape fits and every shard publishes through it.
-func TestChurnClusterRefusesMismatchedSink(t *testing.T) {
-	sys := churnSystem(t, 40, 0xE19)
-	cfg := ChurnClusterConfig{
-		Kind: StretchSix, Build: BuildConfig{Seed: 7}, Shards: 4, ChurnSeed: 901,
-		Batches: 1, EventsPerBatch: 2, FirePackets: 200, StablePackets: 200, InFlight: 64,
-	}
-	cfg.Sink = NewTelemetrySink(ClusterConfig{Shards: 4}.SinkShape())
-	if _, err := RunChurnCluster(sys, cfg); err == nil || !strings.Contains(err.Error(), "+ 4 injectors attached to a run of 4 x 1 + 0") {
-		t.Fatalf("RunChurnCluster with the channel engine's sink shape returned %v, want an error naming both shapes", err)
-	}
-	cfg.Sink = NewTelemetrySink(cfg.SinkShape())
-	if _, err := RunChurnCluster(sys, cfg); err != nil {
-		t.Fatalf("RunChurnCluster with its own SinkShape: %v", err)
-	}
-	for _, row := range cfg.Sink.Snapshot().Shards {
-		if row.Batches == 0 {
-			t.Fatalf("shard %d published no batches through a sink of the run's own shape", row.Shard)
-		}
 	}
 }

@@ -125,7 +125,9 @@ func runSizes(nsSpec string, seed int64) error {
 
 // runConnect is the network-client mode: roundtrips are injected into a
 // running rtserve shard cluster and certified totals come back as Done
-// frames — no scheme is built or loaded locally.
+// frames — no scheme is built or loaded locally. A cluster repairing
+// under churn may drop a roundtrip instead; drops are counted by reason
+// and kept out of the hop and weight totals.
 func runConnect(addr string, src, dst int32, pairs, window int, seed int64, trace string) error {
 	cl, err := cluster.DialClient(addr)
 	if err != nil {
@@ -137,52 +139,63 @@ func runConnect(addr string, src, dst int32, pairs, window int, seed int64, trac
 		return fmt.Errorf("cluster info from %s: %w", addr, err)
 	}
 	fmt.Printf("connected to %s: scheme %s, n=%d, %d shards\n", addr, kind, n, shards)
+	var ps []cluster.Pair
 	if pairs <= 0 {
 		if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 || src == dst {
 			return fmt.Errorf("names must be distinct and in [0,%d)", n)
 		}
-		out, back, err := cl.Roundtrip(src, dst)
-		if err != nil {
-			return err
+		// One pair: the inject carries roundtrip tag 1, the tag -trace
+		// fetches.
+		ps, window = []cluster.Pair{{Src: src, Dst: dst}}, 1
+	} else {
+		if n < 2 {
+			return fmt.Errorf("cluster serves %d node(s); -pairs needs at least 2", n)
 		}
-		fmt.Printf("roundtrip %d -> %d -> %d\n", src, dst, src)
-		fmt.Printf("  routed weight:  %d (out %d + back %d)\n", out.Weight+back.Weight, out.Weight, back.Weight)
-		fmt.Printf("  hops:           %d (out %d + back %d)\n", out.Hops+back.Hops, out.Hops, back.Hops)
-		fmt.Printf("  max header:     %d words\n", max(out.MaxHeaderWords, back.MaxHeaderWords))
-		if trace != "" {
-			return fetchTrace(trace)
+		rng := rand.New(rand.NewSource(seed))
+		ps = make([]cluster.Pair, pairs)
+		for i := range ps {
+			s := int32(rng.Intn(n))
+			d := int32(rng.Intn(n - 1))
+			if d >= s {
+				d++
+			}
+			ps[i] = cluster.Pair{Src: s, Dst: d}
 		}
-		return nil
 	}
-	if n < 2 {
-		return fmt.Errorf("cluster serves %d node(s); -pairs needs at least 2", n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ps := make([]cluster.Pair, pairs)
-	for i := range ps {
-		s := int32(rng.Intn(n))
-		d := int32(rng.Intn(n - 1))
-		if d >= s {
-			d++
-		}
-		ps[i] = cluster.Pair{Src: s, Dst: d}
-	}
+	var drops [3]int // by wire drop reason, which the decoder bounds
+	cl.OnDrop = func(_ int, reason byte) error { drops[reason]++; return nil }
 	var hops, weight int64
+	var out, back wire.LegTotals
 	start := time.Now()
-	err = cl.Roundtrips(ps, window, func(i int, out, back wire.LegTotals) error {
-		hops += int64(out.Hops) + int64(back.Hops)
-		weight += int64(out.Weight) + int64(back.Weight)
+	err = cl.Roundtrips(ps, window, func(_ int, o, b wire.LegTotals) error {
+		out, back = o, b
+		hops += int64(o.Hops) + int64(b.Hops)
+		weight += int64(o.Weight) + int64(b.Weight)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("%d roundtrips over the cluster: %d hops, total weight %d\n", pairs, hops, weight)
-	if window > 1 {
-		fmt.Printf("%.0f roundtrips/s (window %d in flight)\n", float64(pairs)/elapsed.Seconds(), window)
-	} else {
-		fmt.Printf("%.0f roundtrips/s (single synchronous client)\n", float64(pairs)/elapsed.Seconds())
+	unroutable, misrouted := drops[wire.DropUnroutable], drops[wire.DropMisroute]
+	served := len(ps) - unroutable - misrouted
+	if served < len(ps) {
+		fmt.Printf("%d of %d roundtrips dropped while the cluster repairs: unroutable %d, misrouted %d\n",
+			len(ps)-served, len(ps), unroutable, misrouted)
+	}
+	switch {
+	case pairs > 0:
+		fmt.Printf("%d roundtrips over the cluster: %d hops, total weight %d\n", served, hops, weight)
+		if window > 1 {
+			fmt.Printf("%.0f roundtrips/s (window %d in flight)\n", float64(pairs)/elapsed.Seconds(), window)
+		} else {
+			fmt.Printf("%.0f roundtrips/s (single synchronous client)\n", float64(pairs)/elapsed.Seconds())
+		}
+	case served == 1:
+		fmt.Printf("roundtrip %d -> %d -> %d\n", src, dst, src)
+		fmt.Printf("  routed weight:  %d (out %d + back %d)\n", out.Weight+back.Weight, out.Weight, back.Weight)
+		fmt.Printf("  hops:           %d (out %d + back %d)\n", out.Hops+back.Hops, out.Hops, back.Hops)
+		fmt.Printf("  max header:     %d words\n", max(out.MaxHeaderWords, back.MaxHeaderWords))
 	}
 	if trace != "" {
 		return fetchTrace(trace)

@@ -127,7 +127,7 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if out, back, err := cl.Roundtrip(src, dst); err != nil {
+	if out, back, err := roundtrip(cl, src, dst); err != nil {
 		t.Fatalf("warmup roundtrip: %v", err)
 	} else if int(out.Hops) != want.Out.Hops || int(back.Hops) != want.Back.Hops {
 		t.Fatalf("warmup roundtrip hops (%d,%d), tracer (%d,%d)", out.Hops, back.Hops, want.Out.Hops, want.Back.Hops)
@@ -153,7 +153,7 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 	defer cl2.Close()
 	probe := make(chan error, 1)
 	go func() {
-		_, _, err := cl2.Roundtrip(src, dst)
+		_, _, err := roundtrip(cl2, src, dst)
 		probe <- err
 	}()
 	select {
@@ -191,7 +191,7 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 	}
 
 	// The survivor keeps serving local traffic with its only peer dead.
-	if out, back, err := cl.Roundtrip(src, dst); err != nil {
+	if out, back, err := roundtrip(cl, src, dst); err != nil {
 		t.Fatalf("roundtrip after peer death: %v", err)
 	} else if int(out.Hops) != want.Out.Hops || out.Weight != want.Out.Weight ||
 		int(back.Hops) != want.Back.Hops || back.Weight != want.Back.Weight {
@@ -294,7 +294,7 @@ func TestTCPHostileChurnFrames(t *testing.T) {
 		if err := (&tcpConn{c: cl.conn}).writeFrame(wire.AppendChurnFrame(nil, 1, hostile.events)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cl.Roundtrip(2, 9); err != nil {
+		if _, _, err := roundtrip(cl, 2, 9); err != nil {
 			t.Fatalf("roundtrip after %s: %v", hostile.name, err)
 		}
 		for deadline := time.Now().Add(5 * time.Second); errorsCounted() == before && time.Now().Before(deadline); {
@@ -316,4 +316,13 @@ func TestTCPHostileChurnFrames(t *testing.T) {
 	if w, _ := ov.G.EdgeWeight(u, v); repaired.Load() != 1 || w != 5 {
 		t.Fatalf("valid batch: %d repairs, (%d,%d) weighs %d, want 1 and 5", repaired.Load(), u, v, w)
 	}
+}
+
+// roundtrip routes one pair through the client and returns its totals.
+func roundtrip(cl *Client, src, dst int32) (out, back wire.LegTotals, err error) {
+	err = cl.Roundtrips([]Pair{{Src: src, Dst: dst}}, 1, func(_ int, o, b wire.LegTotals) error {
+		out, back = o, b
+		return nil
+	})
+	return out, back, err
 }

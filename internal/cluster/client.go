@@ -94,29 +94,6 @@ func (c *Client) Info() (kind core.Kind, nodes, shards int, err error) {
 	return f.SchemeKind, int(f.Nodes), int(f.Shards), nil
 }
 
-// Roundtrip routes one roundtrip srcName -> dstName -> srcName through
-// the cluster and returns both legs' totals. The inject carries
-// roundtrip tag 1 — the tag a single in-flight roundtrip would get from
-// Roundtrips — so a daemon running with trace sampling records it in
-// the flight recorder (the predicate admits rt%every == 1).
-func (c *Client) Roundtrip(srcName, dstName int32) (out, back wire.LegTotals, err error) {
-	err = c.send(&wire.Frame{
-		Kind: wire.FrameInject, SrcName: srcName, DstName: dstName, Home: wire.HomeClient, Rt: 1,
-	})
-	if err != nil {
-		return out, back, err
-	}
-	var f wire.Frame
-	if err := c.recv(wire.FrameDone, &f); err != nil {
-		return out, back, err
-	}
-	if f.SrcName != srcName || f.DstName != dstName {
-		return out, back, fmt.Errorf("cluster: completion for (%d,%d), expected (%d,%d)",
-			f.SrcName, f.DstName, srcName, dstName)
-	}
-	return f.Out, f.Back, nil
-}
-
 // Pair is one requested roundtrip src -> dst -> src.
 type Pair struct {
 	Src, Dst int32

@@ -239,60 +239,27 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Mailbox capacity = InFlight: every live roundtrip occupies at
-	// most one queued frame anywhere (a batched inject of k roundtrips
-	// is one message, strictly fewer), so sends can never cycle-wait.
-	bus := NewChanBus(fabric, inFlight)
 	remaining := cfg.Packets
 	window := NewWindow(inFlight)
 	cfg.Sink.RegisterGauge("window_size", func() float64 { return float64(window.Size()) })
 	cfg.Sink.RegisterGauge("window_occupancy", window.Occupancy)
-	onDone := func(*wire.Frame) {
-		window.Put(1)
-		if atomic.AddInt64(&remaining, -1) == 0 {
-			bus.Close()
-		}
-	}
-	ss := make([]*Shard, fabric)
-	for i := range ss {
-		view, err := dep.ShardView(i, place.Owner)
-		if err != nil {
-			return nil, err
-		}
-		tr := Transport(bus.Endpoint(i))
-		if cfg.wrapEndpoint != nil {
-			tr = cfg.wrapEndpoint(i, tr)
-		}
-		ss[i] = NewShard(view, place, tr, Options{
-			Workers: workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
-			Strict: true, OnDone: onDone,
-			Sink: cfg.Sink, SinkShard: i,
-		})
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	abort := func(err error) {
-		mu.Lock()
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		bus.Close()
+	var fab *Fabric
+	fab, err = NewFabric(dep, place, window, Options{
+		Workers: workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops, Strict: true,
+		OnDone: func(*wire.Frame) {
+			window.Put(1)
+			if atomic.AddInt64(&remaining, -1) == 0 {
+				fab.Close()
+			}
+		},
+		Sink: cfg.Sink,
+	}, cfg.wrapEndpoint)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	for _, sh := range ss {
-		wg.Add(1)
-		go func(sh *Shard) {
-			defer wg.Done()
-			if err := sh.Serve(); err != nil {
-				abort(err)
-			}
-		}(sh)
-	}
+	fab.Start()
+	var wg sync.WaitGroup
 	quotas := traffic.SplitQuota(cfg.Packets, injectors)
 	sample := cfg.Oracle != nil
 	// Roundtrip tags cost frame bytes, so injects are tagged only when
@@ -342,9 +309,9 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 					want = int(rem)
 				}
 				t := ip.BatchStart(0)
-				n := window.Take(want, bus.Done())
+				n := window.Take(want, fab.Done())
 				for 0 < n && n < min(floor, want) {
-					more := window.Take(want-n, bus.Done())
+					more := window.Take(want-n, fab.Done())
 					if more == 0 {
 						return // run aborted under us
 					}
@@ -373,23 +340,9 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 				}
 				sent += int64(n)
 				t = ip.Lap(telemetry.StageInject, t)
-				// The shard owns a batch's buffer after Send (it recycles it
-				// into its frame pool), so each burst cuts fresh ones: one
-				// allocation sized upfront, carved into a disjoint
-				// full-capacity piece per owner.
-				backing := make([]byte, 32*fabric+21*n)
-				*allocs++
-				for o := range byOwner {
-					if len(byOwner[o]) == 0 {
-						continue
-					}
-					size := 32 + 21*len(byOwner[o])
-					data := wire.AppendInjectBatch(backing[:0:size], wire.HomeLocal, 0, byOwner[o])
-					backing = backing[size:]
-					byOwner[o] = byOwner[o][:0]
-					if err := bus.Send(o, data); err != nil {
-						return // bus closed: run aborted under us
-					}
+				*allocs++ // Inject's one backing buffer
+				if err := fab.Inject(byOwner, n); err != nil {
+					return // fabric closed: run aborted under us
 				}
 				ip.Lap(telemetry.StageSend, t)
 				if ip != nil {
@@ -399,9 +352,10 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 		}(i, quotas[i])
 	}
 	wg.Wait()
+	err = fab.Wait()
 	elapsed := time.Since(start)
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	if left := atomic.LoadInt64(&remaining); left != 0 {
 		return nil, fmt.Errorf("cluster: run stopped with %d roundtrips unserved", left)
@@ -418,7 +372,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 		res.TrackedAllocs += a
 	}
 	var samples []traffic.Sample
-	for i, sh := range ss {
+	for i, sh := range fab.Shards() {
 		st := sh.Stats()
 		res.PerShard[i] = st
 		res.Packets += st.Packets
@@ -436,4 +390,105 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 		res.Sampled = len(samples)
 	}
 	return res, nil
+}
+
+// Fabric is the in-process serving lifecycle Run and the churn driver
+// share: one Shard per placement partition over a channel bus, each
+// serving on its own goroutine, the first shard error closing the bus
+// for all, and injects shipped per owning shard as inject batches.
+type Fabric struct {
+	shards []*Shard
+	bus    *ChanBus
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	err    error
+}
+
+// NewFabric assembles place's shards over dep with opts (SinkShard set
+// per shard), each endpoint wrapped by wrap when non-nil — the delivery
+// adversary's test hook. A mailbox holds the window plus one batch per
+// shard: every live roundtrip occupies at most one queued frame (a
+// batched inject of k roundtrips is one message), a churn broadcast one
+// more per shard, so sends can never cycle-wait.
+func NewFabric(dep *core.Deployment, place *Placement, window *Window, opts Options, wrap func(shard int, tr Transport) Transport) (*Fabric, error) {
+	f := &Fabric{shards: make([]*Shard, place.Shards), bus: NewChanBus(place.Shards, window.Size()+place.Shards)}
+	for i := range f.shards {
+		view, err := dep.ShardView(i, place.Owner)
+		if err != nil {
+			return nil, err
+		}
+		tr := Transport(f.bus.Endpoint(i))
+		if wrap != nil {
+			tr = wrap(i, tr)
+		}
+		opts.SinkShard = i
+		f.shards[i] = NewShard(view, place, tr, opts)
+	}
+	return f, nil
+}
+
+// Start serves every shard on its own goroutine.
+func (f *Fabric) Start() {
+	for _, sh := range f.shards {
+		f.wg.Add(1)
+		go func(sh *Shard) {
+			defer f.wg.Done()
+			if err := sh.Serve(); err != nil {
+				f.mu.Lock()
+				if f.err == nil {
+					f.err = err
+				}
+				f.mu.Unlock()
+				f.Close()
+			}
+		}(sh)
+	}
+}
+
+// Close shuts the bus, stopping every shard and every Send, Inject or
+// Take on Done.
+func (f *Fabric) Close() { f.bus.Close() }
+
+// Done is closed once the fabric is.
+func (f *Fabric) Done() <-chan struct{} { return f.bus.Done() }
+
+// Err returns the first shard error so far.
+func (f *Fabric) Err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+// Wait joins the shards, which return once the fabric is closed, and
+// returns the first shard error.
+func (f *Fabric) Wait() error {
+	f.wg.Wait()
+	return f.Err()
+}
+
+// Shards returns the shards, indexed by partition.
+func (f *Fabric) Shards() []*Shard { return f.shards }
+
+// Send hands data to shard to's mailbox; the shard owns it from then on.
+func (f *Fabric) Send(to int, data []byte) error { return f.bus.Send(to, data) }
+
+// Inject sends each owner's entries, n in all, as one inject batch and
+// empties the accumulations. The shards own what they receive, so every
+// call cuts one fresh backing buffer, carved into a disjoint
+// full-capacity piece per owner.
+func (f *Fabric) Inject(byOwner [][]wire.InjectEntry, n int) error {
+	backing := make([]byte, 32*len(byOwner)+21*n)
+	for o := range byOwner {
+		if len(byOwner[o]) == 0 {
+			continue
+		}
+		size := 32 + 21*len(byOwner[o])
+		data := wire.AppendInjectBatch(backing[:0:size], wire.HomeLocal, 0, byOwner[o])
+		backing = backing[size:]
+		byOwner[o] = byOwner[o][:0]
+		if err := f.bus.Send(o, data); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
@@ -411,5 +414,57 @@ func TestShardViewRefusesForeignForward(t *testing.T) {
 	}
 	if _, err := dep.ShardView(99, p.Owner); err == nil {
 		t.Fatal("empty shard view accepted")
+	}
+}
+
+// failingEndpoint fails its third Recv: a shard transport dying mid-run.
+type failingEndpoint struct {
+	Transport
+	calls atomic.Int32
+	err   error
+}
+
+func (f *failingEndpoint) Recv() ([]InFrame, error) {
+	if f.calls.Add(1) == 3 {
+		return nil, f.err
+	}
+	return f.Transport.Recv()
+}
+
+// TestRunSurfacesShardError: when one shard's transport fails mid-run,
+// Run must return that error promptly — the failed worker stops its
+// shard's pool, the fabric's first error closes the bus for every shard
+// and injector — with every goroutine it started joined.
+func TestRunSurfacesShardError(t *testing.T) {
+	deps, _ := testDeployments(t, 64, 7)
+	boom := errors.New("injected transport failure")
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(deps["stretch6"], Config{
+			Shards: 8, Workers: 2, Packets: 1 << 22, Seed: 3, InFlight: 64,
+			fabricWorkers: 2,
+			wrapEndpoint: func(shard int, tr Transport) Transport {
+				if shard == 1 {
+					return &failingEndpoint{Transport: tr, err: boom}
+				}
+				return tr
+			},
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, boom) {
+			t.Fatalf("Run returned %v, want the injected transport failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Run still serving 5 s after a shard's transport failed")
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines before the run, %d after it returned", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -342,7 +342,7 @@ func TestTCPMetricsEndpoint(t *testing.T) {
 	}
 	defer cl.Close()
 	for src := int32(0); src < 32; src += 3 {
-		if _, _, err := cl.Roundtrip(src, (src+7)%32); err != nil {
+		if _, _, err := roundtrip(cl, src, (src+7)%32); err != nil {
 			t.Fatalf("roundtrip %d: %v", src, err)
 		}
 	}

@@ -357,8 +357,9 @@ func (s *Shard) hists(hop, hdr *eval.Hist, samples *[]traffic.Sample) {
 
 // Serve pumps the shard's mailbox with its worker pool until the
 // transport closes, then returns the first worker error (nil on clean
-// shutdown). This is the daemon loop rtserve runs and the body the
-// in-process engine spawns per shard.
+// shutdown). A failed worker closes the transport, so the pool stops
+// with it instead of serving on without it. This is the daemon loop
+// rtserve runs and the body the in-process fabric spawns per shard.
 func (s *Shard) Serve() error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(s.workers))
@@ -366,7 +367,9 @@ func (s *Shard) Serve() error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = s.worker(w)
+			if errs[w] = s.worker(w); errs[w] != nil {
+				s.tr.Close()
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -837,15 +840,14 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Flight, prev []byte, fs wire.FlightState, t int64) (retained bool, tOut int64, err error) {
 	traced := st.p.Traced(f.Rt)
 	for {
-		var delivered bool
-		if traced && st.hook != nil {
-			// The hooked runner records every hop; trRt/trRet feed the
-			// hook without a per-packet closure.
-			st.trRt, st.trRet = f.Rt, f.Return
-			delivered, err = s.seg.FlyHooked(h, &fl, st.hook)
-		} else {
-			delivered, err = s.seg.Fly(h, &fl)
+		var hook sim.HopHook
+		if traced {
+			// The hook records every hop; trRt/trRet feed it without a
+			// per-packet closure.
+			st.trRt, st.trRet, hook = f.Rt, f.Return, st.hook
 		}
+		var delivered bool
+		delivered, err = s.seg.FlyHooked(h, &fl, hook)
 		if err != nil {
 			if s.armed {
 				// Under convergence a forwarding failure is an expected

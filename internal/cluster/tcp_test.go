@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"rtroute/internal/sim"
+	"rtroute/internal/telemetry"
 	"rtroute/internal/wire"
 )
 
@@ -113,10 +117,27 @@ func TestTCPLoopback(t *testing.T) {
 	deps, _ := testDeployments(t, 32, 9)
 	dep := deps["stretch6"]
 	const shards = 2
-	c := startTCPShards(t, dep, shards, func(int) Options { return Options{Workers: 2} }, nil)
+	// Shard 0's errors are read off a sink: workers publish at batch
+	// boundaries, so the reading is race-free while they serve, and the
+	// worker that drops a bad frame need not be the one that answers the
+	// next roundtrip, so the count is awaited.
+	sink := telemetry.New(telemetry.Config{Shards: []int{0}, Workers: 2})
+	errorsAfter := func(before int64) int64 {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if got := sink.Snapshot().Totals.Errors; got != before {
+				return got
+			}
+		}
+		return before
+	}
+	c := startTCPShards(t, dep, shards, func(i int) Options {
+		if i == 0 {
+			return Options{Workers: 2, Sink: sink}
+		}
+		return Options{Workers: 2}
+	}, nil)
 	c.serve(t)
 	defer c.stop()
-	ss := c.shards
 
 	cl := c.dial(t)
 	defer cl.Close()
@@ -134,7 +155,7 @@ func TestTCPLoopback(t *testing.T) {
 	served := 0
 	for src := int32(0); src < 32; src += 3 {
 		dst := (src + 7) % 32
-		out, back, err := cl.Roundtrip(src, dst)
+		out, back, err := roundtrip(cl, src, dst)
 		if err != nil {
 			t.Fatalf("roundtrip %d->%d: %v", src, dst, err)
 		}
@@ -164,10 +185,10 @@ func TestTCPLoopback(t *testing.T) {
 	if err := (&tcpConn{c: cl.conn}).writeFrame([]byte("not a frame")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Roundtrip(1, 2); err != nil {
+	if _, _, err := roundtrip(cl, 1, 2); err != nil {
 		t.Fatalf("roundtrip after garbage frame: %v", err)
 	}
-	if st := ss[0].Stats(); st.Errors == 0 {
+	if errorsAfter(0) == 0 {
 		t.Fatal("garbage frame was not counted as an error")
 	}
 
@@ -203,14 +224,14 @@ func TestTCPLoopback(t *testing.T) {
 		name string
 		data []byte
 	}{{"flight frame at node -7", badAt}, {"flight frame with negative hops", negHops}, {"retired kind-1 frame", retired}} {
-		before := ss[0].Stats().Errors
+		before := sink.Snapshot().Totals.Errors
 		if err := (&tcpConn{c: cl.conn}).writeFrame(hostile.data); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cl.Roundtrip(2, 9); err != nil {
+		if _, _, err := roundtrip(cl, 2, 9); err != nil {
 			t.Fatalf("roundtrip after %s: %v", hostile.name, err)
 		}
-		if got := ss[0].Stats().Errors; got != before+1 {
+		if got := errorsAfter(before); got != before+1 {
 			t.Fatalf("%s: errors %d -> %d, want one more", hostile.name, before, got)
 		}
 	}
@@ -339,5 +360,86 @@ func TestTCPPeerFlapMidBatch(t *testing.T) {
 	}
 	if downs, _ := trA.LinkStats(); downs < 1 {
 		t.Fatalf("LinkStats peerDowns = %d after mid-batch flap, want >= 1", downs)
+	}
+}
+
+// TestClientAccountsDrops: a cluster repairing under churn may answer a
+// roundtrip with a FrameDrop instead of a FrameDone. Roundtrips hands it
+// to OnDrop once, by pair index, and keeps it out of each; with no
+// OnDrop it fails, naming the roundtrip.
+func TestClientAccountsDrops(t *testing.T) {
+	pairs := []Pair{{Src: 3, Dst: 5}, {Src: 4, Dst: 6}}
+	// serve is the daemon's half of the conn: it reads the one inject
+	// batch and answers roundtrip 1 with a drop, roundtrip 2 with its
+	// totals, in one write.
+	serve := func(c net.Conn, errc chan<- error) {
+		defer c.Close()
+		data, err := readFrame(bufio.NewReader(c), nil)
+		if err != nil {
+			errc <- err
+			return
+		}
+		var f wire.Frame
+		var rts []uint64
+		if err := wire.ForEachInject(data, &f, func(f *wire.Frame) error { rts = append(rts, f.Rt); return nil }); err != nil {
+			errc <- err
+			return
+		}
+		if len(rts) != 2 || rts[0] != 1 || rts[1] != 2 {
+			errc <- fmt.Errorf("inject batch carries roundtrips %v, want [1 2]", rts)
+			return
+		}
+		var out []byte
+		for _, f := range []wire.Frame{
+			{Kind: wire.FrameDrop, SrcName: 3, DstName: 5, Rt: 1, Reason: wire.DropUnroutable},
+			{Kind: wire.FrameDone, SrcName: 4, DstName: 6, Rt: 2, Out: wire.LegTotals{Hops: 2, Weight: 7}, Back: wire.LegTotals{Hops: 3, Weight: 9}},
+		} {
+			b, err := wire.AppendFrame(nil, &f)
+			if err != nil {
+				errc <- err
+				return
+			}
+			out = appendFrame(out, b)
+		}
+		_, err = c.Write(out)
+		errc <- err
+	}
+	dial := func() (*Client, chan error) {
+		client, server := net.Pipe()
+		errc := make(chan error, 1)
+		go serve(server, errc)
+		return &Client{conn: client, tc: &tcpConn{c: client}, rd: bufio.NewReader(client)}, errc
+	}
+
+	cl, errc := dial()
+	var drops, done []int
+	cl.OnDrop = func(i int, reason byte) error {
+		if reason != wire.DropUnroutable {
+			t.Errorf("OnDrop(%d) with reason %d, want %d", i, reason, wire.DropUnroutable)
+		}
+		drops = append(drops, i)
+		return nil
+	}
+	err := cl.Roundtrips(pairs, 2, func(i int, out, back wire.LegTotals) error {
+		if out.Weight+back.Weight != 16 {
+			t.Errorf("pair %d: weight %d, want 16", i, out.Weight+back.Weight)
+		}
+		done = append(done, i)
+		return nil
+	})
+	cl.Close()
+	if err != nil || <-errc != nil {
+		t.Fatalf("Roundtrips with OnDrop: %v", err)
+	}
+	if len(drops) != 1 || drops[0] != 0 || len(done) != 1 || done[0] != 1 {
+		t.Fatalf("OnDrop got %v and each got %v, want [0] and [1]", drops, done)
+	}
+
+	cl, errc = dial()
+	err = cl.Roundtrips(pairs, 2, nil)
+	cl.Close()
+	<-errc
+	if err == nil || !strings.Contains(err.Error(), "roundtrip 1 dropped") {
+		t.Fatalf("Roundtrips without OnDrop returned %v, want an error naming roundtrip 1", err)
 	}
 }

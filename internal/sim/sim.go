@@ -222,41 +222,7 @@ func NewSegmentRunner(g *graph.Graph, f Forwarder, maxHops int, own func(graph.N
 
 // Fly advances one segment.
 func (r *SegmentRunner) Fly(h Header, fl *Flight) (delivered bool, err error) {
-	fixed := false
-	if fs, ok := h.(FixedSizeHeader); ok {
-		fixed = fs.FixedWords()
-	}
-	cur := fl.Last
-	for {
-		if !r.own(cur) {
-			return false, nil
-		}
-		port, delivered, err := r.f.Forward(cur, h)
-		if err != nil {
-			return false, fmt.Errorf("sim: forwarding at node %d (hop %d): %w", cur, fl.Hops, err)
-		}
-		if !fixed {
-			if w := h.Words(); w > fl.MaxHeaderWords {
-				fl.MaxHeaderWords = w
-			}
-		}
-		if delivered {
-			return true, nil
-		}
-		e, ok := r.ports.EdgeByPort(cur, port)
-		if !ok {
-			return false, fmt.Errorf("sim: node %d has no out-port %d", cur, port)
-		}
-		if e.Weight >= graph.DownWeight {
-			return false, &UnroutableError{At: cur, To: e.To, Hops: fl.Hops}
-		}
-		fl.Weight += e.Weight
-		cur = e.To
-		fl.Last = cur
-		if fl.Hops++; fl.Hops > r.maxHops {
-			return false, fmt.Errorf("sim: hop budget %d exhausted (likely routing loop) at node %d", r.maxHops, cur)
-		}
-	}
+	return r.FlyHooked(h, fl, nil)
 }
 
 // HopHook observes one forwarded hop of a traced packet: the node
@@ -266,11 +232,9 @@ func (r *SegmentRunner) Fly(h Header, fl *Flight) (delivered bool, err error) {
 // intended consumer.
 type HopHook func(at graph.NodeID, hops int, weight graph.Dist)
 
-// FlyHooked advances one segment exactly as Fly does, invoking hook
-// after every forwarded hop. It is a separate loop so the untraced Fly
-// — the overwhelmingly common case — carries no hook test per hop; the
-// cluster engine selects FlyHooked only for roundtrips armed by the
-// trace sampler.
+// FlyHooked advances one segment exactly as Fly does, invoking hook,
+// when non-nil, after every forwarded hop; the cluster engine passes one
+// only for roundtrips armed by the trace sampler.
 func (r *SegmentRunner) FlyHooked(h Header, fl *Flight, hook HopHook) (delivered bool, err error) {
 	fixed := false
 	if fs, ok := h.(FixedSizeHeader); ok {
@@ -306,7 +270,9 @@ func (r *SegmentRunner) FlyHooked(h Header, fl *Flight, hook HopHook) (delivered
 		if fl.Hops++; fl.Hops > r.maxHops {
 			return false, fmt.Errorf("sim: hop budget %d exhausted (likely routing loop) at node %d", r.maxHops, cur)
 		}
-		hook(cur, fl.Hops, fl.Weight)
+		if hook != nil {
+			hook(cur, fl.Hops, fl.Weight)
+		}
 	}
 }
 
