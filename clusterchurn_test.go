@@ -87,7 +87,7 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 						if row.Dirty == 0 {
 							t.Fatalf("batch %d: empty dirty set for %d events", row.Batch, row.Events)
 						}
-						if rr := row.RefRepair; rr.RebuiltTables == 0 && rr.RebuiltTrees == 0 && rr.PatchedLabels == 0 {
+						if rr := row.RefRepair; rr.RebuiltTables == 0 && rr.RebuiltTrees == 0 && rr.ChangedLabels == 0 {
 							t.Fatalf("batch %d: reference repair of %d dirty nodes reports no work", row.Batch, row.Dirty)
 						}
 						if ref, fab := counters(row.RefRepair), counters(row.FabricRepair); !reflect.DeepEqual(ref, fab) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"rtroute/internal/bitset"
 	"rtroute/internal/blocks"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
@@ -224,13 +225,11 @@ func (s *StretchSix) local(v graph.NodeID) LocalState {
 		BlockHolder:     append([]int32(nil), t.blockHolder...),
 		NeighborEntries: int32(t.neighborEntries),
 		Tab3:            rtzTableLocal(t.tab3),
+		Entries:         make([]S6Entry, 0, t.dict.Count()),
 	}
-	names := sortedKeys(&t.lbl)
-	loc.Entries = make([]S6Entry, len(names))
-	for i, nm := range names {
-		l, _ := t.lbl.Get(nm)
-		loc.Entries[i] = S6Entry{Name: nm, Label: l}
-	}
+	t.dict.ForEach(func(nm int) {
+		loc.Entries = append(loc.Entries, S6Entry{Name: int32(nm), Label: s.labels[nm]})
+	})
 	return LocalState{Node: v, S6: loc}
 }
 
@@ -424,9 +423,14 @@ func assembleRTZTable(self graph.NodeID, loc *RTZTableLocal, centers int) (*rtz.
 	return t, nil
 }
 
+// assembleS6 interns every section's dictionary labels into the plane's
+// one store, so a name's address must be the same in every section that
+// holds it: the store could not give a disagreeing section back.
 func assembleS6(st *SchemeState, perm *names.Permutation, each eachNode) (Scheme, error) {
-	uni := blocks.NewUniverse(st.Graph.N(), 2)
-	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, st.Graph.N())}
+	n := st.Graph.N()
+	uni := blocks.NewUniverse(n, 2)
+	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, n), labels: make([]rtz.Label, n)}
+	interned := bitset.New(n)
 	centers := -1
 	return s, each(func(v graph.NodeID, ls *LocalState) error {
 		loc := ls.S6
@@ -442,14 +446,27 @@ func assembleS6(st *SchemeState, perm *names.Permutation, each eachNode) (Scheme
 			return err
 		}
 		centers = len(tab3.InPorts)
-		name := func(i int) int32 { return loc.Entries[i].Name }
-		if !ascending(len(loc.Entries), name) {
+		if !ascending(len(loc.Entries), func(i int) int32 { return loc.Entries[i].Name }) {
 			return fmt.Errorf("core: assemble: node %d dictionary names not strictly ascending", v)
+		}
+		dict := *bitset.New(n)
+		for _, e := range loc.Entries {
+			nm := int(e.Name)
+			switch {
+			case nm >= n:
+				return fmt.Errorf("core: assemble: node %d: dictionary name %d outside [0,%d)", v, nm, n)
+			case !interned.Has(nm):
+				s.labels[nm] = e.Label
+				interned.Add(nm)
+			case !s.labels[nm].Equal(e.Label):
+				return fmt.Errorf("core: assemble: node %d: address of name %d differs from an earlier node's", v, nm)
+			}
+			dict.Add(nm)
 		}
 		s.nodes[v] = &s6Table{
 			selfName:        loc.SelfName,
 			ownLabel:        loc.OwnLabel,
-			lbl:             sealed.CompileFunc(len(loc.Entries), name, func(i int) rtz.Label { return loc.Entries[i].Label }),
+			dict:            dict,
 			blockHolder:     loc.BlockHolder,
 			tab3:            tab3,
 			neighborEntries: int(loc.NeighborEntries),

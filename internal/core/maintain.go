@@ -27,11 +27,10 @@ type MaintainReport struct {
 	// (rtz.MaintainReport).
 	RebuiltTrees    int
 	RebuiltClusters int
-	// PatchedLabels counts the stale R3 copies a pass rewrote: entries
-	// of clean nodes' dictionaries whose name's address changed, copied
-	// into the new tables those nodes get (no solver runs), plus, for
-	// RTZStretch3, the changed addresses themselves.
-	PatchedLabels int
+	// ChangedLabels counts the substrate addresses R3 the pass changed,
+	// each written once: into StretchSix's label store, which every
+	// dictionary holding the name reads, or RTZStretch3's own directory.
+	ChangedLabels int
 	// RebuiltTables counts per-node scheme tables rebuilt outright.
 	RebuiltTables int
 	// FullRebuild is set when the maintainer had to fall back to
@@ -55,8 +54,8 @@ type MaintainReport struct {
 	// over the workers that ran them, a share of SubstrateNs rather than
 	// a stage beside it. AssignNs is the block-assignment replay, TablesNs
 	// the per-node table rebuilds (the whole pass, for a kind that
-	// rebuilds from scratch), PatchNs the new tables of clean nodes whose
-	// substrate table or dictionary entries changed.
+	// rebuilds from scratch), PatchNs the new label store and the new
+	// tables of clean nodes whose substrate table or own address moved.
 	SubstrateNs, OrdersNs, AssignNs, TablesNs, PatchNs int64
 }
 
@@ -75,10 +74,11 @@ type MaintainReport struct {
 //     its retry behavior under the new topology is reproduced — and if
 //     the resulting sets drift from the cached ones (a verification
 //     retry fired), the maintainer falls back to a full table rebuild;
-//   - a clean node whose substrate table moved, or whose dictionary
-//     holds a changed substrate address, gets a copy of its table with
-//     the new pointer and the rewritten values; every other clean node's
-//     table is shared with the previous plane.
+//   - each changed substrate address is written once, into a copy of
+//     the previous plane's label store that every dictionary reads; a
+//     clean node whose substrate table or own address moved gets a
+//     shallow copy of its table, and every other clean node's table is
+//     shared with the previous plane.
 type S6Maintainer struct {
 	s        *StretchSix
 	m        graph.DistanceOracle
@@ -133,8 +133,15 @@ func (mt *S6Maintainer) Substrate() *rtz.Maintainer { return mt.subM }
 // filtered to owned nodes. Foreign tables go stale, harmlessly: a shard
 // never forwards at a foreign node, and the cluster certification
 // compares owned LocalStates only. owned == nil means all nodes.
+//
+// An empty dirty set changes no distance row, so no tree, label, order,
+// cluster or table either: the pass publishes nothing and Plane stays
+// the previous plane.
 func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph.NodeID) bool) (MaintainReport, error) {
 	rep := MaintainReport{DirtyNodes: len(dirty)}
+	if len(dirty) == 0 {
+		return rep, nil
+	}
 	old := mt.s
 	n := old.g.N()
 	workers := mt.cfg.BuildWorkers
@@ -208,46 +215,24 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 	rep.RebuiltTables = len(rebuild)
 	lap(&rep.TablesNs)
 
-	// 4. A clean node whose substrate table moved, whose own address
-	// changed or whose dictionary holds a changed address gets a copy of
-	// its table: the new substrate pointer and address, and the
-	// dictionary's values rewritten in place of their slots. The scan
-	// reads every clean node's names against the changed ones; no
-	// solver runs.
-	changed := make([]bool, n) // by name
+	// 4. Write each changed address once, into the new plane's copy of
+	// the label store. A clean node's table changes only if its
+	// substrate table or its own address moved, and then only by a
+	// shallow copy: its dictionary names no address, so it is shared.
+	s.labels = slices.Clone(old.labels)
+	moved := make([]bool, n)
 	for _, x := range subRep.ChangedLabels {
-		changed[mt.perm.Name(int32(x))] = true
+		s.labels[mt.perm.Name(int32(x))] = sub.LabelOf(x)
+		moved[x] = true
 	}
-	patched := make([]int, n)
-	_ = parallel.ForEach(n, workers, func(u int) error { // never fails
-		t := old.nodes[u]
-		if rebuilt[u] || !mine(graph.NodeID(u)) {
-			return nil
-		}
-		stale := 0
-		t.lbl.Range(func(nm int32, _ rtz.Label) {
-			if changed[nm] {
-				stale++
-			}
-		})
-		if stale == 0 && !changed[t.selfName] && t.tab3 == sub.Tables[u] {
-			return nil
+	rep.ChangedLabels = len(subRep.ChangedLabels)
+	for u, t := range old.nodes {
+		if rebuilt[u] || !mine(graph.NodeID(u)) || (t.tab3 == sub.Tables[u] && !moved[u]) {
+			continue
 		}
 		c := *t
 		c.tab3, c.ownLabel = sub.Tables[u], sub.LabelOf(graph.NodeID(u))
-		if stale > 0 {
-			c.lbl = t.lbl.MapValues(func(nm int32, l rtz.Label) rtz.Label {
-				if changed[nm] {
-					return sub.LabelOf(graph.NodeID(mt.perm.Node(nm)))
-				}
-				return l
-			})
-		}
-		s.nodes[u], patched[u] = &c, stale
-		return nil
-	})
-	for _, p := range patched {
-		rep.PatchedLabels += p
+		s.nodes[u] = &c
 	}
 	mt.s = &s
 	lap(&rep.PatchNs)

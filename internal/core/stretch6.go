@@ -3,15 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
+	"rtroute/internal/bitset"
 	"rtroute/internal/blocks"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/parallel"
 	"rtroute/internal/rtmetric"
 	"rtroute/internal/rtz"
-	"rtroute/internal/sealed"
 	"rtroute/internal/sim"
 )
 
@@ -26,6 +25,11 @@ import (
 //  3. for every block B in S_u and every name j in B, the pair
 //     (j, R3(node named j));
 //  4. the substrate table Tab3(u) of the stretch-3 name-dependent scheme.
+//
+// Within one plane R3(v) depends on v alone, so the pairs of items (1)
+// and (3) are held by reference: a node's dictionary is the set of names
+// it stores, and every dictionary reads the one address per name in
+// labels.
 type StretchSix struct {
 	g         *graph.Graph
 	perm      *names.Permutation
@@ -33,13 +37,16 @@ type StretchSix struct {
 	uni       blocks.Universe
 	viaSource bool
 	nodes     []*s6Table
+	// labels[name] is R3(name), for every name some dictionary holds.
+	labels []rtz.Label
 }
 
 type s6Table struct {
 	selfName int32
 	ownLabel rtz.Label
-	// lbl merges storage items (1) and (3): destination name -> R3.
-	lbl sealed.Table[rtz.Label]
+	// dict merges storage items (1) and (3): the names whose pair
+	// (name, labels[name]) this node stores.
+	dict bitset.Set
 	// blockHolder is storage item (2): block id -> name of a
 	// neighborhood node holding that block.
 	blockHolder []int32
@@ -49,12 +56,18 @@ type s6Table struct {
 	neighborEntries int // size of (1), for accounting
 }
 
-func (t *s6Table) words() int {
+func (t *s6Table) words(labels []rtz.Label) int {
 	w := 2 + t.ownLabel.Words() + t.tab3.Words() + 2*len(t.blockHolder)
-	t.lbl.Range(func(_ int32, l rtz.Label) {
-		w += 1 + l.Words()
-	})
+	t.dict.ForEach(func(nm int) { w += 1 + labels[nm].Words() })
 	return w
+}
+
+// entry returns R3(nm) when nm is in tab's dictionary.
+func (s *StretchSix) entry(tab *s6Table, nm int32) (rtz.Label, bool) {
+	if uint32(nm) >= uint32(len(s.labels)) || !tab.dict.Has(int(nm)) {
+		return rtz.Label{}, false
+	}
+	return s.labels[nm], true
 }
 
 // S6Stage tracks the ViaSource variant's progress through its
@@ -207,7 +220,10 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 	if err != nil {
 		return nil, fmt.Errorf("core: block assignment: %w", err)
 	}
-	mt.s = &StretchSix{g: g, perm: perm, sub: sub, uni: mt.assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n)}
+	mt.s = &StretchSix{g: g, perm: perm, sub: sub, uni: mt.assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n), labels: make([]rtz.Label, n)}
+	for v := range n {
+		mt.s.labels[perm.Name(int32(v))] = sub.LabelOf(graph.NodeID(v))
+	}
 
 	// Per-node tables depend only on read-only shared state: build them
 	// in parallel.
@@ -233,6 +249,7 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 	tab := &s6Table{
 		selfName:    perm.Name(int32(u)),
 		ownLabel:    sub.LabelOf(graph.NodeID(u)),
+		dict:        *bitset.New(perm.N()),
 		blockHolder: make([]int32, numBlocks),
 		tab3:        sub.Tables[u],
 	}
@@ -241,9 +258,8 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 	}
 	nbhd := space.Neighborhood(graph.NodeID(u), nbhdSize)
 	// (1) neighborhood dictionary, by name.
-	names := make([]int32, 0, len(nbhd)+len(assign.Sets[u])*assign.U.Q)
 	for _, v := range nbhd {
-		names = append(names, perm.Name(int32(v)))
+		tab.dict.Add(int(perm.Name(int32(v))))
 	}
 	tab.neighborEntries = len(nbhd)
 	// (2) block holders: the Init_u-nearest holder in N(u).
@@ -264,12 +280,10 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 	// (3) dictionary entries of the blocks stored here. A name may be in
 	// both (1) and (3): it is stored once.
 	for _, b := range assign.Sets[u] {
-		names = append(names, assign.U.NamesInBlock(b)...)
+		for _, nm := range assign.U.NamesInBlock(b) {
+			tab.dict.Add(int(nm))
+		}
 	}
-	slices.Sort(names)
-	names = slices.Compact(names)
-	tab.lbl = sealed.CompileFunc(len(names), func(i int) int32 { return names[i] },
-		func(i int) rtz.Label { return sub.LabelOf(graph.NodeID(perm.Node(names[i]))) })
 	return tab, nil
 }
 
@@ -299,7 +313,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 		if h.DestName == nx {
 			return 0, true, nil
 		}
-		if lbl, ok := tab.lbl.Get(h.DestName); ok {
+		if lbl, ok := s.entry(tab, h.DestName); ok {
 			h.setLeg(rtz.Header{Dest: lbl.Node, Label: lbl, Phase: rtz.PhaseSeek})
 		} else {
 			if h.DestName < 0 || int(h.DestName) >= s.uni.N {
@@ -309,7 +323,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 			if holder < 0 {
 				return 0, false, fmt.Errorf("core: no dictionary holder for name %d at source %d", h.DestName, nx)
 			}
-			lbl, ok := tab.lbl.Get(holder)
+			lbl, ok := s.entry(tab, holder)
 			if !ok {
 				return 0, false, fmt.Errorf("core: holder %d for name %d not in neighborhood table of %d", holder, h.DestName, nx)
 			}
@@ -333,7 +347,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 			return 0, true, nil
 		case nx == h.DictName:
 			// Remote dictionary lookup (Fig. 3's DictID branch).
-			lbl, ok := tab.lbl.Get(h.DestName)
+			lbl, ok := s.entry(tab, h.DestName)
 			if !ok {
 				return 0, false, fmt.Errorf("core: dictionary node %d lacks entry for %d", nx, h.DestName)
 			}
@@ -432,7 +446,7 @@ func (s *StretchSix) Roundtrip(srcName, dstName int32) (*sim.RoundtripTrace, err
 func (s *StretchSix) MaxTableWords() int {
 	m := 0
 	for _, t := range s.nodes {
-		if w := t.words(); w > m {
+		if w := t.words(s.labels); w > m {
 			m = w
 		}
 	}
@@ -443,7 +457,7 @@ func (s *StretchSix) MaxTableWords() int {
 func (s *StretchSix) AvgTableWords() float64 {
 	total := 0
 	for _, t := range s.nodes {
-		total += t.words()
+		total += t.words(s.labels)
 	}
 	return float64(total) / float64(len(s.nodes))
 }

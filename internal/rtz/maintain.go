@@ -125,15 +125,6 @@ func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg C
 // Scheme returns the scheme the last Apply published.
 func (mt *Maintainer) Scheme() *Scheme { return mt.s }
 
-// labelEqual compares two substrate addresses structurally (tree labels
-// carry a light-hop slice, so == does not apply).
-func labelEqual(a, b Label) bool {
-	if a.Node != b.Node || a.CenterIdx != b.CenterIdx || a.Center != b.Center {
-		return false
-	}
-	return a.TreeLabel.Tin == b.TreeLabel.Tin && slices.Equal(a.TreeLabel.Light, b.TreeLabel.Light)
-}
-
 // Apply incorporates a batch of topology mutations whose may-use affected
 // set is covered by dirty. The graph must already be mutated; dirty must
 // list every node whose anchored distance rows may have changed (both
@@ -225,7 +216,7 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (*Scheme, MaintainReport, erro
 			Center:    s.Centers[bestIdx],
 			TreeLabel: lbl,
 		}
-		if !labelEqual(s.Labels[v], nl) {
+		if !s.Labels[v].Equal(nl) {
 			changed[v] = true
 			s.Labels[v] = nl
 		}

@@ -38,6 +38,7 @@ package rtz
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rtroute/internal/graph"
 	"rtroute/internal/sealed"
@@ -54,6 +55,13 @@ type Label struct {
 
 // Words returns the label size in machine words for header accounting.
 func (l Label) Words() int { return 3 + l.TreeLabel.Words() }
+
+// Equal compares two addresses structurally (a tree label carries a
+// light-hop slice, so == does not apply).
+func (l Label) Equal(o Label) bool {
+	return l.Node == o.Node && l.CenterIdx == o.CenterIdx && l.Center == o.Center &&
+		l.TreeLabel.Tin == o.TreeLabel.Tin && slices.Equal(l.TreeLabel.Light, o.TreeLabel.Light)
+}
 
 // Phase tracks the progress of a one-way route in the packet header.
 type Phase int8

@@ -5,7 +5,7 @@
 // or two cache lines instead of a Go map traversal. Tables are compiled
 // once, straight from a list of entries, and never mutated — the same
 // build-then-seal discipline as the graph's CSR index. A changed table is
-// a new one (MapValues, or CompileFunc over the new entries).
+// a new one, compiled over the new entries.
 package sealed
 
 import "math/bits"
@@ -128,22 +128,6 @@ func (t *Table[V]) Range(fn func(k int32, v V)) {
 			pos++
 		}
 	}
-}
-
-// MapValues returns a table with t's keys in t's slots and each value v
-// under key k replaced by fn(k, v). The keys and the occupancy bitmap are
-// shared, never re-hashed; only the values are copied, so t stays valid
-// and unchanged.
-func (t *Table[V]) MapValues(fn func(k int32, v V) V) Table[V] {
-	out := Table[V]{keys: t.keys, occ: t.occ, vals: make([]V, len(t.vals))}
-	pos := 0
-	for _, k := range t.keys {
-		if k >= 0 {
-			out.vals[pos] = fn(k, t.vals[pos])
-			pos++
-		}
-	}
-	return out
 }
 
 // Index maps each of a set of distinct non-negative keys to its position

@@ -160,46 +160,6 @@ func TestCompileFuncMatchesCompile(t *testing.T) {
 	CompileFunc(2, func(int) int32 { return 7 }, func(int) int { return 1 })
 }
 
-// TestMapValuesMatchesCompile: rewriting a table's values in place of
-// its slots answers every probe as the rewritten map compiled does, at
-// every size including the empty table, and leaves the source table as
-// it was.
-func TestMapValuesMatchesCompile(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, n := range []int{0, 1, 63, 64, 65, 300} {
-		m := make(map[int32]int64, n)
-		for _, k := range rng.Perm(4 * n)[:n] {
-			m[int32(k)] = rng.Int63()
-		}
-		rewrite := func(k int32, v int64) int64 {
-			if k%3 == 0 {
-				return v ^ int64(k)
-			}
-			return v
-		}
-		src := compileMap(m)
-		got := src.MapValues(rewrite)
-		rewritten := make(map[int32]int64, n)
-		for k, v := range m {
-			rewritten[k] = rewrite(k, v)
-		}
-		want := compileMap(rewritten)
-		if got.Len() != want.Len() {
-			t.Fatalf("n=%d: Len %d, the map compiles to %d", n, got.Len(), want.Len())
-		}
-		for k := int32(-1); k < int32(4*n)+1; k++ {
-			gv, gok := got.Get(k)
-			wv, wok := want.Get(k)
-			if gv != wv || gok != wok {
-				t.Fatalf("n=%d: Get(%d) = (%d, %v), the map compiles to (%d, %v)", n, k, gv, gok, wv, wok)
-			}
-			if sv, _ := src.Get(k); sv != m[k] {
-				t.Fatalf("n=%d: source Get(%d) = %d after MapValues, want %d", n, k, sv, m[k])
-			}
-		}
-	}
-}
-
 func TestIndexMatchesPositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {

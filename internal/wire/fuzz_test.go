@@ -3,11 +3,13 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
+	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
 
@@ -31,14 +33,37 @@ func fuzzSchemeSeeds(f *testing.F) {
 	for _, blob := range inconsistentExBlobs(f) {
 		f.Add(blob)
 	}
+	for _, blob := range inconsistentS6Blobs(f) {
+		f.Add(blob)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("RTWF"))
 	f.Add([]byte("RTWF\x01\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"))
 }
 
-// inconsistentExNode is the node whose section inconsistentExBlobs
-// breaks.
-const inconsistentExNode = 3
+// inconsistentNode is the node whose section inconsistentExBlobs and
+// inconsistentS6Blobs break.
+const inconsistentNode = 3
+
+// mutatedBlob is plane's snapshot with inconsistentNode's local state
+// passed through mutate before it is encoded.
+func mutatedBlob(t testing.TB, plane sim.Plane, mutate func(ls *core.LocalState)) []byte {
+	st, local, err := core.Decomposer(plane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &encoder{}
+	e.envelope(blobScheme, st.Kind)
+	encodeShared(e, st)
+	encodeSections(e, st.Graph.N(), func(v graph.NodeID) core.LocalState {
+		ls := local(v)
+		if v == inconsistentNode {
+			mutate(&ls)
+		}
+		return ls
+	})
+	return e.buf
+}
 
 // inconsistentExBlobs are ExStretch snapshots one invariant away from a
 // valid one: the node's handshakes carry two of its labels in one tree,
@@ -47,19 +72,8 @@ const inconsistentExNode = 3
 // could not give either section back; the decoder must refuse both.
 func inconsistentExBlobs(t testing.TB) map[string][]byte {
 	planes, _ := testPlanes(t, 16, 21)
-	st, local, err := core.Decomposer(planes["exstretch"])
-	if err != nil {
-		t.Fatal(err)
-	}
 	mutated := func(mutate func(l *core.ExLocal, self, a, b int)) []byte {
-		e := &encoder{}
-		e.envelope(blobScheme, st.Kind)
-		encodeShared(e, st)
-		encodeSections(e, st.Graph.N(), func(v graph.NodeID) core.LocalState {
-			ls := local(v)
-			if v != inconsistentExNode {
-				return ls
-			}
+		return mutatedBlob(t, planes["exstretch"], func(ls *core.LocalState) {
 			var others []int
 			self := -1
 			for i, fe := range ls.Ex.Full {
@@ -70,12 +84,10 @@ func inconsistentExBlobs(t testing.TB) map[string][]byte {
 				}
 			}
 			if self < 0 || len(others) < 2 {
-				panic("fuzz seed: full dictionary lacks the node's own name or two others")
+				t.Fatal("full dictionary lacks the node's own name or two others")
 			}
 			mutate(ls.Ex, self, others[0], others[1])
-			return ls
 		})
-		return e.buf
 	}
 	return map[string][]byte{
 		"two labels in one tree": mutated(func(l *core.ExLocal, _, a, b int) {
@@ -93,8 +105,46 @@ func inconsistentExBlobs(t testing.TB) map[string][]byte {
 func TestDecoderRejectsInconsistentHandshakes(t *testing.T) {
 	for name, blob := range inconsistentExBlobs(t) {
 		_, err := UnmarshalScheme(blob)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d:", inconsistentExNode)) || !strings.Contains(err.Error(), "tree") {
-			t.Errorf("%s: got %v, want an error naming node %d and the tree", name, err, inconsistentExNode)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d:", inconsistentNode)) || !strings.Contains(err.Error(), "tree") {
+			t.Errorf("%s: got %v, want an error naming node %d and the tree", name, err, inconsistentNode)
+		}
+	}
+}
+
+// inconsistentS6Blobs are StretchSix snapshots one invariant away from a
+// valid one: the node's dictionary gives a name an address that an
+// earlier node's gives differently, or holds a name outside [0, n). A
+// restored plane keeps one address per name, so it could not give
+// either section back; the decoder must refuse both.
+func inconsistentS6Blobs(t testing.TB) map[string][]byte {
+	planes, _ := testPlanes(t, 16, 21)
+	plane := planes["stretch6"]
+	_, local, err := core.Decomposer(plane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := local(0).S6.Entries[0].Name // held by node 0, so interned first there
+	return map[string][]byte{
+		"two addresses for one name": mutatedBlob(t, plane, func(ls *core.LocalState) {
+			i := slices.IndexFunc(ls.S6.Entries, func(e core.S6Entry) bool { return e.Name == first })
+			if i < 0 {
+				t.Fatalf("node %d does not hold name %d", inconsistentNode, first)
+			}
+			ls.S6.Entries[i].Label.TreeLabel.Tin++
+		}),
+		"name outside the universe": mutatedBlob(t, plane, func(ls *core.LocalState) {
+			ls.S6.Entries = append(ls.S6.Entries, core.S6Entry{Name: int32(plane.Graph().N())})
+		}),
+	}
+}
+
+// TestDecoderRejectsInconsistentDictionaries: each inconsistent section
+// is refused by an error naming the node and the name.
+func TestDecoderRejectsInconsistentDictionaries(t *testing.T) {
+	for name, blob := range inconsistentS6Blobs(t) {
+		_, err := UnmarshalScheme(blob)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d:", inconsistentNode)) || !strings.Contains(err.Error(), "name") {
+			t.Errorf("%s: got %v, want an error naming node %d and the name", name, err, inconsistentNode)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func (m *Maintained) RebuildNodesFor(dirty []NodeID, owned func(NodeID) bool) (M
 			DirtyNodes:      rep.DirtyNodes,
 			RebuiltTrees:    rep.RebuiltTrees,
 			RebuiltClusters: rep.RebuiltClusters,
-			PatchedLabels:   len(rep.ChangedLabels),
+			ChangedLabels:   len(rep.ChangedLabels),
 			SSSPRuns:        rep.SSSPRuns,
 			RowUpdates:      rep.RowUpdates,
 			SubstrateNs:     int64(time.Since(t0)),

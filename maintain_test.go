@@ -212,6 +212,44 @@ func checkStretchBound(t *testing.T, sys *System, plane Scheme, bound Dist) {
 	}
 }
 
+// TestEmptyDirtySetKeepsPlane: an event the prober finds nothing for
+// changes no distance row, so a StretchSix repair of it publishes
+// nothing. The plane is the same pointer after the rebuild and still
+// certifies against a fresh build on the mutated graph.
+func TestEmptyDirtySetKeepsPlane(t *testing.T) {
+	sys := churnSystem(t, 32, 12)
+	m, err := sys.BuildMaintained(StretchSix, WithSeed(3))
+	if err != nil {
+		t.Fatalf("BuildMaintained: %v", err)
+	}
+	ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
+	if err != nil {
+		t.Fatalf("overlay: %v", err)
+	}
+	model := churn.NewModel(ov, 8, 1.0, churn.DefaultMix, 64)
+	for i := 0; i < 200; i++ {
+		dirty, err := ov.Apply(model.Next())
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		prev := m.Plane()
+		if _, err := m.RebuildNodes(dirty); err != nil {
+			t.Fatalf("event %d: RebuildNodes: %v", i, err)
+		}
+		if len(dirty) > 0 {
+			continue
+		}
+		if m.Plane() != prev {
+			t.Fatalf("event %d: an empty dirty set published a new plane", i)
+		}
+		if err := m.Certify(); err != nil {
+			t.Fatalf("event %d: after an empty dirty set: %v", i, err)
+		}
+		return
+	}
+	t.Fatal("200 events and none with an empty dirty set")
+}
+
 // TestModelReplayDeterminism locks the replayability contract: two
 // models over identical overlays with the same (seed, rate, mix) emit
 // identical event sequences.
