@@ -8,7 +8,13 @@ PAIRS ?= 10
 SEED ?= 1
 BENCHDIFF_DIR ?= .benchdiff
 
-.PHONY: all build test verify race short large benchmark-check benchdiff fmt vet lint ci alloc-gates loc traffic-large docs fuzz-smoke sizes snapshots footprint
+# stress knobs: make stress RUN=TestClusterZeroAllocs N=20 (PKG is the
+# package under test).
+RUN ?= TestClusterZeroAllocs
+N ?= 20
+PKG ?= ./internal/cluster
+
+.PHONY: all build test verify race short large benchmark-check benchdiff fmt vet lint ci alloc-gates stress loc traffic-large docs fuzz-smoke sizes snapshots footprint
 
 all: verify
 
@@ -97,12 +103,32 @@ lint: fmt vet
 # default: a steady-state allocation that only shows when completions
 # trickle back (few cores) or arrive in floods (many) must fail here.
 # All three gates read the malloc delta between a 60 k and a 20 k run, so
-# the number of fabric workers that warm up does not enter.
+# the number of fabric workers that warm up does not enter. The last
+# pass repeats them five times with every other core busy: a pool that
+# runs dry only when a goroutine is descheduled fails there.
 alloc-gates:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 	GOMAXPROCS=2 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
 	$(GO) test -count=1 -run 'TestClusterZeroAllocs' ./internal/cluster
+	$(MAKE) --no-print-directory stress RUN=TestClusterZeroAllocs N=5 PKG=./internal/cluster
+
+# Cold reruns under load: `go test -count=1 -run RUN PKG`, N times, with
+# one busy loop on each core but one. Prints each run's verdict and its
+# gate readings (the "X process" figures the allocation gates log), then
+# passes/N; fails unless all N pass.
+stress:
+	@busy=$$(( $$(nproc) - 1 )); pids=; \
+	for i in $$(seq $$busy); do ( while :; do :; done ) & pids="$$pids $$!"; done; \
+	trap 'kill $$pids 2>/dev/null' EXIT INT TERM; \
+	pass=0; \
+	for i in $$(seq $(N)); do \
+		if out=$$($(GO) test -count=1 -v -run '$(RUN)' $(PKG) 2>&1); then pass=$$((pass + 1)); v=ok; else v=FAIL; fi; \
+		printf 'run %d/%d %-4s %s\n' $$i $(N) $$v "$$(printf '%s\n' "$$out" | sed -n 's/.*: \([-0-9.]*\) process.*/\1/p' | tr '\n' ' ')"; \
+		[ $$v = ok ] || printf '%s\n' "$$out" | grep -E -- '--- FAIL|_test.go' ; \
+	done; \
+	echo "stress: $$pass/$(N) passed with $$busy busy core(s): go test -run '$(RUN)' $(PKG)"; \
+	[ $$pass -eq $(N) ]
 
 # "Least code" as a tracked number: non-test Go lines per package and
 # in total, benchmark/ (the instrument) excluded, at REF (git archive'd

@@ -352,6 +352,8 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	// driver saw of it (a closed fabric) is the symptom.
 	if err := r.stop(); err != nil {
 		runErr = err
+	} else if runErr == nil {
+		runErr = r.window.Settled()
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -421,7 +423,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		go func() { injected <- r.issue(firePairs) }()
 		for i := 0; i < r.cfg.Shards; i++ {
 			// Each shard gets its own buffer: the transport owns delivered
-			// bytes (shards recycle them into their frame pools).
+			// bytes (shards give them to the fabric's frame pool).
 			if err := r.net.Send(i, wire.AppendChurnFrame(nil, seq, events)); err != nil {
 				<-injected
 				return fmt.Errorf("rtroute: churn broadcast: %w", err)
@@ -539,7 +541,7 @@ func (r *ccRun) issue(pairs []ccPair) error {
 			byOwner[owner] = append(byOwner[owner], wire.InjectEntry{Src: p.src, Dst: p.dst})
 		}
 		idx += got
-		if err := r.net.Inject(byOwner, got); err != nil {
+		if _, err := r.net.Inject(byOwner); err != nil {
 			return r.closedErr("injecting")
 		}
 	}

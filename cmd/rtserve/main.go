@@ -140,6 +140,7 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 	sink.RegisterGauge("link_redials", func() float64 { _, r := tr.LinkStats(); return float64(r) })
 	sink.RegisterGauge("socket_writes_total", func() float64 { w, _ := tr.WriteStats(); return float64(w) })
 	sink.RegisterGauge("frames_written_total", func() float64 { _, f := tr.WriteStats(); return float64(f) })
+	sink.RegisterGauge("read_allocs_total", func() float64 { return float64(tr.ReadAllocs()) })
 
 	sh := cluster.NewShard(view, place, tr, cluster.Options{
 		Workers: workers, Batch: batch, Sink: sink, SinkShard: 0,

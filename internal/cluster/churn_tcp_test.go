@@ -227,9 +227,9 @@ func TestRepairFailurePoisonsShard(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- sh.Serve() }()
 
-	if err := bus.Send(0, wire.AppendChurnFrame(nil, 1, []churn.Event{
+	if err := bus.SendBatch(0, []InFrame{{Data: wire.AppendChurnFrame(nil, 1, []churn.Event{
 		{Kind: churn.WeightChange, U: 0, V: dep.Graph().Out(0)[0].To, Weight: 5, At: 0.25},
-	})); err != nil {
+	})}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -291,7 +291,7 @@ func TestTCPHostileChurnFrames(t *testing.T) {
 		{"weight change on a non-edge", []churn.Event{{Kind: churn.WeightChange, U: u, V: stranger, Weight: 5, At: 0.5}}},
 	} {
 		before := errorsCounted()
-		if err := (&tcpConn{c: cl.conn}).writeFrame(wire.AppendChurnFrame(nil, 1, hostile.events)); err != nil {
+		if err := cl.write(wire.AppendChurnFrame(nil, 1, hostile.events)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := roundtrip(cl, 2, 9); err != nil {

@@ -23,9 +23,9 @@ import (
 // their completions in whatever order the cluster finishes them.
 type Client struct {
 	conn net.Conn
-	tc   *tcpConn
 	rd   *bufio.Reader
 	buf  []byte // reusable frame marshal buffer
+	wbuf []byte // reusable segment buffer: length word and frame
 	rbuf []byte // reusable received-frame buffer: every decoder copies out
 
 	// OnDrop, when non-nil, accepts lossy completions: a cluster
@@ -44,7 +44,14 @@ func DialClient(addr string) (*Client, error) {
 	}
 	// The read buffer matches the daemons': one read takes in everything
 	// a batched reply write delivered.
-	return &Client{conn: conn, tc: &tcpConn{c: conn}, rd: bufio.NewReaderSize(conn, 64*1024)}, nil
+	return &Client{conn: conn, rd: bufio.NewReaderSize(conn, 64*1024)}, nil
+}
+
+// write sends one frame as one socket write.
+func (c *Client) write(frame []byte) error {
+	c.wbuf = appendFrame(c.wbuf[:0], frame)
+	_, err := c.conn.Write(c.wbuf)
+	return err
 }
 
 // read returns the next frame segment, valid until the next read.
@@ -65,7 +72,7 @@ func (c *Client) send(f *wire.Frame) error {
 		return err
 	}
 	c.buf = data
-	return c.tc.writeFrame(data)
+	return c.write(data)
 }
 
 func (c *Client) recv(want wire.FrameKind, f *wire.Frame) error {
@@ -137,7 +144,7 @@ func (c *Client) Roundtrips(pairs []Pair, window int, each func(i int, out, back
 				inflight++
 			}
 			c.buf = wire.AppendInjectBatch(c.buf[:0], wire.HomeClient, 0, entries)
-			if err := c.tc.writeFrame(c.buf); err != nil {
+			if err := c.write(c.buf); err != nil {
 				return err
 			}
 		}
@@ -205,7 +212,7 @@ func (c *Client) recvCompletion(f *wire.Frame) error {
 // must increase by one per call — the daemon applies batches in order.
 func (c *Client) Churn(seq uint64, events []churn.Event) error {
 	c.buf = wire.AppendChurnFrame(c.buf[:0], seq, events)
-	if err := c.tc.writeFrame(c.buf); err != nil {
+	if err := c.write(c.buf); err != nil {
 		return err
 	}
 	data, err := c.read()

@@ -150,8 +150,8 @@ type Result struct {
 	// sampled at completion times — how full the pipeline actually ran.
 	WindowOccupancy float64
 	// TrackedAllocs counts allocation events at the engine's known
-	// allocation sites — per-worker pool misses plus injector batch
-	// buffers — summed from the per-worker telemetry counters. Unlike
+	// allocation sites — the workers' and injectors' frame-pool misses
+	// among them — summed from the per-worker telemetry counters. Unlike
 	// the whole-process ReadMemStats delta this replaced, it is
 	// attributable per shard and immune to concurrent test goroutines;
 	// the build-tag alloc gate keeps a process-wide measurement as the
@@ -279,8 +279,8 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 		burst = 256
 	}
 	// A take that returns one or two credits — completions trickling
-	// back on a busy host — would pay a batch buffer, plus a mailbox slab
-	// per owner, for a burst that small, so an injector tops a short take
+	// back on a busy host — would pay a mailbox message per owner for a
+	// burst that small, so an injector tops a short take
 	// up to half its burst before it generates. Capping the floor at the
 	// injector's share of the window keeps the sum of held credits below
 	// the window, so some roundtrip is always in flight to refill it.
@@ -340,8 +340,9 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 				}
 				sent += int64(n)
 				t = ip.Lap(telemetry.StageInject, t)
-				*allocs++ // Inject's one backing buffer
-				if err := fab.Inject(byOwner, n); err != nil {
+				cuts, err := fab.Inject(byOwner)
+				*allocs += int64(cuts)
+				if err != nil {
 					return // fabric closed: run aborted under us
 				}
 				ip.Lap(telemetry.StageSend, t)
@@ -357,8 +358,9 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if left := atomic.LoadInt64(&remaining); left != 0 {
-		return nil, fmt.Errorf("cluster: run stopped with %d roundtrips unserved", left)
+	// Every roundtrip served once: its credit taken and put back once.
+	if err := window.Settled(); err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -470,25 +472,35 @@ func (f *Fabric) Wait() error {
 func (f *Fabric) Shards() []*Shard { return f.shards }
 
 // Send hands data to shard to's mailbox; the shard owns it from then on.
-func (f *Fabric) Send(to int, data []byte) error { return f.bus.Send(to, data) }
+func (f *Fabric) Send(to int, data []byte) error { return f.bus.SendBatch(to, []InFrame{{Data: data}}) }
 
-// Inject sends each owner's entries, n in all, as one inject batch and
-// empties the accumulations. The shards own what they receive, so every
-// call cuts one fresh backing buffer, carved into a disjoint
-// full-capacity piece per owner.
-func (f *Fabric) Inject(byOwner [][]wire.InjectEntry, n int) error {
-	backing := make([]byte, 32*len(byOwner)+21*n)
+// Inject sends each owner's entries as one inject batch and empties the
+// accumulations. Each batch and its buffer are drawn from the bus's pool,
+// where the shard that processes them gives them back; cuts is how many
+// the pool could not supply.
+func (f *Fabric) Inject(byOwner [][]wire.InjectEntry) (cuts int, err error) {
+	p := &f.bus.stock
 	for o := range byOwner {
 		if len(byOwner[o]) == 0 {
 			continue
 		}
 		size := 32 + 21*len(byOwner[o])
-		data := wire.AppendInjectBatch(backing[:0:size], wire.HomeLocal, 0, byOwner[o])
-		backing = backing[size:]
+		p.mu.Lock()
+		buf, batch := pop(&p.bufs, size), pop(&p.slabs, 0)
+		p.mu.Unlock()
+		if buf == nil {
+			cuts++
+			buf = make([]byte, 0, frameCap(size))
+		}
+		if batch == nil {
+			cuts++
+			batch = make([]InFrame, 0, tcpBatch)
+		}
+		batch = append(batch, InFrame{Data: wire.AppendInjectBatch(buf, wire.HomeLocal, 0, byOwner[o])})
 		byOwner[o] = byOwner[o][:0]
-		if err := f.bus.Send(o, data); err != nil {
-			return err
+		if err := f.bus.SendBatch(o, batch); err != nil {
+			return cuts, err
 		}
 	}
-	return nil
+	return cuts, nil
 }

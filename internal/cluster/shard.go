@@ -47,8 +47,8 @@ type ShardStats struct {
 	Drops     int64
 	Misroutes int64
 	// Allocs counts tracked allocation events at the worker's known
-	// allocation sites — buffer-pool misses, slab-pool misses, sample
-	// growth, the once-per-worker inject header. Per-worker and
+	// allocation sites — frame-pool misses (a buffer or a batch slice),
+	// sample growth, the once-per-worker inject header. Per-worker and
 	// attributable, unlike a whole-process ReadMemStats delta; the
 	// build-tag alloc gate keeps a process-wide measurement as the
 	// backstop for sites this ledger does not know about.
@@ -84,16 +84,11 @@ type shardWorker struct {
 	// A batch answers few connections, so the queues are a short list
 	// searched linearly, reused from batch to batch.
 	replies []replyQueue
-	// free recycles fully-processed inbound frame buffers as outbound
-	// marshal buffers, keeping the crossing hot path allocation-free in
-	// steady state.
-	free [][]byte
-	// spares refills free from the transport when that is where shipped
-	// buffers end up (nil on the channel bus).
-	spares bufferSource
-	// slabs recycles received batch slices as pending accumulations, so
-	// ship() grows no fresh slice per flushed batch.
-	slabs [][]InFrame
+	// hand is what the worker holds of the transport's frame pool
+	// within one batch: outbound buffers and pending slices come from
+	// it, the batch's dead buffers and processed slices go back into it
+	// for reuse, and all of it returns to the pool before the flush.
+	hand hand
 	// p is the worker's telemetry probe (nil = telemetry off; every
 	// probe method is a nil-receiver no-op).
 	p *telemetry.Probe
@@ -130,57 +125,28 @@ func (st *shardWorker) publish() {
 	})
 }
 
-// slab pops a recycled batch slice for a pending accumulation, or cuts
-// a fresh one at full batch capacity (a single allocation instead of
-// append's doubling climb from nil).
-func (st *shardWorker) slab(batch int) []InFrame {
-	if n := len(st.slabs); n > 0 {
-		s := st.slabs[n-1]
-		st.slabs = st.slabs[:n-1]
-		return s
-	}
-	st.stats.Allocs++
-	return make([]InFrame, 0, batch)
-}
-
-// recycleSlab returns a fully-processed received batch slice to the
-// worker, keeping only slices that can hold a full outbound batch —
-// received batches also include singleton sends (injector frames), and
-// pooling their cap-1 backing arrays would make every ship() regrow
-// them. The elements are cleared: every buffer in it has already been
-// recycled or shipped.
-func (st *shardWorker) recycleSlab(frames []InFrame, batch int) {
-	if cap(frames) >= batch && len(st.slabs) < 64 {
-		clear(frames)
-		st.slabs = append(st.slabs, frames[:0])
-	}
-}
-
-// outBuf pops a recycled buffer (or nil) for an outbound frame.
-func (st *shardWorker) outBuf() []byte {
-	if len(st.free) == 0 && st.spares != nil {
-		st.free = st.spares.spareBufs(st.free)
-	}
-	for n := len(st.free); n > 0; n = len(st.free) {
-		b := st.free[n-1]
-		st.free = st.free[:n-1]
-		if cap(b) >= st.sizeHint {
-			return b[:0]
+// queue appends an outbound frame to an accumulation, starting it on a
+// slice from the hand (cut at full batch capacity on a miss), and
+// reports whether it reached the batch bound.
+func (st *shardWorker) queue(q *[]InFrame, data []byte, batch int) bool {
+	if *q == nil {
+		if *q = take(&st.hand, &st.hand.slabs, batch); *q == nil {
+			st.stats.Allocs++
+			*q = make([]InFrame, 0, max(batch, tcpBatch))
 		}
-		// Too small for the frames this worker ships: an encode into it
-		// would grow (allocate) anyway, and the undersized buffer would
-		// come straight back to the list to repeat the miss. Drop it;
-		// the pool converges to right-sized buffers.
 	}
-	st.stats.Allocs++
-	return make([]byte, 0, st.sizeHint)
+	*q = append(*q, InFrame{Data: data})
+	return len(*q) >= batch
 }
 
-// recycle returns a dead inbound buffer to the worker's free list.
-func (st *shardWorker) recycle(b []byte) {
-	if cap(b) > 0 && len(st.free) < 256 {
-		st.free = append(st.free, b)
+// outBuf returns an empty buffer for an outbound frame, cutting one on
+// a miss.
+func (st *shardWorker) outBuf() []byte {
+	if b := take(&st.hand, &st.hand.bufs, st.sizeHint); b != nil {
+		return b
 	}
+	st.stats.Allocs++
+	return make([]byte, 0, frameCap(st.sizeHint))
 }
 
 // Options tunes a Shard.
@@ -392,7 +358,7 @@ func (s *Shard) worker(w int) error {
 	st := &s.workers[w]
 	st.worker = w
 	st.pending = make([][]InFrame, s.place.Shards)
-	st.spares, _ = s.tr.(bufferSource)
+	st.hand.pool = s.tr.pool()
 	st.p = s.opts.Sink.Probe(s.opts.SinkShard, w)
 	if st.p != nil {
 		shard := s.view.Shard()
@@ -435,12 +401,13 @@ func (s *Shard) worker(w int) error {
 				// and ships those same bytes (retained); any other outcome
 				// leaves the buffer dead, free to carry the next outbound
 				// frame.
-				if !retained {
-					st.recycle(frames[i].Data)
+				if retained {
+					frames[i].Data = nil
 				}
 			}
 			processed += len(frames)
-			st.recycleSlab(frames, s.opts.Batch)
+			st.hand.put(frames)
+			clear(frames) // pins no dropped buffer, an oversized one say
 			if processed >= 4*s.opts.Batch {
 				break
 			}
@@ -461,6 +428,9 @@ func (s *Shard) worker(w int) error {
 			}
 			st.stats.Errors++
 		}
+		// Everything the batch freed goes back to the pool before the
+		// flush writes: nothing the worker holds outlives its batch.
+		st.hand.release()
 		if _, err := s.flush(st, t); err != nil {
 			if s.opts.Strict && !errors.Is(err, ErrClosed) {
 				s.runlock()
@@ -555,11 +525,7 @@ func (s *Shard) ship(st *shardWorker, to int, data []byte, t int64) (int64, erro
 	if to < 0 || to >= len(st.pending) {
 		return t, fmt.Errorf("cluster: frame addressed to unknown shard %d", to)
 	}
-	if st.pending[to] == nil {
-		st.pending[to] = st.slab(s.opts.Batch)
-	}
-	st.pending[to] = append(st.pending[to], InFrame{Data: data})
-	if len(st.pending[to]) >= s.opts.Batch {
+	if st.queue(&st.pending[to], data, s.opts.Batch) {
 		frames := st.pending[to]
 		st.pending[to] = nil
 		err := s.tr.SendBatch(to, frames)
@@ -585,11 +551,7 @@ func (s *Shard) reply(st *shardWorker, conn uint64, data []byte, t int64) (int64
 		st.replies = append(st.replies, replyQueue{conn: conn})
 		q = &st.replies[len(st.replies)-1]
 	}
-	if q.frames == nil {
-		q.frames = st.slab(s.opts.Batch)
-	}
-	q.frames = append(q.frames, InFrame{Data: data})
-	if len(q.frames) >= s.opts.Batch {
+	if st.queue(&q.frames, data, s.opts.Batch) {
 		var err error
 		if t, err = s.writeReplies(st, q, t); err != nil && s.opts.Strict {
 			return t, err
@@ -968,20 +930,25 @@ func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error)
 		}
 		return st.p.Lap(telemetry.StageComplete, t), nil
 	}
-	done := wire.Frame{
+	return s.report(st, f.Home, &wire.Frame{
 		Kind: wire.FrameDone, SrcName: f.SrcName, DstName: f.DstName,
 		Out: f.Out, Back: f.Back, Origin: f.Origin, Rt: f.Rt, Sampled: f.Sampled,
-	}
+	}, t)
+}
+
+// report routes a completion or drop report home: queued for the client
+// connection when home is this shard, else shipped to the home shard.
+func (s *Shard) report(st *shardWorker, home int32, rep *wire.Frame, t int64) (int64, error) {
 	t = st.p.Lap(telemetry.StageComplete, t)
-	data, err := wire.AppendFrame(st.outBuf(), &done)
+	data, err := wire.AppendFrame(st.outBuf(), rep)
 	if err != nil {
 		return t, err
 	}
 	t = st.p.Lap(telemetry.StageEncode, t)
-	if int(f.Home) == s.view.Shard() {
-		return s.reply(st, f.Origin, data, t)
+	if int(home) == s.view.Shard() {
+		return s.reply(st, rep.Origin, data, t)
 	}
-	return s.ship(st, int(f.Home), data, t)
+	return s.ship(st, int(home), data, t)
 }
 
 // lose completes a roundtrip as an accounted loss: the shard-level
@@ -1001,20 +968,10 @@ func (s *Shard) lose(st *shardWorker, f *wire.Frame, reason byte, t int64) (int6
 		}
 		return st.p.Lap(telemetry.StageComplete, t), nil
 	}
-	drop := wire.Frame{
+	return s.report(st, f.Home, &wire.Frame{
 		Kind: wire.FrameDrop, SrcName: f.SrcName, DstName: f.DstName,
 		Origin: f.Origin, Rt: f.Rt, Reason: reason,
-	}
-	t = st.p.Lap(telemetry.StageComplete, t)
-	data, err := wire.AppendFrame(st.outBuf(), &drop)
-	if err != nil {
-		return t, err
-	}
-	t = st.p.Lap(telemetry.StageEncode, t)
-	if int(f.Home) == s.view.Shard() {
-		return s.reply(st, f.Origin, data, t)
-	}
-	return s.ship(st, int(f.Home), data, t)
+	}, t)
 }
 
 func totalsOf(fl sim.Flight) wire.LegTotals {

@@ -35,64 +35,107 @@ const tcpBatch = 64
 const (
 	minFrameCap    = 256
 	maxPooledFrame = 8 << 10
-	poolBufs       = 16 * tcpBatch
-	poolSlabs      = 64
 )
 
-// framePool closes the TCP buffer cycle. On a socket fabric a frame
-// buffer dies when its bytes have been copied to the socket, and a new
-// one is needed for every frame read; the pool carries the first to the
-// second, so a steady stream allocates no buffer and no batch slice per
-// frame. Both sides touch it once per batch, never per frame.
+func frameCap(n int) int {
+	c := minFrameCap
+	for c < n {
+		c <<= 1
+	}
+	return c
+}
+
+// framePool is a transport's one stock of frame buffers and batch
+// slices, shared by its read loops, its shards' workers and the fabric's
+// injectors, so what is freed anywhere is reused anywhere, whichever way
+// the frames flow. It has no count cap: a miss finds the pool empty or
+// drops the too-small buffer it drew, so the pool never holds more than
+// the most ever out at once — the frames alive, which the credit window
+// bounds on the in-process fabric and the 4096-batch inbox on a daemon,
+// plus a batch's worth in each hand.
 type framePool struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	stacks
+	readAllocs atomic.Int64 // the read loops' misses
+}
+
+type stacks struct {
 	bufs  [][]byte
 	slabs [][]InFrame
 }
 
-// put takes back a batch whose bytes have been copied out (or refused):
-// the frame buffers and the slice itself. The slice is not cleared — a
-// read loop overwrites it from the front. A nil pool takes nothing: the
-// frames stay their caller's.
+// put keeps a dead batch: the buffers worth pooling (a frame shipped
+// onward has had its Data cleared) and the slice when it can hold a full
+// batch. The slice is not cleared — a read loop overwrites it from the
+// front.
+func (s *stacks) put(frames []InFrame) {
+	for i := range frames {
+		if b := frames[i].Data; cap(b) >= minFrameCap && cap(b) <= maxPooledFrame {
+			s.bufs = append(s.bufs, b)
+		}
+	}
+	if cap(frames) >= tcpBatch {
+		s.slabs = append(s.slabs, frames[:0])
+	}
+}
+
+// pop takes the top of a stack: nil when it is empty, or when the top is
+// too small for size and is dropped — kept, it would repeat the miss.
+func pop[E any](stack *[][]E, size int) []E {
+	n := len(*stack)
+	if n == 0 {
+		return nil
+	}
+	s := (*stack)[n-1]
+	*stack = (*stack)[:n-1]
+	if cap(s) < size {
+		return nil
+	}
+	return s[:0]
+}
+
+// put takes back a batch whose bytes have been copied out (or refused);
+// a nil pool takes nothing.
 func (p *framePool) put(frames []InFrame) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	for i := range frames {
-		if b := frames[i].Data; cap(b) >= minFrameCap && cap(b) <= maxPooledFrame && len(p.bufs) < poolBufs {
-			p.bufs = append(p.bufs, b)
-		}
-	}
-	if cap(frames) >= tcpBatch && len(p.slabs) < poolSlabs {
-		p.slabs = append(p.slabs, frames[:0])
-	}
+	p.stacks.put(frames)
 	p.mu.Unlock()
 }
 
-// get hands a read loop what its next batch needs: an empty batch slice
-// (nil when none is pooled: a lone frame then costs a one-element
-// slice, not a full batch's) and its private stash of buffers topped up
-// to a full batch's worth.
-func (p *framePool) get(stash [][]byte) ([]InFrame, [][]byte) {
-	var slab []InFrame
-	p.mu.Lock()
-	if n := len(p.slabs); n > 0 {
-		slab, p.slabs = p.slabs[n-1], p.slabs[:n-1]
-	}
-	stash = p.topUp(stash)
-	p.mu.Unlock()
-	return slab, stash
+// hand is one goroutine's share of a pool within a batch: filled a
+// batch's worth per lock, refilled by what the batch frees, and released
+// whole before the goroutine blocks again.
+type hand struct {
+	pool *framePool
+	stacks
 }
 
-// topUp moves pooled buffers into stash until it holds a full batch's
-// worth; the caller holds p.mu.
-func (p *framePool) topUp(stash [][]byte) [][]byte {
-	if k := min(tcpBatch-len(stash), len(p.bufs)); k > 0 {
-		stash = append(stash, p.bufs[len(p.bufs)-k:]...)
+// take pops one of the hand's stacks, filling the hand when it is empty.
+func take[E any](h *hand, stack *[][]E, size int) []E {
+	if len(*stack) == 0 {
+		p := h.pool
+		p.mu.Lock()
+		k := min(max(tcpBatch-len(h.bufs), 0), len(p.bufs))
+		h.bufs = append(h.bufs, p.bufs[len(p.bufs)-k:]...)
 		p.bufs = p.bufs[:len(p.bufs)-k]
+		if s := pop(&p.slabs, 0); s != nil {
+			h.slabs = append(h.slabs, s)
+		}
+		p.mu.Unlock()
 	}
-	return stash
+	return pop(stack, size)
+}
+
+func (h *hand) release() {
+	p := h.pool
+	p.mu.Lock()
+	p.bufs = append(p.bufs, h.bufs...)
+	p.slabs = append(p.slabs, h.slabs...)
+	p.mu.Unlock()
+	h.bufs, h.slabs = h.bufs[:0], h.slabs[:0]
 }
 
 // tcpDialRetries * tcpDialBackoff bounds how long a shard waits for a
@@ -128,9 +171,8 @@ type TCPTransport struct {
 	addrs []string
 	ln    net.Listener
 
-	inbox  chan []InFrame
-	closed chan struct{}
-	once   sync.Once
+	mailbox
+	once sync.Once
 
 	mu    sync.Mutex
 	peers []tcpPeer           // lazily dialed shard->shard links, by shard index
@@ -147,7 +189,7 @@ type TCPTransport struct {
 	writes        atomic.Int64
 	framesWritten atomic.Int64
 
-	pool framePool
+	stock framePool
 }
 
 // LinkStats reports the transport's link-health counters: how many
@@ -184,36 +226,9 @@ type tcpConn struct {
 	wbuf []byte
 }
 
-// writeFrame sends one frame as one socket write assembled in wbuf.
-func (p *tcpConn) writeFrame(frame []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.wbuf = appendFrame(p.wbuf[:0], frame)
-	_, err := p.c.Write(p.wbuf)
-	return err
-}
-
 // appendFrame appends a frame as the wire carries it: 4-byte BE length, bytes.
 func appendFrame(buf, frame []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(buf, uint32(len(frame))), frame...)
-}
-
-// writeFrames sends the frames as one socket write. They are dead once
-// assembled — their bytes are in wbuf — so that is when recycle takes
-// them, before the write: a buffer is back in circulation while the
-// kernel still copies, and nothing of the batch is touched after the
-// peer can have seen it.
-func (p *tcpConn) writeFrames(frames []InFrame, recycle *framePool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	buf := p.wbuf[:0]
-	for i := range frames {
-		buf = appendFrame(buf, frames[i].Data)
-	}
-	p.wbuf = buf
-	recycle.put(frames)
-	_, err := p.c.Write(buf)
-	return err
 }
 
 // readFrame reads one length-prefixed frame segment into buf's storage
@@ -229,11 +244,7 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: tcp frame length %d outside (0, %d]", n, maxTCPFrame)
 	}
 	if cap(buf) < n {
-		c := minFrameCap
-		for c < n {
-			c <<= 1
-		}
-		buf = make([]byte, n, c)
+		buf = make([]byte, n, frameCap(n))
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -261,10 +272,9 @@ func ListenTCP(shard int, addrs []string) (*TCPTransport, error) {
 func NewTCPTransport(shard int, ln net.Listener, addrs []string) *TCPTransport {
 	t := &TCPTransport{
 		shard: shard, addrs: addrs, ln: ln,
-		inbox:  make(chan []InFrame, 4096),
-		closed: make(chan struct{}),
-		peers:  make([]tcpPeer, len(addrs)),
-		conns:  make(map[uint64]*tcpConn),
+		mailbox: mailbox{make(chan []InFrame, 4096), make(chan struct{})},
+		peers:   make([]tcpPeer, len(addrs)),
+		conns:   make(map[uint64]*tcpConn),
 	}
 	go t.acceptLoop()
 	return t
@@ -304,24 +314,9 @@ func (t *TCPTransport) acceptLoop() {
 // runs last, with the read error, or nil when the transport closed.
 func (t *TCPTransport) readLoop(tc *tcpConn, id uint64, onExit func(err error)) {
 	rd := bufio.NewReaderSize(tc.c, 64*1024)
-	var stash [][]byte
+	h := hand{pool: &t.stock}
 	for {
-		var batch []InFrame
-		batch, stash = t.pool.get(stash)
-		var err error
-		for {
-			var buf []byte
-			if n := len(stash); n > 0 {
-				buf, stash = stash[n-1], stash[:n-1]
-			}
-			if buf, err = readFrame(rd, buf); err != nil {
-				break
-			}
-			batch = append(batch, InFrame{Data: buf, Conn: id})
-			if len(batch) == tcpBatch || rd.Buffered() < 4 {
-				break
-			}
-		}
+		batch, err := h.readBatch(rd, id)
 		if len(batch) > 0 {
 			select {
 			case t.inbox <- batch:
@@ -333,6 +328,36 @@ func (t *TCPTransport) readLoop(tc *tcpConn, id uint64, onExit func(err error)) 
 		if err != nil {
 			onExit(err)
 			return
+		}
+	}
+}
+
+// readBatch reads the frames sitting in rd — at least one, blocking for
+// it — as one batch with reply token conn. It draws on the hand only
+// once a frame is there and releases it before returning, counting each
+// miss in readAllocs. Frames parsed before a read error come with it.
+func (h *hand) readBatch(rd *bufio.Reader, conn uint64) ([]InFrame, error) {
+	if _, err := rd.Peek(4); err != nil {
+		return nil, err
+	}
+	defer h.release()
+	batch := take(h, &h.slabs, tcpBatch)
+	if batch == nil {
+		h.pool.readAllocs.Add(1)
+		batch = make([]InFrame, 0, tcpBatch)
+	}
+	for {
+		buf := take(h, &h.bufs, 0)
+		data, err := readFrame(rd, buf)
+		if err != nil {
+			return batch, err
+		}
+		if cap(buf) < len(data) {
+			h.pool.readAllocs.Add(1)
+		}
+		batch = append(batch, InFrame{Data: data, Conn: conn})
+		if len(batch) == tcpBatch || rd.Buffered() < 4 {
+			return batch, nil
 		}
 	}
 }
@@ -472,8 +497,8 @@ func (t *TCPTransport) redialPeer(to int) {
 	}
 }
 
-// Send implements Transport. A send to this shard itself loops back
-// through the inbox without touching a socket.
+// Send delivers one frame, which stays its caller's: the pool takes
+// nothing. A send to this shard itself loops back through the inbox.
 func (t *TCPTransport) Send(to int, frame []byte) error {
 	return t.deliver(to, []InFrame{{Data: frame}}, nil)
 }
@@ -485,7 +510,7 @@ func (t *TCPTransport) SendBatch(to int, frames []InFrame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	return t.deliver(to, frames, &t.pool)
+	return t.deliver(to, frames, &t.stock)
 }
 
 // deliver routes one batch: into the inbox for this shard itself (the
@@ -512,36 +537,26 @@ func (t *TCPTransport) deliver(to int, frames []InFrame, recycle *framePool) err
 	return nil
 }
 
-// write is the transport's one socket-write site, counted.
+// write is the transport's one socket-write site, counted: the frames
+// as one write. They are dead once assembled — their bytes are in wbuf —
+// so that is when recycle takes them, before the write: a buffer is back
+// in circulation while the kernel still copies, and nothing of the batch
+// is touched after the peer can have seen it.
 func (t *TCPTransport) write(tc *tcpConn, frames []InFrame, recycle *framePool) error {
-	if err := tc.writeFrames(frames, recycle); err != nil {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	buf := tc.wbuf[:0]
+	for i := range frames {
+		buf = appendFrame(buf, frames[i].Data)
+	}
+	tc.wbuf = buf
+	recycle.put(frames)
+	if _, err := tc.c.Write(buf); err != nil {
 		return err
 	}
 	t.writes.Add(1)
 	t.framesWritten.Add(int64(len(frames)))
 	return nil
-}
-
-// Recv implements Transport.
-func (t *TCPTransport) Recv() ([]InFrame, error) {
-	select {
-	case frames := <-t.inbox:
-		return frames, nil
-	case <-t.closed:
-		return nil, ErrClosed
-	}
-}
-
-// TryRecv implements Transport.
-func (t *TCPTransport) TryRecv() ([]InFrame, bool, error) {
-	select {
-	case frames := <-t.inbox:
-		return frames, true, nil
-	case <-t.closed:
-		return nil, false, ErrClosed
-	default:
-		return nil, false, nil
-	}
 }
 
 // ReplyBatch implements Transport: one socket write carries the whole
@@ -555,20 +570,18 @@ func (t *TCPTransport) ReplyBatch(conn uint64, frames []InFrame) error {
 	tc := t.conns[conn]
 	t.mu.Unlock()
 	if tc == nil {
-		t.pool.put(frames)
+		t.stock.put(frames)
 		return fmt.Errorf("cluster: reply to closed connection %d", conn)
 	}
-	return t.write(tc, frames, &t.pool)
+	return t.write(tc, frames, &t.stock)
 }
 
-// spareBufs implements bufferSource: a worker whose own free list ran
-// dry refills it from the pool, a batch's worth per lock.
-func (t *TCPTransport) spareBufs(free [][]byte) [][]byte {
-	t.pool.mu.Lock()
-	free = t.pool.topUp(free)
-	t.pool.mu.Unlock()
-	return free
-}
+// ReadAllocs reports how many batch slices and frame buffers the read
+// loops had to cut for want of a pooled one. Safe to call concurrently
+// with serving.
+func (t *TCPTransport) ReadAllocs() int64 { return t.stock.readAllocs.Load() }
+
+func (t *TCPTransport) pool() *framePool { return &t.stock }
 
 // CloseAccept stops accepting new connections without disturbing the
 // ones already up: the first stage of a graceful shutdown, where the

@@ -182,7 +182,7 @@ func TestTCPLoopback(t *testing.T) {
 
 	// A garbage segment must not take the daemon down: the shard drops
 	// it (non-strict) and keeps serving this very connection.
-	if err := (&tcpConn{c: cl.conn}).writeFrame([]byte("not a frame")); err != nil {
+	if err := cl.write([]byte("not a frame")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := roundtrip(cl, 1, 2); err != nil {
@@ -225,7 +225,7 @@ func TestTCPLoopback(t *testing.T) {
 		data []byte
 	}{{"flight frame at node -7", badAt}, {"flight frame with negative hops", negHops}, {"retired kind-1 frame", retired}} {
 		before := sink.Snapshot().Totals.Errors
-		if err := (&tcpConn{c: cl.conn}).writeFrame(hostile.data); err != nil {
+		if err := cl.write(hostile.data); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := roundtrip(cl, 2, 9); err != nil {
@@ -408,7 +408,7 @@ func TestClientAccountsDrops(t *testing.T) {
 		client, server := net.Pipe()
 		errc := make(chan error, 1)
 		go serve(server, errc)
-		return &Client{conn: client, tc: &tcpConn{c: client}, rd: bufio.NewReader(client)}, errc
+		return &Client{conn: client, rd: bufio.NewReader(client)}, errc
 	}
 
 	cl, errc := dial()

@@ -23,20 +23,16 @@ type InFrame struct {
 // frame-oriented message fabric. Frames are opaque length-delimited
 // byte slices (the wire frame codec's output) which the transport never
 // interprets; a buffer handed to it is its own from then on — passed to
-// the receiver, or kept for reuse once copied to a socket.
-// Implementations must allow
-// concurrent Send/SendBatch/ReplyBatch from many goroutines and
-// concurrent Recv from a shard's worker pool.
+// the receiver, or kept in its pool once copied to a socket.
+// Implementations must allow concurrent SendBatch/ReplyBatch from many
+// goroutines and concurrent Recv from a shard's worker pool.
 type Transport interface {
-	// Send delivers one frame to shard to's mailbox. It blocks while
-	// the destination mailbox is full and returns ErrClosed after the
-	// transport shuts down.
-	Send(to int, frame []byte) error
-	// SendBatch delivers many frames to one shard as a single mailbox
-	// message — the engine's amortization lever: a worker accumulates
-	// everything a dequeue batch emits toward each destination and pays
-	// one rendezvous per destination, not per frame. Ownership of the
-	// slice and of every frame buffer in it transfers to the transport.
+	// SendBatch delivers many frames to shard to's mailbox as a single
+	// message, blocking while it is full and returning ErrClosed after
+	// the transport shuts down — the engine's amortization lever: a
+	// worker accumulates everything a dequeue batch emits toward each
+	// destination and pays one rendezvous per destination, not per
+	// frame. Ownership of the slice and its buffers transfers with it.
 	SendBatch(to int, frames []InFrame) error
 	// Recv returns the next batch from this shard's mailbox, blocking
 	// until at least one frame is available. The caller owns the
@@ -55,17 +51,10 @@ type Transport interface {
 	ReplyBatch(conn uint64, frames []InFrame) error
 	// Close shuts the transport down, unblocking all Send/Recv calls.
 	Close() error
-}
-
-// bufferSource is the optional side of a transport that copies frames
-// to sockets and so ends up holding the buffers its shard shipped: the
-// shard's workers refill their free lists from it instead of the heap.
-// On the channel bus a buffer travels with its frame and the receiver
-// recycles it, so the bus has no such side.
-type bufferSource interface {
-	// spareBufs appends spare frame buffers to free (none when the
-	// transport holds none) and returns it.
-	spareBufs(free [][]byte) [][]byte
+	// pool is the transport's one stock of frame buffers and batch
+	// slices, which its shards' workers draw from and give back to. A
+	// wrapper that embeds a Transport passes it through.
+	pool() *framePool
 }
 
 // Window is the pipelining credit counter: an injector Takes credits
@@ -145,6 +134,20 @@ func (w *Window) Put(n int) {
 	}
 }
 
+// Outstanding returns the credits taken and not put back: zero once
+// every roundtrip is accounted, negative after a double Put.
+func (w *Window) Outstanding() int { return int(w.size - w.avail.Load()) }
+
+// Settled checks take == put once the fabric has stopped.
+func (w *Window) Settled() error {
+	if out := w.Outstanding(); out > 0 {
+		return fmt.Errorf("cluster: %d window credit(s) still out after the fabric stopped", out)
+	} else if out < 0 {
+		return fmt.Errorf("cluster: %d window credit(s) returned twice", -out)
+	}
+	return nil
+}
+
 // Occupancy returns the mean number of in-flight roundtrips observed at
 // completion times (0 when nothing completed).
 func (w *Window) Occupancy() float64 {
@@ -165,6 +168,7 @@ type ChanBus struct {
 	inboxes []chan []InFrame
 	closed  chan struct{}
 	once    sync.Once
+	stock   framePool // shared by every endpoint and the fabric's injectors
 }
 
 // NewChanBus creates a bus for the given shard count, each mailbox
@@ -177,13 +181,9 @@ func NewChanBus(shards, capacity int) *ChanBus {
 	return b
 }
 
-// Send delivers a single frame to shard to's mailbox (injectors use the
-// bus directly; shards go through their Endpoint).
-func (b *ChanBus) Send(to int, frame []byte) error {
-	return b.SendBatch(to, []InFrame{{Data: frame}})
-}
-
-// SendBatch delivers a batch of frames to shard to's mailbox.
+// SendBatch delivers a batch of frames to shard to's mailbox (the
+// fabric's injectors use the bus directly; shards go through their
+// Endpoint).
 func (b *ChanBus) SendBatch(to int, frames []InFrame) error {
 	if to < 0 || to >= len(b.inboxes) {
 		return fmt.Errorf("cluster: send to unknown shard %d (bus has %d)", to, len(b.inboxes))
@@ -212,32 +212,37 @@ func (b *ChanBus) Done() <-chan struct{} { return b.closed }
 
 // Endpoint returns shard's view of the bus.
 func (b *ChanBus) Endpoint(shard int) Transport {
-	return &busEndpoint{bus: b, shard: shard}
+	return &busEndpoint{mailbox{b.inboxes[shard], b.closed}, b}
 }
 
 type busEndpoint struct {
-	bus   *ChanBus
-	shard int
+	mailbox
+	bus *ChanBus
 }
 
-func (e *busEndpoint) Send(to int, frame []byte) error { return e.bus.Send(to, frame) }
+// mailbox is one shard's inbox and its transport's shutdown signal, the
+// receiving side both transports share.
+type mailbox struct {
+	inbox  chan []InFrame
+	closed chan struct{}
+}
 
 func (e *busEndpoint) SendBatch(to int, frames []InFrame) error { return e.bus.SendBatch(to, frames) }
 
-func (e *busEndpoint) Recv() ([]InFrame, error) {
+func (m mailbox) Recv() ([]InFrame, error) {
 	select {
-	case frames := <-e.bus.inboxes[e.shard]:
+	case frames := <-m.inbox:
 		return frames, nil
-	case <-e.bus.closed:
+	case <-m.closed:
 		return nil, ErrClosed
 	}
 }
 
-func (e *busEndpoint) TryRecv() ([]InFrame, bool, error) {
+func (m mailbox) TryRecv() ([]InFrame, bool, error) {
 	select {
-	case frames := <-e.bus.inboxes[e.shard]:
+	case frames := <-m.inbox:
 		return frames, true, nil
-	case <-e.bus.closed:
+	case <-m.closed:
 		return nil, false, ErrClosed
 	default:
 		return nil, false, nil
@@ -249,3 +254,5 @@ func (e *busEndpoint) ReplyBatch(conn uint64, frames []InFrame) error {
 }
 
 func (e *busEndpoint) Close() error { return e.bus.Close() }
+
+func (e *busEndpoint) pool() *framePool { return &e.bus.stock }
