@@ -28,15 +28,16 @@ test:
 verify: build test fuzz-smoke
 
 # Short coverage-guided runs of the wire decoder fuzzers (arbitrary
-# bytes must error cleanly, never panic or over-allocate) and of the
-# lazy oracle's incremental row update (every row must equal a fresh
-# search after every reweighting batch).
+# bytes must error cleanly, never panic or over-allocate), of the lazy
+# oracle's incremental row update (every row must equal a fresh search
+# after every reweighting batch) and of the churn event stream.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalScheme -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFlightFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalChurnFrame -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLazyRowUpdate -fuzztime 5s
+	$(GO) test ./internal/churn -run '^$$' -fuzz FuzzChurnEventStream -fuzztime 5s
 
 # E14 space certification: per-node encoded bytes across n=256..4096
 # (also: rtroute -sizes).

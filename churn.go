@@ -84,10 +84,11 @@ func (r *Replica) Bind(dep *Deployment, owns func(NodeID) bool) {
 
 // Repair folds one event batch into the overlay and repairs the bound
 // slice. It is what a cluster shard's Options.Repair hook runs: called
-// with every fence over the bound deployment held (the daemon's one, or
-// all of the in-process fabric's) and batches in sequence order, so
-// in-flight roundtrips finish on the pre-fence epoch or come back as
-// typed drops and nothing ever routes on a half-patched table.
+// between two served batches by every shard serving the bound
+// deployment (the daemon's one, or all of the in-process fabric's), in
+// sequence order, so nothing routes on it while it runs, in-flight
+// roundtrips resume on the repaired epoch or come back as typed drops,
+// and nothing ever routes on a half-patched table.
 func (r *Replica) Repair(seq uint64, events []ChurnEvent) error {
 	dirty, err := r.ov.ApplyBatch(events)
 	if err == nil {

@@ -17,7 +17,7 @@ import (
 
 // ChurnClusterConfig parameterizes one RunChurnCluster experiment:
 // seeded churn absorbed by a serving shard fabric, with one online
-// repair per batch behind the shards' epoch fences and bit-identity
+// repair per batch between the shards' serving batches and bit-identity
 // certification against a sequential reference replica after every
 // event batch.
 type ChurnClusterConfig struct {
@@ -29,8 +29,6 @@ type ChurnClusterConfig struct {
 	Build BuildConfig
 	// Shards is the fabric width (default 8).
 	Shards int
-	// Workers is each shard's serving pool size (default 1).
-	Workers int
 	// ChurnSeed seeds the event model (independent of Build.Seed).
 	ChurnSeed int64
 	// Batches is the number of churn->repair->certify rounds (default 4).
@@ -72,9 +70,6 @@ func (cfg *ChurnClusterConfig) fill() {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.Batches <= 0 {
 		cfg.Batches = 4
 	}
@@ -109,15 +104,11 @@ type ChurnClusterBatch struct {
 	FireDrops     int64
 	FireMisroutes int64
 	FireNs        int64
-	// RepairNsMax is the longest of the shards' fence holds: from asking
-	// for the write fence to releasing it, the rendezvous and the one
-	// repair inside. FenceWaitNsMax is the longest wait for the fence
-	// itself (serving batches draining), part of the hold but not of the
-	// repair.
-	RepairNsMax    int64
-	FenceWaitNsMax int64
-	StableIssued   int64
-	StableNs       int64
+	// RepairNsMax is the longest of the shards' repair calls: the wait
+	// at the rendezvous and the one repair inside.
+	RepairNsMax  int64
+	StableIssued int64
+	StableNs     int64
 	// RefRepair and FabricRepair are both repairs' full reports, stage
 	// walls and search counts included: the same work, sequential on the
 	// driver thread inside the fire window, and on every core.
@@ -135,7 +126,7 @@ type ChurnClusterResult struct {
 	Served    int64
 	Drops     int64
 	Misroutes int64
-	// Repairs counts the shards' fenced applications (Shards x Batches);
+	// Repairs counts the shards' applications (Shards x Batches);
 	// each batch's S applications share one repair of the fabric replica.
 	Repairs     int64
 	RepairNsMax int64
@@ -189,14 +180,15 @@ type meeting struct {
 	err     error
 }
 
-// repair is every shard's Options.Repair hook. Each shard calls it under
-// its own write fence; the S calls of one batch are one repair: the last
-// shard to arrive — by then every shard holds its fence, so nothing reads
-// the shared graph or tables — repairs the fabric replica for all, on
-// every core, while the others wait holding theirs, so the serving read
-// path shares no lock between shards. A repair that has started always
-// finishes before any fence drops; stop fails the meeting still
-// gathering, so a dead shard cannot strand its peers.
+// repair is every shard's Options.Repair hook. A shard calls it on its
+// serving goroutine between two batches, so while it waits here it
+// serves nothing; the S calls of one batch are one repair: the last
+// shard to arrive — by then no shard is serving, so nothing reads the
+// shared graph or tables — repairs the fabric replica for all, on every
+// core, while the others wait, so the serving path shares no lock
+// between shards. A repair that has started always finishes before any
+// shard serves again; stop fails the meeting still gathering, so a dead
+// shard cannot strand its peers.
 func (r *ccRun) repair(seq uint64, events []ChurnEvent) error {
 	r.mu.Lock()
 	m := r.meet
@@ -246,10 +238,10 @@ func (r *ccRun) stop() error {
 // The fabric serves one replica of the scheme — one graph clone, one
 // maintained plane, one Deployment behind all S shard views — and each
 // event batch is broadcast as a churn frame: every shard receives,
-// orders and acknowledges it and takes its own epoch fence, and the
+// orders and acknowledges it and stops serving to apply it, and the
 // last to do so repairs the replica once, on every core, for all of
 // them (see ccRun.repair) — concurrently with serving on the shards not
-// yet fenced, so in-flight roundtrips complete on stale-but-live routes
+// yet there, so in-flight roundtrips complete on stale-but-live routes
 // or fail typed, never hang. After every batch the run certifies the
 // fabric's plane bit-identical, node for node, to a reference replica
 // built from the same seed and repaired sequentially (BuildWorkers 1) on
@@ -313,7 +305,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	fabDep := core.NewDeployment(fab.m.Plane(), cfg.Kind)
 	fab.Bind(fabDep, nil)
 	r.net, err = cluster.NewFabric(fabDep, place, r.window, cluster.Options{
-		Workers: cfg.Workers, Strict: true,
+		Strict: true,
 		OnDone: func(f *wire.Frame) {
 			r.servedHops.Add(int64(f.Out.Hops) + int64(f.Back.Hops))
 			r.servedWeight.Add(int64(f.Out.Weight) + int64(f.Back.Weight))
@@ -397,7 +389,6 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 	prevRepairs := make([]int64, r.cfg.Shards)
 	prevNanos := make([]int64, r.cfg.Shards)
-	prevWait := make([]int64, r.cfg.Shards)
 	for b := 0; b < r.cfg.Batches; b++ {
 		seq := uint64(b + 1)
 		row := ChurnClusterBatch{Batch: b}
@@ -450,13 +441,11 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		row.FireMisroutes = r.misroutes.Load() - miss0
 		for i, sh := range r.net.Shards() {
 			_, _, reps, nanos := sh.ChurnStats()
-			wait := sh.FenceWaitNanos()
 			if reps != prevRepairs[i]+1 {
 				return fmt.Errorf("rtroute: batch %d: shard %d ran %d repairs, expected %d", b, i, reps, prevRepairs[i]+1)
 			}
 			row.RepairNsMax = max(row.RepairNsMax, nanos-prevNanos[i])
-			row.FenceWaitNsMax = max(row.FenceWaitNsMax, wait-prevWait[i])
-			prevRepairs[i], prevNanos[i], prevWait[i] = reps, nanos, wait
+			prevRepairs[i], prevNanos[i] = reps, nanos
 		}
 		row.FabricRepair = r.fab.last
 

@@ -14,17 +14,16 @@ import (
 
 // TestClusterChurnMatchesSequential is the tentpole certification: a
 // fabric of 8, 2 and 1 shards absorbs seeded churn while serving —
-// events ride the wire as churn frames, every shard orders and fences
-// each batch and the last to arrive repairs the fabric's one replica on
+// events ride the wire as churn frames, every shard orders each batch
+// and applies it between two served batches, and the last to arrive repairs the fabric's one replica on
 // every core, with roundtrips in flight — and after every batch the
 // fabric's tables are bit-identical to a reference replica repaired
 // sequentially (and, transitively, to a from-scratch build), the
 // accounting identity holds exactly (zero hung roundtrips), and the
 // post-repair stable window's hop and weight totals equal a sequential
 // replay on the reference plane. The one-shard rows are the monolithic
-// churn loop (no crossings, a rendezvous of one beside a 4-worker
-// serving pool) through the same driver. All five plane kinds, under
-// -race.
+// churn loop (no crossings, a rendezvous of one) through the same
+// driver. All five plane kinds, under -race.
 func TestClusterChurnMatchesSequential(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -37,12 +36,12 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 		{"hop", HopSubstrate},
 	}
 	fabrics := []struct {
-		name            string
-		shards, workers int
+		name   string
+		shards int
 	}{
-		{"shards=8", 8, 2},
-		{"shards=2", 2, 2},
-		{"shards=1", 1, 4},
+		{"shards=8", 8},
+		{"shards=2", 2},
+		{"shards=1", 1},
 	}
 	for _, tc := range kinds {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,7 +53,6 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 						Kind:           tc.kind,
 						Build:          BuildConfig{Seed: 7},
 						Shards:         fab.shards,
-						Workers:        fab.workers,
 						ChurnSeed:      901 + int64(tc.kind),
 						Batches:        3,
 						EventsPerBatch: 3,
@@ -93,9 +91,6 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 						if ref, fab := counters(row.RefRepair), counters(row.FabricRepair); !reflect.DeepEqual(ref, fab) {
 							t.Fatalf("batch %d: fabric repaired %+v, reference %+v", row.Batch, fab, ref)
 						}
-						if row.FenceWaitNsMax > row.RepairNsMax {
-							t.Fatalf("batch %d: fence wait %d ns exceeds the fence hold %d ns it is part of", row.Batch, row.FenceWaitNsMax, row.RepairNsMax)
-						}
 					}
 				})
 			}
@@ -109,7 +104,7 @@ func TestClusterChurnMatchesSequential(t *testing.T) {
 // so churn frames overtake and trail roundtrip frames far more
 // aggressively than any real transport. Held frames are always returned
 // by the next Recv or TryRecv before the underlying blocking receive is
-// consulted, so no worker ever blocks on held traffic.
+// consulted, so no shard ever blocks on held traffic.
 type ccReorderEndpoint struct {
 	cluster.Transport
 	mu   sync.Mutex
@@ -175,9 +170,9 @@ func (r *ccReorderEndpoint) TryRecv() ([]cluster.InFrame, bool, error) {
 // TestClusterChurnUnderReorderingAdversary re-runs the churn
 // certification with the adversary spliced into every shard's endpoint:
 // aggressive reordering of churn frames against in-flight roundtrips
-// must not change a single certified outcome, because repairs are
-// fenced per shard and applied in sequence order regardless of delivery
-// order.
+// must not change a single certified outcome, because each shard
+// applies repairs between served batches, in sequence order regardless
+// of delivery order.
 func TestClusterChurnUnderReorderingAdversary(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -194,7 +189,6 @@ func TestClusterChurnUnderReorderingAdversary(t *testing.T) {
 				Kind:           tc.kind,
 				Build:          BuildConfig{Seed: 11},
 				Shards:         8,
-				Workers:        2,
 				ChurnSeed:      333 + int64(tc.kind),
 				Batches:        3,
 				EventsPerBatch: 3,
@@ -221,8 +215,8 @@ func TestClusterChurnUnderReorderingAdversary(t *testing.T) {
 }
 
 // TestClusterChurnRepairFailureSurfaces: when the fabric's one repair
-// fails — here on the second batch, after every shard has reached the
-// rendezvous holding its fence — every shard must come back from the
+// fails — here on the second batch, after every shard has stopped
+// serving to reach the rendezvous — every shard must come back from the
 // rendezvous with that error and poison itself, and RunChurnCluster must
 // return it promptly (far inside the driver's 60 s hang deadline) with
 // every serving loop joined and no goroutine left behind.
@@ -233,7 +227,7 @@ func TestClusterChurnRepairFailureSurfaces(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunChurnCluster(sys, ChurnClusterConfig{
-			Kind: StretchSix, Build: BuildConfig{Seed: 7}, Shards: 4, Workers: 2, ChurnSeed: 901,
+			Kind: StretchSix, Build: BuildConfig{Seed: 7}, Shards: 4, ChurnSeed: 901,
 			Batches: 3, EventsPerBatch: 2, FirePackets: 300, StablePackets: 300, InFlight: 64,
 			failRepair: func(seq uint64) error {
 				if seq == 2 {

@@ -208,9 +208,11 @@ func runConnect(addr string, src, dst int32, pairs, window int, seed int64, trac
 // (events must be admissible on the real topology, which the daemons
 // never ship back) and broadcasts each batch to every daemon armed with
 // rtserve -repair, blocking on the repair acks. Daemons apply batches
-// in sequence order behind their epoch fences, so a batch is only acked
-// once the owned table slice is repaired; concurrent rtroute -pairs
-// clients keep routing throughout.
+// in sequence order between two served batches, so a batch is only
+// acked once the owned table slice is repaired; concurrent rtroute
+// -pairs clients keep routing throughout. A daemon refuses a batch it
+// has already applied (a rerun against the same daemons numbers from 1
+// again) and its ack names the batch it expects next.
 func runConnectChurn(addr, addrsSpec, load string, batches, eventsPer int, seed int64) error {
 	if load == "" {
 		return fmt.Errorf("-churn draws events against the daemons' topology: pass the served snapshot with -load")

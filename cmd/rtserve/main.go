@@ -59,24 +59,23 @@ func main() {
 		addrsSpec = flag.String("addrs", "", "comma-separated shard addresses (host:port); one entry per shard")
 		load      = flag.String("load", "", "scheme snapshot to serve (wire format, from rtroute -save)")
 		placement = flag.String("placement", "contiguous", "node partition: contiguous|hash|rtz")
-		workers   = flag.Int("workers", 1, "serving goroutines for this shard")
 		batch     = flag.Int("batch", 64, "mailbox dequeue batch size")
 		httpAddr  = flag.String("http", "", "serve /metrics, /trace and /debug/pprof on this address (empty = off)")
 		traceEach = flag.Int("trace-every", 0, "record hop traces for roundtrip tags rt with rt%N==1 (0 = off)")
 		sample    = flag.Int("sample-every", 16, "sample stage timing on every k-th mailbox batch (<0 = off)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain bound")
-		repair    = flag.String("repair", "", "arm online repair with this build seed (must equal the -seed given to rtroute -save): churn frames rebuild the owned table slice behind the epoch fence while serving continues; empty = serve frozen tables")
+		repair    = flag.String("repair", "", "arm online repair with this build seed (must equal the -seed given to rtroute -save): churn frames rebuild the owned table slice between two served batches; empty = serve frozen tables")
 		repairK   = flag.Int("repair-k", 2, "with -repair: tradeoff parameter of the rebuilt scheme (exstretch/poly/hop)")
 	)
 	flag.Parse()
-	if err := run(*shard, *addrsSpec, *load, *placement, *workers, *batch,
+	if err := run(*shard, *addrsSpec, *load, *placement, *batch,
 		*httpAddr, *traceEach, *sample, *drain, *repair, *repairK); err != nil {
 		fmt.Fprintln(os.Stderr, "rtserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(shard int, addrsSpec, load, placement string, workers, batch int,
+func run(shard int, addrsSpec, load, placement string, batch int,
 	httpAddr string, traceEvery, sampleEvery int, drain time.Duration,
 	repairSpec string, repairK int) error {
 	if load == "" {
@@ -133,8 +132,7 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 	// frame and one struct copy per batch — so /metrics can be consulted
 	// (and the final snapshot printed) whether or not -http is set.
 	sink := telemetry.New(telemetry.Config{
-		Shards: []int{shard}, Workers: workers,
-		SampleEvery: sampleEvery, TraceEvery: traceEvery,
+		Shards: []int{shard}, SampleEvery: sampleEvery, TraceEvery: traceEvery,
 	})
 	sink.RegisterGauge("peer_downs", func() float64 { d, _ := tr.LinkStats(); return float64(d) })
 	sink.RegisterGauge("link_redials", func() float64 { _, r := tr.LinkStats(); return float64(r) })
@@ -143,38 +141,25 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 	sink.RegisterGauge("read_allocs_total", func() float64 { return float64(tr.ReadAllocs()) })
 
 	sh := cluster.NewShard(view, place, tr, cluster.Options{
-		Workers: workers, Batch: batch, Sink: sink, SinkShard: 0,
-		Repair: repairHook,
+		Batch: batch, Sink: sink, SinkShard: 0, Repair: repairHook,
 	})
 	if repairHook != nil {
 		sink.RegisterGauge("churn_drops_total", func() float64 { d, _, _, _ := sh.ChurnStats(); return float64(d) })
 		sink.RegisterGauge("churn_misroutes_total", func() float64 { _, m, _, _ := sh.ChurnStats(); return float64(m) })
 		sink.RegisterGauge("churn_repairs_total", func() float64 { _, _, r, _ := sh.ChurnStats(); return float64(r) })
-		perRepair := func(nanos func() int64) func() float64 {
-			return func() float64 {
-				_, _, r, _ := sh.ChurnStats()
-				if r == 0 {
-					return 0
-				}
-				return float64(nanos()) / float64(r)
+		sink.RegisterGauge("churn_repair_ns_mean", func() float64 {
+			_, _, r, ns := sh.ChurnStats()
+			if r == 0 {
+				return 0
 			}
-		}
-		// The fence hold, and the part of it spent waiting for the other
-		// workers' serving batches to drain before any repairing began.
-		sink.RegisterGauge("churn_repair_ns_mean", perRepair(func() int64 { _, _, _, ns := sh.ChurnStats(); return ns }))
-		sink.RegisterGauge("churn_fence_wait_ns_mean", perRepair(sh.FenceWaitNanos))
+			return float64(ns) / float64(r)
+		})
 	}
-	fmt.Printf("shard %d/%d serving %d of %d nodes (%s placement) on %s with %d workers\n",
-		shard, len(addrs), view.NodeCount(), dep.Graph().N(), place.Policy, tr.Addr(), workers)
+	fmt.Printf("shard %d/%d serving %d of %d nodes (%s placement) on %s\n",
+		shard, len(addrs), view.NodeCount(), dep.Graph().N(), place.Policy, tr.Addr())
 
 	if httpAddr != "" {
-		extra := func() map[string]any {
-			return map[string]any{
-				"shard": shard, "shards": len(addrs), "addr": tr.Addr(),
-				"scheme": dep.Kind().String(), "nodes": dep.Graph().N(),
-			}
-		}
-		srv, bound, err := telemetry.Serve(httpAddr, sink, extra)
+		srv, bound, err := telemetry.Serve(httpAddr, sink, identity(shard, len(addrs), tr.Addr(), dep))
 		if err != nil {
 			return fmt.Errorf("telemetry http: %w", err)
 		}
@@ -205,17 +190,26 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 		downs, redials, sink.TraceDropped())
 	if repairHook != nil {
 		d, m, reps, ns := sh.ChurnStats()
-		mean, wait := time.Duration(0), time.Duration(0)
+		mean := time.Duration(0)
 		if reps > 0 {
-			mean, wait = time.Duration(ns/reps), time.Duration(sh.FenceWaitNanos()/reps)
+			mean = time.Duration(ns / reps)
 		}
-		fmt.Printf("churn: %d repairs applied (mean fence hold %v, %v of it waiting for the fence), %d roundtrips dropped, %d misrouted\n",
-			reps, mean, wait, d, m)
+		fmt.Printf("churn: %d repairs applied (mean %v), %d roundtrips dropped, %d misrouted\n", reps, mean, d, m)
 	}
 	if table := sink.Snapshot().FormatStageTable(st.Packets, 0); table != "" {
 		fmt.Printf("\nstage timing (per completed roundtrip)\n%s", table)
 	}
 	return err
+}
+
+// identity is the daemon's /metrics identity, built once before serving:
+// a repair rebinds dep on the serving goroutine, so a scrape must never
+// read through it. Churn never changes the node count.
+func identity(shard, shards int, addr string, dep *rtroute.Deployment) map[string]any {
+	return map[string]any{
+		"shard": shard, "shards": shards, "addr": addr,
+		"scheme": dep.Kind().String(), "nodes": dep.Graph().N(),
+	}
 }
 
 // armRepair builds the daemon's private repair replica: a clone of the

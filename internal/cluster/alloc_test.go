@@ -24,7 +24,7 @@ func allocGate(t *testing.T, newSink func(Config) *telemetry.Sink) (process, tra
 	dep := deps["stretch6"]
 	run := func(packets int64) (*Result, uint64) {
 		cfg := Config{
-			Shards: 4, Workers: 1, Packets: packets,
+			Shards: 4, Packets: packets,
 			Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
 			Seed:     5, InFlight: 512, Batch: 64,
 		}

@@ -55,11 +55,11 @@ func localPair(t *testing.T, dep interface {
 }
 
 // TestTCPPeerDeathMidRepair kills a peer daemon while another shard's
-// repair holds the write fence. The contract under test: the repair is
-// a shard-local act, so it completes and acks despite the dead peer;
-// while the fence is held not a single roundtrip is served (no
-// half-patched epoch is ever observable); and after the repair the
-// shard keeps serving everything it can complete locally.
+// repair runs. The contract under test: the repair is a shard-local
+// act, so it completes and acks despite the dead peer; while it runs not
+// a single roundtrip is served (no half-patched epoch is ever
+// observable — the repair runs on the shard's only goroutine); and after
+// the repair the shard keeps serving everything it can complete locally.
 func TestTCPPeerDeathMidRepair(t *testing.T) {
 	deps, _ := testDeployments(t, 32, 21)
 	dep := deps["stretch6"]
@@ -99,7 +99,7 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Workers: 2}
+		var opts Options
 		if i == 0 {
 			opts.Repair = func(seq uint64, events []churn.Event) error {
 				once.Do(func() { close(entered) })
@@ -133,7 +133,7 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 		t.Fatalf("warmup roundtrip hops (%d,%d), tracer (%d,%d)", out.Hops, back.Hops, want.Out.Hops, want.Back.Hops)
 	}
 
-	// Ship a churn batch; the repair hook parks holding the write fence.
+	// Ship a churn batch; the repair hook parks the serving goroutine.
 	ack := make(chan error, 1)
 	go func() {
 		ack <- cl.Churn(1, []churn.Event{{Kind: churn.WeightChange, U: 0, V: dep.Graph().Out(0)[0].To, Weight: 5, At: 0.25}})
@@ -144,8 +144,8 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 		t.Fatal("repair hook never entered")
 	}
 
-	// A roundtrip issued mid-repair must not be served while the fence is
-	// held: every worker parks on the read side until the repair is done.
+	// A roundtrip issued mid-repair must not be served while the repair
+	// runs: it waits in the mailbox until the repair is done.
 	cl2, err := DialClient(addrs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -158,13 +158,13 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 	}()
 	select {
 	case err := <-probe:
-		t.Fatalf("roundtrip completed (err=%v) while the repair held the write fence", err)
+		t.Fatalf("roundtrip completed (err=%v) while the repair ran", err)
 	case <-time.After(200 * time.Millisecond):
 	}
 
 	// Kill the peer mid-repair, then let the repair finish. It must
 	// complete — the repair touches only this shard's replica — and the
-	// fenced roundtrip must then be served on the repaired epoch.
+	// held roundtrip must then be served on the repaired epoch.
 	trs[1].Close()
 	close(release)
 	select {
@@ -184,10 +184,10 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 	select {
 	case err := <-probe:
 		if err != nil {
-			t.Fatalf("fenced roundtrip after repair: %v", err)
+			t.Fatalf("held roundtrip after repair: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("fenced roundtrip never completed after the repair released")
+		t.Fatal("held roundtrip never completed after the repair released")
 	}
 
 	// The survivor keeps serving local traffic with its only peer dead.
@@ -202,9 +202,9 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 }
 
 // TestRepairFailurePoisonsShard locks the rollback half of the
-// mid-repair contract: a Repair hook that fails must take the whole
-// worker pool down — Serve returns the error, nothing keeps serving a
-// possibly half-applied epoch — even in non-strict (daemon) mode.
+// mid-repair contract: a Repair hook that fails must take the shard
+// down — Serve returns the error, nothing keeps serving a possibly
+// half-applied epoch — even in non-strict (daemon) mode.
 func TestRepairFailurePoisonsShard(t *testing.T) {
 	deps, _ := testDeployments(t, 32, 23)
 	dep := deps["stretch6"]
@@ -219,7 +219,7 @@ func TestRepairFailurePoisonsShard(t *testing.T) {
 	}
 	bus := NewChanBus(1, 16)
 	sh := NewShard(view, place, bus.Endpoint(0), Options{
-		Workers: 2, Strict: false,
+		Strict: false,
 		Repair: func(seq uint64, events []churn.Event) error {
 			return errors.New("replica wedged")
 		},
@@ -249,7 +249,10 @@ func TestRepairFailurePoisonsShard(t *testing.T) {
 // -repair arms one), so a frame that got through would panic the prober
 // or fail the repair and poison the shard. Each bad frame adds exactly
 // one to Errors, the daemon keeps serving, and the next valid batch —
-// still sequence number 1 — is repaired and acknowledged.
+// still sequence number 1 — is repaired and acknowledged. Resending that
+// batch, as a second rtroute -churn run against the same daemon does, is
+// refused the same way and answered, so the client fails instead of
+// waiting forever.
 func TestTCPHostileChurnFrames(t *testing.T) {
 	deps, _ := testDeployments(t, 32, 25)
 	dep := deps["stretch6"]
@@ -259,12 +262,12 @@ func TestTCPHostileChurnFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var repaired atomic.Int32
-	// Errors is read off the sink: workers publish at batch boundaries,
-	// so the reading is race-free while they serve.
-	sink := telemetry.New(telemetry.Config{Shards: []int{0}, Workers: 2})
+	// Errors is read off the sink: the shard publishes at batch
+	// boundaries, so the reading is race-free while it serves.
+	sink := telemetry.New(telemetry.Config{Shards: []int{0}})
 	errorsCounted := func() int64 { return sink.Snapshot().Totals.Errors }
 	c := startTCPShards(t, dep, 1, func(int) Options {
-		return Options{Workers: 2, Sink: sink, Repair: func(seq uint64, events []churn.Event) error {
+		return Options{Sink: sink, Repair: func(seq uint64, events []churn.Event) error {
 			_, err := ov.ApplyBatch(events)
 			repaired.Add(1)
 			return err
@@ -315,6 +318,29 @@ func TestTCPHostileChurnFrames(t *testing.T) {
 	}
 	if w, _ := ov.G.EdgeWeight(u, v); repaired.Load() != 1 || w != 5 {
 		t.Fatalf("valid batch: %d repairs, (%d,%d) weighs %d, want 1 and 5", repaired.Load(), u, v, w)
+	}
+
+	before := errorsCounted()
+	resent := make(chan error, 1)
+	go func() {
+		resent <- cl.Churn(1, []churn.Event{{Kind: churn.WeightChange, U: u, V: v, Weight: 9, At: 0.75}})
+	}()
+	select {
+	case err := <-resent:
+		if err == nil || !strings.Contains(err.Error(), "batch 1 carries seq 2") {
+			t.Fatalf("resent batch 1 returned %v, want an ack error naming batch 1 and the daemon's next seq 2", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("resent batch 1 neither acked nor refused after 5 s")
+	}
+	for deadline := time.Now().Add(5 * time.Second); errorsCounted() == before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := errorsCounted(); got != before+1 {
+		t.Fatalf("resent batch: errors %d -> %d, want one more", before, got)
+	}
+	if w, _ := ov.G.EdgeWeight(u, v); repaired.Load() != 1 || w != 5 {
+		t.Fatalf("resent batch: %d repairs, (%d,%d) weighs %d, want still 1 and 5", repaired.Load(), u, v, w)
 	}
 }
 

@@ -50,7 +50,10 @@ type Config struct {
 	// contiguous run of partitions p with p*W/S equal to its index, so a
 	// hop between co-resident partitions never leaves its worker.
 	Shards int
-	// Workers is each fabric worker's serving pool size (default 1).
+	// Workers must be 0 or 1: each fabric worker is one shard serving on
+	// one goroutine. Run refuses a larger value.
+	//
+	// Deprecated: a shard has no worker pool; leave it unset.
 	Workers int
 	// Placement selects the node partition (default Contiguous).
 	Placement Policy
@@ -79,13 +82,12 @@ type Config struct {
 	InFlight int
 	// Batch bounds one mailbox dequeue (default 64).
 	Batch int
-	// Sink, when non-nil, attaches the telemetry plane: per-worker
-	// probes on every shard and injector, sampled stage timing, heat
-	// sketches and (when the sink's TraceEvery is set) the flight
-	// recorder — in which case injects are stamped with roundtrip
-	// tags. The sink must have one probe per serving goroutine (fabric
-	// workers x Workers, plus Injectors) or Run refuses it; SinkShape
-	// builds a matching one.
+	// Sink, when non-nil, attaches the telemetry plane: one probe on
+	// every shard and injector, sampled stage timing, heat sketches and
+	// (when the sink's TraceEvery is set) the flight recorder — in which
+	// case injects are stamped with roundtrip tags. The sink must have one probe per serving goroutine (one per
+	// fabric worker, plus Injectors) or Run refuses it; SinkShape builds
+	// a matching one.
 	Sink *telemetry.Sink
 	// fabricWorkers, when > 0, stands in for GOMAXPROCS in the W rule —
 	// the test hook that forces a grouping whatever the host's core count.
@@ -100,10 +102,9 @@ type Config struct {
 // partitions S, the fabric workers W = clamp(GOMAXPROCS, 2, S) serving
 // them (one per core, so a frame exists only where a hop leaves a core;
 // the floor of two keeps the crossing path live on a one-core host, and
-// W is 1 only when S is), goroutines per worker, and injector streams —
-// which default to S, not W, so the pair multiset does not depend on the
-// host.
-func (cfg Config) shape() (shards, fabric, workers, injectors int) {
+// W is 1 only when S is), and injector streams — which default to S,
+// not W, so the pair multiset does not depend on the host.
+func (cfg Config) shape() (shards, fabric, injectors int) {
 	if shards = cfg.Shards; shards <= 0 {
 		shards = 8
 	}
@@ -113,7 +114,7 @@ func (cfg Config) shape() (shards, fabric, workers, injectors int) {
 	if injectors = cfg.Injectors; injectors <= 0 {
 		injectors = shards
 	}
-	return shards, min(fabric, shards), max(cfg.Workers, 1), injectors
+	return shards, min(fabric, shards), injectors
 }
 
 // Result aggregates one cluster run, shaped like traffic.Result plus
@@ -125,7 +126,6 @@ type Result struct {
 	// distribution built from them, are the placement-blind tracer's.
 	Shards        int
 	FabricWorkers int
-	Workers       int
 	Placement     Policy
 	Packets       int64
 	Hops          int64
@@ -150,8 +150,8 @@ type Result struct {
 	// sampled at completion times — how full the pipeline actually ran.
 	WindowOccupancy float64
 	// TrackedAllocs counts allocation events at the engine's known
-	// allocation sites — the workers' and injectors' frame-pool misses
-	// among them — summed from the per-worker telemetry counters. Unlike
+	// allocation sites — the shards' and injectors' frame-pool misses
+	// among them — summed from the per-probe telemetry counters. Unlike
 	// the whole-process ReadMemStats delta this replaced, it is
 	// attributable per shard and immune to concurrent test goroutines;
 	// the build-tag alloc gate keeps a process-wide measurement as the
@@ -189,27 +189,30 @@ func (r *Result) AllocsPerRT() float64 {
 // Run does on this host. Callers set the sampling knobs (SampleEvery,
 // TraceEvery, HeatK...) and pass telemetry.New of it as cfg.Sink.
 func (cfg Config) SinkShape() telemetry.Config {
-	_, fabric, workers, injectors := cfg.shape()
+	_, fabric, injectors := cfg.shape()
 	ids := make([]int, fabric)
 	for i := range ids {
 		ids[i] = i
 	}
-	return telemetry.Config{Shards: ids, Workers: workers, Injectors: injectors}
+	return telemetry.Config{Shards: ids, Injectors: injectors}
 }
 
 // Run serves cfg.Packets roundtrips through an in-process cluster: the
 // S placement partitions folded onto W fabric workers over a channel
-// bus, each worker pumping its own mailbox with Workers goroutines, plus
-// deterministic injector streams throttled by the InFlight window. The
-// pair multiset — and therefore every distribution in the Result — is a
-// pure function of (Seed, Injectors, Workload, Packets); Elapsed, the
-// rates and the frames shipped vary with the host.
+// bus, each worker one shard pumping its own mailbox, plus deterministic
+// injector streams throttled by the InFlight window. The pair multiset —
+// and therefore every distribution in the Result — is a pure function
+// of (Seed, Injectors, Workload, Packets); Elapsed, the rates and the
+// frames shipped vary with the host.
 func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	if cfg.Packets <= 0 {
 		return nil, fmt.Errorf("cluster: packets must be > 0, got %d", cfg.Packets)
 	}
-	shards, fabric, workers, injectors := cfg.shape()
-	if err := cfg.Sink.CheckShape(fabric, workers, injectors); err != nil {
+	if cfg.Workers > 1 {
+		return nil, fmt.Errorf("cluster: Config.Workers is %d, but a shard serves on one goroutine (leave it unset)", cfg.Workers)
+	}
+	shards, fabric, injectors := cfg.shape()
+	if err := cfg.Sink.CheckShape(fabric, injectors); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	inFlight := cfg.InFlight
@@ -245,7 +248,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	cfg.Sink.RegisterGauge("window_occupancy", window.Occupancy)
 	var fab *Fabric
 	fab, err = NewFabric(dep, place, window, Options{
-		Workers: workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops, Strict: true,
+		Batch: cfg.Batch, MaxHops: cfg.MaxHops, Strict: true,
 		OnDone: func(*wire.Frame) {
 			window.Put(1)
 			if atomic.AddInt64(&remaining, -1) == 0 {
@@ -294,7 +297,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 			defer wg.Done()
 			gen := wl.Generator(i)
 			byOwner := make([][]wire.InjectEntry, fabric)
-			// The injector's probe mirrors the worker discipline: one
+			// The injector's probe mirrors the shard discipline: one
 			// BatchStart per burst (credit wait is its own — excluded —
 			// stage), publish after every burst.
 			ip := cfg.Sink.InjectorProbe(i)
@@ -364,7 +367,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Shards: shards, FabricWorkers: fabric, Workers: workers, Placement: place.Policy,
+		Shards: shards, FabricWorkers: fabric, Placement: place.Policy,
 		Elapsed: elapsed, PerShard: make([]ShardStats, fabric),
 		CrossEdgeFraction: requested.CrossEdgeFraction(g),
 		InFlight:          inFlight,

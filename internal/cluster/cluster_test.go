@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,7 +124,7 @@ func TestClusterMatchesSequentialRun(t *testing.T) {
 	deps, m := testDeployments(t, 64, 7)
 	for name, dep := range deps {
 		cfg := Config{
-			Shards: 8, Workers: 2, Packets: 3000,
+			Shards: 8, Packets: 3000,
 			Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
 			Seed:     11, Oracle: m, SampleEvery: 3, InFlight: 64, Batch: 16,
 		}
@@ -179,7 +180,7 @@ func TestClusterRouteIdentityAtEveryW(t *testing.T) {
 	deps, m := testDeployments(t, 64, 7)
 	for name, dep := range deps {
 		base := Config{
-			Shards: 8, Workers: 2, Packets: 3000, Injectors: 3,
+			Shards: 8, Packets: 3000, Injectors: 3,
 			Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
 			Seed:     11, Oracle: m, SampleEvery: 1, InFlight: 64, Batch: 16,
 		}
@@ -431,10 +432,54 @@ func (f *failingEndpoint) Recv() ([]InFrame, error) {
 	return f.Transport.Recv()
 }
 
+// TestWorkerPoolRefused: the deprecated Workers fields survive only so
+// callers that set them to 1 keep compiling. A larger value asks for a
+// worker pool no shard has, so Run and Serve refuse it with an error
+// naming the field, instead of serving on one goroutine regardless —
+// and leave no goroutine behind.
+func TestWorkerPoolRefused(t *testing.T) {
+	deps, _ := testDeployments(t, 64, 7)
+	dep := deps["stretch6"]
+	before := runtime.NumGoroutine()
+	if _, err := Run(dep, Config{Shards: 4, Workers: 2, Packets: 100}); err == nil || !strings.Contains(err.Error(), "Config.Workers is 2") {
+		t.Fatalf("Run with Workers 2 returned %v, want an error naming Config.Workers", err)
+	}
+	place, err := NewPlacement(dep, 1, Contiguous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := dep.ShardView(0, place.Owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := NewChanBus(1, 16)
+	served := make(chan error, 1)
+	go func() { served <- NewShard(view, place, bus.Endpoint(0), Options{Workers: 2}).Serve() }()
+	select {
+	case err := <-served:
+		if err == nil || !strings.Contains(err.Error(), "Options.Workers is 2") {
+			t.Fatalf("Serve with Workers 2 returned %v, want an error naming Options.Workers", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve with Workers 2 still serving after 5 s")
+	}
+	select {
+	case <-bus.Done():
+	default:
+		t.Fatal("a refused Serve left its transport open")
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines before, %d after the refusals", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestRunSurfacesShardError: when one shard's transport fails mid-run,
-// Run must return that error promptly — the failed worker stops its
-// shard's pool, the fabric's first error closes the bus for every shard
-// and injector — with every goroutine it started joined.
+// Run must return that error promptly — the failed shard closes its
+// endpoint, the fabric's first error closes the bus for every shard and
+// injector — with every goroutine it started joined.
 func TestRunSurfacesShardError(t *testing.T) {
 	deps, _ := testDeployments(t, 64, 7)
 	boom := errors.New("injected transport failure")
@@ -442,7 +487,7 @@ func TestRunSurfacesShardError(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(deps["stretch6"], Config{
-			Shards: 8, Workers: 2, Packets: 1 << 22, Seed: 3, InFlight: 64,
+			Shards: 8, Packets: 1 << 22, Seed: 3, InFlight: 64,
 			fabricWorkers: 2,
 			wrapEndpoint: func(shard int, tr Transport) Transport {
 				if shard == 1 {

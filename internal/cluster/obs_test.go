@@ -91,12 +91,12 @@ func TestWindowConcurrent(t *testing.T) {
 // serving loop — the -race certification that live reads never tear —
 // then pins the end-of-run contract: the final snapshot's counters
 // equal the engine's own Result, shard by shard and in total, because
-// workers publish copies of the same stats structs the Result merges.
+// shards publish copies of the same stats structs the Result merges.
 func TestClusterLiveSnapshot(t *testing.T) {
 	deps, _ := testDeployments(t, 64, 7)
 	dep := deps["stretch6"]
 	cfg := Config{
-		Shards: 4, Workers: 2, Packets: 10000,
+		Shards: 4, Packets: 10000,
 		Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
 		Seed:     5, InFlight: 256, Batch: 64,
 	}
@@ -137,7 +137,7 @@ func TestClusterLiveSnapshot(t *testing.T) {
 		t.Fatalf("served %d of %d packets", res.Packets, cfg.Packets)
 	}
 
-	// Workers publish once more on exit, so the final snapshot is exact.
+	// Shards publish once more on exit, so the final snapshot is exact.
 	snap := sink.Snapshot()
 	if snap.Totals.Packets != res.Packets || snap.Totals.Hops != res.Hops || snap.Totals.Weight != res.Weight {
 		t.Fatalf("snapshot totals (%d pkts, %d hops, %d weight) != result (%d, %d, %d)",
@@ -180,28 +180,27 @@ func TestClusterLiveSnapshot(t *testing.T) {
 
 // TestRunRefusesMismatchedSink pins the shape contract: a sink without
 // exactly one probe per serving goroutine hands out nil probes — the off
-// switch — so a run that accepted it would leave workers unobserved and
+// switch — so a run that accepted it would leave shards unobserved and
 // divide the stage table's coverage by the wrong goroutine count. Run
 // refuses it with both shapes in the error; the partition count is not a
 // shape (this is what a caller who sized the sink from Config.Shards
 // rather than SinkShape hits).
 func TestRunRefusesMismatchedSink(t *testing.T) {
 	deps, _ := testDeployments(t, 64, 7)
-	cfg := Config{Shards: 8, Workers: 2, Packets: 100, Injectors: 3, fabricWorkers: 2}
+	cfg := Config{Shards: 8, Packets: 100, Injectors: 3, fabricWorkers: 2}
 	for _, tc := range []struct {
 		name  string
 		shape telemetry.Config
 		want  string
 	}{
-		{"one row per partition", telemetry.Config{Shards: make([]int, 8), Workers: 2, Injectors: 3}, "8 shards x 2 workers + 3 injectors"},
-		{"too few rows", telemetry.Config{Shards: make([]int, 1), Workers: 2, Injectors: 3}, "1 shards x 2 workers + 3 injectors"},
-		{"too few workers", telemetry.Config{Shards: make([]int, 2), Workers: 1, Injectors: 3}, "2 shards x 1 workers + 3 injectors"},
-		{"too few injectors", telemetry.Config{Shards: make([]int, 2), Workers: 2, Injectors: 2}, "2 shards x 2 workers + 2 injectors"},
+		{"one row per partition", telemetry.Config{Shards: make([]int, 8), Injectors: 3}, "8 shards + 3 injectors"},
+		{"too few rows", telemetry.Config{Shards: make([]int, 1), Injectors: 3}, "1 shards + 3 injectors"},
+		{"too few injectors", telemetry.Config{Shards: make([]int, 2), Injectors: 2}, "2 shards + 2 injectors"},
 	} {
 		cfg.Sink = telemetry.New(tc.shape)
 		_, err := Run(deps["stretch6"], cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "run of 2 x 2 + 3") {
-			t.Fatalf("%s: Run returned %v, want an error naming the sink's shape (%s) and the run's (2 x 2 + 3)", tc.name, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "run of 2 + 3") {
+			t.Fatalf("%s: Run returned %v, want an error naming the sink's shape (%s) and the run's (2 + 3)", tc.name, err, tc.want)
 		}
 	}
 	cfg.Sink = telemetry.New(cfg.SinkShape())
@@ -308,19 +307,14 @@ func TestTCPMetricsEndpoint(t *testing.T) {
 		// One sink per daemon, exactly as rtserve wires it: one shard
 		// row labeled with the daemon's shard number, tracing every
 		// tagged roundtrip.
-		sinks[i] = telemetry.New(telemetry.Config{
-			Shards: []int{i}, Workers: 2, TraceEvery: 1,
-		})
-		shard := i
-		srv, bound, err := telemetry.Serve("127.0.0.1:0", sinks[i], func() map[string]any {
-			return map[string]any{"shard": shard}
-		})
+		sinks[i] = telemetry.New(telemetry.Config{Shards: []int{i}, TraceEvery: 1})
+		srv, bound, err := telemetry.Serve("127.0.0.1:0", sinks[i], map[string]any{"shard": i})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		httpAddrs[i] = bound
-		ss[i] = NewShard(view, place, trs[i], Options{Workers: 2, Sink: sinks[i], SinkShard: 0})
+		ss[i] = NewShard(view, place, trs[i], Options{Sink: sinks[i], SinkShard: 0})
 		wg.Add(1)
 		go func(sh *Shard) {
 			defer wg.Done()
@@ -348,7 +342,7 @@ func TestTCPMetricsEndpoint(t *testing.T) {
 	}
 
 	// The exactness contract: what /metrics serves equals Stats().
-	// Workers publish at batch boundaries just after the client sees
+	// Shards publish at batch boundaries just after the client sees
 	// its completion, so poll until the last publish lands.
 	client := &http.Client{Timeout: 2 * time.Second}
 	for i := 0; i < shards; i++ {

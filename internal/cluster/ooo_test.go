@@ -24,7 +24,7 @@ func TestPipelinedTCPMatchesSequential(t *testing.T) {
 	for _, name := range []string{"stretch6", "rtz"} {
 		dep := deps[name]
 		n := dep.Graph().N()
-		c := startTCPShards(t, dep, 2, func(int) Options { return Options{Workers: 2} }, nil)
+		c := startTCPShards(t, dep, 2, func(int) Options { return Options{} }, nil)
 		c.serve(t)
 
 		// Enough pairs to wrap the window several times over, from a
@@ -187,7 +187,7 @@ func TestClusterSurvivesReorderingAdversary(t *testing.T) {
 	for name, dep := range deps {
 		for _, w := range []int{2, 8} {
 			cfg := Config{
-				Shards: 8, Workers: 2, Packets: 2000,
+				Shards: 8, Packets: 2000,
 				Workload: traffic.Spec{Kind: traffic.Zipf, ZipfTheta: 0.9},
 				Seed:     11, Oracle: m, SampleEvery: 3, InFlight: 64, Batch: 16,
 				fabricWorkers: w,

@@ -84,7 +84,7 @@ func TestOneWayFlowDrawsNoMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &oneWayTransport{rounds: make(chan [][]InFrame), wrote: make(chan int), closed: make(chan struct{})}
-	sh := NewShard(view, place, tr, Options{Workers: 1})
+	sh := NewShard(view, place, tr, Options{})
 	served := make(chan error, 1)
 	go func() { served <- sh.Serve() }()
 	defer func() {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,18 +45,17 @@ type ShardStats struct {
 	// call), never a hang.
 	Drops     int64
 	Misroutes int64
-	// Allocs counts tracked allocation events at the worker's known
+	// Allocs counts tracked allocation events at the shard's known
 	// allocation sites — frame-pool misses (a buffer or a batch slice),
-	// sample growth, the once-per-worker inject header. Per-worker and
+	// sample growth, the once-per-shard inject header. Per-shard and
 	// attributable, unlike a whole-process ReadMemStats delta; the
 	// build-tag alloc gate keeps a process-wide measurement as the
 	// backstop for sites this ledger does not know about.
 	Allocs int64
 }
 
-// shardWorker is one worker goroutine's private state: counters,
-// histograms, samples and scratch, touched by exactly one goroutine
-// until the post-run merge.
+// shardWorker is the serving loop's state: counters, histograms,
+// samples and scratch, touched only by the goroutine running Serve.
 type shardWorker struct {
 	stats   ShardStats
 	hopHist eval.Hist
@@ -66,7 +64,7 @@ type shardWorker struct {
 	frame   wire.Frame
 	// hdec decodes arriving packet headers into reusable storage; a
 	// decoded header lives only for the one advance() call, so one
-	// scratch per worker suffices.
+	// scratch suffices.
 	hdec wire.HeaderDecoder
 	// inject is the reusable injection header (ResetHeader per
 	// roundtrip, the traffic engine's allocation discipline).
@@ -84,12 +82,12 @@ type shardWorker struct {
 	// A batch answers few connections, so the queues are a short list
 	// searched linearly, reused from batch to batch.
 	replies []replyQueue
-	// hand is what the worker holds of the transport's frame pool
+	// hand is what the loop holds of the transport's frame pool
 	// within one batch: outbound buffers and pending slices come from
 	// it, the batch's dead buffers and processed slices go back into it
 	// for reuse, and all of it returns to the pool before the flush.
 	hand hand
-	// p is the worker's telemetry probe (nil = telemetry off; every
+	// p is the shard's telemetry probe (nil = telemetry off; every
 	// probe method is a nil-receiver no-op).
 	p *telemetry.Probe
 	// hook records per-hop trace events for roundtrips armed by the
@@ -98,11 +96,6 @@ type shardWorker struct {
 	hook  sim.HopHook
 	trRt  uint64
 	trRet bool
-	// worker is this worker's index, the trace events' tid.
-	worker int
-	// churn stashes churn batches decoded mid-batch; they are applied
-	// after the read fence is released (see applyChurn).
-	churn []churnBatch
 }
 
 // replyQueue is one accepted connection's unflushed reply frames.
@@ -111,7 +104,7 @@ type replyQueue struct {
 	frames []InFrame
 }
 
-// publish hands the probe a copy of the worker's counters at a batch
+// publish hands the probe a copy of the shard's counters at a batch
 // boundary — the reader-visible state /metrics and Snapshot merge, by
 // construction field-for-field identical to the end-of-run ShardStats.
 func (st *shardWorker) publish() {
@@ -151,15 +144,18 @@ func (st *shardWorker) outBuf() []byte {
 
 // Options tunes a Shard.
 type Options struct {
-	// Workers is this shard's serving pool size (default 1).
+	// Workers must be 0 or 1: a shard serves on the one goroutine that
+	// calls Serve, which refuses a larger value.
+	//
+	// Deprecated: a shard has no worker pool; leave it unset.
 	Workers int
-	// Batch bounds how many outbound frames a worker accumulates per
+	// Batch bounds how many outbound frames the shard accumulates per
 	// destination shard before an early flush (default 64). Received
 	// batch sizes are whatever the senders accumulated.
 	Batch int
 	// MaxHops bounds each leg (0 = sim's default 4n budget).
 	MaxHops int
-	// Strict aborts the worker on any error (the in-process engine's
+	// Strict stops the shard on any error (the in-process engine's
 	// mode, where an error means a broken invariant). Non-strict mode
 	// — the network daemon's — drops the offending frame, counts it,
 	// and keeps serving: a hostile client frame must not take the
@@ -176,15 +172,16 @@ type Options struct {
 	SinkShard int
 	// Repair, when non-nil, arms the shard's churn plane: FrameChurn
 	// batches are accepted off the fabric, ordered by sequence number,
-	// and applied under the epoch fence — the callback mutates this
-	// shard's graph replica and rebuilds the owned slice of its tables
-	// while in-flight roundtrips drain on the previous epoch's routes.
-	// It also switches serving to lossy mode: forwarding failures that
-	// strict mode treats as broken invariants become accounted drops
-	// (see ShardStats.Drops/Misroutes), because under convergence they
-	// are expected casualties, not bugs. A Repair error poisons the
-	// shard — the worker returns it even in daemon mode, since a shard
-	// that half-applied a batch must never serve.
+	// and applied between two received batches — the callback mutates
+	// this shard's graph replica and rebuilds the owned slice of its
+	// tables on the serving goroutine, so nothing routes while it runs,
+	// and roundtrips in flight elsewhere resume on the new epoch's
+	// routes. It also switches serving to lossy mode: forwarding
+	// failures that strict mode treats as broken invariants become
+	// accounted drops (see ShardStats.Drops/Misroutes), because under
+	// convergence they are expected casualties, not bugs. A Repair error
+	// poisons the shard — Serve returns it even in daemon mode, since a
+	// shard that half-applied a batch must never serve.
 	Repair func(seq uint64, events []churn.Event) error
 	// OnRepaired, when non-nil, observes each applied batch in sequence
 	// order (the in-process driver's ack). When nil and the batch
@@ -201,43 +198,37 @@ type Options struct {
 // nodes' tables, the placement that says who owns everything else, and
 // a transport to ship boundary-crossing packets as wire frames. The
 // same Shard runs under the in-process engine (Run) and the network
-// daemon (Serve); only the transport differs.
+// daemon (Serve); only the transport differs. A shard is one sequential
+// actor: everything it does happens on the goroutine running Serve.
 type Shard struct {
-	view    *core.ShardView
-	place   *Placement
-	tr      Transport
-	opts    Options
-	info    wire.Frame
-	workers []shardWorker
+	view  *core.ShardView
+	place *Placement
+	tr    Transport
+	opts  Options
+	info  wire.Frame
+	w     shardWorker
 	// seg is the shard's hoisted segment runner: port table, ownership
 	// predicate and hop budget resolved once, not per packet — and
-	// rebuilt under the write fence after each repair, because it caches
-	// the graph's port table at construction.
+	// rebuilt after each repair, because it caches the graph's port
+	// table at construction.
 	seg *sim.SegmentRunner
 
-	// The epoch fence (armed when opts.Repair != nil; a cold RWMutex
-	// otherwise, never locked). Workers hold the read side across one
-	// received batch — decode, forward, flush — so a repair's write side
-	// is exactly a barrier at batch granularity: in-flight roundtrips
-	// complete (or drop, accounted) on the old epoch's routes, the
-	// repair runs alone, and the next batch serves the new epoch. No
-	// global stop-the-world: each shard fences independently.
-	armed bool
-	fence sync.RWMutex
-	// churnMu orders repair application; pendingC parks batches that
-	// arrived ahead of sequence (the fabric reorders freely) and nextSeq
-	// is the next batch to apply — sequence numbers start at 1.
-	churnMu  sync.Mutex
+	// armed is set when opts.Repair != nil. pendingC parks churn batches
+	// until their turn — the fabric reorders freely — and nextSeq is the
+	// next batch to apply; sequence numbers start at 1. A repair runs
+	// between two received batches, on the serving goroutine, so it
+	// needs no lock: the batch before it has flushed, and the next one
+	// routes on the repaired tables.
+	armed    bool
 	pendingC map[uint64]churnBatch
 	nextSeq  uint64
 
-	// Lossy-mode and repair counters, shard-level atomics: workers add
-	// from inside the read fence, gauges read concurrently.
-	drops          atomic.Int64
-	misroutes      atomic.Int64
-	repairs        atomic.Int64
-	repairNanos    atomic.Int64
-	fenceWaitNanos atomic.Int64
+	// Lossy-mode and repair counters, atomics because gauges read them
+	// while the shard serves.
+	drops       atomic.Int64
+	misroutes   atomic.Int64
+	repairs     atomic.Int64
+	repairNanos atomic.Int64
 }
 
 // churnBatch is one decoded churn frame parked for in-order application.
@@ -249,15 +240,11 @@ type churnBatch struct {
 
 // NewShard assembles one shard over its view, placement and transport.
 func NewShard(view *core.ShardView, place *Placement, tr Transport, opts Options) *Shard {
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
 	if opts.Batch < 1 {
 		opts.Batch = 64
 	}
 	s := &Shard{
 		view: view, place: place, tr: tr, opts: opts,
-		workers: make([]shardWorker, opts.Workers),
 		// The segment runner guards every hop with view.Owns before
 		// forwarding, so it can call the deployment directly and skip
 		// the view's own per-hop ownership re-check.
@@ -280,90 +267,69 @@ func NewShard(view *core.ShardView, place *Placement, tr Transport, opts Options
 // Index returns the shard's index.
 func (s *Shard) Index() int { return s.view.Shard() }
 
-// Stats merges the shard's per-worker counters (call after the workers
-// have stopped, or accept a racy snapshot).
+// Stats returns the shard's counters (call after Serve has returned,
+// or accept a racy snapshot).
 func (s *Shard) Stats() ShardStats {
-	out := ShardStats{Shard: s.view.Shard(), Nodes: s.view.NodeCount()}
-	for i := range s.workers {
-		w := &s.workers[i].stats
-		out.Packets += w.Packets
-		out.Hops += w.Hops
-		out.Weight += w.Weight
-		out.FramesIn += w.FramesIn
-		out.FramesOut += w.FramesOut
-		out.Errors += w.Errors
-		out.Allocs += w.Allocs
-	}
+	out := s.w.stats
+	out.Shard, out.Nodes = s.view.Shard(), s.view.NodeCount()
 	out.Drops = s.drops.Load()
 	out.Misroutes = s.misroutes.Load()
 	return out
 }
 
 // ChurnStats returns the shard's churn-plane counters: lossy
-// completions by reason, repairs applied, and total repair wall time —
-// from asking for the write fence to releasing it, so it includes
-// FenceWaitNanos. Safe to read while serving (gauges poll it live).
+// completions by reason, repairs applied, and their total wall time.
+// Safe to read while serving (gauges poll it live).
 func (s *Shard) ChurnStats() (drops, misroutes, repairs, repairNanos int64) {
 	return s.drops.Load(), s.misroutes.Load(), s.repairs.Load(), s.repairNanos.Load()
 }
 
-// FenceWaitNanos returns the part of ChurnStats' repair time applied
-// repairs spent waiting for the write fence — for the other workers'
-// serving batches to drain — before any repairing began.
-func (s *Shard) FenceWaitNanos() int64 { return s.fenceWaitNanos.Load() }
-
 // hists merges the shard's histograms and samples into the caller's.
 func (s *Shard) hists(hop, hdr *eval.Hist, samples *[]traffic.Sample) {
-	for i := range s.workers {
-		hop.Merge(&s.workers[i].hopHist)
-		hdr.Merge(&s.workers[i].hdrHist)
-		*samples = append(*samples, s.workers[i].samples...)
-	}
+	hop.Merge(&s.w.hopHist)
+	hdr.Merge(&s.w.hdrHist)
+	*samples = append(*samples, s.w.samples...)
 }
 
-// Serve pumps the shard's mailbox with its worker pool until the
-// transport closes, then returns the first worker error (nil on clean
-// shutdown). A failed worker closes the transport, so the pool stops
-// with it instead of serving on without it. This is the daemon loop
-// rtserve runs and the body the in-process fabric spawns per shard.
-func (s *Shard) Serve() error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.workers))
-	for w := range s.workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if errs[w] = s.worker(w); errs[w] != nil {
-				s.tr.Close()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// worker is one mailbox pump: block for a batch, handle each frame,
-// then flush everything the batch emitted — one transport message per
-// destination shard and per answered client connection, the send-side
-// half of the batching discipline. Nothing outlives the flush: when the
-// worker re-enters Recv every frame it produced is with the transport.
+// Serve pumps the shard's mailbox on the calling goroutine until the
+// transport closes, returning nil on a clean shutdown. On any error it
+// closes the transport before returning it, so nothing keeps serving
+// without the shard. This is the daemon loop rtserve runs and the body
+// the in-process fabric spawns per shard.
+//
+// Each turn blocks for a batch, handles each frame, then flushes
+// everything the batch emitted — one transport message per destination
+// shard and per answered client connection, the send-side half of the
+// batching discipline. Nothing outlives the flush: when the loop
+// re-enters Recv every frame it produced is with the transport. Parked
+// churn batches are applied after the flush, before the next Recv.
 //
 // Telemetry rides the same rhythm: each Recv opens a batch on the
-// worker's probe (counting it, charging the blocked time to
-// recv-wait, and — on sampled batches — arming the Lap chain t that
-// threads through every handle and the final flush), and each batch
-// closes with a counter publish. An unsampled batch carries t == 0
-// and every Lap passes it through for free.
-func (s *Shard) worker(w int) error {
-	st := &s.workers[w]
-	st.worker = w
+// shard's probe (counting it, charging the blocked time to recv-wait,
+// and — on sampled batches — arming the Lap chain t that threads
+// through every handle and the final flush), and each batch closes with
+// a counter publish. An unsampled batch carries t == 0 and every Lap
+// passes it through for free.
+func (s *Shard) Serve() error {
+	err := s.serve()
+	if err != nil {
+		s.tr.Close()
+	}
+	return err
+}
+
+func (s *Shard) serve() error {
+	if s.opts.Workers > 1 {
+		return fmt.Errorf("cluster: Options.Workers is %d, but a shard serves on one goroutine (leave it unset)", s.opts.Workers)
+	}
+	st := &s.w
 	st.pending = make([][]InFrame, s.place.Shards)
 	st.hand.pool = s.tr.pool()
-	st.p = s.opts.Sink.Probe(s.opts.SinkShard, w)
+	st.p = s.opts.Sink.Probe(s.opts.SinkShard)
 	if st.p != nil {
 		shard := s.view.Shard()
 		st.hook = func(at graph.NodeID, hops int, weight graph.Dist) {
-			st.p.Record(telemetry.EvHop, st.trRt, shard, st.worker, int32(at), -1, int32(hops), st.trRet)
+			st.p.Record(telemetry.EvHop, st.trRt, shard, int32(at), -1, int32(hops), st.trRet)
 		}
 		defer st.publish()
 	}
@@ -376,11 +342,6 @@ func (s *Shard) worker(w int) error {
 			}
 			return err
 		}
-		// The epoch fence's read side spans the whole batch: every route
-		// this batch forwards is computed against one consistent epoch of
-		// the shard's tables, and a repair waiting on the write side gets
-		// in after the flush, never mid-packet.
-		s.rlock()
 		t := st.p.BatchStart(wait0)
 		// Drain everything immediately available before flushing, so the
 		// outbound accumulations grow to the queued work instead of
@@ -392,7 +353,6 @@ func (s *Shard) worker(w int) error {
 				retained, t, err = s.handle(st, frames[i], t)
 				if err != nil {
 					if s.opts.Strict {
-						s.runlock()
 						return err
 					}
 					st.stats.Errors++
@@ -419,90 +379,48 @@ func (s *Shard) worker(w int) error {
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
 				// Flush is pointless on a closed transport; exit cleanly.
-				s.runlock()
 				return nil
 			}
 			if s.opts.Strict {
-				s.runlock()
 				return err
 			}
 			st.stats.Errors++
 		}
 		// Everything the batch freed goes back to the pool before the
-		// flush writes: nothing the worker holds outlives its batch.
+		// flush writes: nothing the loop holds outlives its batch.
 		st.hand.release()
-		if _, err := s.flush(st, t); err != nil {
-			if s.opts.Strict && !errors.Is(err, ErrClosed) {
-				s.runlock()
-				return err
-			}
+		if _, err := s.flush(st, t); err != nil && s.opts.Strict && !errors.Is(err, ErrClosed) {
+			return err
 		}
-		s.runlock()
 		st.publish()
-		// Repairs run outside the read fence: the batch that carried the
-		// churn frame has fully drained, so the write side only contends
-		// with the other workers' serving batches.
 		if err := s.applyChurn(st); err != nil {
 			return err
 		}
 	}
 }
 
-// rlock / runlock are the fence's read side, free when churn is unarmed.
-func (s *Shard) rlock() {
-	if s.armed {
-		s.fence.RLock()
-	}
-}
-
-func (s *Shard) runlock() {
-	if s.armed {
-		s.fence.RUnlock()
-	}
-}
-
-// applyChurn applies the worker's stashed churn batches — plus any
-// previously parked out-of-order batches they unblock — in sequence
-// order under the write fence. A Repair error is returned (and poisons
-// the shard) regardless of Strict: serving from a half-applied epoch is
+// applyChurn applies the parked churn batches whose turn has come, in
+// sequence order. It runs between two received batches, so each repair
+// runs alone: the batch before it has flushed and the next routes on
+// the repaired tables. A Repair error is returned (and poisons the
+// shard) regardless of Strict: serving from a half-applied epoch is
 // never an option.
 func (s *Shard) applyChurn(st *shardWorker) error {
-	if len(st.churn) == 0 {
-		return nil
-	}
-	s.churnMu.Lock()
-	defer s.churnMu.Unlock()
-	for _, b := range st.churn {
-		s.pendingC[b.seq] = b
-	}
-	st.churn = st.churn[:0]
-	for {
+	for len(s.pendingC) > 0 {
 		b, ok := s.pendingC[s.nextSeq]
 		if !ok {
 			return nil
 		}
 		delete(s.pendingC, s.nextSeq)
 		start := time.Now()
-		s.fence.Lock()
-		fenced := time.Now()
-		err := s.opts.Repair(b.seq, b.events)
-		if err == nil {
-			// The runner cached the pre-repair port table; rebuild it
-			// against the mutated graph before anyone routes again.
-			s.seg = sim.NewSegmentRunner(s.view.Graph(), s.view.Deployment(), s.opts.MaxHops, s.view.Owns)
-		}
-		s.fence.Unlock()
-		if err != nil {
-			// Poison the whole shard, not just this worker: the other
-			// workers must never serve an epoch the repair may have left
-			// half-applied, and closing the transport is what stops the
-			// pool. Serve then returns this error.
-			s.tr.Close()
+		if err := s.opts.Repair(b.seq, b.events); err != nil {
 			return fmt.Errorf("cluster: shard %d repair of churn batch %d: %w", s.view.Shard(), b.seq, err)
 		}
+		// The runner cached the pre-repair port table; rebuild it
+		// against the mutated graph before anything routes again.
+		s.seg = sim.NewSegmentRunner(s.view.Graph(), s.view.Deployment(), s.opts.MaxHops, s.view.Owns)
 		s.repairs.Add(1)
 		s.repairNanos.Add(time.Since(start).Nanoseconds())
-		s.fenceWaitNanos.Add(fenced.Sub(start).Nanoseconds())
 		s.nextSeq++
 		if s.opts.OnRepaired != nil {
 			s.opts.OnRepaired(b.seq)
@@ -515,6 +433,7 @@ func (s *Shard) applyChurn(st *shardWorker) error {
 			}
 		}
 	}
+	return nil
 }
 
 // ship queues one outbound frame, early-flushing a destination that
@@ -610,7 +529,7 @@ func (s *Shard) flush(st *shardWorker, t int64) (int64, error) {
 // inbound buffer was shipped or queued onward (a repatched flight frame,
 // a completion report on its way to the client) and must not be
 // recycled. t is the sampled-batch Lap chain (0 = unsampled),
-// threaded through and returned so the worker's whole batch is tiled
+// threaded through and returned so the shard's whole batch is tiled
 // by stage attributions.
 func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOut int64, err error) {
 	// The two fixed-layout kinds have their own decoders; everything
@@ -625,7 +544,8 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 			t, err = s.handleInjectBatch(st, in, t)
 			return false, t, err
 		case wire.FrameChurn:
-			return false, t, s.stashChurn(st, in)
+			t, err = s.stashChurn(st, in, t)
+			return false, t, err
 		}
 	}
 	f := &st.frame
@@ -682,7 +602,7 @@ func (s *Shard) handleFlight(st *shardWorker, in InFrame, t int64) (bool, int64,
 	t = st.p.Lap(telemetry.StageDecode, t)
 	if st.p.Traced(f.Rt) {
 		hops := int32(f.Out.Hops + f.Back.Hops)
-		st.p.Record(telemetry.EvArrive, f.Rt, s.view.Shard(), st.worker, int32(f.At), -1, hops, f.Return)
+		st.p.Record(telemetry.EvArrive, f.Rt, s.view.Shard(), int32(f.At), -1, hops, f.Return)
 	}
 	var fl sim.Flight
 	if !f.Return {
@@ -693,21 +613,34 @@ func (s *Shard) handleFlight(st *shardWorker, in InFrame, t int64) (bool, int64,
 	return s.advance(st, f, h, fl, in.Data, fs, t)
 }
 
-// stashChurn decodes a churn frame and parks it for application after
-// the read fence drops. Events are fully validated against this graph
+// stashChurn decodes a churn frame and parks it in pendingC until its
+// turn (see applyChurn). Events are fully validated against this graph
 // here, before anything mutates, so a malformed batch is a clean reject
 // — counted in daemon mode — and a Repair failure can only mean the
 // repair itself went wrong (which rightly poisons the shard).
-func (s *Shard) stashChurn(st *shardWorker, in InFrame) error {
+func (s *Shard) stashChurn(st *shardWorker, in InFrame, t int64) (int64, error) {
 	if !s.armed {
-		return fmt.Errorf("cluster: shard %d received a churn frame but has no repair hook", s.view.Shard())
+		return t, fmt.Errorf("cluster: shard %d received a churn frame but has no repair hook", s.view.Shard())
 	}
 	seq, events, err := wire.DecodeChurnFrame(in.Data, nil)
 	if err != nil {
-		return err
+		return t, err
 	}
 	if seq == 0 {
-		return fmt.Errorf("cluster: churn batch with sequence number 0")
+		return t, fmt.Errorf("cluster: churn batch with sequence number 0")
+	}
+	if seq < s.nextSeq {
+		// Already applied — a client rerun that numbers from 1 again.
+		// Parked, it would wait forever and its client with it; instead
+		// the client hears the number this shard expects next, which
+		// its ack check reports beside its own.
+		reject := fmt.Errorf("cluster: churn batch %d already applied (next is %d)", seq, s.nextSeq)
+		if in.Conn != 0 && s.opts.OnRepaired == nil {
+			if t, err = s.reply(st, in.Conn, wire.AppendChurnFrame(st.outBuf(), s.nextSeq, nil), t); err != nil {
+				return t, err
+			}
+		}
+		return t, reject
 	}
 	g := s.view.Graph()
 	n := g.N()
@@ -717,19 +650,19 @@ func (s *Shard) stashChurn(st *shardWorker, in InFrame) error {
 			// Churn reweights edges in place and never adds or removes
 			// one, so this graph's adjacency is the repair replica's.
 			if !g.HasEdge(ev.U, ev.V) {
-				return fmt.Errorf("cluster: churn event %d names (%d,%d), not an edge of this graph", i, ev.U, ev.V)
+				return t, fmt.Errorf("cluster: churn event %d names (%d,%d), not an edge of this graph", i, ev.U, ev.V)
 			}
 			if ev.Kind == churn.WeightChange && (ev.Weight < 1 || ev.Weight >= graph.DownWeight) {
-				return fmt.Errorf("cluster: churn event %d sets weight %d outside [1, DownWeight)", i, ev.Weight)
+				return t, fmt.Errorf("cluster: churn event %d sets weight %d outside [1, DownWeight)", i, ev.Weight)
 			}
 		default:
 			if int(ev.Node) >= n {
-				return fmt.Errorf("cluster: churn event %d touches node %d outside [0,%d)", i, ev.Node, n)
+				return t, fmt.Errorf("cluster: churn event %d touches node %d outside [0,%d)", i, ev.Node, n)
 			}
 		}
 	}
-	st.churn = append(st.churn, churnBatch{seq: seq, events: events, conn: in.Conn})
-	return nil
+	s.pendingC[seq] = churnBatch{seq: seq, events: events, conn: in.Conn}
+	return t, nil
 }
 
 // handleInjectBatch starts every roundtrip of a batched inject message.
@@ -780,7 +713,7 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 		return t, err
 	}
 	if st.p.Traced(f.Rt) {
-		st.p.Record(telemetry.EvInject, f.Rt, s.view.Shard(), st.worker, int32(src), -1, 0, false)
+		st.p.Record(telemetry.EvInject, f.Rt, s.view.Shard(), int32(src), -1, 0, false)
 	}
 	f.Return = false
 	f.Out, f.Back = wire.LegTotals{}, wire.LegTotals{}
@@ -840,7 +773,7 @@ func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Fli
 			st.stats.FramesOut++
 			if traced {
 				hops := int32(f.Out.Hops + f.Back.Hops)
-				st.p.Record(telemetry.EvDepart, f.Rt, s.view.Shard(), st.worker, int32(f.At), int32(to), hops, f.Return)
+				st.p.Record(telemetry.EvDepart, f.Rt, s.view.Shard(), int32(f.At), int32(to), hops, f.Return)
 			}
 			if prev != nil && fs.CanPatch(f, h) {
 				if err := wire.RepatchFlight(prev, f, h); err != nil {
@@ -876,7 +809,7 @@ func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Fli
 			}
 			f.Return = true
 			if traced {
-				st.p.Record(telemetry.EvFlip, f.Rt, s.view.Shard(), st.worker, int32(dst), -1, f.Out.Hops, true)
+				st.p.Record(telemetry.EvFlip, f.Rt, s.view.Shard(), int32(dst), -1, f.Out.Hops, true)
 			}
 			fl = sim.Flight{Last: dst, MaxHeaderWords: h.Words()}
 			continue
@@ -912,7 +845,7 @@ func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error)
 	st.hdrHist.Add(int(hw))
 	st.p.Heat(f.DstName)
 	if st.p.Traced(f.Rt) {
-		st.p.Record(telemetry.EvComplete, f.Rt, s.view.Shard(), st.worker, int32(s.view.NodeOf(f.SrcName)), -1, int32(hops), true)
+		st.p.Record(telemetry.EvComplete, f.Rt, s.view.Shard(), int32(s.view.NodeOf(f.SrcName)), -1, int32(hops), true)
 	}
 	if f.Home == wire.HomeLocal {
 		if f.Sampled {

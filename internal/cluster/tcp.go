@@ -46,7 +46,7 @@ func frameCap(n int) int {
 }
 
 // framePool is a transport's one stock of frame buffers and batch
-// slices, shared by its read loops, its shards' workers and the fabric's
+// slices, shared by its read loops, its shards and the fabric's
 // injectors, so what is freed anywhere is reused anywhere, whichever way
 // the frames flow. It has no count cap: a miss finds the pool empty or
 // drops the too-small buffer it drew, so the pool never holds more than
@@ -153,7 +153,7 @@ const (
 // and broke: the frame was not delivered, the caller should count and
 // drop (non-strict serving) or abort (strict), and the transport is
 // already redialing in the background — retrying the send inside the
-// hot path would stall every worker on one dead peer.
+// hot path would stall the shard on one dead peer.
 type PeerDownError struct {
 	Shard int
 	Err   error
@@ -450,8 +450,8 @@ func (t *TCPTransport) peerReadFailed(to int, tc *tcpConn, err error) {
 
 // markPeerDown transitions a link out of the up state after a write
 // failure. Idempotent under races via conn pointer equality: of several
-// workers failing on the same dead conn, only the first records the
-// error and starts the (single) background redialer; a worker failing
+// senders failing on the same dead conn, only the first records the
+// error and starts the (single) background redialer; a sender failing
 // on a conn that has already been replaced changes nothing.
 func (t *TCPTransport) markPeerDown(to int, tc *tcpConn, err error) {
 	t.mu.Lock()

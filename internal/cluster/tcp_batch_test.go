@@ -88,7 +88,7 @@ func (c *tcpTestCluster) dial(t *testing.T) *Client {
 	return cl
 }
 
-func oneWorker(int) Options { return Options{Workers: 1} }
+func defaultOpts(int) Options { return Options{} }
 
 // randomPairs draws count distinct-endpoint name pairs over n names.
 func randomPairs(n, count int, seed int64) []Pair {
@@ -201,20 +201,20 @@ func TestTCPBatchingByCount(t *testing.T) {
 		minPerWrite float64
 	}{{256, 8192, 16}, {1, 300, 1}} {
 		cts := make([]*countingTransport, 2)
-		c := startTCPShards(t, dep, 2, oneWorker, func(i int, tr *TCPTransport) Transport {
+		c := startTCPShards(t, dep, 2, defaultOpts, func(i int, tr *TCPTransport) Transport {
 			cts[i] = &countingTransport{TCPTransport: tr}
 			return cts[i]
 		})
 		for i, sh := range c.shards {
-			st := &sh.workers[0]
+			st := &sh.w
 			cts[i].onRecv = func() {
 				for to, frames := range st.pending {
 					if len(frames) != 0 {
-						t.Errorf("window %d: worker re-entered Recv with %d frames pending for shard %d", tc.window, len(frames), to)
+						t.Errorf("window %d: shard re-entered Recv with %d frames pending for shard %d", tc.window, len(frames), to)
 					}
 				}
 				if len(st.replies) != 0 {
-					t.Errorf("window %d: worker re-entered Recv with %d reply queues unflushed", tc.window, len(st.replies))
+					t.Errorf("window %d: shard re-entered Recv with %d reply queues unflushed", tc.window, len(st.replies))
 				}
 			}
 		}
@@ -274,8 +274,8 @@ func TestTCPReplyFailureCounted(t *testing.T) {
 	dep := deps["stretch6"]
 	sinks := make([]*telemetry.Sink, 2)
 	c := startTCPShards(t, dep, 2, func(i int) Options {
-		sinks[i] = telemetry.New(telemetry.Config{Shards: []int{i}, Workers: 1})
-		return Options{Workers: 1, Sink: sinks[i]}
+		sinks[i] = telemetry.New(telemetry.Config{Shards: []int{i}})
+		return Options{Sink: sinks[i]}
 	}, nil)
 	defer c.stop()
 
@@ -367,7 +367,7 @@ func TestClusterZeroAllocsTCP(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	deps, _ := testDeployments(t, 64, 7)
-	c := startTCPShards(t, deps["stretch6"], 2, oneWorker, nil)
+	c := startTCPShards(t, deps["stretch6"], 2, defaultOpts, nil)
 	defer c.stop()
 	c.serve(t)
 	cl := c.dial(t)

@@ -117,11 +117,11 @@ func TestTCPLoopback(t *testing.T) {
 	deps, _ := testDeployments(t, 32, 9)
 	dep := deps["stretch6"]
 	const shards = 2
-	// Shard 0's errors are read off a sink: workers publish at batch
-	// boundaries, so the reading is race-free while they serve, and the
-	// worker that drops a bad frame need not be the one that answers the
+	// Shard 0's errors are read off a sink: the shard publishes at batch
+	// boundaries, so the reading is race-free while it serves, and the
+	// batch that drops a bad frame need not be the one that answers the
 	// next roundtrip, so the count is awaited.
-	sink := telemetry.New(telemetry.Config{Shards: []int{0}, Workers: 2})
+	sink := telemetry.New(telemetry.Config{Shards: []int{0}})
 	errorsAfter := func(before int64) int64 {
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 			if got := sink.Snapshot().Totals.Errors; got != before {
@@ -132,9 +132,9 @@ func TestTCPLoopback(t *testing.T) {
 	}
 	c := startTCPShards(t, dep, shards, func(i int) Options {
 		if i == 0 {
-			return Options{Workers: 2, Sink: sink}
+			return Options{Sink: sink}
 		}
-		return Options{Workers: 2}
+		return Options{}
 	}, nil)
 	c.serve(t)
 	defer c.stop()

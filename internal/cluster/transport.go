@@ -25,12 +25,12 @@ type InFrame struct {
 // interprets; a buffer handed to it is its own from then on — passed to
 // the receiver, or kept in its pool once copied to a socket.
 // Implementations must allow concurrent SendBatch/ReplyBatch from many
-// goroutines and concurrent Recv from a shard's worker pool.
+// goroutines; one shard goroutine receives.
 type Transport interface {
 	// SendBatch delivers many frames to shard to's mailbox as a single
 	// message, blocking while it is full and returning ErrClosed after
 	// the transport shuts down — the engine's amortization lever: a
-	// worker accumulates everything a dequeue batch emits toward each
+	// shard accumulates everything a dequeue batch emits toward each
 	// destination and pays one rendezvous per destination, not per
 	// frame. Ownership of the slice and its buffers transfers with it.
 	SendBatch(to int, frames []InFrame) error
@@ -39,8 +39,8 @@ type Transport interface {
 	// returned slice.
 	Recv() ([]InFrame, error)
 	// TryRecv is the non-blocking Recv: ok=false when the mailbox is
-	// momentarily empty. Workers drain with TryRecv before flushing
-	// their outbound accumulations, so batches grow to the work
+	// momentarily empty. A shard drains with TryRecv before flushing
+	// its outbound accumulations, so batches grow to the work
 	// actually queued instead of collapsing to singletons.
 	TryRecv() ([]InFrame, bool, error)
 	// ReplyBatch is SendBatch toward the accepted client connection
@@ -52,7 +52,7 @@ type Transport interface {
 	// Close shuts the transport down, unblocking all Send/Recv calls.
 	Close() error
 	// pool is the transport's one stock of frame buffers and batch
-	// slices, which its shards' workers draw from and give back to. A
+	// slices, which its shards draw from and give back to. A
 	// wrapper that embeds a Transport passes it through.
 	pool() *framePool
 }

@@ -621,8 +621,9 @@ func NewDeployment(s Scheme, kind Kind) *Deployment {
 // Rebind repoints the deployment at a repaired scheme without replacing
 // the Deployment value its callers hold. Every repair publishes a new
 // plane, for every kind, so this is how the cluster's churn path moves a
-// shard to the next epoch: under its epoch fence, keeping the views and
-// stats wired to the Deployment attached.
+// shard to the next epoch: on the shard's serving goroutine, between
+// two served batches, keeping the views and stats wired to the
+// Deployment attached.
 func (d *Deployment) Rebind(s Scheme) { d.scheme = s }
 
 // Deploy decomposes a built scheme into per-node local states and

@@ -202,7 +202,7 @@ func fly(g *graph.Graph, f Forwarder, src graph.NodeID, h Header, maxHops int, p
 // are hoisted into the runner: a cluster shard drives every segment of
 // every packet through one, so the crossing path pays no per-segment
 // closure construction or table lookup. The runner is read-only after
-// construction and safe for concurrent use by a shard's worker pool.
+// construction.
 type SegmentRunner struct {
 	f       Forwarder
 	ports   graph.PortTable

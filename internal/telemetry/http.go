@@ -21,9 +21,10 @@ import (
 //	                      trace_event JSON for chrome://tracing)
 //	/debug/pprof/*        the runtime profiles
 //
-// extra, when non-nil, contributes static identity fields ("shard",
-// "addr", scheme kind...) merged into the /metrics JSON root.
-func Handler(s *Sink, extra func() map[string]any) http.Handler {
+// extra, when non-nil, holds static identity fields ("shard", "addr",
+// scheme kind...) merged into the /metrics JSON root. It is built once
+// and only read, so a request never touches what the daemon mutates.
+func Handler(s *Sink, extra map[string]any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.Snapshot()
@@ -38,10 +39,8 @@ func Handler(s *Sink, extra func() map[string]any) http.Handler {
 			return
 		}
 		root := map[string]any{"telemetry": snap}
-		if extra != nil {
-			for k, v := range extra() {
-				root[k] = v
-			}
+		for k, v := range extra {
+			root[k] = v
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -97,7 +96,7 @@ func Handler(s *Sink, extra func() map[string]any) http.Handler {
 // Serve starts the export surface on addr (e.g. "127.0.0.1:8080",
 // ":0" for an ephemeral port) and returns the server plus the bound
 // address. The caller owns shutdown via srv.Close.
-func Serve(addr string, s *Sink, extra func() map[string]any) (*http.Server, string, error) {
+func Serve(addr string, s *Sink, extra map[string]any) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err

@@ -58,8 +58,8 @@ func (k *EvKind) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("telemetry: unknown event kind %q", s)
 }
 
-// Event is one flight-recorder entry. Shard and Worker identify the
-// recording probe; At is the node involved (or -1), Arg carries the
+// Event is one flight-recorder entry. Shard identifies the recording
+// probe; At is the node involved (or -1), Arg carries the
 // kind-specific detail (destination shard for depart, -1 otherwise),
 // Hops is the roundtrip's running hop count and Return marks the
 // return leg.
@@ -68,14 +68,13 @@ type Event struct {
 	Rt     uint64 `json:"rt"`
 	Kind   EvKind `json:"ev"`
 	Shard  int32  `json:"shard"`
-	Worker int32  `json:"worker"`
 	At     int32  `json:"at"`
 	Arg    int32  `json:"arg"`
 	Hops   int32  `json:"hops"`
 	Return bool   `json:"return,omitempty"`
 }
 
-// ring is a per-worker event buffer. The writer (the worker goroutine)
+// ring is a per-probe event buffer. The writer (the probe's goroutine)
 // uses TryLock so the serving path never blocks on a concurrent dump:
 // if a reader holds the lock, the event is dropped and counted instead
 // — "lock-free" in the sense that matters, no waiting on the hot path.
@@ -139,13 +138,12 @@ func (p *Probe) Traced(rt uint64) bool {
 
 // Record appends one event for an armed roundtrip. Callers gate on
 // Traced first; Record itself re-checks nothing but nil.
-func (p *Probe) Record(kind EvKind, rt uint64, shard int, worker int, at, arg, hops int32, ret bool) {
+func (p *Probe) Record(kind EvKind, rt uint64, shard int, at, arg, hops int32, ret bool) {
 	if p == nil {
 		return
 	}
 	p.ring.record(Event{
-		Ns: p.Now(), Rt: rt, Kind: kind,
-		Shard: int32(shard), Worker: int32(worker),
+		Ns: p.Now(), Rt: rt, Kind: kind, Shard: int32(shard),
 		At: at, Arg: arg, Hops: hops, Return: ret,
 	})
 }
@@ -157,10 +155,8 @@ func (s *Sink) Events(rt uint64) []Event {
 		return nil
 	}
 	var out []Event
-	for _, row := range s.shards {
-		for _, p := range row {
-			out = p.ring.snapshot(out, rt)
-		}
+	for _, p := range s.shards {
+		out = p.ring.snapshot(out, rt)
 	}
 	for _, p := range s.inject {
 		out = p.ring.snapshot(out, rt)
@@ -177,10 +173,8 @@ func (s *Sink) TraceDropped() int64 {
 		return 0
 	}
 	var n int64
-	for _, row := range s.shards {
-		for _, p := range row {
-			n += p.ring.dropped.Load()
-		}
+	for _, p := range s.shards {
+		n += p.ring.dropped.Load()
 	}
 	for _, p := range s.inject {
 		n += p.ring.dropped.Load()
@@ -195,7 +189,7 @@ func EventsJSON(events []Event) ([]byte, error) {
 
 // ChromeTrace renders events in Chrome trace_event format (load in
 // chrome://tracing or Perfetto): one instant event per record, pid =
-// shard, tid = worker, timestamps in microseconds.
+// shard (one thread each, tid 0), timestamps in microseconds.
 func ChromeTrace(events []Event) ([]byte, error) {
 	type chromeEvent struct {
 		Name  string         `json:"name"`
@@ -213,7 +207,7 @@ func ChromeTrace(events []Event) ([]byte, error) {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: fmt.Sprintf("rt%d %s", ev.Rt, ev.Kind),
 			Ph:   "i", Ts: float64(ev.Ns) / 1e3,
-			Pid: ev.Shard, Tid: ev.Worker, Scope: "t",
+			Pid: ev.Shard, Scope: "t",
 			Args: map[string]any{
 				"rt": ev.Rt, "at": ev.At, "arg": ev.Arg,
 				"hops": ev.Hops, "return": ev.Return,
@@ -232,8 +226,8 @@ func FormatTimeline(events []Event) string {
 		if i == 0 {
 			t0 = ev.Ns
 		}
-		b = append(b, fmt.Sprintf("%10.1fµs  shard %d/%d  %-8s rt=%d at=%d arg=%d hops=%d return=%v\n",
-			float64(ev.Ns-t0)/1e3, ev.Shard, ev.Worker, ev.Kind, ev.Rt, ev.At, ev.Arg, ev.Hops, ev.Return)...)
+		b = append(b, fmt.Sprintf("%10.1fµs  shard %d  %-8s rt=%d at=%d arg=%d hops=%d return=%v\n",
+			float64(ev.Ns-t0)/1e3, ev.Shard, ev.Kind, ev.Rt, ev.At, ev.Arg, ev.Hops, ev.Return)...)
 	}
 	if len(b) == 0 {
 		return "no recorded events\n"

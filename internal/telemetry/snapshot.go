@@ -57,13 +57,13 @@ type Snapshot struct {
 	Gauges       []GaugeValue `json:"gauges,omitempty"`
 	Totals       Counters     `json:"totals"`
 	TraceDropped int64        `json:"trace_dropped,omitempty"`
-	// probes is the number of goroutines merged in (shard workers plus
+	// probes is the number of goroutines merged in (shards plus
 	// injectors): the stage sums add up their CPU time.
 	probes int
 }
 
 // mergeSnap folds published probe states into one ShardSnap.
-func (s *Sink) mergeSnap(shard int, probes []*Probe) ShardSnap {
+func (s *Sink) mergeSnap(shard int, probes ...*Probe) ShardSnap {
 	out := ShardSnap{Shard: shard}
 	var stageNs, stageEst, stageMax [NumStages]int64
 	var hists [NumStages]eval.Hist
@@ -105,7 +105,7 @@ func (s *Sink) mergeSnap(shard int, probes []*Probe) ShardSnap {
 }
 
 // Snapshot merges every probe's last published state. Safe to call
-// concurrently with a live run; what it sees is each worker's most
+// concurrently with a live run; what it sees is each probe's most
 // recent batch-boundary publish.
 func (s *Sink) Snapshot() *Snapshot {
 	if s == nil {
@@ -117,14 +117,13 @@ func (s *Sink) Snapshot() *Snapshot {
 		Shards:       make([]ShardSnap, len(s.shards)),
 		TraceDropped: s.TraceDropped(),
 	}
-	for i, probes := range s.shards {
-		snap.Shards[i] = s.mergeSnap(s.cfg.Shards[i], probes)
+	for i, p := range s.shards {
+		snap.Shards[i] = s.mergeSnap(s.cfg.Shards[i], p)
 		snap.Totals.add(snap.Shards[i].Counters)
-		snap.probes += len(probes)
 	}
-	snap.probes += len(s.inject)
+	snap.probes = len(s.shards) + len(s.inject)
 	if len(s.inject) > 0 {
-		inj := s.mergeSnap(-1, s.inject)
+		inj := s.mergeSnap(-1, s.inject...)
 		snap.Injectors = &inj
 		snap.Totals.Injects += inj.Counters.Injects
 		snap.Totals.Allocs += inj.Counters.Allocs

@@ -4,7 +4,7 @@
 // and hop traces through. The design contract, enforced by the cluster
 // alloc gate and the repo benchmark's telemetry.sink_overhead row:
 //
-//   - Hot counters are not kept here at all. Workers keep their
+//   - Hot counters are not kept here at all. Shards keep their
 //     existing private stats and hand the probe a *copy* at batch
 //     boundaries (Publish), so the serving loop pays one short
 //     mutex-guarded struct copy per ~64-frame batch and readers
@@ -86,7 +86,10 @@ type Config struct {
 	// entry; the ids are display labels (a single-shard daemon passes
 	// its own shard number). Required non-empty.
 	Shards []int
-	// Workers is the per-shard worker pool size (default 1).
+	// Workers must be 0 or 1: each shard row has one probe, because a
+	// shard serves on one goroutine. New panics on a larger value.
+	//
+	// Deprecated: a shard has no worker pool; leave it unset.
 	Workers int
 	// Injectors is the number of injector probes (0 = none).
 	Injectors int
@@ -97,18 +100,15 @@ type Config struct {
 	// rt % TraceEvery == 1 (1 = every tagged roundtrip, 0 = tracing
 	// off). Untagged roundtrips (rt == 0) are never traced.
 	TraceEvery int
-	// RingSize is each worker's event ring capacity (default 4096,
+	// RingSize is each probe's event ring capacity (default 4096,
 	// ignored when TraceEvery == 0).
 	RingSize int
-	// HeatK is the per-worker top-K destination sketch size
+	// HeatK is the per-probe top-K destination sketch size
 	// (default 16; < 0 disables heat tracking).
 	HeatK int
 }
 
 func (c *Config) fill() {
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 16
 	}
@@ -133,8 +133,8 @@ type Gauge struct {
 type Sink struct {
 	cfg     Config
 	epoch   time.Time
-	clockNs int64      // calibrated cost of one monotonic clock read
-	shards  [][]*Probe // [shard][worker]
+	clockNs int64    // calibrated cost of one monotonic clock read
+	shards  []*Probe // one per Config.Shards entry
 	inject  []*Probe
 
 	mu     sync.Mutex
@@ -163,21 +163,22 @@ func calibrateClock(epoch time.Time) int64 {
 	return best
 }
 
-// New creates a sink for the given shape. New(nil-ish config) panics
-// early rather than serving misindexed probes.
+// New creates a sink for the given shape. A config it cannot serve
+// (no shard rows, or a worker pool) panics early rather than serving
+// misindexed probes.
 func New(cfg Config) *Sink {
 	cfg.fill()
 	if len(cfg.Shards) == 0 {
 		panic("telemetry: Config.Shards must be non-empty")
 	}
+	if cfg.Workers > 1 {
+		panic(fmt.Sprintf("telemetry: Config.Workers is %d, but a shard serves on one goroutine (one probe per row)", cfg.Workers))
+	}
 	s := &Sink{cfg: cfg, epoch: time.Now()}
 	s.clockNs = calibrateClock(s.epoch)
-	s.shards = make([][]*Probe, len(cfg.Shards))
+	s.shards = make([]*Probe, len(cfg.Shards))
 	for i := range s.shards {
-		s.shards[i] = make([]*Probe, cfg.Workers)
-		for w := range s.shards[i] {
-			s.shards[i][w] = s.newProbe()
-		}
+		s.shards[i] = s.newProbe()
 	}
 	s.inject = make([]*Probe, cfg.Injectors)
 	for i := range s.inject {
@@ -202,30 +203,27 @@ func (s *Sink) newProbe() *Probe {
 }
 
 // CheckShape reports whether the sink has exactly one probe per serving
-// goroutine of a run with the given shard rows, workers per shard and
-// injectors. An out-of-shape index gets a nil probe — the off switch —
-// so a run that attached a mismatched sink would leave goroutines
-// unobserved and divide the stage table's coverage by the wrong count;
-// engines call this first and refuse instead. A nil sink fits any run.
-func (s *Sink) CheckShape(shards, workers, injectors int) error {
-	if s == nil || (len(s.shards) == shards && s.cfg.Workers == workers && len(s.inject) == injectors) {
+// goroutine of a run with the given shard rows and injectors. An
+// out-of-shape index gets a nil probe — the off switch — so a run that
+// attached a mismatched sink would leave goroutines unobserved and
+// divide the stage table's coverage by the wrong count; engines call
+// this first and refuse instead. A nil sink fits any run.
+func (s *Sink) CheckShape(shards, injectors int) error {
+	if s == nil || (len(s.shards) == shards && len(s.inject) == injectors) {
 		return nil
 	}
-	return fmt.Errorf("telemetry sink shaped for %d shards x %d workers + %d injectors attached to a run of %d x %d + %d",
-		len(s.shards), s.cfg.Workers, len(s.inject), shards, workers, injectors)
+	return fmt.Errorf("telemetry sink shaped for %d shards + %d injectors attached to a run of %d + %d",
+		len(s.shards), len(s.inject), shards, injectors)
 }
 
-// Probe returns the probe for one shard worker (indexes into
-// Config.Shards / Config.Workers). A nil sink, or an index outside the
-// configured shape, returns nil — the off switch.
-func (s *Sink) Probe(shard, worker int) *Probe {
+// Probe returns the probe of one shard row (an index into
+// Config.Shards). A nil sink, or an index outside the configured shape,
+// returns nil — the off switch.
+func (s *Sink) Probe(shard int) *Probe {
 	if s == nil || shard < 0 || shard >= len(s.shards) {
 		return nil
 	}
-	if worker < 0 || worker >= len(s.shards[shard]) {
-		return nil
-	}
-	return s.shards[shard][worker]
+	return s.shards[shard]
 }
 
 // InjectorProbe returns injector i's probe (nil when out of shape).
@@ -267,8 +265,8 @@ func (s *Sink) UptimeNs() int64 {
 	return int64(time.Since(s.epoch))
 }
 
-// Counters is the per-worker counter set a probe publishes. The cluster
-// worker fills it straight from its ShardStats (so /metrics matches the
+// Counters is the counter set a probe publishes. A cluster shard fills
+// it straight from its ShardStats (so /metrics matches the
 // end-of-run merge exactly); the injectors fill the fields that apply
 // and leave the rest zero.
 type Counters struct {
@@ -279,9 +277,9 @@ type Counters struct {
 	FramesOut int64 `json:"frames_out"`
 	Errors    int64 `json:"errors"`
 	Injects   int64 `json:"injects"`
-	// Allocs counts tracked allocation events at the worker's known
+	// Allocs counts tracked allocation events at the goroutine's known
 	// allocation sites (pool misses, injector batch buffers) — the
-	// per-worker replacement for whole-process ReadMemStats deltas.
+	// per-probe replacement for whole-process ReadMemStats deltas.
 	Allocs int64 `json:"allocs"`
 }
 
@@ -321,15 +319,15 @@ type published struct {
 	heat       []HeatEntry
 }
 
-// Probe is one worker goroutine's instrument. All recording methods
-// are single-goroutine (the owning worker's); Publish hands readers a
+// Probe is one serving goroutine's instrument (a shard's or an
+// injector's). All recording methods are single-goroutine (the owner's); Publish hands readers a
 // copy under the probe mutex. Every method is a nil-receiver no-op.
 type Probe struct {
 	sink       *Sink
 	every      uint64 // batch sampling stride, 0 = timing off
 	traceEvery uint64 // roundtrip-tag trace stride, 0 = tracing off
 
-	// Hot state, owned by the worker goroutine.
+	// Hot state, owned by the probe's goroutine.
 	batches    uint64
 	sampled    int64
 	recvWaitNs int64

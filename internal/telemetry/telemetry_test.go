@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // be callable unconditionally from the hot path.
 func TestNilSinkIsOff(t *testing.T) {
 	var s *Sink
-	if p := s.Probe(0, 0); p != nil {
+	if p := s.Probe(0); p != nil {
 		t.Fatal("nil sink handed out a probe")
 	}
 	if p := s.InjectorProbe(0); p != nil {
@@ -38,7 +39,7 @@ func TestNilSinkIsOff(t *testing.T) {
 	}
 	p.Heat(1)
 	p.Publish(Counters{Packets: 1})
-	p.Record(EvHop, 1, 0, 0, 0, -1, 1, false)
+	p.Record(EvHop, 1, 0, 0, -1, 1, false)
 	if p.Traced(1) {
 		t.Fatal("nil probe claims tracing")
 	}
@@ -48,18 +49,25 @@ func TestNilSinkIsOff(t *testing.T) {
 }
 
 // TestProbeShape locks probe indexing: shard rows follow Config.Shards
-// order, out-of-shape indices return nil rather than panicking.
+// order, out-of-shape indices return nil rather than panicking, and a
+// config asking for a worker pool is refused.
 func TestProbeShape(t *testing.T) {
-	s := New(Config{Shards: []int{3, 7}, Workers: 2, Injectors: 1})
-	if s.Probe(0, 0) == nil || s.Probe(1, 1) == nil || s.InjectorProbe(0) == nil {
+	s := New(Config{Shards: []int{3, 7}, Injectors: 1})
+	if s.Probe(0) == nil || s.Probe(1) == nil || s.InjectorProbe(0) == nil {
 		t.Fatal("in-shape probe missing")
 	}
-	if s.Probe(2, 0) != nil || s.Probe(0, 2) != nil || s.Probe(-1, 0) != nil || s.InjectorProbe(1) != nil {
+	if s.Probe(2) != nil || s.Probe(-1) != nil || s.InjectorProbe(1) != nil {
 		t.Fatal("out-of-shape index returned a probe")
 	}
-	if s.Probe(0, 0) == s.Probe(1, 0) {
+	if s.Probe(0) == s.Probe(1) {
 		t.Fatal("distinct shard rows share a probe")
 	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Config.Workers is 2") {
+			t.Fatalf("New with Workers 2 recovered %v, want a panic naming the field", r)
+		}
+	}()
+	New(Config{Shards: []int{0}, Workers: 2})
 }
 
 // TestBatchSampling locks the sampling contract: with SampleEvery = k,
@@ -68,7 +76,7 @@ func TestProbeShape(t *testing.T) {
 // and the snapshot's EstNs scales sampled time by the batch count.
 func TestBatchSampling(t *testing.T) {
 	s := New(Config{Shards: []int{0}, SampleEvery: 4})
-	p := s.Probe(0, 0)
+	p := s.Probe(0)
 	sampled := 0
 	for i := 0; i < 16; i++ {
 		if t0 := p.BatchStart(0); t0 != 0 {
@@ -112,9 +120,9 @@ func TestPublishSnapshotExactness(t *testing.T) {
 	s := New(Config{Shards: []int{0, 1}, Injectors: 1})
 	want0 := Counters{Packets: 10, Hops: 100, Weight: 500, FramesIn: 7, FramesOut: 7, Errors: 1, Allocs: 2}
 	want1 := Counters{Packets: 20, Hops: 50, Weight: 900}
-	s.Probe(0, 0).Publish(Counters{Packets: 3}) // overwritten by the next publish
-	s.Probe(0, 0).Publish(want0)
-	s.Probe(1, 0).Publish(want1)
+	s.Probe(0).Publish(Counters{Packets: 3}) // overwritten by the next publish
+	s.Probe(0).Publish(want0)
+	s.Probe(1).Publish(want1)
 	s.InjectorProbe(0).Publish(Counters{Injects: 30, Allocs: 4})
 	snap := s.Snapshot()
 	if snap.Shards[0].Counters != want0 {
@@ -136,10 +144,10 @@ func TestPublishSnapshotExactness(t *testing.T) {
 // activity between them.
 func TestSnapshotSub(t *testing.T) {
 	s := New(Config{Shards: []int{0}, Injectors: 1})
-	s.Probe(0, 0).Publish(Counters{Packets: 10, Hops: 40})
+	s.Probe(0).Publish(Counters{Packets: 10, Hops: 40})
 	s.InjectorProbe(0).Publish(Counters{Injects: 12})
 	prev := s.Snapshot()
-	s.Probe(0, 0).Publish(Counters{Packets: 25, Hops: 110})
+	s.Probe(0).Publish(Counters{Packets: 25, Hops: 110})
 	s.InjectorProbe(0).Publish(Counters{Injects: 27})
 	diff := s.Snapshot().Sub(prev)
 	if diff.Shards[0].Packets != 15 || diff.Shards[0].Hops != 70 {
@@ -157,21 +165,20 @@ func TestSnapshotSub(t *testing.T) {
 }
 
 // TestHeatSketch locks the space-saving top-K: heavy destinations
-// survive eviction, per-worker sketches merge by destination, and the
-// merged list is sorted by estimated count.
+// survive eviction, and the published list is sorted by estimated
+// count.
 func TestHeatSketch(t *testing.T) {
-	s := New(Config{Shards: []int{0}, Workers: 2, HeatK: 4})
-	p0, p1 := s.Probe(0, 0), s.Probe(0, 1)
+	s := New(Config{Shards: []int{0}, HeatK: 4})
+	p := s.Probe(0)
 	for i := 0; i < 100; i++ {
-		p0.Heat(7) // the heavy hitter on worker 0
+		p.Heat(7) // the heavy hitter
 		if i%2 == 0 {
-			p1.Heat(7) // and half as heavy on worker 1
+			p.Heat(7) // half as heavy again
 		}
-		p0.Heat(int32(100 + i%17)) // churn that must not evict dst 7
-		p1.Heat(int32(200 + i%13))
+		p.Heat(int32(100 + i%17)) // churn that must not evict dst 7
+		p.Heat(int32(200 + i%13))
 	}
-	p0.Publish(Counters{})
-	p1.Publish(Counters{})
+	p.Publish(Counters{})
 	heat := s.Snapshot().Shards[0].Heat
 	if len(heat) == 0 || len(heat) > 4 {
 		t.Fatalf("merged heat has %d entries, want 1..4", len(heat))
@@ -196,14 +203,14 @@ func TestHeatSketch(t *testing.T) {
 // merged timeline's time order.
 func TestRecorder(t *testing.T) {
 	s := New(Config{Shards: []int{0}, TraceEvery: 8, RingSize: 4})
-	p := s.Probe(0, 0)
+	p := s.Probe(0)
 	for rt, want := range map[uint64]bool{0: false, 1: true, 8: false, 9: true, 17: true} {
 		if got := p.Traced(rt); got != want {
 			t.Fatalf("Traced(%d) = %v, want %v", rt, got, want)
 		}
 	}
 	for i := 0; i < 6; i++ {
-		p.Record(EvHop, 1, 0, 0, int32(i), -1, int32(i), false)
+		p.Record(EvHop, 1, 0, int32(i), -1, int32(i), false)
 	}
 	evs := s.Events(1)
 	if len(evs) != 4 {
@@ -219,7 +226,7 @@ func TestRecorder(t *testing.T) {
 	}
 	// A seventh record wraps once more: the ring now holds hops 3..5
 	// plus the complete.
-	p.Record(EvComplete, 9, 0, 0, 0, -1, 3, true)
+	p.Record(EvComplete, 9, 0, 0, -1, 3, true)
 	if got := len(s.Events(9)); got != 1 {
 		t.Fatalf("rt filter returned %d events, want 1", got)
 	}
@@ -235,11 +242,11 @@ func TestTracingDisabled(t *testing.T) {
 	if s.Tracing() {
 		t.Fatal("sink without TraceEvery claims tracing")
 	}
-	p := s.Probe(0, 0)
+	p := s.Probe(0)
 	if p.Traced(1) {
 		t.Fatal("probe without TraceEvery traced rt 1")
 	}
-	p.Record(EvHop, 1, 0, 0, 0, -1, 0, false) // must not panic on the empty ring
+	p.Record(EvHop, 1, 0, 0, -1, 0, false) // must not panic on the empty ring
 	if evs := s.Events(0); len(evs) != 0 {
 		t.Fatalf("recorded %d events with tracing off", len(evs))
 	}
@@ -249,9 +256,9 @@ func TestTracingDisabled(t *testing.T) {
 // events marshal with the kind as its name and unmarshal back.
 func TestEventJSONRoundtrip(t *testing.T) {
 	in := []Event{
-		{Ns: 10, Rt: 1, Kind: EvInject, Shard: 0, Worker: 0, At: 3, Arg: -1},
-		{Ns: 20, Rt: 1, Kind: EvDepart, Shard: 0, Worker: 0, At: 5, Arg: 1, Hops: 2},
-		{Ns: 30, Rt: 1, Kind: EvComplete, Shard: 1, Worker: 0, At: 3, Arg: -1, Hops: 6, Return: true},
+		{Ns: 10, Rt: 1, Kind: EvInject, Shard: 0, At: 3, Arg: -1},
+		{Ns: 20, Rt: 1, Kind: EvDepart, Shard: 0, At: 5, Arg: 1, Hops: 2},
+		{Ns: 30, Rt: 1, Kind: EvComplete, Shard: 1, At: 3, Arg: -1, Hops: 6, Return: true},
 	}
 	data, err := EventsJSON(in)
 	if err != nil {
@@ -277,7 +284,7 @@ func TestEventJSONRoundtrip(t *testing.T) {
 // TestChromeTrace locks the trace_event export: valid JSON with one
 // instant event per record, pid = shard, ts in microseconds.
 func TestChromeTrace(t *testing.T) {
-	data, err := ChromeTrace([]Event{{Ns: 2500, Rt: 1, Kind: EvHop, Shard: 3, Worker: 1, At: 9}})
+	data, err := ChromeTrace([]Event{{Ns: 2500, Rt: 1, Kind: EvHop, Shard: 3, At: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +304,7 @@ func TestChromeTrace(t *testing.T) {
 		t.Fatalf("%d trace events, want 1", len(doc.TraceEvents))
 	}
 	ev := doc.TraceEvents[0]
-	if ev.Ph != "i" || ev.Pid != 3 || ev.Tid != 1 || ev.Ts != 2.5 {
+	if ev.Ph != "i" || ev.Pid != 3 || ev.Tid != 0 || ev.Ts != 2.5 {
 		t.Fatalf("chrome event %+v", ev)
 	}
 	if !strings.Contains(ev.Name, "hop") {
@@ -352,11 +359,11 @@ func TestStageTable(t *testing.T) {
 			t.Fatalf("%d workers at GOMAXPROCS=2: coverage line is not per available cpu:\n%s", snap.probes, out)
 		}
 	}
-	// The count travels with the snapshot: every worker and injector the
+	// The count travels with the snapshot: every shard and injector the
 	// sink merged, carried through Sub; nothing timed, nothing printed.
-	sink := New(Config{Shards: []int{3, 7}, Workers: 2, Injectors: 1})
-	if got := sink.Snapshot().Sub(sink.Snapshot()).probes; got != 5 {
-		t.Fatalf("snapshot of 2 shards x 2 workers + 1 injector counts %d goroutines, want 5", got)
+	sink := New(Config{Shards: []int{3, 7}, Injectors: 1})
+	if got := sink.Snapshot().Sub(sink.Snapshot()).probes; got != 3 {
+		t.Fatalf("snapshot of 2 shards + 1 injector counts %d goroutines, want 3", got)
 	}
 	if out := sink.Snapshot().FormatStageTable(0, 300); out != "" {
 		t.Fatalf("a snapshot with no timed stage formats as %q, want nothing", out)
@@ -368,7 +375,7 @@ func TestStageTable(t *testing.T) {
 // passed through, its family typed once), uptime present.
 func TestPrometheus(t *testing.T) {
 	s := New(Config{Shards: []int{2}, Injectors: 1})
-	s.Probe(2-2, 0).Publish(Counters{Packets: 42, Hops: 99})
+	s.Probe(0).Publish(Counters{Packets: 42, Hops: 99})
 	s.InjectorProbe(0).Publish(Counters{Injects: 42})
 	s.RegisterGauge("Window Occupancy", func() float64 { return 3.5 })
 	s.RegisterGauge(`repair_stage_ns{stage="tables"}`, func() float64 { return 7 })

@@ -10,8 +10,8 @@ import (
 
 // This file is the churn event frame codec: a topology-event batch in
 // transit to a shard. A batch carries a strictly increasing sequence
-// number (the shard applies batches in Seq order behind its epoch
-// fence, holding early arrivals) plus the events themselves in their
+// number (the shard applies batches in Seq order between two served
+// batches, holding early arrivals) plus the events themselves in their
 // replayable form — the Poisson clock is shipped as exact float64 bits
 // so a daemon's flap damper advances on the same instants the
 // generator drew, keeping every replica's overlay bit-deterministic.
