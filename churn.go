@@ -61,8 +61,7 @@ type Replica struct {
 // NewReplica builds kind over sys exactly as BuildWith would, wrapped
 // for incremental maintenance, with a churn overlay over sys.Graph
 // (flap damper at its defaults). Repairs mutate that graph, so sys must
-// not be shared with another replica, and it must use MetricLazy (see
-// BuildMaintained).
+// not be shared with another replica.
 func NewReplica(sys *System, kind SchemeKind, cfg BuildConfig) (*Replica, error) {
 	m, err := sys.BuildMaintained(kind, func(c *BuildConfig) { *c = cfg })
 	if err != nil {

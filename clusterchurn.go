@@ -264,7 +264,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	}
 	// The fabric's replica: a clone of the graph, still pristine, under
 	// its own oracle, built and repaired on cfg.Build's workers.
-	fsys, err := NewSystemWith(sys.Graph.Clone(), sys.Naming, SystemConfig{Metric: MetricLazy})
+	fsys, err := NewSystem(sys.Graph.Clone(), sys.Naming)
 	if err != nil {
 		return nil, fmt.Errorf("rtroute: fabric replica: %w", err)
 	}

@@ -30,37 +30,17 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "fig1", "experiment: fig1|fig2|fig5|fig10|space|stretch|profile|lower|ablation")
-		n      = flag.Int("n", 64, "number of nodes")
-		seed   = flag.Int64("seed", 1, "random seed")
-		ks     = flag.String("k", "2,3", "comma-separated tradeoff parameters")
-		metric = flag.String("metric", "dense", "distance oracle: dense|lazy")
-		cache  = flag.Int("lazy-cache", 0, "lazy oracle row-cache budget (0 = default)")
+		exp  = flag.String("exp", "fig1", "experiment: fig1|fig2|fig5|fig10|space|stretch|profile|lower|ablation")
+		n    = flag.Int("n", 64, "number of nodes")
+		seed = flag.Int64("seed", 1, "random seed")
+		ks   = flag.String("k", "2,3", "comma-separated tradeoff parameters")
 	)
 	flag.Parse()
-	metricKind = rtroute.MetricKind(*metric)
-	lazyCacheRows = *cache
-	if metricKind != rtroute.MetricDense && metricKind != rtroute.MetricLazy {
-		fmt.Fprintf(os.Stderr, "rtbench: unknown -metric %q (want %q or %q)\n",
-			*metric, rtroute.MetricDense, rtroute.MetricLazy)
-		os.Exit(2)
-	}
 
 	if err := run(os.Stdout, *exp, *n, *seed, parseKs(*ks)); err != nil {
 		fmt.Fprintln(os.Stderr, "rtbench:", err)
 		os.Exit(1)
 	}
-}
-
-// metricKind selects the distance oracle for every experiment that
-// builds a System (-metric flag); lazyCacheRows bounds the lazy cache.
-var (
-	metricKind    = rtroute.MetricDense
-	lazyCacheRows int
-)
-
-func newSystem(g *rtroute.Graph, naming *rtroute.Naming) (*rtroute.System, error) {
-	return rtroute.NewSystemWith(g, naming, rtroute.SystemConfig{Metric: metricKind, LazyCacheRows: lazyCacheRows})
 }
 
 func parseKs(s string) []int {
@@ -78,6 +58,9 @@ func parseKs(s string) []int {
 
 // run writes experiment exp's table to w.
 func run(w io.Writer, exp string, n int, seed int64, ks []int) error {
+	if n < 2 {
+		return fmt.Errorf("need at least 2 nodes, got -n %d", n)
+	}
 	switch exp {
 	case "fig1":
 		return runFig1(w, n, seed, ks)
@@ -106,7 +89,7 @@ func runProfile(w io.Writer, n int, seed int64) error {
 	fmt.Fprintf(w, "# stretch profile by roundtrip distance (n=%d, seed=%d)\n\n", n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 4*n, 8, rng)
-	sys, err := newSystem(g, rtroute.RandomNaming(n, rng))
+	sys, err := rtroute.NewSystem(g, rtroute.RandomNaming(n, rng))
 	if err != nil {
 		return err
 	}
@@ -135,7 +118,7 @@ func runFig5(w io.Writer, n int, seed int64) error {
 	fmt.Fprintf(w, "# Fig. 5 — prefix-matching dictionary walk (ExStretch, n=%d, seed=%d)\n\n", n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 4*n, 6, rng)
-	sys, err := newSystem(g, rtroute.RandomNaming(n, rng))
+	sys, err := rtroute.NewSystem(g, rtroute.RandomNaming(n, rng))
 	if err != nil {
 		return err
 	}
@@ -175,7 +158,7 @@ func runFig10(w io.Writer, n int, seed int64) error {
 	fmt.Fprintf(w, "# Fig. 10 — center-relayed route inside a home double-tree (PolynomialStretch, n=%d, seed=%d)\n\n", n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 4*n, 6, rng)
-	sys, err := newSystem(g, rtroute.RandomNaming(n, rng))
+	sys, err := rtroute.NewSystem(g, rtroute.RandomNaming(n, rng))
 	if err != nil {
 		return err
 	}
@@ -208,7 +191,6 @@ func runFig1(w io.Writer, n int, seed int64, ks []int) error {
 	fmt.Fprintf(w, "# E1 / Fig. 1 — scheme comparison on a random SC digraph (n=%d, seed=%d)\n\n", n, seed)
 	rows, err := rtroute.Fig1(rtroute.Fig1Config{
 		N: n, Seed: seed, Ks: ks,
-		Lazy: metricKind == rtroute.MetricLazy, LazyCacheRows: lazyCacheRows,
 	})
 	if err != nil {
 		return err
@@ -222,7 +204,7 @@ func runFig2(w io.Writer, n int, seed int64) error {
 	fmt.Fprintf(w, "# E2 / Fig. 2 — block distribution (Lemma 1) on n=%d, seed=%d\n\n", n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 3*n, 1, rng)
-	sys, err := newSystem(g, rtroute.RandomNaming(n, rng))
+	sys, err := rtroute.NewSystem(g, rtroute.RandomNaming(n, rng))
 	if err != nil {
 		return err
 	}
@@ -255,7 +237,7 @@ func runStretch(w io.Writer, n int, seed int64, ks []int) error {
 	fmt.Fprintf(w, "# E3/E4/E6 — stretch distributions (n=%d, seed=%d)\n\n", n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 4*n, 8, rng)
-	sys, err := newSystem(g, rtroute.RandomNaming(n, rng))
+	sys, err := rtroute.NewSystem(g, rtroute.RandomNaming(n, rng))
 	if err != nil {
 		return err
 	}
@@ -299,7 +281,7 @@ func runLower(w io.Writer, n int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.Bidirect(rtroute.RandomSC(n, 3*n, 4, rng))
 	g.AssignPorts(rng.Intn)
-	sys, err := newSystem(g, rtroute.RandomNaming(g.N(), rng))
+	sys, err := rtroute.NewSystem(g, rtroute.RandomNaming(g.N(), rng))
 	if err != nil {
 		return err
 	}
@@ -324,7 +306,7 @@ func runAblation(w io.Writer, n int, seed int64) error {
 	fmt.Fprintf(w, "# E10 / §4.4 — cover-variant ablation for polystretch (n=%d, seed=%d)\n\n", n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	g := rtroute.RandomSC(n, 4*n, 6, rng)
-	sys, err := newSystem(g, rtroute.RandomNaming(n, rng))
+	sys, err := rtroute.NewSystem(g, rtroute.RandomNaming(n, rng))
 	if err != nil {
 		return err
 	}

@@ -11,15 +11,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
-	"rtroute"
+	"rtroute/internal/graph"
 )
 
 func main() {
 	var (
-		typ  = flag.String("type", "random", "graph family: random|gnp|ring|grid|scalefree|layered|complete")
+		typ  = flag.String("type", "random", "graph family: "+graph.Families)
 		n    = flag.Int("n", 64, "number of nodes")
 		seed = flag.Int64("seed", 1, "random seed")
 		maxW = flag.Int64("maxw", 8, "maximum edge weight")
@@ -27,36 +28,16 @@ func main() {
 		dot  = flag.Bool("dot", false, "print Graphviz DOT instead of statistics")
 	)
 	flag.Parse()
-	if err := run(*typ, *n, *seed, rtroute.Dist(*maxW), *out, *dot); err != nil {
+	if err := run(os.Stdout, *typ, *n, *seed, graph.Dist(*maxW), *out, *dot); err != nil {
 		fmt.Fprintln(os.Stderr, "rtgraph:", err)
 		os.Exit(1)
 	}
 }
 
-func run(typ string, n int, seed int64, maxW rtroute.Dist, out string, dot bool) error {
-	rng := rand.New(rand.NewSource(seed))
-	var g *rtroute.Graph
-	switch typ {
-	case "random":
-		g = rtroute.RandomSC(n, 4*n, maxW, rng)
-	case "gnp":
-		g = rtroute.RandomGNP(n, 0.1, maxW, rng)
-	case "ring":
-		g = rtroute.Ring(n, rng)
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		g = rtroute.Grid(side, side, rng)
-	case "scalefree":
-		g = rtroute.ScaleFreeSC(n, 2, maxW, rng)
-	case "layered":
-		g = rtroute.LayeredSC((n+3)/4, 4, maxW, rng)
-	case "complete":
-		g = rtroute.Complete(n, maxW, rng)
-	default:
-		return fmt.Errorf("unknown graph type %q", typ)
+func run(w io.Writer, typ string, n int, seed int64, maxW graph.Dist, out string, dot bool) error {
+	g, err := graph.Generate(typ, n, maxW, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return err
 	}
 
 	if out != "" {
@@ -68,28 +49,28 @@ func run(typ string, n int, seed int64, maxW rtroute.Dist, out string, dot bool)
 		if _, err := g.WriteTo(f); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d nodes / %d edges to %s\n", g.N(), g.M(), out)
+		fmt.Fprintf(w, "wrote %d nodes / %d edges to %s\n", g.N(), g.M(), out)
 	}
 	if dot {
-		fmt.Print(g.DOT(typ))
+		fmt.Fprint(w, g.DOT(typ))
 		return nil
 	}
 
-	m := rtroute.AllPairsParallel(g, 0)
-	fmt.Printf("family:              %s\n", typ)
-	fmt.Printf("nodes / edges:       %d / %d\n", g.N(), g.M())
-	fmt.Printf("strongly connected:  %v\n", rtroute.StronglyConnected(g))
-	fmt.Printf("max edge weight:     %d\n", g.MaxWeight())
-	fmt.Printf("one-way diameter:    %d\n", m.Diam())
-	fmt.Printf("roundtrip diameter:  %d\n", m.RTDiam())
-
-	// Asymmetry profile: how different d(u,v) and d(v,u) are.
+	// Every statistic comes from the two rows anchored at each node u:
+	// d(u,·) and d(·,u) cover the pairs (u,v) and (v,u) for v > u.
+	m := graph.AllPairs(g)
+	var diam, rtDiam graph.Dist
 	var maxRatio float64
 	var symPairs, pairs int
 	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
-			duv := float64(m.D(rtroute.NodeID(u), rtroute.NodeID(v)))
-			dvu := float64(m.D(rtroute.NodeID(v), rtroute.NodeID(u)))
+		fwd, rev := m.FromSource(graph.NodeID(u)), m.ToSink(graph.NodeID(u))
+		for v, d := range fwd {
+			diam = max(diam, d)
+			if v <= u {
+				continue
+			}
+			rtDiam = max(rtDiam, graph.RFromRows(fwd, rev, graph.NodeID(v)))
+			duv, dvu := float64(d), float64(rev[v])
 			pairs++
 			if duv == dvu {
 				symPairs++
@@ -98,12 +79,16 @@ func run(typ string, n int, seed int64, maxW rtroute.Dist, out string, dot bool)
 			if ratio < 1 {
 				ratio = 1 / ratio
 			}
-			if ratio > maxRatio {
-				maxRatio = ratio
-			}
+			maxRatio = max(maxRatio, ratio)
 		}
 	}
-	fmt.Printf("symmetric pairs:     %d / %d\n", symPairs, pairs)
-	fmt.Printf("max d(u,v)/d(v,u):   %.2f\n", maxRatio)
+	fmt.Fprintf(w, "family:              %s\n", typ)
+	fmt.Fprintf(w, "nodes / edges:       %d / %d\n", g.N(), g.M())
+	fmt.Fprintf(w, "strongly connected:  %v\n", graph.StronglyConnected(g))
+	fmt.Fprintf(w, "max edge weight:     %d\n", g.MaxWeight())
+	fmt.Fprintf(w, "one-way diameter:    %d\n", diam)
+	fmt.Fprintf(w, "roundtrip diameter:  %d\n", rtDiam)
+	fmt.Fprintf(w, "symmetric pairs:     %d / %d\n", symPairs, pairs)
+	fmt.Fprintf(w, "max d(u,v)/d(v,u):   %.2f\n", maxRatio)
 	return nil
 }

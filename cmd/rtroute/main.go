@@ -40,6 +40,7 @@ import (
 
 	"rtroute"
 	"rtroute/internal/cluster"
+	"rtroute/internal/graph"
 	"rtroute/internal/wire"
 )
 
@@ -52,10 +53,9 @@ func main() {
 		src     = flag.Int("src", 0, "source NAME")
 		dst     = flag.Int("dst", 1, "destination NAME")
 		all     = flag.Bool("all", false, "route all ordered pairs and summarize")
-		graphT  = flag.String("graph", "random", "graph family: random|ring|grid|scalefree|layered")
+		graphT  = flag.String("graph", "random", "graph family: "+graph.Families)
 		loadG   = flag.String("loadgraph", "", "load a graph from this file instead of generating one")
 		verbo   = flag.Bool("v", false, "print the full node path")
-		metric  = flag.String("metric", "dense", "distance oracle: dense (n^2 matrix) | lazy (bounded row cache)")
 		save    = flag.String("save", "", "build the scheme, snapshot it to this file (wire format), and exit")
 		load    = flag.String("load", "", "serve from a scheme snapshot instead of building (graph+naming+tables restored from the file)")
 		sizes   = flag.Bool("sizes", false, "print the per-node encoded-bytes space report (Theorem 6 certification) and exit")
@@ -92,8 +92,8 @@ func main() {
 		}
 		return
 	}
-	if err := run(*n, *seed, *scheme, *k, int32(*src), int32(*dst), *all, *graphT, *loadG,
-		*verbo, rtroute.MetricKind(*metric), *save, *load); err != nil {
+	if err := run(os.Stdout, *n, *seed, *scheme, *k, int32(*src), int32(*dst), *all, *graphT, *loadG,
+		*verbo, *save, *load); err != nil {
 		fmt.Fprintln(os.Stderr, "rtroute:", err)
 		os.Exit(1)
 	}
@@ -312,32 +312,6 @@ func fetchTrace(spec string) error {
 	return nil
 }
 
-func makeGraph(family string, n int, rng *rand.Rand) (*rtroute.Graph, error) {
-	switch family {
-	case "random":
-		return rtroute.RandomSC(n, 4*n, 8, rng), nil
-	case "ring":
-		return rtroute.Ring(n, rng), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return rtroute.Grid(side, side, rng), nil
-	case "scalefree":
-		return rtroute.ScaleFreeSC(n, 2, 8, rng), nil
-	case "layered":
-		width := 4
-		layers := (n + width - 1) / width
-		if layers < 2 {
-			layers = 2
-		}
-		return rtroute.LayeredSC(layers, width, 8, rng), nil
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", family)
-	}
-}
-
 func buildKind(name string) (rtroute.SchemeKind, error) {
 	switch name {
 	case "stretch6":
@@ -355,8 +329,9 @@ func buildKind(name string) (rtroute.SchemeKind, error) {
 	}
 }
 
-func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
-	family, loadGraph string, verbose bool, metric rtroute.MetricKind, save, load string) error {
+// run builds (or loads) a scheme and writes the requested report to w.
+func run(w io.Writer, n int, seed int64, schemeName string, k int, src, dst int32, all bool,
+	family, loadGraph string, verbose bool, save, load string) error {
 	var (
 		sch rtroute.Scheme
 		sys *rtroute.System
@@ -380,12 +355,12 @@ func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
 			}
 			return fmt.Errorf("reading %s: %w", load, err)
 		}
-		fmt.Printf("snapshot %s: scheme %s, n=%d (format v%d)\n", load, info.Kind, info.Nodes, info.Version)
+		fmt.Fprintf(w, "snapshot %s: scheme %s, n=%d (format v%d)\n", load, info.Kind, info.Nodes, info.Version)
 		dep, err := rtroute.UnmarshalScheme(data)
 		if err != nil {
 			return fmt.Errorf("loading %s: %w", load, err)
 		}
-		sys, err = rtroute.NewSystemWith(dep.Graph(), dep.Naming(), rtroute.SystemConfig{Metric: metric})
+		sys, err = rtroute.NewSystem(dep.Graph(), dep.Naming())
 		if err != nil {
 			return err
 		}
@@ -399,7 +374,7 @@ func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
 			}
 		}
 		avgB /= float64(dep.Graph().N())
-		fmt.Printf("restored %s from %s (%d bytes): %d nodes / %d edges; encoded state max %d B/node, avg %.1f B/node\n",
+		fmt.Fprintf(w, "restored %s from %s (%d bytes): %d nodes / %d edges; encoded state max %d B/node, avg %.1f B/node\n",
 			dep.SchemeName(), load, len(data), dep.Graph().N(), dep.Graph().M(), maxB, avgB)
 	} else {
 		rng := rand.New(rand.NewSource(seed))
@@ -419,12 +394,12 @@ func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
 			}
 			family = loadGraph
 		} else {
-			g, err = makeGraph(family, n, rng)
+			g, err = graph.Generate(family, n, 8, rng)
 			if err != nil {
 				return err
 			}
 		}
-		sys, err = rtroute.NewSystemWith(g, rtroute.RandomNaming(g.N(), rng), rtroute.SystemConfig{Metric: metric})
+		sys, err = rtroute.NewSystem(g, rtroute.RandomNaming(g.N(), rng))
 		if err != nil {
 			return err
 		}
@@ -436,7 +411,7 @@ func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("built %s over %d nodes / %d edges (%s graph); max table %d words, avg %.1f\n",
+		fmt.Fprintf(w, "built %s over %d nodes / %d edges (%s graph); max table %d words, avg %.1f\n",
 			sch.SchemeName(), g.N(), g.M(), family, sch.MaxTableWords(), sch.AvgTableWords())
 	}
 
@@ -455,7 +430,7 @@ func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
 				maxB = b
 			}
 		}
-		fmt.Printf("saved %s (%d bytes): per-node state max %d B, avg %.1f B; shared envelope %d B\n",
+		fmt.Fprintf(w, "saved %s (%d bytes): per-node state max %d B, avg %.1f B; shared envelope %d B\n",
 			save, len(blob), maxB, float64(total)/float64(len(nodeSizes)), len(blob)-total)
 		return nil
 	}
@@ -468,10 +443,10 @@ func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
 			return err
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("pairs: %d  max stretch: %.3f  mean: %.3f  p99: %.3f  max header: %d words\n",
+		fmt.Fprintf(w, "pairs: %d  max stretch: %.3f  mean: %.3f  p99: %.3f  max header: %d words\n",
 			stats.Pairs, stats.Max, stats.Mean, stats.P99, stats.MaxHeaderWords)
 		// Timing goes to stderr: stdout stays byte-identical across runs
-		// and oracles (the determinism contract scripted diffs rely on).
+		// (the determinism contract scripted diffs rely on).
 		fmt.Fprintf(os.Stderr, "measured in %v (%.0f roundtrips/s, single goroutine, reused header)\n",
 			elapsed.Round(time.Millisecond), float64(stats.Pairs)/elapsed.Seconds())
 		return nil
@@ -485,15 +460,15 @@ func run(n int, seed int64, schemeName string, k int, src, dst int32, all bool,
 		return err
 	}
 	r := sys.R(src, dst)
-	fmt.Printf("roundtrip %d -> %d -> %d\n", src, dst, src)
-	fmt.Printf("  optimal roundtrip distance: %d\n", r)
-	fmt.Printf("  routed weight:  %d (out %d + back %d)\n", tr.Weight(), tr.Out.Weight, tr.Back.Weight)
-	fmt.Printf("  hops:           %d (out %d + back %d)\n", tr.Hops(), tr.Out.Hops, tr.Back.Hops)
-	fmt.Printf("  stretch:        %.3f\n", sys.Stretch(src, dst, tr))
-	fmt.Printf("  max header:     %d words\n", tr.MaxHeaderWords())
+	fmt.Fprintf(w, "roundtrip %d -> %d -> %d\n", src, dst, src)
+	fmt.Fprintf(w, "  optimal roundtrip distance: %d\n", r)
+	fmt.Fprintf(w, "  routed weight:  %d (out %d + back %d)\n", tr.Weight(), tr.Out.Weight, tr.Back.Weight)
+	fmt.Fprintf(w, "  hops:           %d (out %d + back %d)\n", tr.Hops(), tr.Out.Hops, tr.Back.Hops)
+	fmt.Fprintf(w, "  stretch:        %.3f\n", sys.Stretch(src, dst, tr))
+	fmt.Fprintf(w, "  max header:     %d words\n", tr.MaxHeaderWords())
 	if verbose {
-		fmt.Printf("  out path  (topological ids): %v\n", tr.Out.Path)
-		fmt.Printf("  back path (topological ids): %v\n", tr.Back.Path)
+		fmt.Fprintf(w, "  out path  (topological ids): %v\n", tr.Out.Path)
+		fmt.Fprintf(w, "  back path (topological ids): %v\n", tr.Back.Path)
 	}
 	return nil
 }

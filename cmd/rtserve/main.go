@@ -218,7 +218,7 @@ func identity(shard, shards int, addr string, dep *rtroute.Deployment) map[strin
 // other daemon restored — bound to this daemon's serving deployment and
 // owned slice. The replica's Repair is the shard's Options.Repair hook.
 func armRepair(dep *rtroute.Deployment, view *core.ShardView, seed int64, k int) (*rtroute.Replica, error) {
-	sys, err := rtroute.NewSystemWith(dep.Graph().Clone(), dep.Naming(), rtroute.SystemConfig{Metric: rtroute.MetricLazy})
+	sys, err := rtroute.NewSystem(dep.Graph().Clone(), dep.Naming())
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 
 // testDeployments builds a Deployment of every scheme kind over a
 // shared seeded graph.
-func testDeployments(t testing.TB, n int, seed int64) (map[string]*core.Deployment, *graph.Metric) {
+func testDeployments(t testing.TB, n int, seed int64) (map[string]*core.Deployment, graph.DistanceOracle) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, 4*n, 8, rng)

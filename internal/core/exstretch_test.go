@@ -9,7 +9,7 @@ import (
 	"rtroute/internal/names"
 )
 
-func buildExStretch(t testing.TB, seed int64, g *graph.Graph, perm *names.Permutation, k int) (*ExStretch, *graph.Metric) {
+func buildExStretch(t testing.TB, seed int64, g *graph.Graph, perm *names.Permutation, k int) (*ExStretch, graph.DistanceOracle) {
 	t.Helper()
 	m := graph.AllPairs(g)
 	rng := rand.New(rand.NewSource(seed))
@@ -98,7 +98,7 @@ func TestExStretchLemma8(t *testing.T) {
 // checkLemma8 recomputes the waypoint walk with hop indices and asserts
 // r(v_i, v_i+1) <= 2^i r(s,t) using the paper's indexing (legs between
 // consecutive hop indices, including skipped self-legs of cost 0).
-func checkLemma8(s *ExStretch, m *graph.Metric, perm *names.Permutation, src, dst graph.NodeID, rst graph.Dist) error {
+func checkLemma8(s *ExStretch, m graph.DistanceOracle, perm *names.Permutation, src, dst graph.NodeID, rst graph.Dist) error {
 	cur := src
 	for hop := 0; hop < s.K(); hop++ {
 		tab := s.nodes[cur]

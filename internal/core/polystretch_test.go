@@ -9,7 +9,7 @@ import (
 	"rtroute/internal/names"
 )
 
-func buildPoly(t testing.TB, seed int64, g *graph.Graph, perm *names.Permutation, k int) (*PolynomialStretch, *graph.Metric) {
+func buildPoly(t testing.TB, seed int64, g *graph.Graph, perm *names.Permutation, k int) (*PolynomialStretch, graph.DistanceOracle) {
 	t.Helper()
 	m := graph.AllPairs(g)
 	if perm == nil {
@@ -192,7 +192,7 @@ func TestPolyLevelsMatchLadder(t *testing.T) {
 	g := graph.RandomSC(26, 104, 6, rng)
 	perm := names.Random(g.N(), rng)
 	s, m := buildPoly(t, 100, g, perm, 2)
-	want := len(cover.Scales(m.RTDiam(), 2))
+	want := len(cover.Scales(graph.RTDiamOf(m), 2))
 	if s.Levels() != want {
 		t.Fatalf("Levels() = %d, ladder has %d", s.Levels(), want)
 	}

@@ -184,7 +184,7 @@ type Stretch6Config struct {
 }
 
 // NewStretchSix builds the scheme over g with naming perm. m may be any
-// distance oracle; construction never requires the dense n×n matrix.
+// distance oracle; construction never requires the n×n distance matrix.
 func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng *rand.Rand, cfg Stretch6Config) (*StretchSix, error) {
 	mt, err := newS6(g, m, perm, rng, cfg)
 	if err != nil {

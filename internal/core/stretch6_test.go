@@ -10,7 +10,7 @@ import (
 	"rtroute/internal/names"
 )
 
-func buildStretch6(t testing.TB, seed int64, g *graph.Graph, perm *names.Permutation) (*StretchSix, *graph.Metric) {
+func buildStretch6(t testing.TB, seed int64, g *graph.Graph, perm *names.Permutation) (*StretchSix, graph.DistanceOracle) {
 	t.Helper()
 	m := graph.AllPairs(g)
 	rng := rand.New(rand.NewSource(seed))

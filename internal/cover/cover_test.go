@@ -8,7 +8,7 @@ import (
 	"rtroute/internal/graph"
 )
 
-func rtMetric(m *graph.Metric) Metric {
+func rtMetric(m graph.DistanceOracle) Metric {
 	return func(u, v graph.NodeID) graph.Dist { return m.R(u, v) }
 }
 
@@ -52,7 +52,7 @@ func TestCoverTheorem10(t *testing.T) {
 		m := graph.AllPairs(g)
 		dm := rtMetric(m)
 		for _, k := range []int{2, 3} {
-			for _, d := range []graph.Dist{2, 5, 10, m.RTDiam()} {
+			for _, d := range []graph.Dist{2, 5, 10, graph.RTDiamOf(m)} {
 				res, err := Build(g, dm, k, d)
 				if err != nil {
 					t.Fatalf("trial %d k=%d d=%d: %v", trial, k, d, err)

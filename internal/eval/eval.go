@@ -147,11 +147,6 @@ type Fig1Config struct {
 	Seed       int64
 	PairLimit  int
 	Ks         []int // tradeoff parameters for ExStretch/Poly rows
-	// Lazy builds and measures every scheme through the bounded lazy
-	// oracle instead of the dense matrix. Outputs are identical; peak
-	// memory drops from n^2 words to LazyCacheRows·n.
-	Lazy          bool
-	LazyCacheRows int
 }
 
 func (c *Fig1Config) fill() {
@@ -179,12 +174,7 @@ func Fig1(cfg Fig1Config) ([]Row, error) {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := graph.RandomSC(cfg.N, cfg.ExtraEdges, cfg.MaxWeight, rng)
-	var m graph.DistanceOracle
-	if cfg.Lazy {
-		m = graph.NewLazyOracle(g, cfg.LazyCacheRows)
-	} else {
-		m = graph.AllPairs(g)
-	}
+	m := graph.AllPairs(g)
 	perm := names.Random(cfg.N, rng)
 	pairs := Pairs(cfg.N, cfg.PairLimit, rng)
 	var rows []Row

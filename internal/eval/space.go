@@ -30,11 +30,6 @@ type EncodedSpaceConfig struct {
 	Ns []int
 	// Seed drives graph generation, naming and construction.
 	Seed int64
-	// Lazy builds through the bounded lazy oracle (default when any
-	// n >= 2048, so the sweep never materializes an n^2 matrix).
-	Lazy bool
-	// LazyCacheRows bounds the lazy oracle's cache (<= 0 = default).
-	LazyCacheRows int
 }
 
 // EncodedSpaceSweep builds the stretch-6 scheme across graph sizes and
@@ -55,12 +50,7 @@ func EncodedSpaceSweep(cfg EncodedSpaceConfig) ([]EncodedSpacePoint, error) {
 	for _, n := range ns {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		g := graph.RandomSC(n, 4*n, 8, rng)
-		var m graph.DistanceOracle
-		if cfg.Lazy || n >= 2048 {
-			m = graph.NewLazyOracle(g, cfg.LazyCacheRows)
-		} else {
-			m = graph.AllPairs(g)
-		}
+		m := graph.AllPairs(g)
 		perm := names.Random(n, rng)
 		s6, err := core.NewStretchSix(g, m, perm, rng, core.Stretch6Config{
 			Blocks: blocks.Config{Greedy: true},

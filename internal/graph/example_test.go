@@ -7,19 +7,19 @@ import (
 )
 
 // Example builds a tiny weighted digraph by hand and queries shortest
-// and roundtrip distances through the two oracle implementations —
-// dense (the n×n matrix) and lazy (rows on demand behind a bounded
-// cache) — which always agree.
+// and roundtrip distances through the distance oracle, once with every
+// row computed up front (AllPairs) and once with a two-row budget that
+// computes rows on demand — the answers always agree.
 func Example() {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 2) // ports are assigned in insertion order
 	g.MustAddEdge(1, 2, 3)
 	g.MustAddEdge(2, 0, 4)
 
-	dense := graph.AllPairs(g)
+	all := graph.AllPairs(g)
 	lazy := graph.NewLazyOracle(g, 2)
-	fmt.Println("d(0,2) =", dense.D(0, 2), lazy.D(0, 2))
-	fmt.Println("r(0,2) =", dense.R(0, 2), lazy.R(0, 2)) // roundtrip: 0->2->0
+	fmt.Println("d(0,2) =", all.D(0, 2), lazy.D(0, 2))
+	fmt.Println("r(0,2) =", all.R(0, 2), lazy.R(0, 2)) // roundtrip: 0->2->0
 	// Output:
 	// d(0,2) = 5 5
 	// r(0,2) = 9 9

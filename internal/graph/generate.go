@@ -10,10 +10,47 @@ import (
 // reproducible from a seed; every generator returns a strongly connected
 // digraph with positive integer weights and adversarially permuted ports.
 
+// Families lists the graph families Generate accepts.
+const Families = "random|gnp|ring|grid|scalefree|layered|complete"
+
+// Generate returns an n-node graph of the named family, the switch behind
+// the commands' graph-family flags. Weights are uniform in [1, maxW]
+// (unit on ring and grid); grid rounds n up to a square, layered up to
+// four-node layers, at least two of them. It returns an error for n < 2
+// or an unknown family.
+func Generate(family string, n int, maxW Dist, rng *rand.Rand) (*Graph, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("graph: need at least 2 nodes, got %d", n)
+	}
+	switch family {
+	case "random":
+		return RandomSC(n, 4*n, maxW, rng), nil
+	case "gnp":
+		return RandomGNP(n, 0.1, maxW, rng), nil
+	case "ring":
+		return Ring(n, rng), nil
+	case "grid":
+		side := 1
+		for side*side < n {
+			side++
+		}
+		return Grid(side, side, rng), nil
+	case "scalefree":
+		return ScaleFreeSC(n, 2, maxW, rng), nil
+	case "layered":
+		return LayeredSC(max(2, (n+3)/4), 4, maxW, rng), nil
+	case "complete":
+		return Complete(n, maxW, rng), nil
+	}
+	return nil, fmt.Errorf("graph: unknown graph family %q (want %s)", family, Families)
+}
+
 // RandomSC returns a random strongly connected digraph with n nodes and
-// approximately extra+n edges: a Hamiltonian cycle through a random
-// permutation guarantees strong connectivity, then extra random edges are
-// layered on top. Weights are uniform in [1, maxW].
+// n+extra edges: a Hamiltonian cycle through a random permutation
+// guarantees strong connectivity, then extra random edges are layered on
+// top. extra is capped at n(n-1)-n, the ordered pairs the cycle leaves
+// free, so an oversized request returns the complete digraph. Weights
+// are uniform in [1, maxW].
 func RandomSC(n, extra int, maxW Dist, rng *rand.Rand) *Graph {
 	if n < 2 {
 		panic(fmt.Sprintf("graph: RandomSC needs n >= 2, got %d", n))
@@ -21,6 +58,7 @@ func RandomSC(n, extra int, maxW Dist, rng *rand.Rand) *Graph {
 	if maxW < 1 {
 		maxW = 1
 	}
+	extra = min(extra, n*(n-1)-n)
 	g := New(n)
 	perm := rng.Perm(n)
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,47 @@ func TestRandomSCEdgeCount(t *testing.T) {
 	g := RandomSC(50, 75, 10, rng)
 	if g.M() != 50+75 {
 		t.Fatalf("M = %d, want %d", g.M(), 125)
+	}
+}
+
+// TestRandomSCCapsExtraEdges: asking for more extra edges than the
+// ordered pairs the cycle leaves free returns the complete digraph
+// instead of drawing forever.
+func TestRandomSCCapsExtraEdges(t *testing.T) {
+	for _, tc := range []struct{ n, extra int }{{2, 8}, {3, 12}, {4, 100}} {
+		g := RandomSC(tc.n, tc.extra, 8, rand.New(rand.NewSource(1)))
+		if want := tc.n * (tc.n - 1); g.M() != want || !StronglyConnected(g) {
+			t.Fatalf("RandomSC(%d, %d): %d edges, strongly connected %v; want the complete %d",
+				tc.n, tc.extra, g.M(), StronglyConnected(g), want)
+		}
+	}
+}
+
+// TestGenerate: every family builds a strongly connected graph down to
+// two nodes, layered pads to two four-node layers, and too few nodes or
+// an unknown family is an error.
+func TestGenerate(t *testing.T) {
+	for _, family := range strings.Split(Families, "|") {
+		for n := 2; n <= 5; n++ {
+			g, err := Generate(family, n, 8, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", family, n, err)
+			}
+			if g.N() < n || !StronglyConnected(g) {
+				t.Fatalf("%s n=%d: %d nodes, strongly connected %v", family, n, g.N(), StronglyConnected(g))
+			}
+		}
+	}
+	if g, _ := Generate("layered", 4, 8, rand.New(rand.NewSource(1))); g.N() != 8 {
+		t.Fatalf("layered n=4: %d nodes, want 8", g.N())
+	}
+	for _, tc := range []struct {
+		family string
+		n      int
+	}{{"random", 1}, {"ring", 0}, {"torus", 16}} {
+		if _, err := Generate(tc.family, tc.n, 8, rand.New(rand.NewSource(1))); err == nil {
+			t.Fatalf("Generate(%q, %d) accepted", tc.family, tc.n)
+		}
 	}
 }
 

@@ -92,19 +92,3 @@ func TestDOTOutput(t *testing.T) {
 		}
 	}
 }
-
-func TestAllPairsParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := RandomSC(80, 320, 9, rng)
-	seq := AllPairsParallel(g, 1)
-	for _, workers := range []int{0, 2, 7, 100} {
-		par := AllPairsParallel(g, workers)
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
-				if seq.D(NodeID(u), NodeID(v)) != par.D(NodeID(u), NodeID(v)) {
-					t.Fatalf("workers=%d: d(%d,%d) differs", workers, u, v)
-				}
-			}
-		}
-	}
-}

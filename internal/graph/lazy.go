@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+
+	"rtroute/internal/parallel"
 )
 
 // DefaultLazyCacheRows is the floor of the default row budget: the rows
@@ -21,8 +23,8 @@ const DefaultLazyCacheBytes = 32 << 20
 // LazyOracle is a DistanceOracle that computes single-source distance
 // rows on demand — a forward Dijkstra for FromSource, a reverse Dijkstra
 // for ToSink — and retains up to a fixed number of completed rows in an
-// LRU cache. It never materializes the n×n matrix, so schemes built over
-// it scale to graphs where the dense metric cannot be allocated.
+// LRU cache. It holds no more rows than its budget, so schemes built
+// over it scale to graphs whose n×n distances would not fit in memory.
 //
 // The oracle is safe for concurrent use: concurrent requests for the same
 // row share one computation (the losers block until the winner
@@ -88,7 +90,8 @@ func (e *rowEntry) computed() bool {
 // LazyStats reports cache behavior for tests and benchmarks.
 type LazyStats struct {
 	Hits uint64
-	// Misses counts rows computed by a full search.
+	// Misses counts rows computed in full: by a search, or, for
+	// AllPairs' reverse rows, from the forward rows.
 	Misses uint64
 	// Updates counts rows re-derived from their resident version after
 	// the graph was reweighted, with no full search.
@@ -130,6 +133,50 @@ func NewLazyOracle(g *Graph, cacheRows int) *LazyOracle {
 	}
 }
 
+// AllPairs returns g's distance oracle under the default row budget.
+// When the budget holds all 2n rows (n ≲ 1,300 at
+// DefaultLazyCacheBytes), it computes them all up front on GOMAXPROCS
+// workers, so a build that reads each row anchored at each node finds
+// it resident: the n forward rows by search, then each reverse row
+// d(·,v) as column v of the forward rows, with the next hops toward v
+// a reverse search would pick (tieParent) — O(n+m) a row instead of a
+// search. Above the budget, rows come on demand.
+func AllPairs(g *Graph) *LazyOracle {
+	o := NewLazyOracle(g, 0)
+	n := g.N()
+	if o.capacity < 2*n {
+		return o
+	}
+	fwd := make([][]Dist, n)
+	_ = parallel.ForEach(n, 0, func(u int) error { // fn never fails
+		fwd[u] = o.FromSource(NodeID(u))
+		return nil
+	})
+	rev := make([]*rowEntry, n)
+	_ = parallel.ForEach(n, 0, func(v int) error {
+		e := &rowEntry{key: rowKey{node: NodeID(v), rev: true}, ready: make(chan struct{}), gen: o.gen,
+			dist: make([]Dist, n), parent: make([]NodeID, n)}
+		for u := range e.dist {
+			e.dist[u] = fwd[u][v]
+		}
+		for u := range e.parent {
+			e.parent[u] = tieParent(g.Out(NodeID(u)), e.dist, NodeID(u))
+		}
+		close(e.ready)
+		rev[v] = e
+		return nil
+	})
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, e := range rev {
+		e.elem = o.lru.PushFront(e)
+		o.rows[e.key] = e
+	}
+	o.stats.Misses += uint64(n)
+	o.stats.PeakRows = max(o.stats.PeakRows, o.lru.Len())
+	return o
+}
+
 // N implements DistanceOracle.
 func (o *LazyOracle) N() int { return o.g.N() }
 
@@ -143,8 +190,8 @@ func (o *LazyOracle) Stats() LazyStats {
 	return o.stats
 }
 
-// RowStats returns o's counters if it is a LazyOracle, and zeros for an
-// oracle that computes no rows on demand. Callers difference two
+// RowStats returns o's counters if it is a LazyOracle, and zeros for
+// any other implementation. Callers difference two
 // readings to count the searches (Misses) and row updates a pass ran.
 func RowStats(o DistanceOracle) LazyStats {
 	if l, ok := o.(*LazyOracle); ok {

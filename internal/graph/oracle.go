@@ -1,19 +1,15 @@
 package graph
 
 // DistanceOracle abstracts how schemes obtain shortest-path distances.
-// Two implementations ship with the package:
-//
-//   - DenseMetric: the eager all-pairs matrix — O(n^2) words, O(1)
-//     queries. Built (in parallel) by AllPairs / AllPairsParallel.
-//   - LazyOracle: forward/reverse single-source rows computed on demand
-//     and held in a bounded, concurrency-safe LRU — O(cache · n) words,
-//     ideal when n^2 distances do not fit in memory.
+// LazyOracle is its implementation: forward/reverse single-source rows
+// held in a bounded, concurrency-safe LRU, all 2n of them computed up
+// front by AllPairs while they fit the default budget.
 //
 // Row-oriented consumers (Init orders, cluster construction, the
 // Theorem 15 reduction) should fetch FromSource/ToSink once per node and
-// index the rows, rather than calling D/R per pair: on the lazy oracle a
-// row fetch is one Dijkstra, while scattered D calls for varying sources
-// may thrash the cache.
+// index the rows, rather than calling D/R per pair: a row that is not
+// resident costs one Dijkstra, while scattered D calls for varying
+// sources may thrash the cache.
 type DistanceOracle interface {
 	// N returns the number of nodes the oracle answers for.
 	N() int
@@ -26,12 +22,12 @@ type DistanceOracle interface {
 	FromSource(u NodeID) []Dist
 	// ToSink returns the column d(·, v). Callers must not modify it.
 	ToSink(v NodeID) []Dist
+	// ToSinkTree returns ToSink(v) with the shortest-path in-tree of v:
+	// Parent[u] is u's next hop toward v. Callers must not modify it.
+	ToSinkTree(v NodeID) SSSP
 }
 
-var (
-	_ DistanceOracle = (*DenseMetric)(nil)
-	_ DistanceOracle = (*LazyOracle)(nil)
-)
+var _ DistanceOracle = (*LazyOracle)(nil)
 
 // RFromRows combines the two rows anchored at one node into the
 // roundtrip distance r(anchor, u): Inf if either direction is
@@ -45,11 +41,8 @@ func RFromRows(fwd, rev []Dist, u NodeID) Dist {
 }
 
 // RTDiamOf returns the roundtrip diameter max_{u,v} r(u,v) of any oracle
-// using O(n) row fetches (2n Dijkstras on a lazy oracle).
+// from the 2n rows anchored at its nodes.
 func RTDiamOf(o DistanceOracle) Dist {
-	if m, ok := o.(*DenseMetric); ok {
-		return m.RTDiam()
-	}
 	n := o.N()
 	var diam Dist
 	for u := 0; u < n; u++ {
@@ -69,9 +62,6 @@ func RTDiamOf(o DistanceOracle) Dist {
 
 // DiamOf returns the one-way diameter max_{u,v} d(u,v) of any oracle.
 func DiamOf(o DistanceOracle) Dist {
-	if m, ok := o.(*DenseMetric); ok {
-		return m.Diam()
-	}
 	n := o.N()
 	var diam Dist
 	for u := 0; u < n; u++ {

@@ -1,66 +1,132 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// TestLazyOracleMatchesDense is the oracle-equivalence property test:
-// on seeded random strongly connected digraphs, every D/R/FromSource/
-// ToSink answer of the lazy oracle must equal the dense matrix, including
-// under a cache small enough to force constant eviction.
-func TestLazyOracleMatchesDense(t *testing.T) {
+// bruteForce is the reference the oracle is checked against: n forward
+// and n reverse Dijkstras, each run on its own, held as full matrices.
+type bruteForce struct {
+	fwd, rev [][]Dist   // fwd[u][v] = d(u,v); rev[v][u] = d(u,v)
+	next     [][]NodeID // next[v][u] = u's next hop toward v
+}
+
+func newBruteForce(g *Graph) *bruteForce {
+	b := &bruteForce{}
+	for u := 0; u < g.N(); u++ {
+		r := DijkstraRev(g, NodeID(u))
+		b.fwd = append(b.fwd, Dijkstra(g, NodeID(u)).Dist)
+		b.rev = append(b.rev, r.Dist)
+		b.next = append(b.next, r.Parent)
+	}
+	return b
+}
+
+func (b *bruteForce) D(u, v NodeID) Dist { return b.fwd[u][v] }
+
+func (b *bruteForce) R(u, v NodeID) Dist {
+	if b.fwd[u][v] >= Inf || b.fwd[v][u] >= Inf {
+		return Inf
+	}
+	return b.fwd[u][v] + b.fwd[v][u]
+}
+
+// diams returns the one-way and roundtrip diameters by scanning every
+// pair.
+func (b *bruteForce) diams() (diam, rtDiam Dist) {
+	for u := range b.fwd {
+		for v, d := range b.fwd[u] {
+			diam = max(diam, d)
+			rtDiam = max(rtDiam, b.R(NodeID(u), NodeID(v)))
+		}
+	}
+	return diam, rtDiam
+}
+
+// checkRows compares every row of o, forward and reverse with its
+// in-tree, against the reference.
+func checkRows(t *testing.T, what string, o DistanceOracle, ref *bruteForce) {
+	t.Helper()
+	if o.N() != len(ref.fwd) {
+		t.Fatalf("%s: N = %d, want %d", what, o.N(), len(ref.fwd))
+	}
+	for u := 0; u < o.N(); u++ {
+		fwd, rev, tree := o.FromSource(NodeID(u)), o.ToSink(NodeID(u)), o.ToSinkTree(NodeID(u))
+		for v := 0; v < o.N(); v++ {
+			if fwd[v] != ref.fwd[u][v] {
+				t.Fatalf("%s: FromSource(%d)[%d] = %d, want %d", what, u, v, fwd[v], ref.fwd[u][v])
+			}
+			if rev[v] != ref.fwd[v][u] || tree.Dist[v] != ref.fwd[v][u] {
+				t.Fatalf("%s: ToSink(%d)[%d] = %d (tree %d), want %d", what, u, v, rev[v], tree.Dist[v], ref.fwd[v][u])
+			}
+			if tree.Parent[v] != ref.next[u][v] {
+				t.Fatalf("%s: ToSinkTree(%d).Parent[%d] = %d, want %d", what, u, v, tree.Parent[v], ref.next[u][v])
+			}
+		}
+	}
+}
+
+// TestOracleMatchesBruteForce is the oracle-equivalence property test:
+// on seeded random strongly connected digraphs, every row, D/R point
+// query and diameter of AllPairs' oracle and of oracles with 2, 4 and 8
+// rows (constant eviction) equals the brute-force reference.
+func TestOracleMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
-		seed      int64
-		n, extra  int
-		maxW      Dist
-		cacheRows int
+		seed     int64
+		n, extra int
+		maxW     Dist
 	}{
-		{seed: 1, n: 24, extra: 60, maxW: 8, cacheRows: 0},
-		{seed: 2, n: 40, extra: 100, maxW: 16, cacheRows: 4}, // tiny cache: evict constantly
-		{seed: 3, n: 64, extra: 300, maxW: 1, cacheRows: 2},  // minimum cache
-		{seed: 4, n: 33, extra: 50, maxW: 31, cacheRows: 8},
+		{seed: 1, n: 24, extra: 60, maxW: 8},
+		{seed: 2, n: 40, extra: 100, maxW: 16},
+		{seed: 3, n: 64, extra: 300, maxW: 1}, // ties everywhere
+		{seed: 4, n: 33, extra: 50, maxW: 31},
 	} {
 		rng := rand.New(rand.NewSource(tc.seed))
 		g := RandomSC(tc.n, tc.extra, tc.maxW, rng)
 		g.AssignPorts(rng.Intn)
-		dense := AllPairs(g)
-		lazy := NewLazyOracle(g, tc.cacheRows)
-
-		if lazy.N() != dense.N() {
-			t.Fatalf("seed %d: N mismatch lazy=%d dense=%d", tc.seed, lazy.N(), dense.N())
-		}
-		for u := 0; u < tc.n; u++ {
-			fwd := lazy.FromSource(NodeID(u))
-			rev := lazy.ToSink(NodeID(u))
-			for v := 0; v < tc.n; v++ {
-				if want := dense.D(NodeID(u), NodeID(v)); fwd[v] != want {
-					t.Fatalf("seed %d: FromSource(%d)[%d] = %d, dense %d", tc.seed, u, v, fwd[v], want)
-				}
-				if want := dense.D(NodeID(v), NodeID(u)); rev[v] != want {
-					t.Fatalf("seed %d: ToSink(%d)[%d] = %d, dense %d", tc.seed, u, v, rev[v], want)
+		ref := newBruteForce(g)
+		for v := range ref.rev {
+			for u, d := range ref.rev[v] {
+				if d != ref.fwd[u][v] {
+					t.Fatalf("seed %d: reverse search d(%d,%d) = %d, forward %d", tc.seed, u, v, d, ref.fwd[u][v])
 				}
 			}
 		}
-		// Scattered point queries after the row sweep (cache now cold for
-		// most rows).
-		for i := 0; i < 500; i++ {
-			u := NodeID(rng.Intn(tc.n))
-			v := NodeID(rng.Intn(tc.n))
-			if got, want := lazy.D(u, v), dense.D(u, v); got != want {
-				t.Fatalf("seed %d: lazy.D(%d,%d) = %d, dense %d", tc.seed, u, v, got, want)
+		diam, rtDiam := ref.diams()
+		for _, rows := range []int{0, 2, 4, 8} {
+			o := AllPairs(g)
+			if rows > 0 {
+				o = NewLazyOracle(g, rows)
 			}
-			if got, want := lazy.R(u, v), dense.R(u, v); got != want {
-				t.Fatalf("seed %d: lazy.R(%d,%d) = %d, dense %d", tc.seed, u, v, got, want)
+			what := fmt.Sprintf("seed %d, %d rows", tc.seed, o.Capacity())
+			checkRows(t, what, o, ref)
+			// Scattered point queries after the row sweep (cache now
+			// cold for most rows on the small budgets).
+			for i := 0; i < 500; i++ {
+				u, v := NodeID(rng.Intn(tc.n)), NodeID(rng.Intn(tc.n))
+				if got, want := o.D(u, v), ref.D(u, v); got != want {
+					t.Fatalf("%s: D(%d,%d) = %d, want %d", what, u, v, got, want)
+				}
+				if got, want := o.R(u, v), ref.R(u, v); got != want {
+					t.Fatalf("%s: R(%d,%d) = %d, want %d", what, u, v, got, want)
+				}
 			}
-		}
-		st := lazy.Stats()
-		if st.PeakRows > lazy.Capacity() {
-			t.Fatalf("seed %d: peak %d rows exceeds capacity %d", tc.seed, st.PeakRows, lazy.Capacity())
-		}
-		if tc.cacheRows > 0 && tc.cacheRows < 2*tc.n && st.Evictions == 0 {
-			t.Fatalf("seed %d: expected evictions with cache %d over %d nodes", tc.seed, tc.cacheRows, tc.n)
+			if got := DiamOf(o); got != diam {
+				t.Fatalf("%s: DiamOf = %d, want %d", what, got, diam)
+			}
+			if got := RTDiamOf(o); got != rtDiam {
+				t.Fatalf("%s: RTDiamOf = %d, want %d", what, got, rtDiam)
+			}
+			st := o.Stats()
+			if st.PeakRows > o.Capacity() {
+				t.Fatalf("%s: peak %d rows exceeds capacity", what, st.PeakRows)
+			}
+			if rows > 0 && st.Evictions == 0 {
+				t.Fatalf("%s: expected evictions", what)
+			}
 		}
 	}
 }
@@ -71,13 +137,13 @@ func TestLazyOracleUnreachable(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 5) // 1 cannot reach anyone; 2 is isolated
 	lazy := NewLazyOracle(g, 0)
-	dense := AllPairs(g)
+	ref := newBruteForce(g)
 	for u := 0; u < 3; u++ {
 		for v := 0; v < 3; v++ {
-			if got, want := lazy.D(NodeID(u), NodeID(v)), dense.D(NodeID(u), NodeID(v)); got != want {
+			if got, want := lazy.D(NodeID(u), NodeID(v)), ref.D(NodeID(u), NodeID(v)); got != want {
 				t.Fatalf("D(%d,%d) = %d, want %d", u, v, got, want)
 			}
-			if got, want := lazy.R(NodeID(u), NodeID(v)), dense.R(NodeID(u), NodeID(v)); got != want {
+			if got, want := lazy.R(NodeID(u), NodeID(v)), ref.R(NodeID(u), NodeID(v)); got != want {
 				t.Fatalf("R(%d,%d) = %d, want %d", u, v, got, want)
 			}
 		}
@@ -85,18 +151,19 @@ func TestLazyOracleUnreachable(t *testing.T) {
 	if lazy.R(0, 1) != Inf {
 		t.Fatal("roundtrip through a one-way edge must be Inf")
 	}
+	checkRows(t, "AllPairs", AllPairs(g), ref) // reverse rows from Inf columns
 }
 
 // TestLazyOracleConcurrent hammers one lazy oracle from many goroutines
 // with a cache far smaller than the working set, so hits, misses,
 // evictions and in-flight sharing all interleave. Run with -race this is
 // the cache's concurrency test; in any mode it checks answers stay equal
-// to the dense matrix under contention.
+// to the reference under contention.
 func TestLazyOracleConcurrent(t *testing.T) {
 	const n = 48
 	rng := rand.New(rand.NewSource(11))
 	g := RandomSC(n, 4*n, 8, rng)
-	dense := AllPairs(g)
+	ref := newBruteForce(g)
 	lazy := NewLazyOracle(g, 6)
 
 	const workers = 8
@@ -112,24 +179,24 @@ func TestLazyOracleConcurrent(t *testing.T) {
 				v := NodeID(r.Intn(n))
 				switch i % 4 {
 				case 0:
-					if got, want := lazy.D(u, v), dense.D(u, v); got != want {
+					if got, want := lazy.D(u, v), ref.D(u, v); got != want {
 						errs <- "D mismatch under concurrency"
 						return
 					}
 				case 1:
-					if got, want := lazy.R(u, v), dense.R(u, v); got != want {
+					if got, want := lazy.R(u, v), ref.R(u, v); got != want {
 						errs <- "R mismatch under concurrency"
 						return
 					}
 				case 2:
 					row := lazy.FromSource(u)
-					if row[v] != dense.D(u, v) {
+					if row[v] != ref.D(u, v) {
 						errs <- "FromSource mismatch under concurrency"
 						return
 					}
 				default:
 					row := lazy.ToSink(u)
-					if row[v] != dense.D(v, u) {
+					if row[v] != ref.D(v, u) {
 						errs <- "ToSink mismatch under concurrency"
 						return
 					}
@@ -151,36 +218,53 @@ func TestLazyOracleConcurrent(t *testing.T) {
 	}
 }
 
-// TestRTDiamAndDiamOf checks the oracle-generic diameter helpers agree
-// with the dense methods on both implementations.
+// TestRTDiamAndDiamOf checks the diameter helpers against the
+// reference on a three-row oracle, where every row they read is fetched
+// again, and on a ring whose diameters are known.
 func TestRTDiamAndDiamOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := RandomSC(30, 90, 7, rng)
-	dense := AllPairs(g)
+	diam, rtDiam := newBruteForce(g).diams()
 	lazy := NewLazyOracle(g, 3)
-	if got, want := RTDiamOf(lazy), dense.RTDiam(); got != want {
-		t.Fatalf("RTDiamOf(lazy) = %d, dense RTDiam %d", got, want)
+	if got := RTDiamOf(lazy); got != rtDiam {
+		t.Fatalf("RTDiamOf = %d, want %d", got, rtDiam)
 	}
-	if got, want := RTDiamOf(dense), dense.RTDiam(); got != want {
-		t.Fatalf("RTDiamOf(dense) = %d, RTDiam %d", got, want)
+	if got := DiamOf(lazy); got != diam {
+		t.Fatalf("DiamOf = %d, want %d", got, diam)
 	}
-	if got, want := DiamOf(lazy), dense.Diam(); got != want {
-		t.Fatalf("DiamOf(lazy) = %d, dense Diam %d", got, want)
+	const n = 12
+	ring := AllPairs(Ring(n, nil))
+	if got := RTDiamOf(ring); got != n {
+		t.Fatalf("ring RTDiamOf = %d, want %d", got, n)
+	}
+	if got := DiamOf(ring); got != n-1 {
+		t.Fatalf("ring DiamOf = %d, want %d", got, n-1)
 	}
 }
 
-// TestAllPairsDefaultMatchesSequential locks in that the default
-// GOMAXPROCS-worker dense build is bit-identical to the one-worker one.
+// TestAllPairsDefaultMatchesSequential locks in the up-front fill: under
+// the default budget AllPairs computes each of the 2n rows once, on
+// GOMAXPROCS workers, and every row equals the one-at-a-time reference
+// with no further search. Above the budget it computes none.
 func TestAllPairsDefaultMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := RandomSC(50, 200, 9, rng)
-	seq := AllPairsParallel(g, 1)
-	par := AllPairs(g)
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if seq.D(NodeID(u), NodeID(v)) != par.D(NodeID(u), NodeID(v)) {
-				t.Fatalf("parallel all-pairs differs at (%d,%d)", u, v)
-			}
-		}
+	o := AllPairs(g)
+	n := uint64(g.N())
+	if st := o.Stats(); st.Misses != 2*n || st.PeakRows != int(2*n) || st.Hits != 0 {
+		t.Fatalf("after AllPairs: %+v, want %d misses, peak %d, no hits", st, 2*n, 2*n)
+	}
+	checkRows(t, "AllPairs", o, newBruteForce(g))
+	if st := o.Stats(); st.Misses != 2*n || st.Evictions != 0 {
+		t.Fatalf("reading every row searched again: %+v", st)
+	}
+
+	const big = 1400 // 2n rows exceed DefaultLazyCacheBytes
+	ring := AllPairs(Ring(big, nil))
+	if ring.Capacity() >= 2*big {
+		t.Fatalf("capacity %d holds all %d rows; the ring no longer exceeds the budget", ring.Capacity(), 2*big)
+	}
+	if st := ring.Stats(); st.Misses != 0 || st.PeakRows != 0 {
+		t.Fatalf("AllPairs above the budget computed rows up front: %+v", st)
 	}
 }

@@ -39,7 +39,7 @@ type heapNode struct {
 // own buffers: they are valid until the next run on the same scratch and
 // must be treated as read-only. Callers that need the rows to outlive the
 // scratch copy them. A scratch is not safe for concurrent use; use one
-// per goroutine (AllPairsParallel does) or the package-level pool.
+// per goroutine or the package-level pool.
 //
 // The zero value is a valid empty scratch; buffers grow on first use.
 type SSSPScratch struct {
@@ -316,97 +316,4 @@ func DijkstraRestricted(g *Graph, src NodeID, inSet []bool) SSSP {
 // inSet. Pooled scratch, caller-owned result slices.
 func DijkstraRevRestricted(g *Graph, sink NodeID, inSet []bool) SSSP {
 	return runPooled(func(s *SSSPScratch) SSSP { return s.DijkstraRevRestricted(g, sink, inSet) })
-}
-
-// DenseMetric is the eager all-pairs distance matrix of a graph together
-// with the derived roundtrip metric r(u,v) = d(u,v) + d(v,u) (§1.1 of the
-// paper): O(n^2) words, O(1) queries. It is the reference DistanceOracle;
-// see LazyOracle for the bounded-memory alternative.
-type DenseMetric struct {
-	n int
-	d [][]Dist
-
-	// tr is the lazily built transpose (tr[v][u] = d(u,v)), so ToSink is
-	// an O(1) slice return after the first call instead of an O(n) copy
-	// per call. Built once under trOnce; costs one extra n^2 block only
-	// when some consumer actually asks for columns.
-	trOnce sync.Once
-	tr     [][]Dist
-}
-
-// Metric is the historical name of DenseMetric, kept as an alias for the
-// experiment harness and tests.
-type Metric = DenseMetric
-
-// AllPairs computes the full distance matrix on GOMAXPROCS workers
-// (AllPairsParallel with the default pool).
-func AllPairs(g *Graph) *DenseMetric {
-	return AllPairsParallel(g, 0)
-}
-
-// N returns the number of nodes the metric was computed over.
-func (m *DenseMetric) N() int { return m.n }
-
-// D returns the one-way shortest distance d(u,v).
-func (m *DenseMetric) D(u, v NodeID) Dist { return m.d[u][v] }
-
-// R returns the roundtrip distance r(u,v) = d(u,v) + d(v,u). R is a
-// genuine metric on strongly connected digraphs: symmetric, zero iff
-// u == v, and satisfying the triangle inequality.
-func (m *DenseMetric) R(u, v NodeID) Dist {
-	duv, dvu := m.d[u][v], m.d[v][u]
-	if duv >= Inf || dvu >= Inf {
-		return Inf
-	}
-	return duv + dvu
-}
-
-// FromSource implements DistanceOracle: the row d(u, ·). The returned
-// slice is owned by the metric and must not be modified.
-func (m *DenseMetric) FromSource(u NodeID) []Dist { return m.d[u] }
-
-// ToSink implements DistanceOracle: the column d(·, v). The first call
-// builds the full transpose once (concurrency-safe); every call returns
-// a cached slice that must not be modified.
-func (m *DenseMetric) ToSink(v NodeID) []Dist {
-	m.trOnce.Do(func() {
-		tr := make([][]Dist, m.n)
-		for u := 0; u < m.n; u++ {
-			tr[u] = make([]Dist, m.n)
-		}
-		for u := 0; u < m.n; u++ {
-			row := m.d[u]
-			for w := 0; w < m.n; w++ {
-				tr[w][u] = row[w]
-			}
-		}
-		m.tr = tr
-	})
-	return m.tr[v]
-}
-
-// RTDiam returns the roundtrip diameter max_{u,v} r(u,v).
-func (m *DenseMetric) RTDiam() Dist {
-	var diam Dist
-	for u := 0; u < m.n; u++ {
-		for v := u + 1; v < m.n; v++ {
-			if r := m.R(NodeID(u), NodeID(v)); r > diam {
-				diam = r
-			}
-		}
-	}
-	return diam
-}
-
-// Diam returns the one-way diameter max_{u,v} d(u,v).
-func (m *DenseMetric) Diam() Dist {
-	var diam Dist
-	for u := range m.d {
-		for _, d := range m.d[u] {
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
 }

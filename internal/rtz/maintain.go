@@ -65,8 +65,7 @@ type MaintainReport struct {
 	// from the two rows anchored at the destination.
 	RebuiltClusters int
 	// SSSPRuns counts the shortest-path searches the pass ran: two per
-	// rebuilt tree, the lazy oracle's row misses and, on any other
-	// oracle, one private reverse search per non-empty re-solved cluster.
+	// rebuilt tree plus the oracle's row misses.
 	SSSPRuns int
 	// RowUpdates counts the lazy oracle's rows the pass re-derived from
 	// their resident versions instead of searching (LazyStats.Updates).
@@ -238,13 +237,12 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (*Scheme, MaintainReport, erro
 		}
 	}
 	mt.centerRadius = radius
-	private, err := mt.solveClusters(s, ys)
-	if err != nil {
+	if err := mt.solveClusters(s, ys); err != nil {
 		return nil, rep, err
 	}
 	rep.RebuiltClusters = len(ys)
 	after := graph.RowStats(mt.m)
-	rep.SSSPRuns = 2*len(cis) + private + int(after.Misses-rows.Misses)
+	rep.SSSPRuns = 2*len(cis) + int(after.Misses-rows.Misses)
 	rep.RowUpdates = int(after.Updates - rows.Updates)
 	mt.s = s
 	return s, rep, nil
@@ -262,28 +260,19 @@ type directEntry struct {
 // the two rows anchored at it. Every node that held or gains an entry
 // for one of them then gets a new table, compiled in node order from
 // its old entries for the other destinations followed by the new ones
-// in destination order. On the lazy oracle the reverse row brings its
-// own parents; on any other a private reverse search supplies them,
-// only for non-empty clusters (it returns how many ran).
-func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) (private int, err error) {
+// in destination order. The reverse row brings its own parents, the
+// first hops toward y.
+func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) error {
 	g := s.g
-	lazy, _ := mt.m.(*graph.LazyOracle)
 	type solved struct {
 		members []graph.NodeID
 		ports   []graph.PortID
 	}
 	res := make([]solved, len(ys))
-	scratch := make([]graph.SSSPScratch, parallel.Workers(len(ys), mt.pass.Workers))
-	runs := make([]int, len(scratch))
-	err = parallel.ForEachWorker(len(ys), mt.pass.Workers, func(w, i int) error {
+	err := parallel.ForEach(len(ys), mt.pass.Workers, func(i int) error {
 		y := ys[i]
 		fromY := mt.m.FromSource(y) // d(y, ·)
-		var rev graph.SSSP          // d(·, y) and next hops toward y
-		if lazy != nil {
-			rev = lazy.ToSinkTree(y)
-		} else {
-			rev.Dist = mt.m.ToSink(y)
-		}
+		rev := mt.m.ToSinkTree(y)   // d(·, y) and next hops toward y
 		if mt.pass.Visit != nil {
 			mt.pass.Visit(y, fromY, rev.Dist)
 		}
@@ -293,10 +282,6 @@ func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) (private int, 
 			if graph.NodeID(x) != y && graph.RFromRows(fromY, rev.Dist, graph.NodeID(x)) < radius {
 				members = append(members, graph.NodeID(x))
 			}
-		}
-		if len(members) > 0 && rev.Parent == nil {
-			rev.Parent = scratch[w].DijkstraRev(g, y).Parent
-			runs[w]++
 		}
 		ports := make([]graph.PortID, len(members))
 		for j, x := range members {
@@ -310,7 +295,7 @@ func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) (private int, 
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	n := g.N()
 	resolved, touched := make([]bool, n), make([]bool, n)
@@ -341,8 +326,5 @@ func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) (private int, 
 		c.CompileDirect(len(es), func(i int) graph.NodeID { return es[i].dst }, func(i int) graph.PortID { return es[i].port })
 		s.Tables[x] = &c
 	}
-	for _, r := range runs {
-		private += r
-	}
-	return private, nil
+	return nil
 }

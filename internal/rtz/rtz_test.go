@@ -8,7 +8,7 @@ import (
 	"rtroute/internal/graph"
 )
 
-func buildScheme(t testing.TB, seed int64, n, extra int, maxW graph.Dist) (*Scheme, *graph.Graph, *graph.Metric) {
+func buildScheme(t testing.TB, seed int64, n, extra int, maxW graph.Dist) (*Scheme, *graph.Graph, graph.DistanceOracle) {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, extra, maxW, rng)
 	m := graph.AllPairs(g)
@@ -207,7 +207,7 @@ func TestNewRejectsTrivialGraph(t *testing.T) {
 
 // --- Hop substrate tests (Lemma 5 role) ---
 
-func buildHop(t testing.TB, seed int64, n, extra, k int, base float64) (*HopScheme, *graph.Graph, *graph.Metric) {
+func buildHop(t testing.TB, seed int64, n, extra, k int, base float64) (*HopScheme, *graph.Graph, graph.DistanceOracle) {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, extra, 6, rng)
 	m := graph.AllPairs(g)

@@ -14,7 +14,7 @@ import (
 )
 
 // buildStretchSix builds a small §2 scheme for engine tests.
-func buildStretchSix(t testing.TB, n int, seed int64) (*core.StretchSix, *graph.DenseMetric, *names.Permutation) {
+func buildStretchSix(t testing.TB, n int, seed int64) (*core.StretchSix, graph.DistanceOracle, *names.Permutation) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, 4*n, 8, rng)

@@ -49,13 +49,6 @@ func (s *System) BuildMaintained(kind SchemeKind, opts ...BuildOption) (*Maintai
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// A maintained scheme re-reads distances after every mutation, so the
-	// oracle must track the graph. The dense matrix is computed once and
-	// frozen; the lazy oracle re-derives rows against the graph's current
-	// generation (see LazyOracle) and is the one BuildMaintained accepts.
-	if _, ok := s.Metric.(*graph.LazyOracle); !ok {
-		return nil, fmt.Errorf("rtroute: BuildMaintained needs a mutation-tracking oracle; create the System with MetricLazy")
-	}
 	m := &Maintained{sys: s, kind: kind, cfg: cfg}
 	switch kind {
 	case StretchSix:

@@ -10,12 +10,12 @@ import (
 	"rtroute/internal/graph"
 )
 
-// churnSystem builds a lazy-oracle System over a random SC graph that
-// the test can mutate.
+// churnSystem builds a System over a random SC graph that the test can
+// mutate.
 func churnSystem(t *testing.T, n int, seed int64) *System {
 	t.Helper()
 	g := graph.RandomSC(n, 3*n, 64, rand.New(rand.NewSource(seed)))
-	sys, err := NewSystemWith(g, nil, SystemConfig{Metric: MetricLazy})
+	sys, err := NewSystem(g, nil)
 	if err != nil {
 		t.Fatalf("system: %v", err)
 	}
@@ -29,19 +29,6 @@ func allNodes(n int) []NodeID {
 		all[i] = NodeID(i)
 	}
 	return all
-}
-
-// TestMaintainedRequiresLazyOracle locks the oracle guard: a dense
-// metric is frozen at build time and must be rejected.
-func TestMaintainedRequiresLazyOracle(t *testing.T) {
-	g := graph.RandomSC(16, 32, 32, rand.New(rand.NewSource(1)))
-	sys, err := NewSystem(g, nil)
-	if err != nil {
-		t.Fatalf("system: %v", err)
-	}
-	if _, err := sys.BuildMaintained(StretchSix, WithSeed(7)); err == nil {
-		t.Fatalf("BuildMaintained accepted a dense (frozen) oracle")
-	}
 }
 
 // buildWorkerCounts are the pool sizes the maintenance properties run
@@ -348,9 +335,12 @@ func TestSSSPBudget(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			const n = 128
 			g := graph.RandomSC(n, 3*n, 64, rand.New(rand.NewSource(0x555)))
-			sys, err := NewSystemWith(g, nil, SystemConfig{Metric: MetricLazy, LazyCacheRows: rows})
+			sys, err := NewSystem(g, nil)
 			if err != nil {
 				t.Fatalf("system: %v", err)
+			}
+			if rows > 0 {
+				sys.Metric = NewLazyOracle(g, rows)
 			}
 			lazy := sys.Metric.(*LazyOracle)
 			m, err := sys.BuildMaintained(StretchSix, WithSeed(7), WithBuildWorkers(workers))

@@ -3,31 +3,33 @@ package rtroute
 import (
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
+
+	"rtroute/internal/graph"
 )
 
 // buildPair constructs the same scheme twice over one graph and naming:
-// once against the dense matrix, once against a deliberately tiny lazy
-// oracle. Construction consumes randomness identically in both cases, so
-// any divergence in tables — and therefore in routes — must come from a
-// distance disagreement between the oracles.
+// once on the default System, every row resident, once on a deliberately
+// tiny eight-row oracle that evicts constantly. Construction consumes
+// randomness identically in both cases, so any divergence in tables —
+// and therefore in routes — must come from a distance disagreement
+// between the two.
 func buildPair(t *testing.T, g *Graph, naming *Naming, build func(sys *System) (Scheme, error)) (Scheme, Scheme) {
 	t.Helper()
-	dense, err := NewSystemWith(g, naming, SystemConfig{Metric: MetricDense})
+	def, err := NewSystem(g, naming)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := NewSystemWith(g, naming, SystemConfig{Metric: MetricLazy, LazyCacheRows: 8})
+	lazy := *def
+	lazy.Metric = NewLazyOracle(g, 8)
+	ds, err := build(def)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("default build: %v", err)
 	}
-	ds, err := build(dense)
+	ls, err := build(&lazy)
 	if err != nil {
-		t.Fatalf("dense build: %v", err)
-	}
-	ls, err := build(lazy)
-	if err != nil {
-		t.Fatalf("lazy build: %v", err)
+		t.Fatalf("8-row build: %v", err)
 	}
 	return ds, ls
 }
@@ -44,10 +46,9 @@ func samePath(a, b []NodeID) bool {
 	return true
 }
 
-// TestSchemesIdenticalUnderLazyOracle is the PR's acceptance property:
-// all three schemes must produce node-for-node identical roundtrip routes
-// (hence identical stretch) whether built on the dense matrix or on a
-// bounded lazy oracle.
+// TestSchemesIdenticalUnderLazyOracle: all three schemes must produce
+// node-for-node identical roundtrip routes (hence identical stretch)
+// whether built with every row resident or under constant eviction.
 func TestSchemesIdenticalUnderLazyOracle(t *testing.T) {
 	const n = 27
 	for _, seed := range []int64{3, 17} {
@@ -66,7 +67,7 @@ func TestSchemesIdenticalUnderLazyOracle(t *testing.T) {
 		} {
 			ds, ls := buildPair(t, g, naming, sc.build)
 			if dw, lw := ds.MaxTableWords(), ls.MaxTableWords(); dw != lw {
-				t.Fatalf("seed %d %s: table words diverge dense=%d lazy=%d", seed, sc.name, dw, lw)
+				t.Fatalf("seed %d %s: table words diverge default=%d 8-row=%d", seed, sc.name, dw, lw)
 			}
 			for u := 0; u < n; u++ {
 				for v := 0; v < n; v++ {
@@ -77,14 +78,14 @@ func TestSchemesIdenticalUnderLazyOracle(t *testing.T) {
 					dstName := naming.Name(int32(v))
 					dt, err := ds.Roundtrip(srcName, dstName)
 					if err != nil {
-						t.Fatalf("seed %d %s dense (%d,%d): %v", seed, sc.name, u, v, err)
+						t.Fatalf("seed %d %s default (%d,%d): %v", seed, sc.name, u, v, err)
 					}
 					lt, err := ls.Roundtrip(srcName, dstName)
 					if err != nil {
-						t.Fatalf("seed %d %s lazy (%d,%d): %v", seed, sc.name, u, v, err)
+						t.Fatalf("seed %d %s 8-row (%d,%d): %v", seed, sc.name, u, v, err)
 					}
 					if !samePath(dt.Out.Path, lt.Out.Path) || !samePath(dt.Back.Path, lt.Back.Path) {
-						t.Fatalf("seed %d %s (%d,%d): routes diverge\ndense out %v back %v\nlazy  out %v back %v",
+						t.Fatalf("seed %d %s (%d,%d): routes diverge\ndefault out %v back %v\n8-row   out %v back %v",
 							seed, sc.name, u, v, dt.Out.Path, dt.Back.Path, lt.Out.Path, lt.Back.Path)
 					}
 					if dt.Weight() != lt.Weight() {
@@ -97,30 +98,63 @@ func TestSchemesIdenticalUnderLazyOracle(t *testing.T) {
 	}
 }
 
-// TestSystemLazyMetricQueries checks the facade's R/D/Stretch answers
-// agree between oracle kinds (they feed every measured stretch figure).
+// TestSystemLazyMetricQueries checks the facade's R/D answers agree
+// between the default System and one on a four-row oracle (they feed
+// every measured stretch figure).
 func TestSystemLazyMetricQueries(t *testing.T) {
 	const n = 32
 	rng := rand.New(rand.NewSource(8))
 	g := RandomSC(n, 4*n, 6, rng)
 	naming := RandomNaming(n, rng)
-	dense, err := NewSystem(g, naming)
+	def, err := NewSystem(g, naming)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := NewSystemWith(g, naming, SystemConfig{Metric: MetricLazy, LazyCacheRows: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lazy := &System{Graph: g, Metric: NewLazyOracle(g, 4), Naming: naming}
 	for u := int32(0); u < int32(n); u++ {
 		for v := int32(0); v < int32(n); v++ {
-			if dense.R(u, v) != lazy.R(u, v) || dense.D(u, v) != lazy.D(u, v) {
+			if def.R(u, v) != lazy.R(u, v) || def.D(u, v) != lazy.D(u, v) {
 				t.Fatalf("system query diverges at names (%d,%d)", u, v)
 			}
 		}
 	}
-	if _, err := NewSystemWith(g, naming, SystemConfig{Metric: "bogus"}); err == nil {
-		t.Fatal("bogus metric kind accepted")
+}
+
+// TestNewSystemHoldsEveryRow pins the one-oracle contract build_s relies
+// on: NewSystem computes each of the 2n rows once, up front, and a
+// StretchSix build over it then searches for none.
+func TestNewSystemHoldsEveryRow(t *testing.T) {
+	const n = 256
+	rng := rand.New(rand.NewSource(4))
+	sys, err := NewSystem(RandomSC(n, 4*n, 8, rng), RandomNaming(n, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := graph.RowStats(sys.Metric)
+	if st.Misses != 2*n || st.PeakRows != 2*n {
+		t.Fatalf("after NewSystem: %d misses, peak %d rows; want %d and %d", st.Misses, st.PeakRows, 2*n, 2*n)
+	}
+	if _, err := sys.Build(StretchSix, WithSeed(5)); err != nil {
+		t.Fatal(err)
+	}
+	if after := graph.RowStats(sys.Metric); after.Misses != st.Misses || after.Evictions != 0 {
+		t.Fatalf("StretchSix build searched again: %+v after %+v", after, st)
+	}
+}
+
+// TestNewSystemWithRefusesOtherOracles: the deprecated SystemConfig.Metric
+// accepts "" and MetricLazy, and any other value is an error naming the
+// field, never silently ignored.
+func TestNewSystemWithRefusesOtherOracles(t *testing.T) {
+	g := RandomSC(16, 32, 8, rand.New(rand.NewSource(1)))
+	for _, kind := range []MetricKind{"", MetricLazy} {
+		if _, err := NewSystemWith(g, nil, SystemConfig{Metric: kind}); err != nil {
+			t.Fatalf("Metric %q: %v", kind, err)
+		}
+	}
+	_, err := NewSystemWith(g, nil, SystemConfig{Metric: "dense"})
+	if err == nil || !strings.Contains(err.Error(), "SystemConfig.Metric") {
+		t.Fatalf("Metric \"dense\": err = %v, want one naming SystemConfig.Metric", err)
 	}
 }
 

@@ -63,17 +63,11 @@ type (
 	// Graph is a directed weighted graph with fixed-port edge labels.
 	Graph = graph.Graph
 	// Oracle answers shortest-path distance queries; schemes are built
-	// against this interface so the dense matrix is one choice, not a
-	// requirement.
+	// against this interface.
 	Oracle = graph.DistanceOracle
-	// Metric is the eager all-pairs distance matrix with roundtrip
-	// helpers (alias of DenseMetric).
-	Metric = graph.Metric
-	// DenseMetric is the O(n^2)-word all-pairs oracle.
-	DenseMetric = graph.DenseMetric
-	// LazyOracle computes distance rows on demand behind a bounded LRU,
-	// so schemes can be built on graphs whose dense matrix would not fit
-	// in memory.
+	// LazyOracle is the distance oracle: single-source rows behind a
+	// bounded LRU, so schemes can be built on graphs whose n×n distances
+	// would not fit in memory.
 	LazyOracle = graph.LazyOracle
 	// Naming maps topological indices to TINN names and back.
 	Naming = names.Permutation
@@ -133,12 +127,9 @@ func NewDirectory(fullNames []string, n int, rng *rand.Rand) (*Directory, error)
 	return names.NewDirectory(fullNames, n, rng)
 }
 
-// AllPairs computes the dense distance metric of g (parallel over
-// GOMAXPROCS workers).
-func AllPairs(g *Graph) *Metric { return graph.AllPairs(g) }
-
-// AllPairsParallel computes the metric with a worker pool (0 = GOMAXPROCS).
-func AllPairsParallel(g *Graph, workers int) *Metric { return graph.AllPairsParallel(g, workers) }
+// AllPairs returns g's distance oracle under the default row budget,
+// every row computed up front on GOMAXPROCS workers while all 2n fit it.
+func AllPairs(g *Graph) *LazyOracle { return graph.AllPairs(g) }
 
 // NewLazyOracle creates a bounded lazy distance oracle over g holding at
 // most cacheRows distance rows (<= 0 selects the default budget).
@@ -159,41 +150,30 @@ type System struct {
 	Naming *Naming
 }
 
-// MetricKind selects the distance oracle a System is built on.
+// MetricKind names a distance oracle. There is one.
+//
+// Deprecated: every System holds its rows in the LazyOracle.
 type MetricKind string
 
-const (
-	// MetricDense materializes the full n×n matrix (parallel Dijkstras):
-	// O(1) queries, O(n^2) words.
-	MetricDense MetricKind = "dense"
-	// MetricLazy computes distance rows on demand behind a bounded LRU:
-	// schemes build without ever allocating n^2 distances.
-	MetricLazy MetricKind = "lazy"
-)
+// MetricLazy names the LazyOracle.
+//
+// Deprecated: it is the only oracle; leave SystemConfig.Metric unset.
+const MetricLazy MetricKind = "lazy"
 
 // SystemConfig tunes NewSystemWith.
 type SystemConfig struct {
-	// Metric selects the oracle implementation (default MetricDense).
+	// Metric must be "" or MetricLazy; NewSystemWith refuses any other
+	// value.
+	//
+	// Deprecated: there is one distance oracle; leave it unset.
 	Metric MetricKind
-	// LazyCacheRows bounds the lazy oracle's row cache. <= 0 selects the
-	// default budget: every row while all 2n fit
-	// graph.DefaultLazyCacheBytes, so a churn repair re-derives resident
-	// rows instead of searching. Ignored for MetricDense.
-	LazyCacheRows int
 }
 
-// NewSystem validates the network and computes its dense metric. The
-// naming must cover exactly the graph's nodes; nil selects the identity
-// naming. Use NewSystemWith to select the lazy oracle instead.
+// NewSystem validates the network and attaches its distance oracle,
+// AllPairs(g): every row is computed up front while all 2n fit the
+// default budget, and on demand above it. The naming must cover exactly
+// the graph's nodes; nil selects the identity naming.
 func NewSystem(g *Graph, naming *Naming) (*System, error) {
-	return NewSystemWith(g, naming, SystemConfig{})
-}
-
-// NewSystemWith validates the network and attaches the configured
-// distance oracle. With MetricLazy the system never materializes the n×n
-// distance matrix: scheme construction pulls rows through the bounded
-// cache on demand.
-func NewSystemWith(g *Graph, naming *Naming, cfg SystemConfig) (*System, error) {
 	if g.N() < 2 {
 		return nil, fmt.Errorf("rtroute: need at least 2 nodes, got %d", g.N())
 	}
@@ -206,16 +186,17 @@ func NewSystemWith(g *Graph, naming *Naming, cfg SystemConfig) (*System, error) 
 	if naming.N() != g.N() {
 		return nil, fmt.Errorf("rtroute: naming covers %d nodes, graph has %d", naming.N(), g.N())
 	}
-	var m Oracle
-	switch cfg.Metric {
-	case MetricDense, "":
-		m = graph.AllPairs(g)
-	case MetricLazy:
-		m = graph.NewLazyOracle(g, cfg.LazyCacheRows)
-	default:
-		return nil, fmt.Errorf("rtroute: unknown metric kind %q (want %q or %q)", cfg.Metric, MetricDense, MetricLazy)
+	return &System{Graph: g, Metric: graph.AllPairs(g), Naming: naming}, nil
+}
+
+// NewSystemWith is NewSystem after checking cfg.
+//
+// Deprecated: use NewSystem.
+func NewSystemWith(g *Graph, naming *Naming, cfg SystemConfig) (*System, error) {
+	if cfg.Metric != "" && cfg.Metric != MetricLazy {
+		return nil, fmt.Errorf("rtroute: SystemConfig.Metric is %q, but there is one distance oracle (leave it unset)", cfg.Metric)
 	}
-	return &System{Graph: g, Metric: m, Naming: naming}, nil
+	return NewSystem(g, naming)
 }
 
 // R returns the roundtrip distance between two NAMES.

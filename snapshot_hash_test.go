@@ -29,12 +29,10 @@ func benchWorld(t *testing.T, n, deg int, maxW Dist, churnRegime bool) (*Graph, 
 
 // TestBenchmarkSnapshotsPinned pins the sha256 of the snapshots the repo
 // benchmark builds, for three benchmark seeds, as read at the commit
-// before construction moved onto one shared, parallel per-node pass
-// (PR 17): churn-n512's StretchSix over the lazy oracle always, and —
-// with RTROUTE_LARGE=1, as `make snapshots` and so `make ci` run it —
-// build-1k's three schemes over the dense matrix. A constructor,
-// core.Decomposer, tree or scheme-codec change that moves a single byte
-// fails here.
+// before construction moved onto one shared, parallel per-node pass:
+// churn-n512's StretchSix always, and — with RTROUTE_LARGE=1, as `make
+// snapshots` and so `make ci` run it — build-1k's three schemes. An oracle, constructor, core.Decomposer, tree or
+// scheme-codec change that moves a single byte fails here.
 func TestBenchmarkSnapshotsPinned(t *testing.T) {
 	want := map[string][3]string{
 		"build-1k/stretch6": {
@@ -88,9 +86,9 @@ func TestBenchmarkSnapshotsPinned(t *testing.T) {
 		return
 	}
 	g, naming = benchWorld(t, 1024, 4, 8, false)
-	dense, err := NewSystem(g, naming)
+	sys, err := NewSystem(g, naming)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(dense, "build-1k", StretchSix, ExStretch, Polynomial)
+	check(sys, "build-1k", StretchSix, ExStretch, Polynomial)
 }
