@@ -2,15 +2,11 @@ package wire
 
 import (
 	"bytes"
-	"fmt"
-	"slices"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
-
-	"rtroute/internal/core"
-	"rtroute/internal/graph"
-	"rtroute/internal/sim"
-	"rtroute/internal/tree"
 )
 
 // fuzzSeeds collects valid blobs of every kind plus adversarial
@@ -30,10 +26,7 @@ func fuzzSchemeSeeds(f *testing.F) {
 		mut[len(mut)/3] ^= 0x5a
 		f.Add(mut)
 	}
-	for _, blob := range inconsistentExBlobs(f) {
-		f.Add(blob)
-	}
-	for _, blob := range inconsistentS6Blobs(f) {
+	for _, blob := range rejectCorpus(f) {
 		f.Add(blob)
 	}
 	f.Add([]byte{})
@@ -41,112 +34,109 @@ func fuzzSchemeSeeds(f *testing.F) {
 	f.Add([]byte("RTWF\x01\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"))
 }
 
-// inconsistentNode is the node whose section inconsistentExBlobs and
-// inconsistentS6Blobs break.
-const inconsistentNode = 3
+// rejectNode is the node whose section the per-node blobs of
+// testdata/reject break.
+const rejectNode = 3
 
-// mutatedBlob is plane's snapshot with inconsistentNode's local state
-// passed through mutate before it is encoded.
-func mutatedBlob(t testing.TB, plane sim.Plane, mutate func(ls *core.LocalState)) []byte {
-	st, local, err := core.Decomposer(plane)
+// rejectWant lists every blob under testdata/reject with what its
+// refusal must say. Each is a snapshot of testPlanes(16, 21) one check
+// away from valid: a per-node blob breaks rejectNode's section and must
+// be refused by an error naming that node; a shared one breaks the O(1)
+// parameters. The blobs were written once, from the decoder's previous
+// in-memory form, and are never regenerated: they pin that the decoder
+// still refuses what it refused.
+var rejectWant = map[string][]string{
+	"exstretch-two-labels.rtwf":     {"node 3", "tree"},
+	"exstretch-self-handshake.rtwf": {"node 3", "tree"},
+	"exstretch-dict-key.rtwf":       {"node 3", "dictionary"},
+	"exstretch-k1.rtwf":             {"K >= 2"},
+	"stretch6-two-addresses.rtwf":   {"node 3", "name"},
+	"stretch6-name-outside.rtwf":    {"node 3", "name"},
+	"stretch6-block-holders.rtwf":   {"node 3", "block holders"},
+	"stretch6-dict-order.rtwf":      {"node 3", "ascending"},
+	"rtz-centers.rtwf":              {"node 3", "centers"},
+	"rtz-direct-order.rtwf":         {"node 3", "ascending"},
+	"polystretch-k1.rtwf":           {"K >= 2"},
+	"polystretch-levels0.rtwf":      {"level"},
+	"polystretch-home.rtwf":         {"node 3", "home"},
+	"hop-member-order.rtwf":         {"node 3", "sorted"},
+}
+
+// rejectCorpus reads every blob under testdata/reject.
+func rejectCorpus(t testing.TB) map[string][]byte {
+	files, err := filepath.Glob(filepath.Join("testdata", "reject", "*.rtwf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &encoder{}
-	e.envelope(blobScheme, st.Kind)
-	encodeShared(e, st)
-	encodeSections(e, st.Graph.N(), func(v graph.NodeID) core.LocalState {
-		ls := local(v)
-		if v == inconsistentNode {
-			mutate(&ls)
+	out := make(map[string][]byte, len(files))
+	for _, path := range files {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return ls
-	})
-	return e.buf
+		out[filepath.Base(path)] = blob
+	}
+	return out
 }
 
-// inconsistentExBlobs are ExStretch snapshots one invariant away from a
-// valid one: the node's handshakes carry two of its labels in one tree,
-// or its own-name full entry carries a handshake. A restored table keeps
-// the node's label once per tree and no handshake for itself, so it
-// could not give either section back; the decoder must refuse both.
-func inconsistentExBlobs(t testing.TB) map[string][]byte {
-	planes, _ := testPlanes(t, 16, 21)
-	mutated := func(mutate func(l *core.ExLocal, self, a, b int)) []byte {
-		return mutatedBlob(t, planes["exstretch"], func(ls *core.LocalState) {
-			var others []int
-			self := -1
-			for i, fe := range ls.Ex.Full {
-				if fe.Name == ls.Ex.SelfName {
-					self = i
-				} else {
-					others = append(others, i)
-				}
+// checkRejected demands that each named blob is refused with an error
+// carrying every substring rejectWant lists for it.
+func checkRejected(t *testing.T, corpus map[string][]byte, files ...string) {
+	t.Helper()
+	for _, name := range files {
+		blob, ok := corpus[name]
+		if !ok {
+			t.Errorf("%s: missing from testdata/reject", name)
+			continue
+		}
+		_, err := UnmarshalScheme(blob)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		for _, want := range rejectWant[name] {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: got %v, want an error mentioning %q", name, err, want)
 			}
-			if self < 0 || len(others) < 2 {
-				t.Fatal("full dictionary lacks the node's own name or two others")
-			}
-			mutate(ls.Ex, self, others[0], others[1])
-		})
-	}
-	return map[string][]byte{
-		"two labels in one tree": mutated(func(l *core.ExLocal, _, a, b int) {
-			l.Full[b].HS.Ref = l.Full[a].HS.Ref
-			l.Full[b].HS.ULabel = tree.Label{Tin: l.Full[a].HS.ULabel.Tin + 1}
-		}),
-		"self-targeted handshake": mutated(func(l *core.ExLocal, self, a, _ int) {
-			l.Full[self].HS = l.Full[a].HS
-		}),
+		}
 	}
 }
 
-// TestDecoderRejectsInconsistentHandshakes: each inconsistent section is
-// refused by an error naming the node and the tree.
+// TestDecoderRejectsCorpus: every blob under testdata/reject is listed in
+// rejectWant and refused as it says.
+func TestDecoderRejectsCorpus(t *testing.T) {
+	corpus := rejectCorpus(t)
+	if len(corpus) != len(rejectWant) {
+		t.Errorf("testdata/reject holds %d blobs, rejectWant lists %d", len(corpus), len(rejectWant))
+	}
+	for name := range corpus {
+		if _, ok := rejectWant[name]; !ok {
+			t.Errorf("%s: not listed in rejectWant", name)
+		}
+	}
+	files := make([]string, 0, len(rejectWant))
+	for name := range rejectWant {
+		files = append(files, name)
+	}
+	sort.Strings(files)
+	checkRejected(t, corpus, files...)
+}
+
+// TestDecoderRejectsInconsistentHandshakes: an ExStretch section whose
+// handshakes carry two of the node's labels in one tree, or whose
+// own-name full entry carries a handshake, could not come back out of a
+// restored table, which keeps the node's label once per tree and no
+// handshake for itself; each is refused naming the node and the tree.
 func TestDecoderRejectsInconsistentHandshakes(t *testing.T) {
-	for name, blob := range inconsistentExBlobs(t) {
-		_, err := UnmarshalScheme(blob)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d:", inconsistentNode)) || !strings.Contains(err.Error(), "tree") {
-			t.Errorf("%s: got %v, want an error naming node %d and the tree", name, err, inconsistentNode)
-		}
-	}
+	checkRejected(t, rejectCorpus(t), "exstretch-two-labels.rtwf", "exstretch-self-handshake.rtwf")
 }
 
-// inconsistentS6Blobs are StretchSix snapshots one invariant away from a
-// valid one: the node's dictionary gives a name an address that an
-// earlier node's gives differently, or holds a name outside [0, n). A
-// restored plane keeps one address per name, so it could not give
-// either section back; the decoder must refuse both.
-func inconsistentS6Blobs(t testing.TB) map[string][]byte {
-	planes, _ := testPlanes(t, 16, 21)
-	plane := planes["stretch6"]
-	_, local, err := core.Decomposer(plane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := local(0).S6.Entries[0].Name // held by node 0, so interned first there
-	return map[string][]byte{
-		"two addresses for one name": mutatedBlob(t, plane, func(ls *core.LocalState) {
-			i := slices.IndexFunc(ls.S6.Entries, func(e core.S6Entry) bool { return e.Name == first })
-			if i < 0 {
-				t.Fatalf("node %d does not hold name %d", inconsistentNode, first)
-			}
-			ls.S6.Entries[i].Label.TreeLabel.Tin++
-		}),
-		"name outside the universe": mutatedBlob(t, plane, func(ls *core.LocalState) {
-			ls.S6.Entries = append(ls.S6.Entries, core.S6Entry{Name: int32(plane.Graph().N())})
-		}),
-	}
-}
-
-// TestDecoderRejectsInconsistentDictionaries: each inconsistent section
-// is refused by an error naming the node and the name.
+// TestDecoderRejectsInconsistentDictionaries: a StretchSix section that
+// gives a name an address an earlier node gives differently, or holds a
+// name outside [0, n), could not come back out of a plane that keeps one
+// address per name; each is refused naming the node and the name.
 func TestDecoderRejectsInconsistentDictionaries(t *testing.T) {
-	for name, blob := range inconsistentS6Blobs(t) {
-		_, err := UnmarshalScheme(blob)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d:", inconsistentNode)) || !strings.Contains(err.Error(), "name") {
-			t.Errorf("%s: got %v, want an error naming node %d and the name", name, err, inconsistentNode)
-		}
-	}
+	checkRejected(t, rejectCorpus(t), "stretch6-two-addresses.rtwf", "stretch6-name-outside.rtwf")
 }
 
 // FuzzUnmarshalScheme: arbitrary bytes must error cleanly — never
