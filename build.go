@@ -167,7 +167,7 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 	}
 }
 
-// Deployment is a scheme reassembled from per-node LocalState: it
+// Deployment is a scheme restored from per-node sections: it
 // implements the same forwarding-plane contract as a monolithic scheme
 // (sim/traffic drive it identically) while every Forward reads only the
 // addressed node's state and the header. Snapshots restored by
@@ -175,9 +175,9 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 // encoded byte sizes.
 type Deployment = core.Deployment
 
-// Deploy decomposes a built scheme into per-node local states and
-// reassembles it as a Deployment, certifying that node-local state plus
-// the packet header suffice to forward.
+// Deploy encodes a built scheme's per-node sections and restores them as
+// a Deployment, certifying that node-local state plus the packet header
+// suffice to forward.
 func Deploy(p ForwardingPlane) (*Deployment, error) { return core.Deploy(p) }
 
 // MarshalScheme encodes a built scheme (or Deployment) as a

@@ -59,8 +59,8 @@ func holdsPrefixDigit(a *blocks.Assignment, w graph.NodeID, i int, prefix, tau i
 
 // exDictReference is §3.3's item (3a) for node u, by the per-(block,
 // level, τ) rescan, in the canonical (level, prefix, τ) order.
-func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.NodeID) []ExDictLocal {
-	dict := []ExDictLocal{}
+func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.NodeID) []exDictItem {
+	dict := []exDictItem{}
 	done := make(map[[3]int32]bool)
 	for _, b := range s.assign.Sets[u] {
 		for i := 0; i < s.k-1; i++ {
@@ -88,12 +88,12 @@ func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.
 						t.Fatal(err)
 					}
 				}
-				dict = append(dict, ExDictLocal{Level: int8(i), Prefix: prefix, Tau: tau, TargetName: s.perm.Name(int32(target)), HS: hs})
+				dict = append(dict, exDictItem{level: int8(i), prefix: prefix, tau: tau, target: s.perm.Name(int32(target)), hs: hs})
 			}
 		}
 	}
-	slices.SortFunc(dict, func(a, b ExDictLocal) int {
-		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Prefix, b.Prefix), cmp.Compare(a.Tau, b.Tau))
+	slices.SortFunc(dict, func(a, b exDictItem) int {
+		return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.prefix, b.prefix), cmp.Compare(a.tau, b.tau))
 	})
 	return dict
 }
@@ -139,7 +139,11 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 						}
 						for u := 0; u < n; u++ {
 							want := exDictReference(t, ex, space, graph.NodeID(u))
-							if got := ex.local(graph.NodeID(u)).Ex.Dict; !reflect.DeepEqual(got, want) {
+							got := []exDictItem{}
+							for _, key := range sortedKeys(&ex.nodes[u].dict) {
+								got = append(got, ex.dictItem(ex.nodes[u], key))
+							}
+							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("ex node %d: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, got, want)
 							}
 						}

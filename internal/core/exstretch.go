@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"rtroute/internal/blocks"
+	"rtroute/internal/codec"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
@@ -132,43 +133,65 @@ func (t *exTable) words() int {
 	return w
 }
 
-// fill compiles node v's items (2), (3a) and (3b), listed in loc in
-// canonical order, into their stored form. The builder and the restore
-// both come through here, so a decoded section is held to the builder's
-// invariants: keys strictly ascending and in range, and what record checks.
-func (s *ExStretch) fill(v graph.NodeID, t *exTable, loc *ExLocal) error {
+// exNamed is one (name, handshake) entry of item (2) or (3b).
+type exNamed struct {
+	name int32
+	hs   rtz.Handshake
+}
+
+// exDictItem is one item (3a) entry with its key unpacked.
+type exDictItem struct {
+	level       int8
+	prefix, tau int32
+	target      int32
+	hs          rtz.Handshake
+}
+
+// exLists is a node's items (2), (3a) and (3b) in canonical order, each
+// handshake whole: what fill compiles, listed by the builder or read
+// from a section.
+type exLists struct {
+	neighbors, full []exNamed    // by name
+	dict            []exDictItem // by (level, prefix, τ)
+}
+
+// fill compiles the items listed in l into t's stored form. The builder
+// and the restore both come through here, so a decoded section is held
+// to the builder's invariants: keys strictly ascending and in range, and
+// what record checks.
+func (s *ExStretch) fill(t *exTable, l *exLists) error {
 	var err error
-	if t.neighbors, err = t.sealNamed(loc.Neighbors); err == nil {
-		t.full, err = t.sealNamed(loc.Full)
+	if t.neighbors, err = t.sealNamed(l.neighbors); err == nil {
+		t.full, err = t.sealNamed(l.full)
 	}
-	key := func(i int) int32 { e := &loc.Dict[i]; return int32(s.dictKey(e.Level, e.Prefix, e.Tau)) }
-	if err == nil && !ascending(len(loc.Dict), key) {
+	key := func(i int) int32 { e := &l.dict[i]; return int32(s.dictKey(e.level, e.prefix, e.tau)) }
+	if err == nil && !ascending(len(l.dict), key) {
 		err = fmt.Errorf("dictionary keys out of range or not strictly ascending")
 	}
-	for i := 0; err == nil && i < len(loc.Dict); i++ {
-		err = t.record(loc.Dict[i].TargetName, loc.Dict[i].HS)
+	for i := 0; err == nil && i < len(l.dict); i++ {
+		err = t.record(l.dict[i].target, l.dict[i].hs)
 	}
 	if err != nil {
-		return fmt.Errorf("core: exstretch node %d: %w", v, err)
+		return err
 	}
-	t.dict = sealed.CompileFunc(len(loc.Dict), key, func(i int) exDictEntry {
-		e := &loc.Dict[i]
-		return exDictEntry{e.TargetName, exHS{e.HS.Ref, e.HS.VLabel}}
+	t.dict = sealed.CompileFunc(len(l.dict), key, func(i int) exDictEntry {
+		e := &l.dict[i]
+		return exDictEntry{e.target, exHS{e.hs.Ref, e.hs.VLabel}}
 	})
 	return nil
 }
 
-func (t *exTable) sealNamed(es []ExNeighbor) (tab sealed.Table[exHS], err error) {
-	name := func(i int) int32 { return es[i].Name }
+func (t *exTable) sealNamed(es []exNamed) (tab sealed.Table[exHS], err error) {
+	name := func(i int) int32 { return es[i].name }
 	if !ascending(len(es), name) {
 		return tab, fmt.Errorf("entry names not strictly ascending")
 	}
 	for i := range es {
-		if err := t.record(es[i].Name, es[i].HS); err != nil {
+		if err := t.record(es[i].name, es[i].hs); err != nil {
 			return tab, err
 		}
 	}
-	return sealed.CompileFunc(len(es), name, func(i int) exHS { return exHS{es[i].HS.Ref, es[i].HS.VLabel} }), nil
+	return sealed.CompileFunc(len(es), name, func(i int) exHS { return exHS{es[i].hs.Ref, es[i].hs.VLabel} }), nil
 }
 
 // dictKey packs a (3a) key. A level's classes (block prefixes one digit
@@ -319,54 +342,54 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 
 	// Per-node tables read only shared immutable state (hierarchy,
 	// assignment, Init orders); build them in parallel, each worker
-	// listing a node's entries in its reused ExLocal and compiling the
+	// listing a node's entries in its reused exLists and compiling the
 	// sealed tables straight from the lists.
 	workers := parallel.Workers(n, cfg.BuildWorkers)
-	claimers, scratch := make([]exDictScratch, workers), make([]ExLocal, workers)
+	claimers, scratch := make([]exDictScratch, workers), make([]exLists, workers)
 	q := int32(assign.U.Q)
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
 		self, sc := graph.NodeID(u), &scratch[wk]
 		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: hop.Tables[u]}
 		var err error // the first R2 failure; later entries are dropped with it
-		entry := func(v graph.NodeID) (e ExNeighbor) {
-			e.Name = perm.Name(int32(v))
+		entry := func(v graph.NodeID) (e exNamed) {
+			e.name = perm.Name(int32(v))
 			if v != self && err == nil {
-				e.HS, _, err = hop.R2(self, v)
+				e.hs, _, err = hop.R2(self, v)
 			}
 			return e
 		}
 		// (2) N_1(u) handshakes, by name.
-		sc.Neighbors = sc.Neighbors[:0]
+		sc.neighbors = sc.neighbors[:0]
 		for _, v := range space.Neighborhood(self, sizes[1]) {
 			if v != self {
-				sc.Neighbors = append(sc.Neighbors, entry(v))
+				sc.neighbors = append(sc.neighbors, entry(v))
 			}
 		}
-		slices.SortFunc(sc.Neighbors, func(a, b ExNeighbor) int { return cmp.Compare(a.Name, b.Name) })
+		slices.SortFunc(sc.neighbors, func(a, b exNamed) int { return cmp.Compare(a.name, b.name) })
 		// (3a) prefix-advancing dictionary, deduplicated by (level,
 		// prefix value, next digit), in that order.
 		claims := claimers[wk].claim(assign, realized, self, space.Init(self))
 		slices.SortFunc(claims, func(a, b exDictClaim) int {
 			return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.class, b.class))
 		})
-		sc.Dict = sc.Dict[:0]
+		sc.dict = sc.dict[:0]
 		for _, c := range claims {
 			e := entry(c.target)
-			sc.Dict = append(sc.Dict, ExDictLocal{Level: c.level, Prefix: c.class / q, Tau: c.class % q, TargetName: e.Name, HS: e.HS})
+			sc.dict = append(sc.dict, exDictItem{level: c.level, prefix: c.class / q, tau: c.class % q, target: e.name, hs: e.hs})
 		}
 		// (3b) full dictionary entries of held blocks: ascending names,
 		// as the blocks are.
-		sc.Full = sc.Full[:0]
+		sc.full = sc.full[:0]
 		for _, b := range assign.Sets[u] {
 			for _, nm := range assign.U.NamesInBlock(b) {
-				sc.Full = append(sc.Full, entry(graph.NodeID(perm.Node(nm))))
+				sc.full = append(sc.full, entry(graph.NodeID(perm.Node(nm))))
 			}
 		}
 		if err != nil {
 			return err
 		}
-		if err := s.fill(self, tab, sc); err != nil {
-			return err
+		if err := s.fill(tab, sc); err != nil {
+			return fmt.Errorf("core: exstretch node %d: %w", u, err)
 		}
 		// Global label for the §3.5 direct-return variant.
 		if cfg.DirectReturn {
@@ -707,7 +730,7 @@ type PrefixStep struct {
 // "increasingly matching the destination" illustration.
 func (s *ExStretch) PrefixTrace(srcName, dstName int32) ([]PrefixStep, error) {
 	if s.assign == nil {
-		return nil, fmt.Errorf("core: PrefixTrace unavailable on an assembled deployment (block assignment not part of local state)")
+		return nil, fmt.Errorf("core: PrefixTrace unavailable on a restored deployment (block assignment not part of local state)")
 	}
 	wps, err := s.Waypoints(srcName, dstName)
 	if err != nil {
@@ -736,7 +759,7 @@ func (s *ExStretch) Universe() blocks.Universe { return s.uni }
 
 // HoldsPrefix reports whether node v stores a block whose first i digits
 // match the first i digits of the given name — the §3.4 waypoint
-// invariant. Exposed for the experiments. On an assembled Deployment the
+// invariant. Exposed for the experiments. On a restored Deployment the
 // block assignment is not part of any node's local state, so HoldsPrefix
 // reports false for every query; use PrefixTrace, which returns an
 // explicit error, when deployment-origin schemes may reach this code.
@@ -774,4 +797,172 @@ func (s *ExStretch) AvgTableWords() float64 {
 		total += t.words()
 	}
 	return float64(total) / float64(len(s.nodes))
+}
+
+// dictItem unpacks t's item (3a) entry under key, its handshake whole.
+func (s *ExStretch) dictItem(t *exTable, key int32) exDictItem {
+	e, _ := t.dict.Get(key)
+	q, span := int32(s.uni.Q), int32(s.uni.NumBlocks()) // as dictKey packs
+	class := key % span
+	return exDictItem{level: int8(key / span), prefix: class / q, tau: class % q, target: e.TargetName, hs: t.handshake(e.TargetName, e.HS)}
+}
+
+// encodeSection appends node v's section: its name, items (2), (3a) and
+// (3b) in canonical order with every handshake whole, the §3.5 global
+// label, then item (1), the hop table, in (level, index) order.
+func (s *ExStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
+	t := s.nodes[v]
+	e.I(int64(t.selfName))
+	t.encodeNamed(e, &t.neighbors)
+	keys := sortedKeys(&t.dict)
+	e.U(uint64(len(keys)))
+	for _, key := range keys {
+		it := s.dictItem(t, key)
+		e.I(int64(it.level))
+		e.I(int64(it.prefix))
+		e.I(int64(it.tau))
+		e.I(int64(it.target))
+		e.Handshake(it.hs)
+	}
+	t.encodeNamed(e, &t.full)
+	e.U(uint64(len(t.global)))
+	for _, g := range t.global {
+		e.TreeRef(g.Ref)
+		e.TreeLabel(g.Label)
+	}
+	refs := sortedRefs(t.hopTab.Trees)
+	e.U(uint64(len(refs)))
+	for _, ref := range refs {
+		h := t.hopTab.Trees[ref]
+		e.TreeRef(ref)
+		e.TreeState(h.State)
+		e.I(int64(h.InPort))
+		e.B(h.IsRoot)
+	}
+}
+
+// encodeNamed appends a name -> handshake table in name order.
+func (t *exTable) encodeNamed(e *codec.Encoder, tab *sealed.Table[exHS]) {
+	names := sortedKeys(tab)
+	e.U(uint64(len(names)))
+	for _, nm := range names {
+		hs, _ := tab.Get(nm)
+		e.I(int64(nm))
+		e.Handshake(t.handshake(nm, hs))
+	}
+}
+
+func decodeNamed(d *codec.Decoder, out []exNamed) ([]exNamed, error) {
+	c, err := d.Count(7)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < c; i++ {
+		var e exNamed
+		if e.name, err = d.I32(); err != nil {
+			return nil, err
+		}
+		if e.hs, err = d.Handshake(); err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// restoreEx decodes ExStretch sections, each compiled through fill like
+// a built node's lists.
+func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
+	if st.K < 2 {
+		return restorer{}, fmt.Errorf("exstretch needs K >= 2, got %d", st.K)
+	}
+	n := st.Graph.N()
+	s := &ExStretch{
+		g: st.Graph, perm: perm, uni: blocks.NewUniverse(n, st.K),
+		k: st.K, directReturn: st.DirectReturn, nodes: make([]*exTable, n),
+	}
+	var l exLists // reused: fill keeps no list, only the handshakes' labels
+	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+		t := &exTable{}
+		if t.selfName, err = d.I32(); err != nil {
+			return err
+		}
+		if l.neighbors, err = decodeNamed(d, l.neighbors[:0]); err != nil {
+			return err
+		}
+		nd, err := d.Count(10)
+		if err != nil {
+			return err
+		}
+		l.dict = l.dict[:0]
+		for i := 0; i < nd; i++ {
+			var it exDictItem
+			lv, err := d.I32()
+			if err != nil {
+				return err
+			}
+			if lv < math.MinInt8 || lv > math.MaxInt8 {
+				return d.Fail("dictionary level %d outside int8", lv)
+			}
+			it.level = int8(lv)
+			if it.prefix, err = d.I32(); err != nil {
+				return err
+			}
+			if it.tau, err = d.I32(); err != nil {
+				return err
+			}
+			if it.target, err = d.I32(); err != nil {
+				return err
+			}
+			if it.hs, err = d.Handshake(); err != nil {
+				return err
+			}
+			l.dict = append(l.dict, it)
+		}
+		if l.full, err = decodeNamed(d, l.full[:0]); err != nil {
+			return err
+		}
+		ng, err := d.Count(3)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < ng; i++ {
+			var g ExGlobal
+			if g.Ref, err = d.TreeRef(); err != nil {
+				return err
+			}
+			if g.Label, err = d.TreeLabel(); err != nil {
+				return err
+			}
+			t.global = append(t.global, g)
+		}
+		nh, err := d.Count(7)
+		if err != nil {
+			return err
+		}
+		t.hopTab = &rtz.HopTable{Self: v, Trees: make(map[cover.TreeRef]rtz.HopEntry, nh)}
+		for i := 0; i < nh; i++ {
+			ref, err := d.TreeRef()
+			if err != nil {
+				return err
+			}
+			var h rtz.HopEntry
+			if h.State, err = d.TreeState(); err != nil {
+				return err
+			}
+			if h.InPort, err = d.I32(); err != nil {
+				return err
+			}
+			if h.IsRoot, err = d.B(); err != nil {
+				return err
+			}
+			t.hopTab.Trees[ref] = h
+		}
+		if err := s.fill(t, &l); err != nil {
+			return err
+		}
+		s.nodes[v] = t
+		return nil
+	}
+	return restorer{node: node, finish: func() (Scheme, error) { return s, nil }}, nil
 }

@@ -124,7 +124,7 @@ func (mt *S6Maintainer) Substrate() *rtz.Maintainer { return mt.subM }
 // RebuildNodesOwned incorporates the topology mutations whose may-use
 // affected set is covered by dirty (see churn.Prober). The graph must
 // already be mutated. On return Plane is a new plane, route-identical —
-// LocalState for LocalState, at every node owned reports true for — to
+// section for section, at every node owned reports true for — to
 // a fresh NewStretchSix(seed) build on the current graph; the previous
 // one is left as it was. The global layers — the substrate delta, the
 // Init-order invalidation, the block-assignment replay — still process
@@ -132,7 +132,7 @@ func (mt *S6Maintainer) Substrate() *rtz.Maintainer { return mt.subM }
 // the per-node table rebuilds and rewrites, the dominant cost, are
 // filtered to owned nodes. Foreign tables go stale, harmlessly: a shard
 // never forwards at a foreign node, and the cluster certification
-// compares owned LocalStates only. owned == nil means all nodes.
+// compares owned sections only. owned == nil means all nodes.
 //
 // An empty dirty set changes no distance row, so no tree, label, order,
 // cluster or table either: the pass publishes nothing and Plane stays

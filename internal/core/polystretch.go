@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"rtroute/internal/blocks"
+	"rtroute/internal/codec"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
@@ -30,7 +33,7 @@ import (
 type PolynomialStretch struct {
 	g    *graph.Graph
 	perm *names.Permutation
-	hier *cover.Hierarchy // nil on an assembled Deployment; forwarding never consults it
+	hier *cover.Hierarchy // nil on a restored Deployment; forwarding never consults it
 	uni  blocks.Universe
 	k    int
 	// levels is the length of the scale ladder, kept as a plain count so
@@ -442,7 +445,7 @@ func (s *PolynomialStretch) K() int { return s.k }
 // double-tree at the given level — the relay node of Fig. 10.
 func (s *PolynomialStretch) HomeTreeRoot(srcName int32, level int) (int32, error) {
 	if s.hier == nil {
-		return 0, fmt.Errorf("core: HomeTreeRoot unavailable on an assembled deployment (hierarchy not part of local state)")
+		return 0, fmt.Errorf("core: HomeTreeRoot unavailable on a restored deployment (hierarchy not part of local state)")
 	}
 	if level < 0 || level >= len(s.hier.Levels) {
 		return 0, fmt.Errorf("core: level %d outside ladder of %d", level, len(s.hier.Levels))
@@ -473,4 +476,131 @@ func (s *PolynomialStretch) AvgTableWords() float64 {
 		total += t.words()
 	}
 	return float64(total) / float64(len(s.nodes))
+}
+
+// encodeSection appends node v's section: its name, its home tree per
+// level, then every tree it belongs to in (level, index) order, each
+// with its tree state, in-port, root flag, own label and dictionary in
+// (J, τ) order.
+func (s *PolynomialStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
+	t := s.nodes[v]
+	e.I(int64(t.selfName))
+	e.U(uint64(len(t.home)))
+	for _, r := range t.home {
+		e.TreeRef(r)
+	}
+	refs := sortedRefs(t.trees)
+	e.U(uint64(len(refs)))
+	var keys []polyDictKey
+	for _, ref := range refs {
+		te := t.trees[ref]
+		e.TreeRef(ref)
+		e.TreeState(te.state)
+		e.I(int64(te.inPort))
+		e.B(te.isRoot)
+		e.TreeLabel(te.ownLabel)
+		keys = keys[:0]
+		for k := range te.dict {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b polyDictKey) int { return cmp.Or(cmp.Compare(a.J, b.J), cmp.Compare(a.Tau, b.Tau)) })
+		e.U(uint64(len(keys)))
+		for _, k := range keys {
+			de := te.dict[k]
+			e.I(int64(k.J))
+			e.I(int64(k.Tau))
+			e.I(int64(de.Name))
+			e.TreeLabel(de.Label)
+		}
+	}
+}
+
+// restorePoly decodes PolynomialStretch sections: escalation reads the
+// ladder length from the shared parameters, so every node must hold one
+// home tree per level.
+func restorePoly(st *SchemeState, perm *names.Permutation) (restorer, error) {
+	if st.K < 2 {
+		return restorer{}, fmt.Errorf("polystretch needs K >= 2, got %d", st.K)
+	}
+	if st.Levels < 1 {
+		return restorer{}, fmt.Errorf("polystretch needs >= 1 level, got %d", st.Levels)
+	}
+	n := st.Graph.N()
+	s := &PolynomialStretch{
+		g: st.Graph, perm: perm, uni: blocks.NewUniverse(n, st.K),
+		k: st.K, levels: st.Levels, nodes: make([]*polyTable, n),
+	}
+	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+		t := &polyTable{}
+		if t.selfName, err = d.I32(); err != nil {
+			return err
+		}
+		nh, err := d.Count(2)
+		if err != nil {
+			return err
+		}
+		if nh != s.levels {
+			return fmt.Errorf("%d home trees, ladder has %d levels", nh, s.levels)
+		}
+		t.home = make([]cover.TreeRef, nh)
+		for i := range t.home {
+			if t.home[i], err = d.TreeRef(); err != nil {
+				return err
+			}
+		}
+		nt, err := d.Count(10)
+		if err != nil {
+			return err
+		}
+		t.trees = make(map[cover.TreeRef]*polyTreeEntry, nt)
+		for i := 0; i < nt; i++ {
+			ref, err := d.TreeRef()
+			if err != nil {
+				return err
+			}
+			e := &polyTreeEntry{}
+			if e.state, err = d.TreeState(); err != nil {
+				return err
+			}
+			if e.inPort, err = d.I32(); err != nil {
+				return err
+			}
+			if e.isRoot, err = d.B(); err != nil {
+				return err
+			}
+			if e.ownLabel, err = d.TreeLabel(); err != nil {
+				return err
+			}
+			nd, err := d.Count(5)
+			if err != nil {
+				return err
+			}
+			e.dict = make(map[polyDictKey]polyDictEntry, nd)
+			for j := 0; j < nd; j++ {
+				jj, err := d.I32()
+				if err != nil {
+					return err
+				}
+				if jj < math.MinInt8 || jj > math.MaxInt8 {
+					return d.Fail("dictionary level %d outside int8", jj)
+				}
+				k := polyDictKey{J: int8(jj)}
+				var de polyDictEntry
+				if k.Tau, err = d.I32(); err != nil {
+					return err
+				}
+				if de.Name, err = d.I32(); err != nil {
+					return err
+				}
+				if de.Label, err = d.TreeLabel(); err != nil {
+					return err
+				}
+				e.dict[k] = de
+			}
+			t.trees[ref] = e
+		}
+		s.nodes[v] = t
+		return nil
+	}
+	return restorer{node: node, finish: func() (Scheme, error) { return s, nil }}, nil
 }

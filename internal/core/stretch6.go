@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rtroute/internal/bitset"
 	"rtroute/internal/blocks"
+	"rtroute/internal/codec"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/parallel"
@@ -468,3 +470,116 @@ func (s *StretchSix) NeighborhoodEntries(v graph.NodeID) int { return s.nodes[v]
 
 // LabelOf returns node v's own stretch-3 address.
 func (s *StretchSix) LabelOf(v graph.NodeID) rtz.Label { return s.nodes[v].ownLabel }
+
+// encodeSection appends node v's section: its name and own address, the
+// dictionary ascending by name (each name as the gap from the previous
+// one, which stays small whatever n is, then its address), the block
+// holders by block id, the neighborhood size, then Tab3.
+func (s *StretchSix) encodeSection(e *codec.Encoder, v graph.NodeID) {
+	t := s.nodes[v]
+	e.I(int64(t.selfName))
+	e.RTZLabel(t.ownLabel)
+	e.U(uint64(t.dict.Count()))
+	prev := 0
+	t.dict.ForEach(func(nm int) {
+		e.I(int64(nm - prev))
+		prev = nm
+		e.RTZLabel(s.labels[nm])
+	})
+	e.U(uint64(len(t.blockHolder)))
+	for _, h := range t.blockHolder {
+		e.I(int64(h))
+	}
+	e.U(uint64(t.neighborEntries))
+	encodeRTZTable(e, t.tab3)
+}
+
+// restoreS6 decodes StretchSix sections into one plane. Every section's
+// dictionary addresses are interned into the plane's one store, so a
+// name's address must be the same in every section that holds it: the
+// store could not give a disagreeing section back.
+func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
+	n := st.Graph.N()
+	uni := blocks.NewUniverse(n, 2)
+	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, n), labels: make([]rtz.Label, n)}
+	interned := bitset.New(n)
+	centers := -1
+	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+		t := &s6Table{dict: *bitset.New(n)}
+		if t.selfName, err = d.I32(); err != nil {
+			return err
+		}
+		if t.ownLabel, err = d.RTZLabel(); err != nil {
+			return err
+		}
+		entries, err := d.Count(5)
+		if err != nil {
+			return err
+		}
+		prev := int64(0)
+		for i := 0; i < entries; i++ {
+			gap, err := d.I()
+			if err != nil {
+				return err
+			}
+			nm := prev + gap
+			if nm < math.MinInt32 || nm > math.MaxInt32 {
+				return d.Fail("entry name %d outside int32", nm)
+			}
+			label, err := d.RTZLabel()
+			if err != nil {
+				return err
+			}
+			switch {
+			case nm < 0 || (i > 0 && nm <= prev):
+				return fmt.Errorf("dictionary names not strictly ascending")
+			case nm >= int64(n):
+				return fmt.Errorf("dictionary name %d outside [0,%d)", nm, n)
+			case !interned.Has(int(nm)):
+				s.labels[nm] = label
+				interned.Add(int(nm))
+			case !s.labels[nm].Equal(label):
+				return fmt.Errorf("address of name %d differs from an earlier node's", nm)
+			}
+			t.dict.Add(int(nm))
+			prev = nm
+		}
+		holders, err := d.Count(1)
+		if err != nil {
+			return err
+		}
+		if holders != uni.NumBlocks() {
+			return fmt.Errorf("%d block holders, universe has %d blocks", holders, uni.NumBlocks())
+		}
+		t.blockHolder = make([]int32, holders)
+		for i := range t.blockHolder {
+			if t.blockHolder[i], err = d.I32(); err != nil {
+				return err
+			}
+		}
+		nn, err := d.U()
+		if err != nil {
+			return err
+		}
+		if nn > codec.MaxNodes {
+			return d.Fail("implausible neighborhood size %d", nn)
+		}
+		t.neighborEntries = int(nn)
+		if t.tab3, err = decodeRTZTable(d, v, centers); err != nil {
+			return err
+		}
+		centers = len(t.tab3.InPorts)
+		s.nodes[v] = t
+		return nil
+	}
+	return restorer{node: node, finish: func() (Scheme, error) { return s, nil }}
+}
+
+// TableEntries counts node v's table entries: dictionary, block holders
+// and Tab3's centers and direct entries — the E14 sweep's entries/node.
+func (s *StretchSix) TableEntries(v graph.NodeID) int {
+	t := s.nodes[v]
+	direct := 0
+	t.tab3.DirectEntries(func(graph.NodeID, graph.PortID) { direct++ })
+	return t.dict.Count() + len(t.blockHolder) + len(t.tab3.InPorts) + direct
+}

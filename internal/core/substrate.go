@@ -3,7 +3,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
+	"rtroute/internal/codec"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
@@ -16,8 +18,7 @@ import (
 // scheme and the Lemma 5 double-tree-cover "Hop" scheme) to the full
 // Scheme contract, with exported header types so the wire codec can
 // encode their packets, and with injection state that is strictly
-// per-node — the property the Decompose/Assemble deployment path relies
-// on. They mirror the adapters in internal/traffic (which predate them
+// per-node — the property the section codec and Deploy rely on. They mirror the adapters in internal/traffic (which predate them
 // and remain for the engine's own tests) hop for hop: route identity
 // between the two is locked by the deployment tests.
 
@@ -215,7 +216,7 @@ func NewHopPlane(hop *rtz.HopScheme, perm *names.Permutation) (*HopPlane, error)
 }
 
 // AssembleHopPlane builds a hop plane directly from per-node state — the
-// deployment/wire reassembly path. members[v] must be in the hierarchy's
+// restore path. members[v] must be in the hierarchy's
 // membership order (sorted by (level, index)) for handshake tie-breaking
 // to match the monolithic substrate.
 func AssembleHopPlane(g *graph.Graph, perm *names.Permutation, tables []*rtz.HopTable, members [][]HopMember) (*HopPlane, error) {
@@ -372,4 +373,176 @@ func checkPlaneName(perm *names.Permutation, name int32) error {
 		return fmt.Errorf("core: name %d outside [0,%d)", name, perm.N())
 	}
 	return nil
+}
+
+// rtzDirect is one direct (cluster) entry of a stretch-3 table.
+type rtzDirect struct {
+	dst  graph.NodeID
+	port graph.PortID
+}
+
+// encodeRTZTable appends a stretch-3 table: its per-center in-ports and
+// tree states, then its direct entries ascending by destination.
+func encodeRTZTable(e *codec.Encoder, t *rtz.Table) {
+	e.U(uint64(len(t.InPorts)))
+	for _, p := range t.InPorts {
+		e.I(int64(p))
+	}
+	for _, s := range t.TreeStates {
+		e.TreeState(s)
+	}
+	var direct []rtzDirect
+	t.DirectEntries(func(dst graph.NodeID, port graph.PortID) { direct = append(direct, rtzDirect{dst, port}) })
+	slices.SortFunc(direct, func(a, b rtzDirect) int { return cmp.Compare(a.dst, b.dst) })
+	e.U(uint64(len(direct)))
+	for _, dd := range direct {
+		e.I(int64(dd.dst))
+		e.I(int64(dd.port))
+	}
+}
+
+// decodeRTZTable reads node self's stretch-3 table. centers >= 0 is the
+// center count every table must cover (the first node's).
+func decodeRTZTable(d *codec.Decoder, self graph.NodeID, centers int) (*rtz.Table, error) {
+	nc, err := d.Count(4) // 1 byte port + >= 3 bytes state
+	if err != nil {
+		return nil, err
+	}
+	if centers >= 0 && nc != centers {
+		return nil, fmt.Errorf("covers %d centers, want %d", nc, centers)
+	}
+	t := &rtz.Table{Self: self}
+	if nc > 0 {
+		t.InPorts, t.TreeStates = make([]graph.PortID, nc), make([]tree.State, nc)
+		for i := range t.InPorts {
+			if t.InPorts[i], err = d.I32(); err != nil {
+				return nil, err
+			}
+		}
+		for i := range t.TreeStates {
+			if t.TreeStates[i], err = d.TreeState(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	nd, err := d.Count(2)
+	if err != nil {
+		return nil, err
+	}
+	direct := make([]rtzDirect, nd)
+	for i := range direct {
+		if direct[i].dst, err = d.I32(); err != nil {
+			return nil, err
+		}
+		if direct[i].port, err = d.I32(); err != nil {
+			return nil, err
+		}
+	}
+	dst := func(i int) graph.NodeID { return direct[i].dst }
+	if !ascending(nd, dst) {
+		return nil, fmt.Errorf("direct entries not strictly ascending")
+	}
+	t.CompileDirect(nd, dst, func(i int) graph.PortID { return direct[i].port })
+	return t, nil
+}
+
+// encodeSection appends node v's section: its own address, then its
+// stretch-3 table.
+func (p *RTZPlane) encodeSection(e *codec.Encoder, v graph.NodeID) {
+	e.RTZLabel(p.sub.Labels[v])
+	encodeRTZTable(e, p.sub.Tables[v])
+}
+
+// restoreRTZ decodes stretch-3 sections; the plane gathers the nodes'
+// own addresses into the injection directory.
+func restoreRTZ(st *SchemeState, perm *names.Permutation) restorer {
+	n := st.Graph.N()
+	tables, labels := make([]*rtz.Table, n), make([]rtz.Label, n)
+	centers := -1
+	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+		if labels[v], err = d.RTZLabel(); err != nil {
+			return err
+		}
+		if tables[v], err = decodeRTZTable(d, v, centers); err != nil {
+			return err
+		}
+		centers = len(tables[v].InPorts)
+		return nil
+	}
+	return restorer{node: node, finish: func() (Scheme, error) {
+		sub, err := rtz.AssembleScheme(st.Graph, tables, labels)
+		if err != nil {
+			return nil, err
+		}
+		return NewRTZPlane(sub, perm)
+	}}
+}
+
+// encodeSection appends node v's section: its memberships in (level,
+// index) order, each with its tree state, in-port, root flag, own
+// address and root distances.
+func (p *HopPlane) encodeSection(e *codec.Encoder, v graph.NodeID) {
+	e.U(uint64(len(p.members[v])))
+	for _, m := range p.members[v] {
+		e.TreeRef(m.Ref)
+		e.TreeState(m.State)
+		e.I(int64(m.InPort))
+		e.B(m.IsRoot)
+		e.TreeLabel(m.OwnLabel)
+		e.I(int64(m.DistTo))
+		e.I(int64(m.DistFrom))
+	}
+}
+
+// restoreHop decodes hop sections. Memberships must arrive in (level,
+// index) order: R2 relies on the monolithic membership order for
+// handshake tie-breaking.
+func restoreHop(st *SchemeState, perm *names.Permutation) restorer {
+	n := st.Graph.N()
+	tables, members := make([]*rtz.HopTable, n), make([][]HopMember, n)
+	node := func(v graph.NodeID, d *codec.Decoder) error {
+		nm, err := d.Count(11)
+		if err != nil {
+			return err
+		}
+		ms := make([]HopMember, nm)
+		t := &rtz.HopTable{Self: v, Trees: make(map[cover.TreeRef]rtz.HopEntry, nm)}
+		for i := range ms {
+			m := &ms[i]
+			if m.Ref, err = d.TreeRef(); err != nil {
+				return err
+			}
+			if m.State, err = d.TreeState(); err != nil {
+				return err
+			}
+			if m.InPort, err = d.I32(); err != nil {
+				return err
+			}
+			if m.IsRoot, err = d.B(); err != nil {
+				return err
+			}
+			if m.OwnLabel, err = d.TreeLabel(); err != nil {
+				return err
+			}
+			dt, err := d.I()
+			if err != nil {
+				return err
+			}
+			df, err := d.I()
+			if err != nil {
+				return err
+			}
+			if dt < 0 || df < 0 || dt >= graph.Inf || df >= graph.Inf {
+				return d.Fail("tree distance outside [0, Inf)")
+			}
+			m.DistTo, m.DistFrom = graph.Dist(dt), graph.Dist(df)
+			if i > 0 && refCompare(ms[i-1].Ref, m.Ref) >= 0 {
+				return fmt.Errorf("membership list not sorted by (level, index)")
+			}
+			t.Trees[m.Ref] = rtz.HopEntry{State: m.State, InPort: m.InPort, IsRoot: m.IsRoot}
+		}
+		tables[v], members[v] = t, ms
+		return nil
+	}
+	return restorer{node: node, finish: func() (Scheme, error) { return AssembleHopPlane(st.Graph, perm, tables, members) }}
 }

@@ -19,8 +19,8 @@ import (
 type EncodedSpacePoint struct {
 	N          int
 	Scheme     string
-	MaxBytes   int     // largest node's encoded LocalState
-	AvgBytes   float64 // mean encoded LocalState
+	MaxBytes   int     // largest node's encoded section
+	AvgBytes   float64 // mean encoded section
 	AvgEntries float64 // mean table entries per node (dictionary + substrate)
 }
 
@@ -33,7 +33,7 @@ type EncodedSpaceConfig struct {
 }
 
 // EncodedSpaceSweep builds the stretch-6 scheme across graph sizes and
-// measures every node's LocalState through the wire codec. The paper's
+// measures every node's section through the wire codec. The paper's
 // Theorem 6 claims Õ(sqrt n) per-node tables: entries grow as sqrt n
 // (times the Lemma 1 assignment's residual log factor) while each entry
 // — an o(log^2 n)-bit R3 label — widens with log n, so the entry-count
@@ -62,10 +62,6 @@ func EncodedSpaceSweep(cfg EncodedSpaceConfig) ([]EncodedSpacePoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eval: encoded space sweep n=%d: %w", n, err)
 		}
-		_, local, err := core.Decomposer(s6)
-		if err != nil {
-			return nil, fmt.Errorf("eval: encoded space sweep n=%d: %w", n, err)
-		}
 		pt := EncodedSpacePoint{N: n, Scheme: "stretch6"}
 		totalBytes, totalEntries := 0, 0
 		for v, b := range sizes {
@@ -73,9 +69,7 @@ func EncodedSpaceSweep(cfg EncodedSpaceConfig) ([]EncodedSpacePoint, error) {
 			if b > pt.MaxBytes {
 				pt.MaxBytes = b
 			}
-			l := local(graph.NodeID(v)).S6
-			totalEntries += len(l.Entries) + len(l.BlockHolder) +
-				len(l.Tab3.InPorts) + len(l.Tab3.Direct)
+			totalEntries += s6.TableEntries(graph.NodeID(v))
 		}
 		pt.AvgBytes = float64(totalBytes) / float64(len(sizes))
 		pt.AvgEntries = float64(totalEntries) / float64(len(sizes))

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"rtroute/internal/churn"
+	"rtroute/internal/codec"
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
 )
@@ -23,19 +24,19 @@ const minChurnEventBytes = 6
 // AppendChurnFrame encodes one churn event batch and appends the bytes
 // to dst. An empty events slice encodes the repair acknowledgment.
 func AppendChurnFrame(dst []byte, seq uint64, events []churn.Event) []byte {
-	e := &encoder{buf: dst}
+	e := &encoder{codec.Encoder{Buf: dst}}
 	e.envelope(blobFrame, core.Kind(FrameChurn))
-	e.u(seq)
-	e.u(uint64(len(events)))
+	e.U(seq)
+	e.U(uint64(len(events)))
 	for _, ev := range events {
-		e.byte1(byte(ev.Kind))
-		e.i(int64(ev.U))
-		e.i(int64(ev.V))
-		e.i(int64(ev.Node))
-		e.i(int64(ev.Weight))
-		e.u(math.Float64bits(ev.At))
+		e.Byte1(byte(ev.Kind))
+		e.I(int64(ev.U))
+		e.I(int64(ev.V))
+		e.I(int64(ev.Node))
+		e.I(int64(ev.Weight))
+		e.U(math.Float64bits(ev.At))
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeChurnFrame decodes one churn event batch, appending the events
@@ -44,66 +45,66 @@ func AppendChurnFrame(dst []byte, seq uint64, events []churn.Event) []byte {
 // strictness discipline: hostile bytes error, never panic, and a
 // hostile count cannot drive an allocation beyond O(len(data)).
 func DecodeChurnFrame(data []byte, evs []churn.Event) (seq uint64, out []churn.Event, err error) {
-	d := &decoder{data: data}
+	d := &decoder{Decoder: codec.Decoder{Data: data}}
 	kind, err := d.envelope(blobFrame)
 	if err != nil {
 		return 0, evs, err
 	}
 	if FrameKind(kind) != FrameChurn {
-		return 0, evs, d.fail("frame kind %d is not a churn batch", byte(kind))
+		return 0, evs, d.Fail("frame kind %d is not a churn batch", byte(kind))
 	}
-	if seq, err = d.u(); err != nil {
+	if seq, err = d.U(); err != nil {
 		return 0, evs, err
 	}
-	n, err := d.count(minChurnEventBytes)
+	n, err := d.Count(minChurnEventBytes)
 	if err != nil {
 		return 0, evs, err
 	}
 	for i := 0; i < n; i++ {
 		var ev churn.Event
-		k, err := d.byte1()
+		k, err := d.Byte1()
 		if err != nil {
 			return 0, evs, err
 		}
 		ev.Kind = churn.EventKind(k)
 		if ev.Kind < churn.EdgeDown || ev.Kind > churn.NodeRecover {
-			return 0, evs, d.fail("unknown churn event kind %d", k)
+			return 0, evs, d.Fail("unknown churn event kind %d", k)
 		}
-		u, err := d.i32()
+		u, err := d.I32()
 		if err != nil {
 			return 0, evs, err
 		}
-		v, err := d.i32()
+		v, err := d.I32()
 		if err != nil {
 			return 0, evs, err
 		}
-		node, err := d.i32()
+		node, err := d.I32()
 		if err != nil {
 			return 0, evs, err
 		}
-		if u < 0 || u >= maxNodes || v < 0 || v >= maxNodes || node < 0 || node >= maxNodes {
-			return 0, evs, d.fail("churn event node id outside [0, maxNodes)")
+		if u < 0 || u >= codec.MaxNodes || v < 0 || v >= codec.MaxNodes || node < 0 || node >= codec.MaxNodes {
+			return 0, evs, d.Fail("churn event node id outside [0, codec.MaxNodes)")
 		}
 		ev.U, ev.V, ev.Node = graph.NodeID(u), graph.NodeID(v), graph.NodeID(node)
-		w, err := d.i()
+		w, err := d.I()
 		if err != nil {
 			return 0, evs, err
 		}
 		if w < 0 || w > int64(graph.DownWeight) {
-			return 0, evs, d.fail("churn event weight %d outside [0, DownWeight]", w)
+			return 0, evs, d.Fail("churn event weight %d outside [0, DownWeight]", w)
 		}
 		ev.Weight = graph.Dist(w)
-		bits, err := d.u()
+		bits, err := d.U()
 		if err != nil {
 			return 0, evs, err
 		}
 		ev.At = math.Float64frombits(bits)
 		if math.IsNaN(ev.At) || math.IsInf(ev.At, 0) || ev.At < 0 {
-			return 0, evs, d.fail("churn event clock is not a finite non-negative time")
+			return 0, evs, d.Fail("churn event clock is not a finite non-negative time")
 		}
 		evs = append(evs, ev)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return 0, evs, err
 	}
 	return seq, evs, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"rtroute/internal/codec"
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
 	"rtroute/internal/rtz"
@@ -196,8 +197,8 @@ func PeekFrameKind(data []byte) (FrameKind, bool) {
 	return FrameKind(data[6]), true
 }
 
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *encoder) u32(v uint32) { e.Buf = binary.LittleEndian.AppendUint32(e.Buf, v) }
+func (e *encoder) u64(v uint64) { e.Buf = binary.LittleEndian.AppendUint64(e.Buf, v) }
 
 func (e *encoder) flightTotals(t LegTotals) {
 	e.u32(uint32(t.Hops))
@@ -309,26 +310,10 @@ func UnmarshalFlightFrame(data []byte, f *Frame) error {
 // memory it owns.
 type HeaderDecoder struct {
 	scratch sim.Header
-	light   arenaOf[tree.LightHop]
-	wps     arenaOf[core.ExWaypoint]
-	glbs    arenaOf[core.ExGlobal]
+	light   codec.Arena[tree.LightHop]
+	wps     codec.Arena[core.ExWaypoint]
+	glbs    codec.Arena[core.ExGlobal]
 }
-
-// arenaOf hands out small carve-out slices of one backing array,
-// recycled wholesale on reset. Growing abandons the old array to any
-// slices already carved from it (they stay valid until reset).
-type arenaOf[T any] struct{ buf []T }
-
-func (a *arenaOf[T]) take(n int) []T {
-	if cap(a.buf)-len(a.buf) < n {
-		a.buf = make([]T, 0, 2*(len(a.buf)+n)+16)
-	}
-	s := a.buf[len(a.buf) : len(a.buf)+n : len(a.buf)+n]
-	a.buf = a.buf[:len(a.buf)+n]
-	return s
-}
-
-func (a *arenaOf[T]) reset() { a.buf = a.buf[:0] }
 
 func headerKind(h sim.Header) (core.Kind, error) {
 	switch h.(type) {
@@ -359,9 +344,9 @@ func (hd *HeaderDecoder) DecodeFlight(f *Frame, loc Locality) (sim.Header, Fligh
 	if f.Kind != FrameFlight || len(f.Header) < 2 {
 		return nil, FlightState{}, fmt.Errorf("wire: DecodeFlight needs an unmarshaled flight frame")
 	}
-	hd.light.reset()
-	hd.wps.reset()
-	hd.glbs.reset()
+	hd.light.Reset()
+	hd.wps.Reset()
+	hd.glbs.Reset()
 	kind := core.Kind(f.Header[0])
 	sec := f.Header[1:]
 	switch kind {
@@ -417,9 +402,9 @@ func (e *encoder) lightHopsFixed(light []tree.LightHop) error {
 	if len(light) > 0xffff {
 		return fmt.Errorf("wire: flight frame: %d light hops exceeds u16", len(light))
 	}
-	n := len(e.buf)
-	e.buf = append(e.buf, make([]byte, 2+len(light)*lightHopBytes)...)
-	b := e.buf[n:]
+	n := len(e.Buf)
+	e.Buf = append(e.Buf, make([]byte, 2+len(light)*lightHopBytes)...)
+	b := e.Buf[n:]
 	binary.LittleEndian.PutUint16(b, uint16(len(light)))
 	b = b[2:]
 	for i := range light {
@@ -457,7 +442,7 @@ func decodeLightFixedAt(blob []byte, hd *HeaderDecoder) ([]tree.LightHop, int, e
 	if c == 0 {
 		return nil, n, nil
 	}
-	light := hd.light.take(c)
+	light := hd.light.Take(c)
 	for i := range light {
 		off := 2 + i*lightHopBytes
 		light[i].BranchTin = int32(binary.LittleEndian.Uint32(blob[off:]))
@@ -479,7 +464,7 @@ func (e *encoder) rtzLabelFixed(l rtz.Label) error {
 	binary.LittleEndian.PutUint32(fixed[4:], uint32(l.CenterIdx))
 	binary.LittleEndian.PutUint32(fixed[8:], uint32(l.Center))
 	binary.LittleEndian.PutUint32(fixed[12:], uint32(l.TreeLabel.Tin))
-	e.buf = append(e.buf, fixed[:]...)
+	e.Buf = append(e.Buf, fixed[:]...)
 	return e.lightHopsFixed(l.TreeLabel.Light)
 }
 
@@ -501,7 +486,7 @@ func (e *encoder) handshakeFixed(hs rtz.Handshake) error {
 	var fixed [8]byte
 	binary.LittleEndian.PutUint32(fixed[0:], uint32(hs.Ref.Level))
 	binary.LittleEndian.PutUint32(fixed[4:], uint32(hs.Ref.Index))
-	e.buf = append(e.buf, fixed[:]...)
+	e.Buf = append(e.Buf, fixed[:]...)
 	e.u32(uint32(hs.ULabel.Tin))
 	if err := e.lightHopsFixed(hs.ULabel.Light); err != nil {
 		return err
@@ -727,9 +712,9 @@ func AppendFlightFrame(dst []byte, f *Frame, h sim.Header, prev []byte) ([]byte,
 		}
 		prevSec = prev[flightOffSection:]
 	}
-	e := &encoder{buf: dst}
-	e.buf = append(e.buf, magic[:]...)
-	e.buf = append(e.buf, byte(Version), blobFrame, byte(FrameFlight))
+	e := &encoder{codec.Encoder{Buf: dst}}
+	e.Buf = append(e.Buf, magic[:]...)
+	e.Buf = append(e.Buf, byte(Version), blobFrame, byte(FrameFlight))
 	var flags byte
 	if f.Return {
 		flags |= flightFlagReturn
@@ -737,7 +722,7 @@ func AppendFlightFrame(dst []byte, f *Frame, h sim.Header, prev []byte) ([]byte,
 	if f.Sampled {
 		flags |= flightFlagSampled
 	}
-	e.byte1(flags)
+	e.Byte1(flags)
 	e.u32(uint32(f.SrcName))
 	e.u32(uint32(f.DstName))
 	e.u32(uint32(f.At))
@@ -746,8 +731,8 @@ func AppendFlightFrame(dst []byte, f *Frame, h sim.Header, prev []byte) ([]byte,
 	e.u64(f.Rt)
 	e.flightTotals(f.Out)
 	e.flightTotals(f.Back)
-	e.byte1(byte(k))
-	secStart := len(e.buf)
+	e.Byte1(byte(k))
+	secStart := len(e.Buf)
 	switch hh := h.(type) {
 	case *core.S6Header:
 		if err := e.flightS6Section(hh, prevSec, secStart); err != nil {
@@ -767,7 +752,7 @@ func AppendFlightFrame(dst []byte, f *Frame, h sim.Header, prev []byte) ([]byte,
 			return nil, err
 		}
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 func (e *encoder) flightS6Section(hh *core.S6Header, prevSec []byte, secStart int) error {
@@ -789,11 +774,11 @@ func (e *encoder) flightS6Section(hh *core.S6Header, prevSec []byte, secStart in
 		return err
 	}
 	binary.LittleEndian.PutUint16(fixed[s6OffLegW:], legW)
-	e.buf = append(e.buf, fixed[:]...)
+	e.Buf = append(e.Buf, fixed[:]...)
 	if err := e.lightHopsFixed(hh.Leg.Label.TreeLabel.Light); err != nil {
 		return err
 	}
-	srcOff := len(e.buf) - secStart
+	srcOff := len(e.Buf) - secStart
 	var srcW, fetchedW uint16
 	if prevSec != nil {
 		// SrcLabel is written once, at injection, before the first
@@ -803,9 +788,9 @@ func (e *encoder) flightS6Section(hh *core.S6Header, prevSec []byte, secStart in
 		if pSrcOff < s6FixedLen || pSrcOff > pFetchedOff || pFetchedOff > len(prevSec) {
 			return fmt.Errorf("wire: AppendFlightFrame: corrupt prev stretch-6 offsets")
 		}
-		e.buf = append(e.buf, prevSec[pSrcOff:pFetchedOff]...)
+		e.Buf = append(e.Buf, prevSec[pSrcOff:pFetchedOff]...)
 		srcW = binary.LittleEndian.Uint16(prevSec[s6OffSrcW:])
-		fetchedOff := len(e.buf) - secStart
+		fetchedOff := len(e.Buf) - secStart
 		// Fetched is rewritten exactly at the dictionary waypoint's
 		// Fetch -> FetchReturn transition (where it was just decoded
 		// from the local table); every other crossing carries it
@@ -820,7 +805,7 @@ func (e *encoder) flightS6Section(hh *core.S6Header, prevSec []byte, secStart in
 			}
 			fetchedW = w
 		} else {
-			e.buf = append(e.buf, prevSec[pFetchedOff:]...)
+			e.Buf = append(e.Buf, prevSec[pFetchedOff:]...)
 			fetchedW = binary.LittleEndian.Uint16(prevSec[s6OffFetchedW:])
 		}
 		return e.finishS6Section(secStart, srcOff, fetchedOff, srcW, fetchedW)
@@ -833,7 +818,7 @@ func (e *encoder) flightS6Section(hh *core.S6Header, prevSec []byte, secStart in
 		return err
 	}
 	srcW = w
-	fetchedOff := len(e.buf) - secStart
+	fetchedOff := len(e.Buf) - secStart
 	if err := e.rtzLabelFixed(hh.Fetched); err != nil {
 		return err
 	}
@@ -847,7 +832,7 @@ func (e *encoder) finishS6Section(secStart, srcOff, fetchedOff int, srcW, fetche
 	if fetchedOff > 0xffff {
 		return fmt.Errorf("wire: flight section %d bytes exceeds u16 offsets", fetchedOff)
 	}
-	sec := e.buf[secStart:]
+	sec := e.Buf[secStart:]
 	binary.LittleEndian.PutUint16(sec[s6OffSrcW:], srcW)
 	binary.LittleEndian.PutUint16(sec[s6OffFetchedW:], fetchedW)
 	binary.LittleEndian.PutUint16(sec[s6OffSrcOff:], uint16(srcOff))
@@ -863,11 +848,11 @@ func (e *encoder) flightRTZSection(hh *core.RTZHeader, prevSec []byte, secStart 
 	binary.LittleEndian.PutUint32(fixed[rtzOffLegCtrIdx:], uint32(hh.Leg.Label.CenterIdx))
 	binary.LittleEndian.PutUint32(fixed[rtzOffLegCenter:], uint32(hh.Leg.Label.Center))
 	binary.LittleEndian.PutUint32(fixed[rtzOffLegTin:], uint32(hh.Leg.Label.TreeLabel.Tin))
-	e.buf = append(e.buf, fixed[:]...)
+	e.Buf = append(e.Buf, fixed[:]...)
 	if err := e.lightHopsFixed(hh.Leg.Label.TreeLabel.Light); err != nil {
 		return err
 	}
-	srcOff := len(e.buf) - secStart
+	srcOff := len(e.Buf) - secStart
 	if srcOff > 0xffff {
 		return fmt.Errorf("wire: flight section %d bytes exceeds u16 offsets", srcOff)
 	}
@@ -876,11 +861,11 @@ func (e *encoder) flightRTZSection(hh *core.RTZHeader, prevSec []byte, secStart 
 		if pSrcOff < rtzFixedLen || pSrcOff > len(prevSec) {
 			return fmt.Errorf("wire: AppendFlightFrame: corrupt prev rtz offset")
 		}
-		e.buf = append(e.buf, prevSec[pSrcOff:]...)
+		e.Buf = append(e.Buf, prevSec[pSrcOff:]...)
 	} else if err := e.rtzLabelFixed(hh.SrcLabel); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint16(e.buf[secStart+rtzOffSrcOff:], uint16(srcOff))
+	binary.LittleEndian.PutUint16(e.Buf[secStart+rtzOffSrcOff:], uint16(srcOff))
 	return nil
 }
 
@@ -892,11 +877,11 @@ func (e *encoder) flightHopSection(hh *core.HopHeader, prevSec []byte, secStart 
 	binary.LittleEndian.PutUint32(fixed[hopOffRefLevel:], uint32(hh.Leg.Ref.Level))
 	binary.LittleEndian.PutUint32(fixed[hopOffRefIndex:], uint32(hh.Leg.Ref.Index))
 	binary.LittleEndian.PutUint32(fixed[hopOffTargetTin:], uint32(hh.Leg.Target.Tin))
-	e.buf = append(e.buf, fixed[:]...)
+	e.Buf = append(e.Buf, fixed[:]...)
 	if err := e.lightHopsFixed(hh.Leg.Target.Light); err != nil {
 		return err
 	}
-	hsOff := len(e.buf) - secStart
+	hsOff := len(e.Buf) - secStart
 	if hsOff > 0xffff {
 		return fmt.Errorf("wire: flight section %d bytes exceeds u16 offsets", hsOff)
 	}
@@ -905,11 +890,11 @@ func (e *encoder) flightHopSection(hh *core.HopHeader, prevSec []byte, secStart 
 		if pHSOff < hopFixedLen || pHSOff > len(prevSec) {
 			return fmt.Errorf("wire: AppendFlightFrame: corrupt prev hop offset")
 		}
-		e.buf = append(e.buf, prevSec[pHSOff:]...)
+		e.Buf = append(e.Buf, prevSec[pHSOff:]...)
 	} else if err := e.handshakeFixed(hh.HS); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint16(e.buf[secStart+hopOffHSOff:], uint16(hsOff))
+	binary.LittleEndian.PutUint16(e.Buf[secStart+hopOffHSOff:], uint16(hsOff))
 	return nil
 }
 
@@ -926,66 +911,66 @@ type InjectEntry struct {
 // single transport message, appending to dst. Injectors amortize one
 // mailbox rendezvous (or one socket write) over the whole burst.
 func AppendInjectBatch(dst []byte, home int32, origin uint64, entries []InjectEntry) []byte {
-	e := &encoder{buf: dst}
+	e := &encoder{codec.Encoder{Buf: dst}}
 	e.envelope(blobFrame, core.Kind(FrameInjectBatch))
-	e.i(int64(home))
-	e.u(origin)
-	e.u(uint64(len(entries)))
+	e.I(int64(home))
+	e.U(origin)
+	e.U(uint64(len(entries)))
 	for i := range entries {
-		e.i(int64(entries[i].Src))
-		e.i(int64(entries[i].Dst))
-		e.b(entries[i].Sampled)
-		e.u(entries[i].Rt)
+		e.I(int64(entries[i].Src))
+		e.I(int64(entries[i].Dst))
+		e.B(entries[i].Sampled)
+		e.U(entries[i].Rt)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // ForEachInject decodes a FrameInjectBatch, filling *f as a FrameInject
 // for each entry (Home/Origin from the batch envelope, the rest per
 // entry) and invoking fn. fn's error aborts the iteration.
 func ForEachInject(data []byte, f *Frame, fn func(*Frame) error) error {
-	d := &decoder{data: data}
+	d := &decoder{Decoder: codec.Decoder{Data: data}}
 	kind, err := d.envelope(blobFrame)
 	if err != nil {
 		return err
 	}
 	if FrameKind(kind) != FrameInjectBatch {
-		return d.fail("frame kind %d, want inject batch", byte(kind))
+		return d.Fail("frame kind %d, want inject batch", byte(kind))
 	}
-	home, err := d.i()
+	home, err := d.I()
 	if err != nil {
 		return err
 	}
 	if home < int64(HomeClient) || home > math32Max {
-		return d.fail("batch home %d outside [-2, MaxInt32]", home)
+		return d.Fail("batch home %d outside [-2, MaxInt32]", home)
 	}
-	origin, err := d.u()
+	origin, err := d.U()
 	if err != nil {
 		return err
 	}
-	n, err := d.count(4) // src + dst + sampled + rt: at least 4 bytes each
+	n, err := d.Count(4) // src + dst + sampled + rt: at least 4 bytes each
 	if err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
 		*f = Frame{Kind: FrameInject, Home: int32(home), Origin: origin}
-		if f.SrcName, err = d.i32(); err != nil {
+		if f.SrcName, err = d.I32(); err != nil {
 			return err
 		}
-		if f.DstName, err = d.i32(); err != nil {
+		if f.DstName, err = d.I32(); err != nil {
 			return err
 		}
-		if f.Sampled, err = d.b(); err != nil {
+		if f.Sampled, err = d.B(); err != nil {
 			return err
 		}
-		if f.Rt, err = d.u(); err != nil {
+		if f.Rt, err = d.U(); err != nil {
 			return err
 		}
 		if err := fn(f); err != nil {
 			return err
 		}
 	}
-	return d.done()
+	return d.Done()
 }
 
 const math32Max = int64(1)<<31 - 1

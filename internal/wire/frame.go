@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"rtroute/internal/codec"
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
 )
@@ -120,35 +121,35 @@ type Frame struct {
 // AppendFrame encodes the control frame f and appends the bytes to dst,
 // returning the extended slice.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	e := &encoder{buf: dst}
+	e := &encoder{codec.Encoder{Buf: dst}}
 	e.envelope(blobFrame, core.Kind(f.Kind))
 	switch f.Kind {
 	case FrameInject:
-		e.i(int64(f.SrcName))
-		e.i(int64(f.DstName))
-		e.i(int64(f.Home))
-		e.u(f.Origin)
-		e.u(f.Rt)
-		e.b(f.Sampled)
+		e.I(int64(f.SrcName))
+		e.I(int64(f.DstName))
+		e.I(int64(f.Home))
+		e.U(f.Origin)
+		e.U(f.Rt)
+		e.B(f.Sampled)
 	case FrameDone:
-		e.i(int64(f.SrcName))
-		e.i(int64(f.DstName))
+		e.I(int64(f.SrcName))
+		e.I(int64(f.DstName))
 		e.legTotals(f.Out)
 		e.legTotals(f.Back)
-		e.u(f.Origin)
-		e.u(f.Rt)
-		e.b(f.Sampled)
+		e.U(f.Origin)
+		e.U(f.Rt)
+		e.B(f.Sampled)
 	case FrameInfoReq:
 	case FrameInfo:
-		e.byte1(byte(f.SchemeKind))
-		e.i(int64(f.Nodes))
-		e.i(int64(f.Shards))
+		e.Byte1(byte(f.SchemeKind))
+		e.I(int64(f.Nodes))
+		e.I(int64(f.Shards))
 	case FrameDrop:
-		e.i(int64(f.SrcName))
-		e.i(int64(f.DstName))
-		e.u(f.Origin)
-		e.u(f.Rt)
-		e.byte1(f.Reason)
+		e.I(int64(f.SrcName))
+		e.I(int64(f.DstName))
+		e.U(f.Origin)
+		e.U(f.Rt)
+		e.Byte1(f.Reason)
 	case FrameFlight:
 		return nil, fmt.Errorf("wire: flight frame: encode with AppendFlightFrame")
 	case FrameInjectBatch:
@@ -158,13 +159,13 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown frame kind %d", f.Kind)
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 // UnmarshalFrame decodes one control frame into *f (overwriting every
 // field).
 func UnmarshalFrame(data []byte, f *Frame) error {
-	d := &decoder{data: data}
+	d := &decoder{Decoder: codec.Decoder{Data: data}}
 	kind, err := d.envelope(blobFrame)
 	if err != nil {
 		return err
@@ -178,10 +179,10 @@ func UnmarshalFrame(data []byte, f *Frame) error {
 		if err := d.homeOrigin(f); err != nil {
 			return err
 		}
-		if f.Rt, err = d.u(); err != nil {
+		if f.Rt, err = d.U(); err != nil {
 			return err
 		}
-		if f.Sampled, err = d.b(); err != nil {
+		if f.Sampled, err = d.B(); err != nil {
 			return err
 		}
 	case FrameDone:
@@ -194,110 +195,110 @@ func UnmarshalFrame(data []byte, f *Frame) error {
 		if f.Back, err = d.legTotals(); err != nil {
 			return err
 		}
-		if f.Origin, err = d.u(); err != nil {
+		if f.Origin, err = d.U(); err != nil {
 			return err
 		}
-		if f.Rt, err = d.u(); err != nil {
+		if f.Rt, err = d.U(); err != nil {
 			return err
 		}
-		if f.Sampled, err = d.b(); err != nil {
+		if f.Sampled, err = d.B(); err != nil {
 			return err
 		}
 	case FrameInfoReq:
 		// no payload
 	case FrameInfo:
-		k, err := d.byte1()
+		k, err := d.Byte1()
 		if err != nil {
 			return err
 		}
 		f.SchemeKind = core.Kind(k)
-		if f.Nodes, err = d.i32(); err != nil {
+		if f.Nodes, err = d.I32(); err != nil {
 			return err
 		}
-		if f.Shards, err = d.i32(); err != nil {
+		if f.Shards, err = d.I32(); err != nil {
 			return err
 		}
 	case FrameDrop:
 		if err := d.framePair(f); err != nil {
 			return err
 		}
-		if f.Origin, err = d.u(); err != nil {
+		if f.Origin, err = d.U(); err != nil {
 			return err
 		}
-		if f.Rt, err = d.u(); err != nil {
+		if f.Rt, err = d.U(); err != nil {
 			return err
 		}
-		if f.Reason, err = d.byte1(); err != nil {
+		if f.Reason, err = d.Byte1(); err != nil {
 			return err
 		}
 		if f.Reason != DropUnroutable && f.Reason != DropMisroute {
-			return d.fail("unknown drop reason %d", f.Reason)
+			return d.Fail("unknown drop reason %d", f.Reason)
 		}
 	case FrameFlight:
-		return d.fail("flight frame: decode with UnmarshalFlightFrame")
+		return d.Fail("flight frame: decode with UnmarshalFlightFrame")
 	case FrameInjectBatch:
-		return d.fail("inject batch: decode with ForEachInject")
+		return d.Fail("inject batch: decode with ForEachInject")
 	case FrameChurn:
-		return d.fail("churn batch: decode with DecodeChurnFrame")
+		return d.Fail("churn batch: decode with DecodeChurnFrame")
 	default:
-		return d.fail("unknown frame kind %d", byte(f.Kind))
+		return d.Fail("unknown frame kind %d", byte(f.Kind))
 	}
-	return d.done()
+	return d.Done()
 }
 
 func (e *encoder) legTotals(t LegTotals) {
-	e.i(int64(t.Hops))
-	e.i(int64(t.Weight))
-	e.i(int64(t.MaxHeaderWords))
+	e.I(int64(t.Hops))
+	e.I(int64(t.Weight))
+	e.I(int64(t.MaxHeaderWords))
 }
 
 func (d *decoder) legTotals() (LegTotals, error) {
 	var t LegTotals
 	var err error
-	if t.Hops, err = d.i32(); err != nil {
+	if t.Hops, err = d.I32(); err != nil {
 		return t, err
 	}
 	if t.Hops < 0 {
-		return t, d.fail("negative leg hops %d", t.Hops)
+		return t, d.Fail("negative leg hops %d", t.Hops)
 	}
-	w, err := d.i()
+	w, err := d.I()
 	if err != nil {
 		return t, err
 	}
 	if w < 0 || w > int64(graph.Inf) {
-		return t, d.fail("leg weight %d outside [0, Inf]", w)
+		return t, d.Fail("leg weight %d outside [0, Inf]", w)
 	}
 	t.Weight = graph.Dist(w)
-	if t.MaxHeaderWords, err = d.i32(); err != nil {
+	if t.MaxHeaderWords, err = d.I32(); err != nil {
 		return t, err
 	}
 	if t.MaxHeaderWords < 0 {
-		return t, d.fail("negative header words %d", t.MaxHeaderWords)
+		return t, d.Fail("negative header words %d", t.MaxHeaderWords)
 	}
 	return t, nil
 }
 
 func (d *decoder) framePair(f *Frame) error {
 	var err error
-	if f.SrcName, err = d.i32(); err != nil {
+	if f.SrcName, err = d.I32(); err != nil {
 		return err
 	}
-	if f.DstName, err = d.i32(); err != nil {
+	if f.DstName, err = d.I32(); err != nil {
 		return err
 	}
 	return nil
 }
 
 func (d *decoder) homeOrigin(f *Frame) error {
-	home, err := d.i()
+	home, err := d.I()
 	if err != nil {
 		return err
 	}
 	if home < int64(HomeClient) || home > math.MaxInt32 {
-		return d.fail("frame home %d outside [-2, MaxInt32]", home)
+		return d.Fail("frame home %d outside [-2, MaxInt32]", home)
 	}
 	f.Home = int32(home)
-	if f.Origin, err = d.u(); err != nil {
+	if f.Origin, err = d.U(); err != nil {
 		return err
 	}
 	return nil

@@ -18,18 +18,18 @@ func MarshalFrame(f *Frame) ([]byte, error) { return AppendFrame(nil, f) }
 func retiredPacketFrame() []byte {
 	e := &encoder{}
 	e.envelope(blobFrame, 1)
-	e.i(1) // src name
-	e.i(2) // dst name
-	e.b(false)
-	e.i(0) // at
+	e.I(1) // src name
+	e.I(2) // dst name
+	e.B(false)
+	e.I(0) // at
 	e.legTotals(LegTotals{})
 	e.legTotals(LegTotals{})
-	e.i(int64(HomeLocal))
-	e.u(0) // origin
-	e.u(0) // rt
-	e.b(false)
-	e.byte1(1) // header kind
-	return e.buf
+	e.I(int64(HomeLocal))
+	e.U(0) // origin
+	e.U(0) // rt
+	e.B(false)
+	e.Byte1(1) // header kind
+	return e.Buf
 }
 
 // TestFrameRoundtrip locks the control-frame codec: every kind encodes
@@ -108,19 +108,19 @@ func TestFrameDecodeRejects(t *testing.T) {
 func TestRetiredBlobTypeRejected(t *testing.T) {
 	e := &encoder{}
 	e.envelope(2, core.KindRTZ)
-	e.i(1) // src name
-	e.i(2) // dst name
+	e.I(1) // src name
+	e.I(2) // dst name
 	var f Frame
-	if err := UnmarshalFrame(e.buf, &f); err == nil || !strings.Contains(err.Error(), "blob type 2") {
+	if err := UnmarshalFrame(e.Buf, &f); err == nil || !strings.Contains(err.Error(), "blob type 2") {
 		t.Fatalf("UnmarshalFrame on blob type 2: got %v, want a blob-type error", err)
 	}
-	if _, err := UnmarshalScheme(e.buf); err == nil || !strings.Contains(err.Error(), "blob type 2") {
+	if _, err := UnmarshalScheme(e.Buf); err == nil || !strings.Contains(err.Error(), "blob type 2") {
 		t.Fatalf("UnmarshalScheme on blob type 2: got %v, want a blob-type error", err)
 	}
-	if _, err := PeekSnapshot(e.buf); err == nil {
+	if _, err := PeekSnapshot(e.Buf); err == nil {
 		t.Fatal("PeekSnapshot accepted blob type 2")
 	}
-	if _, ok := PeekFrameKind(e.buf); ok {
+	if _, ok := PeekFrameKind(e.Buf); ok {
 		t.Fatal("PeekFrameKind accepted blob type 2")
 	}
 }

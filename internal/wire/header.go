@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 
+	"rtroute/internal/codec"
 	"rtroute/internal/core"
 	"rtroute/internal/sim"
 )
@@ -18,34 +19,34 @@ import (
 func (e *encoder) headerBody(h sim.Header) error {
 	switch hh := h.(type) {
 	case *core.ExHeader:
-		e.byte1(byte(hh.Mode))
-		e.i(int64(hh.DestName))
-		e.i(int64(hh.SrcName))
-		e.i(int64(hh.Hop))
-		e.i(int64(hh.NextWaypointName))
-		e.u(uint64(len(hh.Stack)))
+		e.Byte1(byte(hh.Mode))
+		e.I(int64(hh.DestName))
+		e.I(int64(hh.SrcName))
+		e.I(int64(hh.Hop))
+		e.I(int64(hh.NextWaypointName))
+		e.U(uint64(len(hh.Stack)))
 		for _, w := range hh.Stack {
-			e.i(int64(w.Name))
-			e.handshake(w.HS)
+			e.I(int64(w.Name))
+			e.Handshake(w.HS)
 		}
-		e.u(uint64(len(hh.Global)))
+		e.U(uint64(len(hh.Global)))
 		for _, g := range hh.Global {
-			e.treeRef(g.Ref)
-			e.treeLabel(g.Label)
+			e.TreeRef(g.Ref)
+			e.TreeLabel(g.Label)
 		}
-		e.hopLeg(hh.Leg)
-		e.b(hh.LegSet)
+		e.HopLeg(hh.Leg)
+		e.B(hh.LegSet)
 	case *core.PolyHeader:
-		e.byte1(byte(hh.Mode))
-		e.i(int64(hh.DestName))
-		e.i(int64(hh.SrcName))
-		e.i(int64(hh.Level))
-		e.b(hh.Found)
-		e.treeRef(hh.Ref)
-		e.treeLabel(hh.SourceLabel)
-		e.i(int64(hh.NextWaypointName))
-		e.treeLabel(hh.Target)
-		e.b(hh.Descending)
+		e.Byte1(byte(hh.Mode))
+		e.I(int64(hh.DestName))
+		e.I(int64(hh.SrcName))
+		e.I(int64(hh.Level))
+		e.B(hh.Found)
+		e.TreeRef(hh.Ref)
+		e.TreeLabel(hh.SourceLabel)
+		e.I(int64(hh.NextWaypointName))
+		e.TreeLabel(hh.Target)
+		e.B(hh.Descending)
 	default:
 		return fmt.Errorf("wire: %T header has no varint section", h)
 	}
@@ -56,7 +57,7 @@ func (e *encoder) headerBody(h sim.Header) error {
 // into the decoder's scratch header of that kind; the section must be
 // consumed exactly.
 func (hd *HeaderDecoder) dispatch(sec []byte, kind core.Kind) (sim.Header, error) {
-	d := &decoder{data: sec, hd: hd}
+	d := &decoder{Decoder: codec.Decoder{Data: sec, Light: &hd.light}, hd: hd}
 	var h sim.Header
 	var err error
 	switch kind {
@@ -75,12 +76,12 @@ func (hd *HeaderDecoder) dispatch(sec []byte, kind core.Kind) (sim.Header, error
 		}
 		h, err = hh, decodePolyHeaderInto(d, hh)
 	default:
-		return nil, d.fail("header kind %d has no varint section", uint8(kind))
+		return nil, d.Fail("header kind %d has no varint section", uint8(kind))
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -90,102 +91,102 @@ func (hd *HeaderDecoder) dispatch(sec []byte, kind core.Kind) (sim.Header, error
 // reused scratch header carries no state across packets; variable-size
 // parts are carved from the decoder's arenas (d.hd is always set here).
 func decodeExHeaderInto(d *decoder, h *core.ExHeader) error {
-	m, err := d.byte1()
+	m, err := d.Byte1()
 	if err != nil {
 		return err
 	}
 	h.Mode = core.Mode(m)
-	if h.DestName, err = d.i32(); err != nil {
+	if h.DestName, err = d.I32(); err != nil {
 		return err
 	}
-	if h.SrcName, err = d.i32(); err != nil {
+	if h.SrcName, err = d.I32(); err != nil {
 		return err
 	}
-	hop, err := d.i32()
+	hop, err := d.I32()
 	if err != nil {
 		return err
 	}
 	if hop < -128 || hop > 127 {
-		return d.fail("hop index %d outside int8", hop)
+		return d.Fail("hop index %d outside int8", hop)
 	}
 	h.Hop = int8(hop)
-	if h.NextWaypointName, err = d.i32(); err != nil {
+	if h.NextWaypointName, err = d.I32(); err != nil {
 		return err
 	}
-	ns, err := d.count(7)
+	ns, err := d.Count(7)
 	if err != nil {
 		return err
 	}
 	h.Stack = nil
 	if ns > 0 {
-		h.Stack = d.hd.wps.take(ns)
+		h.Stack = d.hd.wps.Take(ns)
 	}
 	for i := 0; i < ns; i++ {
 		w := &h.Stack[i]
-		if w.Name, err = d.i32(); err != nil {
+		if w.Name, err = d.I32(); err != nil {
 			return err
 		}
-		if w.HS, err = d.handshake(); err != nil {
+		if w.HS, err = d.Handshake(); err != nil {
 			return err
 		}
 	}
-	ng, err := d.count(3)
+	ng, err := d.Count(3)
 	if err != nil {
 		return err
 	}
 	h.Global = nil
 	if ng > 0 {
-		h.Global = d.hd.glbs.take(ng)
+		h.Global = d.hd.glbs.Take(ng)
 	}
 	for i := 0; i < ng; i++ {
 		g := &h.Global[i]
-		if g.Ref, err = d.treeRef(); err != nil {
+		if g.Ref, err = d.TreeRef(); err != nil {
 			return err
 		}
-		if g.Label, err = d.treeLabel(); err != nil {
+		if g.Label, err = d.TreeLabel(); err != nil {
 			return err
 		}
 	}
-	if h.Leg, err = d.hopLeg(); err != nil {
+	if h.Leg, err = d.HopLeg(); err != nil {
 		return err
 	}
-	if h.LegSet, err = d.b(); err != nil {
+	if h.LegSet, err = d.B(); err != nil {
 		return err
 	}
 	return nil
 }
 
 func decodePolyHeaderInto(d *decoder, h *core.PolyHeader) error {
-	m, err := d.byte1()
+	m, err := d.Byte1()
 	if err != nil {
 		return err
 	}
 	h.Mode = core.Mode(m)
-	if h.DestName, err = d.i32(); err != nil {
+	if h.DestName, err = d.I32(); err != nil {
 		return err
 	}
-	if h.SrcName, err = d.i32(); err != nil {
+	if h.SrcName, err = d.I32(); err != nil {
 		return err
 	}
-	if h.Level, err = d.i32(); err != nil {
+	if h.Level, err = d.I32(); err != nil {
 		return err
 	}
-	if h.Found, err = d.b(); err != nil {
+	if h.Found, err = d.B(); err != nil {
 		return err
 	}
-	if h.Ref, err = d.treeRef(); err != nil {
+	if h.Ref, err = d.TreeRef(); err != nil {
 		return err
 	}
-	if h.SourceLabel, err = d.treeLabel(); err != nil {
+	if h.SourceLabel, err = d.TreeLabel(); err != nil {
 		return err
 	}
-	if h.NextWaypointName, err = d.i32(); err != nil {
+	if h.NextWaypointName, err = d.I32(); err != nil {
 		return err
 	}
-	if h.Target, err = d.treeLabel(); err != nil {
+	if h.Target, err = d.TreeLabel(); err != nil {
 		return err
 	}
-	if h.Descending, err = d.b(); err != nil {
+	if h.Descending, err = d.B(); err != nil {
 		return err
 	}
 	return nil

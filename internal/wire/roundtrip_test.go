@@ -158,8 +158,9 @@ func TestSchemeWireRoundtrip(t *testing.T) {
 	}
 }
 
-// TestDeployInProcess certifies the codec-free path: Decompose →
-// Assemble produces route-identical deployments for every kind.
+// TestDeployInProcess certifies the in-process path: core.Deploy, which
+// encodes a window of sections and restores them without a snapshot,
+// produces route-identical deployments for every kind.
 func TestDeployInProcess(t *testing.T) {
 	const n = 24
 	planes, _ := testPlanes(t, n, 11)

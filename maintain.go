@@ -108,7 +108,7 @@ func (m *Maintained) RebuildNodes(dirty []NodeID) (MaintainReport, error) {
 // plane: per-node table rebuilds are filtered to the nodes owned reports
 // true for, leaving foreign tables stale — harmless for a shard that
 // only forwards at owned nodes, and exactly what the cluster repair
-// path certifies (owned LocalStates against a reference replica).
+// path certifies (owned sections against a reference replica).
 // StretchSix filters steps that are per-node; RTZStretch3's substrate
 // state is shared across all nodes, so it takes the full delta, and the
 // full-rebuild kinds rebuild in full. owned == nil behaves exactly like
@@ -164,12 +164,12 @@ func (m *Maintained) RebuildNodesFor(dirty []NodeID, owned func(NodeID) bool) (M
 
 // Certify verifies the maintained plane is route-identical to a fresh
 // Build with the same configuration on the current graph: it rebuilds
-// from scratch and compares the two planes' per-node LocalState
-// decompositions bit for bit. The fresh build reads a new lazy oracle,
+// from scratch and compares the two planes' per-node sections byte for
+// byte. The fresh build reads a new lazy oracle,
 // so every row it sees comes from a full search, never from the
 // incremental updates the maintained plane was repaired with. This is
 // the churn experiments' correctness oracle after every event batch; it
-// costs a full build plus a decomposition pass.
+// costs a full build plus an encoding pass.
 func (m *Maintained) Certify() error {
 	sys := *m.sys
 	sys.Metric = graph.NewLazyOracle(sys.Graph, 0)
@@ -182,17 +182,17 @@ func (m *Maintained) Certify() error {
 
 // CertifyIdentical reports whether two forwarding planes carry identical
 // routing state: the shared O(1) parameters are compared once, then the
-// canonical per-node LocalStates (sorted dictionaries, value tables) are
-// decomposed pair by pair on every core and their encoded sections
-// compared byte for byte (wire.SectionDiff), so nothing but the pair in
-// hand is ever live. Planes that pass forward every packet identically;
-// a failure names the lowest differing node.
+// per-node sections, each node's tables in canonical order, are encoded
+// pair by pair on every core and compared byte for byte
+// (wire.SectionDiff), so nothing but the pair in hand is ever live.
+// Planes that pass forward every packet identically; a failure names the
+// lowest differing node.
 func CertifyIdentical(a, b ForwardingPlane) error {
-	sa, la, err := core.Decomposer(a)
+	sa, ea, err := core.Sections(a)
 	if err != nil {
 		return err
 	}
-	sb, lb, err := core.Decomposer(b)
+	sb, eb, err := core.Sections(b)
 	if err != nil {
 		return err
 	}
@@ -210,10 +210,10 @@ func CertifyIdentical(a, b ForwardingPlane) error {
 	}
 	n := sa.Graph.N()
 	if n != sb.Graph.N() {
-		return fmt.Errorf("rtroute: %d vs %d local states", n, sb.Graph.N())
+		return fmt.Errorf("rtroute: %d vs %d nodes", n, sb.Graph.N())
 	}
-	if v := wire.SectionDiff(n, la, lb); v >= 0 {
-		return fmt.Errorf("rtroute: node %d local state differs", v)
+	if v := wire.SectionDiff(n, ea, eb); v >= 0 {
+		return fmt.Errorf("rtroute: node %d section differs", v)
 	}
 	return nil
 }

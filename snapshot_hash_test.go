@@ -31,8 +31,9 @@ func benchWorld(t *testing.T, n, deg int, maxW Dist, churnRegime bool) (*Graph, 
 // benchmark builds, for three benchmark seeds, as read at the commit
 // before construction moved onto one shared, parallel per-node pass:
 // churn-n512's StretchSix always, and — with RTROUTE_LARGE=1, as `make
-// snapshots` and so `make ci` run it — build-1k's three schemes. An oracle, constructor, core.Decomposer, tree or
-// scheme-codec change that moves a single byte fails here.
+// snapshots` and so `make ci` run it — build-1k's three schemes. An
+// oracle, constructor, tree or section-codec change that moves a single
+// byte fails here.
 func TestBenchmarkSnapshotsPinned(t *testing.T) {
 	want := map[string][3]string{
 		"build-1k/stretch6": {
