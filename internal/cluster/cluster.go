@@ -64,8 +64,6 @@ type Config struct {
 	// Seed makes the workload reproducible: same (Seed, Injectors,
 	// Workload, Packets) injects the identical pair multiset.
 	Seed int64
-	// MaxHops bounds each leg (0 = sim's default 4n budget).
-	MaxHops int
 	// Oracle, when non-nil, enables stretch accounting over the sampled
 	// packets (consulted only in the post-run merge, never on the hot
 	// path).
@@ -234,7 +232,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	g.Seal()
 	// Compile-time probe: a misconfigured plane fails here, not at
 	// packet 731,204 (names 0 and 1 always exist).
-	if _, _, err := sim.RoundtripFlight(dep, 0, 1, cfg.MaxHops); err != nil {
+	if _, _, err := sim.RoundtripFlight(dep, 0, 1, 0); err != nil {
 		return nil, fmt.Errorf("cluster: probe roundtrip: %w", err)
 	}
 	wl, err := traffic.NewWorkload(cfg.Workload, g.N(), cfg.Seed)
@@ -248,7 +246,7 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	cfg.Sink.RegisterGauge("window_occupancy", window.Occupancy)
 	var fab *Fabric
 	fab, err = NewFabric(dep, place, window, Options{
-		Batch: cfg.Batch, MaxHops: cfg.MaxHops, Strict: true,
+		Batch: cfg.Batch, Strict: true,
 		OnDone: func(*wire.Frame) {
 			window.Put(1)
 			if atomic.AddInt64(&remaining, -1) == 0 {

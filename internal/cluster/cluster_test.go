@@ -83,7 +83,7 @@ func replay(t *testing.T, dep *core.Deployment, cfg Config) *Result {
 		gen := wl.Generator(i)
 		for j := int64(0); j < quota; j++ {
 			src, dst := gen.Next()
-			out, back, err := sim.RoundtripFlight(dep, src, dst, cfg.MaxHops)
+			out, back, err := sim.RoundtripFlight(dep, src, dst, 0)
 			if err != nil {
 				t.Fatalf("replay %d->%d: %v", src, dst, err)
 			}
@@ -270,7 +270,7 @@ func tracedPathsMatchTracer(t *testing.T, name string, dep *core.Deployment, cfg
 		gen := wl.Generator(i)
 		for seq := int64(1); seq <= quota; seq++ {
 			src, dst := gen.Next()
-			tr, err := sim.Roundtrip(dep, src, dst, cfg.MaxHops)
+			tr, err := sim.Roundtrip(dep, src, dst, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,50 +54,6 @@ type ShardStats struct {
 	Allocs int64
 }
 
-// shardWorker is the serving loop's state: counters, histograms,
-// samples and scratch, touched only by the goroutine running Serve.
-type shardWorker struct {
-	stats   ShardStats
-	hopHist eval.Hist
-	hdrHist eval.Hist
-	samples []traffic.Sample
-	frame   wire.Frame
-	// hdec decodes arriving packet headers into reusable storage; a
-	// decoded header lives only for the one advance() call, so one
-	// scratch suffices.
-	hdec wire.HeaderDecoder
-	// inject is the reusable injection header (ResetHeader per
-	// roundtrip, the traffic engine's allocation discipline).
-	inject sim.Header
-	// sizeHint right-sizes outbound frame buffers from the sizes seen
-	// so far.
-	sizeHint int
-	// pending accumulates outbound frames per destination shard while a
-	// received batch is processed; flush ships each destination's
-	// accumulation as one transport message.
-	pending [][]InFrame
-	// replies is the same accumulation toward accepted client
-	// connections: completion, drop and info reports queue per
-	// connection and flush writes each queue as one transport message.
-	// A batch answers few connections, so the queues are a short list
-	// searched linearly, reused from batch to batch.
-	replies []replyQueue
-	// hand is what the loop holds of the transport's frame pool
-	// within one batch: outbound buffers and pending slices come from
-	// it, the batch's dead buffers and processed slices go back into it
-	// for reuse, and all of it returns to the pool before the flush.
-	hand hand
-	// p is the shard's telemetry probe (nil = telemetry off; every
-	// probe method is a nil-receiver no-op).
-	p *telemetry.Probe
-	// hook records per-hop trace events for roundtrips armed by the
-	// trace sampler; trRt/trRet carry the roundtrip tag and leg into
-	// the hook without a per-hop closure allocation.
-	hook  sim.HopHook
-	trRt  uint64
-	trRet bool
-}
-
 // replyQueue is one accepted connection's unflushed reply frames.
 type replyQueue struct {
 	conn   uint64
@@ -107,24 +63,24 @@ type replyQueue struct {
 // publish hands the probe a copy of the shard's counters at a batch
 // boundary — the reader-visible state /metrics and Snapshot merge, by
 // construction field-for-field identical to the end-of-run ShardStats.
-func (st *shardWorker) publish() {
-	if st.p == nil {
+func (s *Shard) publish() {
+	if s.p == nil {
 		return
 	}
-	st.p.Publish(telemetry.Counters{
-		Packets: st.stats.Packets, Hops: st.stats.Hops, Weight: st.stats.Weight,
-		FramesIn: st.stats.FramesIn, FramesOut: st.stats.FramesOut,
-		Errors: st.stats.Errors, Allocs: st.stats.Allocs,
+	s.p.Publish(telemetry.Counters{
+		Packets: s.stats.Packets, Hops: s.stats.Hops, Weight: s.stats.Weight,
+		FramesIn: s.stats.FramesIn, FramesOut: s.stats.FramesOut,
+		Errors: s.stats.Errors, Allocs: s.stats.Allocs,
 	})
 }
 
 // queue appends an outbound frame to an accumulation, starting it on a
 // slice from the hand (cut at full batch capacity on a miss), and
 // reports whether it reached the batch bound.
-func (st *shardWorker) queue(q *[]InFrame, data []byte, batch int) bool {
+func (s *Shard) queue(q *[]InFrame, data []byte, batch int) bool {
 	if *q == nil {
-		if *q = take(&st.hand, &st.hand.slabs, batch); *q == nil {
-			st.stats.Allocs++
+		if *q = take(&s.hand, &s.hand.slabs, batch); *q == nil {
+			s.stats.Allocs++
 			*q = make([]InFrame, 0, max(batch, tcpBatch))
 		}
 	}
@@ -134,12 +90,12 @@ func (st *shardWorker) queue(q *[]InFrame, data []byte, batch int) bool {
 
 // outBuf returns an empty buffer for an outbound frame, cutting one on
 // a miss.
-func (st *shardWorker) outBuf() []byte {
-	if b := take(&st.hand, &st.hand.bufs, st.sizeHint); b != nil {
+func (s *Shard) outBuf() []byte {
+	if b := take(&s.hand, &s.hand.bufs, s.sizeHint); b != nil {
 		return b
 	}
-	st.stats.Allocs++
-	return make([]byte, 0, frameCap(st.sizeHint))
+	s.stats.Allocs++
+	return make([]byte, 0, frameCap(s.sizeHint))
 }
 
 // Options tunes a Shard.
@@ -153,8 +109,6 @@ type Options struct {
 	// destination shard before an early flush (default 64). Received
 	// batch sizes are whatever the senders accumulated.
 	Batch int
-	// MaxHops bounds each leg (0 = sim's default 4n budget).
-	MaxHops int
 	// Strict stops the shard on any error (the in-process engine's
 	// mode, where an error means a broken invariant). Non-strict mode
 	// — the network daemon's — drops the offending frame, counts it,
@@ -206,7 +160,49 @@ type Shard struct {
 	tr    Transport
 	opts  Options
 	info  wire.Frame
-	w     shardWorker
+
+	// The serving loop's counters, histograms, samples and scratch,
+	// touched only by the goroutine running Serve.
+	stats   ShardStats
+	hopHist eval.Hist
+	hdrHist eval.Hist
+	samples []traffic.Sample
+	frame   wire.Frame
+	// hdec decodes arriving packet headers into reusable storage; a
+	// decoded header lives only for the one advance() call, so one
+	// scratch suffices.
+	hdec wire.HeaderDecoder
+	// injectHdr is the reusable injection header (ResetHeader per
+	// roundtrip, the traffic engine's allocation discipline).
+	injectHdr sim.Header
+	// sizeHint right-sizes outbound frame buffers from the sizes seen
+	// so far.
+	sizeHint int
+	// pending accumulates outbound frames per destination shard while a
+	// received batch is processed; flush ships each destination's
+	// accumulation as one transport message.
+	pending [][]InFrame
+	// replies is the same accumulation toward accepted client
+	// connections: completion, drop and info reports queue per
+	// connection and flush writes each queue as one transport message.
+	// A batch answers few connections, so the queues are a short list
+	// searched linearly, reused from batch to batch.
+	replies []replyQueue
+	// hand is what the loop holds of the transport's frame pool
+	// within one batch: outbound buffers and pending slices come from
+	// it, the batch's dead buffers and processed slices go back into it
+	// for reuse, and all of it returns to the pool before the flush.
+	hand hand
+	// p is the shard's telemetry probe (nil = telemetry off; every
+	// probe method is a nil-receiver no-op).
+	p *telemetry.Probe
+	// hook records per-hop trace events for roundtrips armed by the
+	// trace sampler; trRt/trRet carry the roundtrip tag and leg into
+	// the hook without a per-hop closure allocation.
+	hook  sim.HopHook
+	trRt  uint64
+	trRet bool
+
 	// seg is the shard's hoisted segment runner: port table, ownership
 	// predicate and hop budget resolved once, not per packet — and
 	// rebuilt after each repair, because it caches the graph's port
@@ -248,7 +244,7 @@ func NewShard(view *core.ShardView, place *Placement, tr Transport, opts Options
 		// The segment runner guards every hop with view.Owns before
 		// forwarding, so it can call the deployment directly and skip
 		// the view's own per-hop ownership re-check.
-		seg: sim.NewSegmentRunner(view.Graph(), view.Deployment(), opts.MaxHops, view.Owns),
+		seg: sim.NewSegmentRunner(view.Graph(), view.Deployment(), 0, view.Owns),
 	}
 	if opts.Repair != nil {
 		s.armed = true
@@ -270,7 +266,7 @@ func (s *Shard) Index() int { return s.view.Shard() }
 // Stats returns the shard's counters (call after Serve has returned,
 // or accept a racy snapshot).
 func (s *Shard) Stats() ShardStats {
-	out := s.w.stats
+	out := s.stats
 	out.Shard, out.Nodes = s.view.Shard(), s.view.NodeCount()
 	out.Drops = s.drops.Load()
 	out.Misroutes = s.misroutes.Load()
@@ -286,9 +282,9 @@ func (s *Shard) ChurnStats() (drops, misroutes, repairs, repairNanos int64) {
 
 // hists merges the shard's histograms and samples into the caller's.
 func (s *Shard) hists(hop, hdr *eval.Hist, samples *[]traffic.Sample) {
-	hop.Merge(&s.w.hopHist)
-	hdr.Merge(&s.w.hdrHist)
-	*samples = append(*samples, s.w.samples...)
+	hop.Merge(&s.hopHist)
+	hdr.Merge(&s.hdrHist)
+	*samples = append(*samples, s.samples...)
 }
 
 // Serve pumps the shard's mailbox on the calling goroutine until the
@@ -322,19 +318,18 @@ func (s *Shard) serve() error {
 	if s.opts.Workers > 1 {
 		return fmt.Errorf("cluster: Options.Workers is %d, but a shard serves on one goroutine (leave it unset)", s.opts.Workers)
 	}
-	st := &s.w
-	st.pending = make([][]InFrame, s.place.Shards)
-	st.hand.pool = s.tr.pool()
-	st.p = s.opts.Sink.Probe(s.opts.SinkShard)
-	if st.p != nil {
+	s.pending = make([][]InFrame, s.place.Shards)
+	s.hand.pool = s.tr.pool()
+	s.p = s.opts.Sink.Probe(s.opts.SinkShard)
+	if s.p != nil {
 		shard := s.view.Shard()
-		st.hook = func(at graph.NodeID, hops int, weight graph.Dist) {
-			st.p.Record(telemetry.EvHop, st.trRt, shard, int32(at), -1, int32(hops), st.trRet)
+		s.hook = func(at graph.NodeID, hops int, weight graph.Dist) {
+			s.p.Record(telemetry.EvHop, s.trRt, shard, int32(at), -1, int32(hops), s.trRet)
 		}
-		defer st.publish()
+		defer s.publish()
 	}
 	for {
-		wait0 := st.p.Now()
+		wait0 := s.p.Now()
 		frames, err := s.tr.Recv()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
@@ -342,7 +337,7 @@ func (s *Shard) serve() error {
 			}
 			return err
 		}
-		t := st.p.BatchStart(wait0)
+		t := s.p.BatchStart(wait0)
 		// Drain everything immediately available before flushing, so the
 		// outbound accumulations grow to the queued work instead of
 		// collapsing to singleton batches.
@@ -350,12 +345,12 @@ func (s *Shard) serve() error {
 		for {
 			for i := range frames {
 				var retained bool
-				retained, t, err = s.handle(st, frames[i], t)
+				retained, t, err = s.handle(frames[i], t)
 				if err != nil {
 					if s.opts.Strict {
 						return err
 					}
-					st.stats.Errors++
+					s.stats.Errors++
 				}
 				// A clean crossing repatches the received buffer in place
 				// and ships those same bytes (retained); any other outcome
@@ -366,7 +361,7 @@ func (s *Shard) serve() error {
 				}
 			}
 			processed += len(frames)
-			st.hand.put(frames)
+			s.hand.put(frames)
 			clear(frames) // pins no dropped buffer, an oversized one say
 			if processed >= 4*s.opts.Batch {
 				break
@@ -384,16 +379,16 @@ func (s *Shard) serve() error {
 			if s.opts.Strict {
 				return err
 			}
-			st.stats.Errors++
+			s.stats.Errors++
 		}
 		// Everything the batch freed goes back to the pool before the
 		// flush writes: nothing the loop holds outlives its batch.
-		st.hand.release()
-		if _, err := s.flush(st, t); err != nil && s.opts.Strict && !errors.Is(err, ErrClosed) {
+		s.hand.release()
+		if _, err := s.flush(t); err != nil && s.opts.Strict && !errors.Is(err, ErrClosed) {
 			return err
 		}
-		st.publish()
-		if err := s.applyChurn(st); err != nil {
+		s.publish()
+		if err := s.applyChurn(); err != nil {
 			return err
 		}
 	}
@@ -405,7 +400,7 @@ func (s *Shard) serve() error {
 // the repaired tables. A Repair error is returned (and poisons the
 // shard) regardless of Strict: serving from a half-applied epoch is
 // never an option.
-func (s *Shard) applyChurn(st *shardWorker) error {
+func (s *Shard) applyChurn() error {
 	for len(s.pendingC) > 0 {
 		b, ok := s.pendingC[s.nextSeq]
 		if !ok {
@@ -418,7 +413,7 @@ func (s *Shard) applyChurn(st *shardWorker) error {
 		}
 		// The runner cached the pre-repair port table; rebuild it
 		// against the mutated graph before anything routes again.
-		s.seg = sim.NewSegmentRunner(s.view.Graph(), s.view.Deployment(), s.opts.MaxHops, s.view.Owns)
+		s.seg = sim.NewSegmentRunner(s.view.Graph(), s.view.Deployment(), 0, s.view.Owns)
 		s.repairs.Add(1)
 		s.repairNanos.Add(time.Since(start).Nanoseconds())
 		s.nextSeq++
@@ -429,7 +424,7 @@ func (s *Shard) applyChurn(st *shardWorker) error {
 			// the sequence number.
 			ack := []InFrame{{Data: wire.AppendChurnFrame(nil, b.seq, nil)}}
 			if err := s.tr.ReplyBatch(b.conn, ack); err != nil {
-				st.stats.Errors++
+				s.stats.Errors++
 			}
 		}
 	}
@@ -440,15 +435,15 @@ func (s *Shard) applyChurn(st *shardWorker) error {
 // reaches the batch bound. t threads the sampled-batch Lap chain so
 // an early flush's send rendezvous lands in the send stage, not in
 // whatever stage surrounds the caller.
-func (s *Shard) ship(st *shardWorker, to int, data []byte, t int64) (int64, error) {
-	if to < 0 || to >= len(st.pending) {
+func (s *Shard) ship(to int, data []byte, t int64) (int64, error) {
+	if to < 0 || to >= len(s.pending) {
 		return t, fmt.Errorf("cluster: frame addressed to unknown shard %d", to)
 	}
-	if st.queue(&st.pending[to], data, s.opts.Batch) {
-		frames := st.pending[to]
-		st.pending[to] = nil
+	if s.queue(&s.pending[to], data, s.opts.Batch) {
+		frames := s.pending[to]
+		s.pending[to] = nil
 		err := s.tr.SendBatch(to, frames)
-		return st.p.Lap(telemetry.StageSend, t), err
+		return s.p.Lap(telemetry.StageSend, t), err
 	}
 	return t, nil
 }
@@ -458,21 +453,21 @@ func (s *Shard) ship(st *shardWorker, to int, data []byte, t int64) (int64, erro
 // here on data belongs to the queue and then the transport. A refused
 // early write is already counted frame by frame (see writeReplies), so
 // only a strict shard hears about it again.
-func (s *Shard) reply(st *shardWorker, conn uint64, data []byte, t int64) (int64, error) {
+func (s *Shard) reply(conn uint64, data []byte, t int64) (int64, error) {
 	var q *replyQueue
-	for i := range st.replies {
-		if st.replies[i].conn == conn {
-			q = &st.replies[i]
+	for i := range s.replies {
+		if s.replies[i].conn == conn {
+			q = &s.replies[i]
 			break
 		}
 	}
 	if q == nil {
-		st.replies = append(st.replies, replyQueue{conn: conn})
-		q = &st.replies[len(st.replies)-1]
+		s.replies = append(s.replies, replyQueue{conn: conn})
+		q = &s.replies[len(s.replies)-1]
 	}
-	if st.queue(&q.frames, data, s.opts.Batch) {
+	if s.queue(&q.frames, data, s.opts.Batch) {
 		var err error
-		if t, err = s.writeReplies(st, q, t); err != nil && s.opts.Strict {
+		if t, err = s.writeReplies(q, t); err != nil && s.opts.Strict {
 			return t, err
 		}
 	}
@@ -482,14 +477,14 @@ func (s *Shard) reply(st *shardWorker, conn uint64, data []byte, t int64) (int64
 // writeReplies hands one connection's queue to the transport as one
 // message. Every frame of a refused write is counted: each is a
 // roundtrip whose issuer will not hear of it.
-func (s *Shard) writeReplies(st *shardWorker, q *replyQueue, t int64) (int64, error) {
+func (s *Shard) writeReplies(q *replyQueue, t int64) (int64, error) {
 	frames := q.frames
 	q.frames = nil
 	err := s.tr.ReplyBatch(q.conn, frames)
 	if err != nil {
-		st.stats.Errors += int64(len(frames))
+		s.stats.Errors += int64(len(frames))
 	}
-	return st.p.Lap(telemetry.StageSend, t), err
+	return s.p.Lap(telemetry.StageSend, t), err
 }
 
 // flush ships every destination's accumulated frames, then every
@@ -497,31 +492,31 @@ func (s *Shard) writeReplies(st *shardWorker, q *replyQueue, t int64) (int64, er
 // counted as dropped — each is a live roundtrip — so a daemon with a
 // dead peer or a vanished client shows the loss in its errors column
 // instead of reporting a healthy shard.
-func (s *Shard) flush(st *shardWorker, t int64) (int64, error) {
+func (s *Shard) flush(t int64) (int64, error) {
 	var firstErr error
-	for to, frames := range st.pending {
+	for to, frames := range s.pending {
 		if len(frames) == 0 {
 			continue
 		}
-		st.pending[to] = nil
+		s.pending[to] = nil
 		if err := s.tr.SendBatch(to, frames); err != nil {
-			st.stats.Errors += int64(len(frames))
+			s.stats.Errors += int64(len(frames))
 			if firstErr == nil {
 				firstErr = err
 			}
 		}
-		t = st.p.Lap(telemetry.StageSend, t)
+		t = s.p.Lap(telemetry.StageSend, t)
 	}
-	for i := range st.replies {
-		if len(st.replies[i].frames) == 0 {
+	for i := range s.replies {
+		if len(s.replies[i].frames) == 0 {
 			continue
 		}
 		var err error
-		if t, err = s.writeReplies(st, &st.replies[i], t); err != nil && firstErr == nil {
+		if t, err = s.writeReplies(&s.replies[i], t); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	st.replies = st.replies[:0]
+	s.replies = s.replies[:0]
 	return t, firstErr
 }
 
@@ -531,7 +526,7 @@ func (s *Shard) flush(st *shardWorker, t int64) (int64, error) {
 // recycled. t is the sampled-batch Lap chain (0 = unsampled),
 // threaded through and returned so the shard's whole batch is tiled
 // by stage attributions.
-func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOut int64, err error) {
+func (s *Shard) handle(in InFrame, t int64) (retained bool, tOut int64, err error) {
 	// The two fixed-layout kinds have their own decoders; everything
 	// else — including any message that fails the peek (bad magic, a
 	// foreign version) — goes through UnmarshalFrame for the full
@@ -539,35 +534,35 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 	if k, ok := wire.PeekFrameKind(in.Data); ok {
 		switch k {
 		case wire.FrameFlight:
-			return s.handleFlight(st, in, t)
+			return s.handleFlight(in, t)
 		case wire.FrameInjectBatch:
-			t, err = s.handleInjectBatch(st, in, t)
+			t, err = s.handleInjectBatch(in, t)
 			return false, t, err
 		case wire.FrameChurn:
-			t, err = s.stashChurn(st, in, t)
+			t, err = s.stashChurn(in, t)
 			return false, t, err
 		}
 	}
-	f := &st.frame
+	f := &s.frame
 	if err := wire.UnmarshalFrame(in.Data, f); err != nil {
 		return false, t, err
 	}
 	switch f.Kind {
 	case wire.FrameInject:
-		t, err = s.inject(st, f, in.Conn, t)
+		t, err = s.inject(f, in.Conn, t)
 		return false, t, err
 	case wire.FrameDone, wire.FrameDrop:
 		// A completion (or lossy-completion) report passing through its
 		// home shard on the way back to the client connection that
 		// injected it: the received bytes are queued as they are.
-		t, err := s.reply(st, f.Origin, in.Data, t)
+		t, err := s.reply(f.Origin, in.Data, t)
 		return true, t, err
 	case wire.FrameInfoReq:
-		data, err := wire.AppendFrame(st.outBuf(), &s.info)
+		data, err := wire.AppendFrame(s.outBuf(), &s.info)
 		if err != nil {
 			return false, t, err
 		}
-		t, err = s.reply(st, in.Conn, data, t)
+		t, err = s.reply(in.Conn, data, t)
 		return false, t, err
 	default:
 		return false, t, fmt.Errorf("cluster: shard %d received unexpected %d frame", s.view.Shard(), f.Kind)
@@ -579,12 +574,12 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 // offsets, the label blobs only if this shard owns the endpoint that
 // reads them, and the received bytes ride along so the next crossing
 // can ship them repatched or copy the skipped blobs verbatim.
-func (s *Shard) handleFlight(st *shardWorker, in InFrame, t int64) (bool, int64, error) {
-	f := &st.frame
+func (s *Shard) handleFlight(in InFrame, t int64) (bool, int64, error) {
+	f := &s.frame
 	if err := wire.UnmarshalFlightFrame(in.Data, f); err != nil {
 		return false, t, err
 	}
-	st.stats.FramesIn++
+	s.stats.FramesIn++
 	if err := checkName(s.view, f.SrcName); err != nil {
 		return false, t, err
 	}
@@ -594,15 +589,15 @@ func (s *Shard) handleFlight(st *shardWorker, in InFrame, t int64) (bool, int64,
 	if f.At < 0 || int(f.At) >= s.view.Graph().N() {
 		return false, t, fmt.Errorf("cluster: flight frame at node %d outside [0,%d)", f.At, s.view.Graph().N())
 	}
-	h, fs, err := st.hdec.DecodeFlight(f, s.view)
+	h, fs, err := s.hdec.DecodeFlight(f, s.view)
 	if err != nil {
 		return false, t, err
 	}
 	f.Header = nil
-	t = st.p.Lap(telemetry.StageDecode, t)
-	if st.p.Traced(f.Rt) {
+	t = s.p.Lap(telemetry.StageDecode, t)
+	if s.p.Traced(f.Rt) {
 		hops := int32(f.Out.Hops + f.Back.Hops)
-		st.p.Record(telemetry.EvArrive, f.Rt, s.view.Shard(), int32(f.At), -1, hops, f.Return)
+		s.p.Record(telemetry.EvArrive, f.Rt, s.view.Shard(), int32(f.At), -1, hops, f.Return)
 	}
 	var fl sim.Flight
 	if !f.Return {
@@ -610,7 +605,7 @@ func (s *Shard) handleFlight(st *shardWorker, in InFrame, t int64) (bool, int64,
 	} else {
 		fl = flightOf(f.Back, f.At)
 	}
-	return s.advance(st, f, h, fl, in.Data, fs, t)
+	return s.advance(f, h, fl, in.Data, fs, t)
 }
 
 // stashChurn decodes a churn frame and parks it in pendingC until its
@@ -618,7 +613,7 @@ func (s *Shard) handleFlight(st *shardWorker, in InFrame, t int64) (bool, int64,
 // here, before anything mutates, so a malformed batch is a clean reject
 // — counted in daemon mode — and a Repair failure can only mean the
 // repair itself went wrong (which rightly poisons the shard).
-func (s *Shard) stashChurn(st *shardWorker, in InFrame, t int64) (int64, error) {
+func (s *Shard) stashChurn(in InFrame, t int64) (int64, error) {
 	if !s.armed {
 		return t, fmt.Errorf("cluster: shard %d received a churn frame but has no repair hook", s.view.Shard())
 	}
@@ -636,7 +631,7 @@ func (s *Shard) stashChurn(st *shardWorker, in InFrame, t int64) (int64, error) 
 		// its ack check reports beside its own.
 		reject := fmt.Errorf("cluster: churn batch %d already applied (next is %d)", seq, s.nextSeq)
 		if in.Conn != 0 && s.opts.OnRepaired == nil {
-			if t, err = s.reply(st, in.Conn, wire.AppendChurnFrame(st.outBuf(), s.nextSeq, nil), t); err != nil {
+			if t, err = s.reply(in.Conn, wire.AppendChurnFrame(s.outBuf(), s.nextSeq, nil), t); err != nil {
 				return t, err
 			}
 		}
@@ -666,17 +661,17 @@ func (s *Shard) stashChurn(st *shardWorker, in InFrame, t int64) (int64, error) 
 }
 
 // handleInjectBatch starts every roundtrip of a batched inject message.
-func (s *Shard) handleInjectBatch(st *shardWorker, in InFrame, t int64) (int64, error) {
-	err := wire.ForEachInject(in.Data, &st.frame, func(f *wire.Frame) error {
+func (s *Shard) handleInjectBatch(in InFrame, t int64) (int64, error) {
+	err := wire.ForEachInject(in.Data, &s.frame, func(f *wire.Frame) error {
 		var err error
-		t, err = s.inject(st, f, in.Conn, t)
+		t, err = s.inject(f, in.Conn, t)
 		return err
 	})
 	return t, err
 }
 
 // inject starts (or re-routes) one requested roundtrip.
-func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (int64, error) {
+func (s *Shard) inject(f *wire.Frame, conn uint64, t int64) (int64, error) {
 	// Fresh client injects are stamped with their reply route
 	// before anything else, so re-routing preserves it.
 	if f.Home == wire.HomeClient {
@@ -694,30 +689,30 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 		// Header creation is the source's job: route the inject to
 		// the shard that owns the source node.
 		f.Kind = wire.FrameInject
-		data, err := wire.AppendFrame(st.outBuf(), f)
+		data, err := wire.AppendFrame(s.outBuf(), f)
 		if err != nil {
 			return t, err
 		}
-		t = st.p.Lap(telemetry.StageEncode, t)
-		return s.ship(st, s.place.Shard(src), data, t)
+		t = s.p.Lap(telemetry.StageEncode, t)
+		return s.ship(s.place.Shard(src), data, t)
 	}
-	h := st.inject
+	h := s.injectHdr
 	var err error
 	if h == nil {
 		if h, err = s.view.NewHeader(f.SrcName, f.DstName); err != nil {
 			return t, err
 		}
-		st.stats.Allocs++
-		st.inject = h
+		s.stats.Allocs++
+		s.injectHdr = h
 	} else if err = s.view.ResetHeader(h, f.SrcName, f.DstName); err != nil {
 		return t, err
 	}
-	if st.p.Traced(f.Rt) {
-		st.p.Record(telemetry.EvInject, f.Rt, s.view.Shard(), int32(src), -1, 0, false)
+	if s.p.Traced(f.Rt) {
+		s.p.Record(telemetry.EvInject, f.Rt, s.view.Shard(), int32(src), -1, 0, false)
 	}
 	f.Return = false
 	f.Out, f.Back = wire.LegTotals{}, wire.LegTotals{}
-	_, t, err = s.advance(st, f, h, sim.Flight{Last: src, MaxHeaderWords: h.Words()}, nil, wire.FlightState{}, t)
+	_, t, err = s.advance(f, h, sim.Flight{Last: src, MaxHeaderWords: h.Words()}, nil, wire.FlightState{}, t)
 	return t, err
 }
 
@@ -732,14 +727,14 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 // zero-copy crossing — and a reshaped header re-encodes, with the label
 // blobs this shard never decoded copied from prev verbatim. retained
 // reports the repatch case: prev now belongs to the transport.
-func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Flight, prev []byte, fs wire.FlightState, t int64) (retained bool, tOut int64, err error) {
-	traced := st.p.Traced(f.Rt)
+func (s *Shard) advance(f *wire.Frame, h sim.Header, fl sim.Flight, prev []byte, fs wire.FlightState, t int64) (retained bool, tOut int64, err error) {
+	traced := s.p.Traced(f.Rt)
 	for {
 		var hook sim.HopHook
 		if traced {
 			// The hook records every hop; trRt/trRet feed it without a
 			// per-packet closure.
-			st.trRt, st.trRet, hook = f.Rt, f.Return, st.hook
+			s.trRt, s.trRet, hook = f.Rt, f.Return, s.hook
 		}
 		var delivered bool
 		delivered, err = s.seg.FlyHooked(h, &fl, hook)
@@ -755,13 +750,13 @@ func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Fli
 				if errors.Is(err, sim.ErrUnroutable) {
 					reason = wire.DropUnroutable
 				}
-				t, err = s.lose(st, f, reason, t)
+				t, err = s.lose(f, reason, t)
 				return false, t, err
 			}
 			return false, t, err
 		}
 		if !delivered {
-			t = st.p.Lap(telemetry.StageRoute, t)
+			t = s.p.Lap(telemetry.StageRoute, t)
 			if !f.Return {
 				f.Out = totalsOf(fl)
 			} else {
@@ -770,35 +765,35 @@ func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Fli
 			f.At = fl.Last
 			f.Kind = wire.FrameFlight
 			to := s.place.Shard(fl.Last)
-			st.stats.FramesOut++
+			s.stats.FramesOut++
 			if traced {
 				hops := int32(f.Out.Hops + f.Back.Hops)
-				st.p.Record(telemetry.EvDepart, f.Rt, s.view.Shard(), int32(f.At), int32(to), hops, f.Return)
+				s.p.Record(telemetry.EvDepart, f.Rt, s.view.Shard(), int32(f.At), int32(to), hops, f.Return)
 			}
 			if prev != nil && fs.CanPatch(f, h) {
 				if err := wire.RepatchFlight(prev, f, h); err != nil {
 					return false, t, err
 				}
-				t = st.p.Lap(telemetry.StageEncode, t)
-				t, err = s.ship(st, to, prev, t)
+				t = s.p.Lap(telemetry.StageEncode, t)
+				t, err = s.ship(to, prev, t)
 				return true, t, err
 			}
-			data, err := wire.AppendFlightFrame(st.outBuf(), f, h, prev)
+			data, err := wire.AppendFlightFrame(s.outBuf(), f, h, prev)
 			if err != nil {
 				return false, t, err
 			}
-			if len(data) > st.sizeHint {
-				st.sizeHint = len(data) + len(data)/4
+			if len(data) > s.sizeHint {
+				s.sizeHint = len(data) + len(data)/4
 			}
-			t = st.p.Lap(telemetry.StageEncode, t)
-			t, err = s.ship(st, to, data, t)
+			t = s.p.Lap(telemetry.StageEncode, t)
+			t, err = s.ship(to, data, t)
 			return false, t, err
 		}
 		if !f.Return {
 			dst := s.view.NodeOf(f.DstName)
 			if fl.Last != dst {
 				if s.armed {
-					t, err = s.lose(st, f, wire.DropMisroute, t)
+					t, err = s.lose(f, wire.DropMisroute, t)
 					return false, t, err
 				}
 				return false, t, fmt.Errorf("cluster: outbound %d->%d delivered at wrong node %d", f.SrcName, f.DstName, fl.Last)
@@ -809,7 +804,7 @@ func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Fli
 			}
 			f.Return = true
 			if traced {
-				st.p.Record(telemetry.EvFlip, f.Rt, s.view.Shard(), int32(dst), -1, f.Out.Hops, true)
+				s.p.Record(telemetry.EvFlip, f.Rt, s.view.Shard(), int32(dst), -1, f.Out.Hops, true)
 			}
 			fl = sim.Flight{Last: dst, MaxHeaderWords: h.Words()}
 			continue
@@ -817,42 +812,42 @@ func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Fli
 		src := s.view.NodeOf(f.SrcName)
 		if fl.Last != src {
 			if s.armed {
-				t, err = s.lose(st, f, wire.DropMisroute, t)
+				t, err = s.lose(f, wire.DropMisroute, t)
 				return false, t, err
 			}
 			return false, t, fmt.Errorf("cluster: return %d->%d delivered at wrong node %d", f.DstName, f.SrcName, fl.Last)
 		}
 		f.Back = totalsOf(fl)
-		t = st.p.Lap(telemetry.StageRoute, t)
-		t, err = s.complete(st, f, t)
+		t = s.p.Lap(telemetry.StageRoute, t)
+		t, err = s.complete(f, t)
 		return false, t, err
 	}
 }
 
 // complete records a finished roundtrip and routes its completion
 // report home.
-func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error) {
+func (s *Shard) complete(f *wire.Frame, t int64) (int64, error) {
 	hops := int(f.Out.Hops) + int(f.Back.Hops)
 	weight := f.Out.Weight + f.Back.Weight
-	st.stats.Packets++
-	st.stats.Hops += int64(hops)
-	st.stats.Weight += int64(weight)
-	st.hopHist.Add(hops)
+	s.stats.Packets++
+	s.stats.Hops += int64(hops)
+	s.stats.Weight += int64(weight)
+	s.hopHist.Add(hops)
 	hw := f.Out.MaxHeaderWords
 	if f.Back.MaxHeaderWords > hw {
 		hw = f.Back.MaxHeaderWords
 	}
-	st.hdrHist.Add(int(hw))
-	st.p.Heat(f.DstName)
-	if st.p.Traced(f.Rt) {
-		st.p.Record(telemetry.EvComplete, f.Rt, s.view.Shard(), int32(s.view.NodeOf(f.SrcName)), -1, int32(hops), true)
+	s.hdrHist.Add(int(hw))
+	s.p.Heat(f.DstName)
+	if s.p.Traced(f.Rt) {
+		s.p.Record(telemetry.EvComplete, f.Rt, s.view.Shard(), int32(s.view.NodeOf(f.SrcName)), -1, int32(hops), true)
 	}
 	if f.Home == wire.HomeLocal {
 		if f.Sampled {
-			if len(st.samples) == cap(st.samples) {
-				st.stats.Allocs++
+			if len(s.samples) == cap(s.samples) {
+				s.stats.Allocs++
 			}
-			st.samples = append(st.samples, traffic.Sample{
+			s.samples = append(s.samples, traffic.Sample{
 				Src:    s.view.NodeOf(f.SrcName),
 				Dst:    s.view.NodeOf(f.DstName),
 				Weight: weight,
@@ -861,9 +856,9 @@ func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error)
 		if s.opts.OnDone != nil {
 			s.opts.OnDone(f)
 		}
-		return st.p.Lap(telemetry.StageComplete, t), nil
+		return s.p.Lap(telemetry.StageComplete, t), nil
 	}
-	return s.report(st, f.Home, &wire.Frame{
+	return s.report(f.Home, &wire.Frame{
 		Kind: wire.FrameDone, SrcName: f.SrcName, DstName: f.DstName,
 		Out: f.Out, Back: f.Back, Origin: f.Origin, Rt: f.Rt, Sampled: f.Sampled,
 	}, t)
@@ -871,17 +866,17 @@ func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error)
 
 // report routes a completion or drop report home: queued for the client
 // connection when home is this shard, else shipped to the home shard.
-func (s *Shard) report(st *shardWorker, home int32, rep *wire.Frame, t int64) (int64, error) {
-	t = st.p.Lap(telemetry.StageComplete, t)
-	data, err := wire.AppendFrame(st.outBuf(), rep)
+func (s *Shard) report(home int32, rep *wire.Frame, t int64) (int64, error) {
+	t = s.p.Lap(telemetry.StageComplete, t)
+	data, err := wire.AppendFrame(s.outBuf(), rep)
 	if err != nil {
 		return t, err
 	}
-	t = st.p.Lap(telemetry.StageEncode, t)
+	t = s.p.Lap(telemetry.StageEncode, t)
 	if int(home) == s.view.Shard() {
-		return s.reply(st, rep.Origin, data, t)
+		return s.reply(rep.Origin, data, t)
 	}
-	return s.ship(st, int(home), data, t)
+	return s.ship(int(home), data, t)
 }
 
 // lose completes a roundtrip as an accounted loss: the shard-level
@@ -889,7 +884,7 @@ func (s *Shard) report(st *shardWorker, home int32, rep *wire.Frame, t int64) (i
 // exactly like a FrameDone — delivered to OnLost for local homes,
 // shipped (or replied) as a FrameDrop otherwise. The issuer always
 // hears about the roundtrip exactly once.
-func (s *Shard) lose(st *shardWorker, f *wire.Frame, reason byte, t int64) (int64, error) {
+func (s *Shard) lose(f *wire.Frame, reason byte, t int64) (int64, error) {
 	if reason == wire.DropUnroutable {
 		s.drops.Add(1)
 	} else {
@@ -899,9 +894,9 @@ func (s *Shard) lose(st *shardWorker, f *wire.Frame, reason byte, t int64) (int6
 		if s.opts.OnLost != nil {
 			s.opts.OnLost(f, reason)
 		}
-		return st.p.Lap(telemetry.StageComplete, t), nil
+		return s.p.Lap(telemetry.StageComplete, t), nil
 	}
-	return s.report(st, f.Home, &wire.Frame{
+	return s.report(f.Home, &wire.Frame{
 		Kind: wire.FrameDrop, SrcName: f.SrcName, DstName: f.DstName,
 		Origin: f.Origin, Rt: f.Rt, Reason: reason,
 	}, t)

@@ -206,15 +206,14 @@ func TestTCPBatchingByCount(t *testing.T) {
 			return cts[i]
 		})
 		for i, sh := range c.shards {
-			st := &sh.w
 			cts[i].onRecv = func() {
-				for to, frames := range st.pending {
+				for to, frames := range sh.pending {
 					if len(frames) != 0 {
 						t.Errorf("window %d: shard re-entered Recv with %d frames pending for shard %d", tc.window, len(frames), to)
 					}
 				}
-				if len(st.replies) != 0 {
-					t.Errorf("window %d: shard re-entered Recv with %d reply queues unflushed", tc.window, len(st.replies))
+				if len(sh.replies) != 0 {
+					t.Errorf("window %d: shard re-entered Recv with %d reply queues unflushed", tc.window, len(sh.replies))
 				}
 			}
 		}

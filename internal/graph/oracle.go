@@ -59,17 +59,3 @@ func RTDiamOf(o DistanceOracle) Dist {
 	}
 	return diam
 }
-
-// DiamOf returns the one-way diameter max_{u,v} d(u,v) of any oracle.
-func DiamOf(o DistanceOracle) Dist {
-	n := o.N()
-	var diam Dist
-	for u := 0; u < n; u++ {
-		for _, d := range o.FromSource(NodeID(u)) {
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}

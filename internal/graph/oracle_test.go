@@ -34,16 +34,14 @@ func (b *bruteForce) R(u, v NodeID) Dist {
 	return b.fwd[u][v] + b.fwd[v][u]
 }
 
-// diams returns the one-way and roundtrip diameters by scanning every
-// pair.
-func (b *bruteForce) diams() (diam, rtDiam Dist) {
+// rtDiam returns the roundtrip diameter by scanning every pair.
+func (b *bruteForce) rtDiam() (rtDiam Dist) {
 	for u := range b.fwd {
-		for v, d := range b.fwd[u] {
-			diam = max(diam, d)
+		for v := range b.fwd[u] {
 			rtDiam = max(rtDiam, b.R(NodeID(u), NodeID(v)))
 		}
 	}
-	return diam, rtDiam
+	return rtDiam
 }
 
 // checkRows compares every row of o, forward and reverse with its
@@ -95,7 +93,7 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		diam, rtDiam := ref.diams()
+		rtDiam := ref.rtDiam()
 		for _, rows := range []int{0, 2, 4, 8} {
 			o := AllPairs(g)
 			if rows > 0 {
@@ -113,9 +111,6 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 				if got, want := o.R(u, v), ref.R(u, v); got != want {
 					t.Fatalf("%s: R(%d,%d) = %d, want %d", what, u, v, got, want)
 				}
-			}
-			if got := DiamOf(o); got != diam {
-				t.Fatalf("%s: DiamOf = %d, want %d", what, got, diam)
 			}
 			if got := RTDiamOf(o); got != rtDiam {
 				t.Fatalf("%s: RTDiamOf = %d, want %d", what, got, rtDiam)
@@ -218,27 +213,21 @@ func TestLazyOracleConcurrent(t *testing.T) {
 	}
 }
 
-// TestRTDiamAndDiamOf checks the diameter helpers against the
-// reference on a three-row oracle, where every row they read is fetched
-// again, and on a ring whose diameters are known.
-func TestRTDiamAndDiamOf(t *testing.T) {
+// TestRTDiamOf checks the roundtrip diameter against the reference on a
+// three-row oracle, where every row it reads is fetched again, and on a
+// ring whose diameter is known.
+func TestRTDiamOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := RandomSC(30, 90, 7, rng)
-	diam, rtDiam := newBruteForce(g).diams()
+	rtDiam := newBruteForce(g).rtDiam()
 	lazy := NewLazyOracle(g, 3)
 	if got := RTDiamOf(lazy); got != rtDiam {
 		t.Fatalf("RTDiamOf = %d, want %d", got, rtDiam)
-	}
-	if got := DiamOf(lazy); got != diam {
-		t.Fatalf("DiamOf = %d, want %d", got, diam)
 	}
 	const n = 12
 	ring := AllPairs(Ring(n, nil))
 	if got := RTDiamOf(ring); got != n {
 		t.Fatalf("ring RTDiamOf = %d, want %d", got, n)
-	}
-	if got := DiamOf(ring); got != n-1 {
-		t.Fatalf("ring DiamOf = %d, want %d", got, n-1)
 	}
 }
 

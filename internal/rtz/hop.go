@@ -2,7 +2,6 @@ package rtz
 
 import (
 	"fmt"
-	"math/rand"
 
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
@@ -209,17 +208,4 @@ func (s *HopScheme) AvgTableWords() float64 {
 		total += t.Words()
 	}
 	return float64(total) / float64(len(s.Tables))
-}
-
-// RandomCenters is a helper for tests wanting reproducible center sets.
-func RandomCenters(n, count int, rng *rand.Rand) []graph.NodeID {
-	perm := rng.Perm(n)
-	if count > n {
-		count = n
-	}
-	out := make([]graph.NodeID, count)
-	for i := range out {
-		out[i] = graph.NodeID(perm[i])
-	}
-	return out
 }

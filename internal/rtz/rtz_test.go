@@ -327,21 +327,3 @@ func TestForwardHopOutsideTree(t *testing.T) {
 		t.Fatal("expected error for unknown tree ref")
 	}
 }
-
-func TestRandomCenters(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	cs := RandomCenters(10, 4, rng)
-	if len(cs) != 4 {
-		t.Fatalf("got %d centers, want 4", len(cs))
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, c := range cs {
-		if seen[c] {
-			t.Fatal("duplicate center")
-		}
-		seen[c] = true
-	}
-	if got := RandomCenters(3, 10, rng); len(got) != 3 {
-		t.Fatalf("overlong request returned %d centers, want 3", len(got))
-	}
-}

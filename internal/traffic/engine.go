@@ -23,8 +23,6 @@ type Config struct {
 	// Seed makes the workload reproducible: same (Seed, Workers,
 	// Workload, Packets) serves the identical pair multiset.
 	Seed int64
-	// MaxHops bounds each leg (0 = sim's default 4n budget).
-	MaxHops int
 	// Oracle, when non-nil, enables stretch accounting: measured
 	// roundtrip weight over true roundtrip distance. The oracle is
 	// consulted only in the post-run merge — never on the hot path —
@@ -123,7 +121,7 @@ func Run(pl *Plane, cfg Config) (*Result, error) {
 				src, dst := gen.Next()
 				var out, back sim.Flight
 				var err error
-				out, back, hdr, err = sim.RoundtripFlightReusing(pl, hdr, src, dst, cfg.MaxHops)
+				out, back, hdr, err = sim.RoundtripFlightReusing(pl, hdr, src, dst, 0)
 				if err != nil {
 					sh.err = fmt.Errorf("traffic: worker %d packet %d: %w", w, i, err)
 					return
