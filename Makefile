@@ -134,9 +134,13 @@ stress:
 # "Least code" as a tracked number: non-test Go lines per package and
 # in total, benchmark/ (the instrument) excluded, at REF (git archive'd
 # into BENCHDIFF_DIR, as benchdiff does) against the working tree, with
-# the delta. DESIGN.md "Code size" is this table.
-LOC_COUNT = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.*/*' -not -path './$(BENCHDIFF_DIR)/*' | \
+# the delta; a last row totals the test lines apart, so lines deleted
+# and lines moved into tests read separately. DESIGN.md "Code size" is
+# this table.
+LOC_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.*/*' -not -path './$(BENCHDIFF_DIR)/*'
+LOC_COUNT = $(LOC_FILES) -not -name '*_test.go' | \
 	xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); print $$1, d }'
+LOC_TESTS = $(LOC_FILES) -name '*_test.go' | xargs cat | wc -l
 
 loc:
 	@sha=$$(git rev-parse --short '$(REF)^{commit}') && tree=$(BENCHDIFF_DIR)/$$sha && \
@@ -145,6 +149,8 @@ loc:
 	{ (cd "$$tree" && $(LOC_COUNT)) | sed 's/^/a /'; $(LOC_COUNT) | sed 's/^/b /'; } | \
 	awk '{ n[$$3, $$1] += $$2; p[$$3] = 1; t[$$1] += $$2 } \
 		END { for (d in p) printf "%7d %7d %+7d  %s\n", n[d, "a"], n[d, "b"], n[d, "b"] - n[d, "a"], d; \
-		printf "%7d %7d %+7d  total\n", t["a"], t["b"], t["b"] - t["a"] }' | sort -k4
+		printf "%7d %7d %+7d  total\n", t["a"], t["b"], t["b"] - t["a"] }' | sort -k4 && \
+	a=$$(cd "$$tree" && $(LOC_TESTS)) && b=$$($(LOC_TESTS)) && \
+	printf "%7d %7d %+7d  %s\n" $$a $$b $$((b - a)) "tests (*_test.go, not in total)"
 
 ci: lint build race alloc-gates snapshots footprint docs benchmark-check fuzz-smoke
