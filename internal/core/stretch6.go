@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"rtroute/internal/bitset"
 	"rtroute/internal/blocks"
@@ -14,6 +15,7 @@ import (
 	"rtroute/internal/rtmetric"
 	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
+	"rtroute/internal/tree"
 )
 
 // StretchSix is the §2 scheme: a TINN compact roundtrip routing scheme
@@ -504,6 +506,10 @@ func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
 	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, n), labels: make([]rtz.Label, n)}
 	interned := bitset.New(n)
 	centers := -1
+	// A dictionary address is read into scratch and copied out only the
+	// first time its name is met: every later copy is compared and
+	// dropped, so a restore allocates one root path per name.
+	var scratch codec.Arena[tree.LightHop]
 	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
 		t := &s6Table{dict: *bitset.New(n)}
 		if t.selfName, err = d.I32(); err != nil {
@@ -526,7 +532,10 @@ func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
 			if nm < math.MinInt32 || nm > math.MaxInt32 {
 				return d.Fail("entry name %d outside int32", nm)
 			}
+			scratch.Reset()
+			d.Light = &scratch
 			label, err := d.RTZLabel()
+			d.Light = nil
 			if err != nil {
 				return err
 			}
@@ -536,6 +545,7 @@ func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
 			case nm >= int64(n):
 				return fmt.Errorf("dictionary name %d outside [0,%d)", nm, n)
 			case !interned.Has(int(nm)):
+				label.TreeLabel.Light = slices.Clone(label.TreeLabel.Light)
 				s.labels[nm] = label
 				interned.Add(int(nm))
 			case !s.labels[nm].Equal(label):
