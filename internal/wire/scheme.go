@@ -65,7 +65,7 @@ const sectionWindow = 32
 // anything.
 func encodeSections(blob *encoder, n int, encode func(*codec.Encoder, graph.NodeID)) []int {
 	workers := parallel.Workers(n, 0)
-	encs := make([]encoder, workers)
+	encs := make([]codec.Encoder, workers)
 	type span struct{ worker, off, end int }
 	window := workers * sectionWindow
 	spans := make([]span, window)
@@ -75,7 +75,7 @@ func encodeSections(blob *encoder, n int, encode func(*codec.Encoder, graph.Node
 		_ = parallel.ForEachWorker(hi-lo, workers, func(w, i int) error {
 			e := &encs[w]
 			off := len(e.Buf)
-			encode(&e.Encoder, graph.NodeID(lo+i))
+			encode(e, graph.NodeID(lo+i))
 			spans[i] = span{worker: w, off: off, end: len(e.Buf)}
 			return nil
 		})

@@ -1,10 +1,10 @@
 // Package wire is the versioned binary format of routing schemes and
-// cluster frames: it frames each scheme's shared parameters
-// (core.SchemeState) and per-node sections (core.Sections) into
-// snapshots, so schemes survive snapshot/restore across processes,
-// carries packets across shards as flight frames, and so certifies the
-// paper's Theorem 6/11 space bounds in encoded bytes per node rather
-// than abstract "words". The varint primitives and the tree, rtz and
+// cluster frames. It frames a scheme's shared parameters
+// (core.SchemeState) and each node's section (core.Sections) into a
+// snapshot, so schemes survive snapshot/restore across processes and the
+// paper's Theorem 6/11 space bounds are certified in encoded bytes per
+// node rather than abstract "words"; and it carries packets across
+// shards as flight frames. The varint primitives and the tree, rtz and
 // cover value codecs it shares with core live in internal/codec.
 //
 // Every blob starts with a fixed envelope:
