@@ -3,8 +3,10 @@ package rtroute
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"rtroute/internal/core"
+	"rtroute/internal/cover"
 	"rtroute/internal/rtz"
 	"rtroute/internal/wire"
 )
@@ -120,6 +122,10 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 	if cfg.K == 0 {
 		cfg.K = 2
 	}
+	base := cfg.ScaleBase
+	if base <= 1 {
+		base = 2
+	}
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(cfg.Seed)) }
 	switch kind {
 	case StretchSix:
@@ -130,6 +136,14 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 			BuildWorkers: cfg.BuildWorkers,
 		})
 	case ExStretch:
+		coverK := cfg.CoverK
+		if coverK < 2 {
+			coverK = cfg.K
+		}
+		hier, err := s.hierarchy(coverK, base, cfg.Variant)
+		if err != nil {
+			return nil, err
+		}
 		return core.NewExStretch(s.Graph, s.Metric, s.Naming, rng(), core.ExStretchConfig{
 			K:            cfg.K,
 			CoverK:       cfg.CoverK,
@@ -138,13 +152,19 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 			Blocks:       cfg.Blocks,
 			DirectReturn: cfg.DirectReturn,
 			BuildWorkers: cfg.BuildWorkers,
+			Hierarchy:    hier,
 		})
 	case Polynomial:
+		hier, err := s.hierarchy(cfg.K, base, cfg.Variant)
+		if err != nil {
+			return nil, err
+		}
 		return core.NewPolynomialStretch(s.Graph, s.Metric, s.Naming, core.PolyConfig{
 			K:            cfg.K,
 			ScaleBase:    cfg.ScaleBase,
 			Variant:      cfg.Variant,
 			BuildWorkers: cfg.BuildWorkers,
+			Hierarchy:    hier,
 		})
 	case RTZStretch3:
 		sub, err := rtz.NewWith(s.Graph, s.Metric, rng(), cfg.Substrate, rtz.Pass{Workers: cfg.BuildWorkers})
@@ -153,11 +173,11 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 		}
 		return core.NewRTZPlane(sub, s.Naming)
 	case HopSubstrate:
-		base := cfg.ScaleBase
-		if base <= 1 {
-			base = 2
+		hier, err := s.hierarchy(cfg.K, base, cfg.Variant)
+		if err != nil {
+			return nil, err
 		}
-		hop, err := rtz.NewHop(s.Graph, s.Metric, cfg.K, base, cfg.Variant)
+		hop, err := rtz.NewHopFromHierarchy(s.Graph, hier)
 		if err != nil {
 			return nil, err
 		}
@@ -165,6 +185,55 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 	default:
 		return nil, fmt.Errorf("rtroute: unknown scheme kind %v", kind)
 	}
+}
+
+// hierarchyCache is the one cover hierarchy a System keeps, with the
+// key it was built for.
+type hierarchyCache struct {
+	mu  sync.Mutex
+	key hierarchyKey
+	h   *cover.Hierarchy
+}
+
+// hierarchyKey is what a hierarchy depends on: the graph at one mutation
+// generation, the oracle (by identity) and the construction parameters.
+type hierarchyKey struct {
+	g       *Graph
+	gen     uint64
+	m       *LazyOracle
+	k       int
+	base    float64
+	variant CoverVariant
+}
+
+// hierarchy returns the cover hierarchy for (k, base, variant) over the
+// system's graph and oracle. The ExStretch, Polynomial and HopSubstrate
+// builds of one System share it: it is built on first use and kept
+// until a build asks for another key, so a reweighting, or a copy of
+// the System over another oracle, builds anew. Without a cache, or over
+// an oracle other than a LazyOracle, it builds one and keeps none.
+func (s *System) hierarchy(k int, base float64, variant CoverVariant) (*cover.Hierarchy, error) {
+	lazy, ok := s.Metric.(*LazyOracle)
+	if s.hier == nil || !ok {
+		return cover.BuildHierarchy(s.Graph, s.Metric, k, base, variant)
+	}
+	key := hierarchyKey{g: s.Graph, gen: s.Graph.Generation(), m: lazy, k: k, base: base, variant: variant}
+	s.hier.mu.Lock()
+	h, hit := s.hier.h, s.hier.key == key
+	s.hier.mu.Unlock()
+	if hit {
+		return h, nil
+	}
+	// Built outside the lock: two Builds that race here both build the
+	// same hierarchy, and the second to finish is the one kept.
+	h, err := cover.BuildHierarchy(s.Graph, s.Metric, k, base, variant)
+	if err != nil {
+		return nil, err
+	}
+	s.hier.mu.Lock()
+	s.hier.key, s.hier.h = key, h
+	s.hier.mu.Unlock()
+	return h, nil
 }
 
 // Deployment is a scheme restored from per-node sections: it

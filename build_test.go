@@ -301,3 +301,81 @@ func TestDeploymentServesTraffic(t *testing.T) {
 		t.Fatalf("deployment serving diverges from monolithic plane:\nwant %+v\ngot  %+v", want, got)
 	}
 }
+
+// TestSystemSharesOneHierarchy: ExStretch, Polynomial and HopSubstrate
+// built on one System at the same (k, base, variant) route on one cover
+// hierarchy. The System keys it on the graph's generation and on the
+// oracle: after a reweighting the next build makes a new one and is
+// identical to a fresh System's, and a copy of the System over another
+// oracle, as Maintained.Certify makes, never reads it.
+func TestSystemSharesOneHierarchy(t *testing.T) {
+	const n = 40
+	sys := newTestSystem(t, 11, n)
+	build := func(sys *System, kind SchemeKind) Scheme {
+		t.Helper()
+		sch, err := sys.Build(kind, WithK(2), WithSeed(3))
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		return sch
+	}
+	h := build(sys, ExStretch).(*core.ExStretch).HopSubstrate().Hierarchy
+	if got := build(sys, Polynomial).(*core.PolynomialStretch).Hierarchy(); got != h {
+		t.Fatal("Polynomial built its own hierarchy beside ExStretch's")
+	}
+	build(sys, HopSubstrate)
+	if sys.hier.h != h {
+		t.Fatal("HopSubstrate replaced the System's hierarchy")
+	}
+
+	// A reweighting moves the graph's generation: the next build makes a
+	// new hierarchy, identical to a fresh System's over the new weights.
+	e := sys.Graph.Out(0)[0]
+	if err := sys.Graph.SetEdgeWeight(0, e.To, e.Weight+5); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSystem(sys.Graph.Clone(), sys.Naming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []SchemeKind{ExStretch, Polynomial, HopSubstrate} {
+		if err := CertifyIdentical(build(sys, kind), build(fresh, kind)); err != nil {
+			t.Fatalf("%v after a reweighting: %v", kind, err)
+		}
+	}
+	if sys.hier.h == h {
+		t.Fatal("the hierarchy outlived its graph generation")
+	}
+
+	// A copy over another oracle builds its own, from its own rows.
+	h, cp := sys.hier.h, *sys
+	cp.Metric = NewLazyOracle(cp.Graph, 0)
+	if build(&cp, Polynomial).(*core.PolynomialStretch).Hierarchy() == h {
+		t.Fatal("a System copy over a new oracle read the original's hierarchy")
+	}
+}
+
+// TestSystemHierarchyConcurrentBuilds: Builds that race on one System
+// share its hierarchy cache; each must come out as a lone build does.
+func TestSystemHierarchyConcurrentBuilds(t *testing.T) {
+	want, err := newTestSystem(t, 12, 40).Build(Polynomial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := newTestSystem(t, 12, 40)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(kind SchemeKind) {
+			defer wg.Done()
+			got, err := sys.Build(kind)
+			if err == nil && kind == Polynomial {
+				err = CertifyIdentical(got, want)
+			}
+			if err != nil {
+				t.Errorf("%v: %v", kind, err)
+			}
+		}([]SchemeKind{Polynomial, HopSubstrate}[i%2])
+	}
+	wg.Wait()
+}

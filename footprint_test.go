@@ -20,9 +20,11 @@ func liveHeap() int64 {
 // TestDeploymentFootprint measures what each paper scheme holds in
 // memory against what it ships, on the repo benchmark's build-1k world:
 // the built scheme (live heap added by Build, construction state such
-// as the cover hierarchy included), the snapshot, and the Deployment
-// restored from it (live heap added by UnmarshalScheme once the blob
-// is dropped). At n = 256 it gates restored/blob at 1.25× the ratio
+// as the cover hierarchy included — the System keeps one hierarchy for
+// ExStretch and Polynomial, so it is charged to ExStretch, the first to
+// build it, and Polynomial's column leaves it out), the snapshot, and
+// the Deployment restored from it (live heap added by UnmarshalScheme
+// once the blob is dropped). At n = 256 it gates restored/blob at 1.25× the ratio
 // read when restore began to stream and ExStretch's tables were sealed,
 // and StretchSix's since its dictionaries name their addresses in one
 // label store instead of holding them; with RTROUTE_LARGE=1 (make

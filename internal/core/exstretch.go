@@ -270,6 +270,10 @@ type ExStretchConfig struct {
 	// BuildWorkers parallelizes per-node table construction
 	// (0 = GOMAXPROCS, 1 = sequential). Output is identical either way.
 	BuildWorkers int
+	// Hierarchy, when set, is the hop substrate's cover hierarchy: what
+	// cover.BuildHierarchy returns over the same graph and oracle for
+	// (CoverK, ScaleBase, Variant). nil builds one.
+	Hierarchy *cover.Hierarchy
 }
 
 // NewExStretch builds the scheme. m may be any distance oracle.
@@ -307,7 +311,11 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	// verifier's lazy one-core walk of all n neighborhoods.
 	space := rtmetric.New(g, m, perm.Names)
 	space.Precompute(cfg.BuildWorkers)
-	hop, err := rtz.NewHop(g, m, coverK, base, cfg.Variant)
+	hier, err := hierarchyFor(cfg.Hierarchy, g, m, coverK, base, cfg.Variant)
+	if err != nil {
+		return nil, fmt.Errorf("core: hop substrate: %w", err)
+	}
+	hop, err := rtz.NewHopFromHierarchy(g, hier)
 	if err != nil {
 		return nil, fmt.Errorf("core: hop substrate: %w", err)
 	}

@@ -115,6 +115,23 @@ type PolyConfig struct {
 	// BuildWorkers parallelizes per-node table construction
 	// (0 = GOMAXPROCS, 1 = sequential). Output is identical either way.
 	BuildWorkers int
+	// Hierarchy, when set, is the cover hierarchy to build on: what
+	// cover.BuildHierarchy returns over the same graph and oracle for
+	// (K, ScaleBase, Variant). nil builds one.
+	Hierarchy *cover.Hierarchy
+}
+
+// hierarchyFor returns h after checking it was built over g for k and
+// base, or builds the hierarchy when h is nil. The variant is not
+// recorded in a hierarchy, so the caller vouches for it.
+func hierarchyFor(h *cover.Hierarchy, g *graph.Graph, m graph.DistanceOracle, k int, base float64, variant cover.Variant) (*cover.Hierarchy, error) {
+	if h == nil {
+		return cover.BuildHierarchy(g, m, k, base, variant)
+	}
+	if h.N() != g.N() || h.K != k || h.Base != base {
+		return nil, fmt.Errorf("hierarchy over %d nodes for k %d, base %g; want %d, %d, %g", h.N(), h.K, h.Base, g.N(), k, base)
+	}
+	return h, nil
 }
 
 // NewPolynomialStretch builds the scheme. m may be any distance oracle.
@@ -143,7 +160,7 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	if base <= 1 {
 		base = 2
 	}
-	hier, err := cover.BuildHierarchy(g, m, cfg.K, base, cfg.Variant)
+	hier, err := hierarchyFor(cfg.Hierarchy, g, m, cfg.K, base, cfg.Variant)
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchy: %w", err)
 	}
@@ -457,6 +474,10 @@ func (s *PolynomialStretch) HomeTreeRoot(srcName int32, level int) (int32, error
 
 // Levels returns the number of levels in the hierarchy.
 func (s *PolynomialStretch) Levels() int { return s.levels }
+
+// Hierarchy returns the cover hierarchy the scheme was built on (nil on
+// a restored Deployment).
+func (s *PolynomialStretch) Hierarchy() *cover.Hierarchy { return s.hier }
 
 // MaxTableWords implements Scheme.
 func (s *PolynomialStretch) MaxTableWords() int {

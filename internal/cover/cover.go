@@ -57,9 +57,10 @@ type mergedCluster struct {
 // as indices into balls), it produces disjoint merged clusters DT, each
 // the union of a sub-collection Y of input balls, removing from the
 // active set every ball intersecting an output cluster.
-func partialCover(balls []ball, active []int, k int, n int) partialOutput {
+// inU is scratch for U as a dense set over ball indices: all false on
+// entry, and all false again on return, every active ball having left U.
+func partialCover(balls []ball, active []int, inU []bool, k int, n int) partialOutput {
 	ratio := math.Pow(float64(len(active)), 1/float64(k))
-	inU := make(map[int]bool, len(active))
 	for _, i := range active {
 		inU[i] = true
 	}
@@ -105,7 +106,7 @@ func partialCover(balls []ball, active []int, k int, n int) partialOutput {
 
 		// Lines 10–12: remove Z from U, emit Y's union, record covered.
 		for _, i := range zcol {
-			delete(inU, i)
+			inU[i] = false
 		}
 		next := remaining[:0]
 		for _, i := range remaining {
@@ -159,9 +160,10 @@ func Build(g *graph.Graph, dm Metric, k int, d graph.Dist) (*Result, error) {
 	for i := range active {
 		active[i] = i
 	}
+	inU, covered := make([]bool, n), make([]bool, n)
 
 	for len(active) > 0 {
-		out := partialCover(balls, active, k, n)
+		out := partialCover(balls, active, inU, k, n)
 		if len(out.covered) == 0 {
 			return nil, fmt.Errorf("cover: PartialCover made no progress with %d active balls", len(active))
 		}
@@ -174,7 +176,6 @@ func Build(g *graph.Graph, dm Metric, k int, d graph.Dist) (*Result, error) {
 				res.Home[balls[bi].seed] = idx
 			}
 		}
-		covered := make(map[int]bool, len(out.covered))
 		for _, i := range out.covered {
 			covered[i] = true
 		}

@@ -1,8 +1,12 @@
 package cover
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"rtroute/internal/graph"
@@ -334,5 +338,88 @@ func TestVariantString(t *testing.T) {
 	}
 	if Variant(99).String() == "" {
 		t.Fatal("unknown variant should still stringify")
+	}
+}
+
+// hierarchyDiff names the first part in which two hierarchies differ —
+// a level's scale or cover (clusters, centers, homes), a tree (states,
+// labels and the rest), a node's memberships — or returns "".
+func hierarchyDiff(a, b *Hierarchy) string {
+	if len(a.Levels) != len(b.Levels) {
+		return fmt.Sprintf("%d vs %d levels", len(a.Levels), len(b.Levels))
+	}
+	for li, la := range a.Levels {
+		lb := b.Levels[li]
+		if la.Scale != lb.Scale || !reflect.DeepEqual(la.Cover, lb.Cover) {
+			return fmt.Sprintf("level %d: scale or cover", li)
+		}
+		for ti, ta := range la.Trees {
+			if !reflect.DeepEqual(ta, lb.Trees[ti]) {
+				return fmt.Sprintf("level %d: tree %d", li, ti)
+			}
+		}
+	}
+	if a.N() != b.N() {
+		return fmt.Sprintf("%d vs %d nodes", a.N(), b.N())
+	}
+	for v := 0; v < a.N(); v++ {
+		if !slices.Equal(a.Memberships(graph.NodeID(v)), b.Memberships(graph.NodeID(v))) {
+			return fmt.Sprintf("memberships of node %d", v)
+		}
+	}
+	return ""
+}
+
+// TestBuildHierarchyIndependentOfCores: BuildHierarchy builds its levels
+// concurrently, so the hierarchy must come out the same at every core
+// count, for both cover variants.
+func TestBuildHierarchyIndependentOfCores(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := graph.RandomSC(96, 288, 8, rng)
+	m := graph.AllPairs(g)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, variant := range []Variant{VariantAwerbuchPeleg, VariantBallGrowing} {
+		var ref *Hierarchy
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			h, err := BuildHierarchy(g, m, 2, 2, variant)
+			if err != nil {
+				t.Fatalf("%v at GOMAXPROCS %d: %v", variant, procs, err)
+			}
+			if ref == nil {
+				if len(h.Levels) < 3 {
+					t.Fatalf("%v: %d levels leave nothing to run concurrently", variant, len(h.Levels))
+				}
+				ref = h
+			} else if d := hierarchyDiff(ref, h); d != "" {
+				t.Fatalf("%v: GOMAXPROCS %d differs from 1 in %s", variant, procs, d)
+			}
+		}
+	}
+}
+
+// TestBuildHierarchyUnderSmallRowBudget: over a four-row lazy oracle the
+// concurrent levels evict each other's anchor rows all the time; the
+// hierarchy must still equal the one built with every row resident.
+func TestBuildHierarchyUnderSmallRowBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	g := graph.RandomSC(64, 192, 8, rng)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, variant := range []Variant{VariantAwerbuchPeleg, VariantBallGrowing} {
+		want, err := BuildHierarchy(g, graph.AllPairs(g), 2, 2, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small := graph.NewLazyOracle(g, 4)
+		got, err := BuildHierarchy(g, small, 2, 2, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small.Stats().Evictions == 0 {
+			t.Fatalf("%v: a four-row oracle evicted nothing", variant)
+		}
+		if d := hierarchyDiff(want, got); d != "" {
+			t.Fatalf("%v: the four-row build differs in %s", variant, d)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rtroute/internal/graph"
+	"rtroute/internal/parallel"
 	"rtroute/internal/tree"
 )
 
@@ -95,11 +96,51 @@ func Scales(rtDiam graph.Dist, base float64) []graph.Dist {
 // more levels). m may be any distance oracle: the ball constructions scan
 // r(v, ·) with a fixed anchor, which a lazy oracle serves from two cached
 // rows per node.
+//
+// Given the oracle the levels are independent, so they are built on
+// GOMAXPROCS cores, one level per call; the memberships are then
+// appended in level order, so the hierarchy does not depend on the core
+// count.
 func BuildHierarchy(g *graph.Graph, m graph.DistanceOracle, k int, base float64, variant Variant) (*Hierarchy, error) {
-	// The ball scans below call rt with a fixed anchor across each inner
-	// loop, so cache the anchor's two rows here instead of paying the
-	// oracle's per-call bookkeeping n times per anchor. Build and
-	// BuildBallGrowing are single-goroutine, so plain captures suffice.
+	if variant != VariantAwerbuchPeleg && variant != VariantBallGrowing {
+		return nil, fmt.Errorf("cover: unknown variant %v", variant)
+	}
+	scales := Scales(graph.RTDiamOf(m), base)
+	levels, errs := make([]Level, len(scales)), make([]error, len(scales))
+	// Levels are handed out in ascending order, so when one fails every
+	// lower level has started and runs to its end: the lowest error is
+	// the same at any core count.
+	_ = parallel.ForEach(len(scales), 0, func(li int) error {
+		levels[li], errs[li] = buildLevel(g, m, k, scales[li], variant)
+		if errs[li] != nil {
+			errs[li] = fmt.Errorf("cover: level %d (scale %d): %w", li, scales[li], errs[li])
+		}
+		return errs[li]
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	h := &Hierarchy{K: k, Base: base, Levels: levels, memberships: make([][]TreeRef, g.N())}
+	for li, lvl := range levels {
+		for ci, c := range lvl.Cover.Clusters {
+			for _, v := range c.Nodes {
+				h.memberships[v] = append(h.memberships[v], TreeRef{Level: int32(li), Index: int32(ci)})
+			}
+		}
+	}
+	return h, nil
+}
+
+// buildLevel is one level of BuildHierarchy: the cover at scale and a
+// double-tree on each of its clusters.
+func buildLevel(g *graph.Graph, m graph.DistanceOracle, k int, scale graph.Dist, variant Variant) (Level, error) {
+	// The ball scans call rt with a fixed anchor across each inner loop,
+	// so cache the anchor's two rows here instead of paying the oracle's
+	// per-call bookkeeping n times per anchor. Build and
+	// BuildBallGrowing are single-goroutine and each level has its own
+	// cache, so plain captures suffice.
 	var (
 		anchor   graph.NodeID = -1
 		fwd, rev []graph.Dist
@@ -111,37 +152,25 @@ func BuildHierarchy(g *graph.Graph, m graph.DistanceOracle, k int, base float64,
 		}
 		return graph.RFromRows(fwd, rev, v)
 	}
-	h := &Hierarchy{K: k, Base: base, memberships: make([][]TreeRef, g.N())}
-	for li, scale := range Scales(graph.RTDiamOf(m), base) {
-		var (
-			res *Result
-			err error
-		)
-		switch variant {
-		case VariantAwerbuchPeleg:
-			res, err = Build(g, rt, k, scale)
-		case VariantBallGrowing:
-			res, err = BuildBallGrowing(g, rt, k, scale)
-		default:
-			return nil, fmt.Errorf("cover: unknown variant %v", variant)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cover: level %d (scale %d): %w", li, scale, err)
-		}
-		lvl := Level{Scale: scale, Cover: res, Trees: make([]*tree.Tree, len(res.Clusters))}
-		for ci, c := range res.Clusters {
-			t, err := tree.BuildDouble(g, c.Center, c.Nodes)
-			if err != nil {
-				return nil, fmt.Errorf("cover: level %d cluster %d: %w", li, ci, err)
-			}
-			lvl.Trees[ci] = t
-			for _, v := range c.Nodes {
-				h.memberships[v] = append(h.memberships[v], TreeRef{Level: int32(li), Index: int32(ci)})
-			}
-		}
-		h.Levels = append(h.Levels, lvl)
+	var (
+		res *Result
+		err error
+	)
+	if variant == VariantAwerbuchPeleg {
+		res, err = Build(g, rt, k, scale)
+	} else {
+		res, err = BuildBallGrowing(g, rt, k, scale)
 	}
-	return h, nil
+	if err != nil {
+		return Level{}, err
+	}
+	lvl := Level{Scale: scale, Cover: res, Trees: make([]*tree.Tree, len(res.Clusters))}
+	for ci, c := range res.Clusters {
+		if lvl.Trees[ci], err = tree.BuildDouble(g, c.Center, c.Nodes); err != nil {
+			return Level{}, fmt.Errorf("cluster %d: %w", ci, err)
+		}
+	}
+	return lvl, nil
 }
 
 // Tree resolves a TreeRef.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"rtroute/internal/graph"
@@ -92,27 +91,29 @@ func (s *Space) Less(v, a, b graph.NodeID) bool {
 // The order is by (r(v,u), d(u,v), id(u)). When the three fields and the
 // node index fit one uint64 side by side — they do unless a distance is
 // astronomically large, as across an administratively down edge — each
-// node becomes one packed word and the sort is a plain integer sort;
-// otherwise the comparator sort runs on the rows. Both give the same
-// order: the packing preserves the lexicographic comparison, and ids
-// are distinct, so the node index in the low bits never decides.
+// node becomes one packed word and the sort is a radix sort on the
+// fields' bits; otherwise the comparator sort runs on the rows. Both
+// give the same order: the packing preserves the lexicographic
+// comparison, and ids are distinct, so the node index in the low bits
+// never decides.
 func (s *Space) order(fwd, rev []graph.Dist) ([]graph.NodeID, []int32) {
 	n := s.G.N()
-	key := make([]graph.Dist, n)
+	key := make([]uint64, n) // r(v, u), packed in place when the fields fit
 	var maxR, maxRev graph.Dist
-	for u := 0; u < n; u++ {
-		key[u] = graph.RFromRows(fwd, rev, graph.NodeID(u)) // r(v, u)
-		maxR, maxRev = max(maxR, key[u]), max(maxRev, rev[u])
+	for u := range key {
+		r := graph.RFromRows(fwd, rev, graph.NodeID(u))
+		key[u] = uint64(r)
+		maxR, maxRev = max(maxR, r), max(maxRev, rev[u])
 	}
 	ord := make([]graph.NodeID, n)
 	revBits, nodeBits := bits.Len64(uint64(maxRev)), bits.Len(uint(n))
-	if s.idBits >= 0 && bits.Len64(uint64(maxR))+revBits+s.idBits+nodeBits <= 64 {
-		packed := make([]uint64, n)
-		for u := range packed {
-			packed[u] = ((uint64(key[u])<<revBits|uint64(rev[u]))<<s.idBits|uint64(s.ids[u]))<<nodeBits | uint64(u)
+	if width := bits.Len64(uint64(maxR)) + revBits + s.idBits + nodeBits; s.idBits >= 0 && width <= 64 {
+		for u, r := range key {
+			key[u] = ((r<<revBits|uint64(rev[u]))<<s.idBits|uint64(s.ids[u]))<<nodeBits | uint64(u)
 		}
-		slices.Sort(packed)
-		for i, k := range packed {
+		// The words start in node order and the sort is stable, so the
+		// node bits need no pass of their own.
+		for i, k := range radixSort(key, make([]uint64, n), nodeBits, width) {
 			ord[i] = graph.NodeID(k & (1<<nodeBits - 1))
 		}
 	} else {
@@ -135,6 +136,43 @@ func (s *Space) order(fwd, rev []graph.Dist) ([]graph.NodeID, []int32) {
 		rank[u] = int32(i)
 	}
 	return ord, rank
+}
+
+// digitBits is radixSort's digit width: its count table of 2^11 words
+// stays in L1, and at n = 1,024 with weights up to 8 the 22 key bits
+// above the node index take two passes.
+const digitBits = 11
+
+// radixSort sorts keys stably by their bits [lo, hi) — every bit above
+// hi must be zero — in least-significant-digit passes, with tmp
+// (len(keys) words) as the other buffer. It returns whichever of the two
+// holds the result. A pass in which every key has the same digit moves
+// nothing and is skipped.
+func radixSort(keys, tmp []uint64, lo, hi int) []uint64 {
+	if len(keys) < 2 {
+		return keys
+	}
+	var count [1 << digitBits]int
+	for shift := lo; shift < hi; shift += digitBits {
+		clear(count[:])
+		for _, k := range keys {
+			count[k>>shift&(1<<digitBits-1)]++
+		}
+		if count[keys[0]>>shift&(1<<digitBits-1)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for _, k := range keys {
+			d := k >> shift & (1<<digitBits - 1)
+			tmp[count[d]] = k
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // Init returns the total order Init_v = v ≺_v u1 ≺_v u2 ≺_v ... over all

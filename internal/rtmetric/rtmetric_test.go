@@ -1,7 +1,9 @@
 package rtmetric
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -244,39 +246,93 @@ func TestNeighborhoodSizesMonotone(t *testing.T) {
 	}
 }
 
-// TestPackedOrderMatchesComparatorOrder: order sorts one packed word
-// per node when the key fields fit 64 bits and falls back to the
-// comparator otherwise; both must give the order Less defines. Unit
-// weights make most of the order tie-breaking, and the ids are a
-// shuffled naming, so the id field is what decides.
+// TestPackedOrderMatchesComparatorOrder: order radix-sorts one packed
+// word per node when the key fields fit 64 bits and falls back to the
+// comparator otherwise; both must give the order Less defines. The
+// worlds run from n = 2 and 3 through unit weights, where most of the
+// order is tie-breaking and the shuffled ids decide, to the churn
+// regime's weights 33..64. Each world's ids are lifted by a power of two
+// ten times, widening the id field one bit at a time, so the key's width
+// above the node index takes every residue mod digitBits: widths that
+// end on a digit boundary and widths that leave a partial top digit.
 func TestPackedOrderMatchesComparatorOrder(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 30 + rng.Intn(50)
-		g := graph.RandomSC(n, 2*n, 1+graph.Dist(seed%2)*6, rng)
-		ids := make([]int32, n)
-		for i, p := range rng.Perm(n) {
-			ids[i] = int32(p)
-		}
-		m := graph.AllPairs(g)
-		packed, plain := New(g, m, ids), New(g, m, ids)
-		if packed.idBits < 0 {
-			t.Fatal("non-negative ids must allow packing")
-		}
-		plain.idBits = -1 // what a negative id does: comparator sort
-		for v := 0; v < n; v++ {
-			a, b := packed.Init(graph.NodeID(v)), plain.Init(graph.NodeID(v))
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("seed %d: Init_%d differs at %d: packed %d, comparator %d", seed, v, i, a[i], b[i])
-				}
-				if i > 0 && !packed.Less(graph.NodeID(v), a[i-1], a[i]) {
-					t.Fatalf("seed %d: Init_%d not sorted under Less at %d", seed, v, i)
-				}
-				if packed.Rank(graph.NodeID(v), a[i]) != i {
-					t.Fatalf("seed %d: Rank(%d, %d) != %d", seed, v, a[i], i)
+	worlds := []struct {
+		n     int
+		maxW  graph.Dist
+		churn bool
+	}{{2, 3, false}, {3, 3, false}, {60, 1, false}, {70, 7, false}, {80, 8, true}}
+	for wi, w := range worlds {
+		rng := rand.New(rand.NewSource(int64(wi + 1)))
+		g := graph.RandomSC(w.n, 2*w.n, w.maxW, rng)
+		if w.churn {
+			for u := 0; u < w.n; u++ {
+				for _, e := range g.Out(graph.NodeID(u)) {
+					if err := g.SetEdgeWeight(graph.NodeID(u), e.To, 33+(e.Weight-1)%32); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
+		}
+		m := graph.AllPairs(g)
+		perm, idBits := rng.Perm(w.n), bits.Len(uint(w.n-1))
+		for lift := 0; lift < digitBits; lift++ {
+			ids := make([]int32, w.n)
+			for i, p := range perm {
+				ids[i] = int32(p)
+				if lift > 0 {
+					ids[i] |= 1 << (idBits + lift - 1)
+				}
+			}
+			packed, plain := New(g, m, ids), New(g, m, ids)
+			if packed.idBits < 0 {
+				t.Fatal("non-negative ids must allow packing")
+			}
+			plain.idBits = -1 // what a negative id does: comparator sort
+			for v := 0; v < w.n; v++ {
+				a, b := packed.Init(graph.NodeID(v)), plain.Init(graph.NodeID(v))
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("n=%d lift %d: Init_%d differs at %d: packed %d, comparator %d", w.n, lift, v, i, a[i], b[i])
+					}
+					if i > 0 && !packed.Less(graph.NodeID(v), a[i-1], a[i]) {
+						t.Fatalf("n=%d lift %d: Init_%d not sorted under Less at %d", w.n, lift, v, i)
+					}
+					if packed.Rank(graph.NodeID(v), a[i]) != i {
+						t.Fatalf("n=%d lift %d: Rank(%d, %d) != %d", w.n, lift, v, a[i], i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRadixSortMatchesSlicesSort sorts random words with radixSort and
+// with slices.Sort. Sorting bits [lo, hi) of words whose low lo bits
+// ascend with the input position is a full sort, as in order's packed
+// keys; the cases cover widths on and off a digit boundary, a top digit
+// every word shares (a skipped pass), all 64 bits, and n = 0..3.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct{ n, lo, hi int }{
+		{0, 0, 11}, {1, 0, 11}, {2, 1, 12}, {3, 2, 9},
+		{1000, 0, 11}, {1000, 0, 22}, {1000, 0, 23}, {1000, 0, 64}, {1000, 0, 1},
+		{1000, 10, 32}, {1000, 10, 33}, {1000, 11, 40}, {1000, 20, 64}, {1000, 10, 54},
+	} {
+		keys := make([]uint64, c.n)
+		for i := range keys {
+			high := rng.Uint64() >> (64 - (c.hi - c.lo))
+			if c.hi-c.lo > digitBits && i%2 == 0 {
+				high &= 1<<digitBits - 1 // many small keys: ties in the upper digits
+			}
+			keys[i] = high << c.lo
+			if c.lo > 0 {
+				keys[i] |= uint64(i)
+			}
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		if got := radixSort(keys, make([]uint64, c.n), c.lo, c.hi); !slices.Equal(got, want) {
+			t.Fatalf("n=%d bits [%d,%d): radixSort differs from slices.Sort", c.n, c.lo, c.hi)
 		}
 	}
 }

@@ -165,14 +165,15 @@ func (m *Maintained) RebuildNodesFor(dirty []NodeID, owned func(NodeID) bool) (M
 // Certify verifies the maintained plane is route-identical to a fresh
 // Build with the same configuration on the current graph: it rebuilds
 // from scratch and compares the two planes' per-node sections byte for
-// byte. The fresh build reads a new lazy oracle,
-// so every row it sees comes from a full search, never from the
-// incremental updates the maintained plane was repaired with. This is
+// byte. The fresh build reads a new lazy oracle and builds its own cover
+// hierarchy, so every row it sees comes from a full search, never from
+// the incremental updates the maintained plane was repaired with. This is
 // the churn experiments' correctness oracle after every event batch; it
 // costs a full build plus an encoding pass.
 func (m *Maintained) Certify() error {
 	sys := *m.sys
 	sys.Metric = graph.NewLazyOracle(sys.Graph, 0)
+	sys.hier = nil // the rebuild neither reads nor replaces m.sys's hierarchy
 	fresh, err := sys.BuildWith(m.kind, m.cfg)
 	if err != nil {
 		return fmt.Errorf("rtroute: certification rebuild: %w", err)

@@ -148,6 +148,12 @@ type System struct {
 	Graph  *Graph
 	Metric Oracle
 	Naming *Naming
+
+	// hier is the cover hierarchy ExStretch, Polynomial and
+	// HopSubstrate share (see System.hierarchy). NewSystem sets it; a
+	// System assembled by hand has none, and each of those builds makes
+	// its own. A copy of the System shares it.
+	hier *hierarchyCache
 }
 
 // MetricKind names a distance oracle. There is one.
@@ -186,7 +192,7 @@ func NewSystem(g *Graph, naming *Naming) (*System, error) {
 	if naming.N() != g.N() {
 		return nil, fmt.Errorf("rtroute: naming covers %d nodes, graph has %d", naming.N(), g.N())
 	}
-	return &System{Graph: g, Metric: graph.AllPairs(g), Naming: naming}, nil
+	return &System{Graph: g, Metric: graph.AllPairs(g), Naming: naming, hier: &hierarchyCache{}}, nil
 }
 
 // NewSystemWith is NewSystem after checking cfg.
