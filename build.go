@@ -177,7 +177,7 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 		if err != nil {
 			return nil, err
 		}
-		hop, err := rtz.NewHopFromHierarchy(s.Graph, hier)
+		hop, err := rtz.NewHop(s.Graph, hier)
 		if err != nil {
 			return nil, err
 		}

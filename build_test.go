@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rtroute/internal/core"
+	"rtroute/internal/cover"
 	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
 )
@@ -153,7 +154,11 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 		{
 			"hop-plane",
 			func() (ForwardingPlane, error) {
-				hop, err := rtz.NewHop(sys.Graph, sys.Metric, 2, 2, CoverAwerbuchPeleg)
+				h, err := cover.BuildHierarchy(sys.Graph, sys.Metric, 2, 2, CoverAwerbuchPeleg)
+				if err != nil {
+					return nil, err
+				}
+				hop, err := rtz.NewHop(sys.Graph, h)
 				if err != nil {
 					return nil, err
 				}

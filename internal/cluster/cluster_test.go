@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rtroute/internal/core"
+	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
@@ -52,7 +53,11 @@ func testDeployments(t testing.TB, n int, seed int64) (map[string]*core.Deployme
 	}
 	rp, err := core.NewRTZPlane(sub, perm)
 	add("rtz", rp, err)
-	hop, err := rtz.NewHop(g, m, 2, 2, 0)
+	h, err := cover.BuildHierarchy(g, m, 2, 2, cover.VariantAwerbuchPeleg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop, err := rtz.NewHop(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}

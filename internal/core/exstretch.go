@@ -315,7 +315,7 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	if err != nil {
 		return nil, fmt.Errorf("core: hop substrate: %w", err)
 	}
-	hop, err := rtz.NewHopFromHierarchy(g, hier)
+	hop, err := rtz.NewHop(g, hier)
 	if err != nil {
 		return nil, fmt.Errorf("core: hop substrate: %w", err)
 	}

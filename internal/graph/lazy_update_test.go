@@ -159,20 +159,33 @@ func TestLazyRowUpdate(t *testing.T) {
 // TestTieRuleMatchesDijkstra checks the rule updates recompute parents
 // by against the searches themselves, where ties are everywhere: a
 // reverse row's Parent[v] is the out-neighbor u on a tight edge
-// minimizing (d(u), u), a forward row's the mirror in-neighbor.
+// minimizing (d(u), u), a forward row's the mirror in-neighbor. The
+// restricted searches keep the rule too: a neighbor outside the member
+// set is at Inf, so no arc from it is tight.
 func TestTieRuleMatchesDijkstra(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(28)
 		g := RandomSC(n, rng.Intn(n*(n-2)/2), 3, rng)
 		root := NodeID(rng.Intn(n))
-		fwd, rev := Dijkstra(g, root), DijkstraRev(g, root)
-		for v := NodeID(0); v < NodeID(n); v++ {
-			if got := tieParent(g.In(v), fwd.Dist, v); got != fwd.Parent[v] {
-				t.Fatalf("seed %d: forward parent of %d: rule %d, Dijkstra %d", seed, v, got, fwd.Parent[v])
-			}
-			if got := tieParent(g.Out(v), rev.Dist, v); got != rev.Parent[v] {
-				t.Fatalf("seed %d: reverse parent of %d: rule %d, DijkstraRev %d", seed, v, got, rev.Parent[v])
+		inSet := make([]bool, n)
+		for v := range inSet {
+			inSet[v] = rng.Intn(3) > 0
+		}
+		for _, run := range []struct {
+			name     string
+			fwd, rev SSSP
+		}{
+			{"full", Dijkstra(g, root), DijkstraRev(g, root)},
+			{"restricted", DijkstraRestricted(g, root, inSet), DijkstraRevRestricted(g, root, inSet)},
+		} {
+			for v := NodeID(0); v < NodeID(n); v++ {
+				if got := tieParent(g.In(v), run.fwd.Dist, v); got != run.fwd.Parent[v] {
+					t.Fatalf("seed %d %s: forward parent of %d: rule %d, search %d", seed, run.name, v, got, run.fwd.Parent[v])
+				}
+				if got := tieParent(g.Out(v), run.rev.Dist, v); got != run.rev.Parent[v] {
+					t.Fatalf("seed %d %s: reverse parent of %d: rule %d, search %d", seed, run.name, v, got, run.rev.Parent[v])
+				}
 			}
 		}
 	}

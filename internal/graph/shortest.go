@@ -1,6 +1,10 @@
 package graph
 
-import "sync"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // SSSP holds the result of a single-source (or single-sink) shortest path
 // computation.
@@ -16,24 +20,31 @@ type SSSP struct {
 	Parent []NodeID
 }
 
-// heapNode is one entry of the scratch's specialized priority queue:
-// a plain (dist, node) pair, never boxed through an interface.
+// heapNode is one entry of the scratch's priority queue: a plain
+// (dist, node) pair, never boxed through an interface.
 type heapNode struct {
 	dist Dist
 	node NodeID
 }
 
 // SSSPScratch is the reusable state of the Dijkstra core: distance,
-// parent and heap-position arrays plus the 4-ary min-heap storage, all
-// reused across runs so a steady-state shortest-path computation
-// allocates nothing.
+// parent and epoch arrays plus a monotone radix heap, all reused across
+// runs so a steady-state shortest-path computation allocates nothing.
 //
 // Re-initialization is O(touched), not O(n): every per-node array is
 // guarded by an epoch stamp, so starting a new run is one counter
 // increment and entries are lazily initialized the first time the run
-// touches their node. The heap is index-tracked (decrease-key instead of
-// lazy deletion), so its size is bounded by n and pops carry final
-// distances only.
+// touches their node.
+//
+// The heap relies on Dijkstra's pops never decreasing: an entry sits in
+// bucket bits.Len64(d ^ last), where last is the latest key popped, so
+// bucket 0 holds keys equal to last and bucket i keys that first differ
+// from it at bit i-1. A lower distance is pushed again rather than
+// decreased, and a pop skips an entry whose key is no longer its node's
+// distance: a node is queued again only at a strictly lower distance, so
+// at most one of its entries is live. A run holds at most m+1 entries
+// and the buckets keep their capacity. Ties pop in no particular order,
+// so relax applies the tie rule (tieParent) itself.
 //
 // The SSSP values returned by the scratch's methods alias the scratch's
 // own buffers: they are valid until the next run on the same scratch and
@@ -43,13 +54,13 @@ type heapNode struct {
 //
 // The zero value is a valid empty scratch; buffers grow on first use.
 type SSSPScratch struct {
-	dist   []Dist
-	parent []NodeID
-	pos    []int32 // node -> heap index; -1 once settled. Valid when stamped.
-	stamp  []uint32
-	epoch  uint32
-	heap   []heapNode
-	moved  []NodeID // a row update's affected, then settled, nodes
+	dist    []Dist
+	parent  []NodeID
+	stamp   []uint32
+	epoch   uint32
+	buckets [64][]heapNode
+	last    Dist     // the heap's latest popped key
+	moved   []NodeID // a row update's affected, then settled, nodes
 }
 
 // NewSSSPScratch returns a scratch pre-sized for n-node graphs.
@@ -66,12 +77,8 @@ func (s *SSSPScratch) ensure(n int) {
 	}
 	s.dist = make([]Dist, n)
 	s.parent = make([]NodeID, n)
-	s.pos = make([]int32, n)
 	s.stamp = make([]uint32, n) // zeroed: nothing is stamped for any epoch >= 1
 	s.epoch = 0
-	if cap(s.heap) < n {
-		s.heap = make([]heapNode, 0, n)
-	}
 }
 
 // begin opens a new run: bump the epoch (un-stamping every node in O(1))
@@ -85,105 +92,83 @@ func (s *SSSPScratch) begin() {
 		}
 		s.epoch = 1
 	}
-	s.heap = s.heap[:0]
-}
-
-// less is the heap order: by distance, ties broken by node id. This is a
-// strict total order, so the pop sequence — and therefore every parent
-// choice — is identical to the previous container/heap implementation.
-func less(a, b heapNode) bool {
-	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
-}
-
-// push inserts a node that is not currently in the heap.
-func (s *SSSPScratch) push(node NodeID, d Dist) {
-	s.heap = append(s.heap, heapNode{dist: d, node: node})
-	s.siftUp(len(s.heap) - 1)
-}
-
-// decrease lowers the key of a node already in the heap.
-func (s *SSSPScratch) decrease(node NodeID, d Dist) {
-	i := int(s.pos[node])
-	s.heap[i].dist = d
-	s.siftUp(i)
-}
-
-func (s *SSSPScratch) siftUp(i int) {
-	h := s.heap
-	it := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !less(it, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		s.pos[h[i].node] = int32(i)
-		i = p
+	for i := range s.buckets {
+		s.buckets[i] = s.buckets[i][:0]
 	}
-	h[i] = it
-	s.pos[it.node] = int32(i)
+	s.last = 0
 }
 
-func (s *SSSPScratch) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	it := h[i]
+// push queues node at key d, which must not be below the last key popped.
+func (s *SSSPScratch) push(node NodeID, d Dist) {
+	b := bits.Len64(uint64(d ^ s.last))
+	s.buckets[b] = append(s.buckets[b], heapNode{dist: d, node: node})
+}
+
+// pop removes and returns an entry of least key whose key is still its
+// node's distance in dist, dropping stale ones; ok is false once the heap
+// is empty.
+func (s *SSSPScratch) pop(dist []Dist) (top heapNode, ok bool) {
 	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+		if b := s.buckets[0]; len(b) > 0 {
+			top = b[len(b)-1]
+			s.buckets[0] = b[:len(b)-1]
+			if top.dist == dist[top.node] {
+				return top, true
+			}
+			continue
 		}
-		end := c + 4
-		if end > n {
-			end = n
+		if !s.refill(dist) {
+			return heapNode{}, false
 		}
-		best := c
-		for j := c + 1; j < end; j++ {
-			if less(h[j], h[best]) {
-				best = j
+	}
+}
+
+// refill empties the lowest nonempty bucket: its least live key becomes
+// last, and every live entry moves to a lower bucket (all of them agree
+// with that key on bit i-1 and above). Stale entries are dropped.
+func (s *SSSPScratch) refill(dist []Dist) bool {
+	for i := 1; i < len(s.buckets); i++ {
+		b := s.buckets[i]
+		if len(b) == 0 {
+			continue
+		}
+		live, least := b[:0], Dist(math.MaxInt64) // keys may pass Inf over DownWeight arcs
+		for _, e := range b {
+			if e.dist == dist[e.node] {
+				live = append(live, e)
+				least = min(least, e.dist)
 			}
 		}
-		if !less(h[best], it) {
-			break
+		s.buckets[i] = b[:0]
+		if len(live) == 0 {
+			continue
 		}
-		h[i] = h[best]
-		s.pos[h[i].node] = int32(i)
-		i = best
+		s.last = least
+		for _, e := range live {
+			j := bits.Len64(uint64(e.dist ^ least))
+			s.buckets[j] = append(s.buckets[j], e)
+		}
+		return true
 	}
-	h[i] = it
-	s.pos[it.node] = int32(i)
+	return false
 }
 
-// popMin removes and returns the heap minimum, marking the node settled.
-func (s *SSSPScratch) popMin() heapNode {
-	h := s.heap
-	top := h[0]
-	s.pos[top.node] = -1
-	last := len(h) - 1
-	if last > 0 {
-		h[0] = h[last]
-		s.heap = h[:last]
-		s.siftDown(0)
-	} else {
-		s.heap = h[:0]
-	}
-	return top
-}
-
-// relax offers the tentative distance nd to v via parent.
-func (s *SSSPScratch) relax(v NodeID, nd Dist, parent NodeID) {
-	if s.stamp[v] != s.epoch {
-		s.stamp[v] = s.epoch
-		s.dist[v] = nd
-		s.parent[v] = parent
-		s.push(v, nd)
+// relax offers v, first reached or reached no later, the distance nd
+// via u, a node just popped. A tie moves v's parent to u when u is less in
+// (distance, id) order: pops never decrease, so dist[u] >=
+// dist[parent[v]] always and only the id can decide. That keeps the
+// parent tieParent names.
+func (s *SSSPScratch) relax(v NodeID, nd Dist, u NodeID) {
+	if s.stamp[v] == s.epoch && nd == s.dist[v] {
+		if p := s.parent[v]; u < p && s.dist[u] == s.dist[p] {
+			s.parent[v] = u
+		}
 		return
 	}
-	if nd < s.dist[v] {
-		s.dist[v] = nd
-		s.parent[v] = parent
-		s.decrease(v, nd)
-	}
+	s.stamp[v] = s.epoch
+	s.dist[v] = nd
+	s.parent[v] = u
+	s.push(v, nd)
 }
 
 // Dijkstra computes shortest distances from src over out-edges, reusing
@@ -225,8 +210,10 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 	s.parent[root] = -1
 	s.push(root, 0)
 	idx := g.idx.Load()
-	for len(s.heap) > 0 {
-		top := s.popMin()
+	dist, parent, stamp, ep := s.dist[:n], s.parent[:n], s.stamp[:n], s.epoch
+	for top, ok := s.pop(dist); ok; top, ok = s.pop(dist) {
+		// The loops keep the common case, an arc that does not reach v
+		// sooner, inline; relax takes the rest.
 		u, du := top.node, top.dist
 		if reverse {
 			var edges []InEdge
@@ -236,10 +223,9 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 				edges = g.in[u]
 			}
 			for _, e := range edges {
-				if inSet != nil && !inSet[e.From] {
-					continue
+				if v, nd := e.From, du+e.Weight; (inSet == nil || inSet[v]) && (stamp[v] != ep || nd <= dist[v]) {
+					s.relax(v, nd, u)
 				}
-				s.relax(e.From, du+e.Weight, u)
 			}
 		} else {
 			var edges []Edge
@@ -249,23 +235,21 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 				edges = g.out[u]
 			}
 			for _, e := range edges {
-				if inSet != nil && !inSet[e.To] {
-					continue
+				if v, nd := e.To, du+e.Weight; (inSet == nil || inSet[v]) && (stamp[v] != ep || nd <= dist[v]) {
+					s.relax(v, nd, u)
 				}
-				s.relax(e.To, du+e.Weight, u)
 			}
 		}
 	}
 	// Normalize untouched entries so the returned rows are complete: one
 	// predictable compare per node, writes only for unreached nodes.
-	ep := s.epoch
-	for v := 0; v < n; v++ {
-		if s.stamp[v] != ep {
-			s.dist[v] = Inf
-			s.parent[v] = -1
+	for v := range stamp {
+		if stamp[v] != ep {
+			dist[v] = Inf
+			parent[v] = -1
 		}
 	}
-	return SSSP{Dist: s.dist[:n:n], Parent: s.parent[:n:n]}
+	return SSSP{Dist: dist[:n:n], Parent: parent[:n:n]}
 }
 
 // scratchPool recycles scratches for the one-shot package-level entry

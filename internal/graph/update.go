@@ -78,9 +78,11 @@ func updateRow[D, P arc](s *SSSPScratch, deps func(NodeID) []D, dependents func(
 			s.push(x, old[x])
 		}
 	}
+	// A queued node still holds its old distance in dist, the key it was
+	// pushed at, so no entry here is stale.
 	s.moved = s.moved[:0]
-	for len(s.heap) > 0 {
-		x := s.popMin().node
+	for top, ok := s.pop(dist); ok; top, ok = s.pop(dist) {
+		x := top.node
 		supported := false
 		for _, e := range deps(x) {
 			if y := e.end(); dist[y] < Inf && e.weight()+dist[y] <= old[x] {
@@ -109,16 +111,10 @@ func updateRow[D, P arc](s *SSSPScratch, deps func(NodeID) []D, dependents func(
 	// Dijkstra from those seeds.
 	s.begin()
 	offer := func(v NodeID, d Dist) {
-		if d >= dist[v] {
-			return
+		if d < dist[v] {
+			dist[v] = d
+			s.push(v, d)
 		}
-		dist[v] = d
-		if s.stamp[v] == s.epoch && s.pos[v] >= 0 {
-			s.decrease(v, d)
-			return
-		}
-		s.stamp[v] = s.epoch
-		s.push(v, d)
 	}
 	for _, x := range s.moved {
 		best := Inf
@@ -137,8 +133,7 @@ func updateRow[D, P arc](s *SSSPScratch, deps func(NodeID) []D, dependents func(
 	// Every node whose distance moves is popped below, the affected ones
 	// included.
 	s.moved = s.moved[:0]
-	for len(s.heap) > 0 {
-		top := s.popMin()
+	for top, ok := s.pop(dist); ok; top, ok = s.pop(dist) {
 		if top.dist >= DownWeight {
 			return nil, nil, false
 		}

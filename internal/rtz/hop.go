@@ -57,19 +57,9 @@ type HopScheme struct {
 	g *graph.Graph
 }
 
-// NewHop builds the hop substrate with the given cover parameter k, scale
-// base, and cover variant. m may be any distance oracle.
-func NewHop(g *graph.Graph, m graph.DistanceOracle, k int, base float64, variant cover.Variant) (*HopScheme, error) {
-	h, err := cover.BuildHierarchy(g, m, k, base, variant)
-	if err != nil {
-		return nil, err
-	}
-	return NewHopFromHierarchy(g, h)
-}
-
-// NewHopFromHierarchy wraps an existing hierarchy (letting callers share
-// one hierarchy across substrates).
-func NewHopFromHierarchy(g *graph.Graph, h *cover.Hierarchy) (*HopScheme, error) {
+// NewHop builds the hop substrate over a cover hierarchy of g
+// (cover.BuildHierarchy), which callers may share across substrates.
+func NewHop(g *graph.Graph, h *cover.Hierarchy) (*HopScheme, error) {
 	if h.N() != g.N() {
 		return nil, fmt.Errorf("rtz: hierarchy over %d nodes cannot serve a %d-node graph", h.N(), g.N())
 	}

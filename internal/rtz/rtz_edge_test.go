@@ -98,7 +98,7 @@ func TestSchemeLabelsAreConsistent(t *testing.T) {
 }
 
 func TestHopSchemeRejectsForeignHierarchy(t *testing.T) {
-	// NewHopFromHierarchy over a mismatched graph must fail when tree
+	// NewHop over a mismatched graph must fail when tree
 	// state is missing, not build silently.
 	rng := rand.New(rand.NewSource(54))
 	gSmall := graph.RandomSC(10, 30, 3, rng)
@@ -108,7 +108,7 @@ func TestHopSchemeRejectsForeignHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	gBig := graph.RandomSC(20, 60, 3, rng)
-	if _, err := NewHopFromHierarchy(gBig, h); err == nil {
+	if _, err := NewHop(gBig, h); err == nil {
 		t.Fatal("foreign hierarchy accepted for a larger graph")
 	}
 }

@@ -211,11 +211,20 @@ func buildHop(t testing.TB, seed int64, n, extra, k int, base float64) (*HopSche
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, extra, 6, rng)
 	m := graph.AllPairs(g)
-	s, err := NewHop(g, m, k, base, cover.VariantAwerbuchPeleg)
+	return newHop(t, g, m, k, base), g, m
+}
+
+// newHop builds the hop substrate over an Awerbuch–Peleg hierarchy.
+func newHop(t testing.TB, g *graph.Graph, m graph.DistanceOracle, k int, base float64) *HopScheme {
+	h, err := cover.BuildHierarchy(g, m, k, base, cover.VariantAwerbuchPeleg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, g, m
+	s, err := NewHop(g, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestHopRoundtripDeliversWithinBound(t *testing.T) {
@@ -283,10 +292,7 @@ func TestHopFinerScalesReduceCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	_ = rng
 	m := graph.AllPairs(g)
-	sFine, err := NewHop(g, m, 2, 1.25, cover.VariantAwerbuchPeleg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sFine := newHop(t, g, m, 2, 1.25)
 	var coarse, fine graph.Dist
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {

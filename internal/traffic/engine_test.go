@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rtroute/internal/core"
+	"rtroute/internal/cover"
 	"rtroute/internal/eval"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
@@ -215,7 +216,11 @@ func TestEngineServesSubstratePlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, m, 2, 2, 0)
+	h, err := cover.BuildHierarchy(g, m, 2, 2, cover.VariantAwerbuchPeleg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop, err := rtz.NewHop(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rtroute/internal/core"
+	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
@@ -49,7 +50,11 @@ func TestConcurrentForwardingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, m, 2, 2, 0)
+	h, err := cover.BuildHierarchy(g, m, 2, 2, cover.VariantAwerbuchPeleg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop, err := rtz.NewHop(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rtroute/internal/core"
+	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
@@ -47,7 +48,11 @@ func resetPlanes(t *testing.T, n int, seed int64) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, m, 2, 2, 0)
+	h, err := cover.BuildHierarchy(g, m, 2, 2, cover.VariantAwerbuchPeleg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop, err := rtz.NewHop(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}

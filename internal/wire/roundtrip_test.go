@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rtroute/internal/core"
+	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
@@ -65,7 +66,11 @@ func testPlanesWorkers(t testing.TB, n int, seed int64, workers int) (map[string
 		t.Fatal(err)
 	}
 	planes["rtz"] = rp
-	hop, err := rtz.NewHop(g, m, 2, 2, 0)
+	h, err := cover.BuildHierarchy(g, m, 2, 2, cover.VariantAwerbuchPeleg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop, err := rtz.NewHop(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}
