@@ -28,7 +28,8 @@ test:
 verify: build test fuzz-smoke
 
 # Short coverage-guided runs of the wire decoder fuzzers (arbitrary
-# bytes must error cleanly, never panic or over-allocate), of the
+# bytes must error cleanly, never panic or over-allocate), of the label
+# writers (bytes must equal one varint append per field), of the
 # shortest-path kernel (distances and parents must equal an O(n^2)
 # reference), of the lazy oracle's incremental row update (every row must
 # equal a fresh search after every reweighting batch) and of the churn
@@ -38,6 +39,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFlightFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalChurnFrame -fuzztime 5s
+	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzLabelWriter -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSSSP -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLazyRowUpdate -fuzztime 5s
 	$(GO) test ./internal/churn -run '^$$' -fuzz FuzzChurnEventStream -fuzztime 5s

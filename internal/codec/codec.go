@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"rtroute/internal/cover"
 	"rtroute/internal/rtz"
@@ -170,25 +171,58 @@ func (d *Decoder) Done() error {
 // hops carry strictly ascending DFS entry times down the root path, so
 // every hop after the first stores only the (small) delta — the widths
 // that would otherwise grow with log n collapse to a byte or two.
+//
+// The label writers below grow Buf once per value, to the value's widest
+// encoding, and write its varints by index; the bytes are exactly those
+// of one U or I call per field.
 func (e *Encoder) TreeLabel(l tree.Label) {
-	e.I(int64(l.Tin))
-	e.LightHops(l.Light)
+	b, i := e.reserve(labelMax(l))
+	e.Buf = b[:putLabel(b, i, l)]
 }
 
-// LightHops is the root-path blob shared by TreeLabel and the flight
-// frame's fixed sections (which hoist Tin into their fixed fields).
-func (e *Encoder) LightHops(light []tree.LightHop) {
-	e.U(uint64(len(light)))
-	prev := int64(0)
-	for i, h := range light {
-		if i == 0 {
-			e.I(int64(h.BranchTin))
-		} else {
-			e.I(int64(h.BranchTin) - prev)
-		}
-		prev = int64(h.BranchTin)
-		e.I(int64(h.Port))
+// maxVarint32 is the widest varint of a value that fits 33 bits: an
+// int32, a zigzagged int32 or the difference of two int32s.
+const maxVarint32 = 5
+
+// labelMax bounds the encoded length of l.
+func labelMax(l tree.Label) int {
+	return maxVarint32 + binary.MaxVarintLen64 + 2*maxVarint32*len(l.Light)
+}
+
+// reserve grows Buf by at least extra bytes and returns it resliced to
+// its capacity, with the write index at its old length.
+func (e *Encoder) reserve(extra int) ([]byte, int) {
+	i := len(e.Buf)
+	e.Buf = slices.Grow(e.Buf, extra)
+	return e.Buf[:cap(e.Buf)], i
+}
+
+// putU writes v as an unsigned varint at b[i:], which must have room,
+// and returns the index past it: binary.PutUvarint, kept inlinable.
+func putU(b []byte, i int, v uint64) int {
+	for v >= 0x80 {
+		b[i] = byte(v) | 0x80
+		v >>= 7
+		i++
 	}
+	b[i] = byte(v)
+	return i + 1
+}
+
+// putI writes v zigzagged, as I does.
+func putI(b []byte, i int, v int64) int { return putU(b, i, uint64(v<<1)^uint64(v>>63)) }
+
+// putLabel writes l as TreeLabel does.
+func putLabel(b []byte, i int, l tree.Label) int {
+	i = putI(b, i, int64(l.Tin))
+	i = putU(b, i, uint64(len(l.Light)))
+	prev := int64(0)
+	for _, h := range l.Light {
+		i = putI(b, i, int64(h.BranchTin)-prev)
+		prev = int64(h.BranchTin)
+		i = putI(b, i, int64(h.Port))
+	}
+	return i
 }
 
 func (d *Decoder) TreeLabel() (tree.Label, error) {
@@ -295,10 +329,11 @@ func (d *Decoder) TreeState() (tree.State, error) {
 }
 
 func (e *Encoder) RTZLabel(l rtz.Label) {
-	e.I(int64(l.Node))
-	e.I(int64(l.CenterIdx))
-	e.I(int64(l.Center))
-	e.TreeLabel(l.TreeLabel)
+	b, i := e.reserve(3*maxVarint32 + labelMax(l.TreeLabel))
+	i = putI(b, i, int64(l.Node))
+	i = putI(b, i, int64(l.CenterIdx))
+	i = putI(b, i, int64(l.Center))
+	e.Buf = b[:putLabel(b, i, l.TreeLabel)]
 }
 
 func (d *Decoder) RTZLabel() (rtz.Label, error) {
@@ -337,9 +372,11 @@ func (d *Decoder) TreeRef() (cover.TreeRef, error) {
 }
 
 func (e *Encoder) Handshake(hs rtz.Handshake) {
-	e.TreeRef(hs.Ref)
-	e.TreeLabel(hs.ULabel)
-	e.TreeLabel(hs.VLabel)
+	b, i := e.reserve(2*maxVarint32 + labelMax(hs.ULabel) + labelMax(hs.VLabel))
+	i = putI(b, i, int64(hs.Ref.Level))
+	i = putI(b, i, int64(hs.Ref.Index))
+	i = putLabel(b, i, hs.ULabel)
+	e.Buf = b[:putLabel(b, i, hs.VLabel)]
 }
 
 func (d *Decoder) Handshake() (rtz.Handshake, error) {

@@ -9,7 +9,6 @@ import (
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/parallel"
-	"rtroute/internal/sealed"
 	"rtroute/internal/sim"
 )
 
@@ -75,11 +74,12 @@ type SchemeState struct {
 // at v reads, in canonical order, so equal tables encode to equal bytes
 // — to e. It accepts the three TINN schemes, the two core substrate
 // planes and a Deployment. encode only reads the plane and may be called
-// concurrently.
+// concurrently; what every section shares (StretchSix's addresses) is
+// encoded once per call, here.
 func Sections(p sim.Plane) (*SchemeState, func(e *codec.Encoder, v graph.NodeID), error) {
 	switch s := p.(type) {
 	case *StretchSix:
-		return &SchemeState{Kind: KindStretchSix, Graph: s.g, Names: s.perm.Names, ViaSource: s.viaSource}, s.encodeSection, nil
+		return &SchemeState{Kind: KindStretchSix, Graph: s.g, Names: s.perm.Names, ViaSource: s.viaSource}, s.sectionEncoder(), nil
 	case *ExStretch:
 		return &SchemeState{Kind: KindExStretch, Graph: s.g, Names: s.perm.Names, K: s.k, DirectReturn: s.directReturn}, s.encodeSection, nil
 	case *PolynomialStretch:
@@ -181,16 +181,6 @@ func sortedRefs[V any](m map[cover.TreeRef]V) []cover.TreeRef {
 	}
 	slices.SortFunc(refs, refCompare)
 	return refs
-}
-
-// sortedKeys lists a sealed table's keys in ascending order, the
-// canonical order of its section; the caller then fetches (a label or a
-// rebuilt handshake is too wide to move inside a sort).
-func sortedKeys[V any](t *sealed.Table[V]) []int32 {
-	keys := make([]int32, 0, t.Len())
-	t.Range(func(k int32, _ V) { keys = append(keys, k) })
-	slices.Sort(keys)
-	return keys
 }
 
 // Deployment is a scheme restored from per-node sections. It

@@ -140,9 +140,11 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 						for u := 0; u < n; u++ {
 							want := exDictReference(t, ex, space, graph.NodeID(u))
 							got := []exDictItem{}
-							for _, key := range sortedKeys(&ex.nodes[u].dict) {
-								got = append(got, ex.dictItem(ex.nodes[u], key))
-							}
+							tab := ex.nodes[u]
+							tab.dict.Ascending(new([]uint64), func(key int32, e exDictEntry) {
+								level, prefix, tau := ex.unpackKey(key)
+								got = append(got, exDictItem{level: level, prefix: prefix, tau: tau, target: e.TargetName, hs: tab.handshake(e.TargetName, e.HS)})
+							})
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("ex node %d: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, got, want)
 							}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/codec"
@@ -354,16 +355,30 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	// sealed tables straight from the lists.
 	workers := parallel.Workers(n, cfg.BuildWorkers)
 	claimers, scratch := make([]exDictScratch, workers), make([]exLists, workers)
+	searches := make([]*cover.TreeSearch, workers)
+	for wk := range searches {
+		searches[wk] = hier.NewTreeSearch()
+	}
 	q := int32(assign.U.Q)
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
-		self, sc := graph.NodeID(u), &scratch[wk]
+		self, sc, search := graph.NodeID(u), &scratch[wk], searches[wk]
 		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: hop.Tables[u]}
+		// R2(u, v) for every v below is hop.R2's handshake, read from u's
+		// tree costs laid out once.
+		search.From(self)
 		var err error // the first R2 failure; later entries are dropped with it
 		entry := func(v graph.NodeID) (e exNamed) {
 			e.name = perm.Name(int32(v))
-			if v != self && err == nil {
-				e.hs, _, err = hop.R2(self, v)
+			if v == self || err != nil {
+				return e
 			}
+			sh, ok := search.Best(v)
+			if !ok {
+				err = fmt.Errorf("core: no shared double-tree for (%d,%d)", self, v)
+				return e
+			}
+			t := hier.Tree(sh.Ref)
+			e.hs = rtz.Handshake{Ref: sh.Ref, ULabel: t.LabelAt(sh.USlot), VLabel: t.LabelAt(sh.VSlot)}
 			return e
 		}
 		// (2) N_1(u) handshakes, by name.
@@ -807,12 +822,47 @@ func (s *ExStretch) AvgTableWords() float64 {
 	return float64(total) / float64(len(s.nodes))
 }
 
-// dictItem unpacks t's item (3a) entry under key, its handshake whole.
-func (s *ExStretch) dictItem(t *exTable, key int32) exDictItem {
-	e, _ := t.dict.Get(key)
-	q, span := int32(s.uni.Q), int32(s.uni.NumBlocks()) // as dictKey packs
+// unpackKey is dictKey's inverse.
+func (s *ExStretch) unpackKey(key int32) (level int8, prefix, tau int32) {
+	q, span := int32(s.uni.Q), int32(s.uni.NumBlocks())
 	class := key % span
-	return exDictItem{level: int8(key / span), prefix: class / q, tau: class % q, target: e.TargetName, hs: t.handshake(e.TargetName, e.HS)}
+	return int8(key / span), class / q, class % q
+}
+
+// exEncoder is one section encode's scratch: the ascending walks' pairs,
+// and the node's own labels, each encoded once behind its TreeRef — the
+// bytes every handshake in that tree starts with.
+type exEncoder struct {
+	order []uint64
+	own   []byte
+	ownAt []int // t.own[i]'s prefix is own[ownAt[i]:ownAt[i+1]]
+}
+
+var exEncoders = sync.Pool{New: func() any { return new(exEncoder) }}
+
+// handshake appends t.handshake(target, hs) as codec.Encoder.Handshake
+// would.
+func (x *exEncoder) handshake(e *codec.Encoder, t *exTable, target int32, hs exHS) {
+	if target == t.selfName {
+		e.Handshake(rtz.Handshake{})
+		return
+	}
+	for i, o := range t.own {
+		if o.Ref == hs.Ref { // present: record saw every tree
+			e.Buf = append(e.Buf, x.own[x.ownAt[i]:x.ownAt[i+1]]...)
+			break
+		}
+	}
+	e.TreeLabel(hs.VLabel)
+}
+
+// encodeNamed appends a name -> handshake table in name order.
+func (x *exEncoder) encodeNamed(e *codec.Encoder, t *exTable, tab *sealed.Table[exHS]) {
+	e.U(uint64(tab.Len()))
+	tab.Ascending(&x.order, func(nm int32, hs exHS) {
+		e.I(int64(nm))
+		x.handshake(e, t, nm, hs)
+	})
 }
 
 // encodeSection appends node v's section: its name, items (2), (3a) and
@@ -820,19 +870,29 @@ func (s *ExStretch) dictItem(t *exTable, key int32) exDictItem {
 // label, then item (1), the hop table, in (level, index) order.
 func (s *ExStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
 	t := s.nodes[v]
-	e.I(int64(t.selfName))
-	t.encodeNamed(e, &t.neighbors)
-	keys := sortedKeys(&t.dict)
-	e.U(uint64(len(keys)))
-	for _, key := range keys {
-		it := s.dictItem(t, key)
-		e.I(int64(it.level))
-		e.I(int64(it.prefix))
-		e.I(int64(it.tau))
-		e.I(int64(it.target))
-		e.Handshake(it.hs)
+	x := exEncoders.Get().(*exEncoder)
+	defer exEncoders.Put(x)
+	own := codec.Encoder{Buf: x.own[:0]}
+	x.ownAt = x.ownAt[:0]
+	for _, o := range t.own {
+		x.ownAt = append(x.ownAt, len(own.Buf))
+		own.TreeRef(o.Ref)
+		own.TreeLabel(o.Label)
 	}
-	t.encodeNamed(e, &t.full)
+	x.own, x.ownAt = own.Buf, append(x.ownAt, len(own.Buf))
+
+	e.I(int64(t.selfName))
+	x.encodeNamed(e, t, &t.neighbors)
+	e.U(uint64(t.dict.Len()))
+	t.dict.Ascending(&x.order, func(key int32, d exDictEntry) {
+		level, prefix, tau := s.unpackKey(key)
+		e.I(int64(level))
+		e.I(int64(prefix))
+		e.I(int64(tau))
+		e.I(int64(d.TargetName))
+		x.handshake(e, t, d.TargetName, d.HS)
+	})
+	x.encodeNamed(e, t, &t.full)
 	e.U(uint64(len(t.global)))
 	for _, g := range t.global {
 		e.TreeRef(g.Ref)
@@ -846,17 +906,6 @@ func (s *ExStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
 		e.TreeState(h.State)
 		e.I(int64(h.InPort))
 		e.B(h.IsRoot)
-	}
-}
-
-// encodeNamed appends a name -> handshake table in name order.
-func (t *exTable) encodeNamed(e *codec.Encoder, tab *sealed.Table[exHS]) {
-	names := sortedKeys(tab)
-	e.U(uint64(len(names)))
-	for _, nm := range names {
-		hs, _ := tab.Get(nm)
-		e.I(int64(nm))
-		e.Handshake(t.handshake(nm, hs))
 	}
 }
 

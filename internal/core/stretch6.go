@@ -473,27 +473,37 @@ func (s *StretchSix) NeighborhoodEntries(v graph.NodeID) int { return s.nodes[v]
 // LabelOf returns node v's own stretch-3 address.
 func (s *StretchSix) LabelOf(v graph.NodeID) rtz.Label { return s.nodes[v].ownLabel }
 
-// encodeSection appends node v's section: its name and own address, the
-// dictionary ascending by name (each name as the gap from the previous
-// one, which stays small whatever n is, then its address), the block
-// holders by block id, the neighborhood size, then Tab3.
-func (s *StretchSix) encodeSection(e *codec.Encoder, v graph.NodeID) {
-	t := s.nodes[v]
-	e.I(int64(t.selfName))
-	e.RTZLabel(t.ownLabel)
-	e.U(uint64(t.dict.Count()))
-	prev := 0
-	t.dict.ForEach(func(nm int) {
-		e.I(int64(nm - prev))
-		prev = nm
-		e.RTZLabel(s.labels[nm])
-	})
-	e.U(uint64(len(t.blockHolder)))
-	for _, h := range t.blockHolder {
-		e.I(int64(h))
+// sectionEncoder returns the section codec over the label store encoded
+// once, into one arena: each dictionary entry copies its address's bytes
+// from there. A section holds its name and own address, the dictionary
+// ascending by name (each name as the gap from the previous one, which
+// stays small whatever n is, then its address), the block holders by
+// block id, the neighborhood size, then Tab3.
+func (s *StretchSix) sectionEncoder() func(e *codec.Encoder, v graph.NodeID) {
+	var labels codec.Encoder
+	at := make([]int, len(s.labels)+1) // name nm's address is labels.Buf[at[nm]:at[nm+1]]
+	for nm, l := range s.labels {
+		labels.RTZLabel(l)
+		at[nm+1] = len(labels.Buf)
 	}
-	e.U(uint64(t.neighborEntries))
-	encodeRTZTable(e, t.tab3)
+	return func(e *codec.Encoder, v graph.NodeID) {
+		t := s.nodes[v]
+		e.I(int64(t.selfName))
+		e.RTZLabel(t.ownLabel)
+		e.U(uint64(t.dict.Count()))
+		prev := 0
+		t.dict.ForEach(func(nm int) {
+			e.I(int64(nm - prev))
+			prev = nm
+			e.Buf = append(e.Buf, labels.Buf[at[nm]:at[nm+1]]...)
+		})
+		e.U(uint64(len(t.blockHolder)))
+		for _, h := range t.blockHolder {
+			e.I(int64(h))
+		}
+		e.U(uint64(t.neighborEntries))
+		encodeRTZTable(e, t.tab3)
+	}
 }
 
 // restoreS6 decodes StretchSix sections into one plane. Every section's

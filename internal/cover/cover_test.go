@@ -304,6 +304,58 @@ func TestBestTreeGuarantee(t *testing.T) {
 	}
 }
 
+// TestTreeSearchMatchesBestTree checks the dense search against BestTree
+// for every pair (u, v), u == v included, on small hierarchies of both
+// variants. Unit and near-unit weights make many shared trees cost the
+// same, so the tie rule decides often; the test requires that it did.
+// Sources are laid out in shuffled order, so each From must clear the
+// previous node's costs.
+func TestTreeSearchMatchesBestTree(t *testing.T) {
+	for _, variant := range []Variant{VariantAwerbuchPeleg, VariantBallGrowing} {
+		for _, maxW := range []graph.Dist{1, 2} {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				n := 20 + rng.Intn(20)
+				g := graph.RandomSC(n, 3*n, maxW, rng)
+				m := graph.AllPairs(g)
+				h, err := BuildHierarchy(g, m, 2, 1.5, variant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				search, ties := h.NewTreeSearch(), 0
+				for _, u := range rng.Perm(n) {
+					u := graph.NodeID(u)
+					search.From(u)
+					for v := graph.NodeID(0); int(v) < n; v++ {
+						ref, cost, ok := h.BestTree(u, v)
+						got, gotOK := search.Best(v)
+						if gotOK != ok || got.Ref != ref || got.Cost != cost {
+							t.Fatalf("%v maxW=%d seed %d: search (%d,%d) gives %+v %v, BestTree %v cost %d %v",
+								variant, maxW, seed, u, v, got, gotOK, ref, cost, ok)
+						}
+						tr := h.Tree(ref)
+						if got.USlot != tr.Slot(u) || got.VSlot != tr.Slot(v) {
+							t.Fatalf("(%d,%d): slots %d %d, tree %v has %d %d", u, v, got.USlot, got.VSlot, ref, tr.Slot(u), tr.Slot(v))
+						}
+						shared := 0
+						for _, r := range h.Memberships(u) {
+							if c, ok := RoundtripViaRoot(h.Tree(r), u, v); ok && c == cost {
+								shared++
+							}
+						}
+						if shared > 1 {
+							ties++
+						}
+					}
+				}
+				if ties == 0 {
+					t.Fatalf("%v maxW=%d seed %d: no pair had two trees at its least cost", variant, maxW, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestMembershipsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.RandomSC(30, 90, 4, rng)

@@ -34,13 +34,23 @@ func (l *Level) HomeTree(v graph.NodeID) *tree.Tree {
 
 // Hierarchy is the full §4 structure: covers at geometrically increasing
 // roundtrip scales, double-trees on every cluster, and per-node tree
-// memberships for storage accounting.
+// memberships, for storage accounting and for TreeSearch.
 type Hierarchy struct {
 	K      int
 	Base   float64
 	Levels []Level
 
 	memberships [][]TreeRef
+	members     [][]member // parallel to memberships
+	trees       int        // dense tree ids run 0..trees-1 in (level, index) order
+}
+
+// member is what a TreeSearch reads of one membership beside its
+// TreeRef: the tree's dense id, the node's slot in it and its
+// RoundtripAt there.
+type member struct {
+	id, slot int32
+	rt       graph.Dist
 }
 
 // Variant selects the cover construction for a hierarchy.
@@ -122,12 +132,14 @@ func BuildHierarchy(g *graph.Graph, m graph.DistanceOracle, k int, base float64,
 			return nil, err
 		}
 	}
-	h := &Hierarchy{K: k, Base: base, Levels: levels, memberships: make([][]TreeRef, g.N())}
+	h := &Hierarchy{K: k, Base: base, Levels: levels, memberships: make([][]TreeRef, g.N()), members: make([][]member, g.N())}
 	for li, lvl := range levels {
-		for ci, c := range lvl.Cover.Clusters {
-			for _, v := range c.Nodes {
+		for ci, t := range lvl.Trees { // a tree's members are its cluster's nodes
+			for slot, v := range t.Members {
 				h.memberships[v] = append(h.memberships[v], TreeRef{Level: int32(li), Index: int32(ci)})
+				h.members[v] = append(h.members[v], member{id: int32(h.trees), slot: int32(slot), rt: t.RoundtripAt(slot)})
 			}
+			h.trees++
 		}
 	}
 	return h, nil
@@ -230,6 +242,63 @@ func (h *Hierarchy) BestTree(u, v graph.NodeID) (TreeRef, graph.Dist, bool) {
 		}
 	}
 	return bestRef, bestCost, found
+}
+
+// TreeSearch answers BestTree(u, v) for one u and many v without a slot
+// probe: From lays out u's tree costs once, by dense tree id, and Best
+// scans v's memberships against them. A search is one goroutine's.
+type TreeSearch struct {
+	h    *Hierarchy
+	u    graph.NodeID
+	cost []graph.Dist // by tree id: u's RoundtripAt, Inf where u is no member
+	slot []int32      // by tree id: u's slot
+}
+
+// Shared is the tree BestTree picks for a pair, with both nodes' slots in
+// it (for Tree.LabelAt and the other At accessors).
+type Shared struct {
+	Ref          TreeRef
+	Cost         graph.Dist
+	USlot, VSlot int
+}
+
+// NewTreeSearch returns a search over h, laid out from no node.
+func (h *Hierarchy) NewTreeSearch() *TreeSearch {
+	s := &TreeSearch{h: h, u: -1, cost: make([]graph.Dist, h.trees), slot: make([]int32, h.trees)}
+	for i := range s.cost {
+		s.cost[i] = graph.Inf
+	}
+	return s
+}
+
+// From lays the search out from u, clearing the previous node's costs.
+func (s *TreeSearch) From(u graph.NodeID) {
+	if s.u >= 0 {
+		for _, m := range s.h.members[s.u] {
+			s.cost[m.id] = graph.Inf
+		}
+	}
+	s.u = u
+	for _, m := range s.h.members[u] {
+		s.cost[m.id], s.slot[m.id] = m.rt, m.slot
+	}
+}
+
+// Best returns the tree h.BestTree(u, v) does, u being the node the
+// search was laid out from. v's memberships ascend in (level, index), so
+// keeping the first of equal costs (a strict <) is BestTree's tie rule.
+func (s *TreeSearch) Best(v graph.NodeID) (Shared, bool) {
+	best, at := graph.Inf, -1
+	for j, m := range s.h.members[v] {
+		if c := s.cost[m.id]; c != graph.Inf && c+m.rt < best {
+			best, at = c+m.rt, j
+		}
+	}
+	if at < 0 {
+		return Shared{}, false
+	}
+	m := s.h.members[v][at]
+	return Shared{Ref: s.h.memberships[v][at], Cost: best, USlot: int(s.slot[m.id]), VSlot: int(m.slot)}, true
 }
 
 func less(a, b TreeRef) bool {

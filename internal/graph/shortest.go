@@ -34,7 +34,10 @@ type heapNode struct {
 // Re-initialization is O(touched), not O(n): every per-node array is
 // guarded by an epoch stamp, so starting a new run is one counter
 // increment and entries are lazily initialized the first time the run
-// touches their node.
+// touches their node. Between runs every dist and parent entry but the
+// last run's reached ones reads Inf and -1, so a run resets only those
+// and its rows come out complete: a search restricted to a small member
+// set costs what it reaches, not n.
 //
 // The heap relies on Dijkstra's pops never decreasing: an entry sits in
 // bucket bits.Len64(d ^ last), where last is the latest key popped, so
@@ -60,6 +63,7 @@ type SSSPScratch struct {
 	epoch   uint32
 	buckets [64][]heapNode
 	last    Dist     // the heap's latest popped key
+	reached []NodeID // the nodes whose dist and parent the last run wrote
 	moved   []NodeID // a row update's affected, then settled, nodes
 }
 
@@ -77,8 +81,12 @@ func (s *SSSPScratch) ensure(n int) {
 	}
 	s.dist = make([]Dist, n)
 	s.parent = make([]NodeID, n)
+	for v := range s.dist {
+		s.dist[v], s.parent[v] = Inf, -1
+	}
 	s.stamp = make([]uint32, n) // zeroed: nothing is stamped for any epoch >= 1
 	s.epoch = 0
+	s.reached = s.reached[:0]
 }
 
 // begin opens a new run: bump the epoch (un-stamping every node in O(1))
@@ -159,13 +167,15 @@ func (s *SSSPScratch) refill(dist []Dist) bool {
 // dist[parent[v]] always and only the id can decide. That keeps the
 // parent tieParent names.
 func (s *SSSPScratch) relax(v NodeID, nd Dist, u NodeID) {
-	if s.stamp[v] == s.epoch && nd == s.dist[v] {
+	if s.stamp[v] != s.epoch {
+		s.stamp[v] = s.epoch
+		s.reached = append(s.reached, v)
+	} else if nd == s.dist[v] {
 		if p := s.parent[v]; u < p && s.dist[u] == s.dist[p] {
 			s.parent[v] = u
 		}
 		return
 	}
-	s.stamp[v] = s.epoch
 	s.dist[v] = nd
 	s.parent[v] = u
 	s.push(v, nd)
@@ -205,9 +215,13 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 	n := g.N()
 	s.ensure(n)
 	s.begin()
+	for _, v := range s.reached {
+		s.dist[v], s.parent[v] = Inf, -1
+	}
 	s.stamp[root] = s.epoch
 	s.dist[root] = 0
 	s.parent[root] = -1
+	s.reached = append(s.reached[:0], root)
 	s.push(root, 0)
 	idx := g.idx.Load()
 	dist, parent, stamp, ep := s.dist[:n], s.parent[:n], s.stamp[:n], s.epoch
@@ -239,14 +253,6 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 					s.relax(v, nd, u)
 				}
 			}
-		}
-	}
-	// Normalize untouched entries so the returned rows are complete: one
-	// predictable compare per node, writes only for unreached nodes.
-	for v := range stamp {
-		if stamp[v] != ep {
-			dist[v] = Inf
-			parent[v] = -1
 		}
 	}
 	return SSSP{Dist: dist[:n:n], Parent: parent[:n:n]}
