@@ -114,7 +114,8 @@ func (t *exTable) record(target int32, hs rtz.Handshake) error {
 			return fmt.Errorf("self-targeted entry carries a handshake in tree %v", hs.Ref)
 		}
 	} else if u, ok := t.ownLabel(hs.Ref); !ok {
-		t.own = append(t.own, ExGlobal{Ref: hs.Ref, Label: hs.ULabel})
+		// A copy: a restore decodes every ULabel into reused scratch.
+		t.own = append(t.own, ExGlobal{Ref: hs.Ref, Label: tree.Label{Tin: hs.ULabel.Tin, Light: slices.Clone(hs.ULabel.Light)}})
 	} else if !labelEqual(u, hs.ULabel) {
 		return fmt.Errorf("handshakes carry two labels of the node in tree %v", hs.Ref)
 	}
@@ -909,7 +910,24 @@ func (s *ExStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
 	}
 }
 
-func decodeNamed(d *codec.Decoder, out []exNamed) ([]exNamed, error) {
+// decodeHandshake reads a handshake whose ULabel root path lands in
+// scratch: a section repeats the node's own label in every entry, and
+// fill keeps one copy per tree (record), so the rest are not allocated.
+func decodeHandshake(d *codec.Decoder, scratch *codec.Arena[tree.LightHop]) (hs rtz.Handshake, err error) {
+	if hs.Ref, err = d.TreeRef(); err != nil {
+		return hs, err
+	}
+	d.Light = scratch
+	hs.ULabel, err = d.TreeLabel()
+	d.Light = nil
+	if err != nil {
+		return hs, err
+	}
+	hs.VLabel, err = d.TreeLabel()
+	return hs, err
+}
+
+func decodeNamed(d *codec.Decoder, out []exNamed, scratch *codec.Arena[tree.LightHop]) ([]exNamed, error) {
 	c, err := d.Count(7)
 	if err != nil {
 		return nil, err
@@ -919,7 +937,7 @@ func decodeNamed(d *codec.Decoder, out []exNamed) ([]exNamed, error) {
 		if e.name, err = d.I32(); err != nil {
 			return nil, err
 		}
-		if e.hs, err = d.Handshake(); err != nil {
+		if e.hs, err = decodeHandshake(d, scratch); err != nil {
 			return nil, err
 		}
 		out = append(out, e)
@@ -939,12 +957,15 @@ func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
 		k: st.K, directReturn: st.DirectReturn, nodes: make([]*exTable, n),
 	}
 	var l exLists // reused: fill keeps no list, only the handshakes' labels
+	// One node's ULabel root paths (decodeHandshake), reset per node.
+	var scratch codec.Arena[tree.LightHop]
 	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+		scratch.Reset()
 		t := &exTable{}
 		if t.selfName, err = d.I32(); err != nil {
 			return err
 		}
-		if l.neighbors, err = decodeNamed(d, l.neighbors[:0]); err != nil {
+		if l.neighbors, err = decodeNamed(d, l.neighbors[:0], &scratch); err != nil {
 			return err
 		}
 		nd, err := d.Count(10)
@@ -971,12 +992,12 @@ func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
 			if it.target, err = d.I32(); err != nil {
 				return err
 			}
-			if it.hs, err = d.Handshake(); err != nil {
+			if it.hs, err = decodeHandshake(d, &scratch); err != nil {
 				return err
 			}
 			l.dict = append(l.dict, it)
 		}
-		if l.full, err = decodeNamed(d, l.full[:0]); err != nil {
+		if l.full, err = decodeNamed(d, l.full[:0], &scratch); err != nil {
 			return err
 		}
 		ng, err := d.Count(3)
