@@ -30,6 +30,15 @@ func (s *Set) Remove(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 // Has reports whether i is in the set.
 func (s *Set) Has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// Rank returns the number of elements below i.
+func (s *Set) Rank(i int) int {
+	r := bits.OnesCount64(s.words[i>>6] & (1<<(uint(i)&63) - 1))
+	for _, w := range s.words[:i>>6] {
+		r += bits.OnesCount64(w)
+	}
+	return r
+}
+
 // Count returns the number of elements in the set.
 func (s *Set) Count() int {
 	c := 0

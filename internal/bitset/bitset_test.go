@@ -140,3 +140,27 @@ func TestCapBoundary(t *testing.T) {
 		t.Fatalf("Cap = %d, want 64", s.Cap())
 	}
 }
+
+// TestRank checks Rank(i), the count of elements below i, against a
+// running count over every position of random sets spanning one to
+// three words.
+func TestRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 63, 64, 65, 130, 192} {
+		s := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				s.Add(i)
+			}
+		}
+		below := 0
+		for i := 0; i < n; i++ {
+			if got := s.Rank(i); got != below {
+				t.Fatalf("n=%d: Rank(%d) = %d, want %d", n, i, got, below)
+			}
+			if s.Has(i) {
+				below++
+			}
+		}
+	}
+}

@@ -109,13 +109,11 @@ func (u Universe) BlockPrefix(b BlockID, i int) int32 {
 	return int32(int(b) / u.qpow(u.K-1-i))
 }
 
-// NamesInBlock returns the names {αq .. αq+q-1} ∩ [0,n) of block b.
-func (u Universe) NamesInBlock(b BlockID) []int32 {
-	var names []int32
-	for x := int(b) * u.Q; x < (int(b)+1)*u.Q && x < u.N; x++ {
-		names = append(names, int32(x))
-	}
-	return names
+// NamesInBlock returns block b's names {αq .. αq+q-1} ∩ [0,n) as the
+// range [lo, hi), empty when the block holds no name.
+func (u Universe) NamesInBlock(b BlockID) (lo, hi int32) {
+	first := int(b) * u.Q
+	return int32(first), int32(max(first, min(first+u.Q, u.N)))
 }
 
 // MatchLen returns the length of the longest common base-q prefix of

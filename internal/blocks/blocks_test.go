@@ -117,19 +117,18 @@ func TestBlockPrefixConsistency(t *testing.T) {
 
 func TestNamesInBlock(t *testing.T) {
 	u := NewUniverse(36, 2)
-	names := u.NamesInBlock(3)
-	if len(names) != 6 {
-		t.Fatalf("block 3 has %d names, want 6", len(names))
-	}
-	for i, nm := range names {
-		if nm != int32(18+i) {
-			t.Fatalf("block 3 names = %v, want 18..23", names)
-		}
+	if lo, hi := u.NamesInBlock(3); lo != 18 || hi != 24 {
+		t.Fatalf("block 3 names = [%d, %d), want [18, 24)", lo, hi)
 	}
 	// Last block of a non-perfect-square n is short.
 	u2 := NewUniverse(34, 2) // q = 6, block 5 holds 30..33
-	if got := len(u2.NamesInBlock(5)); got != 4 {
-		t.Fatalf("short block has %d names, want 4", got)
+	if lo, hi := u2.NamesInBlock(5); lo != 30 || hi != 34 {
+		t.Fatalf("short block names = [%d, %d), want [30, 34)", lo, hi)
+	}
+	// A block past the last name is empty.
+	u3 := NewUniverse(95, 3) // q = 5, blocks 19..24 hold no name
+	if lo, hi := u3.NamesInBlock(20); lo != hi {
+		t.Fatalf("empty block names = [%d, %d), want an empty range", lo, hi)
 	}
 }
 

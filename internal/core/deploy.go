@@ -74,14 +74,14 @@ type SchemeState struct {
 // at v reads, in canonical order, so equal tables encode to equal bytes
 // — to e. It accepts the three TINN schemes, the two core substrate
 // planes and a Deployment. encode only reads the plane and may be called
-// concurrently; what every section shares (StretchSix's addresses) is
-// encoded once per call, here.
+// concurrently; what every section shares (StretchSix's addresses,
+// ExStretch's labels) is encoded once per call, here.
 func Sections(p sim.Plane) (*SchemeState, func(e *codec.Encoder, v graph.NodeID), error) {
 	switch s := p.(type) {
 	case *StretchSix:
 		return &SchemeState{Kind: KindStretchSix, Graph: s.g, Names: s.perm.Names, ViaSource: s.viaSource}, s.sectionEncoder(), nil
 	case *ExStretch:
-		return &SchemeState{Kind: KindExStretch, Graph: s.g, Names: s.perm.Names, K: s.k, DirectReturn: s.directReturn}, s.encodeSection, nil
+		return &SchemeState{Kind: KindExStretch, Graph: s.g, Names: s.perm.Names, K: s.k, DirectReturn: s.directReturn}, s.sectionEncoder(), nil
 	case *PolynomialStretch:
 		return &SchemeState{Kind: KindPolynomial, Graph: s.g, Names: s.perm.Names, K: s.k, Levels: s.levels}, s.encodeSection, nil
 	case *RTZPlane:

@@ -57,6 +57,15 @@ func holdsPrefixDigit(a *blocks.Assignment, w graph.NodeID, i int, prefix, tau i
 	return false
 }
 
+// exDictItem is one item (3a) entry with its key unpacked and its
+// handshake whole.
+type exDictItem struct {
+	level       int8
+	prefix, tau int32
+	target      int32
+	hs          rtz.Handshake
+}
+
 // exDictReference is §3.3's item (3a) for node u, by the per-(block,
 // level, τ) rescan, in the canonical (level, prefix, τ) order.
 func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.NodeID) []exDictItem {
@@ -141,10 +150,10 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 							want := exDictReference(t, ex, space, graph.NodeID(u))
 							got := []exDictItem{}
 							tab := ex.nodes[u]
-							tab.dict.Ascending(new([]uint64), func(key int32, e exDictEntry) {
-								level, prefix, tau := ex.unpackKey(key)
-								got = append(got, exDictItem{level: level, prefix: prefix, tau: tau, target: e.TargetName, hs: tab.handshake(e.TargetName, e.HS)})
-							})
+							for _, e := range tab.dict {
+								level, prefix, tau := ex.unpackKey(e.key)
+								got = append(got, exDictItem{level: level, prefix: prefix, tau: tau, target: e.target, hs: ex.handshake(tab, e.hs)})
+							}
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("ex node %d: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, got, want)
 							}

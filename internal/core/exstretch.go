@@ -6,8 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 
+	"rtroute/internal/bitset"
 	"rtroute/internal/blocks"
 	"rtroute/internal/codec"
 	"rtroute/internal/cover"
@@ -16,7 +16,6 @@ import (
 	"rtroute/internal/parallel"
 	"rtroute/internal/rtmetric"
 	"rtroute/internal/rtz"
-	"rtroute/internal/sealed"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
@@ -37,6 +36,11 @@ import (
 //     with τ — indexed here by (i, σ^i value, τ), which deduplicates
 //     blocks sharing a prefix;
 //     (b) for every name j in the block: R2(u, node named j).
+//
+// R2(u, v) is u's and v's labels in one shared double-tree, and v's
+// half depends on (tree, v) alone, so the handshakes are held by
+// reference: every entry is an index into the plane's one label store,
+// and u's own half is kept once per tree.
 type ExStretch struct {
 	g            *graph.Graph
 	perm         *names.Permutation
@@ -47,37 +51,51 @@ type ExStretch struct {
 	directReturn bool
 
 	nodes []*exTable
+	// labels is the label store: a built plane lays the hierarchy's
+	// labels out tree by tree in (level, index) order, each member at its
+	// tree's base plus its slot; a restored one interns them by (tree,
+	// name) as the sections name them.
+	labels []ExGlobal
 }
 
 // ExGlobal is one level of a node's globally valid label: its home
-// double-tree and its address within it (DirectReturn variant).
+// double-tree and its address within it (DirectReturn variant). It is
+// also the label store's entry.
 type ExGlobal struct {
 	Ref   cover.TreeRef
 	Label tree.Label
 }
 
-// exHS is a stored handshake R2(u, v) less u's own label, which the
-// table keeps once per tree (exTable.own); exTable.handshake rebuilds it.
-type exHS struct {
-	Ref    cover.TreeRef
-	VLabel tree.Label
-}
+// exRef is an item (2) or (3b) entry: a name and the store index of its
+// handshake's target label, -1 for the node's own name (the empty
+// handshake).
+type exRef struct{ name, hs int32 }
 
-type exDictEntry struct {
-	TargetName int32
-	HS         exHS
+// exDictRef is an item (3a) entry under its packed (level, prefix, τ)
+// key, with its target's name and handshake as exRef holds them.
+type exDictRef struct{ key, target, hs int32 }
+
+// exOwn is the store index of the node's own label in one tree.
+type exOwn struct {
+	ref   cover.TreeRef
+	label int32
 }
 
 type exTable struct {
 	selfName int32
-	// neighbors is storage item (2): name -> handshake.
-	neighbors sealed.Table[exHS]
-	// dict is storage item (3a), under the packed (level, prefix, τ) key.
-	dict sealed.Table[exDictEntry]
-	// full is storage item (3b): names covered by held blocks.
-	full sealed.Table[exHS]
+	// neighbors is storage item (2), ascending by name. Forward never
+	// reads it.
+	neighbors []exRef
+	// dict is storage item (3a), ascending by key.
+	dict []exDictRef
+	// full is storage item (3b): one run per held block in block order,
+	// each the handshakes of the block's names in name order. Every block
+	// but the last holds q names, so name j of block b sits at
+	// rank(b)·q + j mod q.
+	full []int32
+	held bitset.Set // the blocks full holds
 	// own is the node's label once per tree its handshakes name.
-	own []ExGlobal
+	own []exOwn
 	// hopTab is storage item (1).
 	hopTab *rtz.HopTable
 	// global is the node's own globally valid label, present only in the
@@ -85,115 +103,92 @@ type exTable struct {
 	global []ExGlobal
 }
 
-// handshake rebuilds the full R2(u, target) of a stored entry. A
-// self-targeted entry stores the empty handshake.
-func (t *exTable) handshake(target int32, hs exHS) rtz.Handshake {
-	if target == t.selfName {
+// ownLabel returns the store index of the node's label in tree ref, or
+// -1 when no handshake names ref.
+func (t *exTable) ownLabel(ref cover.TreeRef) int32 {
+	for _, o := range t.own {
+		if o.ref == ref {
+			return o.label
+		}
+	}
+	return -1
+}
+
+// handshake rebuilds the full R2(u, target) of an entry whose target
+// label is labels[hs]; -1 is the empty handshake of a self-targeted one.
+func (s *ExStretch) handshake(t *exTable, hs int32) rtz.Handshake {
+	if hs < 0 {
 		return rtz.Handshake{}
 	}
-	u, _ := t.ownLabel(hs.Ref) // present: record saw every tree
-	return rtz.Handshake{Ref: hs.Ref, ULabel: u, VLabel: hs.VLabel}
-}
-
-func (t *exTable) ownLabel(ref cover.TreeRef) (tree.Label, bool) {
-	for _, o := range t.own {
-		if o.Ref == ref {
-			return o.Label, true
-		}
-	}
-	return tree.Label{}, false
-}
-
-// record is handshake's inverse: it keeps u's label the first time a tree
-// is named, so an entry keeps only exHS. It refuses what that form could
-// not give back: a self-targeted non-empty handshake, or two labels of u
-// in one tree.
-func (t *exTable) record(target int32, hs rtz.Handshake) error {
-	if target == t.selfName {
-		if hs.Ref != (cover.TreeRef{}) || !labelEqual(hs.ULabel, tree.Label{}) || !labelEqual(hs.VLabel, tree.Label{}) {
-			return fmt.Errorf("self-targeted entry carries a handshake in tree %v", hs.Ref)
-		}
-	} else if u, ok := t.ownLabel(hs.Ref); !ok {
-		// A copy: a restore decodes every ULabel into reused scratch.
-		t.own = append(t.own, ExGlobal{Ref: hs.Ref, Label: tree.Label{Tin: hs.ULabel.Tin, Light: slices.Clone(hs.ULabel.Light)}})
-	} else if !labelEqual(u, hs.ULabel) {
-		return fmt.Errorf("handshakes carry two labels of the node in tree %v", hs.Ref)
-	}
-	return nil
+	v := &s.labels[hs]
+	return rtz.Handshake{Ref: v.Ref, ULabel: s.labels[t.ownLabel(v.Ref)].Label, VLabel: v.Label}
 }
 
 func labelEqual(a, b tree.Label) bool { return a.Tin == b.Tin && slices.Equal(a.Light, b.Light) }
 
-func (t *exTable) words() int {
+func (s *ExStretch) words(t *exTable) int {
 	w := 1 + t.hopTab.Words()
-	t.neighbors.Range(func(nm int32, hs exHS) { w += 1 + t.handshake(nm, hs).Words() })
-	t.dict.Range(func(_ int32, e exDictEntry) { w += 4 + t.handshake(e.TargetName, e.HS).Words() })
-	t.full.Range(func(nm int32, hs exHS) { w += 1 + t.handshake(nm, hs).Words() })
+	for _, r := range t.neighbors {
+		w += 1 + s.handshake(t, r.hs).Words()
+	}
+	for _, r := range t.dict {
+		w += 4 + s.handshake(t, r.hs).Words()
+	}
+	for _, hs := range t.full {
+		w += 1 + s.handshake(t, hs).Words()
+	}
 	for _, g := range t.global {
 		w += 2 + g.Label.Words()
 	}
 	return w
 }
 
-// exNamed is one (name, handshake) entry of item (2) or (3b).
-type exNamed struct {
-	name int32
-	hs   rtz.Handshake
-}
-
-// exDictItem is one item (3a) entry with its key unpacked.
-type exDictItem struct {
-	level       int8
-	prefix, tau int32
-	target      int32
-	hs          rtz.Handshake
-}
-
-// exLists is a node's items (2), (3a) and (3b) in canonical order, each
-// handshake whole: what fill compiles, listed by the builder or read
-// from a section.
+// exLists is a node's items (2), (3a) and (3b) in canonical order: what
+// fill packs, listed by the builder or read from a section.
 type exLists struct {
-	neighbors, full []exNamed    // by name
-	dict            []exDictItem // by (level, prefix, τ)
+	neighbors, full []exRef // by name
+	dict            []exDictRef
 }
 
-// fill compiles the items listed in l into t's stored form. The builder
-// and the restore both come through here, so a decoded section is held
-// to the builder's invariants: keys strictly ascending and in range, and
-// what record checks.
+// fill packs the items listed in l into t. The builder and the restore
+// both come through here, so a decoded section is held to the builder's
+// invariants: names and keys strictly ascending, keys in range, and
+// item (3b) whole blocks.
 func (s *ExStretch) fill(t *exTable, l *exLists) error {
-	var err error
-	if t.neighbors, err = t.sealNamed(l.neighbors); err == nil {
-		t.full, err = t.sealNamed(l.full)
+	byName := func(es []exRef) bool { return ascending(len(es), func(i int) int32 { return es[i].name }) }
+	if !byName(l.neighbors) || !byName(l.full) {
+		return fmt.Errorf("entry names not strictly ascending")
 	}
-	key := func(i int) int32 { e := &l.dict[i]; return int32(s.dictKey(e.level, e.prefix, e.tau)) }
-	if err == nil && !ascending(len(l.dict), key) {
-		err = fmt.Errorf("dictionary keys out of range or not strictly ascending")
+	if !ascending(len(l.dict), func(i int) int32 { return l.dict[i].key }) {
+		return fmt.Errorf("dictionary keys out of range or not strictly ascending")
 	}
-	for i := 0; err == nil && i < len(l.dict); i++ {
-		err = t.record(l.dict[i].target, l.dict[i].hs)
+	t.held = *bitset.New(s.uni.NumBlocks())
+	t.full = make([]int32, len(l.full))
+	for i, e := range l.full {
+		b := s.uni.BlockOf(e.name)
+		lo, hi := s.uni.NamesInBlock(b)
+		first := i == 0 || l.full[i-1].name < lo
+		last := i+1 == len(l.full) || l.full[i+1].name >= hi
+		if e.name >= hi || (first && e.name != lo) || (!first && e.name != l.full[i-1].name+1) || (last && e.name != hi-1) {
+			return fmt.Errorf("full entries are not whole blocks: name %d of block %d", e.name, b)
+		}
+		t.held.Add(int(b))
+		t.full[i] = e.hs
 	}
-	if err != nil {
-		return err
-	}
-	t.dict = sealed.CompileFunc(len(l.dict), key, func(i int) exDictEntry {
-		e := &l.dict[i]
-		return exDictEntry{e.target, exHS{e.hs.Ref, e.hs.VLabel}}
-	})
+	t.neighbors, t.dict = slices.Clone(l.neighbors), slices.Clone(l.dict)
 	return nil
 }
 
-func (t *exTable) sealNamed(es []exNamed) (tab sealed.Table[exHS], err error) {
-	name := func(i int) int32 { return es[i].name }
-	if !ascending(len(es), name) {
-		return tab, fmt.Errorf("entry names not strictly ascending")
+// fullEntry returns the store index of name's item (3b) handshake.
+func (s *ExStretch) fullEntry(t *exTable, name int32) (int32, bool) {
+	if uint32(name) >= uint32(s.uni.N) {
+		return 0, false
 	}
-	for i := range es {
-		if err := t.record(es[i].name, es[i].hs); err != nil {
-			return tab, err
-		}
+	b, q := int(s.uni.BlockOf(name)), int32(s.uni.Q)
+	if !t.held.Has(b) {
+		return 0, false
 	}
-	return sealed.CompileFunc(len(es), name, func(i int) exHS { return exHS{es[i].hs.Ref, es[i].hs.VLabel} }), nil
+	return t.full[int32(t.held.Rank(b))*q+name%q], true
 }
 
 // dictKey packs a (3a) key. A level's classes (block prefixes one digit
@@ -350,10 +345,23 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		}
 	}
 
+	// The label store: tree (level, index)'s member at slot i is
+	// labels[treeAt[level][index]+i].
+	treeAt := make([][]int32, len(hier.Levels))
+	for li, lvl := range hier.Levels {
+		treeAt[li] = make([]int32, len(lvl.Trees))
+		for ci, t := range lvl.Trees {
+			treeAt[li][ci] = int32(len(s.labels))
+			for i := range t.Members {
+				s.labels = append(s.labels, ExGlobal{Ref: cover.TreeRef{Level: int32(li), Index: int32(ci)}, Label: t.LabelAt(i)})
+			}
+		}
+	}
+
 	// Per-node tables read only shared immutable state (hierarchy,
 	// assignment, Init orders); build them in parallel, each worker
-	// listing a node's entries in its reused exLists and compiling the
-	// sealed tables straight from the lists.
+	// listing a node's entries in its reused exLists and packing the
+	// tables straight from the lists.
 	workers := parallel.Workers(n, cfg.BuildWorkers)
 	claimers, scratch := make([]exDictScratch, workers), make([]exLists, workers)
 	searches := make([]*cover.TreeSearch, workers)
@@ -365,11 +373,12 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		self, sc, search := graph.NodeID(u), &scratch[wk], searches[wk]
 		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: hop.Tables[u]}
 		// R2(u, v) for every v below is hop.R2's handshake, read from u's
-		// tree costs laid out once.
+		// tree costs laid out once: v's label is its slot in the shared
+		// tree, u's is kept once per tree.
 		search.From(self)
 		var err error // the first R2 failure; later entries are dropped with it
-		entry := func(v graph.NodeID) (e exNamed) {
-			e.name = perm.Name(int32(v))
+		entry := func(v graph.NodeID) exRef {
+			e := exRef{name: perm.Name(int32(v)), hs: -1}
 			if v == self || err != nil {
 				return e
 			}
@@ -378,8 +387,11 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 				err = fmt.Errorf("core: no shared double-tree for (%d,%d)", self, v)
 				return e
 			}
-			t := hier.Tree(sh.Ref)
-			e.hs = rtz.Handshake{Ref: sh.Ref, ULabel: t.LabelAt(sh.USlot), VLabel: t.LabelAt(sh.VSlot)}
+			at := treeAt[sh.Ref.Level][sh.Ref.Index]
+			if tab.ownLabel(sh.Ref) < 0 {
+				tab.own = append(tab.own, exOwn{ref: sh.Ref, label: at + int32(sh.USlot)})
+			}
+			e.hs = at + int32(sh.VSlot)
 			return e
 		}
 		// (2) N_1(u) handshakes, by name.
@@ -389,7 +401,7 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 				sc.neighbors = append(sc.neighbors, entry(v))
 			}
 		}
-		slices.SortFunc(sc.neighbors, func(a, b exNamed) int { return cmp.Compare(a.name, b.name) })
+		slices.SortFunc(sc.neighbors, func(a, b exRef) int { return cmp.Compare(a.name, b.name) })
 		// (3a) prefix-advancing dictionary, deduplicated by (level,
 		// prefix value, next digit), in that order.
 		claims := claimers[wk].claim(assign, realized, self, space.Init(self))
@@ -399,13 +411,14 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		sc.dict = sc.dict[:0]
 		for _, c := range claims {
 			e := entry(c.target)
-			sc.dict = append(sc.dict, exDictItem{level: c.level, prefix: c.class / q, tau: c.class % q, target: e.name, hs: e.hs})
+			sc.dict = append(sc.dict, exDictRef{key: int32(s.dictKey(c.level, c.class/q, c.class%q)), target: e.name, hs: e.hs})
 		}
 		// (3b) full dictionary entries of held blocks: ascending names,
 		// as the blocks are.
 		sc.full = sc.full[:0]
 		for _, b := range assign.Sets[u] {
-			for _, nm := range assign.U.NamesInBlock(b) {
+			lo, hi := assign.U.NamesInBlock(b)
+			for nm := lo; nm < hi; nm++ {
 				sc.full = append(sc.full, entry(graph.NodeID(perm.Node(nm))))
 			}
 		}
@@ -519,19 +532,20 @@ func (s *ExStretch) SchemeName() string {
 // or the (3b) full entry for the final hop.
 func (s *ExStretch) lookupNext(tab *exTable, hopIdx int, destName int32) (int32, rtz.Handshake, error) {
 	if hopIdx+1 >= s.k {
-		hs, ok := tab.full.Get(destName)
+		hs, ok := s.fullEntry(tab, destName)
 		if !ok {
 			return 0, rtz.Handshake{}, fmt.Errorf("core: node %d lacks full entry for %d", tab.selfName, destName)
 		}
-		return destName, tab.handshake(destName, hs), nil
+		return destName, s.handshake(tab, hs), nil
 	}
 	// σ^i(dest)·q + τ is the destination's prefix one digit longer.
 	class, q := s.uni.Prefix(destName, hopIdx+1), int32(s.uni.Q)
-	e, ok := tab.dict.Get(int32(s.dictKey(int8(hopIdx), class/q, class%q)))
+	key := int32(s.dictKey(int8(hopIdx), class/q, class%q))
+	i, ok := slices.BinarySearchFunc(tab.dict, key, func(e exDictRef, k int32) int { return cmp.Compare(e.key, k) })
 	if !ok {
 		return 0, rtz.Handshake{}, fmt.Errorf("core: node %d lacks level-%d dictionary entry for %d", tab.selfName, hopIdx, destName)
 	}
-	return e.TargetName, tab.handshake(e.TargetName, e.HS), nil
+	return tab.dict[i].target, s.handshake(tab, tab.dict[i].hs), nil
 }
 
 // advance runs the Fig. 4 waypoint loop at the current node: skip
@@ -807,7 +821,7 @@ func (s *ExStretch) HopSubstrate() *rtz.HopScheme { return s.hop }
 func (s *ExStretch) MaxTableWords() int {
 	m := 0
 	for _, t := range s.nodes {
-		if w := t.words(); w > m {
+		if w := s.words(t); w > m {
 			m = w
 		}
 	}
@@ -818,7 +832,7 @@ func (s *ExStretch) MaxTableWords() int {
 func (s *ExStretch) AvgTableWords() float64 {
 	total := 0
 	for _, t := range s.nodes {
-		total += t.words()
+		total += s.words(t)
 	}
 	return float64(total) / float64(len(s.nodes))
 }
@@ -830,123 +844,86 @@ func (s *ExStretch) unpackKey(key int32) (level int8, prefix, tau int32) {
 	return int8(key / span), class / q, class % q
 }
 
-// exEncoder is one section encode's scratch: the ascending walks' pairs,
-// and the node's own labels, each encoded once behind its TreeRef — the
-// bytes every handshake in that tree starts with.
-type exEncoder struct {
-	order []uint64
-	own   []byte
-	ownAt []int // t.own[i]'s prefix is own[ownAt[i]:ownAt[i+1]]
-}
-
-var exEncoders = sync.Pool{New: func() any { return new(exEncoder) }}
-
-// handshake appends t.handshake(target, hs) as codec.Encoder.Handshake
-// would.
-func (x *exEncoder) handshake(e *codec.Encoder, t *exTable, target int32, hs exHS) {
-	if target == t.selfName {
-		e.Handshake(rtz.Handshake{})
-		return
+// sectionEncoder returns the section codec over the label store encoded
+// once, into one arena: each handshake copies the node's own label,
+// behind its TreeRef, and the target's label from there. A section holds
+// the node's name, items (2), (3a) and (3b) in canonical order with
+// every handshake whole, the §3.5 global label, then item (1), the hop
+// table, in (level, index) order.
+func (s *ExStretch) sectionEncoder() func(e *codec.Encoder, v graph.NodeID) {
+	var store codec.Encoder
+	// labels[i] is store.Buf[at[2i]:at[2i+2]], its label alone from at[2i+1].
+	at := make([]int, 2*len(s.labels)+1)
+	for i, l := range s.labels {
+		store.TreeRef(l.Ref)
+		at[2*i+1] = len(store.Buf)
+		store.TreeLabel(l.Label)
+		at[2*i+2] = len(store.Buf)
 	}
-	for i, o := range t.own {
-		if o.Ref == hs.Ref { // present: record saw every tree
-			e.Buf = append(e.Buf, x.own[x.ownAt[i]:x.ownAt[i+1]]...)
-			break
+	return func(e *codec.Encoder, v graph.NodeID) {
+		t := s.nodes[v]
+		handshake := func(hs int32) {
+			if hs < 0 {
+				e.Handshake(rtz.Handshake{})
+				return
+			}
+			u := t.ownLabel(s.labels[hs].Ref)
+			e.Buf = append(e.Buf, store.Buf[at[2*u]:at[2*u+2]]...)
+			e.Buf = append(e.Buf, store.Buf[at[2*hs+1]:at[2*hs+2]]...)
+		}
+		e.I(int64(t.selfName))
+		e.U(uint64(len(t.neighbors)))
+		for _, r := range t.neighbors {
+			e.I(int64(r.name))
+			handshake(r.hs)
+		}
+		e.U(uint64(len(t.dict)))
+		for _, r := range t.dict {
+			level, prefix, tau := s.unpackKey(r.key)
+			e.I(int64(level))
+			e.I(int64(prefix))
+			e.I(int64(tau))
+			e.I(int64(r.target))
+			handshake(r.hs)
+		}
+		e.U(uint64(len(t.full)))
+		i := 0
+		t.held.ForEach(func(b int) {
+			lo, hi := s.uni.NamesInBlock(blocks.BlockID(b))
+			for nm := lo; nm < hi; nm, i = nm+1, i+1 {
+				e.I(int64(nm))
+				handshake(t.full[i])
+			}
+		})
+		e.U(uint64(len(t.global)))
+		for _, g := range t.global {
+			e.TreeRef(g.Ref)
+			e.TreeLabel(g.Label)
+		}
+		refs := sortedRefs(t.hopTab.Trees)
+		e.U(uint64(len(refs)))
+		for _, ref := range refs {
+			h := t.hopTab.Trees[ref]
+			e.TreeRef(ref)
+			e.TreeState(h.State)
+			e.I(int64(h.InPort))
+			e.B(h.IsRoot)
 		}
 	}
-	e.TreeLabel(hs.VLabel)
 }
 
-// encodeNamed appends a name -> handshake table in name order.
-func (x *exEncoder) encodeNamed(e *codec.Encoder, t *exTable, tab *sealed.Table[exHS]) {
-	e.U(uint64(tab.Len()))
-	tab.Ascending(&x.order, func(nm int32, hs exHS) {
-		e.I(int64(nm))
-		x.handshake(e, t, nm, hs)
-	})
+// exLabelKey names a label of a restored store: a node's address in one
+// tree.
+type exLabelKey struct {
+	ref  cover.TreeRef
+	name int32
 }
 
-// encodeSection appends node v's section: its name, items (2), (3a) and
-// (3b) in canonical order with every handshake whole, the §3.5 global
-// label, then item (1), the hop table, in (level, index) order.
-func (s *ExStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
-	t := s.nodes[v]
-	x := exEncoders.Get().(*exEncoder)
-	defer exEncoders.Put(x)
-	own := codec.Encoder{Buf: x.own[:0]}
-	x.ownAt = x.ownAt[:0]
-	for _, o := range t.own {
-		x.ownAt = append(x.ownAt, len(own.Buf))
-		own.TreeRef(o.Ref)
-		own.TreeLabel(o.Label)
-	}
-	x.own, x.ownAt = own.Buf, append(x.ownAt, len(own.Buf))
-
-	e.I(int64(t.selfName))
-	x.encodeNamed(e, t, &t.neighbors)
-	e.U(uint64(t.dict.Len()))
-	t.dict.Ascending(&x.order, func(key int32, d exDictEntry) {
-		level, prefix, tau := s.unpackKey(key)
-		e.I(int64(level))
-		e.I(int64(prefix))
-		e.I(int64(tau))
-		e.I(int64(d.TargetName))
-		x.handshake(e, t, d.TargetName, d.HS)
-	})
-	x.encodeNamed(e, t, &t.full)
-	e.U(uint64(len(t.global)))
-	for _, g := range t.global {
-		e.TreeRef(g.Ref)
-		e.TreeLabel(g.Label)
-	}
-	refs := sortedRefs(t.hopTab.Trees)
-	e.U(uint64(len(refs)))
-	for _, ref := range refs {
-		h := t.hopTab.Trees[ref]
-		e.TreeRef(ref)
-		e.TreeState(h.State)
-		e.I(int64(h.InPort))
-		e.B(h.IsRoot)
-	}
-}
-
-// decodeHandshake reads a handshake whose ULabel root path lands in
-// scratch: a section repeats the node's own label in every entry, and
-// fill keeps one copy per tree (record), so the rest are not allocated.
-func decodeHandshake(d *codec.Decoder, scratch *codec.Arena[tree.LightHop]) (hs rtz.Handshake, err error) {
-	if hs.Ref, err = d.TreeRef(); err != nil {
-		return hs, err
-	}
-	d.Light = scratch
-	hs.ULabel, err = d.TreeLabel()
-	d.Light = nil
-	if err != nil {
-		return hs, err
-	}
-	hs.VLabel, err = d.TreeLabel()
-	return hs, err
-}
-
-func decodeNamed(d *codec.Decoder, out []exNamed, scratch *codec.Arena[tree.LightHop]) ([]exNamed, error) {
-	c, err := d.Count(7)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < c; i++ {
-		var e exNamed
-		if e.name, err = d.I32(); err != nil {
-			return nil, err
-		}
-		if e.hs, err = decodeHandshake(d, scratch); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// restoreEx decodes ExStretch sections, each compiled through fill like
-// a built node's lists.
+// restoreEx decodes ExStretch sections into one plane, each packed
+// through fill like a built node's lists. Every handshake's two labels
+// are interned into the plane's one store by (tree, name), so a name's
+// label in a tree must be the same in every entry that gives it: the
+// store could not give a disagreeing section back.
 func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
 	if st.K < 2 {
 		return restorer{}, fmt.Errorf("exstretch needs K >= 2, got %d", st.K)
@@ -956,16 +933,73 @@ func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
 		g: st.Graph, perm: perm, uni: blocks.NewUniverse(n, st.K),
 		k: st.K, directReturn: st.DirectReturn, nodes: make([]*exTable, n),
 	}
-	var l exLists // reused: fill keeps no list, only the handshakes' labels
-	// One node's ULabel root paths (decodeHandshake), reset per node.
+	interned := make(map[exLabelKey]int32)
+	intern := func(ref cover.TreeRef, name int32, l tree.Label) (int32, error) {
+		key := exLabelKey{ref, name}
+		i, ok := interned[key]
+		switch {
+		case !ok:
+			i = int32(len(s.labels))
+			s.labels = append(s.labels, ExGlobal{Ref: ref, Label: tree.Label{Tin: l.Tin, Light: slices.Clone(l.Light)}})
+			interned[key] = i
+		case !labelEqual(s.labels[i].Label, l):
+			return 0, fmt.Errorf("label of name %d in tree %v differs from an earlier entry's", name, ref)
+		}
+		return i, nil
+	}
+	var l exLists // reused: fill keeps no list
+	// A handshake's labels are read into scratch and copied out only the
+	// first time their (tree, name) is met, so a restore allocates one
+	// root path per store label.
 	var scratch codec.Arena[tree.LightHop]
-	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+	var t *exTable
+	handshake := func(d *codec.Decoder, target int32) (int32, error) {
 		scratch.Reset()
-		t := &exTable{}
+		d.Light = &scratch
+		hs, err := d.Handshake()
+		d.Light = nil
+		switch {
+		case err != nil:
+			return 0, err
+		case target == t.selfName:
+			if hs.Ref != (cover.TreeRef{}) || !labelEqual(hs.ULabel, tree.Label{}) || !labelEqual(hs.VLabel, tree.Label{}) {
+				return 0, fmt.Errorf("self-targeted entry carries a handshake in tree %v", hs.Ref)
+			}
+			return -1, nil
+		}
+		if u := t.ownLabel(hs.Ref); u < 0 {
+			if u, err = intern(hs.Ref, t.selfName, hs.ULabel); err != nil {
+				return 0, err
+			}
+			t.own = append(t.own, exOwn{ref: hs.Ref, label: u})
+		} else if !labelEqual(s.labels[u].Label, hs.ULabel) {
+			return 0, fmt.Errorf("handshakes carry two labels of the node in tree %v", hs.Ref)
+		}
+		return intern(hs.Ref, target, hs.VLabel)
+	}
+	named := func(d *codec.Decoder, out []exRef) ([]exRef, error) {
+		c, err := d.Count(7)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < c; i++ {
+			var e exRef
+			if e.name, err = d.I32(); err != nil {
+				return nil, err
+			}
+			if e.hs, err = handshake(d, e.name); err != nil {
+				return nil, err
+			}
+			out = append(out, e)
+		}
+		return out, nil
+	}
+	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+		t = &exTable{}
 		if t.selfName, err = d.I32(); err != nil {
 			return err
 		}
-		if l.neighbors, err = decodeNamed(d, l.neighbors[:0], &scratch); err != nil {
+		if l.neighbors, err = named(d, l.neighbors[:0]); err != nil {
 			return err
 		}
 		nd, err := d.Count(10)
@@ -974,7 +1008,6 @@ func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
 		}
 		l.dict = l.dict[:0]
 		for i := 0; i < nd; i++ {
-			var it exDictItem
 			lv, err := d.I32()
 			if err != nil {
 				return err
@@ -982,22 +1015,24 @@ func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
 			if lv < math.MinInt8 || lv > math.MaxInt8 {
 				return d.Fail("dictionary level %d outside int8", lv)
 			}
-			it.level = int8(lv)
-			if it.prefix, err = d.I32(); err != nil {
+			prefix, err := d.I32()
+			if err != nil {
 				return err
 			}
-			if it.tau, err = d.I32(); err != nil {
+			tau, err := d.I32()
+			if err != nil {
 				return err
 			}
-			if it.target, err = d.I32(); err != nil {
+			e := exDictRef{key: int32(s.dictKey(int8(lv), prefix, tau))}
+			if e.target, err = d.I32(); err != nil {
 				return err
 			}
-			if it.hs, err = decodeHandshake(d, &scratch); err != nil {
+			if e.hs, err = handshake(d, e.target); err != nil {
 				return err
 			}
-			l.dict = append(l.dict, it)
+			l.dict = append(l.dict, e)
 		}
-		if l.full, err = decodeNamed(d, l.full[:0], &scratch); err != nil {
+		if l.full, err = named(d, l.full[:0]); err != nil {
 			return err
 		}
 		ng, err := d.Count(3)

@@ -7,6 +7,7 @@ import (
 	"rtroute/internal/blocks"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
+	"rtroute/internal/rtz"
 )
 
 func buildExStretch(t testing.TB, seed int64, g *graph.Graph, perm *names.Permutation, k int) (*ExStretch, graph.DistanceOracle) {
@@ -369,5 +370,74 @@ func TestExStretchWaypointPrefixInvariant(t *testing.T) {
 	}
 	if multiHopWalks == 0 {
 		t.Fatal("test vacuous: no walk used more than one waypoint; shrink Boost or grow n")
+	}
+}
+
+// TestExStretchFullEntriesOverhang drives item (3b) where q^k > n: at
+// n = 95 and k = 2, q = 10 and the last block holds the five names
+// 90..94. On the built plane and on the plane restored from its
+// sections, every name of a held block must return the handshake
+// hop.R2 gives (the empty one for the node's own name), and every other
+// name, up to q^k - 1, must miss. The table sizes must read what they
+// read when (3b) was a hash table keyed by name.
+func TestExStretchFullEntriesOverhang(t *testing.T) {
+	const n = 95
+	rng := rand.New(rand.NewSource(95))
+	g := graph.RandomSC(n, 4*n, 9, rng)
+	perm := names.Random(n, rng)
+	built, err := NewExStretch(g, graph.AllPairs(g), perm, rng, ExStretchConfig{K: 2, Blocks: blocks.Config{Greedy: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := built.uni.Q; q != 10 {
+		t.Fatalf("q = %d, want 10", q)
+	}
+	dep, err := Deploy(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := dep.Scheme().(*ExStretch)
+	lastHeld, missed := 0, 0
+	for _, s := range []*ExStretch{built, restored} {
+		for u := 0; u < n; u++ {
+			held := make(map[blocks.BlockID]bool)
+			for _, b := range built.assign.Sets[u] {
+				held[b] = true
+			}
+			if held[9] {
+				lastHeld++
+			}
+			for nm := int32(0); nm < 100; nm++ {
+				got, hs, err := s.lookupNext(s.nodes[u], 1, nm)
+				if nm >= n || !held[built.uni.BlockOf(nm)] {
+					if err == nil {
+						t.Fatalf("node %d: name %d outside its held blocks found (%d, %v)", u, nm, got, hs)
+					}
+					missed++
+					continue
+				}
+				if err != nil {
+					t.Fatalf("node %d: name %d of a held block: %v", u, nm, err)
+				}
+				var want rtz.Handshake
+				if v := graph.NodeID(perm.Node(nm)); v != graph.NodeID(u) {
+					if want, _, err = built.hop.R2(graph.NodeID(u), v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got != nm || hs.Ref != want.Ref || !labelEqual(hs.ULabel, want.ULabel) || !labelEqual(hs.VLabel, want.VLabel) {
+					t.Fatalf("node %d: name %d gives (%d, %v), want (%d, %v)", u, nm, got, hs, nm, want)
+				}
+			}
+		}
+		if got, want := s.MaxTableWords(), 594; got != want {
+			t.Errorf("MaxTableWords = %d, want %d", got, want)
+		}
+		if got, want := s.AvgTableWords(), 42771.0/n; got != want {
+			t.Errorf("AvgTableWords = %v, want %v", got, want)
+		}
+	}
+	if lastHeld == 0 || missed == 0 {
+		t.Fatalf("vacuous: the overhanging block is held %d times, %d lookups missed", lastHeld, missed)
 	}
 }

@@ -277,14 +277,15 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 	for b := 0; b < numBlocks; b++ {
 		// Blocks holding no real names need no holder; every block
 		// of a real name must be covered (Lemma 1).
-		if tab.blockHolder[b] < 0 && len(assign.U.NamesInBlock(blocks.BlockID(b))) > 0 {
+		if lo, hi := assign.U.NamesInBlock(blocks.BlockID(b)); tab.blockHolder[b] < 0 && lo < hi {
 			return nil, fmt.Errorf("core: node %d has no holder for block %d in its neighborhood", u, b)
 		}
 	}
 	// (3) dictionary entries of the blocks stored here. A name may be in
 	// both (1) and (3): it is stored once.
 	for _, b := range assign.Sets[u] {
-		for _, nm := range assign.U.NamesInBlock(b) {
+		lo, hi := assign.U.NamesInBlock(b)
+		for nm := lo; nm < hi; nm++ {
 			tab.dict.Add(int(nm))
 		}
 	}

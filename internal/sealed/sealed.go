@@ -8,11 +8,7 @@
 // a new one, compiled over the new entries.
 package sealed
 
-import (
-	"math"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // Hash spreads an int32 id (Knuth multiplicative hash with an xor fold
 // so the low bits used by the mask are well mixed). Any bit pattern is
@@ -132,54 +128,6 @@ func (t *Table[V]) Range(fn func(k int32, v V)) {
 			pos++
 		}
 	}
-}
-
-// Ascending calls fn for every entry in ascending key order, reading
-// each value at its position: no probe per entry. Keys spanning at most
-// four times the entry count (a node's names in its held blocks) are
-// placed by offset from the least; others are sorted as packed (key,
-// position) pairs. Both use *scratch, which is kept, grown, for the
-// caller's next walk.
-func (t *Table[V]) Ascending(scratch *[]uint64, fn func(k int32, v V)) {
-	lo, hi := int32(math.MaxInt32), int32(-1)
-	for _, k := range t.keys {
-		if k >= 0 {
-			lo, hi = min(lo, k), max(hi, k)
-		}
-	}
-	if hi < 0 {
-		return
-	}
-	buf := (*scratch)[:0]
-	if span := int(hi-lo) + 1; span <= 4*len(t.vals) {
-		buf = slices.Grow(buf, span)[:span]
-		clear(buf)
-		pos := uint64(0)
-		for _, k := range t.keys {
-			if k >= 0 {
-				pos++
-				buf[k-lo] = pos // position + 1: 0 marks a key not stored
-			}
-		}
-		for i, p := range buf {
-			if p != 0 {
-				fn(lo+int32(i), t.vals[p-1])
-			}
-		}
-	} else {
-		pos := uint64(0)
-		for _, k := range t.keys {
-			if k >= 0 {
-				buf = append(buf, uint64(k)<<32|pos)
-				pos++
-			}
-		}
-		slices.Sort(buf)
-		for _, p := range buf {
-			fn(int32(p>>32), t.vals[uint32(p)])
-		}
-	}
-	*scratch = buf
 }
 
 // Index maps each of a set of distinct non-negative keys to its position

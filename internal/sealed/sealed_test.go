@@ -2,7 +2,6 @@ package sealed
 
 import (
 	"maps"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -192,50 +191,5 @@ func TestIndexMatchesPositions(t *testing.T) {
 	var zero Index
 	if zero.Pos(0) != -1 || zero.Pos(-1) != -1 {
 		t.Fatal("zero index found a key")
-	}
-}
-
-// TestAscendingWalk checks the ordered walk against the builder map: keys
-// come out strictly ascending, each entry exactly once, with its value,
-// over one reused scratch and keys compiled in random order — the zero
-// Table and a one-entry table included.
-func TestAscendingWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var scratch []uint64
-	walk := func(tab *Table[int64], m map[int32]int64) {
-		t.Helper()
-		n, prev := 0, int32(-1)
-		tab.Ascending(&scratch, func(k int32, v int64) {
-			if k <= prev {
-				t.Fatalf("key %d after %d", k, prev)
-			}
-			if want, ok := m[k]; !ok || v != want {
-				t.Fatalf("key %d walks with %d, map has (%d, %v)", k, v, want, ok)
-			}
-			prev = k
-			n++
-		})
-		if n != len(m) {
-			t.Fatalf("walked %d entries, want %d", n, len(m))
-		}
-	}
-	var zero Table[int64]
-	walk(&zero, nil)
-	one := CompileFunc(1, func(int) int32 { return 7 }, func(int) int64 { return -3 })
-	walk(&one, map[int32]int64{7: -3})
-	for trial := 0; trial < 60; trial++ {
-		// Keys below 2^bits: small bits give tables dense in their span,
-		// large ones sparse.
-		m, bits := make(map[int32]int64), 1+rng.Intn(30)
-		for i := rng.Intn(600); i > 0; i-- {
-			m[int32(rng.Intn(1<<bits))] = rng.Int63()
-		}
-		if trial%3 == 0 { // the extreme keys
-			m[0], m[math.MaxInt32] = rng.Int63(), rng.Int63()
-		}
-		keys := slices.Collect(maps.Keys(m))
-		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		tab := CompileFunc(len(keys), func(i int) int32 { return keys[i] }, func(i int) int64 { return m[keys[i]] })
-		walk(&tab, m)
 	}
 }

@@ -47,6 +47,8 @@ const rejectNode = 3
 // still refuses what it refused.
 var rejectWant = map[string][]string{
 	"exstretch-two-labels.rtwf":     {"node 3", "tree"},
+	"exstretch-two-vlabels.rtwf":    {"node 3", "tree", "differs"},
+	"exstretch-partial-block.rtwf":  {"node 3", "whole blocks"},
 	"exstretch-self-handshake.rtwf": {"node 3", "tree"},
 	"exstretch-dict-key.rtwf":       {"node 3", "dictionary"},
 	"exstretch-k1.rtwf":             {"K >= 2"},
@@ -123,12 +125,16 @@ func TestDecoderRejectsCorpus(t *testing.T) {
 }
 
 // TestDecoderRejectsInconsistentHandshakes: an ExStretch section whose
-// handshakes carry two of the node's labels in one tree, or whose
-// own-name full entry carries a handshake, could not come back out of a
-// restored table, which keeps the node's label once per tree and no
-// handshake for itself; each is refused naming the node and the tree.
+// handshakes carry two of the node's labels in one tree, whose own-name
+// full entry carries a handshake, or that gives a (tree, name) a label
+// an earlier section gives differently, could not come back out of a
+// restored plane, which keeps one label per (tree, name) in its store
+// and no handshake for a node's own name; each is refused naming the
+// node and the tree. Nor could one whose full entries are not whole
+// blocks, which the plane keeps as one run per held block.
 func TestDecoderRejectsInconsistentHandshakes(t *testing.T) {
-	checkRejected(t, rejectCorpus(t), "exstretch-two-labels.rtwf", "exstretch-self-handshake.rtwf")
+	checkRejected(t, rejectCorpus(t), "exstretch-two-labels.rtwf", "exstretch-self-handshake.rtwf",
+		"exstretch-two-vlabels.rtwf", "exstretch-partial-block.rtwf")
 }
 
 // TestDecoderRejectsInconsistentDictionaries: a StretchSix section that

@@ -57,15 +57,23 @@ func NodeSizes(p sim.Plane) ([]int, error) {
 // section bodies, whatever n is.
 const sectionWindow = 32
 
+// sectionEncoders keeps encodeSections' worker buffers, grown to a
+// window of sections, for the next call.
+var sectionEncoders = sync.Pool{New: func() any { return new(codec.Encoder) }}
+
 // encodeSections encodes every node's section on all cores and returns
 // the section lengths. Each worker appends the bodies it encodes to its
-// own reused buffer; after each window of nodes the bodies are stitched
-// into blob in node order, each behind its length, so the bytes do not
-// depend on the worker count. blob == nil measures without keeping
-// anything.
+// own buffer, reused across windows and calls; after each window of
+// nodes the bodies are stitched into blob in node order, each behind its
+// length, so the bytes do not depend on the worker count. blob == nil
+// measures without keeping anything.
 func encodeSections(blob *encoder, n int, encode func(*codec.Encoder, graph.NodeID)) []int {
 	workers := parallel.Workers(n, 0)
-	encs := make([]codec.Encoder, workers)
+	encs := make([]*codec.Encoder, workers)
+	for w := range encs {
+		encs[w] = sectionEncoders.Get().(*codec.Encoder)
+		encs[w].Buf = encs[w].Buf[:0]
+	}
 	type span struct{ worker, off, end int }
 	window := workers * sectionWindow
 	spans := make([]span, window)
@@ -73,7 +81,7 @@ func encodeSections(blob *encoder, n int, encode func(*codec.Encoder, graph.Node
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
 		_ = parallel.ForEachWorker(hi-lo, workers, func(w, i int) error {
-			e := &encs[w]
+			e := encs[w]
 			off := len(e.Buf)
 			encode(e, graph.NodeID(lo+i))
 			spans[i] = span{worker: w, off: off, end: len(e.Buf)}
@@ -97,6 +105,9 @@ func encodeSections(blob *encoder, n int, encode func(*codec.Encoder, graph.Node
 			perNode := sectionBytes/(hi-lo) + binary.MaxVarintLen32
 			blob.Buf = slices.Grow(blob.Buf, perNode*(n-hi)*21/20)
 		}
+	}
+	for _, e := range encs {
+		sectionEncoders.Put(e)
 	}
 	return sizes
 }
