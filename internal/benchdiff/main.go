@@ -16,7 +16,10 @@
 //   - ok: none of these.
 //
 // It exits non-zero if a metric is WORSE or the working tree failed more
-// operations; an unresolved metric is reported, not failed.
+// operations; an unresolved metric is reported, not failed. Beside the
+// ref's quartile distance it prints the ref's min–max, and a WORSE from
+// fewer than ten pairs carries a note saying so: on a millisecond metric
+// three pairs can read WORSE on host noise alone.
 //
 // Usage (from the repo root; `make benchdiff REF=... WORKLOAD=... PAIRS=...`):
 //
@@ -123,13 +126,14 @@ func run(ref, workload string, pairs int, seed int64, dir string) error {
 		}
 	}
 	worse := failed[1] > failed[0]
-	fmt.Printf("\n%-16s %14s %14s %8s %10s %6s  %s\n", "metric", "ref median", "change median", "ratio", "ref IQR", "wins", "verdict (bound)")
+	fmt.Printf("\n%-16s %14s %14s %8s %10s %21s %6s  %s\n", "metric", "ref median", "change median", "ratio", "ref IQR", "ref min–max", "wins", "verdict (bound)")
 	for _, m := range decl.EndToEnd {
 		v := vals[m.Name]
 		a, b := quantile(v[0], 0.5), quantile(v[1], 0.5)
 		verdict, iqr, wins := judge(m, v[0], v[1])
 		worse = worse || verdict == "WORSE"
-		fmt.Printf("%-16s %14.6g %14.6g %8.3f %10.4g %3d/%-2d  %s (%g)\n", m.Name, a, b, b/a, iqr, wins, pairs, verdict, m.Bound)
+		span := fmt.Sprintf("%.4g–%.4g", quantile(v[0], 0), quantile(v[0], 1))
+		fmt.Printf("%-16s %14.6g %14.6g %8.3f %10.4g %21s %3d/%-2d  %s (%g)%s\n", m.Name, a, b, b/a, iqr, span, wins, pairs, verdict, m.Bound, fewPairsNote(verdict, pairs))
 	}
 	fmt.Printf("failed operations: ref %d, change %d\n", failed[0], failed[1])
 	if worse {
@@ -169,6 +173,15 @@ func judge(m metric, ref, change []float64) (verdict string, iqr float64, wins i
 		return "claimable", iqr, wins
 	}
 	return "ok", iqr, wins
+}
+
+// fewPairsNote is what a verdict line adds when a WORSE rests on fewer
+// pairs than a claimed gain needs; the verdict and the exit status stand.
+func fewPairsNote(verdict string, pairs int) string {
+	if verdict != "WORSE" || pairs >= 10 {
+		return ""
+	}
+	return fmt.Sprintf("  [from %d pairs, under 10: rerun with more pairs to tell a regression from host noise]", pairs)
 }
 
 // quantile is the q-quantile of v, interpolated linearly between the

@@ -41,6 +41,19 @@ func TestJudgeFollowsTheClaimRule(t *testing.T) {
 	}
 }
 
+// TestFewPairsNote: only a WORSE from fewer than ten pairs is annotated.
+func TestFewPairsNote(t *testing.T) {
+	for _, c := range []struct {
+		verdict string
+		pairs   int
+		noted   bool
+	}{{"WORSE", 3, true}, {"WORSE", 9, true}, {"WORSE", 10, false}, {"ok", 3, false}, {"unresolved", 3, false}, {"claimable", 10, false}} {
+		if got := fewPairsNote(c.verdict, c.pairs); (got != "") != c.noted {
+			t.Errorf("%s over %d pairs: note %q, want noted=%v", c.verdict, c.pairs, got, c.noted)
+		}
+	}
+}
+
 func TestQuantileInterpolates(t *testing.T) {
 	v := []float64{4, 1, 3, 2}
 	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.25, 1.75}, {0.5, 2.5}, {0.75, 3.25}, {1, 4}} {

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"rtroute/internal/codec"
-	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/parallel"
@@ -170,17 +168,6 @@ func ascending(n int, key func(i int) int32) bool {
 		}
 	}
 	return true
-}
-
-// sortedRefs lists a per-tree table's keys in (level, index) order, the
-// canonical order of its section.
-func sortedRefs[V any](m map[cover.TreeRef]V) []cover.TreeRef {
-	refs := make([]cover.TreeRef, 0, len(m))
-	for ref := range m {
-		refs = append(refs, ref)
-	}
-	slices.SortFunc(refs, refCompare)
-	return refs
 }
 
 // Deployment is a scheme restored from per-node sections. It

@@ -23,9 +23,9 @@ import (
 
 // polyDictReference is Fig. 11's dictionary (c) for node u in tree ref,
 // by the per-(j, τ) rescan.
-func polyDictReference(s *PolynomialStretch, space *rtmetric.Space, u graph.NodeID, ref cover.TreeRef) map[polyDictKey]polyDictEntry {
+func polyDictReference(s *PolynomialStretch, space *rtmetric.Space, u graph.NodeID, ref cover.TreeRef) []polyDictEntry {
 	tr := s.hier.Tree(ref)
-	dict := make(map[polyDictKey]polyDictEntry)
+	dict := []polyDictEntry{}
 	selfName := s.perm.Name(int32(u))
 	for j := 0; j < s.k; j++ {
 		myPrefix := s.uni.Prefix(selfName, j)
@@ -37,7 +37,7 @@ func polyDictReference(s *PolynomialStretch, space *rtmetric.Space, u graph.Node
 				}
 				if s.uni.Prefix(s.perm.Name(int32(w)), j+1) == wantPrefix {
 					lbl, _ := tr.LabelOf(w)
-					dict[polyDictKey{J: int8(j), Tau: tau}] = polyDictEntry{Name: s.perm.Name(int32(w)), Label: lbl}
+					dict = append(dict, polyDictEntry{key: int32(j)*int32(s.uni.Q) + tau, name: s.perm.Name(int32(w)), label: lbl})
 					break
 				}
 			}
@@ -134,9 +134,9 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 							if len(poly.nodes[u].trees) != len(refs) {
 								t.Fatalf("poly node %d holds %d trees, belongs to %d", u, len(poly.nodes[u].trees), len(refs))
 							}
-							for _, ref := range refs {
+							for i, ref := range refs {
 								want := polyDictReference(poly, space, graph.NodeID(u), ref)
-								if got := poly.nodes[u].trees[ref].dict; !reflect.DeepEqual(got, want) {
+								if got := poly.nodes[u].trees[i].dict; poly.nodes[u].hop.Trees[i].Ref != ref || !reflect.DeepEqual(got, want) {
 									t.Fatalf("poly node %d tree %v: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, ref, got, want)
 								}
 							}

@@ -625,7 +625,7 @@ func (s *ExStretch) Forward(at graph.NodeID, header sim.Header) (graph.PortID, b
 			// §3.5 variant: route straight home through the lowest
 			// shared tree of the source's global label.
 			for _, g := range h.Global {
-				if _, ok := tab.hopTab.Trees[g.Ref]; ok {
+				if _, ok := tab.hopTab.Find(g.Ref); ok {
 					h.NextWaypointName = h.SrcName
 					h.Leg = rtz.HopHeader{Ref: g.Ref, Target: g.Label}
 					h.LegSet = true
@@ -900,15 +900,7 @@ func (s *ExStretch) sectionEncoder() func(e *codec.Encoder, v graph.NodeID) {
 			e.TreeRef(g.Ref)
 			e.TreeLabel(g.Label)
 		}
-		refs := sortedRefs(t.hopTab.Trees)
-		e.U(uint64(len(refs)))
-		for _, ref := range refs {
-			h := t.hopTab.Trees[ref]
-			e.TreeRef(ref)
-			e.TreeState(h.State)
-			e.I(int64(h.InPort))
-			e.B(h.IsRoot)
-		}
+		encodeHopTable(e, t.hopTab, nil)
 	}
 }
 
@@ -1049,27 +1041,8 @@ func restoreEx(st *SchemeState, perm *names.Permutation) (restorer, error) {
 			}
 			t.global = append(t.global, g)
 		}
-		nh, err := d.Count(7)
-		if err != nil {
+		if t.hopTab, err = decodeHopTable(d, v, 7, nil); err != nil {
 			return err
-		}
-		t.hopTab = &rtz.HopTable{Self: v, Trees: make(map[cover.TreeRef]rtz.HopEntry, nh)}
-		for i := 0; i < nh; i++ {
-			ref, err := d.TreeRef()
-			if err != nil {
-				return err
-			}
-			var h rtz.HopEntry
-			if h.State, err = d.TreeState(); err != nil {
-				return err
-			}
-			if h.InPort, err = d.I32(); err != nil {
-				return err
-			}
-			if h.IsRoot, err = d.B(); err != nil {
-				return err
-			}
-			t.hopTab.Trees[ref] = h
 		}
 		if err := s.fill(t, &l); err != nil {
 			return err

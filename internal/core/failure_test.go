@@ -125,14 +125,19 @@ func TestPolyLadderExhaustionIsDiagnosed(t *testing.T) {
 		DestName: 9999, // unmatchable: every dictionary lookup fails
 		SrcName:  s.nodes[src].selfName,
 		Level:    int32(s.Levels() - 1),
-		Ref:      s.nodes[src].home[s.Levels()-1],
 	}
+	s.nodes[src].homeTree(h)
 	h.NextWaypointName = h.SrcName
-	e := s.nodes[src].trees[h.Ref]
-	h.SourceLabel = e.ownLabel
 	_, _, err = s.Forward(src, h)
 	if err == nil || !strings.Contains(err.Error(), "ladder") {
 		t.Fatalf("ladder exhaustion not diagnosed: %v", err)
+	}
+	// A level below the ladder, as a hostile flight frame may carry, is
+	// refused the same way instead of indexing the home trees with it.
+	h.Level = -2
+	_, _, err = s.Forward(src, h)
+	if err == nil || !strings.Contains(err.Error(), "ladder") {
+		t.Fatalf("negative level not diagnosed: %v", err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"rtroute/internal/names"
 	"rtroute/internal/parallel"
 	"rtroute/internal/rtmetric"
+	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
@@ -44,39 +45,45 @@ type PolynomialStretch struct {
 	nodes []*polyTable
 }
 
-type polyDictKey struct {
-	J   int8
-	Tau int32
-}
-
+// polyDictEntry is dictionary slot (j, τ) of one tree under its packed
+// key j·q + τ: the name and label of the member it names.
 type polyDictEntry struct {
-	Name  int32
-	Label tree.Label
+	key   int32
+	name  int32
+	label tree.Label
 }
 
-type polyTreeEntry struct {
-	state    tree.State
-	inPort   graph.PortID
-	isRoot   bool
-	ownLabel tree.Label
-	dict     map[polyDictKey]polyDictEntry
+// polyTree is what a node holds beside its routing entry in one tree:
+// its own label and its dictionary, ascending by key.
+type polyTree struct {
+	own  tree.Label
+	dict []polyDictEntry
 }
 
 type polyTable struct {
 	selfName int32
-	trees    map[cover.TreeRef]*polyTreeEntry
-	home     []cover.TreeRef // per level
+	hop      *rtz.HopTable
+	trees    []polyTree // trees[i] belongs to hop.Trees[i]
+	home     []int32    // per level, the position of the home tree in hop.Trees
 }
 
 func (t *polyTable) words() int {
 	w := 1 + 2*len(t.home)
 	for _, e := range t.trees {
-		w += 6 + e.ownLabel.Words()
+		w += 6 + e.own.Words()
 		for _, d := range e.dict {
-			w += 3 + d.Label.Words()
+			w += 3 + d.label.Words()
 		}
 	}
 	return w
+}
+
+// homeTree arms h's leg in the node's home tree at h.Level, with the
+// node's label there as the source label.
+func (t *polyTable) homeTree(h *PolyHeader) {
+	i := t.home[h.Level]
+	h.Leg = rtz.HopHeader{Ref: t.hop.Trees[i].Ref}
+	h.SourceLabel = t.trees[i].own
 }
 
 // PolyHeader is the packet header of Fig. 11.
@@ -86,16 +93,16 @@ type PolyHeader struct {
 	SrcName          int32
 	Level            int32
 	Found            bool
-	Ref              cover.TreeRef
 	SourceLabel      tree.Label
 	NextWaypointName int32
-	Target           tree.Label
-	Descending       bool
+	// Leg is the live leg in the current tree: toward the next
+	// waypoint's label, or home to the source's.
+	Leg rtz.HopHeader
 }
 
 // Words implements sim.Header.
 func (h *PolyHeader) Words() int {
-	return 8 + h.SourceLabel.Words() + h.Target.Words()
+	return 5 + h.SourceLabel.Words() + h.Leg.Words()
 }
 
 var _ sim.Header = (*PolyHeader)(nil)
@@ -164,6 +171,10 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchy: %w", err)
 	}
+	hop, err := rtz.NewHop(g, hier)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	space := rtmetric.New(g, m, perm.Names)
 	uni := blocks.NewUniverse(n, cfg.K)
 
@@ -179,33 +190,25 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	}
 	scratch := make([]polyDictScratch, parallel.Workers(n, cfg.BuildWorkers))
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
+		ht := hop.Tables[u]
 		tab := &polyTable{
 			selfName: perm.Name(int32(u)),
-			trees:    make(map[cover.TreeRef]*polyTreeEntry, len(hier.Memberships(graph.NodeID(u)))),
-			home:     make([]cover.TreeRef, len(hier.Levels)),
+			hop:      ht,
+			trees:    make([]polyTree, len(ht.Trees)),
+			home:     make([]int32, len(hier.Levels)),
 		}
 		for li, lvl := range hier.Levels {
-			tab.home[li] = cover.TreeRef{Level: int32(li), Index: lvl.Cover.Home[u]}
+			i, ok := ht.Find(cover.TreeRef{Level: int32(li), Index: lvl.Cover.Home[u]})
+			if !ok {
+				return fmt.Errorf("core: node %d is outside its level-%d home tree", u, li)
+			}
+			tab.home[li] = int32(i)
 		}
 		ranks := space.Ranks(graph.NodeID(u))
-		for _, ref := range hier.Memberships(graph.NodeID(u)) {
-			tr := hier.Tree(ref)
-			st, _ := tr.State(graph.NodeID(u))
+		for i, e := range ht.Trees {
+			tr := hier.Tree(e.Ref)
 			own, _ := tr.LabelOf(graph.NodeID(u))
-			e := &polyTreeEntry{
-				state:    st,
-				isRoot:   tr.Root == graph.NodeID(u),
-				ownLabel: own,
-			}
-			if !e.isRoot {
-				p, ok := tr.InPort(graph.NodeID(u))
-				if !ok {
-					return fmt.Errorf("core: tree %v lacks in-port for %d", ref, u)
-				}
-				e.inPort = p
-			}
-			e.dict = scratch[wk].build(tr, graph.NodeID(u), ranks, digits, perm, uni)
-			tab.trees[ref] = e
+			tab.trees[i] = polyTree{own: own, dict: scratch[wk].build(tr, graph.NodeID(u), ranks, digits, perm, uni)}
 		}
 		s.nodes[u] = tab
 		return nil
@@ -229,7 +232,9 @@ type polyDictScratch struct {
 // first match a walk of Init_u would meet, since ranks are distinct.
 // A member competes at j = 0 and at each further j while its digits
 // keep matching u's; only u itself matches all K, and u never competes.
-func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, ranks, digits []int32, perm *names.Permutation, uni blocks.Universe) map[polyDictKey]polyDictEntry {
+// Slot (j, τ) is index j·q + τ of the table, so the dictionary comes out
+// ascending by key.
+func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, ranks, digits []int32, perm *names.Permutation, uni blocks.Universe) []polyDictEntry {
 	k, q := uni.K, uni.Q
 	if sc.rank == nil {
 		sc.rank, sc.slot = make([]int32, k*q), make([]int32, k*q)
@@ -258,15 +263,11 @@ func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, ranks, digits []
 			}
 		}
 	}
-	dict := make(map[polyDictKey]polyDictEntry, filled)
+	dict := make([]polyDictEntry, 0, filled)
 	for i, rk := range sc.rank {
-		if rk == math.MaxInt32 {
-			continue
-		}
-		mi := int(sc.slot[i])
-		dict[polyDictKey{J: int8(i / q), Tau: int32(i % q)}] = polyDictEntry{
-			Name:  perm.Name(int32(tr.Members[mi])),
-			Label: tr.LabelAt(mi),
+		if rk != math.MaxInt32 {
+			mi := int(sc.slot[i])
+			dict = append(dict, polyDictEntry{key: int32(i), name: perm.Name(int32(tr.Members[mi])), label: tr.LabelAt(mi)})
 		}
 	}
 	return dict
@@ -279,24 +280,22 @@ func (s *PolynomialStretch) SchemeName() string { return fmt.Sprintf("polystretc
 // levels at the source when the current tree has no matching entry.
 func (s *PolynomialStretch) computeNext(tab *polyTable, h *PolyHeader) error {
 	for {
-		e, ok := tab.trees[h.Ref]
+		i, ok := tab.hop.Find(h.Leg.Ref)
 		if !ok {
-			return fmt.Errorf("core: node %d outside its routing tree %v", tab.selfName, h.Ref)
+			return fmt.Errorf("core: node %d outside its routing tree %v", tab.selfName, h.Leg.Ref)
 		}
-		matched := s.uni.MatchLen(tab.selfName, h.DestName)
-		key := polyDictKey{J: int8(matched), Tau: s.uni.Prefix(h.DestName, matched+1) % int32(s.uni.Q)}
-		if d, ok := e.dict[key]; ok {
-			h.NextWaypointName = d.Name
-			h.Target = d.Label
-			h.Descending = false
+		j, q := s.uni.MatchLen(tab.selfName, h.DestName), int32(s.uni.Q)
+		key, dict := int32(j)*q+s.uni.Prefix(h.DestName, j+1)%q, tab.trees[i].dict
+		if d, ok := slices.BinarySearchFunc(dict, key, func(e polyDictEntry, k int32) int { return cmp.Compare(e.key, k) }); ok {
+			h.NextWaypointName = dict[d].name
+			h.Leg = rtz.HopHeader{Ref: h.Leg.Ref, Target: dict[d].label}
 			return nil
 		}
 		// Failure in this tree.
 		if tab.selfName != h.SrcName {
 			// Send the packet home; the source will escalate.
 			h.NextWaypointName = h.SrcName
-			h.Target = h.SourceLabel
-			h.Descending = false
+			h.Leg = rtz.HopHeader{Ref: h.Leg.Ref, Target: h.SourceLabel}
 			return nil
 		}
 		// At the source: escalate to the next level's home tree.
@@ -309,16 +308,11 @@ func (s *PolynomialStretch) computeNext(tab *polyTable, h *PolyHeader) error {
 // escalate moves the search to the source's home tree one level up
 // (Fig. 11's "Level <- Level * 2" step on the scale ladder).
 func (s *PolynomialStretch) escalate(tab *polyTable, h *PolyHeader) error {
-	if int(h.Level)+1 >= s.levels {
+	if h.Level < 0 || int(h.Level)+1 >= s.levels {
 		return fmt.Errorf("core: level ladder exhausted routing %d -> %d", h.SrcName, h.DestName)
 	}
 	h.Level++
-	h.Ref = tab.home[h.Level]
-	he, ok := tab.trees[h.Ref]
-	if !ok {
-		return fmt.Errorf("core: source %d missing home tree %v", tab.selfName, h.Ref)
-	}
-	h.SourceLabel = he.ownLabel
+	tab.homeTree(h)
 	return nil
 }
 
@@ -339,12 +333,7 @@ func (s *PolynomialStretch) Forward(at graph.NodeID, header sim.Header) (graph.P
 		if h.DestName == nx {
 			return 0, true, nil
 		}
-		h.Ref = tab.home[0]
-		he, ok := tab.trees[h.Ref]
-		if !ok {
-			return 0, false, fmt.Errorf("core: source %d missing home tree %v", nx, h.Ref)
-		}
-		h.SourceLabel = he.ownLabel
+		tab.homeTree(h)
 		if err := s.computeNext(tab, h); err != nil {
 			return 0, false, err
 		}
@@ -376,8 +365,7 @@ func (s *PolynomialStretch) Forward(at graph.NodeID, header sim.Header) (graph.P
 			return 0, true, nil
 		}
 		h.NextWaypointName = h.SrcName
-		h.Target = h.SourceLabel
-		h.Descending = false
+		h.Leg = rtz.HopHeader{Ref: h.Leg.Ref, Target: h.SourceLabel}
 
 	case ModeInbound:
 		if nx == h.SrcName {
@@ -389,20 +377,9 @@ func (s *PolynomialStretch) Forward(at graph.NodeID, header sim.Header) (graph.P
 	}
 
 	// Forward within the current tree: climb to the root, then descend.
-	e, ok := tab.trees[h.Ref]
-	if !ok {
-		return 0, false, fmt.Errorf("core: node %d outside tree %v mid-route", nx, h.Ref)
-	}
-	if !h.Descending {
-		if e.isRoot {
-			h.Descending = true
-		} else {
-			return e.inPort, false, nil
-		}
-	}
-	port, delivered, err := tree.NextPort(e.state, h.Target)
+	port, delivered, err := rtz.ForwardHop(tab.hop, &h.Leg)
 	if err != nil {
-		return 0, false, fmt.Errorf("core: descent at %d: %w", nx, err)
+		return 0, false, err
 	}
 	if delivered {
 		return 0, false, fmt.Errorf("core: tree leg delivered at %d without waypoint match", nx)
@@ -467,9 +444,8 @@ func (s *PolynomialStretch) HomeTreeRoot(srcName int32, level int) (int32, error
 	if level < 0 || level >= len(s.hier.Levels) {
 		return 0, fmt.Errorf("core: level %d outside ladder of %d", level, len(s.hier.Levels))
 	}
-	v := graph.NodeID(s.perm.Node(srcName))
-	ref := s.nodes[v].home[level]
-	return s.perm.Name(int32(s.hier.Tree(ref).Root)), nil
+	t := s.nodes[s.perm.Node(srcName)]
+	return s.perm.Name(int32(s.hier.Tree(t.hop.Trees[t.home[level]].Ref).Root)), nil
 }
 
 // Levels returns the number of levels in the hierarchy.
@@ -500,45 +476,31 @@ func (s *PolynomialStretch) AvgTableWords() float64 {
 }
 
 // encodeSection appends node v's section: its name, its home tree per
-// level, then every tree it belongs to in (level, index) order, each
-// with its tree state, in-port, root flag, own label and dictionary in
-// (J, τ) order.
+// level, then its memberships, each with its own label and dictionary in
+// (j, τ) order.
 func (s *PolynomialStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
-	t := s.nodes[v]
+	t, q := s.nodes[v], int32(s.uni.Q)
 	e.I(int64(t.selfName))
 	e.U(uint64(len(t.home)))
-	for _, r := range t.home {
-		e.TreeRef(r)
+	for _, i := range t.home {
+		e.TreeRef(t.hop.Trees[i].Ref)
 	}
-	refs := sortedRefs(t.trees)
-	e.U(uint64(len(refs)))
-	var keys []polyDictKey
-	for _, ref := range refs {
-		te := t.trees[ref]
-		e.TreeRef(ref)
-		e.TreeState(te.state)
-		e.I(int64(te.inPort))
-		e.B(te.isRoot)
-		e.TreeLabel(te.ownLabel)
-		keys = keys[:0]
-		for k := range te.dict {
-			keys = append(keys, k)
+	encodeHopTable(e, t.hop, func(i int) {
+		pt := &t.trees[i]
+		e.TreeLabel(pt.own)
+		e.U(uint64(len(pt.dict)))
+		for _, de := range pt.dict {
+			e.I(int64(de.key / q))
+			e.I(int64(de.key % q))
+			e.I(int64(de.name))
+			e.TreeLabel(de.label)
 		}
-		slices.SortFunc(keys, func(a, b polyDictKey) int { return cmp.Or(cmp.Compare(a.J, b.J), cmp.Compare(a.Tau, b.Tau)) })
-		e.U(uint64(len(keys)))
-		for _, k := range keys {
-			de := te.dict[k]
-			e.I(int64(k.J))
-			e.I(int64(k.Tau))
-			e.I(int64(de.Name))
-			e.TreeLabel(de.Label)
-		}
-	}
+	})
 }
 
 // restorePoly decodes PolynomialStretch sections: escalation reads the
 // ladder length from the shared parameters, so every node must hold one
-// home tree per level.
+// home tree per level, each one of its memberships at that level.
 func restorePoly(st *SchemeState, perm *names.Permutation) (restorer, error) {
 	if st.K < 2 {
 		return restorer{}, fmt.Errorf("polystretch needs K >= 2, got %d", st.K)
@@ -551,6 +513,8 @@ func restorePoly(st *SchemeState, perm *names.Permutation) (restorer, error) {
 		g: st.Graph, perm: perm, uni: blocks.NewUniverse(n, st.K),
 		k: st.K, levels: st.Levels, nodes: make([]*polyTable, n),
 	}
+	k, q := int32(s.k), int32(s.uni.Q)
+	home := make([]cover.TreeRef, s.levels)
 	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
 		t := &polyTable{}
 		if t.selfName, err = d.I32(); err != nil {
@@ -563,62 +527,60 @@ func restorePoly(st *SchemeState, perm *names.Permutation) (restorer, error) {
 		if nh != s.levels {
 			return fmt.Errorf("%d home trees, ladder has %d levels", nh, s.levels)
 		}
-		t.home = make([]cover.TreeRef, nh)
-		for i := range t.home {
-			if t.home[i], err = d.TreeRef(); err != nil {
+		for i := range home {
+			if home[i], err = d.TreeRef(); err != nil {
 				return err
 			}
 		}
-		nt, err := d.Count(10)
-		if err != nil {
-			return err
-		}
-		t.trees = make(map[cover.TreeRef]*polyTreeEntry, nt)
-		for i := 0; i < nt; i++ {
-			ref, err := d.TreeRef()
-			if err != nil {
-				return err
+		t.hop, err = decodeHopTable(d, v, 10, func(i, count int) (err error) {
+			if i == 0 {
+				t.trees = make([]polyTree, count)
 			}
-			e := &polyTreeEntry{}
-			if e.state, err = d.TreeState(); err != nil {
-				return err
-			}
-			if e.inPort, err = d.I32(); err != nil {
-				return err
-			}
-			if e.isRoot, err = d.B(); err != nil {
-				return err
-			}
-			if e.ownLabel, err = d.TreeLabel(); err != nil {
+			pt := &t.trees[i]
+			if pt.own, err = d.TreeLabel(); err != nil {
 				return err
 			}
 			nd, err := d.Count(5)
 			if err != nil {
 				return err
 			}
-			e.dict = make(map[polyDictKey]polyDictEntry, nd)
-			for j := 0; j < nd; j++ {
-				jj, err := d.I32()
+			pt.dict = make([]polyDictEntry, nd)
+			for di := range pt.dict {
+				de := &pt.dict[di]
+				j, err := d.I32()
 				if err != nil {
 					return err
 				}
-				if jj < math.MinInt8 || jj > math.MaxInt8 {
-					return d.Fail("dictionary level %d outside int8", jj)
-				}
-				k := polyDictKey{J: int8(jj)}
-				var de polyDictEntry
-				if k.Tau, err = d.I32(); err != nil {
+				tau, err := d.I32()
+				if err != nil {
 					return err
 				}
-				if de.Name, err = d.I32(); err != nil {
+				if j < 0 || j >= k || tau < 0 || tau >= q {
+					return d.Fail("dictionary key (%d, %d) outside [0,%d)×[0,%d)", j, tau, k, q)
+				}
+				de.key = j*q + tau
+				if de.name, err = d.I32(); err != nil {
 					return err
 				}
-				if de.Label, err = d.TreeLabel(); err != nil {
+				if de.label, err = d.TreeLabel(); err != nil {
 					return err
 				}
-				e.dict[k] = de
 			}
-			t.trees[ref] = e
+			if !ascending(nd, func(i int) int32 { return pt.dict[i].key }) {
+				return fmt.Errorf("dictionary keys not strictly ascending")
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		t.home = make([]int32, len(home))
+		for li, ref := range home {
+			i, ok := t.hop.Find(ref)
+			if !ok || ref.Level != int32(li) {
+				return fmt.Errorf("home tree %v of level %d is not a membership at that level", ref, li)
+			}
+			t.home[li] = int32(i)
 		}
 		s.nodes[v] = t
 		return nil

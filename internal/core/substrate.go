@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"rtroute/internal/codec"
-	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
@@ -137,17 +136,12 @@ func (p *RTZPlane) MaxTableWords() int { return p.sub.MaxTableWords() }
 // AvgTableWords implements Scheme.
 func (p *RTZPlane) AvgTableWords() float64 { return p.sub.AvgTableWords() }
 
-// HopMember is one double-tree membership of a node: the O(1) routing
-// entry plus the node's own address and root distances in that tree —
-// everything injection needs, all of it chargeable to this node alone.
-type HopMember struct {
-	Ref      cover.TreeRef
-	State    tree.State
-	InPort   graph.PortID
-	IsRoot   bool
-	OwnLabel tree.Label
-	DistTo   graph.Dist // d_C(v, root) within the tree's cluster
-	DistFrom graph.Dist // d_C(root, v)
+// hopMember is what a hop-plane node holds beside its routing entry in
+// one tree: its own address and root distances there — everything
+// injection needs, all of it chargeable to this node alone.
+type hopMember struct {
+	own              tree.Label
+	distTo, distFrom graph.Dist // d_C(v, root) and d_C(root, v) within the tree's cluster
 }
 
 // HopHeader carries one roundtrip over the hop substrate: the handshake
@@ -166,112 +160,78 @@ func (h *HopHeader) FixedWords() bool { return true }
 // HopPlane is the Lemma 5 substrate as a servable Scheme. Unlike the
 // monolithic rtz.HopScheme — whose R2 consults the global cover
 // hierarchy — a HopPlane resolves handshakes from the two endpoints'
-// per-node membership lists alone, which is what makes it decomposable:
-// R2(u,v) is the shared tree minimizing the roundtrip through the root,
-// exactly Hierarchy.BestTree's rule, computed by intersecting u's and
-// v's membership lists (both sorted by (level, index)).
+// per-node membership tables alone, which is what makes it
+// decomposable: R2(u,v) is the shared tree minimizing the roundtrip
+// through the root, exactly Hierarchy.BestTree's rule, found by walking
+// u's and v's tables (both in (level, index) order) in step.
 type HopPlane struct {
-	g       *graph.Graph
-	perm    *names.Permutation
-	tables  []*rtz.HopTable
-	members [][]HopMember
-	memIdx  []map[cover.TreeRef]int32
+	g      *graph.Graph
+	perm   *names.Permutation
+	tables []*rtz.HopTable
+	// members[v][i] is v's address and root distances in the tree of
+	// tables[v].Trees[i].
+	members [][]hopMember
 }
 
 var _ Scheme = (*HopPlane)(nil)
 var _ sim.Header = (*HopHeader)(nil)
 
-// NewHopPlane extracts the per-node membership lists from a built hop
-// substrate and wraps them with a naming.
+// NewHopPlane takes the per-node membership tables of a built hop
+// substrate, adds each node's address and root distances per tree, and
+// wraps them with a naming.
 func NewHopPlane(hop *rtz.HopScheme, perm *names.Permutation) (*HopPlane, error) {
 	g := hop.Graph()
 	n := g.N()
 	if perm.N() != n {
 		return nil, fmt.Errorf("core: naming covers %d nodes, substrate has %d", perm.N(), n)
 	}
-	members := make([][]HopMember, n)
+	members := make([][]hopMember, n)
 	for v := 0; v < n; v++ {
-		refs := hop.Hierarchy.Memberships(graph.NodeID(v))
-		ms := make([]HopMember, 0, len(refs))
-		for _, ref := range refs {
-			t := hop.Hierarchy.Tree(ref)
-			e, ok := hop.Tables[v].Trees[ref]
-			if !ok {
-				return nil, fmt.Errorf("core: hop table of %d lacks membership %v", v, ref)
-			}
+		ms := make([]hopMember, len(hop.Tables[v].Trees))
+		for i, e := range hop.Tables[v].Trees {
+			t := hop.Hierarchy.Tree(e.Ref)
 			lbl, ok1 := t.LabelOf(graph.NodeID(v))
 			dt, ok2 := t.DistTo(graph.NodeID(v))
 			df, ok3 := t.DistFrom(graph.NodeID(v))
 			if !ok1 || !ok2 || !ok3 {
-				return nil, fmt.Errorf("core: tree %v lacks label/distances for %d", ref, v)
+				return nil, fmt.Errorf("core: tree %v lacks label/distances for %d", e.Ref, v)
 			}
-			ms = append(ms, HopMember{
-				Ref: ref, State: e.State, InPort: e.InPort, IsRoot: e.IsRoot,
-				OwnLabel: lbl, DistTo: dt, DistFrom: df,
-			})
+			ms[i] = hopMember{own: lbl, distTo: dt, distFrom: df}
 		}
 		members[v] = ms
 	}
-	return AssembleHopPlane(g, perm, hop.Tables, members)
+	return &HopPlane{g: g, perm: perm, tables: hop.Tables, members: members}, nil
 }
-
-// AssembleHopPlane builds a hop plane directly from per-node state — the
-// restore path. members[v] must be in the hierarchy's
-// membership order (sorted by (level, index)) for handshake tie-breaking
-// to match the monolithic substrate.
-func AssembleHopPlane(g *graph.Graph, perm *names.Permutation, tables []*rtz.HopTable, members [][]HopMember) (*HopPlane, error) {
-	n := g.N()
-	if perm.N() != n || len(tables) != n || len(members) != n {
-		return nil, fmt.Errorf("core: hop plane needs %d nodes of state, got %d tables / %d member lists / %d names",
-			n, len(tables), len(members), perm.N())
-	}
-	idx := make([]map[cover.TreeRef]int32, n)
-	for v := 0; v < n; v++ {
-		m := make(map[cover.TreeRef]int32, len(members[v]))
-		for i, mem := range members[v] {
-			m[mem.Ref] = int32(i)
-		}
-		idx[v] = m
-	}
-	return &HopPlane{g: g, perm: perm, tables: tables, members: members, memIdx: idx}, nil
-}
-
-// Members returns v's membership list; callers must not modify it.
-func (p *HopPlane) Members(v graph.NodeID) []HopMember { return p.members[v] }
-
-// Tables returns the per-node hop tables; callers must not modify them.
-func (p *HopPlane) Tables() []*rtz.HopTable { return p.tables }
 
 // Naming returns the plane's name permutation.
 func (p *HopPlane) Naming() *names.Permutation { return p.perm }
 
 // R2 resolves the handshake for (u,v) from the endpoints' membership
-// lists: the shared tree minimizing the roundtrip through the root, ties
-// broken toward the lower (level, index) — Hierarchy.BestTree's rule.
+// tables: the shared tree minimizing the roundtrip through the root,
+// ties broken toward the lower (level, index) — Hierarchy.BestTree's
+// rule, which the walk in (level, index) order keeps by taking only a
+// strictly cheaper tree.
 func (p *HopPlane) R2(u, v graph.NodeID) (rtz.Handshake, graph.Dist, error) {
-	var (
-		best    graph.Dist = graph.Inf
-		bestU   *HopMember
-		bestV   *HopMember
-		bestRef cover.TreeRef
-	)
-	vIdx := p.memIdx[v]
-	for i := range p.members[u] {
-		mu := &p.members[u][i]
-		j, ok := vIdx[mu.Ref]
-		if !ok {
-			continue
-		}
-		mv := &p.members[v][j]
-		cost := mu.DistTo + mu.DistFrom + mv.DistTo + mv.DistFrom
-		if cost < best || (cost == best && bestU != nil && refCompare(mu.Ref, bestRef) < 0) {
-			best, bestU, bestV, bestRef = cost, mu, mv, mu.Ref
+	tu, tv := p.tables[u].Trees, p.tables[v].Trees
+	best, bu, bv := graph.Dist(graph.Inf), -1, -1
+	for i, j := 0, 0; i < len(tu) && j < len(tv); {
+		switch c := tu[i].Ref.Compare(tv[j].Ref); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			mu, mv := &p.members[u][i], &p.members[v][j]
+			if cost := mu.distTo + mu.distFrom + mv.distTo + mv.distFrom; cost < best {
+				best, bu, bv = cost, i, j
+			}
+			i, j = i+1, j+1
 		}
 	}
-	if bestU == nil {
+	if bu < 0 {
 		return rtz.Handshake{}, 0, fmt.Errorf("core: no shared double-tree for (%d,%d)", u, v)
 	}
-	return rtz.Handshake{Ref: bestU.Ref, ULabel: bestU.OwnLabel, VLabel: bestV.OwnLabel}, best, nil
+	return rtz.Handshake{Ref: tu[bu].Ref, ULabel: p.members[u][bu].own, VLabel: p.members[v][bv].own}, best, nil
 }
 
 // SchemeName implements Scheme.
@@ -361,11 +321,6 @@ func (p *HopPlane) AvgTableWords() float64 {
 		total += t.Words()
 	}
 	return float64(total) / float64(len(p.tables))
-}
-
-// refCompare orders tree references by (level, index).
-func refCompare(a, b cover.TreeRef) int {
-	return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
 }
 
 func checkPlaneName(perm *names.Permutation, name int32) error {
@@ -478,50 +433,83 @@ func restoreRTZ(st *SchemeState, perm *names.Permutation) restorer {
 	}}
 }
 
-// encodeSection appends node v's section: its memberships in (level,
-// index) order, each with its tree state, in-port, root flag, own
-// address and root distances.
-func (p *HopPlane) encodeSection(e *codec.Encoder, v graph.NodeID) {
-	e.U(uint64(len(p.members[v])))
-	for _, m := range p.members[v] {
+// encodeHopTable appends a node's memberships in (level, index) order:
+// per tree its reference, tree state, in-port and root flag, then what
+// suffix(i), when set, appends for membership i. It is the one layout of
+// a membership for every kind that holds a hop table.
+func encodeHopTable(e *codec.Encoder, t *rtz.HopTable, suffix func(i int)) {
+	e.U(uint64(len(t.Trees)))
+	for i, m := range t.Trees {
 		e.TreeRef(m.Ref)
 		e.TreeState(m.State)
 		e.I(int64(m.InPort))
 		e.B(m.IsRoot)
-		e.TreeLabel(m.OwnLabel)
-		e.I(int64(m.DistTo))
-		e.I(int64(m.DistFrom))
+		if suffix != nil {
+			suffix(i)
+		}
 	}
 }
 
-// restoreHop decodes hop sections. Memberships must arrive in (level,
-// index) order: R2 relies on the monolithic membership order for
-// handshake tie-breaking.
+// decodeHopTable reads node self's memberships as encodeHopTable wrote
+// them, each at least minBytes long, calling suffix(i, count), when set,
+// after membership i's shared fields. Memberships must arrive in strict
+// (level, index) order: forwarding finds a tree by bisection, and R2's
+// tie rule walks the tables in that order.
+func decodeHopTable(d *codec.Decoder, self graph.NodeID, minBytes int, suffix func(i, count int) error) (*rtz.HopTable, error) {
+	nm, err := d.Count(minBytes)
+	if err != nil {
+		return nil, err
+	}
+	t := &rtz.HopTable{Self: self, Trees: make([]rtz.HopEntry, nm)}
+	for i := range t.Trees {
+		m := &t.Trees[i]
+		if m.Ref, err = d.TreeRef(); err != nil {
+			return nil, err
+		}
+		if m.State, err = d.TreeState(); err != nil {
+			return nil, err
+		}
+		if m.InPort, err = d.I32(); err != nil {
+			return nil, err
+		}
+		if m.IsRoot, err = d.B(); err != nil {
+			return nil, err
+		}
+		if suffix != nil {
+			if err := suffix(i, nm); err != nil {
+				return nil, err
+			}
+		}
+		if i > 0 && t.Trees[i-1].Ref.Compare(m.Ref) >= 0 {
+			return nil, fmt.Errorf("membership list not sorted by (level, index)")
+		}
+	}
+	return t, nil
+}
+
+// encodeSection appends node v's section: its memberships, each with its
+// own address and root distances.
+func (p *HopPlane) encodeSection(e *codec.Encoder, v graph.NodeID) {
+	encodeHopTable(e, p.tables[v], func(i int) {
+		m := &p.members[v][i]
+		e.TreeLabel(m.own)
+		e.I(int64(m.distTo))
+		e.I(int64(m.distFrom))
+	})
+}
+
+// restoreHop decodes hop sections.
 func restoreHop(st *SchemeState, perm *names.Permutation) restorer {
 	n := st.Graph.N()
-	tables, members := make([]*rtz.HopTable, n), make([][]HopMember, n)
-	node := func(v graph.NodeID, d *codec.Decoder) error {
-		nm, err := d.Count(11)
-		if err != nil {
-			return err
-		}
-		ms := make([]HopMember, nm)
-		t := &rtz.HopTable{Self: v, Trees: make(map[cover.TreeRef]rtz.HopEntry, nm)}
-		for i := range ms {
+	p := &HopPlane{g: st.Graph, perm: perm, tables: make([]*rtz.HopTable, n), members: make([][]hopMember, n)}
+	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
+		var ms []hopMember
+		p.tables[v], err = decodeHopTable(d, v, 11, func(i, count int) (err error) {
+			if i == 0 {
+				ms = make([]hopMember, count)
+			}
 			m := &ms[i]
-			if m.Ref, err = d.TreeRef(); err != nil {
-				return err
-			}
-			if m.State, err = d.TreeState(); err != nil {
-				return err
-			}
-			if m.InPort, err = d.I32(); err != nil {
-				return err
-			}
-			if m.IsRoot, err = d.B(); err != nil {
-				return err
-			}
-			if m.OwnLabel, err = d.TreeLabel(); err != nil {
+			if m.own, err = d.TreeLabel(); err != nil {
 				return err
 			}
 			dt, err := d.I()
@@ -535,14 +523,11 @@ func restoreHop(st *SchemeState, perm *names.Permutation) restorer {
 			if dt < 0 || df < 0 || dt >= graph.Inf || df >= graph.Inf {
 				return d.Fail("tree distance outside [0, Inf)")
 			}
-			m.DistTo, m.DistFrom = graph.Dist(dt), graph.Dist(df)
-			if i > 0 && refCompare(ms[i-1].Ref, m.Ref) >= 0 {
-				return fmt.Errorf("membership list not sorted by (level, index)")
-			}
-			t.Trees[m.Ref] = rtz.HopEntry{State: m.State, InPort: m.InPort, IsRoot: m.IsRoot}
-		}
-		tables[v], members[v] = t, ms
-		return nil
+			m.distTo, m.distFrom = graph.Dist(dt), graph.Dist(df)
+			return nil
+		})
+		p.members[v] = ms
+		return err
 	}
-	return restorer{node: node, finish: func() (Scheme, error) { return AssembleHopPlane(st.Graph, perm, tables, members) }}
+	return restorer{node: node, finish: func() (Scheme, error) { return p, nil }}
 }

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -15,6 +16,12 @@ import (
 type TreeRef struct {
 	Level int32
 	Index int32
+}
+
+// Compare orders tree references by (level, index), the order of every
+// membership list.
+func (r TreeRef) Compare(o TreeRef) int {
+	return cmp.Or(cmp.Compare(r.Level, o.Level), cmp.Compare(r.Index, o.Index))
 }
 
 // Level is one scale of the Theorem 13 hierarchy: a sparse cover at
@@ -237,7 +244,7 @@ func (h *Hierarchy) BestTree(u, v graph.NodeID) (TreeRef, graph.Dist, bool) {
 	for _, ref := range h.memberships[u] {
 		t := h.Tree(ref)
 		cost, ok := RoundtripViaRoot(t, u, v)
-		if ok && (cost < bestCost || (cost == bestCost && less(ref, bestRef))) {
+		if ok && (cost < bestCost || (cost == bestCost && ref.Compare(bestRef) < 0)) {
 			bestRef, bestCost, found = ref, cost, true
 		}
 	}
@@ -299,8 +306,4 @@ func (s *TreeSearch) Best(v graph.NodeID) (Shared, bool) {
 	}
 	m := s.h.members[v][at]
 	return Shared{Ref: s.h.memberships[v][at], Cost: best, USlot: int(s.slot[m.id]), VSlot: int(m.slot)}, true
-}
-
-func less(a, b TreeRef) bool {
-	return a.Level < b.Level || (a.Level == b.Level && a.Index < b.Index)
 }

@@ -62,6 +62,10 @@ var rejectWant = map[string][]string{
 	"polystretch-levels0.rtwf":      {"level"},
 	"polystretch-home.rtwf":         {"node 3", "home"},
 	"hop-member-order.rtwf":         {"node 3", "sorted"},
+	"exstretch-hop-order.rtwf":      {"node 3", "sorted"},
+	"polystretch-tree-order.rtwf":   {"node 3", "sorted"},
+	"polystretch-dict-key.rtwf":     {"node 3", "dictionary", "ascending"},
+	"polystretch-home-tree.rtwf":    {"node 3", "home", "membership"},
 }
 
 // rejectCorpus reads every blob under testdata/reject.

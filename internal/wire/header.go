@@ -42,11 +42,11 @@ func (e *encoder) headerBody(h sim.Header) error {
 		e.I(int64(hh.SrcName))
 		e.I(int64(hh.Level))
 		e.B(hh.Found)
-		e.TreeRef(hh.Ref)
+		e.TreeRef(hh.Leg.Ref) // the leg's fields sit where the header's own did
 		e.TreeLabel(hh.SourceLabel)
 		e.I(int64(hh.NextWaypointName))
-		e.TreeLabel(hh.Target)
-		e.B(hh.Descending)
+		e.TreeLabel(hh.Leg.Target)
+		e.B(hh.Leg.Descending)
 	default:
 		return fmt.Errorf("wire: %T header has no varint section", h)
 	}
@@ -174,7 +174,7 @@ func decodePolyHeaderInto(d *decoder, h *core.PolyHeader) error {
 	if h.Found, err = d.B(); err != nil {
 		return err
 	}
-	if h.Ref, err = d.TreeRef(); err != nil {
+	if h.Leg.Ref, err = d.TreeRef(); err != nil {
 		return err
 	}
 	if h.SourceLabel, err = d.TreeLabel(); err != nil {
@@ -183,10 +183,10 @@ func decodePolyHeaderInto(d *decoder, h *core.PolyHeader) error {
 	if h.NextWaypointName, err = d.I32(); err != nil {
 		return err
 	}
-	if h.Target, err = d.TreeLabel(); err != nil {
+	if h.Leg.Target, err = d.TreeLabel(); err != nil {
 		return err
 	}
-	if h.Descending, err = d.B(); err != nil {
+	if h.Leg.Descending, err = d.B(); err != nil {
 		return err
 	}
 	return nil
