@@ -177,11 +177,7 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 		if err != nil {
 			return nil, err
 		}
-		hop, err := rtz.NewHop(s.Graph, hier)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewHopPlane(hop, s.Naming)
+		return core.NewHopPlane(s.Graph, hier, s.Naming)
 	default:
 		return nil, fmt.Errorf("rtroute: unknown scheme kind %v", kind)
 	}

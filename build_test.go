@@ -158,11 +158,7 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				hop, err := rtz.NewHop(sys.Graph, h)
-				if err != nil {
-					return nil, err
-				}
-				return core.NewHopPlane(hop, sys.Naming)
+				return core.NewHopPlane(sys.Graph, h, sys.Naming)
 			},
 			func() (ForwardingPlane, error) { return sys.Build(HopSubstrate, WithK(2)) },
 		},
@@ -309,10 +305,12 @@ func TestDeploymentServesTraffic(t *testing.T) {
 
 // TestSystemSharesOneHierarchy: ExStretch, Polynomial and HopSubstrate
 // built on one System at the same (k, base, variant) route on one cover
-// hierarchy. The System keys it on the graph's generation and on the
-// oracle: after a reweighting the next build makes a new one and is
-// identical to a fresh System's, and a copy of the System over another
-// oracle, as Maintained.Certify makes, never reads it.
+// hierarchy, and hold each node's hop-substrate memberships once: every
+// plane's table at v is the hierarchy's own slice. The System keys the
+// hierarchy on the graph's generation and on the oracle: after a
+// reweighting the next build makes a new one and is identical to a
+// fresh System's, and a copy of the System over another oracle, as
+// Maintained.Certify makes, never reads it.
 func TestSystemSharesOneHierarchy(t *testing.T) {
 	const n = 40
 	sys := newTestSystem(t, 11, n)
@@ -324,13 +322,24 @@ func TestSystemSharesOneHierarchy(t *testing.T) {
 		}
 		return sch
 	}
-	h := build(sys, ExStretch).(*core.ExStretch).HopSubstrate().Hierarchy
-	if got := build(sys, Polynomial).(*core.PolynomialStretch).Hierarchy(); got != h {
+	ex := build(sys, ExStretch).(*core.ExStretch)
+	h := ex.Hierarchy()
+	poly := build(sys, Polynomial).(*core.PolynomialStretch)
+	if poly.Hierarchy() != h {
 		t.Fatal("Polynomial built its own hierarchy beside ExStretch's")
 	}
-	build(sys, HopSubstrate)
+	hop := build(sys, HopSubstrate).(*core.HopPlane)
 	if sys.hier.h != h {
 		t.Fatal("HopSubstrate replaced the System's hierarchy")
+	}
+	type hopTabler interface{ HopTable(NodeID) *rtz.HopTable }
+	for v := NodeID(0); v < n; v++ {
+		want := &h.Memberships(v)[0]
+		for _, p := range []hopTabler{ex, poly, hop} {
+			if got := p.HopTable(v).Trees; &got[0] != want || len(got) != len(h.Memberships(v)) {
+				t.Fatalf("%T holds its own copy of node %d's memberships", p, v)
+			}
+		}
 	}
 
 	// A reweighting moves the graph's generation: the next build makes a

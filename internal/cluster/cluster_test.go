@@ -57,11 +57,7 @@ func testDeployments(t testing.TB, n int, seed int64) (map[string]*core.Deployme
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := core.NewHopPlane(hop, perm)
+	hp, err := core.NewHopPlane(g, h, perm)
 	add("hop", hp, err)
 	return deps, m
 }

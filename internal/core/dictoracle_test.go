@@ -92,10 +92,7 @@ func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.
 				}
 				var hs rtz.Handshake
 				if target != u {
-					var err error
-					if hs, _, err = s.hop.R2(u, target); err != nil {
-						t.Fatal(err)
-					}
+					hs, _ = bestHandshake(t, s.hier, u, target)
 				}
 				dict = append(dict, exDictItem{level: int8(i), prefix: prefix, tau: tau, target: s.perm.Name(int32(target)), hs: hs})
 			}
@@ -130,14 +127,14 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						for u := 0; u < n; u++ {
-							refs := poly.hier.Memberships(graph.NodeID(u))
-							if len(poly.nodes[u].trees) != len(refs) {
-								t.Fatalf("poly node %d holds %d trees, belongs to %d", u, len(poly.nodes[u].trees), len(refs))
+							ms := poly.hier.Memberships(graph.NodeID(u))
+							if len(poly.nodes[u].trees) != len(ms) {
+								t.Fatalf("poly node %d holds %d trees, belongs to %d", u, len(poly.nodes[u].trees), len(ms))
 							}
-							for i, ref := range refs {
-								want := polyDictReference(poly, space, graph.NodeID(u), ref)
-								if got := poly.nodes[u].trees[i].dict; poly.nodes[u].hop.Trees[i].Ref != ref || !reflect.DeepEqual(got, want) {
-									t.Fatalf("poly node %d tree %v: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, ref, got, want)
+							for i, e := range ms {
+								want := polyDictReference(poly, space, graph.NodeID(u), e.Ref)
+								if got := poly.nodes[u].trees[i].dict; poly.nodes[u].hop.Trees[i].Ref != e.Ref || !reflect.DeepEqual(got, want) {
+									t.Fatalf("poly node %d tree %v: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, e.Ref, got, want)
 								}
 							}
 						}

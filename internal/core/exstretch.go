@@ -44,7 +44,7 @@ import (
 type ExStretch struct {
 	g            *graph.Graph
 	perm         *names.Permutation
-	hop          *rtz.HopScheme
+	hier         *cover.Hierarchy // nil on a restored Deployment
 	uni          blocks.Universe
 	assign       *blocks.Assignment
 	k            int
@@ -97,7 +97,7 @@ type exTable struct {
 	// own is the node's label once per tree its handshakes name.
 	own []exOwn
 	// hopTab is storage item (1).
-	hopTab *rtz.HopTable
+	hopTab rtz.HopTable
 	// global is the node's own globally valid label, present only in the
 	// DirectReturn variant (the "second set of routing tables" of §3.5).
 	global []ExGlobal
@@ -312,10 +312,6 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	if err != nil {
 		return nil, fmt.Errorf("core: hop substrate: %w", err)
 	}
-	hop, err := rtz.NewHop(g, hier)
-	if err != nil {
-		return nil, fmt.Errorf("core: hop substrate: %w", err)
-	}
 	bcfg := cfg.Blocks
 	bcfg.Names = perm.Names
 	assign, err := blocks.AssignWorkers(space, cfg.K, rng, bcfg, cfg.BuildWorkers)
@@ -324,7 +320,7 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	}
 
 	s := &ExStretch{
-		g: g, perm: perm, hop: hop, uni: assign.U, assign: assign,
+		g: g, perm: perm, hier: hier, uni: assign.U, assign: assign,
 		k: cfg.K, directReturn: cfg.DirectReturn,
 		nodes: make([]*exTable, n),
 	}
@@ -371,10 +367,10 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	q := int32(assign.U.Q)
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
 		self, sc, search := graph.NodeID(u), &scratch[wk], searches[wk]
-		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: hop.Tables[u]}
-		// R2(u, v) for every v below is hop.R2's handshake, read from u's
-		// tree costs laid out once: v's label is its slot in the shared
-		// tree, u's is kept once per tree.
+		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: rtz.HopTable{Self: self, Trees: hier.Memberships(self)}}
+		// R2(u, v) for every v below is the handshake of hier.BestTree's
+		// tree, read from u's tree costs laid out once: v's label is its
+		// slot in the shared tree, u's is kept once per tree.
 		search.From(self)
 		var err error // the first R2 failure; later entries are dropped with it
 		entry := func(v graph.NodeID) exRef {
@@ -430,9 +426,9 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		}
 		// Global label for the §3.5 direct-return variant.
 		if cfg.DirectReturn {
-			for li, lvl := range hop.Hierarchy.Levels {
+			for li, lvl := range hier.Levels {
 				ref := cover.TreeRef{Level: int32(li), Index: lvl.Cover.Home[u]}
-				lbl, ok := hop.Hierarchy.Tree(ref).LabelOf(graph.NodeID(u))
+				lbl, ok := hier.Tree(ref).LabelOf(self)
 				if !ok {
 					return fmt.Errorf("core: home tree %v lacks label for %d", ref, u)
 				}
@@ -667,7 +663,7 @@ func (s *ExStretch) Forward(at graph.NodeID, header sim.Header) (graph.PortID, b
 	if !h.LegSet {
 		return 0, false, fmt.Errorf("core: packet at %d has no active leg", nx)
 	}
-	port, delivered, err := rtz.ForwardHop(tab.hopTab, &h.Leg)
+	port, delivered, err := rtz.ForwardHop(&tab.hopTab, &h.Leg)
 	if err != nil {
 		return 0, false, err
 	}
@@ -814,8 +810,12 @@ func (s *ExStretch) HoldsPrefix(v graph.NodeID, i int, name int32) bool {
 	return false
 }
 
-// HopSubstrate exposes the hop scheme for experiments.
-func (s *ExStretch) HopSubstrate() *rtz.HopScheme { return s.hop }
+// Hierarchy returns the cover hierarchy the scheme was built on (nil on
+// a restored Deployment).
+func (s *ExStretch) Hierarchy() *cover.Hierarchy { return s.hier }
+
+// HopTable returns node v's storage item (1), its membership table.
+func (s *ExStretch) HopTable(v graph.NodeID) *rtz.HopTable { return &s.nodes[v].hopTab }
 
 // MaxTableWords implements Scheme.
 func (s *ExStretch) MaxTableWords() int {
@@ -900,7 +900,7 @@ func (s *ExStretch) sectionEncoder() func(e *codec.Encoder, v graph.NodeID) {
 			e.TreeRef(g.Ref)
 			e.TreeLabel(g.Label)
 		}
-		encodeHopTable(e, t.hopTab, nil)
+		encodeHopTable(e, &t.hopTab, nil)
 	}
 }
 

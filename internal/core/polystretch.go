@@ -62,7 +62,7 @@ type polyTree struct {
 
 type polyTable struct {
 	selfName int32
-	hop      *rtz.HopTable
+	hop      rtz.HopTable
 	trees    []polyTree // trees[i] belongs to hop.Trees[i]
 	home     []int32    // per level, the position of the home tree in hop.Trees
 }
@@ -171,10 +171,6 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchy: %w", err)
 	}
-	hop, err := rtz.NewHop(g, hier)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	space := rtmetric.New(g, m, perm.Names)
 	uni := blocks.NewUniverse(n, cfg.K)
 
@@ -190,25 +186,26 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	}
 	scratch := make([]polyDictScratch, parallel.Workers(n, cfg.BuildWorkers))
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
-		ht := hop.Tables[u]
+		self := graph.NodeID(u)
+		ms := hier.Memberships(self)
 		tab := &polyTable{
 			selfName: perm.Name(int32(u)),
-			hop:      ht,
-			trees:    make([]polyTree, len(ht.Trees)),
+			hop:      rtz.HopTable{Self: self, Trees: ms},
+			trees:    make([]polyTree, len(ms)),
 			home:     make([]int32, len(hier.Levels)),
 		}
 		for li, lvl := range hier.Levels {
-			i, ok := ht.Find(cover.TreeRef{Level: int32(li), Index: lvl.Cover.Home[u]})
+			i, ok := tab.hop.Find(cover.TreeRef{Level: int32(li), Index: lvl.Cover.Home[u]})
 			if !ok {
 				return fmt.Errorf("core: node %d is outside its level-%d home tree", u, li)
 			}
 			tab.home[li] = int32(i)
 		}
-		ranks := space.Ranks(graph.NodeID(u))
-		for i, e := range ht.Trees {
+		ranks := space.Ranks(self)
+		for i, e := range ms {
 			tr := hier.Tree(e.Ref)
-			own, _ := tr.LabelOf(graph.NodeID(u))
-			tab.trees[i] = polyTree{own: own, dict: scratch[wk].build(tr, graph.NodeID(u), ranks, digits, perm, uni)}
+			own, _ := tr.LabelOf(self)
+			tab.trees[i] = polyTree{own: own, dict: scratch[wk].build(tr, self, ranks, digits, perm, uni)}
 		}
 		s.nodes[u] = tab
 		return nil
@@ -377,7 +374,7 @@ func (s *PolynomialStretch) Forward(at graph.NodeID, header sim.Header) (graph.P
 	}
 
 	// Forward within the current tree: climb to the root, then descend.
-	port, delivered, err := rtz.ForwardHop(tab.hop, &h.Leg)
+	port, delivered, err := rtz.ForwardHop(&tab.hop, &h.Leg)
 	if err != nil {
 		return 0, false, err
 	}
@@ -455,6 +452,9 @@ func (s *PolynomialStretch) Levels() int { return s.levels }
 // a restored Deployment).
 func (s *PolynomialStretch) Hierarchy() *cover.Hierarchy { return s.hier }
 
+// HopTable returns node v's membership table.
+func (s *PolynomialStretch) HopTable(v graph.NodeID) *rtz.HopTable { return &s.nodes[v].hop }
+
 // MaxTableWords implements Scheme.
 func (s *PolynomialStretch) MaxTableWords() int {
 	m := 0
@@ -485,7 +485,7 @@ func (s *PolynomialStretch) encodeSection(e *codec.Encoder, v graph.NodeID) {
 	for _, i := range t.home {
 		e.TreeRef(t.hop.Trees[i].Ref)
 	}
-	encodeHopTable(e, t.hop, func(i int) {
+	encodeHopTable(e, &t.hop, func(i int) {
 		pt := &t.trees[i]
 		e.TreeLabel(pt.own)
 		e.U(uint64(len(pt.dict)))

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"rtroute/internal/codec"
+	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
@@ -17,9 +18,7 @@ import (
 // scheme and the Lemma 5 double-tree-cover "Hop" scheme) to the full
 // Scheme contract, with exported header types so the wire codec can
 // encode their packets, and with injection state that is strictly
-// per-node — the property the section codec and Deploy rely on. They mirror the adapters in internal/traffic (which predate them
-// and remain for the engine's own tests) hop for hop: route identity
-// between the two is locked by the deployment tests.
+// per-node — the property the section codec and Deploy rely on.
 
 // RTZHeader carries one roundtrip over the stretch-3 substrate: the live
 // leg plus the source's address R3(s) resolved at injection, so the
@@ -157,17 +156,16 @@ func (h *HopHeader) Words() int { return h.HS.Words() + h.Leg.Words() }
 // FixedWords implements sim.FixedSizeHeader.
 func (h *HopHeader) FixedWords() bool { return true }
 
-// HopPlane is the Lemma 5 substrate as a servable Scheme. Unlike the
-// monolithic rtz.HopScheme — whose R2 consults the global cover
-// hierarchy — a HopPlane resolves handshakes from the two endpoints'
-// per-node membership tables alone, which is what makes it
+// HopPlane is the Lemma 5 substrate as a servable Scheme. It resolves
+// handshakes from the two endpoints' per-node membership tables alone,
+// never from the global cover hierarchy, which is what makes it
 // decomposable: R2(u,v) is the shared tree minimizing the roundtrip
 // through the root, exactly Hierarchy.BestTree's rule, found by walking
 // u's and v's tables (both in (level, index) order) in step.
 type HopPlane struct {
 	g      *graph.Graph
 	perm   *names.Permutation
-	tables []*rtz.HopTable
+	tables []rtz.HopTable
 	// members[v][i] is v's address and root distances in the tree of
 	// tables[v].Trees[i].
 	members [][]hopMember
@@ -176,20 +174,23 @@ type HopPlane struct {
 var _ Scheme = (*HopPlane)(nil)
 var _ sim.Header = (*HopHeader)(nil)
 
-// NewHopPlane takes the per-node membership tables of a built hop
-// substrate, adds each node's address and root distances per tree, and
-// wraps them with a naming.
-func NewHopPlane(hop *rtz.HopScheme, perm *names.Permutation) (*HopPlane, error) {
-	g := hop.Graph()
+// NewHopPlane serves the hop substrate of a cover hierarchy of g: each
+// node's table is its memberships, shared with the hierarchy, beside
+// which the plane keeps the node's address and root distances per tree.
+func NewHopPlane(g *graph.Graph, h *cover.Hierarchy, perm *names.Permutation) (*HopPlane, error) {
 	n := g.N()
+	if h.N() != n {
+		return nil, fmt.Errorf("core: hierarchy over %d nodes cannot serve a %d-node graph", h.N(), n)
+	}
 	if perm.N() != n {
 		return nil, fmt.Errorf("core: naming covers %d nodes, substrate has %d", perm.N(), n)
 	}
-	members := make([][]hopMember, n)
+	tables, members := make([]rtz.HopTable, n), make([][]hopMember, n)
 	for v := 0; v < n; v++ {
-		ms := make([]hopMember, len(hop.Tables[v].Trees))
-		for i, e := range hop.Tables[v].Trees {
-			t := hop.Hierarchy.Tree(e.Ref)
+		tables[v] = rtz.HopTable{Self: graph.NodeID(v), Trees: h.Memberships(graph.NodeID(v))}
+		ms := make([]hopMember, len(tables[v].Trees))
+		for i, e := range tables[v].Trees {
+			t := h.Tree(e.Ref)
 			lbl, ok1 := t.LabelOf(graph.NodeID(v))
 			dt, ok2 := t.DistTo(graph.NodeID(v))
 			df, ok3 := t.DistFrom(graph.NodeID(v))
@@ -200,11 +201,14 @@ func NewHopPlane(hop *rtz.HopScheme, perm *names.Permutation) (*HopPlane, error)
 		}
 		members[v] = ms
 	}
-	return &HopPlane{g: g, perm: perm, tables: hop.Tables, members: members}, nil
+	return &HopPlane{g: g, perm: perm, tables: tables, members: members}, nil
 }
 
 // Naming returns the plane's name permutation.
 func (p *HopPlane) Naming() *names.Permutation { return p.perm }
+
+// HopTable returns node v's membership table.
+func (p *HopPlane) HopTable(v graph.NodeID) *rtz.HopTable { return &p.tables[v] }
 
 // R2 resolves the handshake for (u,v) from the endpoints' membership
 // tables: the shared tree minimizing the roundtrip through the root,
@@ -289,7 +293,7 @@ func (p *HopPlane) Forward(at graph.NodeID, h sim.Header) (graph.PortID, bool, e
 	if !ok {
 		return 0, false, fmt.Errorf("core: hop plane got %T header", h)
 	}
-	return rtz.ForwardHop(p.tables[at], &hh.Leg)
+	return rtz.ForwardHop(&p.tables[at], &hh.Leg)
 }
 
 // NodeOf implements sim.Plane.
@@ -453,35 +457,35 @@ func encodeHopTable(e *codec.Encoder, t *rtz.HopTable, suffix func(i int)) {
 // decodeHopTable reads node self's memberships as encodeHopTable wrote
 // them, each at least minBytes long, calling suffix(i, count), when set,
 // after membership i's shared fields. Memberships must arrive in strict
-// (level, index) order: forwarding finds a tree by bisection, and R2's
-// tie rule walks the tables in that order.
-func decodeHopTable(d *codec.Decoder, self graph.NodeID, minBytes int, suffix func(i, count int) error) (*rtz.HopTable, error) {
+// (level, index) order, the order of a built table: R2's tie rule walks
+// the tables in that order.
+func decodeHopTable(d *codec.Decoder, self graph.NodeID, minBytes int, suffix func(i, count int) error) (rtz.HopTable, error) {
 	nm, err := d.Count(minBytes)
 	if err != nil {
-		return nil, err
+		return rtz.HopTable{}, err
 	}
-	t := &rtz.HopTable{Self: self, Trees: make([]rtz.HopEntry, nm)}
+	t := rtz.HopTable{Self: self, Trees: make([]cover.Membership, nm)}
 	for i := range t.Trees {
 		m := &t.Trees[i]
 		if m.Ref, err = d.TreeRef(); err != nil {
-			return nil, err
+			return rtz.HopTable{}, err
 		}
 		if m.State, err = d.TreeState(); err != nil {
-			return nil, err
+			return rtz.HopTable{}, err
 		}
 		if m.InPort, err = d.I32(); err != nil {
-			return nil, err
+			return rtz.HopTable{}, err
 		}
 		if m.IsRoot, err = d.B(); err != nil {
-			return nil, err
+			return rtz.HopTable{}, err
 		}
 		if suffix != nil {
 			if err := suffix(i, nm); err != nil {
-				return nil, err
+				return rtz.HopTable{}, err
 			}
 		}
 		if i > 0 && t.Trees[i-1].Ref.Compare(m.Ref) >= 0 {
-			return nil, fmt.Errorf("membership list not sorted by (level, index)")
+			return rtz.HopTable{}, fmt.Errorf("membership list not sorted by (level, index)")
 		}
 	}
 	return t, nil
@@ -490,7 +494,7 @@ func decodeHopTable(d *codec.Decoder, self graph.NodeID, minBytes int, suffix fu
 // encodeSection appends node v's section: its memberships, each with its
 // own address and root distances.
 func (p *HopPlane) encodeSection(e *codec.Encoder, v graph.NodeID) {
-	encodeHopTable(e, p.tables[v], func(i int) {
+	encodeHopTable(e, &p.tables[v], func(i int) {
 		m := &p.members[v][i]
 		e.TreeLabel(m.own)
 		e.I(int64(m.distTo))
@@ -501,7 +505,7 @@ func (p *HopPlane) encodeSection(e *codec.Encoder, v graph.NodeID) {
 // restoreHop decodes hop sections.
 func restoreHop(st *SchemeState, perm *names.Permutation) restorer {
 	n := st.Graph.N()
-	p := &HopPlane{g: st.Graph, perm: perm, tables: make([]*rtz.HopTable, n), members: make([][]hopMember, n)}
+	p := &HopPlane{g: st.Graph, perm: perm, tables: make([]rtz.HopTable, n), members: make([][]hopMember, n)}
 	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
 		var ms []hopMember
 		p.tables[v], err = decodeHopTable(d, v, 11, func(i, count int) (err error) {

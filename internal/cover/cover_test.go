@@ -338,8 +338,8 @@ func TestTreeSearchMatchesBestTree(t *testing.T) {
 							t.Fatalf("(%d,%d): slots %d %d, tree %v has %d %d", u, v, got.USlot, got.VSlot, ref, tr.Slot(u), tr.Slot(v))
 						}
 						shared := 0
-						for _, r := range h.Memberships(u) {
-							if c, ok := RoundtripViaRoot(h.Tree(r), u, v); ok && c == cost {
+						for _, e := range h.Memberships(u) {
+							if c, ok := RoundtripViaRoot(h.Tree(e.Ref), u, v); ok && c == cost {
 								shared++
 							}
 						}
@@ -356,6 +356,9 @@ func TestTreeSearchMatchesBestTree(t *testing.T) {
 	}
 }
 
+// TestMembershipsAccounting: a node's memberships are the trees that
+// contain it, in strict (level, index) order, each carrying the node's
+// state, in-port and root flag in that tree.
 func TestMembershipsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.RandomSC(30, 90, 4, rng)
@@ -364,10 +367,30 @@ func TestMembershipsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < g.N(); v++ {
-		for _, ref := range h.Memberships(graph.NodeID(v)) {
-			if !h.Tree(ref).Contains(graph.NodeID(v)) {
-				t.Fatalf("membership %v does not contain %d", ref, v)
+	for v := graph.NodeID(0); int(v) < g.N(); v++ {
+		ms, trees := h.Memberships(v), 0
+		for _, lvl := range h.Levels {
+			for _, tr := range lvl.Trees {
+				if tr.Contains(v) {
+					trees++
+				}
+			}
+		}
+		if len(ms) != trees {
+			t.Fatalf("node %d has %d memberships, belongs to %d trees", v, len(ms), trees)
+		}
+		for i, e := range ms {
+			tr := h.Tree(e.Ref)
+			st, ok := tr.State(v)
+			if !ok {
+				t.Fatalf("membership %v does not contain %d", e.Ref, v)
+			}
+			port, _ := tr.InPort(v)
+			if e.State != st || e.InPort != port || e.IsRoot != (tr.Root == v) {
+				t.Fatalf("node %d in tree %v: membership %+v, tree gives state %+v, in-port %d, root %d", v, e.Ref, e, st, port, tr.Root)
+			}
+			if i > 0 && ms[i-1].Ref.Compare(e.Ref) >= 0 {
+				t.Fatalf("node %d: memberships %v, %v out of (level, index) order", v, ms[i-1].Ref, e.Ref)
 			}
 		}
 	}

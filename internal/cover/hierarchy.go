@@ -41,15 +41,26 @@ func (l *Level) HomeTree(v graph.NodeID) *tree.Tree {
 
 // Hierarchy is the full §4 structure: covers at geometrically increasing
 // roundtrip scales, double-trees on every cluster, and per-node tree
-// memberships, for storage accounting and for TreeSearch.
+// memberships, the Lemma 5 hop substrate's state, which every plane
+// built over the hierarchy shares.
 type Hierarchy struct {
 	K      int
 	Base   float64
 	Levels []Level
 
-	memberships [][]TreeRef
-	members     [][]member // parallel to memberships
+	memberships [][]Membership
+	members     [][]member // parallel to memberships, for TreeSearch
 	trees       int        // dense tree ids run 0..trees-1 in (level, index) order
+}
+
+// Membership is a node's O(1) routing state in one double-tree it
+// belongs to: its out-tree state, its in-tree port toward the root
+// (0 at the root) and whether it is the root.
+type Membership struct {
+	Ref    TreeRef
+	State  tree.State
+	InPort graph.PortID
+	IsRoot bool
 }
 
 // member is what a TreeSearch reads of one membership beside its
@@ -139,11 +150,14 @@ func BuildHierarchy(g *graph.Graph, m graph.DistanceOracle, k int, base float64,
 			return nil, err
 		}
 	}
-	h := &Hierarchy{K: k, Base: base, Levels: levels, memberships: make([][]TreeRef, g.N()), members: make([][]member, g.N())}
+	h := &Hierarchy{K: k, Base: base, Levels: levels, memberships: make([][]Membership, g.N()), members: make([][]member, g.N())}
 	for li, lvl := range levels {
 		for ci, t := range lvl.Trees { // a tree's members are its cluster's nodes
 			for slot, v := range t.Members {
-				h.memberships[v] = append(h.memberships[v], TreeRef{Level: int32(li), Index: int32(ci)})
+				h.memberships[v] = append(h.memberships[v], Membership{
+					Ref:   TreeRef{Level: int32(li), Index: int32(ci)},
+					State: t.StateAt(slot), InPort: t.InPortAt(slot), IsRoot: v == t.Root,
+				})
 				h.members[v] = append(h.members[v], member{id: int32(h.trees), slot: int32(slot), rt: t.RoundtripAt(slot)})
 			}
 			h.trees++
@@ -200,10 +214,11 @@ func (h *Hierarchy) Tree(ref TreeRef) *tree.Tree {
 // N returns the number of nodes the hierarchy was built over.
 func (h *Hierarchy) N() int { return len(h.memberships) }
 
-// Memberships returns all trees containing v across all levels; callers
-// must not modify the slice. Its length is the per-node tree count the
-// storage analysis charges for.
-func (h *Hierarchy) Memberships(v graph.NodeID) []TreeRef {
+// Memberships returns v's state in every tree containing it, across all
+// levels in (level, index) order; callers share the slice and must not
+// modify it. Its length is the per-node tree count the storage analysis
+// charges for.
+func (h *Hierarchy) Memberships(v graph.NodeID) []Membership {
 	return h.memberships[v]
 }
 
@@ -211,9 +226,9 @@ func (h *Hierarchy) Memberships(v graph.NodeID) []TreeRef {
 // hierarchy (Theorem 13 property 3 times the number of levels).
 func (h *Hierarchy) MaxMemberships() int {
 	m := 0
-	for _, refs := range h.memberships {
-		if len(refs) > m {
-			m = len(refs)
+	for _, ms := range h.memberships {
+		if len(ms) > m {
+			m = len(ms)
 		}
 	}
 	return m
@@ -241,11 +256,10 @@ func (h *Hierarchy) BestTree(u, v graph.NodeID) (TreeRef, graph.Dist, bool) {
 		bestCost graph.Dist = graph.Inf
 		found    bool
 	)
-	for _, ref := range h.memberships[u] {
-		t := h.Tree(ref)
-		cost, ok := RoundtripViaRoot(t, u, v)
-		if ok && (cost < bestCost || (cost == bestCost && ref.Compare(bestRef) < 0)) {
-			bestRef, bestCost, found = ref, cost, true
+	for _, e := range h.memberships[u] {
+		cost, ok := RoundtripViaRoot(h.Tree(e.Ref), u, v)
+		if ok && (cost < bestCost || (cost == bestCost && e.Ref.Compare(bestRef) < 0)) {
+			bestRef, bestCost, found = e.Ref, cost, true
 		}
 	}
 	return bestRef, bestCost, found
@@ -305,5 +319,5 @@ func (s *TreeSearch) Best(v graph.NodeID) (Shared, bool) {
 		return Shared{}, false
 	}
 	m := s.h.members[v][at]
-	return Shared{Ref: s.h.memberships[v][at], Cost: best, USlot: int(s.slot[m.id]), VSlot: int(m.slot)}, true
+	return Shared{Ref: s.h.memberships[v][at].Ref, Cost: best, USlot: int(s.slot[m.id]), VSlot: int(m.slot)}, true
 }

@@ -21,20 +21,14 @@ type Handshake struct {
 // Words returns the handshake size in machine words (o(log^2 n) bits).
 func (hs Handshake) Words() int { return 2 + hs.ULabel.Words() + hs.VLabel.Words() }
 
-// HopEntry is a node's O(1) state for one double-tree it belongs to.
-type HopEntry struct {
-	Ref    cover.TreeRef
-	State  tree.State
-	InPort graph.PortID
-	IsRoot bool
-}
-
-// HopTable is the node-local storage of the hop substrate: one entry per
-// double-tree containing the node, across all levels of the hierarchy,
-// in (level, index) order.
+// HopTable is the node-local storage of the Lemma 5 hop substrate: one
+// membership per double-tree containing the node, across all levels of
+// the hierarchy, in (level, index) order. On a built plane Trees is the
+// hierarchy's own slice (cover.Hierarchy.Memberships), shared by every
+// plane over it.
 type HopTable struct {
 	Self  graph.NodeID
-	Trees []HopEntry
+	Trees []cover.Membership
 }
 
 // Words returns the table size in machine words.
@@ -63,65 +57,6 @@ type HopHeader struct {
 // Words returns the header size in machine words.
 func (h HopHeader) Words() int { return 3 + h.Target.Words() }
 
-// HopScheme is the Lemma 5 substrate: double-tree covers at geometric
-// scales with root-relayed routing inside a named tree.
-type HopScheme struct {
-	Hierarchy *cover.Hierarchy
-	Tables    []*HopTable
-
-	g *graph.Graph
-}
-
-// NewHop builds the hop substrate over a cover hierarchy of g
-// (cover.BuildHierarchy), which callers may share across substrates.
-func NewHop(g *graph.Graph, h *cover.Hierarchy) (*HopScheme, error) {
-	if h.N() != g.N() {
-		return nil, fmt.Errorf("rtz: hierarchy over %d nodes cannot serve a %d-node graph", h.N(), g.N())
-	}
-	s := &HopScheme{Hierarchy: h, g: g, Tables: make([]*HopTable, g.N())}
-	for v := 0; v < g.N(); v++ {
-		refs := h.Memberships(graph.NodeID(v))
-		tab := &HopTable{Self: graph.NodeID(v), Trees: make([]HopEntry, 0, len(refs))}
-		for _, ref := range refs {
-			t := h.Tree(ref)
-			st, ok := t.State(graph.NodeID(v))
-			if !ok {
-				return nil, fmt.Errorf("rtz: membership %v lacks state for %d", ref, v)
-			}
-			e := HopEntry{Ref: ref, State: st, IsRoot: t.Root == graph.NodeID(v)}
-			if !e.IsRoot {
-				p, ok := t.InPort(graph.NodeID(v))
-				if !ok {
-					return nil, fmt.Errorf("rtz: membership %v lacks in-port for %d", ref, v)
-				}
-				e.InPort = p
-			}
-			tab.Trees = append(tab.Trees, e)
-		}
-		s.Tables[v] = tab
-	}
-	return s, nil
-}
-
-// Graph returns the network the substrate was built over.
-func (s *HopScheme) Graph() *graph.Graph { return s.g }
-
-// R2 returns the handshake for the pair (u,v) plus the roundtrip cost
-// bound through the tree root.
-func (s *HopScheme) R2(u, v graph.NodeID) (Handshake, graph.Dist, error) {
-	ref, cost, ok := s.Hierarchy.BestTree(u, v)
-	if !ok {
-		return Handshake{}, 0, fmt.Errorf("rtz: no shared double-tree for (%d,%d)", u, v)
-	}
-	t := s.Hierarchy.Tree(ref)
-	ul, ok1 := t.LabelOf(u)
-	vl, ok2 := t.LabelOf(v)
-	if !ok1 || !ok2 {
-		return Handshake{}, 0, fmt.Errorf("rtz: tree %v missing labels for (%d,%d)", ref, u, v)
-	}
-	return Handshake{Ref: ref, ULabel: ul, VLabel: vl}, cost, nil
-}
-
 // ForwardHop is the local forwarding function for a hop leg: climb the
 // named tree's in-tree to the root, then descend the out-tree to the
 // target label. Deliver as soon as the local state matches the target.
@@ -149,70 +84,4 @@ func ForwardHop(tab *HopTable, h *HopHeader) (port graph.PortID, delivered bool,
 		return 0, true, nil
 	}
 	return p, false, nil
-}
-
-// RouteHop simulates one leg of Hop routing from src to the given target
-// label within the handshake's tree, returning path weight and hops.
-func (s *HopScheme) RouteHop(src graph.NodeID, ref cover.TreeRef, target tree.Label) (graph.Dist, int, error) {
-	h := &HopHeader{Ref: ref, Target: target}
-	cur := src
-	var weight graph.Dist
-	hops := 0
-	maxHops := 4 * s.g.N()
-	for {
-		port, delivered, err := ForwardHop(s.Tables[cur], h)
-		if err != nil {
-			return 0, 0, err
-		}
-		if delivered {
-			return weight, hops, nil
-		}
-		e, ok := s.g.EdgeByPort(cur, port)
-		if !ok {
-			return 0, 0, fmt.Errorf("rtz: node %d has no port %d", cur, port)
-		}
-		weight += e.Weight
-		cur = e.To
-		if hops++; hops > maxHops {
-			return 0, 0, fmt.Errorf("rtz: hop route exceeded %d hops", maxHops)
-		}
-	}
-}
-
-// HopRoundtrip simulates the full Hop(u,v) roundtrip u -> v -> u through
-// the handshake tree, the unit of cost in §3's analysis.
-func (s *HopScheme) HopRoundtrip(u, v graph.NodeID) (graph.Dist, error) {
-	hs, _, err := s.R2(u, v)
-	if err != nil {
-		return 0, err
-	}
-	out, _, err := s.RouteHop(u, hs.Ref, hs.VLabel)
-	if err != nil {
-		return 0, err
-	}
-	back, _, err := s.RouteHop(v, hs.Ref, hs.ULabel)
-	if err != nil {
-		return 0, err
-	}
-	return out + back, nil
-}
-
-// MaxTableWords returns the largest node table in words.
-func (s *HopScheme) MaxTableWords() int {
-	m := 0
-	for _, t := range s.Tables {
-		if w := t.Words(); w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-// AvgTableWords returns the mean node table size in words.
-func (s *HopScheme) AvgTableWords() float64 {
-	total := 0
-	for _, t := range s.Tables {
-		total += t.Words()
-	}
-	return float64(total) / float64(len(s.Tables))
 }

@@ -6,10 +6,13 @@
 //     with topology-dependent addresses R3(v) and the one-way guarantee
 //     p(u,v) <= r(u,v) + d(u,v) used throughout §2's analysis.
 //
-//   - HopScheme: the double-tree-cover scheme behind Lemma 5, exposing the
-//     R2(u,v) "handshake" labels and Hop(u,v) routes the §3 scheme stores
-//     in its distributed dictionary. Built on the paper's own Theorem 13
-//     covers (per §4.4 this improves RTZ's roundtrip stretch to 4k-2+eps).
+//   - HopTable, Handshake and ForwardHop: the node-local side of the
+//     double-tree-cover substrate behind Lemma 5, the R2(u,v) "handshake"
+//     labels and Hop(u,v) legs the §3 scheme stores in its distributed
+//     dictionary. A node's table is its memberships in the paper's own
+//     Theorem 13 covers (cover.Hierarchy.Memberships; per §4.4 this
+//     improves RTZ's roundtrip stretch to 4k-2+eps); core.HopPlane serves
+//     the substrate on its own.
 //
 // Construction of Scheme, following Thorup–Zwick style sampling adapted to
 // the roundtrip metric (the passes themselves live on Maintainer: a build

@@ -1,7 +1,6 @@
 package rtz
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -37,27 +36,30 @@ func TestForwardDirectPhaseClosureViolation(t *testing.T) {
 	}
 }
 
+// TestHopRoundtripSelf: a leg toward the node's own label delivers where
+// it starts, in every tree the node belongs to, so a self roundtrip
+// weighs 0 whichever tree R2(u, u) names.
 func TestHopRoundtripSelf(t *testing.T) {
-	s, _, _ := buildHop(t, 51, 16, 48, 2, 2)
-	w, err := s.HopRoundtrip(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 0 {
-		t.Fatalf("self hop roundtrip weight %d, want 0", w)
+	h, tabs := hopTables(t, 51, 16, 48)
+	for _, e := range tabs[3].Trees {
+		lbl, _ := h.Tree(e.Ref).LabelOf(3)
+		if _, delivered, err := ForwardHop(&tabs[3], &HopHeader{Ref: e.Ref, Target: lbl}); err != nil || !delivered {
+			t.Fatalf("leg to its own label in tree %v: delivered %v, err %v", e.Ref, delivered, err)
+		}
 	}
 }
 
+// TestRouteHopFromOutsideTree: a hop leg started at a node outside its
+// tree fails at once.
 func TestRouteHopFromOutsideTree(t *testing.T) {
-	s, g, _ := buildHop(t, 52, 20, 60, 2, 2)
+	h, tabs := hopTables(t, 52, 20, 60)
 	// Find a level-0 tree and a node outside it.
-	lvl := s.Hierarchy.Levels[0]
-	for ti, tr := range lvl.Trees {
-		if len(tr.Members) == g.N() {
+	for ti, tr := range h.Levels[0].Trees {
+		if len(tr.Members) == len(tabs) {
 			continue
 		}
 		outside := graph.NodeID(-1)
-		for v := 0; v < g.N(); v++ {
+		for v := range tabs {
 			if !tr.Contains(graph.NodeID(v)) {
 				outside = graph.NodeID(v)
 				break
@@ -68,7 +70,7 @@ func TestRouteHopFromOutsideTree(t *testing.T) {
 		}
 		lbl, _ := tr.LabelOf(tr.Root)
 		ref := cover.TreeRef{Level: 0, Index: int32(ti)}
-		if _, _, err := s.RouteHop(outside, ref, lbl); err == nil {
+		if _, _, err := ForwardHop(&tabs[outside], &HopHeader{Ref: ref, Target: lbl}); err == nil {
 			t.Fatal("routing from outside the tree did not fail")
 		}
 		return
@@ -94,22 +96,6 @@ func TestSchemeLabelsAreConsistent(t *testing.T) {
 		if got := m.R(graph.NodeID(v), lbl.Center); got != best {
 			t.Fatalf("label center of %d at roundtrip %d; nearest is %d", v, got, best)
 		}
-	}
-}
-
-func TestHopSchemeRejectsForeignHierarchy(t *testing.T) {
-	// NewHop over a mismatched graph must fail when tree
-	// state is missing, not build silently.
-	rng := rand.New(rand.NewSource(54))
-	gSmall := graph.RandomSC(10, 30, 3, rng)
-	mSmall := graph.AllPairs(gSmall)
-	h, err := cover.BuildHierarchy(gSmall, mSmall, 2, 2, cover.VariantAwerbuchPeleg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gBig := graph.RandomSC(20, 60, 3, rng)
-	if _, err := NewHop(gBig, h); err == nil {
-		t.Fatal("foreign hierarchy accepted for a larger graph")
 	}
 }
 

@@ -205,131 +205,41 @@ func TestNewRejectsTrivialGraph(t *testing.T) {
 	}
 }
 
-// --- Hop substrate tests (Lemma 5 role) ---
+// --- Hop substrate tests (Lemma 5 role): ForwardHop on the tables a
+// cover hierarchy holds. core's HopPlane tests route whole roundtrips.
 
-func buildHop(t testing.TB, seed int64, n, extra, k int, base float64) (*HopScheme, *graph.Graph, graph.DistanceOracle) {
+// hopTables builds an Awerbuch–Peleg hierarchy at k = 2, base 2 over a
+// seeded random digraph and returns it with every node's table.
+func hopTables(t testing.TB, seed int64, n, extra int) (*cover.Hierarchy, []HopTable) {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, extra, 6, rng)
-	m := graph.AllPairs(g)
-	return newHop(t, g, m, k, base), g, m
-}
-
-// newHop builds the hop substrate over an Awerbuch–Peleg hierarchy.
-func newHop(t testing.TB, g *graph.Graph, m graph.DistanceOracle, k int, base float64) *HopScheme {
-	h, err := cover.BuildHierarchy(g, m, k, base, cover.VariantAwerbuchPeleg)
+	h, err := cover.BuildHierarchy(g, graph.AllPairs(g), 2, 2, cover.VariantAwerbuchPeleg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewHop(g, h)
-	if err != nil {
-		t.Fatal(err)
+	tabs := make([]HopTable, n)
+	for v := range tabs {
+		tabs[v] = HopTable{Self: graph.NodeID(v), Trees: h.Memberships(graph.NodeID(v))}
 	}
-	return s
+	return h, tabs
 }
 
-func TestHopRoundtripDeliversWithinBound(t *testing.T) {
-	k := 2
-	s, g, m := buildHop(t, 14, 36, 144, k, 2)
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if u == v {
-				continue
-			}
-			w, err := s.HopRoundtrip(graph.NodeID(u), graph.NodeID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := m.R(graph.NodeID(u), graph.NodeID(v))
-			// Bound: 2*(2k-1)*scale where scale <= 2*max(r,2)
-			// (geometric base-2 ladder starting at 2).
-			scale := graph.Dist(2)
-			for scale < r {
-				scale *= 2
-			}
-			bound := 2 * graph.Dist(2*k-1) * scale
-			if w > bound {
-				t.Fatalf("hop roundtrip(%d,%d) = %d > bound %d (r=%d)", u, v, w, bound, r)
-			}
-			if w < r {
-				t.Fatalf("hop roundtrip(%d,%d) = %d below optimum %d", u, v, w, r)
-			}
-		}
-	}
-}
-
-func TestHopCostMatchesPrediction(t *testing.T) {
-	s, g, _ := buildHop(t, 15, 30, 90, 2, 2)
-	for u := 0; u < g.N(); u += 3 {
-		for v := 0; v < g.N(); v += 2 {
-			if u == v {
-				continue
-			}
-			hs, cost, err := s.R2(graph.NodeID(u), graph.NodeID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, _, err := s.RouteHop(graph.NodeID(u), hs.Ref, hs.VLabel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, _, err := s.RouteHop(graph.NodeID(v), hs.Ref, hs.ULabel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Early delivery on the climb can only improve on the
-			// through-the-root prediction.
-			if out+back > cost {
-				t.Fatalf("hop(%d,%d) measured %d > predicted %d", u, v, out+back, cost)
-			}
-		}
-	}
-}
-
-func TestHopFinerScalesReduceCost(t *testing.T) {
-	// Scale base 1.25 must never be worse than base 2 in aggregate —
-	// the §4.4 eps-tightening ablation.
-	sCoarse, g, _ := buildHop(t, 16, 32, 128, 2, 2)
-	rng := rand.New(rand.NewSource(16))
-	_ = rng
-	m := graph.AllPairs(g)
-	sFine := newHop(t, g, m, 2, 1.25)
-	var coarse, fine graph.Dist
-	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
-			wc, err := sCoarse.HopRoundtrip(graph.NodeID(u), graph.NodeID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wf, err := sFine.HopRoundtrip(graph.NodeID(u), graph.NodeID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			coarse += wc
-			fine += wf
-		}
-	}
-	if fine > coarse {
-		t.Fatalf("finer scales cost more in aggregate: %d > %d", fine, coarse)
-	}
-}
-
+// TestHopTableWordsTrackMemberships pins the accounting: one word for
+// the node plus nine per membership, and every node is in some tree.
 func TestHopTableWordsTrackMemberships(t *testing.T) {
-	s, g, _ := buildHop(t, 17, 28, 84, 2, 2)
-	for v := 0; v < g.N(); v++ {
-		want := 1 + 9*len(s.Hierarchy.Memberships(graph.NodeID(v)))
-		if got := s.Tables[v].Words(); got != want {
-			t.Fatalf("table words at %d = %d, want %d", v, got, want)
+	h, tabs := hopTables(t, 17, 28, 84)
+	for v := range tabs {
+		want := 1 + 9*len(h.Memberships(graph.NodeID(v)))
+		if got := tabs[v].Words(); got != want || want == 1 {
+			t.Fatalf("table words at %d = %d, want %d > 1", v, got, want)
 		}
-	}
-	if s.MaxTableWords() <= 0 || s.AvgTableWords() <= 0 {
-		t.Fatal("degenerate table accounting")
 	}
 }
 
 func TestForwardHopOutsideTree(t *testing.T) {
-	s, _, _ := buildHop(t, 18, 20, 60, 2, 2)
+	_, tabs := hopTables(t, 18, 20, 60)
 	h := &HopHeader{Ref: cover.TreeRef{Level: 99, Index: 0}}
-	if _, _, err := ForwardHop(s.Tables[0], h); err == nil {
+	if _, _, err := ForwardHop(&tabs[0], h); err == nil {
 		t.Fatal("expected error for unknown tree ref")
 	}
 }

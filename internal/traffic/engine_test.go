@@ -220,11 +220,7 @@ func TestEngineServesSubstratePlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := core.NewHopPlane(hop, perm)
+	hp, err := core.NewHopPlane(g, h, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,7 @@ func TestConcurrentForwardingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpp, err := core.NewHopPlane(hop, perm)
+	hpp, err := core.NewHopPlane(g, h, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,7 @@ func resetPlanes(t *testing.T, n int, seed int64) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpp, err := core.NewHopPlane(hop, perm)
+	hpp, err := core.NewHopPlane(g, h, perm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ type Tree struct {
 	index    sealed.Index // member -> slot in Members and the slices below
 	states   []State
 	labels   []Label
-	inPort   []graph.PortID // undefined at the root's slot
+	inPort   []graph.PortID // 0 at the root's slot
 	distFrom []graph.Dist   // d_C(Root, v)
 	distTo   []graph.Dist   // d_C(v, Root)
 	rtHeight graph.Dist
@@ -311,6 +311,13 @@ func (t *Tree) Slot(v graph.NodeID) int { return t.index.Pos(v) }
 
 // LabelAt returns the out-tree address of the member at slot i.
 func (t *Tree) LabelAt(i int) Label { return t.labels[i] }
+
+// StateAt returns the routing state of the member at slot i.
+func (t *Tree) StateAt(i int) State { return t.states[i] }
+
+// InPortAt returns the in-tree port of the member at slot i, 0 at the
+// root's slot.
+func (t *Tree) InPortAt(i int) graph.PortID { return t.inPort[i] }
 
 // RoundtripAt returns d_C(Root, v) + d_C(v, Root) for the member at
 // slot i: its share of a roundtrip relayed through the root.

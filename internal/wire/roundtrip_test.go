@@ -70,11 +70,7 @@ func testPlanesWorkers(t testing.TB, n int, seed int64, workers int) (map[string
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop, err := rtz.NewHop(g, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := core.NewHopPlane(hop, perm)
+	hp, err := core.NewHopPlane(g, h, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
