@@ -14,7 +14,7 @@ RUN ?= TestClusterZeroAllocs
 N ?= 20
 PKG ?= ./internal/cluster
 
-.PHONY: all build test verify race short large benchmark-check benchdiff fmt vet lint ci alloc-gates stress loc traffic-large docs fuzz-smoke sizes snapshots footprint
+.PHONY: all build test verify race short large benchmark-check benchdiff fmt vet lint ci alloc-gates stress loc traffic-large docs fuzz-smoke bench-smoke sizes snapshots footprint
 
 all: verify
 
@@ -31,9 +31,10 @@ verify: build test fuzz-smoke
 # bytes must error cleanly, never panic or over-allocate), of the label
 # writers (bytes must equal one varint append per field), of the
 # shortest-path kernel (distances and parents must equal an O(n^2)
-# reference), of the lazy oracle's incremental row update (every row must
-# equal a fresh search after every reweighting batch) and of the churn
-# event stream.
+# reference), of the sealed port tables (every probe must equal a binary
+# search of the node's ports, before and after a re-seal), of the lazy
+# oracle's incremental row update (every row must equal a fresh search
+# after every reweighting batch) and of the churn event stream.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalScheme -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 5s
@@ -41,8 +42,15 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalChurnFrame -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzLabelWriter -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSSSP -fuzztime 5s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzPortTable -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLazyRowUpdate -fuzztime 5s
 	$(GO) test ./internal/churn -run '^$$' -fuzz FuzzChurnEventStream -fuzztime 5s
+
+# Every go test benchmark once, so they keep compiling and running: the
+# hop path's two lookups (graph, rtz), the sealed tables and the
+# snapshot encoder. Timings come from a full -bench run, not from this.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/sealed ./internal/rtz ./internal/wire
 
 # E14 space certification: per-node encoded bytes across n=256..4096
 # (also: rtroute -sizes).
@@ -158,4 +166,4 @@ loc:
 	a=$$(cd "$$tree" && $(LOC_TESTS)) && b=$$($(LOC_TESTS)) && \
 	printf "%7d %7d %+7d  %s\n" $$a $$b $$((b - a)) "tests (*_test.go, not in total)"
 
-ci: lint build race alloc-gates snapshots footprint docs benchmark-check fuzz-smoke
+ci: lint build race alloc-gates snapshots footprint docs benchmark-check fuzz-smoke bench-smoke

@@ -60,8 +60,8 @@ type PortID = int32
 // Edge is a directed edge as seen from its tail.
 type Edge struct {
 	To     NodeID
-	Weight Dist
 	Port   PortID
+	Weight Dist
 }
 
 // InEdge is a directed edge as seen from its head.
@@ -81,19 +81,25 @@ type csrIndex struct {
 	inStart  []int32
 	inEdges  []InEdge
 
-	// O(1) port resolution, compiled at seal time. A node whose label
-	// span (max-min+1) is close to its degree gets a flat dense table —
-	// one array load per hop, the common case for default contiguous
-	// labels; every other node with out-edges gets a sealed
-	// open-addressed hash (power-of-two segment, linear probing, load
-	// factor <= 1/2) so adversarially scattered labels are O(1) expected
-	// too. Slot values are stored +1 so that 0 means "no edge".
-	denseBase  []PortID // len n: smallest port label at u (dense nodes)
-	denseStart []int32  // len n+1, offsets into denseSlot; empty segment = not dense
-	denseSlot  []int32  // port - base -> slot+1, 0 = hole
-	hashStart  []int32  // len n+1, offsets into hashKey/hashSlot; pow2 segments
-	hashKey    []PortID
-	hashSlot   []int32 // slot+1, 0 = empty
+	// O(1) port resolution, compiled at seal time: each node's segment
+	// of ports holds its out-edges themselves, so a hit is one probe
+	// into one array. A node whose label span (max-min+1) is close to
+	// its degree gets a flat dense segment, the edge labeled base+i in
+	// slot i — the common case for default contiguous labels; every
+	// other node with out-edges gets an open-addressed segment
+	// (power-of-two size, linear probing, load factor <= 1/2) so
+	// adversarially scattered labels are O(1) expected too (sealed.Hash
+	// takes any int32, negative labels included). Weights are positive,
+	// so Weight == 0 marks an empty slot.
+	portSeg []portSeg // len n
+	ports   []Edge
+}
+
+// portSeg locates one node's port segment in csrIndex.ports.
+type portSeg struct {
+	start, size int32  // size 0: no out-edge
+	base        PortID // dense: the smallest label
+	dense       bool
 }
 
 // denseSpanOK reports whether a node with the given degree and port
@@ -103,11 +109,6 @@ type csrIndex struct {
 // The span is computed in int64: extreme labels restored by the graph
 // reader can make max-min+1 overflow int32.
 func denseSpanOK(span int64, deg int32) bool { return span <= 4*int64(deg)+8 }
-
-// portHash spreads a port label for the open-addressed segments. Unlike
-// the non-negative id spaces sealed.Hash serves elsewhere, port labels
-// may be any int32, so hash the raw bit pattern the same way.
-func portHash(p PortID) uint32 { return sealed.Hash(p) }
 
 // Graph is a directed graph with positive weights and fixed-port labels.
 // The zero value is an empty graph; use New to create one with n nodes.
@@ -244,100 +245,72 @@ func (g *Graph) index() *csrIndex {
 	return idx
 }
 
-// compilePortTables builds the O(1) port-resolution tables over the
+// compilePortTables builds the O(1) port-resolution segments over the
 // already-populated CSR arrays.
 func (idx *csrIndex) compilePortTables(n int) {
-	idx.denseBase = make([]PortID, n)
-	idx.denseStart = make([]int32, n+1)
-	idx.hashStart = make([]int32, n+1)
-	// Size both flat stores in one pass, then fill.
-	for u := 0; u < n; u++ {
-		idx.denseStart[u+1] = idx.denseStart[u]
-		idx.hashStart[u+1] = idx.hashStart[u]
-		lo, hi := idx.outStart[u], idx.outStart[u+1]
-		deg := hi - lo
-		if deg == 0 {
+	idx.portSeg = make([]portSeg, n)
+	// Size the segments in one pass, then fill.
+	var total int32
+	for u := range idx.portSeg {
+		out := idx.outEdges[idx.outStart[u]:idx.outStart[u+1]]
+		if len(out) == 0 {
 			continue
 		}
-		minP, maxP := idx.outEdges[lo].Port, idx.outEdges[lo].Port
-		for _, e := range idx.outEdges[lo+1 : hi] {
-			if e.Port < minP {
-				minP = e.Port
-			}
-			if e.Port > maxP {
-				maxP = e.Port
-			}
+		minP, maxP := out[0].Port, out[0].Port
+		for _, e := range out[1:] {
+			minP, maxP = min(minP, e.Port), max(maxP, e.Port)
 		}
-		span := int64(maxP) - int64(minP) + 1
-		idx.denseBase[u] = minP
-		if denseSpanOK(span, deg) {
-			idx.denseStart[u+1] += int32(span)
+		seg := portSeg{start: total, base: minP}
+		if span := int64(maxP) - int64(minP) + 1; denseSpanOK(span, int32(len(out))) {
+			seg.size, seg.dense = int32(span), true
 		} else {
-			size := int32(2)
-			for size < 2*deg {
-				size <<= 1
+			seg.size = 2
+			for seg.size < 2*int32(len(out)) {
+				seg.size <<= 1
 			}
-			idx.hashStart[u+1] += size
 		}
+		idx.portSeg[u] = seg
+		total += seg.size
 	}
-	idx.denseSlot = make([]int32, idx.denseStart[n])
-	idx.hashKey = make([]PortID, idx.hashStart[n])
-	idx.hashSlot = make([]int32, idx.hashStart[n])
-	for u := 0; u < n; u++ {
-		lo, hi := idx.outStart[u], idx.outStart[u+1]
-		if ds, de := idx.denseStart[u], idx.denseStart[u+1]; de > ds {
-			base := int32(idx.denseBase[u])
-			for slot := lo; slot < hi; slot++ {
-				idx.denseSlot[ds+int32(idx.outEdges[slot].Port)-base] = slot - lo + 1
+	idx.ports = make([]Edge, total)
+	for u, seg := range idx.portSeg {
+		ports, mask := idx.ports[seg.start:seg.start+seg.size], uint32(seg.size)-1
+		for _, e := range idx.outEdges[idx.outStart[u]:idx.outStart[u+1]] {
+			if seg.dense {
+				ports[e.Port-seg.base] = e
+				continue
 			}
-			continue
-		}
-		hs, he := idx.hashStart[u], idx.hashStart[u+1]
-		if he == hs {
-			continue
-		}
-		mask := uint32(he-hs) - 1
-		for slot := lo; slot < hi; slot++ {
-			p := idx.outEdges[slot].Port
-			i := portHash(p) & mask
-			for idx.hashSlot[hs+int32(i)] != 0 {
+			i := sealed.Hash(e.Port) & mask
+			for ports[i].Weight != 0 {
 				i = (i + 1) & mask
 			}
-			idx.hashKey[hs+int32(i)] = p
-			idx.hashSlot[hs+int32(i)] = slot - lo + 1
+			ports[i] = e
 		}
 	}
 }
 
-// edgeByPort resolves (u, port) against the sealed tables: dense, else
-// hashed. Every node with an out-edge has one of the two, so a node
-// with neither has no port to find.
+// edgeByPort resolves (u, port) with one probe into u's segment: the
+// slot at port-base of a dense one, else the hashed run. A node with no
+// out-edge has an empty segment and no port to find.
 func (idx *csrIndex) edgeByPort(u NodeID, port PortID) (Edge, bool) {
-	lo := idx.outStart[u]
-	if ds, de := idx.denseStart[u], idx.denseStart[u+1]; de > ds {
-		off := int32(port) - int32(idx.denseBase[u])
-		if off < 0 || off >= de-ds {
-			return Edge{}, false
+	seg := idx.portSeg[u]
+	ports := idx.ports[seg.start : seg.start+seg.size]
+	if seg.dense {
+		// The difference of two int32 labels needs int64.
+		if off := int64(port) - int64(seg.base); off >= 0 && off < int64(len(ports)) {
+			return ports[off], ports[off].Weight != 0
 		}
-		s := idx.denseSlot[ds+off]
-		if s == 0 {
-			return Edge{}, false
-		}
-		return idx.outEdges[lo+s-1], true
+		return Edge{}, false
 	}
-	if hs, he := idx.hashStart[u], idx.hashStart[u+1]; he > hs {
-		mask := uint32(he-hs) - 1
-		for i := portHash(port) & mask; ; i = (i + 1) & mask {
-			s := idx.hashSlot[hs+int32(i)]
-			if s == 0 {
-				return Edge{}, false
-			}
-			if idx.hashKey[hs+int32(i)] == port {
-				return idx.outEdges[lo+s-1], true
-			}
+	if len(ports) == 0 {
+		return Edge{}, false
+	}
+	mask := uint32(len(ports)) - 1
+	for i := sealed.Hash(port) & mask; ; i = (i + 1) & mask {
+		if e := ports[i]; e.Weight == 0 || e.Port == port {
+			return e, e.Weight != 0
 		}
 	}
-	return Edge{}, false
 }
 
 // PortTable is an immutable snapshot of a sealed graph's port-resolution

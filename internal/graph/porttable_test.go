@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -25,7 +27,7 @@ func probePorts(g *Graph, u NodeID) []PortID {
 	for _, e := range g.out[u] {
 		out = append(out, e.Port, e.Port-1, e.Port+1, e.Port+17, -e.Port-3)
 	}
-	out = append(out, 0, -1, 1<<20)
+	out = append(out, 0, -1, 1<<20, math.MinInt32, math.MaxInt32)
 	return out
 }
 
@@ -120,13 +122,10 @@ func TestPortTablePathsExercised(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := RandomSC(64, 384, 5, rng) // AssignPorts inside the generator
 	idx := g.index()
-	var hashed, dense int
+	var hashed int
 	for u := 0; u < g.N(); u++ {
-		if idx.hashStart[u+1] > idx.hashStart[u] {
+		if seg := idx.portSeg[u]; seg.size > 0 && !seg.dense {
 			hashed++
-		}
-		if idx.denseStart[u+1] > idx.denseStart[u] {
-			dense++
 		}
 	}
 	if hashed == 0 {
@@ -142,7 +141,7 @@ func TestPortTablePathsExercised(t *testing.T) {
 	cidx := c.index()
 	for u := 0; u < 4; u++ {
 		if lo, hi := cidx.outStart[u], cidx.outStart[u+1]; hi > lo {
-			if cidx.denseStart[u+1] == cidx.denseStart[u] {
+			if !cidx.portSeg[u].dense {
 				t.Fatalf("contiguously labeled node %d not compiled dense", u)
 			}
 		}
@@ -185,4 +184,72 @@ func TestPortTableSnapshotSurvivesMutation(t *testing.T) {
 	if _, ok := g.EdgeByPort(u, e0.Port+100); !ok {
 		t.Fatal("re-sealed graph does not see the new port")
 	}
+}
+
+// FuzzPortTable decodes bytes into per-node port labels on up to ten
+// nodes of out-degree 0-8 and requires every probe to equal the
+// binary-search reference, before and after a SetEdgeWeight re-seal.
+// A label byte with the top bit clear steps up from the node's previous
+// label by its low bits (small gaps: dense segments, wrapping past
+// MaxInt32 to the bottom of the range); one with it set takes the next
+// four bytes as the label verbatim (scattered labels: hashed segments).
+// A label already used at its node drops the edge.
+func FuzzPortTable(f *testing.F) {
+	f.Add([]byte{4, 3, 0, 1, 1, 2, 0, 1, 5, 4, 1, 1})
+	f.Add([]byte{3, 2, 0x80, 0x7f, 0xff, 0xff, 0xfe, 1, 2, 0x80, 0x80, 0, 0, 0, 0, 1, 0x80, 0, 0, 0, 7})
+	f.Add([]byte{9, 8, 0x80, 0x80, 0, 0, 0, 1, 1, 1, 0x80, 0x7f, 0xff, 0xff, 0xff, 0x80, 0, 0, 0x10, 0, 3, 0x7f, 0, 2, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		n := 2 + int(data[0])%9
+		data = data[1:]
+		g := New(n)
+		for u := 0; u < n && len(data) > 0; u++ {
+			deg := min(int(data[0])%9, n-1)
+			data = data[1:]
+			used := make(map[PortID]bool, deg)
+			var port PortID
+			for j := 0; j < deg && len(data) > 0; j++ {
+				b := data[0]
+				data = data[1:]
+				if b&0x80 == 0 {
+					port += PortID(b)
+				} else if len(data) >= 4 {
+					port = PortID(binary.BigEndian.Uint32(data))
+					data = data[4:]
+				}
+				if used[port] {
+					continue
+				}
+				used[port] = true
+				v := NodeID((u + 1 + j) % n)
+				if err := g.AddEdgePort(NodeID(u), v, Dist(1+j), port); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		checkPortEquivalence(t, g, "fuzz")
+		if g.M() == 0 || len(data) < 2 {
+			return
+		}
+		// Reweight one edge: the re-sealed index must agree again and
+		// resolve the edge's port to its new weight.
+		u := NodeID(int(data[0]) % n)
+		for g.OutDegree(u) == 0 {
+			u = (u + 1) % NodeID(n)
+		}
+		e := g.Out(u)[int(data[1])%g.OutDegree(u)]
+		w := e.Weight + 1
+		if data[1]&0x80 != 0 {
+			w = DownWeight
+		}
+		if err := g.SetEdgeWeight(u, e.To, w); err != nil {
+			t.Fatal(err)
+		}
+		checkPortEquivalence(t, g, "fuzz after reweight")
+		if got, ok := g.EdgeByPort(u, e.Port); !ok || got.To != e.To || got.Weight != w {
+			t.Fatalf("node %d port %d after reweight to %d: (%+v, %v)", u, e.Port, w, got, ok)
+		}
+	})
 }

@@ -8,8 +8,6 @@
 // a new one, compiled over the new entries.
 package sealed
 
-import "math/bits"
-
 // Hash spreads an int32 id (Knuth multiplicative hash with an xor fold
 // so the low bits used by the mask are well mixed). Any bit pattern is
 // valid input; Table keys are additionally required to be non-negative
@@ -22,48 +20,22 @@ func Hash(v int32) uint32 {
 // Table is an immutable open-addressed map. The zero value is an empty
 // table: every Get misses.
 //
-// Only the 4-byte keys pay for the load factor. The values sit densely,
-// in slot order, so a value's position is the number of occupied slots
-// before its own: the rank of its slot in an occupancy bitmap, one
-// popcount away from a per-64-slots running count. A table of wide
-// values (a 48-byte rtz.Label) so costs 8-16 bytes of keys plus one
-// value per entry instead of 2-4 values per entry. The bitmap and its
-// counts are a sixteenth the size of the keys and stay cached, so a hit
-// still waits on two cache lines, the key's and the value's, and the
-// value's address does not wait for the key's load.
+// Each slot holds its key and its value side by side, so a hit is one
+// probe: the slot that matches the key already holds the answer.
 type Table[V any] struct {
-	keys []int32 // -1 marks an empty slot
-	occ  []group // occupancy of slots 64g .. 64g+63
-	vals []V     // exactly one per entry, in slot order
+	slots []slot[V]
+	n     int
 }
 
-type group struct {
-	bits uint64 // bit j set: slot 64g+j is occupied
-	rank uint32 // occupied slots in all earlier groups
+type slot[V any] struct {
+	key int32 // -1 marks an empty slot
+	val V
 }
 
 // CompileFunc builds a table of n entries, the i-th with key key(i) and
 // value val(i), straight from wherever the caller holds them: no builder
-// map in between. Keys must be distinct and non-negative. Each key is
-// placed once, its slot kept aside; each value goes to that slot's rank.
+// map in between. Keys must be distinct and non-negative.
 func CompileFunc[V any](n int, key func(i int) int32, val func(i int) V) Table[V] {
-	t := newTable[V](n)
-	slots := make([]uint32, n)
-	for e := range slots {
-		slots[e] = t.place(key(e))
-	}
-	for g := 1; g < len(t.occ); g++ {
-		t.occ[g].rank = t.occ[g-1].rank + uint32(bits.OnesCount64(t.occ[g-1].bits))
-	}
-	for e, i := range slots {
-		g := &t.occ[i>>6]
-		t.vals[int(g.rank)+bits.OnesCount64(g.bits&(1<<(i&63)-1))] = val(e)
-	}
-	return t
-}
-
-// newTable sizes an empty table for n entries at load <= 1/2.
-func newTable[V any](n int) Table[V] {
 	if n == 0 {
 		return Table[V]{}
 	}
@@ -71,61 +43,51 @@ func newTable[V any](n int) Table[V] {
 	for size < 2*n {
 		size <<= 1
 	}
-	t := Table[V]{keys: make([]int32, size), occ: make([]group, (size+63)/64), vals: make([]V, n)}
-	for i := range t.keys {
-		t.keys[i] = -1
+	t := Table[V]{slots: make([]slot[V], size), n: n}
+	for i := range t.slots {
+		t.slots[i].key = -1
+	}
+	mask := uint32(size - 1)
+	for e := 0; e < n; e++ {
+		k := key(e)
+		if k < 0 {
+			panic("sealed: negative key")
+		}
+		i := Hash(k) & mask
+		for ; t.slots[i].key >= 0; i = (i + 1) & mask {
+			if t.slots[i].key == k {
+				panic("sealed: duplicate key")
+			}
+		}
+		t.slots[i] = slot[V]{k, val(e)}
 	}
 	return t
 }
 
-// place puts key k in its slot, marks the slot occupied and returns it.
-func (t *Table[V]) place(k int32) uint32 {
-	if k < 0 {
-		panic("sealed: negative key")
-	}
-	mask := uint32(len(t.keys) - 1)
-	i := Hash(k) & mask
-	for ; t.keys[i] >= 0; i = (i + 1) & mask {
-		if t.keys[i] == k {
-			panic("sealed: duplicate key")
-		}
-	}
-	t.keys[i] = k
-	t.occ[i>>6].bits |= 1 << (i & 63)
-	return i
-}
-
 // Len returns the number of entries.
-func (t *Table[V]) Len() int { return len(t.vals) }
+func (t *Table[V]) Len() int { return t.n }
 
 // Get returns the value stored under k. Negative keys are never stored
 // (CompileFunc rejects them) and always miss — they must not be compared
 // against the -1 empty-slot sentinel.
 func (t *Table[V]) Get(k int32) (V, bool) {
-	if t.keys == nil || k < 0 {
+	if t.slots == nil || k < 0 {
 		var zero V
 		return zero, false
 	}
-	mask := uint32(len(t.keys)) - 1
+	mask := uint32(len(t.slots)) - 1
 	for i := Hash(k) & mask; ; i = (i + 1) & mask {
-		switch kk := t.keys[i]; {
-		case kk == k:
-			g := &t.occ[i>>6]
-			return t.vals[int(g.rank)+bits.OnesCount64(g.bits&(1<<(i&63)-1))], true
-		case kk < 0:
-			var zero V
-			return zero, false
+		if s := &t.slots[i]; s.key == k || s.key < 0 {
+			return s.val, s.key == k
 		}
 	}
 }
 
 // Range calls fn for every entry, in unspecified order.
 func (t *Table[V]) Range(fn func(k int32, v V)) {
-	pos := 0
-	for _, k := range t.keys {
-		if k >= 0 {
-			fn(k, t.vals[pos])
-			pos++
+	for _, s := range t.slots {
+		if s.key >= 0 {
+			fn(s.key, s.val)
 		}
 	}
 }

@@ -44,12 +44,12 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestDenseTableMatchesMap checks the dense layout against its builder
-// map entry for entry, with a value as wide as the label tables store,
-// at the sizes where the slot count doubles (2*len crossing a power of
-// two leaves the slots at load exactly 1/2 or just above 1/4): values
-// are stored once per entry whatever the load, Get and Range agree with
-// the map, and absent and negative keys miss.
+// TestDenseTableMatchesMap checks the inline layout, each slot a key
+// beside its value, against its builder map entry for entry, with a
+// wide value, at the sizes where the slot count doubles (2*len crossing
+// a power of two leaves the slots at load exactly 1/2 or just above
+// 1/4): the load stays in (1/4, 1/2], Len counts the entries, Get and
+// Range agree with the map, and absent and negative keys miss.
 func TestDenseTableMatchesMap(t *testing.T) {
 	type wide struct{ a, b, c, d, e int64 }
 	rng := rand.New(rand.NewSource(17))
@@ -64,16 +64,13 @@ func TestDenseTableMatchesMap(t *testing.T) {
 			m[k] = wide{int64(k), rng.Int63(), rng.Int63(), rng.Int63(), int64(len(m))}
 		}
 		tab := compileMap(m)
-		if len(tab.vals) != n || cap(tab.vals) != n {
-			t.Fatalf("n=%d: %d values stored in capacity %d, want exactly one per entry", n, len(tab.vals), cap(tab.vals))
-		}
-		if len(tab.keys) < 2*n || len(tab.keys) >= 4*n+2 {
-			t.Fatalf("n=%d: %d slots, want load in (1/4, 1/2]", n, len(tab.keys))
+		if len(tab.slots) < 2*n || len(tab.slots) >= 4*n+2 {
+			t.Fatalf("n=%d: %d slots, want load in (1/4, 1/2]", n, len(tab.slots))
 		}
 		if tab.Len() != n {
 			t.Fatalf("n=%d: Len %d", n, tab.Len())
 		}
-		for k := int32(-2); k < int32(4*n)+2; k++ {
+		for k := int32(-2); k < int32(4*n)+2; k++ { // -2 and -1 must miss
 			want, wantOK := m[k]
 			if got, ok := tab.Get(k); ok != wantOK || got != want {
 				t.Fatalf("n=%d: Get(%d) = (%v, %v), map has (%v, %v)", n, k, got, ok, want, wantOK)
