@@ -14,7 +14,7 @@ RUN ?= TestClusterZeroAllocs
 N ?= 20
 PKG ?= ./internal/cluster
 
-.PHONY: all build test verify race short large benchmark-check benchdiff fmt vet lint ci alloc-gates stress loc traffic-large docs fuzz-smoke bench-smoke sizes snapshots footprint
+.PHONY: all build test verify race short large benchmark-check benchdiff fmt vet lint ci alloc-gates stress loc traffic-large docs examples fuzz-smoke bench-smoke sizes snapshots footprint
 
 all: verify
 
@@ -47,8 +47,9 @@ fuzz-smoke:
 	$(GO) test ./internal/churn -run '^$$' -fuzz FuzzChurnEventStream -fuzztime 5s
 
 # Every go test benchmark once, so they keep compiling and running: the
-# hop path's two lookups (graph, rtz), the sealed tables and the
-# snapshot encoder. Timings come from a full -bench run, not from this.
+# hop path's two lookups (graph, rtz), the sealed tables, the snapshot
+# encoder and one restored roundtrip per paper scheme (wire). Timings
+# come from a full -bench run, not from this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/graph ./internal/sealed ./internal/rtz ./internal/wire
 
@@ -90,6 +91,11 @@ footprint:
 # written as complete files) and relative links must resolve.
 docs:
 	$(GO) run ./internal/docscheck README.md DESIGN.md
+
+# Every example program under examples/, run to completion: a non-zero
+# exit (a log.Fatal, a panic) fails the target.
+examples:
+	@for d in examples/*/; do echo "== go run ./$$d"; $(GO) run "./$$d" || exit 1; done
 
 # The repo benchmark is a module of its own (benchmark/go.mod), outside
 # `./...`: vet it and run its tests here, so a PR that changes a
@@ -166,4 +172,4 @@ loc:
 	a=$$(cd "$$tree" && $(LOC_TESTS)) && b=$$($(LOC_TESTS)) && \
 	printf "%7d %7d %+7d  %s\n" $$a $$b $$((b - a)) "tests (*_test.go, not in total)"
 
-ci: lint build race alloc-gates snapshots footprint docs benchmark-check fuzz-smoke bench-smoke
+ci: lint build race alloc-gates snapshots footprint docs examples benchmark-check fuzz-smoke bench-smoke

@@ -25,9 +25,6 @@ const (
 	HopSubstrate = core.KindHop
 )
 
-// SubstrateOptions configures the stretch-3 substrate (center sampling).
-type SubstrateOptions = rtz.Config
-
 // BuildConfig collects every construction knob across all scheme kinds.
 // Zero values select each scheme's defaults. Most callers should use
 // Build with functional options instead of filling this struct directly.
@@ -39,9 +36,6 @@ type BuildConfig struct {
 	// K is the tradeoff parameter for ExStretch, Polynomial and
 	// HopSubstrate (default 2).
 	K int
-	// CoverK overrides the hop substrate's sparse-cover parameter
-	// (ExStretch only; defaults to K).
-	CoverK int
 	// ScaleBase is the cover scale ladder ratio (ExStretch, Polynomial,
 	// HopSubstrate; default 2).
 	ScaleBase float64
@@ -51,9 +45,6 @@ type BuildConfig struct {
 	// Blocks configures the Lemma 1/4 dictionary assignment (StretchSix,
 	// ExStretch).
 	Blocks BlockOptions
-	// Substrate configures the stretch-3 substrate (StretchSix,
-	// RTZStretch3).
-	Substrate SubstrateOptions
 	// ViaSource selects the §2.2 StretchSix variant that fetches the
 	// destination's address back to the source before routing.
 	ViaSource bool
@@ -74,9 +65,6 @@ func WithSeed(seed int64) BuildOption { return func(c *BuildConfig) { c.Seed = s
 // WithK sets the tradeoff parameter k >= 2.
 func WithK(k int) BuildOption { return func(c *BuildConfig) { c.K = k } }
 
-// WithCoverK overrides the hop substrate's cover parameter (ExStretch).
-func WithCoverK(k int) BuildOption { return func(c *BuildConfig) { c.CoverK = k } }
-
 // WithScaleBase sets the cover scale ladder ratio.
 func WithScaleBase(base float64) BuildOption { return func(c *BuildConfig) { c.ScaleBase = base } }
 
@@ -86,17 +74,11 @@ func WithCoverVariant(v CoverVariant) BuildOption { return func(c *BuildConfig) 
 // WithBlocks configures the dictionary block assignment.
 func WithBlocks(b BlockOptions) BuildOption { return func(c *BuildConfig) { c.Blocks = b } }
 
-// WithSubstrate configures the stretch-3 substrate.
-func WithSubstrate(s SubstrateOptions) BuildOption { return func(c *BuildConfig) { c.Substrate = s } }
-
 // WithViaSource selects the §2.2 StretchSix variant.
 func WithViaSource() BuildOption { return func(c *BuildConfig) { c.ViaSource = true } }
 
 // WithDirectReturn selects the §3.5 ExStretch variant.
 func WithDirectReturn() BuildOption { return func(c *BuildConfig) { c.DirectReturn = true } }
-
-// WithBuildWorkers sets construction parallelism.
-func WithBuildWorkers(w int) BuildOption { return func(c *BuildConfig) { c.BuildWorkers = w } }
 
 // Build constructs a routing scheme of the given kind over the system's
 // graph, oracle and naming. It is the single entry point: every knob is
@@ -131,22 +113,16 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 	case StretchSix:
 		return core.NewStretchSix(s.Graph, s.Metric, s.Naming, rng(), core.Stretch6Config{
 			Blocks:       cfg.Blocks,
-			Substrate:    cfg.Substrate,
 			ViaSource:    cfg.ViaSource,
 			BuildWorkers: cfg.BuildWorkers,
 		})
 	case ExStretch:
-		coverK := cfg.CoverK
-		if coverK < 2 {
-			coverK = cfg.K
-		}
-		hier, err := s.hierarchy(coverK, base, cfg.Variant)
+		hier, err := s.hierarchy(cfg.K, base, cfg.Variant)
 		if err != nil {
 			return nil, err
 		}
 		return core.NewExStretch(s.Graph, s.Metric, s.Naming, rng(), core.ExStretchConfig{
 			K:            cfg.K,
-			CoverK:       cfg.CoverK,
 			ScaleBase:    cfg.ScaleBase,
 			Variant:      cfg.Variant,
 			Blocks:       cfg.Blocks,
@@ -167,7 +143,7 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 			Hierarchy:    hier,
 		})
 	case RTZStretch3:
-		sub, err := rtz.NewWith(s.Graph, s.Metric, rng(), cfg.Substrate, rtz.Pass{Workers: cfg.BuildWorkers})
+		sub, err := rtz.NewWith(s.Graph, s.Metric, rng(), rtz.Config{}, rtz.Pass{Workers: cfg.BuildWorkers})
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +236,3 @@ func MarshalSchemeSizes(p ForwardingPlane) ([]byte, []int, error) {
 // to the scheme that was marshaled; per-node encoded sizes are
 // available via Deployment.EncodedSize.
 func UnmarshalScheme(data []byte) (*Deployment, error) { return wire.UnmarshalScheme(data) }
-
-// EncodedNodeSizes returns every node's local routing state encoded in
-// wire bytes — the empirical per-node space bound of Theorems 6 and 11.
-func EncodedNodeSizes(p ForwardingPlane) ([]int, error) { return wire.NodeSizes(p) }

@@ -13,6 +13,7 @@ import (
 
 	"rtroute/internal/core"
 	"rtroute/internal/cover"
+	"rtroute/internal/graph"
 	"rtroute/internal/rtz"
 	"rtroute/internal/sim"
 )
@@ -42,6 +43,10 @@ func sameSchemeRoutes(t *testing.T, name string, a, b ForwardingPlane, n, pairs 
 		}
 	}
 }
+
+// withBuildWorkers sets BuildConfig.BuildWorkers, the construction
+// parallelism RunChurnCluster sets.
+func withBuildWorkers(w int) BuildOption { return func(c *BuildConfig) { c.BuildWorkers = w } }
 
 // TestBuildCoversLegacyConfigs constructs each of the eleven
 // configurations the retired per-scheme Build* methods covered two ways
@@ -76,14 +81,11 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 			"stretch6-with",
 			func() (ForwardingPlane, error) {
 				return core.NewStretchSix(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.Stretch6Config{
-					Blocks:    BlockOptions{Boost: 3},
-					Substrate: SubstrateOptions{CenterCount: 6},
+					Blocks: BlockOptions{Boost: 3},
 				})
 			},
 			func() (ForwardingPlane, error) {
-				return sys.Build(StretchSix, WithSeed(seed),
-					WithBlocks(BlockOptions{Boost: 3}),
-					WithSubstrate(SubstrateOptions{CenterCount: 6}))
+				return sys.Build(StretchSix, WithSeed(seed), WithBlocks(BlockOptions{Boost: 3}))
 			},
 		},
 		{
@@ -106,11 +108,11 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 			"exstretch-with",
 			func() (ForwardingPlane, error) {
 				return core.NewExStretch(sys.Graph, sys.Metric, sys.Naming, coreRNG(), core.ExStretchConfig{
-					K: 2, CoverK: 3, ScaleBase: 1.8, Variant: CoverBallGrowing,
+					K: 2, ScaleBase: 1.8, Variant: CoverBallGrowing,
 				})
 			},
 			func() (ForwardingPlane, error) {
-				return sys.Build(ExStretch, WithK(2), WithSeed(seed), WithCoverK(3),
+				return sys.Build(ExStretch, WithK(2), WithSeed(seed),
 					WithScaleBase(1.8), WithCoverVariant(CoverBallGrowing))
 			},
 		},
@@ -137,7 +139,7 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 				return core.NewPolynomialStretch(sys.Graph, sys.Metric, sys.Naming, core.PolyConfig{K: 2, BuildWorkers: 2})
 			},
 			func() (ForwardingPlane, error) {
-				return sys.Build(Polynomial, WithK(2), WithBuildWorkers(2))
+				return sys.Build(Polynomial, WithK(2), withBuildWorkers(2))
 			},
 		},
 		{
@@ -191,7 +193,7 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 // how analysis code over partial graphs uses the helper.
 func TestStretchInfUnreachable(t *testing.T) {
 	// 0 -> 1 with no way back: r(0,1) = Inf.
-	g := NewGraph(2)
+	g := graph.New(2)
 	if err := g.AddEdge(0, 1, 3); err != nil {
 		t.Fatal(err)
 	}

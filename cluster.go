@@ -17,23 +17,15 @@ type (
 	// ClusterResult aggregates one cluster run's serving stats,
 	// including the cross-shard hop accounting.
 	ClusterResult = cluster.Result
-	// ClusterShardStats is one shard's serving record.
-	ClusterShardStats = cluster.ShardStats
 	// PlacementPolicy selects how nodes are partitioned across shards.
 	PlacementPolicy = cluster.Policy
 	// Placement maps every node to its owning shard.
 	Placement = cluster.Placement
 )
 
-// Placement policies for ClusterConfig.Placement.
-const (
-	// PlaceContiguous racks nodes by index range.
-	PlaceContiguous = cluster.Contiguous
-	// PlaceHash scatters nodes by hashed index.
-	PlaceHash = cluster.Hash
-	// PlaceRTZAligned co-locates each stretch-3 cluster on one shard.
-	PlaceRTZAligned = cluster.RTZAligned
-)
+// PlaceRTZAligned is the placement policy that co-locates each
+// stretch-3 cluster on one shard.
+const PlaceRTZAligned = cluster.RTZAligned
 
 // NewPlacement partitions a deployment's nodes across shards under the
 // given policy (deterministic for a given deployment, count and policy).
@@ -62,24 +54,10 @@ func (s *System) ServeCluster(sch Scheme, cfg ClusterConfig) (*ClusterResult, er
 	return cluster.Run(dep, cfg)
 }
 
-// Telemetry re-exports (experiment E16): the observability plane the
-// cluster engine and the daemons thread their counters, sampled stage
-// timings, heat sketches and hop traces through. Attach a sink via
-// ClusterConfig.Sink (its SinkShape method produces the matching
-// TelemetryConfig) and read it back with Snapshot.
-type (
-	// TelemetryConfig sizes a telemetry sink (probe shape, sampling
-	// strides, trace ring, heat sketch).
-	TelemetryConfig = telemetry.Config
-	// TelemetrySink owns the probes of one instrumented run; nil turns
-	// the plane off everywhere.
-	TelemetrySink = telemetry.Sink
-	// TelemetryEvent is one recorded flight-recorder hop event.
-	TelemetryEvent = telemetry.Event
-)
-
-// NewTelemetrySink creates a sink for the given probe shape.
-func NewTelemetrySink(cfg TelemetryConfig) *TelemetrySink { return telemetry.New(cfg) }
+// TelemetryEvent is one recorded flight-recorder hop event (experiment
+// E16): the cluster engine and the daemons record them into the
+// telemetry plane's trace ring.
+type TelemetryEvent = telemetry.Event
 
 // FormatTraceTimeline renders recorded flight-recorder events as a
 // human-readable hop timeline.

@@ -58,7 +58,7 @@ func ExampleNewDirectory() {
 	if err != nil {
 		panic(err)
 	}
-	slot := dir.SlotOf("alice")
+	slot := dir.Hash.Slot([]byte("alice"))
 	found := false
 	for _, nm := range dir.Bucket(slot) {
 		if nm == "alice" {

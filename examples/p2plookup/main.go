@@ -27,42 +27,20 @@ func main() {
 	for i := range fullNames {
 		fullNames[i] = fmt.Sprintf("peer-%016x", rng.Uint64())
 	}
-	dir, err := rtroute.NewDirectory(fullNames, n, rng)
+
+	// The hashed slots are NOT a permutation (collisions happen), so
+	// NamedSystem assigns each peer a TINN name by bucket order: peers in
+	// the same slot get consecutive names — the "constant blowup" bucket.
+	ns, err := rtroute.NewNamedSystem(g, fullNames, rng)
+	if err != nil {
+		log.Fatal(err)
+	}
+	scheme, err := ns.Sys.Build(rtroute.StretchSix, rtroute.WithSeed(5))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// The hashed slots are NOT a permutation (collisions happen), so the
-	// overlay assigns each peer a TINN name by bucket order: peers in the
-	// same slot get consecutive names — the "constant blowup" bucket.
-	// Here we build the TINN name permutation from the directory.
-	nameOf := make(map[string]int32, n)
-	next := int32(0)
-	for slot := int32(0); slot < int32(n); slot++ {
-		for _, full := range dir.Bucket(slot) {
-			nameOf[full] = next
-			next++
-		}
-	}
-	permNames := make([]int32, n)
-	for i, full := range fullNames {
-		permNames[i] = nameOf[full]
-	}
-	naming, err := rtroute.NewNaming(permNames)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	sys, err := rtroute.NewSystem(g, naming)
-	if err != nil {
-		log.Fatal(err)
-	}
-	scheme, err := sys.Build(rtroute.StretchSix, rtroute.WithSeed(5))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("overlay: %d peers, %d links; max bucket %d peers/slot\n\n", g.N(), g.M(), dir.MaxBucket())
+	fmt.Printf("overlay: %d peers, %d links; max bucket %d peers/slot\n\n", g.N(), g.M(), ns.Dir.MaxBucket())
 	fmt.Printf("%-22s %-22s %9s %9s %8s\n", "requester", "object holder", "optimal", "routed", "stretch")
 
 	lookups := 0
@@ -76,16 +54,27 @@ func main() {
 		src, dst := fullNames[a], fullNames[b]
 		// A lookup knows only the holder's self-chosen name; the TINN
 		// name comes from the shared hash + bucket discipline.
-		tr, err := scheme.Roundtrip(nameOf[src], nameOf[dst])
+		tr, err := ns.Roundtrip(scheme, src, dst)
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := sys.Stretch(nameOf[src], nameOf[dst], tr)
+		s, err := ns.Stretch(src, dst, tr)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if s > worst {
 			worst = s
 		}
-		fmt.Printf("%-22s %-22s %9d %9d %8.3f\n",
-			src, dst, sys.R(nameOf[src], nameOf[dst]), tr.Weight(), s)
+		fmt.Printf("%-22s %-22s %9d %9d %8.3f\n", src, dst, ns.Sys.R(tinn(ns, src), tinn(ns, dst)), tr.Weight(), s)
 	}
 	fmt.Printf("\nworst lookup stretch %.3f (bound 6); request+ack both routed compactly\n", worst)
+}
+
+// tinn resolves a peer's self-chosen name to its TINN name.
+func tinn(ns *rtroute.NamedSystem, full string) int32 {
+	nm, err := ns.TINNName(full)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return nm
 }

@@ -3,6 +3,8 @@ package rtroute
 import (
 	"math/rand"
 	"testing"
+
+	"rtroute/internal/graph"
 )
 
 // TestExhaustiveFourNodeGraphs enumerates EVERY strongly connected
@@ -30,7 +32,7 @@ func TestExhaustiveFourNodeGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	checked := 0
 	for mask := 0; mask < 1<<12; mask++ {
-		g := NewGraph(4)
+		g := graph.New(4)
 		for i, e := range edges {
 			if mask&(1<<i) != 0 {
 				g.MustAddEdge(e.u, e.v, 1)
@@ -107,7 +109,7 @@ func TestExhaustiveThreeNodeWeighted(t *testing.T) {
 			assignments *= len(weights)
 		}
 		for a := 0; a < assignments; a++ {
-			g := NewGraph(3)
+			g := graph.New(3)
 			x := a
 			for _, e := range sel {
 				g.MustAddEdge(e.u, e.v, weights[x%len(weights)])

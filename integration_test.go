@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"rtroute/internal/graph"
 )
 
 // TestSchemeFamilyMatrix routes sampled pairs for every scheme on every
@@ -152,7 +154,7 @@ func TestConcurrentRoundtrips(t *testing.T) {
 // TestMinimalNetworks exercises the smallest legal systems.
 func TestMinimalNetworks(t *testing.T) {
 	// Two nodes, two edges: the minimum strongly connected digraph.
-	g := NewGraph(2)
+	g := graph.New(2)
 	g.MustAddEdge(0, 1, 3)
 	g.MustAddEdge(1, 0, 5)
 	sys, err := NewSystem(g, nil)

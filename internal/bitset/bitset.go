@@ -10,16 +10,12 @@ import "math/bits"
 // with New.
 type Set struct {
 	words []uint64
-	n     int
 }
 
 // New returns a set with capacity for bits 0..n-1, initially empty.
 func New(n int) *Set {
-	return &Set{words: make([]uint64, (n+63)/64), n: n}
+	return &Set{words: make([]uint64, (n+63)/64)}
 }
-
-// Cap returns the capacity the set was created with.
-func (s *Set) Cap() int { return s.n }
 
 // Add inserts i into the set.
 func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
@@ -48,16 +44,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // UnionWith adds every element of o to s.
 func (s *Set) UnionWith(o *Set) {
 	for i, w := range o.words {
@@ -75,19 +61,9 @@ func (s *Set) Intersects(o *Set) bool {
 	return false
 }
 
-// ContainsAll reports whether every element of o is in s.
-func (s *Set) ContainsAll(o *Set) bool {
-	for i, w := range o.words {
-		if w&^s.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
+	c := &Set{words: make([]uint64, len(s.words))}
 	copy(c.words, s.words)
 	return c
 }

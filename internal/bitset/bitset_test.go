@@ -28,15 +28,15 @@ func TestAddHasRemove(t *testing.T) {
 
 func TestEmptyAndClear(t *testing.T) {
 	s := New(100)
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatal("new set not empty")
 	}
 	s.Add(42)
-	if s.Empty() {
-		t.Fatal("set with element reports empty")
+	if s.Count() != 1 {
+		t.Fatal("set with one element does not count it")
 	}
 	s.Clear()
-	if !s.Empty() || s.Count() != 0 {
+	if s.Has(42) || s.Count() != 0 {
 		t.Fatal("Clear did not empty the set")
 	}
 }
@@ -57,12 +57,6 @@ func TestUnionIntersectsContains(t *testing.T) {
 	a.UnionWith(b)
 	if !a.Has(199) || a.Count() != 3 {
 		t.Fatalf("union wrong: count=%d", a.Count())
-	}
-	if !a.ContainsAll(b) {
-		t.Fatal("superset does not ContainsAll subset")
-	}
-	if b.ContainsAll(a) {
-		t.Fatal("subset claims to contain superset")
 	}
 }
 
@@ -135,9 +129,6 @@ func TestCapBoundary(t *testing.T) {
 	s.Add(63)
 	if !s.Has(63) || s.Count() != 1 {
 		t.Fatal("boundary bit 63 broken")
-	}
-	if s.Cap() != 64 {
-		t.Fatalf("Cap = %d, want 64", s.Cap())
 	}
 }
 

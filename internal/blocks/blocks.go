@@ -381,26 +381,6 @@ func sortBlocks(s []BlockID) {
 	}
 }
 
-// Holds reports whether node w stores a block whose length-i prefix is τ.
-func (a *Assignment) Holds(w graph.NodeID, i int, tau int32) bool {
-	for _, b := range a.Sets[w] {
-		if a.U.BlockPrefix(b, i) == tau {
-			return true
-		}
-	}
-	return false
-}
-
-// HoldsBlock reports whether node w stores block b.
-func (a *Assignment) HoldsBlock(w graph.NodeID, b BlockID) bool {
-	for _, x := range a.Sets[w] {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
 var errUncovered = errors.New("blocks: uncovered prefix")
 
 // verify checks the Lemma 4 coverage property for all nodes, levels and
@@ -439,24 +419,4 @@ func (a *Assignment) verify(space *rtmetric.Space, sizes []int, workers int) boo
 		}
 		return nil
 	}) == nil
-}
-
-// MaxSetSize returns max_v |S_v|, the quantity Lemma 1/4 bound by O(log n).
-func (a *Assignment) MaxSetSize() int {
-	m := 0
-	for _, s := range a.Sets {
-		if len(s) > m {
-			m = len(s)
-		}
-	}
-	return m
-}
-
-// AvgSetSize returns the mean |S_v|.
-func (a *Assignment) AvgSetSize() float64 {
-	total := 0
-	for _, s := range a.Sets {
-		total += len(s)
-	}
-	return float64(total) / float64(len(a.Sets))
 }

@@ -27,7 +27,7 @@ func TestAssignDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MaxSetSize() < 1 {
+	if a.maxSetSize() < 1 {
 		t.Fatal("empty sets under defaults")
 	}
 }
@@ -41,10 +41,10 @@ func TestHoldsNegativeCases(t *testing.T) {
 	}
 	// A prefix value beyond the realizable range is held by nobody.
 	for v := 0; v < 16; v++ {
-		if a.Holds(int32(v), 1, 9999) {
+		if a.holds(int32(v), 1, 9999) {
 			t.Fatalf("node %d claims to hold impossible prefix", v)
 		}
-		if a.HoldsBlock(int32(v), 9999) {
+		if a.holdsBlock(int32(v), 9999) {
 			t.Fatalf("node %d claims to hold impossible block", v)
 		}
 	}
@@ -57,12 +57,12 @@ func TestAvgSetSizeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := a.AvgSetSize()
+	avg := a.avgSetSize()
 	if avg < 1 || avg > float64(a.U.NumBlocks()) {
 		t.Fatalf("avg set size %.2f outside [1, %d]", avg, a.U.NumBlocks())
 	}
-	if float64(a.MaxSetSize()) < avg {
-		t.Fatalf("max %d below avg %.2f", a.MaxSetSize(), avg)
+	if float64(a.maxSetSize()) < avg {
+		t.Fatalf("max %d below avg %.2f", a.maxSetSize(), avg)
 	}
 }
 

@@ -9,6 +9,44 @@ import (
 	"rtroute/internal/rtmetric"
 )
 
+// holds reports whether node w stores a block whose length-i prefix is τ.
+func (a *Assignment) holds(w graph.NodeID, i int, tau int32) bool {
+	for _, b := range a.Sets[w] {
+		if a.U.BlockPrefix(b, i) == tau {
+			return true
+		}
+	}
+	return false
+}
+
+// holdsBlock reports whether node w stores block b.
+func (a *Assignment) holdsBlock(w graph.NodeID, b BlockID) bool {
+	for _, x := range a.Sets[w] {
+		if x == b {
+			return true
+		}
+	}
+	return false
+}
+
+// maxSetSize returns max_v |S_v|, the quantity Lemma 1/4 bound by O(log n).
+func (a *Assignment) maxSetSize() int {
+	m := 0
+	for _, s := range a.Sets {
+		m = max(m, len(s))
+	}
+	return m
+}
+
+// avgSetSize returns the mean |S_v|.
+func (a *Assignment) avgSetSize() float64 {
+	total := 0
+	for _, s := range a.Sets {
+		total += len(s)
+	}
+	return float64(total) / float64(len(a.Sets))
+}
+
 func TestUniverseRadix(t *testing.T) {
 	tests := []struct {
 		n, k, wantQ int
@@ -175,7 +213,7 @@ func TestLemma1(t *testing.T) {
 		for tau := int32(0); tau <= maxPrefix; tau++ {
 			found := false
 			for _, w := range nbhd {
-				if a.Holds(w, 1, tau) {
+				if a.holds(w, 1, tau) {
 					found = true
 					break
 				}
@@ -187,7 +225,7 @@ func TestLemma1(t *testing.T) {
 	}
 	// |S_v| = O(log n): with boost 4 the expectation is 4 ln n ≈ 17;
 	// allow generous concentration slack.
-	if m := a.MaxSetSize(); m > 8*17 {
+	if m := a.maxSetSize(); m > 8*17 {
 		t.Fatalf("max |S_v| = %d, implausibly large for O(log n)", m)
 	}
 }
@@ -210,7 +248,7 @@ func TestLemma4(t *testing.T) {
 			for tau := int32(0); tau <= maxPrefix; tau++ {
 				found := false
 				for _, w := range nbhd {
-					if a.Holds(w, i, tau) {
+					if a.holds(w, i, tau) {
 						found = true
 						break
 					}
@@ -231,7 +269,7 @@ func TestAssignIncludesOwnBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < space.G.N(); v++ {
-		if !a.HoldsBlock(graph.NodeID(v), a.U.BlockOf(int32(v))) {
+		if !a.holdsBlock(graph.NodeID(v), a.U.BlockOf(int32(v))) {
 			t.Fatalf("node %d does not hold its own block (S'_u requirement, §3.3)", v)
 		}
 	}
@@ -250,7 +288,7 @@ func TestAssignWithNamePermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < n; v++ {
-		if !a.HoldsBlock(graph.NodeID(v), a.U.BlockOf(names[v])) {
+		if !a.holdsBlock(graph.NodeID(v), a.U.BlockOf(names[v])) {
 			t.Fatalf("node %d does not hold the block of its own NAME %d", v, names[v])
 		}
 	}

@@ -33,7 +33,7 @@ func TestGreedyAssignmentCoverage(t *testing.T) {
 			t.Fatalf("k=%d: greedy assignment fails the Lemma verifier", k)
 		}
 		for v := 0; v < 96; v++ {
-			if !a.HoldsBlock(graph.NodeID(v), a.U.BlockOf(int32(v))) {
+			if !a.holdsBlock(graph.NodeID(v), a.U.BlockOf(int32(v))) {
 				t.Fatalf("k=%d: node %d lost its own block", k, v)
 			}
 		}
@@ -75,8 +75,8 @@ func TestGreedySmallerThanSampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if greedy.AvgSetSize() > sampled.AvgSetSize() {
+	if greedy.avgSetSize() > sampled.avgSetSize() {
 		t.Fatalf("greedy avg set size %.2f exceeds sampled %.2f",
-			greedy.AvgSetSize(), sampled.AvgSetSize())
+			greedy.avgSetSize(), sampled.avgSetSize())
 	}
 }

@@ -75,9 +75,6 @@ func (ov *Overlay) EdgeDown(u, v graph.NodeID) bool {
 	return ok
 }
 
-// DownCount returns the number of currently down edges.
-func (ov *Overlay) DownCount() int { return len(ov.down) }
-
 // NodeFailed reports whether v's endpoint is currently failed.
 func (ov *Overlay) NodeFailed(v graph.NodeID) bool { return ov.failed[v] }
 
@@ -88,17 +85,6 @@ func (ov *Overlay) SuppressedCount() int {
 		return 0
 	}
 	return ov.damper.SuppressedCount()
-}
-
-// FailedCount returns the number of currently failed endpoints.
-func (ov *Overlay) FailedCount() int {
-	c := 0
-	for _, f := range ov.failed {
-		if f {
-			c++
-		}
-	}
-	return c
 }
 
 // Apply incorporates one event into the working graph and returns the

@@ -82,8 +82,8 @@ func TestApplyBatchEqualsPerEventApply(t *testing.T) {
 				t.Fatalf("seed %d batch %d: NextBatch dirty %v, per-event union %v", seed, b, gotDrawn, wantDirty)
 			}
 			for _, ov := range []*Overlay{batched, drawn} {
-				if ov.Stats() != perEvent.Stats() || ov.DownCount() != perEvent.DownCount() ||
-					ov.FailedCount() != perEvent.FailedCount() || ov.SuppressedCount() != perEvent.SuppressedCount() {
+				if ov.Stats() != perEvent.Stats() || len(ov.down) != len(perEvent.down) ||
+					!reflect.DeepEqual(ov.failed, perEvent.failed) || ov.SuppressedCount() != perEvent.SuppressedCount() {
 					t.Fatalf("seed %d batch %d: overlay state diverged: %+v vs %+v", seed, b, ov.Stats(), perEvent.Stats())
 				}
 				for u := 0; u < n; u++ {

@@ -248,9 +248,6 @@ type ExStretchConfig struct {
 	// K is the tradeoff parameter (word length); >= 2. Tables scale as
 	// O~(n^(1/k)) and stretch as (2^k - 1) times the hop stretch.
 	K int
-	// CoverK is the sparse-cover parameter of the hop substrate;
-	// defaults to K.
-	CoverK int
 	// ScaleBase is the hop substrate's cover scale ratio (default 2).
 	ScaleBase float64
 	// Variant selects the cover construction (default Awerbuch–Peleg).
@@ -269,7 +266,7 @@ type ExStretchConfig struct {
 	BuildWorkers int
 	// Hierarchy, when set, is the hop substrate's cover hierarchy: what
 	// cover.BuildHierarchy returns over the same graph and oracle for
-	// (CoverK, ScaleBase, Variant). nil builds one.
+	// (K, ScaleBase, Variant). nil builds one.
 	Hierarchy *cover.Hierarchy
 }
 
@@ -295,10 +292,6 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	if perm.N() != n {
 		return nil, fmt.Errorf("core: naming covers %d nodes, graph has %d", perm.N(), n)
 	}
-	coverK := cfg.CoverK
-	if coverK < 2 {
-		coverK = cfg.K
-	}
 	base := cfg.ScaleBase
 	if base <= 1 {
 		base = 2
@@ -308,7 +301,7 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	// verifier's lazy one-core walk of all n neighborhoods.
 	space := rtmetric.New(g, m, perm.Names)
 	space.Precompute(cfg.BuildWorkers)
-	hier, err := hierarchyFor(cfg.Hierarchy, g, m, coverK, base, cfg.Variant)
+	hier, err := hierarchyFor(cfg.Hierarchy, g, m, cfg.K, base, cfg.Variant)
 	if err != nil {
 		return nil, fmt.Errorf("core: hop substrate: %w", err)
 	}
@@ -368,9 +361,9 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
 		self, sc, search := graph.NodeID(u), &scratch[wk], searches[wk]
 		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: rtz.HopTable{Self: self, Trees: hier.Memberships(self)}}
-		// R2(u, v) for every v below is the handshake of hier.BestTree's
-		// tree, read from u's tree costs laid out once: v's label is its
-		// slot in the shared tree, u's is kept once per tree.
+		// R2(u, v) for every v below is the handshake of the tree the
+		// search picks, read from u's tree costs laid out once: v's label
+		// is its slot in the shared tree, u's is kept once per tree.
 		search.From(self)
 		var err error // the first R2 failure; later entries are dropped with it
 		entry := func(v graph.NodeID) exRef {

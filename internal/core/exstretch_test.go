@@ -256,34 +256,6 @@ func TestExStretchTableTradeoff(t *testing.T) {
 	}
 }
 
-func TestExStretchCoverKDecoupled(t *testing.T) {
-	// The word length K (dictionary depth) and the cover parameter
-	// (substrate quality) are independent knobs; K=3 dictionaries over a
-	// k=2 cover must still deliver everywhere.
-	rng := rand.New(rand.NewSource(70))
-	g := graph.RandomSC(30, 120, 5, rng)
-	m := graph.AllPairs(g)
-	perm := names.Random(g.N(), rng)
-	s, err := NewExStretch(g, m, perm, rng, ExStretchConfig{K: 3, CoverK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if u == v {
-				continue
-			}
-			rt, err := s.Roundtrip(perm.Name(int32(u)), perm.Name(int32(v)))
-			if err != nil {
-				t.Fatalf("K=3/CoverK=2 roundtrip (%d,%d): %v", u, v, err)
-			}
-			if rt.Weight() < m.R(graph.NodeID(u), graph.NodeID(v)) {
-				t.Fatalf("roundtrip below optimum at (%d,%d)", u, v)
-			}
-		}
-	}
-}
-
 func TestExStretchFinerScaleBase(t *testing.T) {
 	// The eps knob: a finer substrate ladder must keep correctness and
 	// must not worsen the aggregate stretch.

@@ -121,20 +121,12 @@ func (h *S6Header) setFetched(l rtz.Label) {
 	h.fetchedW = int32(l.Words())
 }
 
-// SyncCaches recomputes the cached word counts from the label fields.
-// The wire decoder writes the exported fields directly and then calls
-// this once, so a decoded header measures exactly like a live one.
-func (h *S6Header) SyncCaches() {
-	h.legW = int32(h.Leg.Words())
-	h.srcW = int32(h.SrcLabel.Words())
-	h.fetchedW = int32(h.Fetched.Words())
-}
-
-// PrimeWordCaches is SyncCaches for the lazy flight-frame decoder,
-// which may leave SrcLabel/Fetched undecoded on a forwarding shard: all
-// three word counts travel in the frame's fixed section, so the header
-// measures exactly like the fully decoded original without re-walking
-// any label structure per crossing.
+// PrimeWordCaches sets the cached word counts for the lazy flight-frame
+// decoder, which writes the exported fields directly and may leave
+// SrcLabel/Fetched undecoded on a forwarding shard: all three word
+// counts travel in the frame's fixed section, so the header measures
+// exactly like the fully decoded original without re-walking any label
+// structure per crossing.
 func (h *S6Header) PrimeWordCaches(legW, srcW, fetchedW int32) {
 	h.legW = legW
 	h.srcW = srcW
@@ -174,8 +166,6 @@ var _ Scheme = (*StretchSix)(nil)
 type Stretch6Config struct {
 	// Blocks configures the Lemma 1 assignment.
 	Blocks blocks.Config
-	// Substrate configures the stretch-3 scheme.
-	Substrate rtz.Config
 	// ViaSource selects the variant discussed at the end of §2.2: route
 	// s -> w -> s to fetch the destination's address, then s -> t -> s.
 	// Same worst-case stretch 6, but "it can result in longer paths
@@ -213,7 +203,7 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 	}
 	mt := &S6Maintainer{m: m, perm: perm, cfg: cfg, space: rtmetric.New(g, m, perm.Names), nbhdSize: rtmetric.NeighborhoodSizes(n, 2)[1]}
 	var err error
-	mt.subM, err = rtz.NewMaintained(g, m, rng, cfg.Substrate, rtz.Pass{Workers: cfg.BuildWorkers, Visit: mt.fillOrder})
+	mt.subM, err = rtz.NewMaintained(g, m, rng, rtz.Config{}, rtz.Pass{Workers: cfg.BuildWorkers, Visit: mt.fillOrder})
 	if err != nil {
 		return nil, fmt.Errorf("core: stretch-3 substrate: %w", err)
 	}

@@ -160,7 +160,7 @@ func (h *HopHeader) FixedWords() bool { return true }
 // handshakes from the two endpoints' per-node membership tables alone,
 // never from the global cover hierarchy, which is what makes it
 // decomposable: R2(u,v) is the shared tree minimizing the roundtrip
-// through the root, exactly Hierarchy.BestTree's rule, found by walking
+// through the root, exactly cover.TreeSearch's rule, found by walking
 // u's and v's tables (both in (level, index) order) in step.
 type HopPlane struct {
 	g      *graph.Graph
@@ -212,7 +212,7 @@ func (p *HopPlane) HopTable(v graph.NodeID) *rtz.HopTable { return &p.tables[v] 
 
 // R2 resolves the handshake for (u,v) from the endpoints' membership
 // tables: the shared tree minimizing the roundtrip through the root,
-// ties broken toward the lower (level, index) — Hierarchy.BestTree's
+// ties broken toward the lower (level, index) — cover.TreeSearch's
 // rule, which the walk in (level, index) order keeps by taking only a
 // strictly cheaper tree.
 func (p *HopPlane) R2(u, v graph.NodeID) (rtz.Handshake, graph.Dist, error) {

@@ -9,15 +9,33 @@ import (
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
 	"rtroute/internal/rtz"
+	"rtroute/internal/tree"
 )
 
-// bestHandshake is R2(u, v) as the hierarchy defines it: the tree
-// Hierarchy.BestTree picks, both endpoints' labels in it and the
+// viaRoot is the cost of u -> root -> v -> root -> u inside tr, the
+// "Hop" roundtrip of §3, or false if either node is outside it.
+func viaRoot(tr *tree.Tree, u, v graph.NodeID) (graph.Dist, bool) {
+	iu, iv := tr.Slot(u), tr.Slot(v)
+	if iu < 0 || iv < 0 {
+		return 0, false
+	}
+	return tr.RoundtripAt(iu) + tr.RoundtripAt(iv), true
+}
+
+// bestHandshake is R2(u, v) as the hierarchy defines it: of u's trees
+// that contain v, the one with the cheapest viaRoot, ties broken toward
+// the lower (level, index); both endpoints' labels in it and the
 // roundtrip cost through its root.
 func bestHandshake(t testing.TB, h *cover.Hierarchy, u, v graph.NodeID) (rtz.Handshake, graph.Dist) {
 	t.Helper()
-	ref, cost, ok := h.BestTree(u, v)
-	if !ok {
+	var ref cover.TreeRef
+	cost, found := graph.Dist(graph.Inf), false
+	for _, e := range h.Memberships(u) { // ascending (level, index)
+		if c, ok := viaRoot(h.Tree(e.Ref), u, v); ok && c < cost {
+			ref, cost, found = e.Ref, c, true
+		}
+	}
+	if !found {
 		t.Fatalf("no shared double-tree for (%d,%d)", u, v)
 	}
 	tr := h.Tree(ref)
@@ -66,7 +84,7 @@ func hopRoundtrip(t testing.TB, p *HopPlane, u, v graph.NodeID) graph.Dist {
 // TestHopPlaneR2MatchesHierarchy: a hop plane resolves R2 by walking the
 // two endpoints' membership tables in step; on unit weights, where many
 // shared trees cost the same, every ordered pair must still get the
-// tree, both labels and the cost Hierarchy.BestTree gives — on the built
+// tree, both labels and the cost bestHandshake gives — on the built
 // plane and on its deployed copy.
 func TestHopPlaneR2MatchesHierarchy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -92,7 +110,7 @@ func TestHopPlaneR2MatchesHierarchy(t *testing.T) {
 			}
 			best := 0
 			for _, e := range h.Memberships(u) {
-				if c, ok := cover.RoundtripViaRoot(h.Tree(e.Ref), u, v); ok && c == wantCost {
+				if c, ok := viaRoot(h.Tree(e.Ref), u, v); ok && c == wantCost {
 					best++
 				}
 			}

@@ -250,26 +250,3 @@ func BuildBallGrowing(g *graph.Graph, dm Metric, k int, d graph.Dist) (*Result, 
 	}
 	return res, nil
 }
-
-// MaxOverlap returns the largest number of clusters any single node
-// appears in — the quantity Theorem 10 property 3 bounds by 2k*n^(1/k).
-func (r *Result) MaxOverlap(n int) int {
-	counts := make([]int, n)
-	for _, c := range r.Clusters {
-		for _, v := range c.Nodes {
-			counts[v]++
-		}
-	}
-	m := 0
-	for _, c := range counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// HomeCluster returns v's home cluster.
-func (r *Result) HomeCluster(v graph.NodeID) Cluster {
-	return r.Clusters[r.Home[v]]
-}

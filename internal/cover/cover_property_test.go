@@ -29,7 +29,7 @@ func TestQuickTheorem10Coverage(t *testing.T) {
 		}
 		// Property 1 for every node.
 		for v := 0; v < n; v++ {
-			home := res.HomeCluster(graph.NodeID(v))
+			home := res.Clusters[res.Home[graph.NodeID(v)]]
 			inHome := make(map[graph.NodeID]bool, len(home.Nodes))
 			for _, u := range home.Nodes {
 				inHome[u] = true
@@ -42,7 +42,7 @@ func TestQuickTheorem10Coverage(t *testing.T) {
 		}
 		// Property 3.
 		bound := int(math.Ceil(2 * float64(k) * math.Pow(float64(n), 1/float64(k))))
-		return res.MaxOverlap(n) <= bound
+		return res.maxOverlap(n) <= bound
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,65 @@ import (
 	"testing"
 
 	"rtroute/internal/graph"
+	"rtroute/internal/tree"
 )
 
 func rtMetric(m graph.DistanceOracle) Metric {
 	return func(u, v graph.NodeID) graph.Dist { return m.R(u, v) }
+}
+
+// maxOverlap returns the largest number of clusters any single node
+// appears in — the quantity Theorem 10 property 3 bounds by 2k*n^(1/k).
+func (r *Result) maxOverlap(n int) int {
+	counts := make([]int, n)
+	for _, c := range r.Clusters {
+		for _, v := range c.Nodes {
+			counts[v]++
+		}
+	}
+	return slices.Max(counts)
+}
+
+// maxMemberships returns the largest per-node tree count across the
+// whole hierarchy (Theorem 13 property 3 times the number of levels).
+func (h *Hierarchy) maxMemberships() int {
+	m := 0
+	for _, ms := range h.memberships {
+		m = max(m, len(ms))
+	}
+	return m
+}
+
+// roundtripViaRoot returns the cost of the route u -> root -> v -> root
+// -> u inside tree t, the "Hop" roundtrip of §3, or false if either node
+// is outside the tree.
+func roundtripViaRoot(t *tree.Tree, u, v graph.NodeID) (graph.Dist, bool) {
+	iu, iv := t.Slot(u), t.Slot(v)
+	if iu < 0 || iv < 0 {
+		return 0, false
+	}
+	return t.RoundtripAt(iu) + t.RoundtripAt(iv), true
+}
+
+// bestTree is the reference for TreeSearch: the shared tree minimizing
+// roundtripViaRoot(u, v) — the "most convenient double tree" of §3.3's
+// R2(u, v) — by a slot probe per membership of u, ties broken toward the
+// lower (level, index), or false if no tree contains both. The
+// home-tree guarantee bounds the returned cost by 2*(2k-1)*scale at u's
+// first level whose scale reaches r(u, v).
+func (h *Hierarchy) bestTree(u, v graph.NodeID) (TreeRef, graph.Dist, bool) {
+	var (
+		bestRef  TreeRef
+		bestCost graph.Dist = graph.Inf
+		found    bool
+	)
+	for _, e := range h.memberships[u] {
+		cost, ok := roundtripViaRoot(h.Tree(e.Ref), u, v)
+		if ok && (cost < bestCost || (cost == bestCost && e.Ref.Compare(bestRef) < 0)) {
+			bestRef, bestCost, found = e.Ref, cost, true
+		}
+	}
+	return bestRef, bestCost, found
 }
 
 // inducedRTRadius computes the exact roundtrip radius of the cluster from
@@ -63,7 +118,7 @@ func TestCoverTheorem10(t *testing.T) {
 				}
 				// Property 1: home cluster contains Nhat_d(v).
 				for v := 0; v < g.N(); v++ {
-					home := res.HomeCluster(graph.NodeID(v))
+					home := res.Clusters[res.Home[graph.NodeID(v)]]
 					inHome := make(map[graph.NodeID]bool)
 					for _, u := range home.Nodes {
 						inHome[u] = true
@@ -83,7 +138,7 @@ func TestCoverTheorem10(t *testing.T) {
 				}
 				// Property 3: overlap <= 2k * n^(1/k).
 				overlapBound := int(math.Ceil(2 * float64(k) * math.Pow(float64(g.N()), 1/float64(k))))
-				if got := res.MaxOverlap(g.N()); got > overlapBound {
+				if got := res.maxOverlap(g.N()); got > overlapBound {
 					t.Fatalf("k=%d d=%d: max overlap %d > bound %d", k, d, got, overlapBound)
 				}
 			}
@@ -129,7 +184,7 @@ func TestCoverOnRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Balls of radius n cover everything; the merged cluster must be V.
-	if got := len(res2.HomeCluster(0).Nodes); got != 10 {
+	if got := len(res2.Clusters[res2.Home[0]].Nodes); got != 10 {
 		t.Fatalf("home cluster size = %d, want 10", got)
 	}
 }
@@ -158,7 +213,7 @@ func TestBallGrowingCover(t *testing.T) {
 		}
 		// Home cluster contains Nhat_d(v) for every v (core property).
 		for v := 0; v < g.N(); v++ {
-			home := res.HomeCluster(graph.NodeID(v))
+			home := res.Clusters[res.Home[graph.NodeID(v)]]
 			inHome := make(map[graph.NodeID]bool)
 			for _, u := range home.Nodes {
 				inHome[u] = true
@@ -216,7 +271,7 @@ func TestHierarchyHomeTreeSpansBall(t *testing.T) {
 	}
 	for _, lvl := range h.Levels {
 		for v := 0; v < g.N(); v++ {
-			ht := lvl.HomeTree(graph.NodeID(v))
+			ht := lvl.Trees[lvl.Cover.Home[graph.NodeID(v)]]
 			for u := 0; u < g.N(); u++ {
 				if m.R(graph.NodeID(v), graph.NodeID(u)) <= lvl.Scale && !ht.Contains(graph.NodeID(u)) {
 					t.Fatalf("scale %d: home tree of %d misses Nhat member %d", lvl.Scale, v, u)
@@ -238,9 +293,11 @@ func TestHierarchyTreeHeights(t *testing.T) {
 	for _, lvl := range h.Levels {
 		bound := graph.Dist(2*k-1) * lvl.Scale
 		for ti, tr := range lvl.Trees {
-			if tr.RTHeight() > bound {
-				t.Fatalf("scale %d tree %d: RTHeight %d > (2k-1)*scale = %d",
-					lvl.Scale, ti, tr.RTHeight(), bound)
+			for i, v := range tr.Members {
+				if rt := tr.RoundtripAt(i); rt > bound {
+					t.Fatalf("scale %d tree %d: roundtrip through the root from %d is %d > (2k-1)*scale = %d",
+						lvl.Scale, ti, v, rt, bound)
+				}
 			}
 		}
 	}
@@ -256,7 +313,7 @@ func TestHierarchyTopLevelSpansV(t *testing.T) {
 	}
 	top := h.Levels[len(h.Levels)-1]
 	for v := 0; v < g.N(); v++ {
-		ht := top.HomeTree(graph.NodeID(v))
+		ht := top.Trees[top.Cover.Home[graph.NodeID(v)]]
 		if len(ht.Members) != g.N() {
 			t.Fatalf("top-level home tree of %d has %d members, want %d", v, len(ht.Members), g.N())
 		}
@@ -264,7 +321,7 @@ func TestHierarchyTopLevelSpansV(t *testing.T) {
 }
 
 func TestBestTreeGuarantee(t *testing.T) {
-	// For every pair (u,v), BestTree must return a tree whose
+	// For every pair (u,v), bestTree must return a tree whose
 	// root-roundtrip cost is at most 2*(2k-1)*scale where scale is the
 	// first level covering r(u,v) — the R2/Hop guarantee the §3 scheme
 	// relies on.
@@ -281,7 +338,7 @@ func TestBestTreeGuarantee(t *testing.T) {
 			if u == v {
 				continue
 			}
-			_, cost, ok := h.BestTree(graph.NodeID(u), graph.NodeID(v))
+			_, cost, ok := h.bestTree(graph.NodeID(u), graph.NodeID(v))
 			if !ok {
 				t.Fatalf("no shared tree for (%d,%d)", u, v)
 			}
@@ -298,13 +355,13 @@ func TestBestTreeGuarantee(t *testing.T) {
 			}
 			bound := 2 * graph.Dist(2*k-1) * scale
 			if cost > bound {
-				t.Fatalf("BestTree(%d,%d) cost %d > bound %d (r=%d scale=%d)", u, v, cost, bound, r, scale)
+				t.Fatalf("bestTree(%d,%d) cost %d > bound %d (r=%d scale=%d)", u, v, cost, bound, r, scale)
 			}
 		}
 	}
 }
 
-// TestTreeSearchMatchesBestTree checks the dense search against BestTree
+// TestTreeSearchMatchesBestTree checks the dense search against bestTree
 // for every pair (u, v), u == v included, on small hierarchies of both
 // variants. Unit and near-unit weights make many shared trees cost the
 // same, so the tie rule decides often; the test requires that it did.
@@ -327,10 +384,10 @@ func TestTreeSearchMatchesBestTree(t *testing.T) {
 					u := graph.NodeID(u)
 					search.From(u)
 					for v := graph.NodeID(0); int(v) < n; v++ {
-						ref, cost, ok := h.BestTree(u, v)
+						ref, cost, ok := h.bestTree(u, v)
 						got, gotOK := search.Best(v)
 						if gotOK != ok || got.Ref != ref || got.Cost != cost {
-							t.Fatalf("%v maxW=%d seed %d: search (%d,%d) gives %+v %v, BestTree %v cost %d %v",
+							t.Fatalf("%v maxW=%d seed %d: search (%d,%d) gives %+v %v, bestTree %v cost %d %v",
 								variant, maxW, seed, u, v, got, gotOK, ref, cost, ok)
 						}
 						tr := h.Tree(ref)
@@ -339,7 +396,7 @@ func TestTreeSearchMatchesBestTree(t *testing.T) {
 						}
 						shared := 0
 						for _, e := range h.Memberships(u) {
-							if c, ok := RoundtripViaRoot(h.Tree(e.Ref), u, v); ok && c == cost {
+							if c, ok := roundtripViaRoot(h.Tree(e.Ref), u, v); ok && c == cost {
 								shared++
 							}
 						}
@@ -394,13 +451,13 @@ func TestMembershipsAccounting(t *testing.T) {
 			}
 		}
 	}
-	if h.MaxMemberships() == 0 {
+	if h.maxMemberships() == 0 {
 		t.Fatal("no memberships recorded")
 	}
 	// Per-level overlap bound propagates: max memberships <= levels * 2k*n^(1/k).
 	perLevel := int(math.Ceil(2 * 2 * math.Sqrt(float64(g.N()))))
-	if h.MaxMemberships() > len(h.Levels)*perLevel {
-		t.Fatalf("max memberships %d exceeds levels*bound = %d", h.MaxMemberships(), len(h.Levels)*perLevel)
+	if h.maxMemberships() > len(h.Levels)*perLevel {
+		t.Fatalf("max memberships %d exceeds levels*bound = %d", h.maxMemberships(), len(h.Levels)*perLevel)
 	}
 }
 

@@ -33,12 +33,6 @@ type Level struct {
 	Trees []*tree.Tree
 }
 
-// HomeTree returns v's home double-tree at this level, guaranteed to
-// span Nhat_Scale(v) (Theorem 13 property 1).
-func (l *Level) HomeTree(v graph.NodeID) *tree.Tree {
-	return l.Trees[l.Cover.Home[v]]
-}
-
 // Hierarchy is the full §4 structure: covers at geometrically increasing
 // roundtrip scales, double-trees on every cluster, and per-node tree
 // memberships, the Lemma 5 hop substrate's state, which every plane
@@ -222,52 +216,12 @@ func (h *Hierarchy) Memberships(v graph.NodeID) []Membership {
 	return h.memberships[v]
 }
 
-// MaxMemberships returns the largest per-node tree count across the whole
-// hierarchy (Theorem 13 property 3 times the number of levels).
-func (h *Hierarchy) MaxMemberships() int {
-	m := 0
-	for _, ms := range h.memberships {
-		if len(ms) > m {
-			m = len(ms)
-		}
-	}
-	return m
-}
-
-// RoundtripViaRoot returns the cost of the route u -> root -> v -> root
-// -> u inside tree t, the "Hop" roundtrip of §3, or false if either node
-// is outside the tree.
-func RoundtripViaRoot(t *tree.Tree, u, v graph.NodeID) (graph.Dist, bool) {
-	iu, iv := t.Slot(u), t.Slot(v)
-	if iu < 0 || iv < 0 {
-		return 0, false
-	}
-	return t.RoundtripAt(iu) + t.RoundtripAt(iv), true
-}
-
-// BestTree returns the shared tree minimizing RoundtripViaRoot(u,v) —
-// the "most convenient double tree" of §3.3's R2(u,v) — or false if no
-// tree contains both (cannot happen for a full hierarchy, whose top level
-// spans V). The home-tree guarantee bounds the returned cost by
-// 2*(2k-1)*scale at u's first level whose scale reaches r(u,v).
-func (h *Hierarchy) BestTree(u, v graph.NodeID) (TreeRef, graph.Dist, bool) {
-	var (
-		bestRef  TreeRef
-		bestCost graph.Dist = graph.Inf
-		found    bool
-	)
-	for _, e := range h.memberships[u] {
-		cost, ok := RoundtripViaRoot(h.Tree(e.Ref), u, v)
-		if ok && (cost < bestCost || (cost == bestCost && e.Ref.Compare(bestRef) < 0)) {
-			bestRef, bestCost, found = e.Ref, cost, true
-		}
-	}
-	return bestRef, bestCost, found
-}
-
-// TreeSearch answers BestTree(u, v) for one u and many v without a slot
-// probe: From lays out u's tree costs once, by dense tree id, and Best
-// scans v's memberships against them. A search is one goroutine's.
+// TreeSearch answers, for one u and many v, which tree shared by u and
+// v minimizes the roundtrip u -> root -> v -> root -> u through its
+// root (the "most convenient double tree" of §3.3's R2(u, v)), ties
+// broken toward the lower (level, index). From lays out u's tree costs
+// once, by dense tree id, and Best scans v's memberships against them,
+// without a slot probe. A search is one goroutine's.
 type TreeSearch struct {
 	h    *Hierarchy
 	u    graph.NodeID
@@ -275,8 +229,8 @@ type TreeSearch struct {
 	slot []int32      // by tree id: u's slot
 }
 
-// Shared is the tree BestTree picks for a pair, with both nodes' slots in
-// it (for Tree.LabelAt and the other At accessors).
+// Shared is the tree a TreeSearch picks for a pair, with both nodes'
+// slots in it (for Tree.LabelAt and the other At accessors).
 type Shared struct {
 	Ref          TreeRef
 	Cost         graph.Dist
@@ -305,9 +259,11 @@ func (s *TreeSearch) From(u graph.NodeID) {
 	}
 }
 
-// Best returns the tree h.BestTree(u, v) does, u being the node the
-// search was laid out from. v's memberships ascend in (level, index), so
-// keeping the first of equal costs (a strict <) is BestTree's tie rule.
+// Best returns the tree shared by v and the node the search was laid out
+// from that minimizes the roundtrip through its root, or false if none
+// is (cannot happen for a full hierarchy, whose top level spans V). v's
+// memberships ascend in (level, index), so keeping the first of equal
+// costs (a strict <) breaks ties toward the lower (level, index).
 func (s *TreeSearch) Best(v graph.NodeID) (Shared, bool) {
 	best, at := graph.Inf, -1
 	for j, m := range s.h.members[v] {

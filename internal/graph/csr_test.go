@@ -132,7 +132,7 @@ func TestConcurrentSealing(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReversePreservesPorts locks in the documented Reverse contract:
+// TestReversePreservesPorts locks in the documented reverse contract:
 // the reversed edge (v,u) keeps the port of (u,v) unless that label is
 // already taken among v's reversed out-edges, in which case it falls
 // back to the smallest unused value — and labels stay unique per node
@@ -147,7 +147,7 @@ func TestReversePreservesPorts(t *testing.T) {
 	g.MustAddEdge(3, 0, 4)
 	rng := rand.New(rand.NewSource(13))
 	g.AssignPorts(rng.Intn)
-	r := g.Reverse()
+	r := g.reverse()
 	for u := 0; u < g.N(); u++ {
 		for _, e := range g.Out(NodeID(u)) {
 			p, ok := r.PortTo(e.To, NodeID(u))
@@ -168,7 +168,7 @@ func TestReversePreservesPorts(t *testing.T) {
 	h.MustAddEdge(1, 2, 1)
 	h.setPort(0, 0, 5)
 	h.setPort(1, 0, 5)
-	hr := h.Reverse()
+	hr := h.reverse()
 	ports := map[PortID]bool{}
 	kept := false
 	for _, e := range hr.Out(2) {
@@ -191,7 +191,7 @@ func TestReversePreservesPorts(t *testing.T) {
 	// edge set and weights, and every node's ports stay unique.
 	big := RandomSC(30, 90, 6, rng)
 	big.AssignPorts(rng.Intn)
-	rr := big.Reverse().Reverse()
+	rr := big.reverse().reverse()
 	if rr.M() != big.M() {
 		t.Fatalf("double Reverse changed edge count: %d -> %d", big.M(), rr.M())
 	}

@@ -525,57 +525,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Reverse returns the graph with every edge direction flipped. Each
-// reversed edge (v,u) keeps the port label of the original edge (u,v)
-// whenever that label is still free among v's reversed out-edges;
-// colliding labels fall back to the smallest unused non-negative value.
-// Reversing twice therefore preserves most port labels, but callers that
-// need specific labels after a Reverse should call AssignPorts (or check
-// PortTo) rather than assume preservation.
-func (g *Graph) Reverse() *Graph {
-	r := New(g.N())
-	used := make([]map[PortID]bool, g.N())
-	for u := range used {
-		used[u] = make(map[PortID]bool)
-	}
-	var collided []NodeID // heads (in r) that need fallback labels, in edge order
-	var colSlot []int32
-	for u, edges := range g.out {
-		for _, e := range edges {
-			r.MustAddEdge(e.To, NodeID(u), e.Weight)
-			slot := int32(len(r.out[e.To]) - 1)
-			if !used[e.To][e.Port] {
-				used[e.To][e.Port] = true
-				r.out[e.To][slot].Port = e.Port
-			} else {
-				collided = append(collided, e.To)
-				colSlot = append(colSlot, slot)
-			}
-		}
-	}
-	for i, v := range collided {
-		p := PortID(0)
-		for used[v][p] {
-			p++
-		}
-		used[v][p] = true
-		r.out[v][colSlot[i]].Port = p
-	}
-	r.invalidate()
-	return r
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() Dist {
-	var s Dist
-	for _, edges := range g.out {
-		for _, e := range edges {
-			s += e.Weight
-		}
-	}
-	return s
-}
-
 // MaxWeight returns the largest edge weight (0 for an edgeless graph).
 func (g *Graph) MaxWeight() Dist {
 	var w Dist

@@ -180,9 +180,6 @@ func AllPairs(g *Graph) *LazyOracle {
 // N implements DistanceOracle.
 func (o *LazyOracle) N() int { return o.g.N() }
 
-// Capacity returns the maximum number of cached rows.
-func (o *LazyOracle) Capacity() int { return o.capacity }
-
 // Stats returns a snapshot of cache counters.
 func (o *LazyOracle) Stats() LazyStats {
 	o.mu.Lock()

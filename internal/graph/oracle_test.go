@@ -99,7 +99,7 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 			if rows > 0 {
 				o = NewLazyOracle(g, rows)
 			}
-			what := fmt.Sprintf("seed %d, %d rows", tc.seed, o.Capacity())
+			what := fmt.Sprintf("seed %d, %d rows", tc.seed, o.capacity)
 			checkRows(t, what, o, ref)
 			// Scattered point queries after the row sweep (cache now
 			// cold for most rows on the small budgets).
@@ -116,7 +116,7 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 				t.Fatalf("%s: RTDiamOf = %d, want %d", what, got, rtDiam)
 			}
 			st := o.Stats()
-			if st.PeakRows > o.Capacity() {
+			if st.PeakRows > o.capacity {
 				t.Fatalf("%s: peak %d rows exceeds capacity", what, st.PeakRows)
 			}
 			if rows > 0 && st.Evictions == 0 {
@@ -207,9 +207,9 @@ func TestLazyOracleConcurrent(t *testing.T) {
 	// In-flight rows are never evicted, so under contention the peak may
 	// exceed the capacity — but only by the number of concurrent
 	// computations.
-	if st := lazy.Stats(); st.PeakRows > lazy.Capacity()+workers {
+	if st := lazy.Stats(); st.PeakRows > lazy.capacity+workers {
 		t.Fatalf("peak rows %d exceeded capacity %d + %d in-flight under concurrency",
-			st.PeakRows, lazy.Capacity(), workers)
+			st.PeakRows, lazy.capacity, workers)
 	}
 }
 
@@ -250,8 +250,8 @@ func TestAllPairsDefaultMatchesSequential(t *testing.T) {
 
 	const big = 1400 // 2n rows exceed DefaultLazyCacheBytes
 	ring := AllPairs(Ring(big, nil))
-	if ring.Capacity() >= 2*big {
-		t.Fatalf("capacity %d holds all %d rows; the ring no longer exceeds the budget", ring.Capacity(), 2*big)
+	if ring.capacity >= 2*big {
+		t.Fatalf("capacity %d holds all %d rows; the ring no longer exceeds the budget", ring.capacity, 2*big)
 	}
 	if st := ring.Stats(); st.Misses != 0 || st.PeakRows != 0 {
 		t.Fatalf("AllPairs above the budget computed rows up front: %+v", st)

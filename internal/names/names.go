@@ -160,9 +160,12 @@ type Directory struct {
 	Buckets map[int32][]string
 }
 
-// NewDirectory hashes all names. Duplicate full names are rejected —
-// the model requires unique self-chosen names.
+// NewDirectory hashes all names into n >= 1 slots. Duplicate full
+// names are rejected — the model requires unique self-chosen names.
 func NewDirectory(fullNames []string, n int, rng *rand.Rand) (*Directory, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("names: directory needs at least 1 slot, got %d", n)
+	}
 	d := &Directory{Hash: NewHasher(n, rng), Buckets: make(map[int32][]string)}
 	seen := make(map[string]bool, len(fullNames))
 	for _, nm := range fullNames {
@@ -175,9 +178,6 @@ func NewDirectory(fullNames []string, n int, rng *rand.Rand) (*Directory, error)
 	}
 	return d, nil
 }
-
-// SlotOf returns the hashed slot of a full name.
-func (d *Directory) SlotOf(fullName string) int32 { return d.Hash.Slot([]byte(fullName)) }
 
 // Bucket returns all full names sharing a slot (the constant-factor
 // dictionary blowup).

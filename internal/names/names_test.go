@@ -122,7 +122,7 @@ func TestDirectoryBucketLoad(t *testing.T) {
 	}
 	// Every name must land in the bucket of its slot.
 	for _, nm := range fullNames {
-		slot := d.SlotOf(nm)
+		slot := d.Hash.Slot([]byte(nm))
 		found := false
 		for _, b := range d.Bucket(slot) {
 			if b == nm {
@@ -140,6 +140,16 @@ func TestDirectoryRejectsDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	if _, err := NewDirectory([]string{"a", "b", "a"}, 10, rng); err == nil {
 		t.Fatal("duplicate self-chosen names accepted")
+	}
+}
+
+// TestDirectoryRejectsNoSlots: with n = 0 the hash's modulus would
+// divide by zero, and with n < 0 names would land in negative slots.
+func TestDirectoryRejectsNoSlots(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if d, err := NewDirectory([]string{"a", "b"}, n, rand.New(rand.NewSource(7))); err == nil {
+			t.Fatalf("n = %d accepted, buckets %v", n, d.Buckets)
+		}
 	}
 }
 

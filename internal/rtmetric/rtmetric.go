@@ -69,20 +69,6 @@ func New(g *graph.Graph, m graph.DistanceOracle, ids []int32) *Space {
 	}
 }
 
-// Less reports whether a ≺_v b in the total order of §2: first by
-// roundtrip distance r(v,·), then by distance d(·,v) toward v, then by ID.
-func (s *Space) Less(v, a, b graph.NodeID) bool {
-	ra, rb := s.M.R(v, a), s.M.R(v, b)
-	if ra != rb {
-		return ra < rb
-	}
-	da, db := s.M.D(a, v), s.M.D(b, v)
-	if da != db {
-		return da < db
-	}
-	return s.ids[a] < s.ids[b]
-}
-
 // order materializes Init_v and its rank array from the two distance
 // rows anchored at v, fwd = d(v, ·) and rev = d(·, v), sorting on them
 // directly so the comparator never goes back to the oracle: O(n log n)
@@ -225,19 +211,6 @@ func (s *Space) Neighborhood(v graph.NodeID, size int) []graph.NodeID {
 // without materializing the slice.
 func (s *Space) Contains(v graph.NodeID, size int, u graph.NodeID) bool {
 	return s.Rank(v, u) < size
-}
-
-// Ball returns Nhat_m(v) = {w : r(v,w) <= m}, the radius ball of §4.
-// Row-oriented: one FromSource plus one ToSink fetch.
-func (s *Space) Ball(v graph.NodeID, m graph.Dist) []graph.NodeID {
-	fwd, rev := s.M.FromSource(v), s.M.ToSink(v)
-	var ball []graph.NodeID
-	for u := 0; u < s.G.N(); u++ {
-		if graph.RFromRows(fwd, rev, graph.NodeID(u)) <= m {
-			ball = append(ball, graph.NodeID(u))
-		}
-	}
-	return ball
 }
 
 // Precompute fills the Init_v cache for every node that lacks an order,

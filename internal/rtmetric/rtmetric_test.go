@@ -17,6 +17,34 @@ func newSpace(t *testing.T, seed int64, n, extra int, maxW graph.Dist) *Space {
 	return New(g, graph.AllPairs(g), nil)
 }
 
+// less is the reference for Init_v's order: whether a ≺_v b in the
+// total order of §2, first by roundtrip distance r(v,·), then by
+// distance d(·,v) toward v, then by ID.
+func (s *Space) less(v, a, b graph.NodeID) bool {
+	ra, rb := s.M.R(v, a), s.M.R(v, b)
+	if ra != rb {
+		return ra < rb
+	}
+	da, db := s.M.D(a, v), s.M.D(b, v)
+	if da != db {
+		return da < db
+	}
+	return s.ids[a] < s.ids[b]
+}
+
+// ball returns Nhat_m(v) = {w : r(v,w) <= m}, the radius ball of §4.
+// Row-oriented: one FromSource plus one ToSink fetch.
+func (s *Space) ball(v graph.NodeID, m graph.Dist) []graph.NodeID {
+	fwd, rev := s.M.FromSource(v), s.M.ToSink(v)
+	var b []graph.NodeID
+	for u := 0; u < s.G.N(); u++ {
+		if graph.RFromRows(fwd, rev, graph.NodeID(u)) <= m {
+			b = append(b, graph.NodeID(u))
+		}
+	}
+	return b
+}
+
 func TestInitIsTotalOrderStartingAtV(t *testing.T) {
 	s := newSpace(t, 1, 40, 120, 10)
 	for v := 0; v < s.G.N(); v++ {
@@ -36,7 +64,7 @@ func TestInitIsTotalOrderStartingAtV(t *testing.T) {
 		}
 		// Strictly increasing under Less.
 		for i := 0; i+1 < len(ord); i++ {
-			if !s.Less(graph.NodeID(v), ord[i], ord[i+1]) {
+			if !s.less(graph.NodeID(v), ord[i], ord[i+1]) {
 				t.Fatalf("Init_%d not sorted at position %d (%d vs %d)", v, i, ord[i], ord[i+1])
 			}
 		}
@@ -49,8 +77,8 @@ func TestLessIsStrictTotalOrder(t *testing.T) {
 	for v := 0; v < n; v++ {
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
-				la := s.Less(graph.NodeID(v), graph.NodeID(a), graph.NodeID(b))
-				lb := s.Less(graph.NodeID(v), graph.NodeID(b), graph.NodeID(a))
+				la := s.less(graph.NodeID(v), graph.NodeID(a), graph.NodeID(b))
+				lb := s.less(graph.NodeID(v), graph.NodeID(b), graph.NodeID(a))
 				if a == b && (la || lb) {
 					t.Fatalf("Less(%d; %d,%d): irreflexivity violated", v, a, b)
 				}
@@ -68,8 +96,8 @@ func TestLessTransitivity(t *testing.T) {
 		n := s.G.N()
 		v := graph.NodeID(0)
 		x, y, z := graph.NodeID(int(a)%n), graph.NodeID(int(b)%n), graph.NodeID(int(c)%n)
-		if s.Less(v, x, y) && s.Less(v, y, z) {
-			return s.Less(v, x, z)
+		if s.less(v, x, y) && s.less(v, y, z) {
+			return s.less(v, x, z)
 		}
 		return true
 	}, &quick.Config{MaxCount: 5000})
@@ -155,7 +183,7 @@ func TestBall(t *testing.T) {
 	s := newSpace(t, 8, 24, 72, 6)
 	for v := 0; v < s.G.N(); v += 5 {
 		for _, m := range []graph.Dist{0, 3, 10, 1 << 40} {
-			ball := s.Ball(graph.NodeID(v), m)
+			ball := s.ball(graph.NodeID(v), m)
 			inBall := make(map[graph.NodeID]bool)
 			for _, u := range ball {
 				inBall[u] = true
@@ -174,7 +202,7 @@ func TestBall(t *testing.T) {
 
 func TestBallContainsSelf(t *testing.T) {
 	s := newSpace(t, 9, 10, 30, 2)
-	ball := s.Ball(2, 0)
+	ball := s.ball(2, 0)
 	if len(ball) != 1 || ball[0] != 2 {
 		t.Fatalf("Ball(v, 0) = %v, want [v]", ball)
 	}
@@ -294,7 +322,7 @@ func TestPackedOrderMatchesComparatorOrder(t *testing.T) {
 					if a[i] != b[i] {
 						t.Fatalf("n=%d lift %d: Init_%d differs at %d: packed %d, comparator %d", w.n, lift, v, i, a[i], b[i])
 					}
-					if i > 0 && !packed.Less(graph.NodeID(v), a[i-1], a[i]) {
+					if i > 0 && !packed.less(graph.NodeID(v), a[i-1], a[i]) {
 						t.Fatalf("n=%d lift %d: Init_%d not sorted under Less at %d", w.n, lift, v, i)
 					}
 					if packed.Rank(graph.NodeID(v), a[i]) != i {

@@ -19,7 +19,6 @@ package tree
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"rtroute/internal/graph"
@@ -96,7 +95,6 @@ type Tree struct {
 	inPort   []graph.PortID // 0 at the root's slot
 	distFrom []graph.Dist   // d_C(Root, v)
 	distTo   []graph.Dist   // d_C(v, Root)
-	rtHeight graph.Dist
 }
 
 // BuildDouble builds the double-tree for the given member set rooted at
@@ -158,9 +156,6 @@ func BuildDouble(g *graph.Graph, root graph.NodeID, members []graph.NodeID) (*Tr
 			return nil, unreachable(v, root)
 		}
 		t.distTo[i] = to.Dist[v]
-		if rt := t.distFrom[i] + to.Dist[v]; rt > t.rtHeight {
-			t.rtHeight = rt
-		}
 		if v != root {
 			port, ok := g.PortTo(v, to.Parent[v])
 			if !ok {
@@ -370,17 +365,4 @@ func (t *Tree) DistTo(v graph.NodeID) (graph.Dist, bool) {
 		return 0, false
 	}
 	return t.distTo[i], true
-}
-
-// RTHeight returns max_v (d_C(Root,v) + d_C(v,Root)), the roundtrip
-// height of the double-tree (§3.2).
-func (t *Tree) RTHeight() graph.Dist { return t.rtHeight }
-
-// TheoreticalLabelBound returns the heavy-path bound on light hops for a
-// tree of the given size: floor(log2(size)) light edges on any path.
-func TheoreticalLabelBound(size int) int {
-	if size <= 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log2(float64(size))))
 }

@@ -12,7 +12,8 @@ import (
 // Property-based tests on the tree-routing substrate: over random graph
 // seeds and roots, routing from the root must follow the exact
 // shortest-path distance, labels must respect the heavy-path bound, and
-// in-tree + out-tree distances must compose into RTHeight.
+// in-tree + out-tree distances must compose into each member's
+// roundtrip through the root.
 
 func TestQuickOutTreeOptimality(t *testing.T) {
 	err := quick.Check(func(seedRaw uint16, rootRaw, dstRaw uint8) bool {
@@ -71,18 +72,19 @@ func TestQuickRTHeightComposition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var maxRT graph.Dist
+		// The tree spans g, so its distances are g's own.
+		fwd, rev := graph.Dijkstra(g, root), graph.DijkstraRev(g, root)
 		for v := 0; v < n; v++ {
 			from, ok1 := tr.DistFrom(graph.NodeID(v))
 			to, ok2 := tr.DistTo(graph.NodeID(v))
-			if !ok1 || !ok2 {
+			if !ok1 || !ok2 || from != fwd.Dist[v] || to != rev.Dist[v] {
 				return false
 			}
-			if rt := from + to; rt > maxRT {
-				maxRT = rt
+			if tr.RoundtripAt(tr.Slot(graph.NodeID(v))) != from+to {
+				return false
 			}
 		}
-		return maxRT == tr.RTHeight()
+		return true
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +100,7 @@ func TestQuickLabelBoundOverSeeds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bound := TheoreticalLabelBound(n)
+		bound := theoreticalLabelBound(n)
 		for v := 0; v < n; v++ {
 			lbl, _ := tr.LabelOf(graph.NodeID(v))
 			if len(lbl.Light) > bound {

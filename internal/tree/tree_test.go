@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -151,14 +152,33 @@ func TestBuildDoubleErrors(t *testing.T) {
 	}
 }
 
+// rtHeight is max_v (d_C(Root,v) + d_C(v,Root)), the roundtrip height
+// of the double-tree (§3.2).
+func rtHeight(t *Tree) graph.Dist {
+	var h graph.Dist
+	for i := range t.Members {
+		h = max(h, t.RoundtripAt(i))
+	}
+	return h
+}
+
+// theoreticalLabelBound is the heavy-path bound on light hops for a tree
+// of the given size: floor(log2(size)) light edges on any path.
+func theoreticalLabelBound(size int) int {
+	if size <= 1 {
+		return 0
+	}
+	return int(math.Floor(math.Log2(float64(size))))
+}
+
 func TestRTHeight(t *testing.T) {
 	g := graph.Ring(8, nil) // r(v, root) = 8 for all v != root
 	tr, err := BuildDouble(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.RTHeight() != 8 {
-		t.Fatalf("ring RTHeight = %d, want 8", tr.RTHeight())
+	if h := rtHeight(tr); h != 8 {
+		t.Fatalf("ring roundtrip height = %d, want 8", h)
 	}
 }
 
@@ -170,7 +190,7 @@ func TestLabelSizeBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := TheoreticalLabelBound(n)
+		bound := theoreticalLabelBound(n)
 		for v := 0; v < n; v++ {
 			lbl, _ := tr.LabelOf(graph.NodeID(v))
 			if len(lbl.Light) > bound {
@@ -315,9 +335,9 @@ func TestDoubleTreeOnGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grid is bidirected: RTHeight = 2 * eccentricity of center = 2*4.
-	if tr.RTHeight() != 8 {
-		t.Fatalf("grid RTHeight = %d, want 8", tr.RTHeight())
+	// Grid is bidirected: roundtrip height = 2 * eccentricity of center = 2*4.
+	if h := rtHeight(tr); h != 8 {
+		t.Fatalf("grid roundtrip height = %d, want 8", h)
 	}
 	for v := 0; v < g.N(); v++ {
 		down, _ := routeDown(t, g, tr, graph.NodeID(v))

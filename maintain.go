@@ -54,7 +54,6 @@ func (s *System) BuildMaintained(kind SchemeKind, opts ...BuildOption) (*Maintai
 	case StretchSix:
 		mt, err := core.NewStretchSixMaintained(s.Graph, s.Metric, s.Naming, cfg.Seed, core.Stretch6Config{
 			Blocks:       cfg.Blocks,
-			Substrate:    cfg.Substrate,
 			ViaSource:    cfg.ViaSource,
 			BuildWorkers: cfg.BuildWorkers,
 		})
@@ -65,7 +64,7 @@ func (s *System) BuildMaintained(kind SchemeKind, opts ...BuildOption) (*Maintai
 		m.plane = mt.Plane()
 	case RTZStretch3:
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		mt, err := rtz.NewMaintained(s.Graph, s.Metric, rng, cfg.Substrate, rtz.Pass{Workers: cfg.BuildWorkers})
+		mt, err := rtz.NewMaintained(s.Graph, s.Metric, rng, rtz.Config{}, rtz.Pass{Workers: cfg.BuildWorkers})
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ func TestRebuildAllMatchesFreshBuild(t *testing.T) {
 			for _, workers := range buildWorkerCounts {
 				const n = 40
 				sys := churnSystem(t, n, 0xC0FFEE+int64(tc.kind))
-				m, err := sys.BuildMaintained(tc.kind, WithSeed(42), WithBuildWorkers(workers))
+				m, err := sys.BuildMaintained(tc.kind, WithSeed(42), withBuildWorkers(workers))
 				if err != nil {
 					t.Fatalf("BuildMaintained: %v", err)
 				}
@@ -127,7 +127,7 @@ func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 				for _, workers := range buildWorkerCounts {
 					const n = 32
 					sys := churnSystem(t, n, 1000+run)
-					m, err := sys.BuildMaintained(tc.kind, WithSeed(7+run), WithBuildWorkers(workers))
+					m, err := sys.BuildMaintained(tc.kind, WithSeed(7+run), withBuildWorkers(workers))
 					if err != nil {
 						t.Fatalf("run %d: BuildMaintained: %v", run, err)
 					}
@@ -343,7 +343,7 @@ func TestSSSPBudget(t *testing.T) {
 				sys.Metric = NewLazyOracle(g, rows)
 			}
 			lazy := sys.Metric.(*LazyOracle)
-			m, err := sys.BuildMaintained(StretchSix, WithSeed(7), WithBuildWorkers(workers))
+			m, err := sys.BuildMaintained(StretchSix, WithSeed(7), withBuildWorkers(workers))
 			if err != nil {
 				t.Fatalf("BuildMaintained: %v", err)
 			}

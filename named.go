@@ -3,7 +3,6 @@ package rtroute
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // NamedSystem wraps a System for deployments where nodes choose their own
@@ -15,7 +14,6 @@ type NamedSystem struct {
 	Dir *Directory
 
 	nameOf map[string]int32 // full name -> TINN name
-	fullOf []string         // TINN name -> full name
 }
 
 // NewNamedSystem builds a NamedSystem over g. fullNames[v] is the
@@ -31,20 +29,13 @@ func NewNamedSystem(g *Graph, fullNames []string, rng *rand.Rand) (*NamedSystem,
 	if err != nil {
 		return nil, err
 	}
-	// Assign TINN names by slot order, buckets flattened. Iterating
-	// slots ascending keeps the assignment deterministic given the hash.
+	// Assign TINN names by slot order, buckets flattened: walking the
+	// slots 0..n-1 keeps the assignment deterministic given the hash.
 	nameOf := make(map[string]int32, n)
-	fullOf := make([]string, n)
 	next := int32(0)
-	slots := make([]int32, 0, len(dir.Buckets))
-	for slot := range dir.Buckets {
-		slots = append(slots, slot)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, slot := range slots {
+	for slot := int32(0); slot < int32(n); slot++ {
 		for _, full := range dir.Bucket(slot) {
 			nameOf[full] = next
-			fullOf[next] = full
 			next++
 		}
 	}
@@ -60,7 +51,7 @@ func NewNamedSystem(g *Graph, fullNames []string, rng *rand.Rand) (*NamedSystem,
 	if err != nil {
 		return nil, err
 	}
-	return &NamedSystem{Sys: sys, Dir: dir, nameOf: nameOf, fullOf: fullOf}, nil
+	return &NamedSystem{Sys: sys, Dir: dir, nameOf: nameOf}, nil
 }
 
 // TINNName resolves a self-chosen name to its TINN name.
@@ -70,14 +61,6 @@ func (ns *NamedSystem) TINNName(fullName string) (int32, error) {
 		return 0, fmt.Errorf("rtroute: unknown name %q", fullName)
 	}
 	return nm, nil
-}
-
-// FullName resolves a TINN name back to the node's self-chosen name.
-func (ns *NamedSystem) FullName(tinnName int32) (string, error) {
-	if tinnName < 0 || int(tinnName) >= len(ns.fullOf) {
-		return "", fmt.Errorf("rtroute: TINN name %d out of range", tinnName)
-	}
-	return ns.fullOf[tinnName], nil
 }
 
 // Roundtrip routes between two self-chosen names over the given scheme.

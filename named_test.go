@@ -50,24 +50,24 @@ func TestNamedSystemNameResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, full := range fullNames {
+	// Every self-chosen name resolves to the TINN name its node carries,
+	// and the resolution is a permutation of {0..n-1}.
+	seen := make(map[int32]bool, len(fullNames))
+	for v, full := range fullNames {
 		nm, err := ns.TINNName(full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := ns.FullName(nm)
-		if err != nil {
-			t.Fatal(err)
+		if nm < 0 || int(nm) >= len(fullNames) || seen[nm] {
+			t.Fatalf("%q resolves to %d: out of range or taken twice", full, nm)
 		}
-		if back != full {
-			t.Fatalf("round-trip resolution %q -> %d -> %q", full, nm, back)
+		seen[nm] = true
+		if got := ns.Sys.Naming.Name(int32(v)); got != nm {
+			t.Fatalf("%q resolves to %d, but its node %d is named %d", full, nm, v, got)
 		}
 	}
 	if _, err := ns.TINNName("nobody"); err == nil {
 		t.Fatal("unknown name resolved")
-	}
-	if _, err := ns.FullName(99); err == nil {
-		t.Fatal("out-of-range TINN name resolved")
 	}
 }
 

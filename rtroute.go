@@ -91,9 +91,6 @@ const (
 	CoverBallGrowing   = cover.VariantBallGrowing
 )
 
-// NewGraph returns an empty graph on n nodes.
-func NewGraph(n int) *Graph { return graph.New(n) }
-
 // Graph generators (seeded, always strongly connected).
 var (
 	RandomSC    = graph.RandomSC

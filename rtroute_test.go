@@ -3,6 +3,8 @@ package rtroute
 import (
 	"math/rand"
 	"testing"
+
+	"rtroute/internal/graph"
 )
 
 func newTestSystem(t testing.TB, seed int64, n int) *System {
@@ -17,10 +19,10 @@ func newTestSystem(t testing.TB, seed int64, n int) *System {
 }
 
 func TestSystemValidation(t *testing.T) {
-	if _, err := NewSystem(NewGraph(1), nil); err == nil {
+	if _, err := NewSystem(graph.New(1), nil); err == nil {
 		t.Fatal("single node accepted")
 	}
-	g := NewGraph(3)
+	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	if _, err := NewSystem(g, nil); err == nil {
