@@ -32,7 +32,9 @@ verify: build test fuzz-smoke
 # writers (bytes must equal one varint append per field), of the
 # shortest-path kernel (distances and parents must equal an O(n^2)
 # reference), of the sealed port tables (every probe must equal a binary
-# search of the node's ports, before and after a re-seal), of the lazy
+# search of the node's ports, before and after a re-seal), of the
+# substrate's direct tables (every lookup, filter first, must equal a
+# map after a compile, a repair's recompile and a section restore), of the lazy
 # oracle's incremental row update (every row must equal a fresh search
 # after every reweighting batch) and of the churn event stream.
 fuzz-smoke:
@@ -43,6 +45,7 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzLabelWriter -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSSSP -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzPortTable -fuzztime 5s
+	$(GO) test ./internal/rtz -run '^$$' -fuzz FuzzDirectTable -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLazyRowUpdate -fuzztime 5s
 	$(GO) test ./internal/churn -run '^$$' -fuzz FuzzChurnEventStream -fuzztime 5s
 

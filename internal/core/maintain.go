@@ -75,10 +75,12 @@ type MaintainReport struct {
 //     the resulting sets drift from the cached ones (a verification
 //     retry fired), the maintainer falls back to a full table rebuild;
 //   - each changed substrate address is written once, into a copy of
-//     the previous plane's label store that every dictionary reads; a
-//     clean node whose substrate table or own address moved gets a
-//     shallow copy of its table, and every other clean node's table is
-//     shared with the previous plane.
+//     the previous plane's label store that every dictionary reads. The
+//     new plane's records start as a copy of the previous plane's, by
+//     value: a clean node's record keeps sharing its dictionary words
+//     and block holders with the previous plane, and only a clean node
+//     whose substrate table or own address moved has those two fields
+//     rewritten in the copy.
 type S6Maintainer struct {
 	s        *StretchSix
 	m        graph.DistanceOracle
@@ -199,26 +201,25 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 	// per-node constructor on the pool.
 	mine := func(u graph.NodeID) bool { return owned == nil || owned(u) }
 	rebuild = slices.DeleteFunc(slices.Clone(rebuild), func(u graph.NodeID) bool { return !mine(u) })
-	tabs := make([]*s6Table, len(rebuild))
-	err = parallel.ForEach(len(rebuild), workers, func(i int) (err error) {
-		tabs[i], err = buildS6Node(int(rebuild[i]), mt.perm, sub, mt.space, assign, mt.nbhdSize)
-		return err
+	err = parallel.ForEach(len(rebuild), workers, func(i int) error {
+		u := rebuild[i]
+		return buildS6Node(&s.nodes[u], int(u), mt.perm, sub, mt.space, assign, mt.nbhdSize)
 	})
 	if err != nil {
 		return rep, err
 	}
 	rebuilt := make([]bool, n)
-	for i, u := range rebuild {
-		s.nodes[u] = tabs[i]
+	for _, u := range rebuild {
 		rebuilt[u] = true
 	}
 	rep.RebuiltTables = len(rebuild)
 	lap(&rep.TablesNs)
 
 	// 4. Write each changed address once, into the new plane's copy of
-	// the label store. A clean node's table changes only if its
-	// substrate table or its own address moved, and then only by a
-	// shallow copy: its dictionary names no address, so it is shared.
+	// the label store. A clean node's record changes only if its
+	// substrate table (a new pointer in the new substrate) or its own
+	// address moved, and then only in those two fields: its dictionary
+	// names no address, so it stays shared.
 	s.labels = slices.Clone(old.labels)
 	moved := make([]bool, n)
 	for _, x := range subRep.ChangedLabels {
@@ -226,13 +227,11 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 		moved[x] = true
 	}
 	rep.ChangedLabels = len(subRep.ChangedLabels)
-	for u, t := range old.nodes {
-		if rebuilt[u] || !mine(graph.NodeID(u)) || (t.tab3 == sub.Tables[u] && !moved[u]) {
+	for u := range s.nodes {
+		if rebuilt[u] || !mine(graph.NodeID(u)) || (old.sub.Tables[u] == sub.Tables[u] && !moved[u]) {
 			continue
 		}
-		c := *t
-		c.tab3, c.ownLabel = sub.Tables[u], sub.LabelOf(graph.NodeID(u))
-		s.nodes[u] = &c
+		s.nodes[u].tab3, s.nodes[u].ownLabel = *sub.Tables[u], sub.LabelOf(graph.NodeID(u))
 	}
 	mt.s = &s
 	lap(&rep.PatchNs)

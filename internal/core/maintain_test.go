@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"rtroute/internal/churn"
 	"rtroute/internal/graph"
@@ -17,8 +19,10 @@ import (
 // the old one at exactly the names whose substrate address changed (as
 // many as the report counts) and equals the substrate's addresses at
 // every name; the old plane's store is left as it was; and every clean
-// node whose substrate table and own address did not move shares its
-// table with the previous plane.
+// node's record, copied by value into the new plane, shares its
+// dictionary words and block holders with the previous plane's record
+// (the same backing arrays, not equal copies), while its substrate
+// table and own address are the new substrate's.
 func TestRepairWritesEachChangedLabelOnce(t *testing.T) {
 	// The benchmark's churn regime at a quarter of its size: weights in
 	// [33, 64], so an event's dirty set is a few nodes, not most.
@@ -83,19 +87,40 @@ func TestRepairWritesEachChangedLabelOnce(t *testing.T) {
 		if rep.FullRebuild {
 			continue
 		}
-		for u, tab := range old.nodes {
-			if slices.Contains(dirty, graph.NodeID(u)) || tab.tab3 != s.sub.Tables[u] || !tab.ownLabel.Equal(s.labels[tab.selfName]) {
+		for u := range old.nodes {
+			if slices.Contains(dirty, graph.NodeID(u)) {
 				continue
 			}
-			if s.nodes[u] != tab {
-				t.Fatalf("event %d: clean node %d whose table and address did not move got a new table", i, u)
+			was, is := &old.nodes[u], &s.nodes[u]
+			if dictWords(is) != dictWords(was) || unsafe.SliceData(is.blockHolder) != unsafe.SliceData(was.blockHolder) {
+				t.Fatalf("event %d: clean node %d got a new dictionary or block-holder array", i, u)
+			}
+			if !is.ownLabel.Equal(s.sub.LabelOf(graph.NodeID(u))) || unsafe.SliceData(is.tab3.InPorts) != unsafe.SliceData(s.sub.Tables[u].InPorts) {
+				t.Fatalf("event %d: clean node %d routes on a stale substrate table or address", i, u)
 			}
 			shared++
 		}
 	}
-	t.Logf("%d addresses changed, %d clean tables shared", changed, shared)
+	t.Logf("%d addresses changed, %d clean records shared their dictionaries", changed, shared)
 	if changed == 0 || shared == 0 {
-		t.Fatalf("the stream changed %d addresses and shared %d tables: it exercises neither side", changed, shared)
+		t.Fatalf("the stream changed %d addresses and shared %d records: it exercises neither side", changed, shared)
+	}
+}
+
+// dictWords is the address of the first word of t's dictionary bitmap.
+func dictWords(t *s6Table) uintptr { return reflect.ValueOf(t.dict).Field(0).Pointer() }
+
+// TestS6HopFieldsLeadTheRecord pins the record layout a transit hop
+// relies on: selfName and the whole inline substrate table (Self, the
+// direct-entry filter and slots, InPorts, TreeStates) lie within the
+// record's first 128 bytes, two cache lines.
+func TestS6HopFieldsLeadTheRecord(t *testing.T) {
+	var r s6Table
+	if end := unsafe.Offsetof(r.selfName) + unsafe.Sizeof(r.selfName); end > 128 {
+		t.Fatalf("selfName ends at byte %d", end)
+	}
+	if end := unsafe.Offsetof(r.tab3) + unsafe.Sizeof(r.tab3); end > 128 {
+		t.Fatalf("the substrate table ends at byte %d", end)
 	}
 }
 

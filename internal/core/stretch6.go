@@ -33,20 +33,29 @@ import (
 // Within one plane R3(v) depends on v alone, so the pairs of items (1)
 // and (3) are held by reference: a node's dictionary is the set of names
 // it stores, and every dictionary reads the one address per name in
-// labels.
+// labels. Each node's tables are one record in nodes, held by value, so
+// a hop reads one record and nothing it points to before the lookup it
+// needs.
 type StretchSix struct {
 	g         *graph.Graph
 	perm      *names.Permutation
 	sub       *rtz.Scheme
 	uni       blocks.Universe
 	viaSource bool
-	nodes     []*s6Table
+	nodes     []s6Table
 	// labels[name] is R3(name), for every name some dictionary holds.
 	labels []rtz.Label
 }
 
+// s6Table is one node's record. The fields a transit hop reads come
+// first: selfName, then tab3's Self, direct-entry filter and slots,
+// InPorts and TreeStates, all within the record's first 128 bytes
+// (TestS6HopFieldsLeadTheRecord). The rest is read at waypoints, by the
+// section encoder and by accounting.
 type s6Table struct {
 	selfName int32
+	// tab3 is storage item (4), held inline.
+	tab3     rtz.Table
 	ownLabel rtz.Label
 	// dict merges storage items (1) and (3): the names whose pair
 	// (name, labels[name]) this node stores.
@@ -54,8 +63,6 @@ type s6Table struct {
 	// blockHolder is storage item (2): block id -> name of a
 	// neighborhood node holding that block.
 	blockHolder []int32
-	// tab3 is storage item (4).
-	tab3 *rtz.Table
 
 	neighborEntries int // size of (1), for accounting
 }
@@ -214,7 +221,7 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 	if err != nil {
 		return nil, fmt.Errorf("core: block assignment: %w", err)
 	}
-	mt.s = &StretchSix{g: g, perm: perm, sub: sub, uni: mt.assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n), labels: make([]rtz.Label, n)}
+	mt.s = &StretchSix{g: g, perm: perm, sub: sub, uni: mt.assign.U, viaSource: cfg.ViaSource, nodes: make([]s6Table, n), labels: make([]rtz.Label, n)}
 	for v := range n {
 		mt.s.labels[perm.Name(int32(v))] = sub.LabelOf(graph.NodeID(v))
 	}
@@ -222,12 +229,7 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 	// Per-node tables depend only on read-only shared state: build them
 	// in parallel.
 	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
-		tab, err := buildS6Node(u, perm, sub, mt.space, mt.assign, mt.nbhdSize)
-		if err != nil {
-			return err
-		}
-		mt.s.nodes[u] = tab
-		return nil
+		return buildS6Node(&mt.s.nodes[u], u, perm, sub, mt.space, mt.assign, mt.nbhdSize)
 	})
 	if err != nil {
 		return nil, err
@@ -235,17 +237,18 @@ func newS6(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, rng 
 	return mt, nil
 }
 
-// buildS6Node constructs one node's §2.1 table from the shared read-only
-// build state. It is the unit of work both the fresh builder and the
-// incremental maintainer run per node.
-func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetric.Space, assign *blocks.Assignment, nbhdSize int) (*s6Table, error) {
+// buildS6Node constructs node u's §2.1 record into tab, overwriting
+// every field, from the shared read-only build state. It is the unit of
+// work both the fresh builder and the incremental maintainer run per
+// node.
+func buildS6Node(tab *s6Table, u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetric.Space, assign *blocks.Assignment, nbhdSize int) error {
 	numBlocks := assign.U.NumBlocks()
-	tab := &s6Table{
+	*tab = s6Table{
 		selfName:    perm.Name(int32(u)),
+		tab3:        *sub.Tables[u],
 		ownLabel:    sub.LabelOf(graph.NodeID(u)),
 		dict:        *bitset.New(perm.N()),
 		blockHolder: make([]int32, numBlocks),
-		tab3:        sub.Tables[u],
 	}
 	for i := range tab.blockHolder {
 		tab.blockHolder[i] = -1
@@ -268,7 +271,7 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 		// Blocks holding no real names need no holder; every block
 		// of a real name must be covered (Lemma 1).
 		if lo, hi := assign.U.NamesInBlock(blocks.BlockID(b)); tab.blockHolder[b] < 0 && lo < hi {
-			return nil, fmt.Errorf("core: node %d has no holder for block %d in its neighborhood", u, b)
+			return fmt.Errorf("core: node %d has no holder for block %d in its neighborhood", u, b)
 		}
 	}
 	// (3) dictionary entries of the blocks stored here. A name may be in
@@ -279,7 +282,7 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 			tab.dict.Add(int(nm))
 		}
 	}
-	return tab, nil
+	return nil
 }
 
 // SchemeName implements Scheme.
@@ -296,7 +299,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 	if !ok {
 		return 0, false, fmt.Errorf("core: stretch-6 got %T header", header)
 	}
-	tab := s.nodes[at]
+	tab := &s.nodes[at]
 	nx := tab.selfName
 
 	switch h.Mode {
@@ -373,7 +376,7 @@ func (s *StretchSix) Forward(at graph.NodeID, header sim.Header) (graph.PortID, 
 	if !h.LegSet {
 		return 0, false, fmt.Errorf("core: packet at %d has no active leg", nx)
 	}
-	port, delivered, err := rtz.Forward(tab.tab3, &h.Leg)
+	port, delivered, err := rtz.Forward(&tab.tab3, &h.Leg)
 	if err != nil {
 		return 0, false, err
 	}
@@ -440,8 +443,8 @@ func (s *StretchSix) Roundtrip(srcName, dstName int32) (*sim.RoundtripTrace, err
 // MaxTableWords implements Scheme.
 func (s *StretchSix) MaxTableWords() int {
 	m := 0
-	for _, t := range s.nodes {
-		if w := t.words(s.labels); w > m {
+	for v := range s.nodes {
+		if w := s.nodes[v].words(s.labels); w > m {
 			m = w
 		}
 	}
@@ -451,8 +454,8 @@ func (s *StretchSix) MaxTableWords() int {
 // AvgTableWords implements Scheme.
 func (s *StretchSix) AvgTableWords() float64 {
 	total := 0
-	for _, t := range s.nodes {
-		total += t.words(s.labels)
+	for v := range s.nodes {
+		total += s.nodes[v].words(s.labels)
 	}
 	return float64(total) / float64(len(s.nodes))
 }
@@ -478,7 +481,7 @@ func (s *StretchSix) sectionEncoder() func(e *codec.Encoder, v graph.NodeID) {
 		at[nm+1] = len(labels.Buf)
 	}
 	return func(e *codec.Encoder, v graph.NodeID) {
-		t := s.nodes[v]
+		t := &s.nodes[v]
 		e.I(int64(t.selfName))
 		e.RTZLabel(t.ownLabel)
 		e.U(uint64(t.dict.Count()))
@@ -493,7 +496,7 @@ func (s *StretchSix) sectionEncoder() func(e *codec.Encoder, v graph.NodeID) {
 			e.I(int64(h))
 		}
 		e.U(uint64(t.neighborEntries))
-		encodeRTZTable(e, t.tab3)
+		encodeRTZTable(e, &t.tab3)
 	}
 }
 
@@ -504,7 +507,7 @@ func (s *StretchSix) sectionEncoder() func(e *codec.Encoder, v graph.NodeID) {
 func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
 	n := st.Graph.N()
 	uni := blocks.NewUniverse(n, 2)
-	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, n), labels: make([]rtz.Label, n)}
+	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]s6Table, n), labels: make([]rtz.Label, n)}
 	interned := bitset.New(n)
 	centers := -1
 	// A dictionary address is read into scratch and copied out only the
@@ -512,7 +515,8 @@ func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
 	// dropped, so a restore allocates one root path per name.
 	var scratch codec.Arena[tree.LightHop]
 	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
-		t := &s6Table{dict: *bitset.New(n)}
+		t := &s.nodes[v]
+		t.dict = *bitset.New(n)
 		if t.selfName, err = d.I32(); err != nil {
 			return err
 		}
@@ -576,11 +580,10 @@ func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
 			return d.Fail("implausible neighborhood size %d", nn)
 		}
 		t.neighborEntries = int(nn)
-		if t.tab3, err = decodeRTZTable(d, v, centers); err != nil {
+		if err = decodeRTZTable(d, &t.tab3, v, centers); err != nil {
 			return err
 		}
 		centers = len(t.tab3.InPorts)
-		s.nodes[v] = t
 		return nil
 	}
 	return restorer{node: node, finish: func() (Scheme, error) { return s, nil }}
@@ -589,7 +592,7 @@ func restoreS6(st *SchemeState, perm *names.Permutation) restorer {
 // TableEntries counts node v's table entries: dictionary, block holders
 // and Tab3's centers and direct entries — the E14 sweep's entries/node.
 func (s *StretchSix) TableEntries(v graph.NodeID) int {
-	t := s.nodes[v]
+	t := &s.nodes[v]
 	direct := 0
 	t.tab3.DirectEntries(func(graph.NodeID, graph.PortID) { direct++ })
 	return t.dict.Count() + len(t.blockHolder) + len(t.tab3.InPorts) + direct

@@ -360,49 +360,49 @@ func encodeRTZTable(e *codec.Encoder, t *rtz.Table) {
 	}
 }
 
-// decodeRTZTable reads node self's stretch-3 table. centers >= 0 is the
-// center count every table must cover (the first node's).
-func decodeRTZTable(d *codec.Decoder, self graph.NodeID, centers int) (*rtz.Table, error) {
+// decodeRTZTable reads node self's stretch-3 table into t. centers >= 0
+// is the center count every table must cover (the first node's).
+func decodeRTZTable(d *codec.Decoder, t *rtz.Table, self graph.NodeID, centers int) error {
 	nc, err := d.Count(4) // 1 byte port + >= 3 bytes state
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if centers >= 0 && nc != centers {
-		return nil, fmt.Errorf("covers %d centers, want %d", nc, centers)
+		return fmt.Errorf("covers %d centers, want %d", nc, centers)
 	}
-	t := &rtz.Table{Self: self}
+	*t = rtz.Table{Self: self}
 	if nc > 0 {
 		t.InPorts, t.TreeStates = make([]graph.PortID, nc), make([]tree.State, nc)
 		for i := range t.InPorts {
 			if t.InPorts[i], err = d.I32(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for i := range t.TreeStates {
 			if t.TreeStates[i], err = d.TreeState(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	nd, err := d.Count(2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	direct := make([]rtzDirect, nd)
 	for i := range direct {
 		if direct[i].dst, err = d.I32(); err != nil {
-			return nil, err
+			return err
 		}
 		if direct[i].port, err = d.I32(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	dst := func(i int) graph.NodeID { return direct[i].dst }
 	if !ascending(nd, dst) {
-		return nil, fmt.Errorf("direct entries not strictly ascending")
+		return fmt.Errorf("direct entries not strictly ascending")
 	}
 	t.CompileDirect(nd, dst, func(i int) graph.PortID { return direct[i].port })
-	return t, nil
+	return nil
 }
 
 // encodeSection appends node v's section: its own address, then its
@@ -416,13 +416,14 @@ func (p *RTZPlane) encodeSection(e *codec.Encoder, v graph.NodeID) {
 // own addresses into the injection directory.
 func restoreRTZ(st *SchemeState, perm *names.Permutation) restorer {
 	n := st.Graph.N()
-	tables, labels := make([]*rtz.Table, n), make([]rtz.Label, n)
+	tabs, tables, labels := make([]rtz.Table, n), make([]*rtz.Table, n), make([]rtz.Label, n)
 	centers := -1
 	node := func(v graph.NodeID, d *codec.Decoder) (err error) {
 		if labels[v], err = d.RTZLabel(); err != nil {
 			return err
 		}
-		if tables[v], err = decodeRTZTable(d, v, centers); err != nil {
+		tables[v] = &tabs[v]
+		if err = decodeRTZTable(d, tables[v], v, centers); err != nil {
 			return err
 		}
 		centers = len(tables[v].InPorts)

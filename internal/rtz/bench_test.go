@@ -11,7 +11,11 @@ import (
 // substrate at n = 1,024, probed with a pre-drawn stream of random
 // (node, destination) pairs: "hit" draws each pair from all stored
 // entries, "uniform" draws both ends from all nodes, so most lookups
-// miss, as they do on a hop outside the destination's cluster.
+// miss, as they do on a hop outside the destination's cluster, and
+// "miss" draws uniform pairs whose node stores no entry for the
+// destination (by the entry list, not by DirectPort), so every lookup
+// misses. A miss should cost no more than
+// a hit: the direct-entry filter answers most misses alone.
 // Run it with
 //
 //	go test ./internal/rtz -run '^$' -bench DirectPort
@@ -21,15 +25,30 @@ func BenchmarkDirectPort(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	type probe struct{ at, dst graph.NodeID }
 	var entries []probe
+	stored := make(map[probe]bool)
 	for v, tab := range s.Tables {
-		tab.DirectEntries(func(dst graph.NodeID, _ graph.PortID) { entries = append(entries, probe{graph.NodeID(v), dst}) })
+		tab.DirectEntries(func(dst graph.NodeID, _ graph.PortID) {
+			p := probe{graph.NodeID(v), dst}
+			entries = append(entries, p)
+			stored[p] = true
+		})
 	}
-	for _, mode := range []string{"hit", "uniform"} {
+	for _, mode := range []string{"hit", "uniform", "miss"} {
 		stream := make([]probe, 1<<16)
 		for i := range stream {
-			stream[i] = entries[rng.Intn(len(entries))]
-			if mode == "uniform" {
+			switch mode {
+			case "hit":
+				stream[i] = entries[rng.Intn(len(entries))]
+			case "uniform":
 				stream[i] = probe{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+			case "miss":
+				for {
+					p := probe{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+					if !stored[p] {
+						stream[i] = p
+						break
+					}
+				}
 			}
 		}
 		b.Run(mode, func(b *testing.B) {

@@ -86,10 +86,7 @@ func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg C
 	if n < 2 {
 		return nil, fmt.Errorf("rtz: need at least 2 nodes, got %d", n)
 	}
-	count := cfg.CenterCount
-	if count <= 0 {
-		count = int(math.Ceil(math.Sqrt(float64(n) * math.Max(1, math.Log(float64(n))))))
-	}
+	count := int(math.Ceil(math.Sqrt(float64(n) * math.Max(1, math.Log(float64(n))))))
 	if count > n {
 		count = n
 	}
@@ -312,19 +309,25 @@ func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) error {
 		mt.members[y] = res[i].members
 	}
 	for x, t := range s.Tables {
-		if !touched[x] {
-			continue
+		if touched[x] {
+			s.Tables[x] = t.recompiled(func(y graph.NodeID) bool { return resolved[y] }, adds[x])
 		}
-		es := make([]directEntry, 0, t.direct.Len()+len(adds[x]))
-		t.direct.Range(func(y graph.NodeID, p graph.PortID) {
-			if !resolved[y] {
-				es = append(es, directEntry{y, p})
-			}
-		})
-		es = append(es, adds[x]...)
-		c := *t
-		c.CompileDirect(len(es), func(i int) graph.NodeID { return es[i].dst }, func(i int) graph.PortID { return es[i].port })
-		s.Tables[x] = &c
 	}
 	return nil
+}
+
+// recompiled returns a copy of t whose direct entries are t's own for
+// every destination drop refuses, followed by adds: a repair's new table
+// for a node whose entries moved.
+func (t *Table) recompiled(drop func(y graph.NodeID) bool, adds []directEntry) *Table {
+	es := make([]directEntry, 0, t.direct.Len()+len(adds))
+	t.direct.Range(func(y graph.NodeID, p graph.PortID) {
+		if !drop(y) {
+			es = append(es, directEntry{y, p})
+		}
+	})
+	es = append(es, adds...)
+	c := *t
+	c.CompileDirect(len(es), func(i int) graph.NodeID { return es[i].dst }, func(i int) graph.PortID { return es[i].port })
+	return &c
 }

@@ -93,13 +93,29 @@ func (h Header) Words() int { return 2 + h.Label.Words() }
 // Table is the node-local storage of the stretch-3 scheme. All slices are
 // indexed by center index. A published table is never written: a repair
 // that changes a node's state gives it a new Table (see Maintainer.Apply).
+//
+// The fields come in the order a hop reads them (Forward): Self, the
+// direct-entry filter and slots, then the per-center arrays. A table is
+// 96 bytes, so a record that holds one by value near its start keeps
+// every field a hop reads within two cache lines.
 type Table struct {
-	Self       graph.NodeID
-	InPorts    []graph.PortID // next-hop port toward each center
-	TreeStates []tree.State   // O(1) routing state in each center's out-tree
+	Self graph.NodeID
+	// filter has filterMask(y) set for every direct destination y. It is
+	// derived by CompileDirect, like the empty slots, and never encoded:
+	// a lookup whose bits are not all set misses without a probe.
+	filter uint64
 	// direct maps destination -> first-hop port of a shortest path, for
 	// every destination whose cluster contains this node.
-	direct sealed.Table[graph.PortID]
+	direct     sealed.Table[graph.PortID]
+	InPorts    []graph.PortID // next-hop port toward each center
+	TreeStates []tree.State   // O(1) routing state in each center's out-tree
+}
+
+// filterMask is dst's two bits in a direct-entry filter, drawn from the
+// top of its hash: the slot index reads the low bits.
+func filterMask(dst graph.NodeID) uint64 {
+	h := sealed.Hash(dst)
+	return 1<<(h>>26) | 1<<(h>>20&63)
 }
 
 // Words returns the table size in machine words (the O~(sqrt n) of §2.1).
@@ -107,25 +123,36 @@ func (t *Table) Words() int {
 	return 1 + len(t.InPorts) + 5*len(t.TreeStates) + 2*t.direct.Len()
 }
 
-// CompileDirect sets the direct entries of a table under construction:
-// n of them, the i-th toward dst(i) on port(i). Destinations must be
-// distinct and non-negative.
+// CompileDirect sets the direct entries of a table under construction,
+// and the filter in front of them: n of them, the i-th toward dst(i) on
+// port(i). Destinations must be distinct and non-negative.
 func (t *Table) CompileDirect(n int, dst func(i int) graph.NodeID, port func(i int) graph.PortID) {
 	t.direct = sealed.CompileFunc(n, dst, port)
+	t.filter = 0
+	for i := range n {
+		t.filter |= filterMask(dst(i))
+	}
 }
 
-// DirectPort returns the stored first-hop port toward dst, if any.
-func (t *Table) DirectPort(dst graph.NodeID) (graph.PortID, bool) { return t.direct.Get(dst) }
+// DirectPort returns the stored first-hop port toward dst, if any. Most
+// lookups on a hop miss (a destination's cluster is small), and the
+// filter answers most of those without touching the slots.
+func (t *Table) DirectPort(dst graph.NodeID) (graph.PortID, bool) {
+	if m := filterMask(dst); t.filter&m != m {
+		return 0, false
+	}
+	return t.direct.Get(dst)
+}
 
 // DirectEntries calls fn for every stored direct entry, in unspecified
 // order (the introspection hook the property tests use).
 func (t *Table) DirectEntries(fn func(dst graph.NodeID, port graph.PortID)) { t.direct.Range(fn) }
 
-// Config tunes scheme construction.
-type Config struct {
-	// CenterCount overrides the default ceil(sqrt(n*ln n)) sample size.
-	CenterCount int
-}
+// Config is the scheme's construction settings, of which there are
+// none: the center sample is always ceil(sqrt(n ln n)) nodes. The type
+// stays because the repo benchmark's layer timing names it; ROADMAP
+// item 3's benchmark revision can drop it.
+type Config struct{}
 
 // Scheme is the built stretch-3 name-dependent roundtrip routing scheme.
 type Scheme struct {

@@ -142,35 +142,6 @@ func TestTableGrowthIsSublinear(t *testing.T) {
 	}
 }
 
-func TestCustomCenterCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := graph.RandomSC(30, 120, 5, rng)
-	m := graph.AllPairs(g)
-	s, err := New(g, m, rng, Config{CenterCount: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Centers) != 5 {
-		t.Fatalf("got %d centers, want 5", len(s.Centers))
-	}
-	// Still correct (possibly worse stretch... no: stretch-3 analysis
-	// holds for ANY center set; fewer centers only grow tables).
-	for u := 0; u < g.N(); u += 5 {
-		for v := 0; v < g.N(); v += 3 {
-			if u == v {
-				continue
-			}
-			w, err := s.Roundtrip(graph.NodeID(u), graph.NodeID(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r := m.R(graph.NodeID(u), graph.NodeID(v)); w > 3*r {
-				t.Fatalf("few-centers roundtrip(%d,%d) = %d > 3r = %d", u, v, w, 3*r)
-			}
-		}
-	}
-}
-
 func TestSchemeOnRing(t *testing.T) {
 	// Rings are the adversarial case for roundtrip routing: every
 	// roundtrip costs n. Stretch 3 must still hold.

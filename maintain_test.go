@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rtroute/internal/churn"
 	"rtroute/internal/graph"
+	"rtroute/internal/sim"
 )
 
 // churnSystem builds a System over a random SC graph that the test can
@@ -164,6 +166,9 @@ func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 						if err := m.Certify(); err != nil {
 							t.Fatalf("run %d workers %d event %d (%v, %d dirty): %v", run, workers, i, ev, len(dirty), err)
 						}
+						if tc.kind == StretchSix {
+							checkRoutesMatchFresh(t, m)
+						}
 						reps = append(reps, counters(rep))
 					}
 					if first == nil {
@@ -194,6 +199,45 @@ func checkStretchBound(t *testing.T, sys *System, plane Scheme, bound Dist) {
 			}
 			if r := sys.R(u, v); tr.Weight() > bound*r {
 				t.Fatalf("stretch %d violated at (%d,%d): %d > %d*%d", bound, u, v, tr.Weight(), bound, r)
+			}
+		}
+	}
+}
+
+// checkRoutesMatchFresh routes every ordered pair of distinct names on
+// the maintained plane and on a fresh build over the current graph, and
+// fails unless each leg takes the same path, hops and weight on both.
+// Certify compares section bytes; this compares what Forward reads, so
+// a record field a repair left stale that the encoder never writes
+// still shows.
+func checkRoutesMatchFresh(t *testing.T, m *Maintained) {
+	t.Helper()
+	sys := *m.sys
+	sys.Metric = graph.NewLazyOracle(sys.Graph, 0)
+	sys.hier = nil
+	fresh, err := sys.BuildWith(m.kind, m.cfg)
+	if err != nil {
+		t.Fatalf("fresh build: %v", err)
+	}
+	n := int32(sys.Graph.N())
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
+			if u == v {
+				continue
+			}
+			got, err := m.Plane().Roundtrip(u, v)
+			if err != nil {
+				t.Fatalf("maintained roundtrip (%d,%d): %v", u, v, err)
+			}
+			want, err := fresh.Roundtrip(u, v)
+			if err != nil {
+				t.Fatalf("fresh roundtrip (%d,%d): %v", u, v, err)
+			}
+			for leg, pair := range [2][2]*sim.Trace{{got.Out, want.Out}, {got.Back, want.Back}} {
+				g, w := pair[0], pair[1]
+				if g.Hops != w.Hops || g.Weight != w.Weight || !slices.Equal(g.Path, w.Path) {
+					t.Fatalf("(%d,%d) leg %d: maintained %d hops weight %d, fresh %d hops weight %d", u, v, leg, g.Hops, g.Weight, w.Hops, w.Weight)
+				}
 			}
 		}
 	}
