@@ -14,7 +14,7 @@ RUN ?= TestClusterZeroAllocs
 N ?= 20
 PKG ?= ./internal/cluster
 
-.PHONY: all build test verify race short large benchmark-check benchdiff fmt vet lint ci alloc-gates stress loc traffic-large docs examples fuzz-smoke bench-smoke sizes snapshots footprint
+.PHONY: all build test verify race short large cliff benchmark-check benchdiff fmt vet lint ci alloc-gates stress loc traffic-large docs examples fuzz-smoke bench-smoke sizes snapshots footprint
 
 all: verify
 
@@ -35,8 +35,10 @@ verify: build test fuzz-smoke
 # search of the node's ports, before and after a re-seal), of the
 # substrate's direct tables (every lookup, filter first, must equal a
 # map after a compile, a repair's recompile and a section restore), of the lazy
-# oracle's incremental row update (every row must equal a fresh search
-# after every reweighting batch) and of the churn event stream.
+# oracle's incremental row update (every row, and every next hop derived
+# from a reverse row, must equal a fresh search after every reweighting
+# batch), of the Init prefixes (every prefix must be the head of the
+# full comparator order) and of the churn event stream.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalScheme -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 5s
@@ -47,6 +49,7 @@ fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzPortTable -fuzztime 5s
 	$(GO) test ./internal/rtz -run '^$$' -fuzz FuzzDirectTable -fuzztime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzLazyRowUpdate -fuzztime 5s
+	$(GO) test ./internal/rtmetric -run '^$$' -fuzz FuzzInitPrefix -fuzztime 5s
 	$(GO) test ./internal/churn -run '^$$' -fuzz FuzzChurnEventStream -fuzztime 5s
 
 # Every go test benchmark once, so they keep compiling and running: the
@@ -70,6 +73,13 @@ short:
 # 5,000-node lazy-oracle acceptance run (see oracle_equiv_test.go).
 large:
 	RTROUTE_LARGE=1 $(GO) test -run TestLazyStretchSixLargeScale -v -timeout 3600s .
+
+# Build-cliff probe (ROADMAP 12): StretchSix, then ExStretch at k = 2,
+# on RandomSC(n, 4n, 8) at n = 1,024, 2,048 and 4,096 over the default
+# oracle budget: build seconds, live heap, peak RSS, oracle misses and
+# evictions, and the claim walks that ran past the N_{k-1} prefix.
+cliff:
+	RTROUTE_LARGE=1 $(GO) test -count=1 -run TestBuildCliff -v -timeout 3600s ./internal/core
 
 # Million-packet serving acceptance: 1,000-node StretchSix over the lazy
 # oracle, GOMAXPROCS workers, stretch certified against sequential

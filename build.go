@@ -216,16 +216,6 @@ func (s *System) hierarchy(k int, base float64, variant CoverVariant) (*cover.Hi
 // encoded byte sizes.
 type Deployment = core.Deployment
 
-// Deploy encodes a built scheme's per-node sections and restores them as
-// a Deployment, certifying that node-local state plus the packet header
-// suffice to forward.
-func Deploy(p ForwardingPlane) (*Deployment, error) { return core.Deploy(p) }
-
-// MarshalScheme encodes a built scheme (or Deployment) as a
-// self-contained versioned binary snapshot: graph, naming, shared
-// parameters, and one length-prefixed section per node.
-func MarshalScheme(p ForwardingPlane) ([]byte, error) { return wire.MarshalScheme(p) }
-
 // MarshalSchemeSizes is MarshalScheme returning each node's encoded
 // section length alongside the blob (one encode pass).
 func MarshalSchemeSizes(p ForwardingPlane) ([]byte, []int, error) {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"rtroute/internal/wire"
 	"sync"
 	"testing"
 
@@ -197,7 +198,7 @@ func TestStretchInfUnreachable(t *testing.T) {
 	if err := g.AddEdge(0, 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	sys := &System{Graph: g, Metric: AllPairs(g), Naming: IdentityNaming(2)}
+	sys := &System{Graph: g, Metric: graph.AllPairs(g), Naming: IdentityNaming(2)}
 	tr := &RoundtripTrace{
 		Out:  &sim.Trace{Weight: 3, Hops: 1},
 		Back: &sim.Trace{Weight: 0, Hops: 0},
@@ -223,7 +224,7 @@ func TestDeploymentRoutersConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := Deploy(s6)
+	dep, err := core.Deploy(s6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestDeploymentServesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := MarshalScheme(s6)
+	blob, err := wire.MarshalScheme(s6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +307,10 @@ func TestDeploymentServesTraffic(t *testing.T) {
 }
 
 // TestSystemSharesOneHierarchy: ExStretch, Polynomial and HopSubstrate
-// built on one System at the same (k, base, variant) route on one cover
-// hierarchy, and hold each node's hop-substrate memberships once: every
-// plane's table at v is the hierarchy's own slice. The System keys the
+// built on one System at the same (k, base, variant) read one cover
+// hierarchy, which the System builds once (core's
+// TestPlanesShareHierarchyMemberships checks that planes built on one
+// hierarchy hold each node's memberships once). The System keys the
 // hierarchy on the graph's generation and on the oracle: after a
 // reweighting the next build makes a new one and is identical to a
 // fresh System's, and a copy of the System over another oracle, as
@@ -324,24 +326,15 @@ func TestSystemSharesOneHierarchy(t *testing.T) {
 		}
 		return sch
 	}
-	ex := build(sys, ExStretch).(*core.ExStretch)
-	h := ex.Hierarchy()
-	poly := build(sys, Polynomial).(*core.PolynomialStretch)
-	if poly.Hierarchy() != h {
-		t.Fatal("Polynomial built its own hierarchy beside ExStretch's")
+	build(sys, ExStretch)
+	h := sys.hier.h
+	if h == nil {
+		t.Fatal("ExStretch left the System no hierarchy")
 	}
-	hop := build(sys, HopSubstrate).(*core.HopPlane)
+	build(sys, Polynomial)
+	build(sys, HopSubstrate)
 	if sys.hier.h != h {
-		t.Fatal("HopSubstrate replaced the System's hierarchy")
-	}
-	type hopTabler interface{ HopTable(NodeID) *rtz.HopTable }
-	for v := NodeID(0); v < n; v++ {
-		want := &h.Memberships(v)[0]
-		for _, p := range []hopTabler{ex, poly, hop} {
-			if got := p.HopTable(v).Trees; &got[0] != want || len(got) != len(h.Memberships(v)) {
-				t.Fatalf("%T holds its own copy of node %d's memberships", p, v)
-			}
-		}
+		t.Fatal("Polynomial or HopSubstrate replaced ExStretch's hierarchy")
 	}
 
 	// A reweighting moves the graph's generation: the next build makes a
@@ -363,10 +356,11 @@ func TestSystemSharesOneHierarchy(t *testing.T) {
 		t.Fatal("the hierarchy outlived its graph generation")
 	}
 
-	// A copy over another oracle builds its own, from its own rows.
+	// A copy over another oracle (it shares the cache) builds its own,
+	// from its own rows.
 	h, cp := sys.hier.h, *sys
-	cp.Metric = NewLazyOracle(cp.Graph, 0)
-	if build(&cp, Polynomial).(*core.PolynomialStretch).Hierarchy() == h {
+	cp.Metric = graph.NewLazyOracle(cp.Graph, 0)
+	if build(&cp, Polynomial); cp.hier.h == h {
 		t.Fatal("a System copy over a new oracle read the original's hierarchy")
 	}
 }

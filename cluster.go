@@ -27,12 +27,6 @@ type (
 // stretch-3 cluster on one shard.
 const PlaceRTZAligned = cluster.RTZAligned
 
-// NewPlacement partitions a deployment's nodes across shards under the
-// given policy (deterministic for a given deployment, count and policy).
-func NewPlacement(dep *Deployment, shards int, policy PlacementPolicy) (*Placement, error) {
-	return cluster.NewPlacement(dep, shards, policy)
-}
-
 // ServeCluster shards the scheme across an in-process cluster —
 // cfg.Shards shard mailboxes over a channel bus, packets wire-encoded
 // at every shard crossing — and serves cfg.Packets roundtrips through

@@ -32,7 +32,7 @@ func TestMetricsScrapeDuringRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rtroute.MarshalScheme(sch)
+	data, err := wire.MarshalScheme(sch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestExhaustiveFourNodeGraphs(t *testing.T) {
 				g.MustAddEdge(e.u, e.v, 1)
 			}
 		}
-		if !StronglyConnected(g) {
+		if !graph.StronglyConnected(g) {
 			continue
 		}
 		g.AssignPorts(rng.Intn)
@@ -115,7 +115,7 @@ func TestExhaustiveThreeNodeWeighted(t *testing.T) {
 				g.MustAddEdge(e.u, e.v, weights[x%len(weights)])
 				x /= len(weights)
 			}
-			if !StronglyConnected(g) {
+			if !graph.StronglyConnected(g) {
 				break // connectivity is weight-independent; skip all assignments
 			}
 			g.AssignPorts(rng.Intn)

@@ -3,6 +3,7 @@ package rtroute
 import (
 	"bytes"
 	"os"
+	"rtroute/internal/wire"
 	"runtime"
 	"testing"
 )
@@ -54,7 +55,7 @@ func TestDeploymentFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		built := liveHeap() - h0
-		blob, err := MarshalScheme(sch)
+		blob, err := wire.MarshalScheme(sch)
 		if err != nil {
 			t.Fatal(err)
 		}

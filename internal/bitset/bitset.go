@@ -20,9 +20,6 @@ func New(n int) *Set {
 // Add inserts i into the set.
 func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Remove deletes i from the set.
-func (s *Set) Remove(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Has reports whether i is in the set.
 func (s *Set) Has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -84,11 +81,4 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Slice returns the elements in ascending order.
-func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
 }

@@ -155,3 +155,13 @@ func TestRank(t *testing.T) {
 		}
 	}
 }
+
+// Remove deletes i from the set.
+func (s *Set) Remove(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
+
+// Slice returns the elements in ascending order.
+func (s *Set) Slice() []int {
+	out := make([]int, 0, s.Count())
+	s.ForEach(func(i int) { out = append(out, i) })
+	return out
+}

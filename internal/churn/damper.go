@@ -55,9 +55,6 @@ func NewDamper(cfg DamperConfig) *Damper {
 	return &Damper{cfg: cfg, links: make(map[linkID]*linkDamp)}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (d *Damper) Config() DamperConfig { return d.cfg }
-
 func (d *Damper) decay(l *linkDamp, at float64) {
 	if at > l.at {
 		l.penalty *= math.Exp2(-(at - l.at) / d.cfg.HalfLife)
@@ -95,18 +92,6 @@ func (d *Damper) Suppressed(u, v int32, at float64) bool {
 		l.suppressed = false
 	}
 	return l.suppressed
-}
-
-// SuppressedCount returns the number of currently quarantined links
-// (without advancing time).
-func (d *Damper) SuppressedCount() int {
-	c := 0
-	for _, l := range d.links {
-		if l.suppressed {
-			c++
-		}
-	}
-	return c
 }
 
 // Advance decays every link to event time at and returns the links whose

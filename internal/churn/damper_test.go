@@ -65,3 +65,18 @@ func TestDamperForgetsQuietLinks(t *testing.T) {
 		t.Fatalf("damper still tracks %d links after full decay, want 0", len(d.links))
 	}
 }
+
+// Config returns the effective (default-filled) configuration.
+func (d *Damper) Config() DamperConfig { return d.cfg }
+
+// SuppressedCount returns the number of currently quarantined links
+// (without advancing time).
+func (d *Damper) SuppressedCount() int {
+	c := 0
+	for _, l := range d.links {
+		if l.suppressed {
+			c++
+		}
+	}
+	return c
+}

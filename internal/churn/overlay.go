@@ -66,9 +66,6 @@ func NewOverlay(g *graph.Graph, damper *Damper) (*Overlay, error) {
 	}, nil
 }
 
-// Stats returns a snapshot of the overlay counters.
-func (ov *Overlay) Stats() OverlayStats { return ov.stats }
-
 // EdgeDown reports whether (u, v) is currently administratively down.
 func (ov *Overlay) EdgeDown(u, v graph.NodeID) bool {
 	_, ok := ov.down[linkID{u, v}]
@@ -77,15 +74,6 @@ func (ov *Overlay) EdgeDown(u, v graph.NodeID) bool {
 
 // NodeFailed reports whether v's endpoint is currently failed.
 func (ov *Overlay) NodeFailed(v graph.NodeID) bool { return ov.failed[v] }
-
-// SuppressedCount returns the number of links the flap damper currently
-// quarantines (0 without a damper).
-func (ov *Overlay) SuppressedCount() int {
-	if ov.damper == nil {
-		return 0
-	}
-	return ov.damper.SuppressedCount()
-}
 
 // Apply incorporates one event into the working graph and returns the
 // may-use affected node set — every node whose anchored distance rows

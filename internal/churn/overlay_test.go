@@ -125,3 +125,15 @@ func TestApplyBatchRejectsInadmissibleEvent(t *testing.T) {
 		t.Fatalf("weight 0 on a live edge: got %v", err)
 	}
 }
+
+// Stats returns a snapshot of the overlay counters.
+func (ov *Overlay) Stats() OverlayStats { return ov.stats }
+
+// SuppressedCount returns the number of links the flap damper currently
+// quarantines (0 without a damper).
+func (ov *Overlay) SuppressedCount() int {
+	if ov.damper == nil {
+		return 0
+	}
+	return ov.damper.SuppressedCount()
+}

@@ -15,19 +15,19 @@ import (
 // eight Dijkstras.
 func Affected(g *graph.Graph, u, v graph.NodeID, wNew graph.Dist) []graph.NodeID {
 	n := g.N()
-	fuO := graph.Dijkstra(g, u).Dist
-	fvO := graph.Dijkstra(g, v).Dist
-	tuO := graph.DijkstraRev(g, u).Dist
-	tvO := graph.DijkstraRev(g, v).Dist
+	fuO := new(graph.SSSPScratch).Dijkstra(g, u).Dist
+	fvO := new(graph.SSSPScratch).Dijkstra(g, v).Dist
+	tuO := new(graph.SSSPScratch).DijkstraRev(g, u).Dist
+	tvO := new(graph.SSSPScratch).DijkstraRev(g, v).Dist
 	wOld, _ := g.EdgeWeight(u, v)
 
 	if err := g.SetEdgeWeight(u, v, wNew); err != nil {
 		panic(fmt.Sprintf("churn: reweight (%d,%d): %v", u, v, err))
 	}
-	fuN := graph.Dijkstra(g, u).Dist
-	fvN := graph.Dijkstra(g, v).Dist
-	tuN := graph.DijkstraRev(g, u).Dist
-	tvN := graph.DijkstraRev(g, v).Dist
+	fuN := new(graph.SSSPScratch).Dijkstra(g, u).Dist
+	fvN := new(graph.SSSPScratch).Dijkstra(g, v).Dist
+	tuN := new(graph.SSSPScratch).DijkstraRev(g, u).Dist
+	tvN := new(graph.SSSPScratch).DijkstraRev(g, v).Dist
 
 	var dirty []graph.NodeID
 	for i := 0; i < n; i++ {

@@ -113,7 +113,7 @@ func TestTCPPeerDeathMidRepair(t *testing.T) {
 		go func(sh *Shard) {
 			defer wg.Done()
 			if err := sh.Serve(); err != nil {
-				t.Errorf("shard %d: %v", sh.Index(), err)
+				t.Errorf("shard %d: %v", sh.view.Shard(), err)
 			}
 		}(ss[i])
 	}

@@ -260,9 +260,6 @@ func NewShard(view *core.ShardView, place *Placement, tr Transport, opts Options
 	return s
 }
 
-// Index returns the shard's index.
-func (s *Shard) Index() int { return s.view.Shard() }
-
 // Stats returns the shard's counters (call after Serve has returned,
 // or accept a racy snapshot).
 func (s *Shard) Stats() ShardStats {

@@ -66,7 +66,7 @@ func (c *tcpTestCluster) serve(t *testing.T) {
 		go func(sh *Shard) {
 			defer c.wg.Done()
 			if err := sh.Serve(); err != nil {
-				t.Errorf("shard %d: %v", sh.Index(), err)
+				t.Errorf("shard %d: %v", sh.view.Shard(), err)
 			}
 		}(sh)
 	}

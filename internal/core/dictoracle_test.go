@@ -27,12 +27,13 @@ func polyDictReference(s *PolynomialStretch, space *rtmetric.Space, u graph.Node
 	tr := s.hier.Tree(ref)
 	dict := []polyDictEntry{}
 	selfName := s.perm.Name(int32(u))
+	initU := space.Neighborhood(u, space.G.N())
 	for j := 0; j < s.k; j++ {
 		myPrefix := s.uni.Prefix(selfName, j)
 		for tau := int32(0); tau < int32(s.uni.Q); tau++ {
 			wantPrefix := myPrefix*int32(s.uni.Q) + tau
-			for _, w := range space.Init(u) {
-				if w == u || !tr.Contains(w) {
+			for _, w := range initU {
+				if w == u || !slices.Contains(tr.Members, w) {
 					continue
 				}
 				if s.uni.Prefix(s.perm.Name(int32(w)), j+1) == wantPrefix {
@@ -71,6 +72,7 @@ type exDictItem struct {
 func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.NodeID) []exDictItem {
 	dict := []exDictItem{}
 	done := make(map[[3]int32]bool)
+	initU := space.Neighborhood(u, space.G.N())
 	for _, b := range s.assign.Sets[u] {
 		for i := 0; i < s.k-1; i++ {
 			prefix := s.uni.BlockPrefix(b, i)
@@ -81,7 +83,7 @@ func exDictReference(t *testing.T, s *ExStretch, space *rtmetric.Space, u graph.
 				}
 				done[key] = true
 				target := graph.NodeID(-1)
-				for _, w := range space.Init(u) {
+				for _, w := range initU {
 					if holdsPrefixDigit(s.assign, w, i, prefix, tau) {
 						target = w
 						break
@@ -126,15 +128,33 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						// Ids shifted below zero keep the order but cannot pack:
+						// the one-pass build on tuple-sorted ranks must agree too.
+						shifted, digits := make([]int32, n), make([]int32, n*k)
+						for w := range shifted {
+							shifted[w] = perm.Name(int32(w)) - int32(n)
+							for j, d := range poly.uni.Digits(perm.Name(int32(w))) {
+								digits[w*k+j] = int32(d)
+							}
+						}
+						var tuple polyDictScratch
 						for u := 0; u < n; u++ {
 							ms := poly.hier.Memberships(graph.NodeID(u))
 							if len(poly.nodes[u].trees) != len(ms) {
 								t.Fatalf("poly node %d holds %d trees, belongs to %d", u, len(poly.nodes[u].trees), len(ms))
 							}
+							unpacked := rtmetric.NewIDs(shifted).Order(m.FromSource(graph.NodeID(u)), m.ToSink(graph.NodeID(u)))
+							if unpacked.Packed() {
+								t.Fatal("negative ids must not pack")
+							}
+							tuple.order(unpacked)
 							for i, e := range ms {
 								want := polyDictReference(poly, space, graph.NodeID(u), e.Ref)
 								if got := poly.nodes[u].trees[i].dict; poly.nodes[u].hop.Trees[i].Ref != e.Ref || !reflect.DeepEqual(got, want) {
 									t.Fatalf("poly node %d tree %v: one-pass dictionary differs from the rescan:\n got %v\nwant %v", u, e.Ref, got, want)
+								}
+								if got := tuple.build(poly.hier.Tree(e.Ref), graph.NodeID(u), digits, perm, poly.uni); !reflect.DeepEqual(got, want) {
+									t.Fatalf("poly node %d tree %v: tuple-compare dictionary differs from the rescan:\n got %v\nwant %v", u, e.Ref, got, want)
 								}
 							}
 						}
@@ -159,5 +179,47 @@ func TestOnePassDictionariesMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClaimWalkOnPrefixes walks every node's (3a) claims over every
+// prefix of Init_u: a walk that reports done must return the full
+// order's claims, and one over the whole order is done whenever the
+// built scheme needed no fallback for that node. The built scheme's
+// fallback count is the number of nodes whose walk is still open at
+// the N_{k-1} prefix.
+func TestClaimWalkOnPrefixes(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		n := 50
+		g := graph.RandomSC(n, 3*n, 5, rng)
+		perm := names.Random(n, rng)
+		m := graph.AllPairs(g)
+		ex, err := NewExStretch(g, m, perm, rng, ExStretchConfig{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		space, realized := rtmetric.New(g, m, perm.Names), realizedClasses(ex.assign)
+		keep := rtmetric.NeighborhoodSizes(n, k)[k-1]
+		var sc exDictScratch
+		open := 0
+		for u := 0; u < n; u++ {
+			full := space.Neighborhood(graph.NodeID(u), n)
+			want, _ := sc.claim(ex.assign, realized, graph.NodeID(u), full)
+			want = slices.Clone(want)
+			for size := 1; size <= n; size++ {
+				got, done := sc.claim(ex.assign, realized, graph.NodeID(u), full[:size])
+				if done && !slices.Equal(got, want) {
+					t.Fatalf("k=%d node %d: walk done at prefix %d claims %v, full order %v", k, u, size, got, want)
+				}
+				if size == keep && !done {
+					open++
+				}
+			}
+		}
+		if open != ex.claimFallbacks {
+			t.Fatalf("k=%d: %d walks open at the N_{k-1} prefix, build counted %d fallbacks", k, open, ex.claimFallbacks)
+		}
+		t.Logf("k=%d n=%d: %d of %d claim walks needed more than the N_{k-1} prefix (%d nodes)", k, n, open, n, keep)
 	}
 }

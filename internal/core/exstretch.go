@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"rtroute/internal/bitset"
 	"rtroute/internal/blocks"
@@ -56,6 +57,10 @@ type ExStretch struct {
 	// tree's base plus its slot; a restored one interns them by (tree,
 	// name) as the sections name them.
 	labels []ExGlobal
+	// claimFallbacks counts the nodes whose (3a) claim walk ran off the
+	// end of the kept N_{k-1} prefix unfinished and walked a full Init
+	// order instead (build only; zero on a restored plane).
+	claimFallbacks int
 }
 
 // ExGlobal is one level of a node's globally valid label: its home
@@ -297,9 +302,11 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		base = 2
 	}
 
-	// Fill every Init order on all cores, ahead of the assignment
-	// verifier's lazy one-core walk of all n neighborhoods.
-	space := rtmetric.New(g, m, perm.Names)
+	// Fill every N_{k-1} prefix, the longest the assignment and the claim
+	// walk read, on all cores, ahead of the assignment verifier's lazy
+	// one-core walk of all n neighborhoods.
+	sizes := rtmetric.NeighborhoodSizes(n, cfg.K)
+	space := rtmetric.NewPrefix(g, m, perm.Names, sizes[cfg.K-1])
 	space.Precompute(cfg.BuildWorkers)
 	hier, err := hierarchyFor(cfg.Hierarchy, g, m, cfg.K, base, cfg.Variant)
 	if err != nil {
@@ -317,22 +324,8 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		k: cfg.K, directReturn: cfg.DirectReturn,
 		nodes: make([]*exTable, n),
 	}
-	sizes := rtmetric.NeighborhoodSizes(n, cfg.K)
 
-	// realized[i][c] reports whether any node holds a block whose
-	// length-(i+1) prefix is c: the (3a) classes that have a target at
-	// all, so a node's pass knows when its dictionary is complete.
-	realized := make([][]bool, cfg.K-1)
-	for i, classes := 0, assign.U.Q; i < len(realized); i, classes = i+1, classes*assign.U.Q {
-		realized[i] = make([]bool, classes) // q^(i+1) prefixes of length i+1
-	}
-	for _, set := range assign.Sets {
-		for _, b := range set {
-			for i := range realized {
-				realized[i][assign.U.BlockPrefix(b, i+1)] = true
-			}
-		}
-	}
+	realized := realizedClasses(assign)
 
 	// The label store: tree (level, index)'s member at slot i is
 	// labels[treeAt[level][index]+i].
@@ -358,6 +351,7 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		searches[wk] = hier.NewTreeSearch()
 	}
 	q := int32(assign.U.Q)
+	var fallbacks atomic.Int32
 	err = parallel.ForEachWorker(n, cfg.BuildWorkers, func(wk, u int) error {
 		self, sc, search := graph.NodeID(u), &scratch[wk], searches[wk]
 		tab := &exTable{selfName: perm.Name(int32(u)), hopTab: rtz.HopTable{Self: self, Trees: hier.Memberships(self)}}
@@ -392,8 +386,15 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 		}
 		slices.SortFunc(sc.neighbors, func(a, b exRef) int { return cmp.Compare(a.name, b.name) })
 		// (3a) prefix-advancing dictionary, deduplicated by (level,
-		// prefix value, next digit), in that order.
-		claims := claimers[wk].claim(assign, realized, self, space.Init(self))
+		// prefix value, next digit), in that order. Lemma 4 puts the
+		// claims inside N_{k-1}(u); a walk still open at that prefix's end
+		// walks the full order again.
+		prefix := space.Neighborhood(self, sizes[cfg.K-1])
+		claims, done := claimers[wk].claim(assign, realized, self, prefix)
+		if !done && len(prefix) < n {
+			fallbacks.Add(1)
+			claims, _ = claimers[wk].claim(assign, realized, self, space.Neighborhood(self, n))
+		}
 		slices.SortFunc(claims, func(a, b exDictClaim) int {
 			return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.class, b.class))
 		})
@@ -434,7 +435,26 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	if err != nil {
 		return nil, err
 	}
+	s.claimFallbacks = int(fallbacks.Load())
 	return s, nil
+}
+
+// realizedClasses returns, per level i < k-1, whether any node holds a
+// block whose length-(i+1) prefix is c: the (3a) classes that have a
+// target at all, so a node's claim walk knows when it is complete.
+func realizedClasses(a *blocks.Assignment) [][]bool {
+	realized := make([][]bool, a.U.K-1)
+	for i, classes := 0, a.U.Q; i < len(realized); i, classes = i+1, classes*a.U.Q {
+		realized[i] = make([]bool, classes) // q^(i+1) prefixes of length i+1
+	}
+	for _, set := range a.Sets {
+		for _, b := range set {
+			for i := range realized {
+				realized[i][a.U.BlockPrefix(b, i+1)] = true
+			}
+		}
+	}
+	return realized
 }
 
 // exDictClaim is one (3a) entry: at level, the class (a block prefix of
@@ -460,9 +480,11 @@ type exDictScratch struct {
 // block's length-(i+1) prefix class; the class is claimed if u holds a
 // block sharing its length-i prefix and nobody nearer claimed it — the
 // first match in Init_u order wins. The walk stops once every class
-// that some node realizes is claimed. The returned slice is the
-// scratch's own and is overwritten by the next call.
-func (sc *exDictScratch) claim(a *blocks.Assignment, realized [][]bool, u graph.NodeID, initOrder []graph.NodeID) []exDictClaim {
+// that some node realizes is claimed; done reports whether it did. The
+// returned slice is the scratch's own and is overwritten by the next
+// call. initOrder may be a prefix of Init_u: the claims are the full
+// walk's when done.
+func (sc *exDictScratch) claim(a *blocks.Assignment, realized [][]bool, u graph.NodeID, initOrder []graph.NodeID) (claims []exDictClaim, done bool) {
 	levels := a.U.K - 1
 	if sc.want == nil {
 		sc.want, sc.found = make([][]int32, levels), make([][]int32, levels)
@@ -505,7 +527,7 @@ func (sc *exDictScratch) claim(a *blocks.Assignment, realized [][]bool, u graph.
 			}
 		}
 	}
-	return sc.claims
+	return sc.claims, remaining == 0
 }
 
 // SchemeName implements Scheme.
@@ -741,9 +763,6 @@ func (s *ExStretch) Waypoints(srcName, dstName int32) ([]graph.NodeID, error) {
 	return seq, nil
 }
 
-// K returns the tradeoff parameter.
-func (s *ExStretch) K() int { return s.k }
-
 // PrefixStep is one stop of the Fig. 5 prefix-matching walk.
 type PrefixStep struct {
 	Node    graph.NodeID
@@ -802,13 +821,6 @@ func (s *ExStretch) HoldsPrefix(v graph.NodeID, i int, name int32) bool {
 	}
 	return false
 }
-
-// Hierarchy returns the cover hierarchy the scheme was built on (nil on
-// a restored Deployment).
-func (s *ExStretch) Hierarchy() *cover.Hierarchy { return s.hier }
-
-// HopTable returns node v's storage item (1), its membership table.
-func (s *ExStretch) HopTable(v graph.NodeID) *rtz.HopTable { return &s.nodes[v].hopTab }
 
 // MaxTableWords implements Scheme.
 func (s *ExStretch) MaxTableWords() int {

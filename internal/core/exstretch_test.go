@@ -101,7 +101,7 @@ func TestExStretchLemma8(t *testing.T) {
 // consecutive hop indices, including skipped self-legs of cost 0).
 func checkLemma8(s *ExStretch, m graph.DistanceOracle, perm *names.Permutation, src, dst graph.NodeID, rst graph.Dist) error {
 	cur := src
-	for hop := 0; hop < s.K(); hop++ {
+	for hop := 0; hop < s.k; hop++ {
 		tab := s.nodes[cur]
 		nextName, _, err := s.lookupNext(tab, hop, perm.Name(int32(dst)))
 		if err != nil {

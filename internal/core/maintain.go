@@ -120,9 +120,6 @@ func (mt *S6Maintainer) fillOrder(y graph.NodeID, fromY, toY []graph.Dist) {
 // Plane returns the plane the last pass published.
 func (mt *S6Maintainer) Plane() *StretchSix { return mt.s }
 
-// Substrate returns the maintained stretch-3 substrate maintainer.
-func (mt *S6Maintainer) Substrate() *rtz.Maintainer { return mt.subM }
-
 // RebuildNodesOwned incorporates the topology mutations whose may-use
 // affected set is covered by dirty (see churn.Prober). The graph must
 // already be mutated. On return Plane is a new plane, route-identical —

@@ -143,13 +143,13 @@ func hierarchyFor(h *cover.Hierarchy, g *graph.Graph, m graph.DistanceOracle, k 
 
 // NewPolynomialStretch builds the scheme. m may be any distance oracle.
 //
-// Construction costs what it writes. After the hierarchy and the Init
-// orders, node u's table is one pass per double-tree it belongs to, over
-// that tree's members: §4.2 defines dictionary slot (j, τ) as the
-// nearest member matching u's name on j digits and continuing with τ,
-// so each member offers itself to the at most K slots its name can fill
-// and the first match in Init_u order — the lowest rank, ranks being
-// distinct — wins the slot. No slot is ever searched for. Nodes are
+// Construction costs what it writes. After the hierarchy, node u's table
+// is one pass per double-tree it belongs to, over that tree's members:
+// §4.2 defines dictionary slot (j, τ) as the nearest member matching u's
+// name on j digits and continuing with τ, so each member offers itself
+// to the at most K slots its name can fill and the first match in Init_u
+// order wins the slot — compared by the order's key from u's two rows,
+// with no Init order built. No slot is ever searched for. Nodes are
 // built on BuildWorkers cores from read-only shared state; the tables
 // do not depend on the worker count.
 func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutation, cfg PolyConfig) (*PolynomialStretch, error) {
@@ -171,11 +171,10 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchy: %w", err)
 	}
-	space := rtmetric.New(g, m, perm.Names)
+	ids := rtmetric.NewIDs(perm.Names)
 	uni := blocks.NewUniverse(n, cfg.K)
 
 	s := &PolynomialStretch{g: g, perm: perm, hier: hier, uni: uni, k: cfg.K, levels: len(hier.Levels), nodes: make([]*polyTable, n)}
-	space.Precompute(cfg.BuildWorkers)
 	// digits[w*K+j] is digit j of node w's name: the dictionary pass
 	// compares digits, it never divides.
 	digits := make([]int32, n*cfg.K)
@@ -201,11 +200,12 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 			}
 			tab.home[li] = int32(i)
 		}
-		ranks := space.Ranks(self)
+		sc := &scratch[wk]
+		sc.order(ids.Order(m.FromSource(self), m.ToSink(self)))
 		for i, e := range ms {
 			tr := hier.Tree(e.Ref)
 			own, _ := tr.LabelOf(self)
-			tab.trees[i] = polyTree{own: own, dict: scratch[wk].build(tr, self, ranks, digits, perm, uni)}
+			tab.trees[i] = polyTree{own: own, dict: sc.build(tr, self, digits, perm, uni)}
 		}
 		s.nodes[u] = tab
 		return nil
@@ -216,28 +216,48 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	return s, nil
 }
 
-// polyDictScratch is one build worker's slot table for dictionary (c):
-// per (j, τ), the Init_u rank and tree slot of the best member so far.
+// polyDictScratch is one build worker's state for dictionary (c): the
+// Init_u rank key of every node, for the node being built, and per
+// (j, τ) the key and tree slot of the best member so far.
 type polyDictScratch struct {
-	rank []int32
+	keys []uint64
+	key  []uint64
 	slot []int32
+}
+
+// order loads Init_u, the order of the node about to be built, as one
+// key per node: its packed key when the order packs, else its position
+// in the order sorted by the tuple comparator.
+func (sc *polyDictScratch) order(o rtmetric.Order) {
+	n := o.N()
+	sc.keys = slices.Grow(sc.keys[:0], n)[:n]
+	if o.Packed() {
+		for w := range sc.keys {
+			sc.keys[w] = o.Key(graph.NodeID(w))
+		}
+		return
+	}
+	for i, w := range o.Prefix(n) {
+		sc.keys[w] = uint64(i)
+	}
 }
 
 // build fills node u's dictionary for tree tr in one pass over the
 // tree's members: slot (j, τ) goes to the member lowest in Init_u whose
 // name agrees with u's on the first j digits and continues with τ — the
-// first match a walk of Init_u would meet, since ranks are distinct.
+// first match a walk of Init_u would meet, keys being distinct. (No key
+// is MaxUint64: a packed key's node field is never all ones.)
 // A member competes at j = 0 and at each further j while its digits
 // keep matching u's; only u itself matches all K, and u never competes.
 // Slot (j, τ) is index j·q + τ of the table, so the dictionary comes out
 // ascending by key.
-func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, ranks, digits []int32, perm *names.Permutation, uni blocks.Universe) []polyDictEntry {
+func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, digits []int32, perm *names.Permutation, uni blocks.Universe) []polyDictEntry {
 	k, q := uni.K, uni.Q
-	if sc.rank == nil {
-		sc.rank, sc.slot = make([]int32, k*q), make([]int32, k*q)
+	if sc.key == nil {
+		sc.key, sc.slot = make([]uint64, k*q), make([]int32, k*q)
 	}
-	for i := range sc.rank {
-		sc.rank[i] = math.MaxInt32
+	for i := range sc.key {
+		sc.key[i] = math.MaxUint64
 	}
 	self := digits[int(u)*k : int(u)*k+k]
 	filled := 0
@@ -245,15 +265,15 @@ func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, ranks, digits []
 		if w == u {
 			continue
 		}
-		rk := ranks[w]
+		kw := sc.keys[w]
 		dw := digits[int(w)*k : int(w)*k+k]
 		for j := 0; j < k; j++ {
 			i := j*q + int(dw[j])
-			if rk < sc.rank[i] {
-				if sc.rank[i] == math.MaxInt32 {
+			if kw < sc.key[i] {
+				if sc.key[i] == math.MaxUint64 {
 					filled++
 				}
-				sc.rank[i], sc.slot[i] = rk, int32(mi)
+				sc.key[i], sc.slot[i] = kw, int32(mi)
 			}
 			if dw[j] != self[j] {
 				break
@@ -261,8 +281,8 @@ func (sc *polyDictScratch) build(tr *tree.Tree, u graph.NodeID, ranks, digits []
 		}
 	}
 	dict := make([]polyDictEntry, 0, filled)
-	for i, rk := range sc.rank {
-		if rk != math.MaxInt32 {
+	for i, kk := range sc.key {
+		if kk != math.MaxUint64 {
 			mi := int(sc.slot[i])
 			dict = append(dict, polyDictEntry{key: int32(i), name: perm.Name(int32(tr.Members[mi])), label: tr.LabelAt(mi)})
 		}
@@ -429,9 +449,6 @@ func (s *PolynomialStretch) Roundtrip(srcName, dstName int32) (*sim.RoundtripTra
 	return sim.Roundtrip(s, srcName, dstName, 0)
 }
 
-// K returns the tradeoff parameter.
-func (s *PolynomialStretch) K() int { return s.k }
-
 // HomeTreeRoot returns the name of the center of srcName's home
 // double-tree at the given level — the relay node of Fig. 10.
 func (s *PolynomialStretch) HomeTreeRoot(srcName int32, level int) (int32, error) {
@@ -447,13 +464,6 @@ func (s *PolynomialStretch) HomeTreeRoot(srcName int32, level int) (int32, error
 
 // Levels returns the number of levels in the hierarchy.
 func (s *PolynomialStretch) Levels() int { return s.levels }
-
-// Hierarchy returns the cover hierarchy the scheme was built on (nil on
-// a restored Deployment).
-func (s *PolynomialStretch) Hierarchy() *cover.Hierarchy { return s.hier }
-
-// HopTable returns node v's membership table.
-func (s *PolynomialStretch) HopTable(v graph.NodeID) *rtz.HopTable { return &s.nodes[v].hop }
 
 // MaxTableWords implements Scheme.
 func (s *PolynomialStretch) MaxTableWords() int {

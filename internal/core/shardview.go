@@ -75,9 +75,6 @@ func (v *ShardView) OwnsName(name int32) bool {
 	return v.Owns(v.dep.NodeOf(name))
 }
 
-// Owner returns the shard that serves the given node.
-func (v *ShardView) Owner(node graph.NodeID) int { return int(v.owner[node]) }
-
 // NodeCount returns how many nodes this shard owns.
 func (v *ShardView) NodeCount() int {
 	n := 0

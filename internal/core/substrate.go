@@ -59,9 +59,6 @@ func NewRTZPlane(sub *rtz.Scheme, perm *names.Permutation) (*RTZPlane, error) {
 // Substrate returns the wrapped stretch-3 scheme.
 func (p *RTZPlane) Substrate() *rtz.Scheme { return p.sub }
 
-// Naming returns the plane's name permutation.
-func (p *RTZPlane) Naming() *names.Permutation { return p.perm }
-
 // SchemeName implements Scheme.
 func (p *RTZPlane) SchemeName() string { return "rtz-stretch3" }
 
@@ -203,12 +200,6 @@ func NewHopPlane(g *graph.Graph, h *cover.Hierarchy, perm *names.Permutation) (*
 	}
 	return &HopPlane{g: g, perm: perm, tables: tables, members: members}, nil
 }
-
-// Naming returns the plane's name permutation.
-func (p *HopPlane) Naming() *names.Permutation { return p.perm }
-
-// HopTable returns node v's membership table.
-func (p *HopPlane) HopTable(v graph.NodeID) *rtz.HopTable { return &p.tables[v] }
 
 // R2 resolves the handshake for (u,v) from the endpoints' membership
 // tables: the shared tree minimizing the roundtrip through the root,

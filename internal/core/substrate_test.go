@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rtroute/internal/cover"
@@ -15,7 +16,7 @@ import (
 // viaRoot is the cost of u -> root -> v -> root -> u inside tr, the
 // "Hop" roundtrip of §3, or false if either node is outside it.
 func viaRoot(tr *tree.Tree, u, v graph.NodeID) (graph.Dist, bool) {
-	iu, iv := tr.Slot(u), tr.Slot(v)
+	iu, iv := slices.Index(tr.Members, u), slices.Index(tr.Members, v)
 	if iu < 0 || iv < 0 {
 		return 0, false
 	}
@@ -205,5 +206,41 @@ func TestHopPlaneRejectsForeignHierarchy(t *testing.T) {
 	gBig := graph.RandomSC(20, 60, 3, rng)
 	if _, err := NewHopPlane(gBig, h, names.Random(gBig.N(), rng)); err == nil {
 		t.Fatal("foreign hierarchy accepted for a larger graph")
+	}
+}
+
+// TestPlanesShareHierarchyMemberships: ExStretch, Polynomial and the hop
+// plane built on one cover hierarchy hold each node's hop-substrate
+// memberships once: every plane's table at v is the hierarchy's own
+// slice.
+func TestPlanesShareHierarchyMemberships(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 40
+	g := graph.RandomSC(n, 3*n, 6, rng)
+	perm := names.Random(n, rng)
+	m := graph.AllPairs(g)
+	h, err := cover.BuildHierarchy(g, m, 2, 2, cover.VariantAwerbuchPeleg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExStretch(g, m, perm, rng, ExStretchConfig{K: 2, Hierarchy: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly, err := NewPolynomialStretch(g, m, perm, PolyConfig{K: 2, Hierarchy: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop, err := NewHopPlane(g, h, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range n {
+		want := h.Memberships(graph.NodeID(v))
+		for name, got := range map[string][]cover.Membership{"exstretch": ex.nodes[v].hopTab.Trees, "polystretch": poly.nodes[v].hop.Trees, "hop": hop.tables[v].Trees} {
+			if &got[0] != &want[0] || len(got) != len(want) {
+				t.Fatalf("%s holds its own copy of node %d's memberships", name, v)
+			}
+		}
 	}
 }

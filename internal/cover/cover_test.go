@@ -43,7 +43,7 @@ func (h *Hierarchy) maxMemberships() int {
 // -> u inside tree t, the "Hop" roundtrip of §3, or false if either node
 // is outside the tree.
 func roundtripViaRoot(t *tree.Tree, u, v graph.NodeID) (graph.Dist, bool) {
-	iu, iv := t.Slot(u), t.Slot(v)
+	iu, iv := slices.Index(t.Members, u), slices.Index(t.Members, v)
 	if iu < 0 || iv < 0 {
 		return 0, false
 	}
@@ -87,8 +87,8 @@ func inducedRTRadius(g *graph.Graph, c Cluster) graph.Dist {
 			}
 		}
 	}
-	from := graph.Dijkstra(sub, c.Center)
-	to := graph.DijkstraRev(sub, c.Center)
+	from := new(graph.SSSPScratch).Dijkstra(sub, c.Center)
+	to := new(graph.SSSPScratch).DijkstraRev(sub, c.Center)
 	var rad graph.Dist
 	for _, v := range c.Nodes {
 		if from.Dist[v] >= graph.Inf || to.Dist[v] >= graph.Inf {
@@ -273,7 +273,7 @@ func TestHierarchyHomeTreeSpansBall(t *testing.T) {
 		for v := 0; v < g.N(); v++ {
 			ht := lvl.Trees[lvl.Cover.Home[graph.NodeID(v)]]
 			for u := 0; u < g.N(); u++ {
-				if m.R(graph.NodeID(v), graph.NodeID(u)) <= lvl.Scale && !ht.Contains(graph.NodeID(u)) {
+				if m.R(graph.NodeID(v), graph.NodeID(u)) <= lvl.Scale && !slices.Contains(ht.Members, graph.NodeID(u)) {
 					t.Fatalf("scale %d: home tree of %d misses Nhat member %d", lvl.Scale, v, u)
 				}
 			}
@@ -391,8 +391,8 @@ func TestTreeSearchMatchesBestTree(t *testing.T) {
 								variant, maxW, seed, u, v, got, gotOK, ref, cost, ok)
 						}
 						tr := h.Tree(ref)
-						if got.USlot != tr.Slot(u) || got.VSlot != tr.Slot(v) {
-							t.Fatalf("(%d,%d): slots %d %d, tree %v has %d %d", u, v, got.USlot, got.VSlot, ref, tr.Slot(u), tr.Slot(v))
+						if got.USlot != slices.Index(tr.Members, u) || got.VSlot != slices.Index(tr.Members, v) {
+							t.Fatalf("(%d,%d): slots %d %d, tree %v has %d %d", u, v, got.USlot, got.VSlot, ref, slices.Index(tr.Members, u), slices.Index(tr.Members, v))
 						}
 						shared := 0
 						for _, e := range h.Memberships(u) {
@@ -428,7 +428,7 @@ func TestMembershipsAccounting(t *testing.T) {
 		ms, trees := h.Memberships(v), 0
 		for _, lvl := range h.Levels {
 			for _, tr := range lvl.Trees {
-				if tr.Contains(v) {
+				if slices.Contains(tr.Members, v) {
 					trees++
 				}
 			}

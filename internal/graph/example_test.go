@@ -18,7 +18,7 @@ func Example() {
 
 	all := graph.AllPairs(g)
 	lazy := graph.NewLazyOracle(g, 2)
-	fmt.Println("d(0,2) =", all.D(0, 2), lazy.D(0, 2))
+	fmt.Println("d(0,2) =", all.FromSource(0)[2], lazy.FromSource(0)[2])
 	fmt.Println("r(0,2) =", all.R(0, 2), lazy.R(0, 2)) // roundtrip: 0->2->0
 	// Output:
 	// d(0,2) = 5 5
@@ -32,7 +32,7 @@ func ExampleDijkstra() {
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(0, 2, 5)
 	g.MustAddEdge(2, 3, 1)
-	res := graph.Dijkstra(g, 0)
+	res := new(graph.SSSPScratch).Dijkstra(g, 0)
 	fmt.Println(res.Dist[2], res.Dist[3])
 	// Output:
 	// 2 3

@@ -102,7 +102,7 @@ func TestBidirectSymmetric(t *testing.T) {
 	m := AllPairs(b)
 	for u := 0; u < b.N(); u++ {
 		for v := 0; v < b.N(); v++ {
-			if m.D(NodeID(u), NodeID(v)) != m.D(NodeID(v), NodeID(u)) {
+			if m.FromSource(NodeID(u))[NodeID(v)] != m.FromSource(NodeID(v))[NodeID(u)] {
 				t.Fatalf("Bidirect distances asymmetric at (%d,%d)", u, v)
 			}
 		}
@@ -142,7 +142,7 @@ func TestLayeredAsymmetry(t *testing.T) {
 	asym := false
 	for u := 0; u < g.N() && !asym; u++ {
 		for v := 0; v < g.N(); v++ {
-			duv, dvu := m.D(NodeID(u), NodeID(v)), m.D(NodeID(v), NodeID(u))
+			duv, dvu := m.FromSource(NodeID(u))[NodeID(v)], m.FromSource(NodeID(v))[NodeID(u)]
 			if duv > 0 && dvu > 3*duv {
 				asym = true
 				break

@@ -14,7 +14,7 @@ import (
 const DefaultLazyCacheRows = 256
 
 // DefaultLazyCacheBytes is the default budget's byte ceiling. Under it
-// the oracle keeps all 2n rows (every row up to n ≈ 1,300), so a repair
+// the oracle keeps all 2n rows (every row up to n ≈ 1,450), so a repair
 // re-derives each dirty row from its resident version instead of
 // recomputing it; above it, as many rows as fit, and never fewer than
 // DefaultLazyCacheRows.
@@ -37,8 +37,8 @@ const DefaultLazyCacheBytes = 32 << 20
 // generation. A resident row computed under an older generation is
 // re-derived from its previous version on its next access when the graph
 // has only been reweighted since (see Graph.SetEdgeWeight's log) — the
-// incremental update in update.go, which returns exactly the row and
-// parents a fresh search would. Any other mutation, or a log that no
+// incremental update in update.go, which returns exactly the row a fresh
+// search would. Any other mutation, or a log that no
 // longer reaches back to the oracle's generation, flushes the cache, so a
 // cached row never outlives the topology it was measured on. (Mutating
 // concurrently with in-flight queries remains unsafe, exactly as for the
@@ -69,11 +69,6 @@ type rowEntry struct {
 	ready chan struct{} // closed once dist is published
 	gen   uint64        // graph generation the row is computed under
 	dist  []Dist
-	// parent is a reverse row's next-hop vector (parent[u] = u's next hop
-	// toward key.node), kept because the reverse Dijkstra produces it
-	// anyway and cluster construction would otherwise re-run the search
-	// for it. Forward rows leave it nil.
-	parent []NodeID
 }
 
 // computed reports whether the entry's row has been published (its ready
@@ -103,8 +98,7 @@ type LazyStats struct {
 	Invalidations uint64
 	// PeakRows is the largest number of rows ever resident at once,
 	// counting rows still being computed; peak oracle memory is about
-	// PeakRows * n * 8 bytes (12 for a reverse row, which keeps its
-	// parents). It can exceed the capacity by the number
+	// PeakRows * n * 8 bytes. It can exceed the capacity by the number
 	// of concurrent computations in flight (in-flight rows are never
 	// evicted), but never under single-threaded use.
 	PeakRows int
@@ -119,8 +113,8 @@ type LazyStats struct {
 // never evicts its own working set.
 func NewLazyOracle(g *Graph, cacheRows int) *LazyOracle {
 	if cacheRows <= 0 {
-		// A forward row is 8n bytes, a reverse row 12n: 10n on average.
-		cacheRows = min(2*g.N(), max(DefaultLazyCacheRows, DefaultLazyCacheBytes/(10*max(g.N(), 1))))
+		// A row is 8n bytes, forward or reverse.
+		cacheRows = min(2*g.N(), max(DefaultLazyCacheRows, DefaultLazyCacheBytes/(8*max(g.N(), 1))))
 	}
 	if cacheRows < 2 {
 		cacheRows = 2
@@ -134,12 +128,11 @@ func NewLazyOracle(g *Graph, cacheRows int) *LazyOracle {
 }
 
 // AllPairs returns g's distance oracle under the default row budget.
-// When the budget holds all 2n rows (n ≲ 1,300 at
+// When the budget holds all 2n rows (n ≲ 1,450 at
 // DefaultLazyCacheBytes), it computes them all up front on GOMAXPROCS
 // workers, so a build that reads each row anchored at each node finds
 // it resident: the n forward rows by search, then each reverse row
-// d(·,v) as column v of the forward rows, with the next hops toward v
-// a reverse search would pick (tieParent) — O(n+m) a row instead of a
+// d(·,v) as column v of the forward rows — O(n) a row instead of a
 // search. Above the budget, rows come on demand.
 func AllPairs(g *Graph) *LazyOracle {
 	o := NewLazyOracle(g, 0)
@@ -154,13 +147,9 @@ func AllPairs(g *Graph) *LazyOracle {
 	})
 	rev := make([]*rowEntry, n)
 	_ = parallel.ForEach(n, 0, func(v int) error {
-		e := &rowEntry{key: rowKey{node: NodeID(v), rev: true}, ready: make(chan struct{}), gen: o.gen,
-			dist: make([]Dist, n), parent: make([]NodeID, n)}
+		e := &rowEntry{key: rowKey{node: NodeID(v), rev: true}, ready: make(chan struct{}), gen: o.gen, dist: make([]Dist, n)}
 		for u := range e.dist {
 			e.dist[u] = fwd[u][v]
-		}
-		for u := range e.parent {
-			e.parent[u] = tieParent(g.Out(NodeID(u)), e.dist, NodeID(u))
 		}
 		close(e.ready)
 		rev[v] = e
@@ -264,12 +253,12 @@ func (o *LazyOracle) row(key rowKey) *rowEntry {
 	o.mu.Unlock()
 
 	// Pooled scratch: the only allocation a row fill retains is the
-	// row itself (and a reverse row's parents).
+	// row itself.
 	s := getScratch()
 	updated := false
 	if prev != nil {
 		<-prev.ready
-		if e.dist, e.parent, updated = s.updateRow(o.g, key.rev, prev.dist, prev.parent, changes); !updated {
+		if e.dist, updated = s.updateRow(o.g, key.rev, prev.dist, changes); !updated {
 			// A path over a down edge: the update does not cover this
 			// row, so it costs a search after all.
 			o.mu.Lock()
@@ -281,9 +270,7 @@ func (o *LazyOracle) row(key rowKey) *rowEntry {
 	switch {
 	case updated:
 	case key.rev:
-		r := s.DijkstraRev(o.g, key.node)
-		e.dist = append([]Dist(nil), r.Dist...)
-		e.parent = append([]NodeID(nil), r.Parent...)
+		e.dist = append([]Dist(nil), s.DijkstraRev(o.g, key.node).Dist...)
 	default:
 		e.dist = append([]Dist(nil), s.Dijkstra(o.g, key.node).Dist...)
 	}
@@ -320,20 +307,6 @@ func (o *LazyOracle) ToSink(v NodeID) []Dist {
 	o.check(v)
 	return o.row(rowKey{node: v, rev: true}).dist
 }
-
-// ToSinkTree is ToSink with the shortest-path in-tree of v: Dist is the
-// same cached row d(·, v), and Parent[u] is u's next hop toward v (-1 at v
-// and at unreachable nodes) — one reverse Dijkstra serves both, so a
-// consumer that needs first hops toward v (the stretch-3 clusters) shares
-// the row the Init orders already paid for. Read-only, like every row.
-func (o *LazyOracle) ToSinkTree(v NodeID) SSSP {
-	o.check(v)
-	e := o.row(rowKey{node: v, rev: true})
-	return SSSP{Dist: e.dist, Parent: e.parent}
-}
-
-// D implements DistanceOracle.
-func (o *LazyOracle) D(u, v NodeID) Dist { return o.FromSource(u)[v] }
 
 // R implements DistanceOracle. Both directions come from rows anchored at
 // u (forward row and reverse row), so any fixed-u scan stays within two

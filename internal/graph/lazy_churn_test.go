@@ -15,7 +15,7 @@ func TestLazyOracleInvalidatesOnMutation(t *testing.T) {
 	g.MustAddEdge(2, 0, 10)
 
 	o := NewLazyOracle(g, 8)
-	if d := o.D(0, 2); d != 20 {
+	if d := o.FromSource(0)[2]; d != 20 {
 		t.Fatalf("d(0,2) = %d before mutation, want 20", d)
 	}
 	if d := o.ToSink(2)[0]; d != 20 {
@@ -25,7 +25,7 @@ func TestLazyOracleInvalidatesOnMutation(t *testing.T) {
 	if err := g.SetEdgeWeight(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d := o.D(0, 2); d != 11 {
+	if d := o.FromSource(0)[2]; d != 11 {
 		t.Fatalf("d(0,2) = %d after reweight, want 11 (stale cached row served)", d)
 	}
 	if d := o.ToSink(2)[0]; d != 11 {
@@ -41,13 +41,13 @@ func TestLazyOracleInvalidatesOnMutation(t *testing.T) {
 	if err := g.SetEdgeWeight(1, 2, DownWeight); err != nil {
 		t.Fatal(err)
 	}
-	if d := o.D(1, 2); d < DownWeight {
+	if d := o.FromSource(1)[2]; d < DownWeight {
 		t.Fatalf("d(1,2) = %d with edge down, want >= DownWeight (path via down edge)", d)
 	}
 	if err := g.SetEdgeWeight(1, 2, 10); err != nil {
 		t.Fatal(err)
 	}
-	if d := o.D(0, 2); d != 20 {
+	if d := o.FromSource(0)[2]; d != 20 {
 		t.Fatalf("d(0,2) = %d after edge recovery, want 20", d)
 	}
 }

@@ -8,22 +8,34 @@ import (
 )
 
 // checkRowsFresh reads every row of o — all resident under the default
-// budget — and fails unless each forward row's Dist and each reverse
-// row's Dist and Parent equal a fresh Dijkstra / DijkstraRev.
+// budget — and fails unless each forward row and each reverse row equal
+// a fresh Dijkstra / DijkstraRev, and the next hop NextHop derives from
+// each reverse row toward y equals DijkstraRev(y)'s parent, for every
+// (x, y).
 func checkRowsFresh(t testing.TB, g *Graph, o *LazyOracle, what string) {
 	t.Helper()
 	for v := NodeID(0); v < NodeID(g.N()); v++ {
 		if got, want := o.FromSource(v), Dijkstra(g, v).Dist; !slices.Equal(got, want) {
 			t.Fatalf("%s: FromSource(%d) = %v, fresh %v", what, v, got, want)
 		}
-		got, want := o.ToSinkTree(v), DijkstraRev(g, v)
-		if !slices.Equal(got.Dist, want.Dist) {
-			t.Fatalf("%s: ToSink(%d) = %v, fresh %v", what, v, got.Dist, want.Dist)
+		got, want := o.ToSink(v), DijkstraRev(g, v)
+		if !slices.Equal(got, want.Dist) {
+			t.Fatalf("%s: ToSink(%d) = %v, fresh %v", what, v, got, want.Dist)
 		}
-		if !slices.Equal(got.Parent, want.Parent) {
-			t.Fatalf("%s: ToSinkTree(%d).Parent = %v, fresh %v", what, v, got.Parent, want.Parent)
+		if next := nextHops(g, got); !slices.Equal(next, want.Parent) {
+			t.Fatalf("%s: next hops toward %d = %v, fresh parents %v", what, v, next, want.Parent)
 		}
 	}
+}
+
+// nextHops is NextHop from every node toward the sink of the reverse
+// row toY.
+func nextHops(g *Graph, toY []Dist) []NodeID {
+	next := make([]NodeID, g.N())
+	for x := range next {
+		next[x] = NextHop(g, toY, NodeID(x))
+	}
+	return next
 }
 
 // reweightBatch applies one batch of reweightings drawn from rng to a
@@ -76,8 +88,8 @@ func reweightBatch(t testing.TB, g *Graph, rng *rand.Rand) {
 
 // TestLazyRowUpdate is the row-identity table: after each batch of
 // reweightings every resident row, re-derived from its previous version,
-// equals a fresh search — distances, and a reverse row's parents under
-// the tie rule. A row whose paths cross a down edge costs a search; on
+// equals a fresh search — distances, and the next hops NextHop derives
+// from a reverse row equal the search's parents. A row whose paths cross a down edge costs a search; on
 // reweights that keep the live graph strongly connected no row does. A
 // mutation the weight log cannot replay flushes the cache instead.
 func TestLazyRowUpdate(t *testing.T) {
@@ -156,7 +168,7 @@ func TestLazyRowUpdate(t *testing.T) {
 	}
 }
 
-// TestTieRuleMatchesDijkstra checks the rule updates recompute parents
+// TestTieRuleMatchesDijkstra checks the rule NextHop derives parents
 // by against the searches themselves, where ties are everywhere: a
 // reverse row's Parent[v] is the out-neighbor u on a tight edge
 // minimizing (d(u), u), a forward row's the mirror in-neighbor. The
@@ -215,8 +227,8 @@ func TestLazyRowUpdateConcurrent(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
 				for i := 0; i < 200; i++ {
 					v := NodeID(r.Intn(g.N()))
-					got := o.ToSinkTree(v)
-					if !slices.Equal(got.Dist, want[v].Dist) || !slices.Equal(got.Parent, want[v].Parent) {
+					got := o.ToSink(v)
+					if !slices.Equal(got, want[v].Dist) || !slices.Equal(nextHops(g, got), want[v].Parent) {
 						errs <- v
 						return
 					}
@@ -226,13 +238,15 @@ func TestLazyRowUpdateConcurrent(t *testing.T) {
 		wg.Wait()
 		close(errs)
 		for v := range errs {
-			t.Fatalf("batch %d: concurrent ToSinkTree(%d) differs from a fresh search", b, v)
+			t.Fatalf("batch %d: concurrent ToSink(%d) or its next hops differ from a fresh search", b, v)
 		}
 	}
 }
 
 // FuzzLazyRowUpdate drives arbitrary reweighting batches through a
-// resident oracle: after every batch each row must equal a fresh search.
+// resident oracle: after every batch each row must equal a fresh search,
+// and the next hop derived from each reverse row DijkstraRev's parent
+// for every (x, y).
 func FuzzLazyRowUpdate(f *testing.F) {
 	f.Add(int64(1), uint8(16), []byte{0, 1, 2, 3})
 	f.Add(int64(7), uint8(30), []byte{9, 200, 17, 4, 4, 4})

@@ -7,14 +7,12 @@ package graph
 //
 // Row-oriented consumers (Init orders, cluster construction, the
 // Theorem 15 reduction) should fetch FromSource/ToSink once per node and
-// index the rows, rather than calling D/R per pair: a row that is not
-// resident costs one Dijkstra, while scattered D calls for varying
+// index the rows, rather than calling R per pair: a row that is not
+// resident costs one Dijkstra, while scattered R calls for varying
 // sources may thrash the cache.
 type DistanceOracle interface {
 	// N returns the number of nodes the oracle answers for.
 	N() int
-	// D returns the one-way shortest distance d(u,v), Inf if unreachable.
-	D(u, v NodeID) Dist
 	// R returns the roundtrip distance r(u,v) = d(u,v) + d(v,u), Inf if
 	// either direction is unreachable.
 	R(u, v NodeID) Dist
@@ -22,9 +20,6 @@ type DistanceOracle interface {
 	FromSource(u NodeID) []Dist
 	// ToSink returns the column d(·, v). Callers must not modify it.
 	ToSink(v NodeID) []Dist
-	// ToSinkTree returns ToSink(v) with the shortest-path in-tree of v:
-	// Parent[u] is u's next hop toward v. Callers must not modify it.
-	ToSinkTree(v NodeID) SSSP
 }
 
 var _ DistanceOracle = (*LazyOracle)(nil)
@@ -39,6 +34,14 @@ func RFromRows(fwd, rev []Dist, u NodeID) Dist {
 	}
 	return fwd[u] + rev[u]
 }
+
+// NextHop returns x's next hop toward y, given toY = ToSink(y): the
+// out-neighbor DijkstraRev(g, y) would make x's parent, by the same tie
+// rule, or -1 at y and at a node that cannot reach it. A caller that
+// needs first hops toward y for a few nodes (the stretch-3 clusters)
+// derives them from the row it already holds, so no row keeps n of
+// them.
+func NextHop(g *Graph, toY []Dist, x NodeID) NodeID { return tieParent(g.Out(x), toY, x) }
 
 // RTDiamOf returns the roundtrip diameter max_{u,v} r(u,v) of any oracle
 // from the 2n rows anchored at its nodes.

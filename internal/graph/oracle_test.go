@@ -44,24 +44,25 @@ func (b *bruteForce) rtDiam() (rtDiam Dist) {
 	return rtDiam
 }
 
-// checkRows compares every row of o, forward and reverse with its
-// in-tree, against the reference.
-func checkRows(t *testing.T, what string, o DistanceOracle, ref *bruteForce) {
+// checkRows compares every row of o, forward and reverse, against the
+// reference, and the next hop NextHop derives from each reverse row
+// against the reverse search's parent.
+func checkRows(t *testing.T, what string, o *LazyOracle, ref *bruteForce) {
 	t.Helper()
 	if o.N() != len(ref.fwd) {
 		t.Fatalf("%s: N = %d, want %d", what, o.N(), len(ref.fwd))
 	}
 	for u := 0; u < o.N(); u++ {
-		fwd, rev, tree := o.FromSource(NodeID(u)), o.ToSink(NodeID(u)), o.ToSinkTree(NodeID(u))
+		fwd, rev := o.FromSource(NodeID(u)), o.ToSink(NodeID(u))
 		for v := 0; v < o.N(); v++ {
 			if fwd[v] != ref.fwd[u][v] {
 				t.Fatalf("%s: FromSource(%d)[%d] = %d, want %d", what, u, v, fwd[v], ref.fwd[u][v])
 			}
-			if rev[v] != ref.fwd[v][u] || tree.Dist[v] != ref.fwd[v][u] {
-				t.Fatalf("%s: ToSink(%d)[%d] = %d (tree %d), want %d", what, u, v, rev[v], tree.Dist[v], ref.fwd[v][u])
+			if rev[v] != ref.fwd[v][u] {
+				t.Fatalf("%s: ToSink(%d)[%d] = %d, want %d", what, u, v, rev[v], ref.fwd[v][u])
 			}
-			if tree.Parent[v] != ref.next[u][v] {
-				t.Fatalf("%s: ToSinkTree(%d).Parent[%d] = %d, want %d", what, u, v, tree.Parent[v], ref.next[u][v])
+			if next := NextHop(o.g, rev, NodeID(v)); next != ref.next[u][v] {
+				t.Fatalf("%s: NextHop toward %d from %d = %d, want %d", what, u, v, next, ref.next[u][v])
 			}
 		}
 	}
@@ -105,7 +106,7 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 			// cold for most rows on the small budgets).
 			for i := 0; i < 500; i++ {
 				u, v := NodeID(rng.Intn(tc.n)), NodeID(rng.Intn(tc.n))
-				if got, want := o.D(u, v), ref.D(u, v); got != want {
+				if got, want := o.FromSource(u)[v], ref.D(u, v); got != want {
 					t.Fatalf("%s: D(%d,%d) = %d, want %d", what, u, v, got, want)
 				}
 				if got, want := o.R(u, v), ref.R(u, v); got != want {
@@ -135,7 +136,7 @@ func TestLazyOracleUnreachable(t *testing.T) {
 	ref := newBruteForce(g)
 	for u := 0; u < 3; u++ {
 		for v := 0; v < 3; v++ {
-			if got, want := lazy.D(NodeID(u), NodeID(v)), ref.D(NodeID(u), NodeID(v)); got != want {
+			if got, want := lazy.FromSource(NodeID(u))[NodeID(v)], ref.D(NodeID(u), NodeID(v)); got != want {
 				t.Fatalf("D(%d,%d) = %d, want %d", u, v, got, want)
 			}
 			if got, want := lazy.R(NodeID(u), NodeID(v)), ref.R(NodeID(u), NodeID(v)); got != want {
@@ -174,7 +175,7 @@ func TestLazyOracleConcurrent(t *testing.T) {
 				v := NodeID(r.Intn(n))
 				switch i % 4 {
 				case 0:
-					if got, want := lazy.D(u, v), ref.D(u, v); got != want {
+					if got, want := lazy.FromSource(u)[v], ref.D(u, v); got != want {
 						errs <- "D mismatch under concurrency"
 						return
 					}
@@ -248,7 +249,7 @@ func TestAllPairsDefaultMatchesSequential(t *testing.T) {
 		t.Fatalf("reading every row searched again: %+v", st)
 	}
 
-	const big = 1400 // 2n rows exceed DefaultLazyCacheBytes
+	const big = 1500 // 2n rows exceed DefaultLazyCacheBytes
 	ring := AllPairs(Ring(big, nil))
 	if ring.capacity >= 2*big {
 		t.Fatalf("capacity %d holds all %d rows; the ring no longer exceeds the budget", ring.capacity, 2*big)

@@ -64,7 +64,7 @@ type SSSPScratch struct {
 	buckets [64][]heapNode
 	last    Dist     // the heap's latest popped key
 	reached []NodeID // the nodes whose dist and parent the last run wrote
-	moved   []NodeID // a row update's affected, then settled, nodes
+	moved   []NodeID // a row update's affected nodes
 }
 
 // NewSSSPScratch returns a scratch pre-sized for n-node graphs.
@@ -258,52 +258,9 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 	return SSSP{Dist: dist[:n:n], Parent: parent[:n:n]}
 }
 
-// scratchPool recycles scratches for the one-shot package-level entry
-// points (Dijkstra, DijkstraRev, the lazy oracle's row fills), so even
-// callers without their own scratch pay only for the rows they keep.
+// scratchPool recycles scratches for the lazy oracle's row fills, so a
+// fill pays only for the row it keeps.
 var scratchPool = sync.Pool{New: func() any { return &SSSPScratch{} }}
 
 func getScratch() *SSSPScratch  { return scratchPool.Get().(*SSSPScratch) }
 func putScratch(s *SSSPScratch) { scratchPool.Put(s) }
-
-// runPooled executes one run on a pooled scratch and copies the result
-// rows into caller-owned slices — the shared body of every package-level
-// entry point.
-func runPooled(run func(*SSSPScratch) SSSP) SSSP {
-	s := getScratch()
-	r := run(s)
-	out := SSSP{
-		Dist:   append([]Dist(nil), r.Dist...),
-		Parent: append([]NodeID(nil), r.Parent...),
-	}
-	putScratch(s)
-	return out
-}
-
-// Dijkstra computes shortest distances from src over out-edges. The
-// returned slices are freshly allocated and owned by the caller; use an
-// SSSPScratch directly for the zero-allocation contract.
-func Dijkstra(g *Graph, src NodeID) SSSP {
-	return runPooled(func(s *SSSPScratch) SSSP { return s.Dijkstra(g, src) })
-}
-
-// DijkstraRev computes, for every node v, the shortest distance from v TO
-// sink, by running Dijkstra over in-edges. Parent[v] is v's successor on a
-// shortest v->sink path, i.e. the next hop toward the sink. The returned
-// slices are owned by the caller.
-func DijkstraRev(g *Graph, sink NodeID) SSSP {
-	return runPooled(func(s *SSSPScratch) SSSP { return s.DijkstraRev(g, sink) })
-}
-
-// DijkstraRestricted is Dijkstra over the subgraph induced by the nodes
-// with inSet[v] true (the root is always traversed); nodes outside the
-// set report Inf / -1. Pooled scratch, caller-owned result slices.
-func DijkstraRestricted(g *Graph, src NodeID, inSet []bool) SSSP {
-	return runPooled(func(s *SSSPScratch) SSSP { return s.DijkstraRestricted(g, src, inSet) })
-}
-
-// DijkstraRevRestricted is DijkstraRev over the subgraph induced by
-// inSet. Pooled scratch, caller-owned result slices.
-func DijkstraRevRestricted(g *Graph, sink NodeID, inSet []bool) SSSP {
-	return runPooled(func(s *SSSPScratch) SSSP { return s.DijkstraRevRestricted(g, sink, inSet) })
-}

@@ -63,8 +63,8 @@ func TestDijkstraRevMatchesForward(t *testing.T) {
 	for sink := 0; sink < g.N(); sink += 7 {
 		rev := DijkstraRev(g, NodeID(sink))
 		for v := 0; v < g.N(); v++ {
-			if rev.Dist[v] != m.D(NodeID(v), NodeID(sink)) {
-				t.Fatalf("reverse dist(%d->%d) = %d, want %d", v, sink, rev.Dist[v], m.D(NodeID(v), NodeID(sink)))
+			if rev.Dist[v] != m.FromSource(NodeID(v))[NodeID(sink)] {
+				t.Fatalf("reverse dist(%d->%d) = %d, want %d", v, sink, rev.Dist[v], m.FromSource(NodeID(v))[NodeID(sink)])
 			}
 		}
 	}
@@ -171,7 +171,7 @@ func TestRingDistances(t *testing.T) {
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			want := Dist((v - u + n) % n)
-			if got := m.D(NodeID(u), NodeID(v)); got != want {
+			if got := m.FromSource(NodeID(u))[NodeID(v)]; got != want {
 				t.Fatalf("ring d(%d,%d) = %d, want %d", u, v, got, want)
 			}
 			if u != v {
@@ -201,9 +201,51 @@ func TestGridSymmetry(t *testing.T) {
 	m := AllPairs(g)
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
-			if m.D(NodeID(u), NodeID(v)) != m.D(NodeID(v), NodeID(u)) {
+			if m.FromSource(NodeID(u))[NodeID(v)] != m.FromSource(NodeID(v))[NodeID(u)] {
 				t.Fatalf("bidirected grid asymmetric at (%d,%d)", u, v)
 			}
 		}
 	}
+}
+
+// runPooled executes one run on a pooled scratch and copies the result
+// rows into caller-owned slices — the shared body of every package-level
+// entry point.
+func runPooled(run func(*SSSPScratch) SSSP) SSSP {
+	s := getScratch()
+	r := run(s)
+	out := SSSP{
+		Dist:   append([]Dist(nil), r.Dist...),
+		Parent: append([]NodeID(nil), r.Parent...),
+	}
+	putScratch(s)
+	return out
+}
+
+// Dijkstra computes shortest distances from src over out-edges. The
+// returned slices are freshly allocated and owned by the caller; use an
+// SSSPScratch directly for the zero-allocation contract.
+func Dijkstra(g *Graph, src NodeID) SSSP {
+	return runPooled(func(s *SSSPScratch) SSSP { return s.Dijkstra(g, src) })
+}
+
+// DijkstraRev computes, for every node v, the shortest distance from v TO
+// sink, by running Dijkstra over in-edges. Parent[v] is v's successor on a
+// shortest v->sink path, i.e. the next hop toward the sink. The returned
+// slices are owned by the caller.
+func DijkstraRev(g *Graph, sink NodeID) SSSP {
+	return runPooled(func(s *SSSPScratch) SSSP { return s.DijkstraRev(g, sink) })
+}
+
+// DijkstraRestricted is Dijkstra over the subgraph induced by the nodes
+// with inSet[v] true (the root is always traversed); nodes outside the
+// set report Inf / -1. Pooled scratch, caller-owned result slices.
+func DijkstraRestricted(g *Graph, src NodeID, inSet []bool) SSSP {
+	return runPooled(func(s *SSSPScratch) SSSP { return s.DijkstraRestricted(g, src, inSet) })
+}
+
+// DijkstraRevRestricted is DijkstraRev over the subgraph induced by
+// inSet. Pooled scratch, caller-owned result slices.
+func DijkstraRevRestricted(g *Graph, sink NodeID, inSet []bool) SSSP {
+	return runPooled(func(s *SSSPScratch) SSSP { return s.DijkstraRevRestricted(g, sink, inSet) })
 }

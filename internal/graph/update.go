@@ -4,16 +4,15 @@ import "slices"
 
 // This file re-derives a shortest-path row from its version under the
 // previous weights, Ramalingam–Reps style, instead of searching again;
-// the result is the row, parents included, a fresh Dijkstra or
-// DijkstraRev returns. A row is the fixpoint d(x) = min over x's
+// the result is the row a fresh Dijkstra or DijkstraRev returns. A row is the fixpoint d(x) = min over x's
 // dependency arcs (x, y, w) of w + d(y), d(root) = 0: a reverse row
 // depends on out-edges and propagates along in-edges, a forward row the
 // mirror image. Increases first: a node is affected when no dependency
 // arc reaches an unaffected node at its old distance, decided in
 // old-distance order from the tails of increased tight arcs. Then one
 // Dijkstra re-settles the affected set from its boundary and the tails
-// of decreased arcs. Parents follow the tie rule (tieParent) wherever a
-// distance or an incident arc moved. The update is exact for rows whose
+// of decreased arcs. Rows keep no parents: a next hop is derived from
+// the row where it is needed (NextHop). The update is exact for rows whose
 // distances stay below DownWeight before and after — shortest paths
 // avoid down edges, as on a graph the churn overlay keeps strongly
 // connected over its live edges; any other row reports !ok.
@@ -33,16 +32,14 @@ func (e InEdge) weight() Dist { return e.Weight }
 
 // updateRow re-derives a row after changes — a reverse row (DijkstraRev's)
 // when reverse is set, else a forward one — from old, its version before
-// them; oldParent is the old row's parents, or nil for a row that keeps
-// none. The returned slices are fresh copies unless no change touches
-// the row, in which case old and oldParent come back as they are.
-// Neither input is written. ok is false for a row the update does not
-// cover (see above).
-func (s *SSSPScratch) updateRow(g *Graph, reverse bool, old []Dist, oldParent []NodeID, changes []weightChange) (dist []Dist, parent []NodeID, ok bool) {
+// them. The returned slice is a fresh copy unless no change touches the
+// row, in which case old comes back as it is. old is not written. ok is
+// false for a row the update does not cover (see above).
+func (s *SSSPScratch) updateRow(g *Graph, reverse bool, old []Dist, changes []weightChange) (dist []Dist, ok bool) {
 	if reverse {
-		return updateRow(s, g.Out, g.In, old, oldParent, changes, func(c weightChange) (NodeID, NodeID) { return c.from, c.to })
+		return updateRow(s, g.Out, g.In, old, changes, func(c weightChange) (NodeID, NodeID) { return c.from, c.to })
 	}
-	return updateRow(s, g.In, g.Out, old, oldParent, changes, func(c weightChange) (NodeID, NodeID) { return c.to, c.from })
+	return updateRow(s, g.In, g.Out, old, changes, func(c weightChange) (NodeID, NodeID) { return c.to, c.from })
 }
 
 // updateRow is the kernel behind SSSPScratch.updateRow: deps(x) are the
@@ -50,9 +47,9 @@ func (s *SSSPScratch) updateRow(g *Graph, reverse bool, old []Dist, oldParent []
 // propagates along, and ends orients a changed edge as (tail x, end y)
 // of x's dependency arc.
 func updateRow[D, P arc](s *SSSPScratch, deps func(NodeID) []D, dependents func(NodeID) []P,
-	old []Dist, oldParent []NodeID, changes []weightChange, ends func(weightChange) (NodeID, NodeID)) ([]Dist, []NodeID, bool) {
+	old []Dist, changes []weightChange, ends func(weightChange) (NodeID, NodeID)) ([]Dist, bool) {
 	if slices.Max(old) >= DownWeight {
-		return nil, nil, false
+		return nil, false
 	}
 	touched := false
 	for _, c := range changes {
@@ -63,7 +60,7 @@ func updateRow[D, P arc](s *SSSPScratch, deps func(NodeID) []D, dependents func(
 		}
 	}
 	if !touched {
-		return old, oldParent, true
+		return old, true
 	}
 	n := len(old)
 	s.ensure(n)
@@ -130,50 +127,20 @@ func updateRow[D, P arc](s *SSSPScratch, deps func(NodeID) []D, dependents func(
 			offer(x, c.new+dist[y])
 		}
 	}
-	// Every node whose distance moves is popped below, the affected ones
-	// included.
-	s.moved = s.moved[:0]
 	for top, ok := s.pop(dist); ok; top, ok = s.pop(dist) {
 		if top.dist >= DownWeight {
-			return nil, nil, false
+			return nil, false
 		}
-		s.moved = append(s.moved, top.node)
 		for _, e := range dependents(top.node) {
 			offer(e.end(), top.dist+e.weight())
 		}
 	}
-	if oldParent == nil {
-		return dist, nil, true
-	}
-
-	// 3. Parents by the tie rule, wherever an input to it moved.
-	parent := append([]NodeID(nil), oldParent...)
-	s.begin()
-	fix := func(v NodeID) {
-		if s.stamp[v] == s.epoch {
-			return
-		}
-		s.stamp[v] = s.epoch
-		parent[v] = tieParent(deps(v), dist, v)
-	}
-	for _, c := range changes {
-		x, _ := ends(c)
-		fix(x)
-	}
-	for _, v := range s.moved {
-		if dist[v] == old[v] {
-			continue
-		}
-		fix(v)
-		for _, e := range dependents(v) {
-			fix(e.end())
-		}
-	}
-	return dist, parent, true
+	return dist, true
 }
 
 // tieParent is the parent a Dijkstra run assigns v: the end u of a tight
-// dependency arc minimizing (dist[u], u), or -1 at the root.
+// dependency arc minimizing (dist[u], u), or -1 at the root and at a
+// node the row does not reach.
 func tieParent[D arc](deps []D, dist []Dist, v NodeID) NodeID {
 	best := NodeID(-1)
 	if dist[v] == 0 {

@@ -1,44 +1,51 @@
 // Package rtmetric implements the roundtrip-metric machinery of §1.1 and
 // §2 of the paper: the total orders Init_v induced by the roundtrip
-// distance r(u,v) = d(u,v) + d(v,u), the neighborhood balls N_i(v) (the
-// first n^(i/k) nodes of Init_v), and the radius balls Nhat_m(v) used by
-// the sparse-cover construction of §4.
+// distance r(u,v) = d(u,v) + d(v,u) and the neighborhood balls N_i(v)
+// (the first n^(i/k) nodes of Init_v).
 package rtmetric
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"rtroute/internal/graph"
 	"rtroute/internal/parallel"
 )
 
-// Space bundles a graph, a distance oracle, and (lazily computed) Init_v
-// total orders. The tie-breaking IDs default to the topological node
-// indices; in TINN deployments callers may supply the node-name
-// permutation instead (the paper's IDu, §2).
+// Space bundles a graph, a distance oracle, and (lazily computed)
+// prefixes of the Init_v total orders. The tie-breaking IDs default to
+// the topological node indices; in TINN deployments callers may supply
+// the node-name permutation instead (the paper's IDu, §2).
 //
-// Building Init_v touches only the two distance rows anchored at v
-// (d(v,·) and d(·,v)), so a Space over a lazy oracle costs two Dijkstras
-// per ordered node instead of an eager all-pairs pass.
+// A Space keeps, per node, only the prefix of Init_v its readers ask
+// for: the first size nodes, size fixed at construction from
+// NeighborhoodSizes. Building a prefix touches only the two distance
+// rows anchored at v (d(v,·) and d(·,v)) and sorts only the prefix, so
+// a Space over n nodes holds n·size node ids, not n² of them.
 type Space struct {
 	G   *graph.Graph
 	M   graph.DistanceOracle
-	ids []int32
+	ids IDs
 
-	// idBits is the width of the largest tie-breaking id, or -1 when some
-	// id is negative (order then cannot pack its sort keys).
-	idBits int
-
-	initOrders [][]graph.NodeID // lazily filled per source node
-	ranks      [][]int32        // ranks[v][u] = position of u in Init_v
+	size     int              // prefix length kept per node
+	prefixes [][]graph.NodeID // lazily filled per source node
 }
 
-// New creates a Space over g with a distance oracle m. If ids is nil the
-// topological indices are used for tie-breaking.
+// New creates a Space over g with a distance oracle m that keeps N_1(v)
+// for k = 2, the ⌈√n⌉ nodes the stretch-6 scheme and a k = 2 block
+// assignment read. If ids is nil the topological indices are used for
+// tie-breaking.
 func New(g *graph.Graph, m graph.DistanceOracle, ids []int32) *Space {
+	return NewPrefix(g, m, ids, NeighborhoodSizes(g.N(), 2)[1])
+}
+
+// NewPrefix is New keeping the first size nodes of each Init_v (clamped
+// to [1, n]): NeighborhoodSizes(n, k)[k-1] for a reader of every
+// N_i(v), i < k.
+func NewPrefix(g *graph.Graph, m graph.DistanceOracle, ids []int32, size int) *Space {
 	if m.N() != g.N() {
 		panic(fmt.Sprintf("rtmetric: metric over %d nodes, graph has %d", m.N(), g.N()))
 	}
@@ -51,191 +58,164 @@ func New(g *graph.Graph, m graph.DistanceOracle, ids []int32) *Space {
 			ids[i] = int32(i)
 		}
 	}
-	idBits := 0
-	for _, id := range ids {
-		if id < 0 {
-			idBits = -1
-			break
-		}
-		idBits = max(idBits, bits.Len32(uint32(id)))
-	}
 	return &Space{
-		G:          g,
-		M:          m,
-		ids:        ids,
-		idBits:     idBits,
-		initOrders: make([][]graph.NodeID, g.N()),
-		ranks:      make([][]int32, g.N()),
+		G:        g,
+		M:        m,
+		ids:      NewIDs(ids),
+		size:     min(max(size, 1), g.N()),
+		prefixes: make([][]graph.NodeID, g.N()),
 	}
 }
 
-// order materializes Init_v and its rank array from the two distance
-// rows anchored at v, fwd = d(v, ·) and rev = d(·, v), sorting on them
-// directly so the comparator never goes back to the oracle: O(n log n)
-// and one FromSource and one ToSink fetch per order, whoever makes them.
-//
-// The order is by (r(v,u), d(u,v), id(u)). When the three fields and the
-// node index fit one uint64 side by side — they do unless a distance is
-// astronomically large, as across an administratively down edge — each
-// node becomes one packed word and the sort is a radix sort on the
-// fields' bits; otherwise the comparator sort runs on the rows. Both
-// give the same order: the packing preserves the lexicographic
-// comparison, and ids are distinct, so the node index in the low bits
-// never decides.
-func (s *Space) order(fwd, rev []graph.Dist) ([]graph.NodeID, []int32) {
-	n := s.G.N()
-	key := make([]uint64, n) // r(v, u), packed in place when the fields fit
-	var maxR, maxRev graph.Dist
-	for u := range key {
-		r := graph.RFromRows(fwd, rev, graph.NodeID(u))
-		key[u] = uint64(r)
-		maxR, maxRev = max(maxR, r), max(maxRev, rev[u])
+// IDs are distinct tie-breaking node ids, with the width Order packs
+// them in.
+type IDs struct {
+	ids []int32
+	// bits is the width of the largest id, or -1 when some id is
+	// negative (Order then cannot pack its keys).
+	bits int
+}
+
+// NewIDs prepares ids (one per node, distinct) for Order.
+func NewIDs(ids []int32) IDs {
+	b := 0
+	for _, id := range ids {
+		if id < 0 {
+			return IDs{ids: ids, bits: -1}
+		}
+		b = max(b, bits.Len32(uint32(id)))
 	}
-	ord := make([]graph.NodeID, n)
-	revBits, nodeBits := bits.Len64(uint64(maxRev)), bits.Len(uint(n))
-	if width := bits.Len64(uint64(maxR)) + revBits + s.idBits + nodeBits; s.idBits >= 0 && width <= 64 {
-		for u, r := range key {
-			key[u] = ((r<<revBits|uint64(rev[u]))<<s.idBits|uint64(s.ids[u]))<<nodeBits | uint64(u)
-		}
-		// The words start in node order and the sort is stable, so the
-		// node bits need no pass of their own.
-		for i, k := range radixSort(key, make([]uint64, n), nodeBits, width) {
-			ord[i] = graph.NodeID(k & (1<<nodeBits - 1))
-		}
-	} else {
+	return IDs{ids: ids, bits: b}
+}
+
+// Order is Init_v's total order read straight off the two distance rows
+// anchored at v, fwd = d(v, ·) and rev = d(·, v): by (r(v,u), d(u,v),
+// id(u)). When the three fields and the node index fit one uint64 side
+// by side — they do unless a distance is astronomically large, as across
+// an administratively down edge — each node has one packed key, and
+// comparing keys compares the tuples; otherwise the tuples are compared
+// field by field. Both give the same order.
+type Order struct {
+	fwd, rev []graph.Dist
+	ids      []int32
+	// The packed key's field widths, low to high: node, id, d(u,v), r.
+	// idBits < 0: the fields do not fit one word.
+	nodeBits, idBits, revBits int
+}
+
+// Order returns Init_v's order from v's rows fwd = d(v, ·) and
+// rev = d(·, v), in one pass over them.
+func (x IDs) Order(fwd, rev []graph.Dist) Order {
+	var maxR, maxRev graph.Dist
+	for u := range fwd {
+		maxR, maxRev = max(maxR, graph.RFromRows(fwd, rev, graph.NodeID(u))), max(maxRev, rev[u])
+	}
+	o := Order{fwd: fwd, rev: rev, ids: x.ids, nodeBits: bits.Len(uint(len(fwd))), idBits: x.bits, revBits: bits.Len64(uint64(maxRev))}
+	if x.bits < 0 || bits.Len64(uint64(maxR))+o.revBits+x.bits+o.nodeBits > 64 {
+		o.idBits = -1
+	}
+	return o
+}
+
+// N returns the number of nodes ordered.
+func (o *Order) N() int { return len(o.fwd) }
+
+// Packed reports whether Key is defined.
+func (o *Order) Packed() bool { return o.idBits >= 0 }
+
+// Key returns u's packed key when Packed: Key(a) < Key(b) exactly when a
+// precedes b in Init_v, and the node index is the low nodeBits bits.
+func (o *Order) Key(u graph.NodeID) uint64 {
+	r := uint64(graph.RFromRows(o.fwd, o.rev, u))
+	return ((r<<o.revBits|uint64(o.rev[u]))<<o.idBits|uint64(o.ids[u]))<<o.nodeBits | uint64(u)
+}
+
+// Prefix returns the first size nodes of the order (size in [1, n]),
+// in a fresh slice. Packed keys go through a bounded selection: the size
+// smallest keys so far, kept sorted, which a key enters only when it is
+// below the last. Unpacked, every node is sorted by the tuples.
+func (o *Order) Prefix(size int) []graph.NodeID {
+	out := make([]graph.NodeID, size)
+	if !o.Packed() {
+		ord := make([]graph.NodeID, len(o.fwd))
 		for i := range ord {
 			ord[i] = graph.NodeID(i)
 		}
-		sort.Slice(ord, func(i, j int) bool {
-			a, b := ord[i], ord[j]
-			if key[a] != key[b] {
-				return key[a] < key[b]
-			}
-			if rev[a] != rev[b] {
-				return rev[a] < rev[b]
-			}
-			return s.ids[a] < s.ids[b]
+		slices.SortFunc(ord, func(a, b graph.NodeID) int {
+			return cmp.Or(cmp.Compare(graph.RFromRows(o.fwd, o.rev, a), graph.RFromRows(o.fwd, o.rev, b)),
+				cmp.Compare(o.rev[a], o.rev[b]), cmp.Compare(o.ids[a], o.ids[b]))
 		})
+		copy(out, ord)
+		return out
 	}
-	rank := make([]int32, n)
-	for i, u := range ord {
-		rank[u] = int32(i)
+	keys := make([]uint64, 0, size)
+	for u := range o.fwd {
+		key := o.Key(graph.NodeID(u))
+		if len(keys) == size {
+			if key > keys[size-1] {
+				continue
+			}
+			keys = keys[:size-1]
+		}
+		i, _ := slices.BinarySearch(keys, key)
+		keys = slices.Insert(keys, i, key)
 	}
-	return ord, rank
+	for i, key := range keys {
+		out[i] = graph.NodeID(key & (1<<o.nodeBits - 1))
+	}
+	return out
 }
 
-// digitBits is radixSort's digit width: its count table of 2^11 words
-// stays in L1, and at n = 1,024 with weights up to 8 the 22 key bits
-// above the node index take two passes.
-const digitBits = 11
-
-// radixSort sorts keys stably by their bits [lo, hi) — every bit above
-// hi must be zero — in least-significant-digit passes, with tmp
-// (len(keys) words) as the other buffer. It returns whichever of the two
-// holds the result. A pass in which every key has the same digit moves
-// nothing and is skipped.
-func radixSort(keys, tmp []uint64, lo, hi int) []uint64 {
-	if len(keys) < 2 {
-		return keys
-	}
-	var count [1 << digitBits]int
-	for shift := lo; shift < hi; shift += digitBits {
-		clear(count[:])
-		for _, k := range keys {
-			count[k>>shift&(1<<digitBits-1)]++
-		}
-		if count[keys[0]>>shift&(1<<digitBits-1)] == len(keys) {
-			continue
-		}
-		sum := 0
-		for d, c := range count {
-			count[d], sum = sum, sum+c
-		}
-		for _, k := range keys {
-			d := k >> shift & (1<<digitBits - 1)
-			tmp[count[d]] = k
-			count[d]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys
-}
-
-// Init returns the total order Init_v = v ≺_v u1 ≺_v u2 ≺_v ... over all
-// n nodes. The returned slice is cached and must not be modified.
-func (s *Space) Init(v graph.NodeID) []graph.NodeID {
-	if s.initOrders[v] == nil {
-		s.Fill(v, s.M.FromSource(v), s.M.ToSink(v))
-	}
-	return s.initOrders[v]
-}
-
-// Fill is Init for a caller that already holds the two rows anchored at
-// v — fwd = d(v, ·), rev = d(·, v) as the Space's oracle would return
-// them — so the order costs no row fetch of its own. A cached order is
-// kept. Like Precompute's fills, calls for distinct v may run
-// concurrently.
+// Fill caches v's prefix from the two rows anchored at v — fwd = d(v, ·),
+// rev = d(·, v) as the Space's oracle would return them — so it costs no
+// row fetch of its own. A cached prefix is kept. Like Precompute's
+// fills, calls for distinct v may run concurrently.
 func (s *Space) Fill(v graph.NodeID, fwd, rev []graph.Dist) {
-	if s.initOrders[v] == nil {
-		s.initOrders[v], s.ranks[v] = s.order(fwd, rev)
+	if s.prefixes[v] == nil {
+		o := s.ids.Order(fwd, rev)
+		s.prefixes[v] = o.Prefix(s.size)
 	}
-}
-
-// Rank returns the position of u in Init_v (0 for u == v).
-func (s *Space) Rank(v, u graph.NodeID) int {
-	s.Init(v)
-	return int(s.ranks[v][u])
-}
-
-// Ranks returns the whole rank row of Init_v: Ranks(v)[u] == Rank(v, u).
-// The returned slice is cached and must not be modified.
-func (s *Space) Ranks(v graph.NodeID) []int32 {
-	s.Init(v)
-	return s.ranks[v]
 }
 
 // Neighborhood returns the first size nodes of Init_v (v itself included,
 // as in the paper where Init_v begins with v). size is clamped to [1, n].
+// Up to the Space's prefix length the slice is v's cached prefix (filled
+// on first use) and must not be modified; a longer one is computed from
+// v's rows each call and not kept.
 func (s *Space) Neighborhood(v graph.NodeID, size int) []graph.NodeID {
-	n := s.G.N()
-	if size < 1 {
-		size = 1
+	size = min(max(size, 1), s.G.N())
+	if size > s.size {
+		o := s.ids.Order(s.M.FromSource(v), s.M.ToSink(v))
+		return o.Prefix(size)
 	}
-	if size > n {
-		size = n
+	if s.prefixes[v] == nil {
+		s.Fill(v, s.M.FromSource(v), s.M.ToSink(v))
 	}
-	return s.Init(v)[:size]
+	return s.prefixes[v][:size]
 }
 
-// Contains reports whether u is among the first size nodes of Init_v,
-// without materializing the slice.
-func (s *Space) Contains(v graph.NodeID, size int, u graph.NodeID) bool {
-	return s.Rank(v, u) < size
-}
-
-// Precompute fills the Init_v cache for every node that lacks an order,
-// across a worker pool. The lazy cache is not safe for concurrent fills,
-// so scheme builders call Precompute once, before anything reads an
-// order, and then read the orders freely. workers <= 0 selects
+// Precompute fills the prefix cache for every node that lacks one,
+// across a worker pool. The lazy cache is not safe for concurrent fills
+// of one node, so scheme builders call Precompute once, before anything
+// reads a prefix, and then read them freely. workers <= 0 selects
 // GOMAXPROCS.
 func (s *Space) Precompute(workers int) {
-	// Each index writes only its own v's slots: disjoint.
+	// Each index writes only its own v's slot: disjoint.
 	_ = parallel.ForEach(s.G.N(), workers, func(v int) error {
-		s.Init(graph.NodeID(v))
+		s.Neighborhood(graph.NodeID(v), s.size)
 		return nil
 	})
 }
 
-// InvalidateOrders drops the cached Init_v orders of the given nodes so
-// they are recomputed — against the oracle's current rows — on next
-// access. The incremental maintainers call this with the churn dirty set:
-// a node outside the may-use affected set of a topology event has
-// bit-identical distance rows in both directions, hence a bit-identical
-// Init order, so its cache entry stays valid across the mutation.
+// InvalidateOrders drops the cached prefixes of the given nodes so they
+// are recomputed — against the oracle's current rows — on next access.
+// The incremental maintainers call this with the churn dirty set: a node
+// outside the may-use affected set of a topology event has bit-identical
+// distance rows in both directions, hence a bit-identical Init order, so
+// its cache entry stays valid across the mutation.
 func (s *Space) InvalidateOrders(nodes []graph.NodeID) {
 	for _, v := range nodes {
-		s.initOrders[v] = nil
-		s.ranks[v] = nil
+		s.prefixes[v] = nil
 	}
 }
 

@@ -1,9 +1,11 @@
 package rtmetric
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,11 +27,28 @@ func (s *Space) less(v, a, b graph.NodeID) bool {
 	if ra != rb {
 		return ra < rb
 	}
-	da, db := s.M.D(a, v), s.M.D(b, v)
+	da, db := s.M.FromSource(a)[v], s.M.FromSource(b)[v]
 	if da != db {
 		return da < db
 	}
-	return s.ids[a] < s.ids[b]
+	return s.ids.ids[a] < s.ids.ids[b]
+}
+
+// order is the reference for Init_v over all n nodes: every node sorted
+// by the comparator on (r(v,u), d(u,v), id(u)) read off v's two rows,
+// with no packing and no selection. Every prefix the Space keeps must
+// be its head.
+func (s *Space) order(v graph.NodeID) []graph.NodeID {
+	fwd, rev := s.M.FromSource(v), s.M.ToSink(v)
+	ord := make([]graph.NodeID, s.G.N())
+	for i := range ord {
+		ord[i] = graph.NodeID(i)
+	}
+	slices.SortFunc(ord, func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(graph.RFromRows(fwd, rev, a), graph.RFromRows(fwd, rev, b)),
+			cmp.Compare(rev[a], rev[b]), cmp.Compare(s.ids.ids[a], s.ids.ids[b]))
+	})
+	return ord
 }
 
 // ball returns Nhat_m(v) = {w : r(v,w) <= m}, the radius ball of §4.
@@ -48,7 +67,7 @@ func (s *Space) ball(v graph.NodeID, m graph.Dist) []graph.NodeID {
 func TestInitIsTotalOrderStartingAtV(t *testing.T) {
 	s := newSpace(t, 1, 40, 120, 10)
 	for v := 0; v < s.G.N(); v++ {
-		ord := s.Init(graph.NodeID(v))
+		ord := s.Neighborhood(graph.NodeID(v), s.G.N())
 		if len(ord) != s.G.N() {
 			t.Fatalf("Init_%d has %d entries, want %d", v, len(ord), s.G.N())
 		}
@@ -106,18 +125,6 @@ func TestLessTransitivity(t *testing.T) {
 	}
 }
 
-func TestRankConsistentWithInit(t *testing.T) {
-	s := newSpace(t, 4, 30, 90, 5)
-	for v := 0; v < s.G.N(); v++ {
-		ord := s.Init(graph.NodeID(v))
-		for i, u := range ord {
-			if got := s.Rank(graph.NodeID(v), u); got != i {
-				t.Fatalf("Rank(%d,%d) = %d, want %d", v, u, got, i)
-			}
-		}
-	}
-}
-
 func TestNeighborhoodMonotone(t *testing.T) {
 	s := newSpace(t, 5, 36, 100, 4)
 	v := graph.NodeID(7)
@@ -159,23 +166,21 @@ func TestNeighborhoodRoundtripDominance(t *testing.T) {
 	}
 }
 
+// TestContains: u is in N(v) of a given size exactly when the reference
+// order ranks it below that size — the membership the paper's proofs
+// read — for sizes inside the kept prefix and past it.
 func TestContains(t *testing.T) {
 	s := newSpace(t, 7, 20, 60, 3)
-	v := graph.NodeID(3)
-	nbhd := s.Neighborhood(v, 5)
-	for _, u := range nbhd {
-		if !s.Contains(v, 5, u) {
-			t.Fatalf("Contains(%d, 5, %d) = false for member", v, u)
+	for v := graph.NodeID(0); v < graph.NodeID(s.G.N()); v++ {
+		ref := s.order(v)
+		for _, size := range []int{1, 5, s.size, s.size + 1, s.G.N()} {
+			nbhd := s.Neighborhood(v, size)
+			for i, u := range ref {
+				if slices.Contains(nbhd, u) != (i < size) {
+					t.Fatalf("N(%d) of size %d: membership of %d (reference rank %d) is %v", v, size, u, i, !(i < size))
+				}
+			}
 		}
-	}
-	count := 0
-	for u := 0; u < s.G.N(); u++ {
-		if s.Contains(v, 5, graph.NodeID(u)) {
-			count++
-		}
-	}
-	if count != 5 {
-		t.Fatalf("Contains admits %d nodes, want 5", count)
 	}
 }
 
@@ -218,7 +223,7 @@ func TestTieBreakByID(t *testing.T) {
 	}
 	m := graph.AllPairs(g)
 	s := New(g, m, nil)
-	ord := s.Init(0)
+	ord := s.Neighborhood(0, 4)
 	// r(0,1) = r(0,3) = 2; d(1,0) = d(3,0) = 1; tie broken by ID: 1 < 3.
 	if !(ord[0] == 0 && ord[1] == 1) {
 		t.Fatalf("Init_0 = %v; want 0 then 1 (ID tie-break)", ord)
@@ -227,7 +232,7 @@ func TestTieBreakByID(t *testing.T) {
 	// With reversed IDs, 3 must now precede 1.
 	ids := []int32{0, 3, 2, 1}
 	s2 := New(g, m, ids)
-	ord2 := s2.Init(0)
+	ord2 := s2.Neighborhood(0, 4)
 	if !(ord2[0] == 0 && ord2[1] == 3) {
 		t.Fatalf("Init_0 with reversed ids = %v; want 0 then 3", ord2)
 	}
@@ -274,15 +279,14 @@ func TestNeighborhoodSizesMonotone(t *testing.T) {
 	}
 }
 
-// TestPackedOrderMatchesComparatorOrder: order radix-sorts one packed
-// word per node when the key fields fit 64 bits and falls back to the
-// comparator otherwise; both must give the order Less defines. The
-// worlds run from n = 2 and 3 through unit weights, where most of the
-// order is tie-breaking and the shuffled ids decide, to the churn
-// regime's weights 33..64. Each world's ids are lifted by a power of two
-// ten times, widening the id field one bit at a time, so the key's width
-// above the node index takes every residue mod digitBits: widths that
-// end on a digit boundary and widths that leave a partial top digit.
+// TestPackedOrderMatchesComparatorOrder: Prefix selects on one packed
+// word per node when the key fields fit 64 bits and sorts by the tuple
+// comparator otherwise; every prefix of both must be the head of the
+// reference order. The worlds run from n = 2 and 3 through unit
+// weights, where most of the order is tie-breaking and the shuffled ids
+// decide, to the churn regime's weights 33..64. Each world's ids are
+// lifted by a power of two ten times, widening the id field one bit at
+// a time.
 func TestPackedOrderMatchesComparatorOrder(t *testing.T) {
 	worlds := []struct {
 		n     int
@@ -303,7 +307,7 @@ func TestPackedOrderMatchesComparatorOrder(t *testing.T) {
 		}
 		m := graph.AllPairs(g)
 		perm, idBits := rng.Perm(w.n), bits.Len(uint(w.n-1))
-		for lift := 0; lift < digitBits; lift++ {
+		for lift := 0; lift < 11; lift++ {
 			ids := make([]int32, w.n)
 			for i, p := range perm {
 				ids[i] = int32(p)
@@ -311,22 +315,19 @@ func TestPackedOrderMatchesComparatorOrder(t *testing.T) {
 					ids[i] |= 1 << (idBits + lift - 1)
 				}
 			}
-			packed, plain := New(g, m, ids), New(g, m, ids)
-			if packed.idBits < 0 {
-				t.Fatal("non-negative ids must allow packing")
-			}
-			plain.idBits = -1 // what a negative id does: comparator sort
-			for v := 0; v < w.n; v++ {
-				a, b := packed.Init(graph.NodeID(v)), plain.Init(graph.NodeID(v))
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("n=%d lift %d: Init_%d differs at %d: packed %d, comparator %d", w.n, lift, v, i, a[i], b[i])
-					}
-					if i > 0 && !packed.less(graph.NodeID(v), a[i-1], a[i]) {
-						t.Fatalf("n=%d lift %d: Init_%d not sorted under Less at %d", w.n, lift, v, i)
-					}
-					if packed.Rank(graph.NodeID(v), a[i]) != i {
-						t.Fatalf("n=%d lift %d: Rank(%d, %d) != %d", w.n, lift, v, a[i], i)
+			s := New(g, m, ids)
+			for v := graph.NodeID(0); v < graph.NodeID(w.n); v++ {
+				packed := s.ids.Order(m.FromSource(v), m.ToSink(v))
+				plain := packed
+				plain.idBits = -1 // what a negative id does: the tuple comparator
+				if !packed.Packed() {
+					t.Fatal("non-negative ids on small weights must pack")
+				}
+				ref := s.order(v)
+				for _, size := range []int{1, 2, (w.n + 2) / 3, w.n - 1, w.n} {
+					size = max(size, 1)
+					if a, b := packed.Prefix(size), plain.Prefix(size); !slices.Equal(a, ref[:size]) || !slices.Equal(b, ref[:size]) {
+						t.Fatalf("n=%d lift %d: Init_%d prefix %d: packed %v, comparator %v, reference %v", w.n, lift, v, size, a, b, ref[:size])
 					}
 				}
 			}
@@ -334,33 +335,57 @@ func TestPackedOrderMatchesComparatorOrder(t *testing.T) {
 	}
 }
 
-// TestRadixSortMatchesSlicesSort sorts random words with radixSort and
-// with slices.Sort. Sorting bits [lo, hi) of words whose low lo bits
-// ascend with the input position is a full sort, as in order's packed
-// keys; the cases cover widths on and off a digit boundary, a top digit
-// every word shares (a skipped pass), all 64 bits, and n = 0..3.
-func TestRadixSortMatchesSlicesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, c := range []struct{ n, lo, hi int }{
-		{0, 0, 11}, {1, 0, 11}, {2, 1, 12}, {3, 2, 9},
-		{1000, 0, 11}, {1000, 0, 22}, {1000, 0, 23}, {1000, 0, 64}, {1000, 0, 1},
-		{1000, 10, 32}, {1000, 10, 33}, {1000, 11, 40}, {1000, 20, 64}, {1000, 10, 54},
-	} {
-		keys := make([]uint64, c.n)
-		for i := range keys {
-			high := rng.Uint64() >> (64 - (c.hi - c.lo))
-			if c.hi-c.lo > digitBits && i%2 == 0 {
-				high &= 1<<digitBits - 1 // many small keys: ties in the upper digits
-			}
-			keys[i] = high << c.lo
-			if c.lo > 0 {
-				keys[i] |= uint64(i)
+// FuzzInitPrefix: on every graph family, on unit weights (ties
+// everywhere), with negative or wide ids and with rows that cross a down
+// edge (keys that cannot pack), every prefix the Space keeps or computes
+// equals the head of the reference comparator order, and a Space built
+// for any prefix length agrees.
+func FuzzInitPrefix(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(20), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(9), uint8(3), uint8(1))
+	f.Add(int64(3), uint8(5), uint8(30), uint8(7), uint8(2))
+	f.Add(int64(4), uint8(1), uint8(25), uint8(1), uint8(7))
+	families := strings.Split(graph.Families, "|")
+	f.Fuzz(func(t *testing.T, seed int64, family, size, maxW, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := graph.Generate(families[int(family)%len(families)], 2+int(size)%40, 1+graph.Dist(maxW)%8, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.N()
+		if flags&1 != 0 {
+			u := graph.NodeID(rng.Intn(n))
+			if out := g.Out(u); len(out) > 0 {
+				if err := g.SetEdgeWeight(u, out[rng.Intn(len(out))].To, graph.DownWeight); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		want := slices.Clone(keys)
-		slices.Sort(want)
-		if got := radixSort(keys, make([]uint64, c.n), c.lo, c.hi); !slices.Equal(got, want) {
-			t.Fatalf("n=%d bits [%d,%d): radixSort differs from slices.Sort", c.n, c.lo, c.hi)
+		ids := make([]int32, n)
+		for i, p := range rng.Perm(n) {
+			switch {
+			case flags&2 != 0:
+				ids[i] = int32(p - n) // negative: no packing
+			case flags&4 != 0:
+				ids[i] = int32(p) | 1<<30 // the widest id field
+			default:
+				ids[i] = int32(p)
+			}
 		}
-	}
+		m := graph.AllPairs(g)
+		keep := 1 + rng.Intn(n)
+		s, kept := New(g, m, ids), NewPrefix(g, m, ids, keep)
+		kept.Precompute(2)
+		for v := graph.NodeID(0); v < graph.NodeID(n); v++ {
+			ref := s.order(v)
+			for _, size := range []int{1, s.size, keep, 1 + rng.Intn(n), n} {
+				if got := s.Neighborhood(v, size); !slices.Equal(got, ref[:size]) {
+					t.Fatalf("Init_%d prefix %d = %v, reference %v", v, size, got, ref[:size])
+				}
+				if got := kept.Neighborhood(v, size); !slices.Equal(got, ref[:size]) {
+					t.Fatalf("Init_%d prefix %d (kept %d) = %v, reference %v", v, size, keep, got, ref[:size])
+				}
+			}
+		}
+	})
 }

@@ -257,8 +257,8 @@ type directEntry struct {
 // the two rows anchored at it. Every node that held or gains an entry
 // for one of them then gets a new table, compiled in node order from
 // its old entries for the other destinations followed by the new ones
-// in destination order. The reverse row brings its own parents, the
-// first hops toward y.
+// in destination order. A member's first hop toward y comes from the
+// reverse row by the search's tie rule (graph.NextHop).
 func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) error {
 	g := s.g
 	type solved struct {
@@ -269,22 +269,23 @@ func (mt *Maintainer) solveClusters(s *Scheme, ys []graph.NodeID) error {
 	err := parallel.ForEach(len(ys), mt.pass.Workers, func(i int) error {
 		y := ys[i]
 		fromY := mt.m.FromSource(y) // d(y, ·)
-		rev := mt.m.ToSinkTree(y)   // d(·, y) and next hops toward y
+		toY := mt.m.ToSink(y)       // d(·, y)
 		if mt.pass.Visit != nil {
-			mt.pass.Visit(y, fromY, rev.Dist)
+			mt.pass.Visit(y, fromY, toY)
 		}
 		radius := mt.centerRadius[y]
 		var members []graph.NodeID
 		for x := range fromY {
-			if graph.NodeID(x) != y && graph.RFromRows(fromY, rev.Dist, graph.NodeID(x)) < radius {
+			if graph.NodeID(x) != y && graph.RFromRows(fromY, toY, graph.NodeID(x)) < radius {
 				members = append(members, graph.NodeID(x))
 			}
 		}
 		ports := make([]graph.PortID, len(members))
 		for j, x := range members {
-			port, ok := g.PortTo(x, rev.Parent[x])
+			next := graph.NextHop(g, toY, x)
+			port, ok := g.PortTo(x, next)
 			if !ok {
-				return fmt.Errorf("rtz: missing edge (%d,%d) for direct entry", x, rev.Parent[x])
+				return fmt.Errorf("rtz: missing edge (%d,%d) for direct entry", x, next)
 			}
 			ports[j] = port
 		}

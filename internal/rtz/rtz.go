@@ -287,20 +287,6 @@ func (s *Scheme) Route(src graph.NodeID, lbl Label) (graph.Dist, int, error) {
 	}
 }
 
-// Roundtrip simulates src -> dst -> src, carrying R3(src) on the forward
-// leg as the paper's return-trip headers do. Returns total weight.
-func (s *Scheme) Roundtrip(src, dst graph.NodeID) (graph.Dist, error) {
-	out, _, err := s.Route(src, s.Labels[dst])
-	if err != nil {
-		return 0, err
-	}
-	back, _, err := s.Route(dst, s.Labels[src])
-	if err != nil {
-		return 0, err
-	}
-	return out + back, nil
-}
-
 // MaxTableWords returns the largest node table in words.
 func (s *Scheme) MaxTableWords() int {
 	m := 0

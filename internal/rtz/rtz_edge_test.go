@@ -1,6 +1,7 @@
 package rtz
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestRouteHopFromOutsideTree(t *testing.T) {
 		}
 		outside := graph.NodeID(-1)
 		for v := range tabs {
-			if !tr.Contains(graph.NodeID(v)) {
+			if !slices.Contains(tr.Members, graph.NodeID(v)) {
 				outside = graph.NodeID(v)
 				break
 			}

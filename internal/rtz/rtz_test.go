@@ -34,13 +34,13 @@ func TestLemma2OneWayGuarantee(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d route %d->%d: %v", seed, u, v, err)
 				}
-				bound := m.R(graph.NodeID(u), graph.NodeID(v)) + m.D(graph.NodeID(u), graph.NodeID(v))
+				bound := m.R(graph.NodeID(u), graph.NodeID(v)) + m.FromSource(graph.NodeID(u))[graph.NodeID(v)]
 				if w > bound {
 					t.Fatalf("seed %d: p(%d,%d) = %d > r+d = %d", seed, u, v, w, bound)
 				}
-				if w < m.D(graph.NodeID(u), graph.NodeID(v)) {
+				if w < m.FromSource(graph.NodeID(u))[graph.NodeID(v)] {
 					t.Fatalf("seed %d: p(%d,%d) = %d below shortest distance %d (accounting bug)",
-						seed, u, v, w, m.D(graph.NodeID(u), graph.NodeID(v)))
+						seed, u, v, w, m.FromSource(graph.NodeID(u))[graph.NodeID(v)])
 				}
 			}
 		}
@@ -106,10 +106,10 @@ func TestDirectEntriesAreShortestFirstHops(t *testing.T) {
 	for x := 0; x < g.N(); x++ {
 		s.Tables[x].DirectEntries(func(y graph.NodeID, port graph.PortID) {
 			e, _ := g.EdgeByPort(graph.NodeID(x), port)
-			want := m.D(graph.NodeID(x), y)
-			if e.Weight+m.D(e.To, y) != want {
+			want := m.FromSource(graph.NodeID(x))[y]
+			if e.Weight+m.FromSource(e.To)[y] != want {
 				t.Fatalf("direct entry (%d,%d) not on a shortest path: %d + %d != %d",
-					x, y, e.Weight, m.D(e.To, y), want)
+					x, y, e.Weight, m.FromSource(e.To)[y], want)
 			}
 		})
 	}
@@ -213,4 +213,18 @@ func TestForwardHopOutsideTree(t *testing.T) {
 	if _, _, err := ForwardHop(&tabs[0], h); err == nil {
 		t.Fatal("expected error for unknown tree ref")
 	}
+}
+
+// Roundtrip simulates src -> dst -> src, carrying R3(src) on the forward
+// leg as the paper's return-trip headers do. Returns total weight.
+func (s *Scheme) Roundtrip(src, dst graph.NodeID) (graph.Dist, error) {
+	out, _, err := s.Route(src, s.Labels[dst])
+	if err != nil {
+		return 0, err
+	}
+	back, _, err := s.Route(dst, s.Labels[src])
+	if err != nil {
+		return 0, err
+	}
+	return out + back, nil
 }

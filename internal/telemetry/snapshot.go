@@ -137,61 +137,6 @@ func (s *Sink) Snapshot() *Snapshot {
 	return snap
 }
 
-func subShard(a, b ShardSnap) ShardSnap {
-	out := a
-	out.Counters.sub(b.Counters)
-	out.Batches -= b.Batches
-	out.SampledBatches -= b.SampledBatches
-	out.RecvWaitNs -= b.RecvWaitNs
-	out.ClippedNs -= b.ClippedNs
-	out.Stages = append([]StageSnap(nil), a.Stages...)
-	for i := range out.Stages {
-		for _, prev := range b.Stages {
-			if prev.Stage == out.Stages[i].Stage {
-				out.Stages[i].SampledNs -= prev.SampledNs
-				out.Stages[i].EstNs -= prev.EstNs
-				break
-			}
-		}
-	}
-	// Heat and max/p50 are not diffable; the newer reading stands.
-	return out
-}
-
-// Sub returns the activity between prev and s (counters and stage
-// times subtract per shard; heat, maxima and gauges keep the newer
-// reading). Shards are matched by id, so a snapshot pair from the same
-// sink always lines up.
-func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	if prev == nil {
-		return s
-	}
-	out := *s
-	out.Shards = make([]ShardSnap, len(s.Shards))
-	out.Totals = Counters{}
-	for i, cur := range s.Shards {
-		out.Shards[i] = cur
-		for _, old := range prev.Shards {
-			if old.Shard == cur.Shard {
-				out.Shards[i] = subShard(cur, old)
-				break
-			}
-		}
-		out.Totals.add(out.Shards[i].Counters)
-	}
-	if s.Injectors != nil && prev.Injectors != nil {
-		inj := subShard(*s.Injectors, *prev.Injectors)
-		out.Injectors = &inj
-		out.Totals.Injects += inj.Counters.Injects
-		out.Totals.Allocs += inj.Counters.Allocs
-	}
-	out.UptimeNs = s.UptimeNs - prev.UptimeNs
-	return &out
-}
-
 // StageRow is one line of the machine-produced cost decomposition.
 type StageRow struct {
 	Stage   string  `json:"stage"`

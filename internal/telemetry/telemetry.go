@@ -294,17 +294,6 @@ func (c *Counters) add(o Counters) {
 	c.Allocs += o.Allocs
 }
 
-func (c *Counters) sub(o Counters) {
-	c.Packets -= o.Packets
-	c.Hops -= o.Hops
-	c.Weight -= o.Weight
-	c.FramesIn -= o.FramesIn
-	c.FramesOut -= o.FramesOut
-	c.Errors -= o.Errors
-	c.Injects -= o.Injects
-	c.Allocs -= o.Allocs
-}
-
 // published is the reader-visible copy of a probe's state, guarded by
 // Probe.mu and overwritten whole on each Publish.
 type published struct {

@@ -133,12 +133,6 @@ func NewWorkload(spec Spec, n int, seed int64) (*Workload, error) {
 	return w, nil
 }
 
-// N returns the name-universe size.
-func (w *Workload) N() int { return w.n }
-
-// Spec returns the validated spec with defaults filled in.
-func (w *Workload) Spec() Spec { return w.spec }
-
 // Generator returns worker's deterministic pair stream. Calling it again
 // with the same worker index restarts the identical stream — the replay
 // hook the engine-vs-sequential equivalence tests use.

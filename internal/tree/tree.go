@@ -299,11 +299,6 @@ func sortNodeIDs(s []graph.NodeID) {
 	}
 }
 
-// Slot returns v's position in Members, or -1 when v is not a member.
-// The At accessors below take a slot and skip the index probe, for
-// callers that walk Members or look a node up once for several reads.
-func (t *Tree) Slot(v graph.NodeID) int { return t.index.Pos(v) }
-
 // LabelAt returns the out-tree address of the member at slot i.
 func (t *Tree) LabelAt(i int) Label { return t.labels[i] }
 
@@ -317,9 +312,6 @@ func (t *Tree) InPortAt(i int) graph.PortID { return t.inPort[i] }
 // RoundtripAt returns d_C(Root, v) + d_C(v, Root) for the member at
 // slot i: its share of a roundtrip relayed through the root.
 func (t *Tree) RoundtripAt(i int) graph.Dist { return t.distFrom[i] + t.distTo[i] }
-
-// Contains reports whether v is a member of the tree.
-func (t *Tree) Contains(v graph.NodeID) bool { return t.index.Pos(v) >= 0 }
 
 // State returns v's per-tree routing state.
 func (t *Tree) State(v graph.NodeID) (State, bool) {

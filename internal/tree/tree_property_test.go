@@ -27,7 +27,7 @@ func TestQuickOutTreeOptimality(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sp := graph.Dijkstra(g, root)
+		sp := new(graph.SSSPScratch).Dijkstra(g, root)
 		lbl, ok := tr.LabelOf(dst)
 		if !ok {
 			return false
@@ -73,7 +73,7 @@ func TestQuickRTHeightComposition(t *testing.T) {
 			return false
 		}
 		// The tree spans g, so its distances are g's own.
-		fwd, rev := graph.Dijkstra(g, root), graph.DijkstraRev(g, root)
+		fwd, rev := new(graph.SSSPScratch).Dijkstra(g, root), new(graph.SSSPScratch).DijkstraRev(g, root)
 		for v := 0; v < n; v++ {
 			from, ok1 := tr.DistFrom(graph.NodeID(v))
 			to, ok2 := tr.DistTo(graph.NodeID(v))

@@ -80,7 +80,7 @@ func TestOutTreeRoutesAreShortestPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := graph.Dijkstra(g, root)
+		sp := new(graph.SSSPScratch).Dijkstra(g, root)
 		for v := 0; v < g.N(); v++ {
 			w, _ := routeDown(t, g, tr, graph.NodeID(v))
 			if w != sp.Dist[v] {
@@ -98,7 +98,7 @@ func TestInTreeRoutesAreShortestPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev := graph.DijkstraRev(g, root)
+	rev := new(graph.SSSPScratch).DijkstraRev(g, root)
 	for v := 0; v < g.N(); v++ {
 		w := routeUp(t, g, tr, graph.NodeID(v))
 		if w != rev.Dist[v] {
@@ -320,7 +320,7 @@ func TestAdversarialPortsDoNotBreakRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := graph.Dijkstra(g, 9)
+	sp := new(graph.SSSPScratch).Dijkstra(g, 9)
 	for v := 0; v < g.N(); v += 3 {
 		w, _ := routeDown(t, g, tr, graph.NodeID(v))
 		if w != sp.Dist[v] {
@@ -347,3 +347,9 @@ func TestDoubleTreeOnGrid(t *testing.T) {
 		}
 	}
 }
+
+// Slot returns v's position in Members, or -1 when v is not a member.
+func (t *Tree) Slot(v graph.NodeID) int { return t.index.Pos(v) }
+
+// Contains reports whether v is a member of the tree.
+func (t *Tree) Contains(v graph.NodeID) bool { return t.index.Pos(v) >= 0 }

@@ -90,9 +90,6 @@ func (s *System) BuildMaintained(kind SchemeKind, opts ...BuildOption) (*Maintai
 // before any).
 func (m *Maintained) Plane() Scheme { return m.plane }
 
-// Kind returns the scheme kind being maintained.
-func (m *Maintained) Kind() SchemeKind { return m.kind }
-
 // RebuildNodes incorporates graph mutations whose combined may-use
 // affected set is dirty. The graph must already be mutated (the churn
 // overlay mutates it while computing the set). On success Plane returns

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"rtroute/internal/wire"
 	"slices"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 							t.Fatalf("run %d event %d (%v): %v", run, i, ev, err)
 						}
 						prev := m.Plane()
-						before, err := MarshalScheme(prev)
+						before, err := wire.MarshalScheme(prev)
 						if err != nil {
 							t.Fatalf("run %d event %d: marshal: %v", run, i, err)
 						}
@@ -154,7 +155,7 @@ func TestIncrementalMatchesFreshUnderEventFuzz(t *testing.T) {
 						if err != nil {
 							t.Fatalf("run %d event %d: RebuildNodes: %v", run, i, err)
 						}
-						if after, err := MarshalScheme(prev); err != nil || !bytes.Equal(after, before) {
+						if after, err := wire.MarshalScheme(prev); err != nil || !bytes.Equal(after, before) {
 							t.Fatalf("run %d workers %d event %d: the replaced plane changed under RebuildNodes (err %v)", run, workers, i, err)
 						}
 						if workers == buildWorkerCounts[0] {
@@ -338,7 +339,7 @@ func TestAffectedSetIsSound(t *testing.T) {
 		before := make([]*graph.SSSP, n)
 		beforeRev := make([]*graph.SSSP, n)
 		for i := 0; i < n; i++ {
-			f, r := graph.Dijkstra(g, NodeID(i)), graph.DijkstraRev(g, NodeID(i))
+			f, r := new(graph.SSSPScratch).Dijkstra(g, NodeID(i)), new(graph.SSSPScratch).DijkstraRev(g, NodeID(i))
 			before[i], beforeRev[i] = &f, &r
 		}
 		wNew := graph.Dist(1 + rng.Int63n(64))
@@ -349,7 +350,7 @@ func TestAffectedSetIsSound(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			x := NodeID(i)
-			after, afterRev := graph.Dijkstra(g, x), graph.DijkstraRev(g, x)
+			after, afterRev := new(graph.SSSPScratch).Dijkstra(g, x), new(graph.SSSPScratch).DijkstraRev(g, x)
 			changed := false
 			for j := 0; j < n; j++ {
 				if after.Dist[j] != before[i].Dist[j] || afterRev.Dist[j] != beforeRev[i].Dist[j] {
@@ -384,16 +385,15 @@ func TestSSSPBudget(t *testing.T) {
 				t.Fatalf("system: %v", err)
 			}
 			if rows > 0 {
-				sys.Metric = NewLazyOracle(g, rows)
+				sys.Metric = graph.NewLazyOracle(g, rows)
 			}
 			lazy := sys.Metric.(*LazyOracle)
 			m, err := sys.BuildMaintained(StretchSix, WithSeed(7), withBuildWorkers(workers))
 			if err != nil {
 				t.Fatalf("BuildMaintained: %v", err)
 			}
-			centers := len(m.s6.Substrate().Scheme().Centers)
 			if got := lazy.Stats().Misses; got > 2*n {
-				t.Fatalf("rows %d workers %d: build ran %d oracle searches beside its %d tree builds, budget 2n = %d", rows, workers, got, centers, 2*n)
+				t.Fatalf("rows %d workers %d: build ran %d oracle searches beside its tree builds, budget 2n = %d", rows, workers, got, 2*n)
 			}
 			ov, err := churn.NewOverlay(sys.Graph, churn.NewDamper(churn.DamperConfig{}))
 			if err != nil {

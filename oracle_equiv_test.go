@@ -22,7 +22,7 @@ func buildPair(t *testing.T, g *Graph, naming *Naming, build func(sys *System) (
 		t.Fatal(err)
 	}
 	lazy := *def
-	lazy.Metric = NewLazyOracle(g, 8)
+	lazy.Metric = graph.NewLazyOracle(g, 8)
 	ds, err := build(def)
 	if err != nil {
 		t.Fatalf("default build: %v", err)
@@ -110,10 +110,10 @@ func TestSystemLazyMetricQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := &System{Graph: g, Metric: NewLazyOracle(g, 4), Naming: naming}
+	lazy := &System{Graph: g, Metric: graph.NewLazyOracle(g, 4), Naming: naming}
 	for u := int32(0); u < int32(n); u++ {
 		for v := int32(0); v < int32(n); v++ {
-			if def.R(u, v) != lazy.R(u, v) || def.D(u, v) != lazy.D(u, v) {
+			if def.R(u, v) != lazy.R(u, v) || def.Metric.FromSource(NodeID(u))[v] != lazy.Metric.FromSource(NodeID(u))[v] {
 				t.Fatalf("system query diverges at names (%d,%d)", u, v)
 			}
 		}
@@ -186,7 +186,7 @@ func lazyStretchSixScaleRun(t *testing.T, n, pairs int) {
 	// A 256-row budget: the default would hold all 2n rows at n = 600,
 	// which is the point under churn but not the memory saving this run
 	// measures.
-	oracle := NewLazyOracle(g, 256)
+	oracle := graph.NewLazyOracle(g, 256)
 	sys := &System{Graph: g, Metric: oracle, Naming: RandomNaming(n, rng)}
 	sch, err := sys.Build(StretchSix, WithSeed(7))
 	if err != nil {

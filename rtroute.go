@@ -124,20 +124,9 @@ func NewDirectory(fullNames []string, n int, rng *rand.Rand) (*Directory, error)
 	return names.NewDirectory(fullNames, n, rng)
 }
 
-// AllPairs returns g's distance oracle under the default row budget,
-// every row computed up front on GOMAXPROCS workers while all 2n fit it.
-func AllPairs(g *Graph) *LazyOracle { return graph.AllPairs(g) }
-
-// NewLazyOracle creates a bounded lazy distance oracle over g holding at
-// most cacheRows distance rows (<= 0 selects the default budget).
-func NewLazyOracle(g *Graph, cacheRows int) *LazyOracle { return graph.NewLazyOracle(g, cacheRows) }
-
 // ReadGraph parses a graph in the textual exchange format of
 // (*Graph).WriteTo.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
-
-// StronglyConnected reports whether g is strongly connected.
-func StronglyConnected(g *Graph) bool { return graph.StronglyConnected(g) }
 
 // System bundles a network, its distance oracle and its naming, and
 // builds routing schemes over them.
@@ -207,11 +196,6 @@ func (s *System) R(srcName, dstName int32) Dist {
 	return s.Metric.R(NodeID(s.Naming.Node(srcName)), NodeID(s.Naming.Node(dstName)))
 }
 
-// D returns the one-way distance between two NAMES.
-func (s *System) D(srcName, dstName int32) Dist {
-	return s.Metric.D(NodeID(s.Naming.Node(srcName)), NodeID(s.Naming.Node(dstName)))
-}
-
 // Stretch returns the roundtrip stretch of a measured trace for the
 // pair. Unreachable pairs (roundtrip distance Inf, possible only on
 // hand-assembled Systems — NewSystem rejects non-strongly-connected
@@ -260,9 +244,6 @@ type EncodedSpaceConfig = eval.EncodedSpaceConfig
 func EncodedSpaceSweep(cfg EncodedSpaceConfig) ([]EncodedSpacePoint, error) {
 	return eval.EncodedSpaceSweep(cfg)
 }
-
-// EncodedSpaceSlope fits the log-log growth exponent of a sweep.
-func EncodedSpaceSlope(pts []EncodedSpacePoint) float64 { return eval.EncodedSpaceSlope(pts) }
 
 // FormatEncodedSpace renders an encoded space sweep as text.
 func FormatEncodedSpace(pts []EncodedSpacePoint) string { return eval.FormatEncodedSpace(pts) }

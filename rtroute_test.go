@@ -88,9 +88,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestSystemMetricHelpers(t *testing.T) {
 	sys := newTestSystem(t, 6, 12)
+	d := func(a, b int32) Dist { return sys.Metric.FromSource(NodeID(sys.Naming.Node(a)))[sys.Naming.Node(b)] }
 	for u := int32(0); u < 12; u++ {
 		for v := int32(0); v < 12; v++ {
-			want := sys.D(u, v) + sys.D(v, u)
+			want := d(u, v) + d(v, u)
 			if got := sys.R(u, v); got != want {
 				t.Fatalf("R(%d,%d) = %d, want %d", u, v, got, want)
 			}

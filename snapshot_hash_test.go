@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"rtroute/internal/wire"
 	"testing"
 )
 
@@ -65,7 +66,7 @@ func TestBenchmarkSnapshotsPinned(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d: build %v: %v", world, seed, kind, err)
 				}
-				blob, err := MarshalScheme(sch)
+				blob, err := wire.MarshalScheme(sch)
 				if err != nil {
 					t.Fatalf("%s seed %d: marshal %v: %v", world, seed, kind, err)
 				}

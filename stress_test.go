@@ -2,6 +2,7 @@ package rtroute
 
 import (
 	"math/rand"
+	"rtroute/internal/graph"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestStretchSixAtScale(t *testing.T) {
 	n := 384
 	rng := rand.New(rand.NewSource(99))
 	g := RandomSC(n, 5*n, 16, rng)
-	m := AllPairs(g)
+	m := graph.AllPairs(g)
 	naming := RandomNaming(n, rng)
 	sys := &System{Graph: g, Metric: m, Naming: naming}
 	sch, err := sys.Build(StretchSix, WithSeed(7))
