@@ -51,6 +51,7 @@ func TestBuildCliff(t *testing.T) {
 		t.Logf("n=%5d  fill %.2f s  stretch6 %.2f s  exstretch %.2f s  live heap %.1f MiB  peak RSS %s  oracle misses %d evictions %d  claim fallbacks %d",
 			n, fill.Seconds(), s6Wall.Seconds(), exWall.Seconds(), float64(ms.HeapAlloc)/(1<<20), peakRSS(), st.Misses, st.Evictions, ex.claimFallbacks)
 		runtime.KeepAlive(s6)
+		runtime.KeepAlive(ex)
 	}
 }
 
