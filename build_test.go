@@ -309,12 +309,12 @@ func TestDeploymentServesTraffic(t *testing.T) {
 // TestSystemSharesOneHierarchy: ExStretch, Polynomial and HopSubstrate
 // built on one System at the same (k, base, variant) read one cover
 // hierarchy, which the System builds once (core's
-// TestPlanesShareHierarchyMemberships checks that planes built on one
-// hierarchy hold each node's memberships once). The System keys the
-// hierarchy on the graph's generation and on the oracle: after a
-// reweighting the next build makes a new one and is identical to a
-// fresh System's, and a copy of the System over another oracle, as
-// Maintained.Certify makes, never reads it.
+// TestSystemPlanesShareOneHierarchy checks that each plane built so
+// reads it and holds each node's memberships as its slices). The
+// System keys the hierarchy on the graph's generation and on the
+// oracle: after a reweighting the next build makes a new one and is
+// identical to a fresh System's, and a copy of the System over another
+// oracle, as Maintained.Certify makes, never reads it.
 func TestSystemSharesOneHierarchy(t *testing.T) {
 	const n = 40
 	sys := newTestSystem(t, 11, n)

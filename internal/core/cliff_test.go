@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -47,27 +46,12 @@ func TestBuildCliff(t *testing.T) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
+		var ru syscall.Rusage
+		_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
 		st := m.Stats()
-		t.Logf("n=%5d  fill %.2f s  stretch6 %.2f s  exstretch %.2f s  live heap %.1f MiB  peak RSS %s  oracle misses %d evictions %d  claim fallbacks %d",
-			n, fill.Seconds(), s6Wall.Seconds(), exWall.Seconds(), float64(ms.HeapAlloc)/(1<<20), peakRSS(), st.Misses, st.Evictions, ex.claimFallbacks)
+		t.Logf("n=%5d  fill %.2f s  stretch6 %.2f s  exstretch %.2f s  live heap %.1f MiB  peak RSS %.1f MiB  oracle misses %d evictions %d  claim fallbacks %d",
+			n, fill.Seconds(), s6Wall.Seconds(), exWall.Seconds(), float64(ms.HeapAlloc)/(1<<20), float64(ru.Maxrss)/1024, st.Misses, st.Evictions, ex.claimFallbacks)
 		runtime.KeepAlive(s6)
 		runtime.KeepAlive(ex)
 	}
-}
-
-// peakRSS is the process's peak resident set (VmHWM), or "n/a" where
-// /proc/self/status does not report it.
-func peakRSS() string {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return "n/a"
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if v, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
-			return strings.TrimSpace(v)
-		}
-	}
-	return "n/a"
 }

@@ -208,39 +208,3 @@ func TestHopPlaneRejectsForeignHierarchy(t *testing.T) {
 		t.Fatal("foreign hierarchy accepted for a larger graph")
 	}
 }
-
-// TestPlanesShareHierarchyMemberships: ExStretch, Polynomial and the hop
-// plane built on one cover hierarchy hold each node's hop-substrate
-// memberships once: every plane's table at v is the hierarchy's own
-// slice.
-func TestPlanesShareHierarchyMemberships(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 40
-	g := graph.RandomSC(n, 3*n, 6, rng)
-	perm := names.Random(n, rng)
-	m := graph.AllPairs(g)
-	h, err := cover.BuildHierarchy(g, m, 2, 2, cover.VariantAwerbuchPeleg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := NewExStretch(g, m, perm, rng, ExStretchConfig{K: 2, Hierarchy: h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poly, err := NewPolynomialStretch(g, m, perm, PolyConfig{K: 2, Hierarchy: h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hop, err := NewHopPlane(g, h, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range n {
-		want := h.Memberships(graph.NodeID(v))
-		for name, got := range map[string][]cover.Membership{"exstretch": ex.nodes[v].hopTab.Trees, "polystretch": poly.nodes[v].hop.Trees, "hop": hop.tables[v].Trees} {
-			if &got[0] != &want[0] || len(got) != len(want) {
-				t.Fatalf("%s holds its own copy of node %d's memberships", name, v)
-			}
-		}
-	}
-}

@@ -131,9 +131,12 @@ func (o *Order) Key(u graph.NodeID) uint64 {
 }
 
 // Prefix returns the first size nodes of the order (size in [1, n]),
-// in a fresh slice. Packed keys go through a bounded selection: the size
-// smallest keys so far, kept sorted, which a key enters only when it is
-// below the last. Unpacked, every node is sorted by the tuples.
+// in a fresh slice. Packed keys for a short prefix go through a bounded
+// selection: the size smallest keys so far, kept sorted, which a key
+// enters only when it is below the last. A prefix of a quarter of the
+// nodes or more, where that selection would shift O(size) words per key,
+// sorts all n keys instead. Unpacked, every node is sorted by the
+// tuples.
 func (o *Order) Prefix(size int) []graph.NodeID {
 	out := make([]graph.NodeID, size)
 	if !o.Packed() {
@@ -148,17 +151,27 @@ func (o *Order) Prefix(size int) []graph.NodeID {
 		copy(out, ord)
 		return out
 	}
-	keys := make([]uint64, 0, size)
-	for u := range o.fwd {
-		key := o.Key(graph.NodeID(u))
-		if len(keys) == size {
-			if key > keys[size-1] {
-				continue
-			}
-			keys = keys[:size-1]
+	var keys []uint64
+	if n := len(o.fwd); 4*size >= n {
+		keys = make([]uint64, n)
+		for u := range keys {
+			keys[u] = o.Key(graph.NodeID(u))
 		}
-		i, _ := slices.BinarySearch(keys, key)
-		keys = slices.Insert(keys, i, key)
+		slices.Sort(keys)
+		keys = keys[:size]
+	} else {
+		keys = make([]uint64, 0, size)
+		for u := range o.fwd {
+			key := o.Key(graph.NodeID(u))
+			if len(keys) == size {
+				if key > keys[size-1] {
+					continue
+				}
+				keys = keys[:size-1]
+			}
+			i, _ := slices.BinarySearch(keys, key)
+			keys = slices.Insert(keys, i, key)
+		}
 	}
 	for i, key := range keys {
 		out[i] = graph.NodeID(key & (1<<o.nodeBits - 1))
